@@ -83,7 +83,9 @@ trace-replay-smoke:
 # sequentially and with 2 workers must produce byte-identical datasets
 # (user partitioning is worker-count independent), and a checkpointed
 # run driven epoch by epoch through kill/resume cycles must reproduce
-# the uninterrupted dataset byte for byte.
+# the uninterrupted dataset byte for byte. The third leg repeats both
+# checks under sampled HAR retention, whose reservoir rides in the
+# checkpoint.
 TRAFFIC_SMOKE_FLAGS = -pages 8 -traffic -traffic-users 24 -traffic-users-per-shard 10 \
 	-traffic-rate 2 -traffic-duration 30s -traffic-epoch 10s -traffic-ttl 15s \
 	-traffic-think 2s
@@ -96,6 +98,11 @@ traffic-smoke:
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -traffic-checkpoint .traffic-smoke/ckpt -traffic-halt-epochs 1 -o /dev/null
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -traffic-checkpoint .traffic-smoke/ckpt -o .traffic-smoke/resumed.json
 	cmp .traffic-smoke/seq.json .traffic-smoke/resumed.json
+	mkdir -p .traffic-smoke/ckpt-sample
+	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -sequential -o .traffic-smoke/sample-seq.json
+	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -workers 2 -traffic-checkpoint .traffic-smoke/ckpt-sample -traffic-halt-epochs 1 -o /dev/null
+	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -workers 2 -traffic-checkpoint .traffic-smoke/ckpt-sample -o .traffic-smoke/sample-resumed.json
+	cmp .traffic-smoke/sample-seq.json .traffic-smoke/sample-resumed.json
 	rm -rf .traffic-smoke
 
 # Tracing smoke pass: run a small traced campaign through h3cdn-measure

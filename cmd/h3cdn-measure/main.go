@@ -110,8 +110,26 @@ func run() int {
 		maxInFlight:   *trafficFlight,
 		checkpoint:    *trafficCkpt,
 		haltEpochs:    *trafficHalt,
-	}, *consecutive, *qlogDir, ret)
+	})
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
+		return 2
+	}
+	cfg := core.CampaignConfig{
+		Seed:             *seed,
+		CorpusConfig:     webgen.Config{NumPages: *pages},
+		Vantages:         vantage.Points(),
+		ProbesPerVantage: *probes,
+		LossRate:         *loss,
+		Consecutive:      *consecutive,
+		Sequential:       *sequential,
+		Workers:          *workers,
+		FetchRetries:     *retries,
+		QlogDir:          *qlogDir,
+		Retention:        ret,
+		Traffic:          tcfg,
+	}
+	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 		return 2
 	}
@@ -184,22 +202,7 @@ func run() int {
 		}
 	}
 
-	cfg := core.CampaignConfig{
-		Seed:             *seed,
-		CorpusConfig:     webgen.Config{NumPages: *pages},
-		Vantages:         vantage.Points(),
-		ProbesPerVantage: *probes,
-		LossRate:         *loss,
-		Consecutive:      *consecutive,
-		Sequential:       *sequential,
-		Workers:          *workers,
-		Impairment:       impair,
-		LinkTrace:        tl,
-		FetchRetries:     *retries,
-		QlogDir:          *qlogDir,
-		Retention:        ret,
-		Traffic:          tcfg,
-	}
+	cfg.Impairment, cfg.LinkTrace = impair, tl
 	if tl != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: link trace %s: %d epochs over %v, mean %.1f Mbit/s\n",
 			tl.Name(), tl.Epochs(), tl.Period(), tl.MeanBps()/1e6)
@@ -350,21 +353,12 @@ type trafficFlags struct {
 // campaign's population-traffic config, or returns nil when -traffic is
 // off. Like validateImpairFlags these are usage errors (exit 2) caught
 // before any simulation work: zero users or a NaN arrival rate in a
-// sweep script should fail the first invocation loudly, as should
-// combining -traffic with per-page census machinery it cannot honor
-// (-consecutive, -qlog, sampled HAR retention).
-func buildTrafficConfig(tf trafficFlags, consecutive bool, qlogDir string, ret har.Retention) (*traffic.Config, error) {
+// sweep script should fail the first invocation loudly. Which other
+// campaign knobs -traffic combines with is core.CampaignConfig.Validate's
+// call, not this function's.
+func buildTrafficConfig(tf trafficFlags) (*traffic.Config, error) {
 	if !tf.enabled {
 		return nil, nil
-	}
-	if consecutive {
-		return nil, fmt.Errorf("-traffic: incompatible with -consecutive (sessions already revisit pages)")
-	}
-	if qlogDir != "" {
-		return nil, fmt.Errorf("-traffic: incompatible with -qlog")
-	}
-	if ret.Kind == har.RetainSample {
-		return nil, fmt.Errorf("-traffic: incompatible with -har-retention sample:N (use all or none)")
 	}
 	if tf.haltEpochs < 0 {
 		return nil, fmt.Errorf("-traffic-halt-epochs %d: must be non-negative", tf.haltEpochs)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/core"
 	"h3cdn/internal/har"
 )
 
@@ -64,7 +65,9 @@ func TestValidateImpairFlags(t *testing.T) {
 // TestBuildTrafficConfig covers the -traffic-* usage validation: bad
 // knob values and incompatible flag combinations are rejected before
 // any simulation work (exit 2), same contract as the impair-flag table
-// above. Mutate-one-knob cases start from a valid baseline.
+// above. Mutate-one-knob cases start from a valid baseline. Like run(),
+// the test passes the built traffic config through
+// core.CampaignConfig.Validate, which owns the combination rules.
 func TestBuildTrafficConfig(t *testing.T) {
 	type args struct {
 		tf          trafficFlags
@@ -114,17 +117,22 @@ func TestBuildTrafficConfig(t *testing.T) {
 		{"negative-ttl", func(a *args) { a.tf.ttl = -time.Second }, "TTL"},
 		{"negative-max-inflight", func(a *args) { a.tf.maxInFlight = -1 }, "in-flight"},
 		{"negative-halt-epochs", func(a *args) { a.tf.haltEpochs = -1 }, "-traffic-halt-epochs"},
-		{"with-consecutive", func(a *args) { a.consecutive = true }, "-consecutive"},
-		{"with-qlog", func(a *args) { a.qlogDir = "qlogs" }, "-qlog"},
+		{"with-consecutive", func(a *args) { a.consecutive = true }, "Consecutive"},
+		{"with-qlog", func(a *args) { a.qlogDir = "qlogs" }, "QlogDir"},
 		{"with-sampled-retention", func(a *args) {
 			a.ret = har.Retention{Kind: har.RetainSample, Sample: 8}
-		}, "sample"},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mut(&a)
-			cfg, err := buildTrafficConfig(a.tf, a.consecutive, a.qlogDir, a.ret)
+			cfg, err := buildTrafficConfig(a.tf)
+			if err == nil {
+				err = core.CampaignConfig{
+					Consecutive: a.consecutive, QlogDir: a.qlogDir, Retention: a.ret, Traffic: cfg,
+				}.Validate()
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -147,7 +155,7 @@ func TestBuildTrafficConfig(t *testing.T) {
 	off := ok
 	off.tf.enabled = false
 	off.tf.users = -1
-	if cfg, err := buildTrafficConfig(off.tf, off.consecutive, off.qlogDir, off.ret); cfg != nil || err != nil {
+	if cfg, err := buildTrafficConfig(off.tf); cfg != nil || err != nil {
 		t.Fatalf("disabled traffic: got (%v, %v), want (nil, nil)", cfg, err)
 	}
 }

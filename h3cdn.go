@@ -15,7 +15,6 @@
 package h3cdn
 
 import (
-	"h3cdn/internal/adaptive"
 	"h3cdn/internal/browser"
 	"h3cdn/internal/core"
 	"h3cdn/internal/har"
@@ -81,10 +80,9 @@ type (
 
 // Browsing modes.
 const (
-	ModeH2       = browser.ModeH2
-	ModeH3       = browser.ModeH3
-	ModeH1       = browser.ModeH1
-	ModeAdaptive = browser.ModeAdaptive
+	ModeH2 = browser.ModeH2
+	ModeH3 = browser.ModeH3
+	ModeH1 = browser.ModeH1
 )
 
 // HAR retention policies (CampaignConfig.Retention.Kind); the zero
@@ -98,17 +96,6 @@ const (
 // ParseRetention parses a retention policy flag value: "all", "none",
 // or "sample:N".
 func ParseRetention(s string) (Retention, error) { return har.ParseRetention(s) }
-
-// Adaptive protocol selection (§VII extension).
-type (
-	// Selector learns per-host protocol preferences (ModeAdaptive).
-	Selector = adaptive.Selector
-	// SelectorConfig tunes the selector.
-	SelectorConfig = adaptive.Config
-)
-
-// NewSelector creates an adaptive protocol selector.
-func NewSelector(cfg SelectorConfig) *Selector { return adaptive.NewSelector(cfg) }
 
 // Run executes a measurement campaign (all probes × modes × pages).
 func Run(cfg CampaignConfig) (*Dataset, error) { return core.RunCampaign(cfg) }

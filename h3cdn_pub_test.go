@@ -2,7 +2,6 @@ package h3cdn_test
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"h3cdn"
@@ -52,31 +51,6 @@ func TestPublicAPISmokeTour(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Fatal("empty dataset JSON")
-	}
-}
-
-func TestPublicAdaptiveSelector(t *testing.T) {
-	sel := h3cdn.NewSelector(h3cdn.SelectorConfig{Rng: rand.New(rand.NewSource(1))}) //nolint:gosec
-	corpus := h3cdn.GenerateCorpus(h3cdn.CorpusConfig{Seed: 2, NumPages: 4, MeanResources: 40})
-	u, err := h3cdn.NewUniverse(h3cdn.UniverseConfig{Seed: 2, Corpus: corpus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := u.NewBrowser(h3cdn.BrowserConfig{Mode: h3cdn.ModeAdaptive, Selector: sel, EnableZeroRTT: true})
-	for i := range corpus.Pages {
-		if _, err := u.RunVisit(b, &corpus.Pages[i]); err != nil {
-			t.Fatal(err)
-		}
-		b.ClearSessions()
-	}
-	h2, h3, fb := sel.Stats()
-	if h2 == 0 || fb == 0 {
-		t.Fatalf("selector unused: h2=%d h3=%d feedback=%d", h2, h3, fb)
-	}
-	// With H3 widely available on warm visits, the selector must have
-	// tried it at least somewhere.
-	if h3 == 0 {
-		t.Fatal("selector never chose H3")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"h3cdn/internal/adaptive"
 	"h3cdn/internal/har"
 	"h3cdn/internal/httpsim"
 	"h3cdn/internal/quicsim"
@@ -35,9 +34,6 @@ const (
 	ModeH3
 	// ModeH1 forces HTTP/1.1 everywhere (baseline ablation).
 	ModeH1
-	// ModeAdaptive selects H2 or H3 per host from observed first-byte
-	// latencies via an adaptive.Selector (the §VII extension).
-	ModeAdaptive
 )
 
 func (m Mode) String() string {
@@ -48,8 +44,6 @@ func (m Mode) String() string {
 		return "h3"
 	case ModeH1:
 		return "http/1.1"
-	case ModeAdaptive:
-		return "adaptive"
 	default:
 		return "?"
 	}
@@ -97,8 +91,6 @@ type Config struct {
 	EnableZeroRTT   bool
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
-	// Selector drives ModeAdaptive; required in that mode.
-	Selector *adaptive.Selector
 	// TLS12 forces the legacy 2-round-trip TLS handshake for H1/H2
 	// connections — the paper's 3-RTT "H2 + TLS/1.2" baseline suite
 	// (ablation knob; default is TLS 1.3).
@@ -548,15 +540,6 @@ func (st *fetchState) onHeaders(m httpsim.ResponseMeta) {
 	entry.Status = m.Status
 	entry.BodySize = m.BodySize
 	entry.Header = m.Header
-	if b.cfg.Mode == ModeAdaptive && b.cfg.Selector != nil && !entry.Failed {
-		proto := adaptive.H2
-		if entry.Protocol == "h3" {
-			proto = adaptive.H3
-		}
-		if entry.Protocol != "http/1.1" {
-			b.cfg.Selector.Record(st.res.Host(), proto, st.firstByte-entry.Started)
-		}
-	}
 	if st.h3Discoverable && !b.altSvc[st.res.Host()] {
 		// Alt-Svc: the response advertises H3. Chrome establishes the
 		// QUIC connection in the background so later requests use it
@@ -647,7 +630,7 @@ func (b *Browser) evict(pc *pooledConn) {
 
 // wantsH3 reports whether this browsing mode ever uses HTTP/3.
 func (b *Browser) wantsH3() bool {
-	return b.cfg.Mode == ModeH3 || b.cfg.Mode == ModeAdaptive
+	return b.cfg.Mode == ModeH3
 }
 
 // preconnectH3 opens the host's H3 connection in the background (upon
@@ -696,9 +679,6 @@ func (b *Browser) connFor(host string, ep Endpoint, h3Eligible bool) (*pooledCon
 	h3Known := ep.H3Preloaded || b.altSvc[host]
 	h3Possible := ep.SupportsH3 && !ep.H1Only && h3Known && h3Eligible
 	useH3 := b.cfg.Mode == ModeH3 && h3Possible
-	if b.cfg.Mode == ModeAdaptive && b.cfg.Selector != nil {
-		useH3 = b.cfg.Selector.Choose(host, h3Possible) == adaptive.H3
-	}
 	switch {
 	case ep.H1Only:
 		return b.h1ConnFor(host, ep)

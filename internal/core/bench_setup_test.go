@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"h3cdn/internal/har"
-	"h3cdn/internal/vantage"
 	"h3cdn/internal/webgen"
 )
 
@@ -24,43 +22,5 @@ func BenchmarkShardSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		u.Close()
-	}
-}
-
-// BenchmarkCampaignStitch measures assembling a Dataset from per-shard
-// page logs: paper-scale shape (2 modes x 3 vantages x 3 probes x 11
-// shards of 32 pages), with realistic per-page entry counts so the
-// PageLog copies match campaign-sized stitching.
-func BenchmarkCampaignStitch(b *testing.B) {
-	cfg := CampaignConfig{
-		Seed:             2022,
-		Vantages:         vantage.Points(),
-		ProbesPerVantage: 3,
-		PagesPerShard:    32,
-	}.withDefaults()
-	corpus := webgen.Generate(webgen.Config{Seed: 2022, NumPages: 325})
-	jobs := shardCampaign(cfg, corpus)
-	results := make([][]har.PageLog, len(jobs))
-	for i, job := range jobs {
-		logs := make([]har.PageLog, job.hi-job.lo)
-		for j := range logs {
-			logs[j] = har.PageLog{
-				Site:    corpus.Pages[job.lo+j].Site,
-				Entries: make([]har.Entry, 0),
-			}
-		}
-		results[i] = logs
-	}
-	offsets, perMode := stitchOffsets(jobs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds := newStitchDataset(cfg, corpus, perMode)
-		for j := range jobs {
-			copy(ds.Logs[jobs[j].mode].Pages[offsets[j]:], results[j])
-		}
-		if len(ds.Logs[cfg.Modes[0]].Pages) != 325*9 {
-			b.Fatal("bad stitch")
-		}
 	}
 }

@@ -1,19 +1,15 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"h3cdn/internal/browser"
 	"h3cdn/internal/har"
-	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/sketch"
 	"h3cdn/internal/trace"
@@ -117,10 +113,17 @@ type CampaignConfig struct {
 	// partition users instead of pages — each shard is an independent
 	// PoP serving its population slice — and the dataset's PageLogs are
 	// whatever visits the population made (under Retention), not one
-	// visit per corpus page. Incompatible with Consecutive, TracePhases,
-	// QlogDir, and sampled retention (the reservoir state is not part of
-	// traffic checkpoints).
+	// visit per corpus page. Incompatible with Consecutive, TracePhases
+	// and QlogDir (see Validate).
 	Traffic *traffic.Config
+}
+
+// probesAt returns how many probes the campaign runs at a vantage point.
+func (c CampaignConfig) probesAt(point vantage.Point) int {
+	if c.ProbesPerVantage > 0 {
+		return c.ProbesPerVantage
+	}
+	return point.ProbesPerSite
 }
 
 // DefaultBaselineLoss is the ambient packet-loss rate of the simulated
@@ -232,6 +235,12 @@ type shardJob struct {
 	lo, hi int // page range [lo, hi) in corpus order
 }
 
+// slug names the shard in the files it writes (qlog, checkpoint).
+func (j shardJob) slug() string {
+	mode := strings.NewReplacer("/", "", ".", "").Replace(j.mode.String()) // "http/1.1" → "http11"
+	return fmt.Sprintf("%s_%s_p%d_s%d", mode, slug(j.point.Name), j.probe, j.shard)
+}
+
 // shardSeed derives the universe seed for a shard. Shard 0 reproduces the
 // historical per-probe formula, so single-shard campaigns (small corpora,
 // Consecutive mode) match pre-sharding datasets exactly.
@@ -247,47 +256,25 @@ func shardSeed(cfg CampaignConfig, job shardJob) uint64 {
 // which is what keeps open-loop datasets byte-identical across worker
 // counts, exactly as it does for pages.
 func shardCampaign(cfg CampaignConfig, corpus *webgen.Corpus) []shardJob {
-	units := len(corpus.Pages)
-	per := cfg.PagesPerShard
+	units, per := len(corpus.Pages), cfg.PagesPerShard
 	if per <= 0 {
 		per = defaultPagesPerShard
+	}
+	if cfg.Traffic != nil {
+		tc := cfg.Traffic.WithDefaults()
+		units, per = tc.Users, tc.UsersPerShard
 	}
 	if cfg.Consecutive || per > units {
 		per = units
 	}
-	if cfg.Traffic != nil {
-		tc := cfg.Traffic.WithDefaults()
-		units = tc.Users
-		per = tc.UsersPerShard
-		if per > units {
-			per = units
-		}
-	}
-	probesTotal := 0
-	for _, point := range cfg.Vantages {
-		if cfg.ProbesPerVantage > 0 {
-			probesTotal += cfg.ProbesPerVantage
-		} else {
-			probesTotal += point.ProbesPerSite
-		}
-	}
-	shardsPerProbe := (units + per - 1) / per
-	jobs := make([]shardJob, 0, len(cfg.Modes)*probesTotal*shardsPerProbe)
+	var jobs []shardJob
 	for _, mode := range cfg.Modes {
 		for _, point := range cfg.Vantages {
-			probes := point.ProbesPerSite
-			if cfg.ProbesPerVantage > 0 {
-				probes = cfg.ProbesPerVantage
-			}
-			for p := 0; p < probes; p++ {
+			for p := 0; p < cfg.probesAt(point); p++ {
 				for s, lo := 0, 0; lo < units; s, lo = s+1, lo+per {
-					hi := lo + per
-					if hi > units {
-						hi = units
-					}
 					jobs = append(jobs, shardJob{
 						mode: mode, point: point, probe: p,
-						shard: s, lo: lo, hi: hi,
+						shard: s, lo: lo, hi: min(lo+per, units),
 					})
 				}
 			}
@@ -296,28 +283,58 @@ func shardCampaign(cfg CampaignConfig, corpus *webgen.Corpus) []shardJob {
 	return jobs
 }
 
+// Validate reports the first configuration error: a bad retention or
+// traffic config, a campaign that would decompose into zero shards, or a
+// traffic campaign combined with per-visit machinery it cannot honor.
+// RunCampaign calls it; front ends call it to fail before any other work.
+func (c CampaignConfig) Validate() error {
+	c = c.withDefaults()
+	if err := c.Retention.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if len(c.Modes) == 0 {
+		return fmt.Errorf("core: campaign has no browsing modes")
+	}
+	for i, m := range c.Modes {
+		if slices.Contains(c.Modes[:i], m) {
+			// Both probes' logs would stitch into one har.Log.
+			return fmt.Errorf("core: browsing mode %s listed twice", m)
+		}
+	}
+	if len(c.Vantages) == 0 {
+		return fmt.Errorf("core: campaign has no vantage points")
+	}
+	for _, point := range c.Vantages {
+		if c.probesAt(point) <= 0 {
+			return fmt.Errorf("core: vantage %s has no probes", point.Name)
+		}
+	}
+	if c.Traffic == nil {
+		return nil
+	}
+	if err := c.Traffic.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	// The tracer brackets one visit at a time per universe; population
+	// visits overlap. Consecutive is a property of the scripted pass.
+	switch {
+	case c.Consecutive:
+		return fmt.Errorf("core: traffic campaigns are open-loop; Consecutive does not apply")
+	case c.TracePhases:
+		return fmt.Errorf("core: traffic campaigns do not support TracePhases")
+	case c.QlogDir != "":
+		return fmt.Errorf("core: traffic campaigns do not support QlogDir")
+	}
+	return nil
+}
+
 // RunCampaign executes the full visit protocol and returns the dataset.
 // Shards run on a bounded worker pool (see CampaignConfig.Workers); the
 // result is independent of worker count and of Sequential.
 func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Retention.Validate(); err != nil {
-		return nil, fmt.Errorf("core: RunCampaign: %w", err)
-	}
-	if cfg.Traffic != nil {
-		if err := cfg.Traffic.Validate(); err != nil {
-			return nil, fmt.Errorf("core: RunCampaign: %w", err)
-		}
-		switch {
-		case cfg.Consecutive:
-			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns are open-loop; Consecutive does not apply")
-		case cfg.TracePhases:
-			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns do not support TracePhases")
-		case cfg.QlogDir != "":
-			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns do not support QlogDir")
-		case cfg.Retention.Kind == har.RetainSample:
-			return nil, fmt.Errorf("core: RunCampaign: traffic campaigns do not support sampled retention (reservoir state is not checkpointable)")
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	corpus := cfg.Corpus
 	if corpus == nil {
@@ -337,154 +354,42 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 		topo = NewTopology(corpus)
 	}
 	jobs := shardCampaign(cfg, corpus)
-	offsets, perMode := stitchOffsets(jobs)
-	ds := newStitchDataset(cfg, corpus, perMode)
-	errs := make([]error, len(jobs))
-	accs := make([]*sketch.MetricAccumulator, len(jobs))
-	var treps []*traffic.Report
-	if cfg.Traffic != nil {
-		treps = make([]*traffic.Report, len(jobs))
-	}
-	// Traffic shards retain a variable number of visit logs (the
-	// population decides), so even RetainAll campaigns stitch by append
-	// rather than fixed offsets.
-	retainAll := cfg.Retention.Kind == har.RetainAll && cfg.Traffic == nil
-	// Under sampled or disabled retention a shard contributes an unknown
-	// (possibly zero) number of retained PageLogs, so the fixed-offset
-	// copy cannot apply; buffer per-shard retained slices and stitch
-	// them in job order once every shard has finished.
-	var retPages [][]har.PageLog
-	var retPhases [][]trace.PhaseBreakdown
-	if !retainAll {
-		retPages = make([][]har.PageLog, len(jobs))
-		if cfg.TracePhases {
-			retPhases = make([][]trace.PhaseBreakdown, len(jobs))
-		}
-	}
 
-	// consume stitches one finished shard into its final dataset position
-	// and drops the shard's slices, so the campaign retains the dataset
-	// plus at most the in-flight results — O(workers × shard size)
-	// transient memory — instead of holding every shard's page-log slice
-	// until a stitch pass at the end.
-	consume := func(r shardResult) {
-		errs[r.job] = r.err
-		if r.err != nil {
-			return
-		}
-		accs[r.job] = r.acc
-		if treps != nil {
-			treps[r.job] = r.traffic
-		}
-		job := jobs[r.job]
-		if retainAll {
-			copy(ds.Logs[job.mode].Pages[offsets[r.job]:], r.pages)
-			if cfg.TracePhases {
-				copy(ds.Phases[job.mode][offsets[r.job]:], r.phases)
-			}
-		} else {
-			retPages[r.job] = r.pages
-			if cfg.TracePhases {
-				retPhases[r.job] = r.phases
-			}
-		}
-		ds.Stats.add(r.stats)
-	}
-	run := func(i int) shardResult {
-		if cfg.Traffic != nil {
-			pages, stats, acc, rep, err := runTrafficShard(cfg, topo, jobs[i])
-			return shardResult{job: i, pages: pages, stats: stats, acc: acc, traffic: rep, err: err}
-		}
-		pages, phases, stats, acc, err := runShard(cfg, topo, jobs[i])
-		return shardResult{job: i, pages: pages, phases: phases, stats: stats, acc: acc, err: err}
-	}
+	// Finished shards park in results until every shard is done. Each
+	// index is written by exactly one worker and read only after the
+	// WaitGroup, so the slice needs no lock.
+	results := make([]shardResult, len(jobs))
 	if cfg.Sequential {
 		for i := range jobs {
-			consume(run(i))
+			results[i] = runShard(cfg, topo, jobs[i])
 		}
 	} else {
 		workers := cfg.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if workers > len(jobs) {
-			workers = len(jobs)
+		queue := make(chan int, len(jobs))
+		for i := range jobs {
+			queue <- i
 		}
-		// Results stream through a channel bounded at the worker count:
-		// a finished shard parks at most one result per worker before the
-		// stitcher (this goroutine) copies it into place and frees it.
-		jobCh := make(chan int)
-		resCh := make(chan shardResult, workers)
+		close(queue)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 0; w < workers && w < len(jobs); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range jobCh {
-					resCh <- run(i)
+				for i := range queue {
+					results[i] = runShard(cfg, topo, jobs[i])
 				}
 			}()
 		}
-		go func() {
-			for i := range jobs {
-				jobCh <- i
-			}
-			close(jobCh)
-		}()
-		go func() {
-			wg.Wait()
-			close(resCh)
-		}()
-		for r := range resCh {
-			consume(r)
-		}
+		wg.Wait()
 	}
-	// Report the first failure in job order (not completion order), so a
-	// multi-failure campaign surfaces the same error at every worker count.
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: probe %s/%d mode %s pages [%d,%d): %w",
-				jobs[i].point.Name, jobs[i].probe, jobs[i].mode, jobs[i].lo, jobs[i].hi, err)
-		}
-	}
-	if !retainAll {
-		stitchRetained(ds, jobs, retPages, retPhases)
-	}
-	// Merge shard accumulators in job-index order. Sketch merging is
-	// associative and commutative, so any order would yield identical
-	// state; the fixed order makes that property incidental rather than
-	// load-bearing.
-	ds.Metrics = sketch.NewAccumulator(sketch.DefaultAlpha)
-	for _, acc := range accs {
-		ds.Metrics.Merge(acc)
-	}
-	if treps != nil {
-		ds.Traffic = &traffic.Report{}
-		for _, rep := range treps {
-			ds.Traffic.Merge(rep)
-		}
-	}
-	return ds, nil
+	return stitch(cfg, corpus, jobs, results)
 }
 
-// stitchRetained appends each shard's retained PageLogs (and phase
-// breakdowns) to the dataset in job order. Shards whose retention kept
-// nothing contribute nil slices — RetainNone shards always, RetainSample
-// shards possibly — and are skipped rather than assumed to hold pages.
-func stitchRetained(ds *Dataset, jobs []shardJob, pages [][]har.PageLog, phases [][]trace.PhaseBreakdown) {
-	for i, job := range jobs {
-		if len(pages[i]) > 0 {
-			ds.Logs[job.mode].Pages = append(ds.Logs[job.mode].Pages, pages[i]...)
-		}
-		if phases != nil && len(phases[i]) > 0 {
-			ds.Phases[job.mode] = append(ds.Phases[job.mode], phases[i]...)
-		}
-	}
-}
-
-// shardResult carries one finished shard's output to the stitcher.
+// shardResult is everything one finished shard hands to the stitcher.
 type shardResult struct {
-	job     int
 	pages   []har.PageLog
 	phases  []trace.PhaseBreakdown
 	stats   CampaignStats
@@ -493,250 +398,136 @@ type shardResult struct {
 	err     error
 }
 
-// stitchOffsets computes each job's destination index within its mode's
-// stitched Pages slice, plus per-mode totals. Offsets depend only on the
-// deterministic shard decomposition — a successful shard yields exactly
-// hi−lo page logs (and, under TracePhases, hi−lo phase breakdowns) — so
-// results can be copied to their final position the moment a shard
-// completes, in any completion order, and the stitched dataset stays
-// byte-identical across worker counts.
-func stitchOffsets(jobs []shardJob) ([]int, map[browser.Mode]int) {
-	offsets := make([]int, len(jobs))
-	perMode := make(map[browser.Mode]int, 4)
-	for i, job := range jobs {
-		offsets[i] = perMode[job.mode]
-		perMode[job.mode] += job.hi - job.lo
-	}
-	return offsets, perMode
-}
-
-// newStitchDataset preallocates the dataset shard results stream into:
-// full-length per-mode page (and phase) slices, filled in place by offset
-// as shards complete — one allocation per mode regardless of shard count.
-// Under sampled or disabled retention the retained page count is unknown
-// up front (and the full-length preallocation would itself be the
-// O(pages) memory the policy exists to avoid), so slices start nil and
-// stitchRetained appends to them.
-func newStitchDataset(cfg CampaignConfig, corpus *webgen.Corpus, perMode map[browser.Mode]int) *Dataset {
+// stitch assembles the dataset from the finished shards in job order,
+// which is what makes the dataset — and, when several shards fail, the
+// reported error — independent of worker count and completion order.
+// Shards whose retention kept nothing contribute empty slices.
+func stitch(cfg CampaignConfig, corpus *webgen.Corpus, jobs []shardJob, results []shardResult) (*Dataset, error) {
 	ds := &Dataset{
 		Seed:        cfg.Seed,
 		Consecutive: cfg.Consecutive,
 		Corpus:      corpus,
 		Logs:        make(map[browser.Mode]*har.Log, len(cfg.Modes)),
+		Metrics:     sketch.NewAccumulator(sketch.DefaultAlpha),
 	}
 	if cfg.TracePhases {
 		ds.Phases = make(map[browser.Mode][]trace.PhaseBreakdown, len(cfg.Modes))
 	}
-	prealloc := cfg.Retention.Kind == har.RetainAll && cfg.Traffic == nil
+	unit := "pages"
+	if cfg.Traffic != nil {
+		ds.Traffic = &traffic.Report{}
+		unit = "users"
+	}
 	for _, mode := range cfg.Modes {
 		ds.Logs[mode] = &har.Log{Seed: cfg.Seed}
-		if prealloc {
-			ds.Logs[mode].Pages = make([]har.PageLog, perMode[mode])
+	}
+	for i, job := range jobs {
+		r := &results[i]
+		if r.err != nil {
+			return nil, fmt.Errorf("core: probe %s/%d mode %s %s [%d,%d): %w",
+				job.point.Name, job.probe, job.mode, unit, job.lo, job.hi, r.err)
 		}
+		ds.Stats.add(r.stats)
+		ds.Metrics.Merge(r.acc)
+		if ds.Traffic != nil {
+			ds.Traffic.Merge(r.traffic)
+		}
+		log := ds.Logs[job.mode]
+		log.Pages = append(log.Pages, r.pages...)
 		if cfg.TracePhases {
-			ds.Phases[mode] = nil
-			if prealloc {
-				ds.Phases[mode] = make([]trace.PhaseBreakdown, perMode[mode])
-			}
+			ds.Phases[job.mode] = append(ds.Phases[job.mode], r.phases...)
 		}
 	}
-	return ds
+	return ds, nil
 }
 
-// runShard executes the visit protocol for one shard: a warm pass caches
-// the shard's resources at the edges (and, implicitly, teaches the
-// browser each host's H3 support, like Alt-Svc), then the measured pass
-// records HAR logs. The shard sees a sub-corpus view — only its page
-// range, with the full corpus's hostname maps — while the shared
-// campaign topology supplies the content catalog and resolver tables, so
-// each shard instantiates only the servers its pages contact.
-// It also returns the shard's execution counters (events, recovery
-// activity, network drops) and its streaming metric accumulator, into
-// which every measured visit is folded the moment it finishes —
-// regardless of whether the retention policy keeps its PageLog.
-func runShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.PageLog, []trace.PhaseBreakdown, CampaignStats, *sketch.MetricAccumulator, error) {
-	corpus := topo.Corpus()
-	view := corpus
-	if job.lo != 0 || job.hi != len(corpus.Pages) {
-		view = &webgen.Corpus{
-			Pages:        corpus.Pages[job.lo:job.hi],
-			H3Support:    corpus.H3Support,
-			HostProvider: corpus.HostProvider,
-			H1Only:       corpus.H1Only,
-		}
+// runShard executes one shard: the campaign kind picks the visit source,
+// and everything either source produces lands in the shard's sink.
+func runShard(cfg CampaignConfig, topo *Topology, job shardJob) shardResult {
+	sink := newVisitSink(cfg, job)
+	source := runScripted
+	if cfg.Traffic != nil {
+		source = runPopulation
 	}
-
-	// Tracing: each shard owns a private tracer and qlog buffer (shards
-	// run on worker goroutines; nothing here is shared), so shard files
-	// and phase lists are independent of worker count.
-	var (
-		tracer  *trace.Tracer
-		qw      *trace.QlogWriter
-		qbuf    bytes.Buffer
-		qpath   string
-		sPhases []trace.PhaseBreakdown
-	)
-	if cfg.QlogDir != "" || cfg.TracePhases {
-		if cfg.QlogDir != "" {
-			name := fmt.Sprintf("%s_%s_p%d_s%d.qlog",
-				modeSlug(job.mode), slug(job.point.Name), job.probe, job.shard)
-			qpath = filepath.Join(cfg.QlogDir, name)
-			qw = trace.NewQlogWriter(&qbuf, name)
-		}
-		tracer = trace.New(cfg.TraceRing, func(v *trace.VisitRecord) {
-			if qw != nil {
-				qw.WriteVisit(v)
-			}
-			if cfg.TracePhases {
-				sPhases = append(sPhases, trace.AttributeVisit(v))
-			}
-		})
+	if err := source(cfg, topo, job, sink); err != nil {
+		return shardResult{err: err}
 	}
+	return sink.result()
+}
 
-	u, err := NewUniverse(UniverseConfig{
-		Seed:           shardSeed(cfg, job),
+// universeConfig assembles the universe of one shard (scripted source) or
+// one shard-epoch (population source); view is the corpus slice it serves.
+func (c CampaignConfig) universeConfig(job shardJob, seed uint64, view *webgen.Corpus, topo *Topology) UniverseConfig {
+	return UniverseConfig{
+		Seed:           seed,
 		Corpus:         view,
 		Topology:       topo,
 		Vantage:        job.point,
-		LossRate:       cfg.LossRate,
-		Impair:         cfg.Impairment,
-		LinkTrace:      cfg.LinkTrace,
-		H3WaitOverhead: cfg.H3WaitOverhead,
-		MissPenalty:    cfg.MissPenalty,
-		MaxEvents:      cfg.MaxEvents,
-		Trace:          tracer,
-	})
-	if err != nil {
-		return nil, nil, CampaignStats{}, nil, err
+		LossRate:       c.LossRate,
+		Impair:         c.Impairment,
+		LinkTrace:      c.LinkTrace,
+		H3WaitOverhead: c.H3WaitOverhead,
+		MissPenalty:    c.MissPenalty,
+		MaxEvents:      c.MaxEvents,
 	}
-	defer u.Close()
-	shardStats := func() CampaignStats {
-		ns := u.Net.Stats()
-		return CampaignStats{
-			Events:      u.Events(),
-			Recovery:    u.RecoveryStats(),
-			LossDrops:   ns.LossDrops,
-			BurstDrops:  ns.BurstDrops,
-			OutageDrops: ns.OutageDrops,
-			QueueDrops:  ns.QueueDrops,
-			Reordered:   ns.Reordered,
-		}
-	}
+}
 
-	// Chrome-realistic resumption: QUIC 0-RTT on, TLS 1.3 early data
-	// off — a resumed H2 connection still pays the TCP and TLS round
-	// trips (the asymmetry behind §VI-D's consecutive-visit gains).
-	b := u.NewBrowser(browser.Config{
-		Mode:            job.mode,
+// browserConfig is the campaign's browser. Chrome-realistic resumption:
+// QUIC 0-RTT on, TLS 1.3 early data off — a resumed H2 connection still
+// pays the TCP and TLS round trips (the asymmetry behind §VI-D's
+// consecutive-visit gains).
+func (c CampaignConfig) browserConfig(mode browser.Mode) browser.Config {
+	return browser.Config{
+		Mode:            mode,
 		EnableEarlyData: false,
 		EnableZeroRTT:   true,
 		HandshakeCPU:    300 * time.Microsecond,
-		MaxFetchRetries: cfg.FetchRetries,
-	})
-	probeName := job.point.Name + "/" + strconv.Itoa(job.probe)
+		MaxFetchRetries: c.FetchRetries,
+	}
+}
+
+// runScripted is the closed-loop visit source (§III-B): a warm pass
+// caches the shard's resources at the edges (and, implicitly, teaches the
+// browser each host's H3 support, like Alt-Svc), then the measured pass
+// hands every page's log to the sink. The shard sees a sub-corpus view —
+// only its page range, with the full corpus's hostname maps — while the
+// shared campaign topology supplies the content catalog and resolver
+// tables, so each shard instantiates only the servers its pages contact.
+// The scheduler drains and the arena rewinds at every visit boundary.
+func runScripted(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink) error {
+	corpus := topo.Corpus()
+	view := &webgen.Corpus{
+		Pages:        corpus.Pages[job.lo:job.hi],
+		H3Support:    corpus.H3Support,
+		HostProvider: corpus.HostProvider,
+		H1Only:       corpus.H1Only,
+	}
+	uc := cfg.universeConfig(job, shardSeed(cfg, job), view, topo)
+	uc.Trace = sink.tracer
+	u, err := NewUniverse(uc)
+	if err != nil {
+		return err
+	}
+	defer u.Close()
+	b := u.NewBrowser(cfg.browserConfig(job.mode))
 
 	// Warm pass (discarded): fills edge caches, as in §III-B.
 	for i := range view.Pages {
 		if err := u.RunVisitDiscard(b, &view.Pages[i]); err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("warm visit: %w", err)
+			return fmt.Errorf("warm visit: %w", err)
 		}
 		b.ClearSessions()
-	}
-
-	// Streaming aggregation state: every measured visit folds into the
-	// shard accumulator; the retention policy then decides whether its
-	// PageLog survives. The sample reservoir draws from a private
-	// seqrand stream off the shard seed, so which pages are retained is
-	// a pure function of the shard — independent of worker count,
-	// completion order, and every other consumer of shard randomness.
-	acc := sketch.NewAccumulator(sketch.DefaultAlpha)
-	group := acc.Group(sketch.Key{Mode: job.mode.String(), Vantage: job.point.Name})
-	var reservoir *sketch.Reservoir[retainedVisit]
-	if cfg.Retention.Kind == har.RetainSample {
-		seed := seqrand.New(shardSeed(cfg, job)).StreamSeed("retain")
-		reservoir = sketch.NewReservoir[retainedVisit](cfg.Retention.Sample, seed)
-	}
-
-	// Measured pass.
-	var logs []har.PageLog
-	if cfg.Retention.Kind == har.RetainAll {
-		logs = make([]har.PageLog, 0, len(view.Pages))
 	}
 	for i := range view.Pages {
 		log, err := u.RunVisit(b, &view.Pages[i])
 		if err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("measured visit: %w", err)
+			return fmt.Errorf("measured visit: %w", err)
 		}
-		log.Probe = probeName
-		// Ring overflow degrades AttributeVisit to a suffix sweep whose
-		// spans may be missing their openings. Fall back to the visit's
-		// HAR timings — coarser buckets, but complete — and keep the
-		// Truncated mark so consumers can tell the two apart.
-		var pb *trace.PhaseBreakdown
-		if cfg.TracePhases && len(sPhases) > 0 {
-			pb = &sPhases[len(sPhases)-1]
-			if pb.Truncated {
-				*pb = harPhases(log)
-			}
-		}
-		group.Fold(visitSample(log, pb))
-		switch cfg.Retention.Kind {
-		case har.RetainAll:
-			logs = append(logs, *log)
-		case har.RetainSample:
-			rv := retainedVisit{page: *log}
-			if pb != nil {
-				rv.phase = *pb
-			}
-			reservoir.Offer(rv)
-		case har.RetainNone:
-			// PageLog is dropped here; the fold above already captured it.
-		}
+		sink.fold(log, visitSample(log, sink.phasesOf(log)))
 		if !cfg.Consecutive {
 			b.ClearSessions()
 		}
 	}
-	folded := int64(len(view.Pages))
-	switch cfg.Retention.Kind {
-	case har.RetainSample:
-		items := reservoir.Items()
-		logs = make([]har.PageLog, len(items))
-		if cfg.TracePhases {
-			sPhases = make([]trace.PhaseBreakdown, len(items))
-		}
-		for i, it := range items {
-			logs[i] = it.page
-			if cfg.TracePhases {
-				sPhases[i] = it.phase
-			}
-		}
-	case har.RetainNone:
-		sPhases = nil
-	}
-
-	if qw != nil {
-		if err := qw.Err(); err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("qlog: %w", err)
-		}
-		if err := os.WriteFile(qpath, qbuf.Bytes(), 0o644); err != nil {
-			return nil, nil, shardStats(), nil, fmt.Errorf("qlog: %w", err)
-		}
-	}
-	stats := shardStats()
-	stats.PagesFolded = folded
-	stats.PagesRetained = int64(len(logs))
-	return logs, sPhases, stats, acc, nil
-}
-
-// retainedVisit pairs a retained PageLog with its phase breakdown so a
-// sampled shard keeps Pages and Phases aligned.
-type retainedVisit struct {
-	page  har.PageLog
-	phase trace.PhaseBreakdown
-}
-
-// modeSlug flattens a browsing-mode name into a filename-safe token
-// ("http/1.1" → "http11").
-func modeSlug(m browser.Mode) string {
-	return strings.NewReplacer("/", "", ".", "").Replace(m.String())
+	sink.harvest(u)
+	return nil
 }

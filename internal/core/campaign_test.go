@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -180,5 +181,45 @@ func TestCampaignReuseCounts(t *testing.T) {
 func TestUniverseRejectsNilCorpus(t *testing.T) {
 	if _, err := NewUniverse(UniverseConfig{}); err == nil {
 		t.Fatal("nil corpus accepted")
+	}
+}
+
+// TestValidateRejectsZeroShardAndDuplicateModeCampaigns pins the configs
+// that used to run to an empty (or doubly stitched) dataset: Validate
+// and RunCampaign both refuse them.
+func TestValidateRejectsZeroShardAndDuplicateModeCampaigns(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*CampaignConfig)
+		want string
+	}{
+		{"no-modes", func(c *CampaignConfig) { c.Modes = []browser.Mode{} }, "no browsing modes"},
+		{"no-vantages", func(c *CampaignConfig) { c.Vantages = []vantage.Point{} }, "no vantage points"},
+		{"no-probes", func(c *CampaignConfig) {
+			c.Vantages, c.ProbesPerVantage = []vantage.Point{{Name: "lab"}}, 0
+		}, "no probes"},
+		{"duplicate-mode", func(c *CampaignConfig) {
+			c.Modes = []browser.Mode{browser.ModeH2, browser.ModeH3, browser.ModeH2}
+		}, "listed twice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := CampaignConfig{
+				Seed:             7,
+				CorpusConfig:     webgen.Config{NumPages: 2, MeanResources: 4},
+				Vantages:         vantage.Points()[:1],
+				ProbesPerVantage: 1,
+			}
+			tc.mut(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate: %v, want an error naming %q", err, tc.want)
+			}
+			if ds, err := RunCampaign(cfg); err == nil {
+				t.Fatalf("RunCampaign accepted the config (dataset with %d mode logs)", len(ds.Logs))
+			}
+		})
+	}
+	if err := (CampaignConfig{}).Validate(); err != nil {
+		t.Fatalf("zero config (all defaults): %v", err)
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sort"
+	"strings"
 	"testing"
 
 	"h3cdn/internal/analysis"
@@ -255,33 +257,26 @@ func TestRetentionWorkerDeterminism(t *testing.T) {
 }
 
 // TestStitchRetainedMixedShards covers the stitcher against shards that
-// contribute no PageLogs: nil and non-nil shard slices interleave and
-// the result concatenates the survivors in job order.
+// contribute no PageLogs: empty and non-empty shard results interleave
+// and the dataset concatenates the survivors in job order; with several
+// failed shards the first in job order is the one reported.
 func TestStitchRetainedMixedShards(t *testing.T) {
 	jobs := []shardJob{
 		{mode: browser.ModeH2}, {mode: browser.ModeH3},
 		{mode: browser.ModeH2}, {mode: browser.ModeH3},
 	}
-	ds := &Dataset{
-		Logs: map[browser.Mode]*har.Log{
-			browser.ModeH2: {},
-			browser.ModeH3: {},
-		},
-		Phases: map[browser.Mode][]trace.PhaseBreakdown{},
+	acc := func() *sketch.MetricAccumulator { return sketch.NewAccumulator(sketch.DefaultAlpha) }
+	results := []shardResult{
+		{pages: []har.PageLog{{Site: "a1"}, {Site: "a2"}}, phases: []trace.PhaseBreakdown{{Truncated: true}, {}}, acc: acc()},
+		{acc: acc()}, // an empty-retention shard in the middle
+		{pages: []har.PageLog{{Site: "c1"}}, phases: []trace.PhaseBreakdown{{}}, acc: acc()},
+		{pages: []har.PageLog{{Site: "d1"}}, phases: []trace.PhaseBreakdown{{}}, acc: acc()},
 	}
-	pages := [][]har.PageLog{
-		{{Site: "a1"}, {Site: "a2"}},
-		nil, // an empty-retention shard in the middle
-		{{Site: "c1"}},
-		{{Site: "d1"}},
+	cfg := CampaignConfig{TracePhases: true}.withDefaults()
+	ds, err := stitch(cfg, nil, jobs, results)
+	if err != nil {
+		t.Fatal(err)
 	}
-	phases := [][]trace.PhaseBreakdown{
-		{{Truncated: true}, {}},
-		nil,
-		{{}},
-		{{}},
-	}
-	stitchRetained(ds, jobs, pages, phases)
 	h2 := ds.Logs[browser.ModeH2].Pages
 	if len(h2) != 3 || h2[0].Site != "a1" || h2[1].Site != "a2" || h2[2].Site != "c1" {
 		t.Fatalf("h2 stitch: %+v", h2)
@@ -293,11 +288,20 @@ func TestStitchRetainedMixedShards(t *testing.T) {
 	if len(ds.Phases[browser.ModeH2]) != 3 || !ds.Phases[browser.ModeH2][0].Truncated {
 		t.Fatalf("h2 phases: %+v", ds.Phases[browser.ModeH2])
 	}
-	// Without phase tracking the phases argument is nil: must not panic.
-	ds2 := &Dataset{Logs: map[browser.Mode]*har.Log{browser.ModeH2: {}, browser.ModeH3: {}}}
-	stitchRetained(ds2, jobs, pages, nil)
-	if len(ds2.Logs[browser.ModeH2].Pages) != 3 {
-		t.Fatal("nil-phase stitch dropped pages")
+	// Without phase tracking the dataset carries no phase map at all.
+	cfg.TracePhases = false
+	ds2, err := stitch(cfg, nil, jobs, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds2.Logs[browser.ModeH2].Pages) != 3 || ds2.Phases != nil {
+		t.Fatalf("untraced stitch: %d pages, phases %v", len(ds2.Logs[browser.ModeH2].Pages), ds2.Phases)
+	}
+
+	results[3].err = errors.New("late")
+	results[1].err = errors.New("early")
+	if _, err := stitch(cfg, nil, jobs, results); err == nil || !strings.Contains(err.Error(), "early") {
+		t.Fatalf("multi-failure stitch reported %v, want the first failure in job order", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -9,61 +11,68 @@ import (
 	"time"
 
 	"h3cdn/internal/browser"
-	"h3cdn/internal/cdn"
 	"h3cdn/internal/har"
 	"h3cdn/internal/seqrand"
-	"h3cdn/internal/sketch"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/webgen"
 )
 
-// This file is the open-loop half of the campaign engine: where runShard
-// walks every corpus page twice (warm + measured), runTrafficShard lets a
-// seeded user population decide what gets visited and when. Sessions
-// arrive by a Poisson process, browse Zipf-popular pages with think
-// times, and contend on shared TTL edge caches — hit rates, resumption
-// fractions, stampedes, and the cold/warm PLT split all emerge rather
-// than being scripted.
+// This file is the open-loop visit source: where runScripted walks every
+// corpus page twice (warm + measured), runPopulation lets a seeded user
+// population decide what gets visited and when. Sessions arrive by a
+// Poisson process, browse Zipf-popular pages with think times, and
+// contend on shared TTL edge caches — hit rates, resumption fractions,
+// stampedes, and the cold/warm PLT split all emerge rather than being
+// scripted.
 //
 // The shard runs in checkpoint epochs. Each epoch is simulated in a
 // fresh universe whose randomness derives from (shard seed, epoch), so
 // nothing implicit survives an epoch boundary: the only carried state is
 // the explicit set {edge cache dumps, per-user Alt-Svc memory, the
-// campaign clock, counters, metrics, retained logs}. That is exactly
-// what a checkpoint records — which makes a killed-and-resumed run
+// campaign clock, the visit sink's state}. That is exactly what a
+// checkpoint records — which makes a killed-and-resumed run
 // byte-identical to an uninterrupted one by construction, because the
 // uninterrupted run crosses epochs through the very same dump/restore
 // path.
 
-// trafficCheckpointPath names one shard's checkpoint file inside the
-// campaign's checkpoint directory.
-func trafficCheckpointPath(dir string, job shardJob) string {
-	name := fmt.Sprintf("traffic_%s_%s_p%d_s%d.ckpt.json",
-		modeSlug(job.mode), slug(job.point.Name), job.probe, job.shard)
-	return filepath.Join(dir, name)
+// checkpointDigest fingerprints every campaign setting that shapes a
+// population shard's results beyond its seed and its place in the shard
+// decomposition (pinned by the checkpoint's Seed field and file name):
+// resuming under any other value would splice two campaigns into a
+// dataset no single config produces. CheckpointDir and HaltAfterEpochs
+// only say where and how often a run stops, so they are left out.
+func (c CampaignConfig) checkpointDigest(corpusPages int) string {
+	tc := c.Traffic.WithDefaults()
+	tc.CheckpointDir, tc.HaltAfterEpochs = "", 0
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v|pages=%d|loss=%v|retain=%s|retries=%d|h3wait=%v|miss=%v|maxevents=%d",
+		tc, corpusPages, c.LossRate, c.Retention, c.FetchRetries, c.H3WaitOverhead, c.MissPenalty, c.MaxEvents)
+	if c.Impairment != nil {
+		fmt.Fprintf(h, "|impair=%+v", *c.Impairment)
+	}
+	if tl := c.LinkTrace; tl != nil {
+		fmt.Fprintf(h, "|link=%s/%d/%v/%v", tl.Name(), tl.Epochs(), tl.Period(), tl.MeanBps())
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // trafficEngine drives one epoch's sessions on one universe. Everything
 // here runs on the universe's scheduler goroutine (browser callbacks and
 // timer events), so plain fields need no synchronization.
 type trafficEngine struct {
-	u      *Universe
-	tc     traffic.Config
-	cfg    CampaignConfig
-	corpus *webgen.Corpus
-	mode   browser.Mode
-	probe  string
+	u       *Universe
+	tc      traffic.Config
+	browser browser.Config
+	corpus  *webgen.Corpus
+	sink    *visitSink
 
 	clock  time.Duration // campaign-absolute time of scheduler zero
 	endAbs time.Duration // epoch window end, campaign-absolute
 
 	inFlight int
-	group    *sketch.GroupMetrics
 	counters *traffic.Counters
 	epoch    *traffic.EpochStat
 	userMem  map[int][]string // shard-local user → learned Alt-Svc hosts
-	logs     *[]har.PageLog
-	retain   bool
 }
 
 // startSession begins one user's browsing session: a fresh browser (TLS
@@ -72,13 +81,7 @@ type trafficEngine struct {
 // in previous sessions, which is what lets a returning user open with H3.
 func (en *trafficEngine) startSession(user int, sess *traffic.Session) {
 	en.counters.SessionsStarted++
-	b := en.u.NewBrowser(browser.Config{
-		Mode:            en.mode,
-		EnableEarlyData: false,
-		EnableZeroRTT:   true,
-		HandshakeCPU:    300 * time.Microsecond,
-		MaxFetchRetries: en.cfg.FetchRetries,
-	})
+	b := en.u.NewBrowser(en.browser)
 	b.ImportAltSvc(en.userMem[user])
 	en.visit(user, b, sess)
 }
@@ -108,21 +111,17 @@ func (en *trafficEngine) visit(user int, b *browser.Browser, sess *traffic.Sessi
 		en.inFlight--
 		en.counters.VisitsCompleted++
 		en.epoch.Visits++
-		l.Probe = en.probe
-		en.group.Fold(trafficVisitSample(l))
-		if en.retain {
-			*en.logs = append(*en.logs, *l)
-		}
+		en.sink.fold(l, trafficVisitSample(l))
 		sess.VisitsLeft--
 		if sess.VisitsLeft <= 0 {
 			en.endSession(user, b)
 			return
 		}
 		// Connections are visit-scoped (the campaign convention — see
-		// Universe.visit): close them through the think gap, but keep the
-		// browser's session caches, so the next visit's dials resume with
-		// the tickets and tokens this one banked. That redial-with-ticket
-		// is the population's emergent 0-RTT fraction.
+		// Universe.runVisit): close them through the think gap, but keep
+		// the browser's session caches, so the next visit's dials resume
+		// with the tickets and tokens this one banked. That
+		// redial-with-ticket is the population's emergent 0-RTT fraction.
 		b.CloseAll()
 		en.u.Sched.After(sess.Think(), func() { en.visit(user, b, sess) })
 	})
@@ -140,119 +139,88 @@ func (en *trafficEngine) endSession(user int, b *browser.Browser) {
 	b.CloseAll()
 }
 
-// runTrafficShard executes one population shard: the user slice
+// runPopulation is the open-loop visit source: the user slice
 // [job.lo, job.hi) browsing the full corpus against this shard's own
 // edges (an independent PoP), for the configured horizon, in checkpoint
-// epochs. Returns the retained visit logs, the shard's execution
-// counters, its metric accumulator, and the traffic report.
-func runTrafficShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.PageLog, CampaignStats, *sketch.MetricAccumulator, *traffic.Report, error) {
+// epochs. One scheduler drain covers a whole epoch, with visits
+// overlapping up to MaxInFlight, so — unlike the scripted source — there
+// is no visit boundary at which the arena could rewind. Every finished
+// visit goes to sink, as does the arrival and edge-contention accounting
+// (sink.Report).
+func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink) error {
 	tc := cfg.Traffic.WithDefaults()
 	corpus := topo.Corpus()
 	seed := shardSeed(cfg, job)
 	shardUsers := job.hi - job.lo
 	// The shard offers its population-proportional slice of the load.
 	base := tc.ArrivalRate * float64(shardUsers) / float64(tc.Users)
-	retain := cfg.Retention.Kind == har.RetainAll
 
 	var (
 		startEpoch int
 		clock      time.Duration
 		userMem    = make(map[int][]string)
-		edgeDumps  map[string][]cdn.CacheEntry
-		rep        = &traffic.Report{}
-		acc        = sketch.NewAccumulator(sketch.DefaultAlpha)
-		logs       []har.PageLog
-		stats      CampaignStats
+		edges      []traffic.EdgeCache // carried cache dumps, sorted by provider
 		ckptPath   string
+		digest     string // of the campaign config, see checkpointDigest
 	)
 	if tc.CheckpointDir != "" {
-		ckptPath = trafficCheckpointPath(tc.CheckpointDir, job)
+		ckptPath = filepath.Join(tc.CheckpointDir, "traffic_"+job.slug()+".ckpt.json")
+		digest = cfg.checkpointDigest(len(corpus.Pages))
 		cp, err := traffic.Load(ckptPath)
 		if err != nil {
-			return nil, stats, nil, nil, err
+			return err
 		}
 		if cp != nil {
 			if cp.Seed != seed {
-				return nil, stats, nil, nil, fmt.Errorf("core: checkpoint %s was written under seed %d, campaign shard seed is %d", ckptPath, cp.Seed, seed)
+				return fmt.Errorf("core: checkpoint %s was written under seed %d, campaign shard seed is %d", ckptPath, cp.Seed, seed)
 			}
-			startEpoch = cp.Epoch
-			clock = cp.Clock
+			if cp.Config != digest {
+				return fmt.Errorf("core: checkpoint %s was written under campaign config %s, this campaign's config is %s", ckptPath, cp.Config, digest)
+			}
+			if err := json.Unmarshal(cp.Sink, &sink.sinkState); err != nil {
+				return fmt.Errorf("core: checkpoint %s sink state: %w", ckptPath, err)
+			}
+			startEpoch, clock, edges = cp.Epoch, cp.Clock, cp.Edges
 			for _, um := range cp.Users {
 				userMem[um.User-job.lo] = um.AltSvc
-			}
-			edgeDumps = make(map[string][]cdn.CacheEntry, len(cp.Edges))
-			for _, ec := range cp.Edges {
-				edgeDumps[ec.Provider] = ec.Entries
-			}
-			*rep = cp.Report
-			if cp.Metrics != nil {
-				acc = cp.Metrics
-			}
-			logs = cp.Logs
-			if len(cp.Stats) > 0 {
-				if err := json.Unmarshal(cp.Stats, &stats); err != nil {
-					return nil, stats, nil, nil, fmt.Errorf("core: checkpoint %s stats: %w", ckptPath, err)
-				}
 			}
 		}
 	}
 
-	group := acc.Group(sketch.Key{Mode: job.mode.String(), Vantage: job.point.Name})
-	probeName := job.point.Name + "/" + strconv.Itoa(job.probe)
+	if sink.Report == nil {
+		sink.Report = &traffic.Report{}
+	}
+	rep := sink.Report
 	epochs := tc.Epochs()
-	ran := 0
 	for e := startEpoch; e < epochs; e++ {
 		start := time.Duration(e) * tc.EpochInterval
-		end := start + tc.EpochInterval
-		if end > tc.Duration {
-			end = tc.Duration
-		}
-		if clock < start {
-			clock = start
-		}
+		end := min(start+tc.EpochInterval, tc.Duration)
+		clock = max(clock, start)
 		// The epoch's universe seed is a pure function of (shard, epoch),
 		// so replaying epoch e — after a resume or not — replays its
 		// randomness exactly.
-		u, err := NewUniverse(UniverseConfig{
-			Seed:           seqrand.New(seed).StreamSeed("epoch", strconv.Itoa(e)),
-			Corpus:         corpus,
-			Topology:       topo,
-			Vantage:        job.point,
-			LossRate:       cfg.LossRate,
-			Impair:         cfg.Impairment,
-			LinkTrace:      cfg.LinkTrace,
-			H3WaitOverhead: cfg.H3WaitOverhead,
-			MissPenalty:    cfg.MissPenalty,
-			MaxEvents:      cfg.MaxEvents,
-			EdgeTTL:        tc.CacheTTL,
-			ClockOffset:    clock,
-		})
+		uc := cfg.universeConfig(job, seqrand.New(seed).StreamSeed("epoch", strconv.Itoa(e)), corpus, topo)
+		uc.EdgeTTL = tc.CacheTTL
+		uc.ClockOffset = clock
+		u, err := NewUniverse(uc)
 		if err != nil {
-			return nil, stats, nil, nil, err
+			return err
 		}
-		// Restore carried cache contents before any visit runs, in sorted
-		// provider order so map iteration cannot leak into the replay.
-		provs := make([]string, 0, len(edgeDumps))
-		for p := range edgeDumps {
-			provs = append(provs, p)
-		}
-		sort.Strings(provs)
-		for _, p := range provs {
-			edge, err := u.WarmEdge(p)
+		// Restore carried cache contents before any visit runs.
+		for _, ec := range edges {
+			edge, err := u.WarmEdge(ec.Provider)
 			if err != nil {
 				u.Close()
-				return nil, stats, nil, nil, err
+				return err
 			}
-			edge.RestoreCache(edgeDumps[p])
+			edge.RestoreCache(ec.Entries)
 		}
 
 		es := &traffic.EpochStat{Epoch: e}
 		en := &trafficEngine{
-			u: u, tc: tc, cfg: cfg, corpus: corpus,
-			mode: job.mode, probe: probeName,
+			u: u, tc: tc, browser: cfg.browserConfig(job.mode), corpus: corpus, sink: sink,
 			clock: clock, endAbs: end,
-			group: group, counters: &rep.Counters, epoch: es,
-			userMem: userMem, logs: &logs, retain: retain,
+			counters: &rep.Counters, epoch: es, userMem: userMem,
 		}
 
 		// Epoch workload: arrivals and session plans are label-derived
@@ -264,37 +232,22 @@ func runTrafficShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.Pa
 			sess := traffic.NewSession(
 				src.Stream("session", strconv.Itoa(e), seqrand.Label("a", i)),
 				len(corpus.Pages), tc)
-			at := a.At - clock
-			if at < 0 {
-				// A long previous epoch overran this arrival's start; it
-				// fires immediately rather than rewinding virtual time.
-				at = 0
-			}
-			u.Sched.After(at, func() { en.startSession(user, sess) })
+			// When a long previous epoch overran this arrival's start, it
+			// fires immediately rather than rewinding virtual time.
+			u.Sched.After(max(a.At-clock, 0), func() { en.startSession(user, sess) })
 		}
-		n, err := u.Sched.Run()
-		stats.Events += int64(n)
-		if err == nil && u.startErr != nil {
-			err = u.startErr
-		}
+		err = u.drain()
 		if err == nil && en.inFlight != 0 {
 			err = fmt.Errorf("%d visits never completed", en.inFlight)
 		}
 		if err != nil {
 			u.Close()
-			return nil, stats, nil, nil, fmt.Errorf("traffic epoch %d: %w", e, err)
+			return fmt.Errorf("traffic epoch %d: %w", e, err)
 		}
 
 		// Harvest the epoch's counters. Edge map iteration order is
 		// arbitrary but the sums are commutative integers.
-		stats.Recovery.Add(u.RecoveryStats())
-		ns := u.Net.Stats()
-		stats.LossDrops += ns.LossDrops
-		stats.BurstDrops += ns.BurstDrops
-		stats.OutageDrops += ns.OutageDrops
-		stats.QueueDrops += ns.QueueDrops
-		stats.Reordered += ns.Reordered
-		stats.PagesFolded += es.Visits
+		sink.harvest(u)
 		for _, edge := range u.edges {
 			es.CacheHits += edge.CacheHits()
 			es.CacheMisses += edge.CacheMisses()
@@ -319,18 +272,15 @@ func runTrafficShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.Pa
 
 		// Dump caches for the next epoch (and the checkpoint). Expired
 		// entries are carried as-is: the next epoch's edge discovers the
-		// lapse on touch, exactly as a live cache would.
-		names := make([]string, 0, len(u.edges))
-		for nm := range u.edges {
-			names = append(names, nm)
-		}
-		sort.Strings(names)
-		edgeDumps = make(map[string][]cdn.CacheEntry, len(names))
-		for _, nm := range names {
-			if entries := u.edges[nm].DumpCache(); len(entries) > 0 {
-				edgeDumps[nm] = entries
+		// lapse on touch, exactly as a live cache would. Sorted provider
+		// order keeps map iteration out of the replay and the checkpoint.
+		edges = nil
+		for nm, edge := range u.edges {
+			if entries := edge.DumpCache(); len(entries) > 0 {
+				edges = append(edges, traffic.EdgeCache{Provider: nm, Entries: entries})
 			}
 		}
+		sort.Slice(edges, func(i, j int) bool { return edges[i].Provider < edges[j].Provider })
 		u.Close()
 
 		if ckptPath != "" {
@@ -339,33 +289,23 @@ func runTrafficShard(cfg CampaignConfig, topo *Topology, job shardJob) ([]har.Pa
 				users = append(users, traffic.UserMemory{User: job.lo + uidx, AltSvc: hosts})
 			}
 			sort.Slice(users, func(i, j int) bool { return users[i].User < users[j].User })
-			edges := make([]traffic.EdgeCache, 0, len(edgeDumps))
-			for _, nm := range names {
-				if entries, ok := edgeDumps[nm]; ok {
-					edges = append(edges, traffic.EdgeCache{Provider: nm, Entries: entries})
-				}
-			}
-			statsBlob, err := json.Marshal(stats)
+			state, err := json.Marshal(&sink.sinkState)
 			if err != nil {
-				return nil, stats, nil, nil, fmt.Errorf("traffic checkpoint stats: %w", err)
+				return fmt.Errorf("traffic checkpoint sink state: %w", err)
 			}
-			cp := &traffic.Checkpoint{
-				Seed: seed, Epoch: e + 1, Clock: clock,
-				Users: users, Edges: edges,
-				Report: *rep, Metrics: acc, Logs: logs, Stats: statsBlob,
-			}
-			if err := traffic.Save(ckptPath, cp); err != nil {
-				return nil, stats, nil, nil, err
+			err = traffic.Save(ckptPath, &traffic.Checkpoint{
+				Seed: seed, Config: digest, Epoch: e + 1, Clock: clock,
+				Users: users, Edges: edges, Sink: state,
+			})
+			if err != nil {
+				return err
 			}
 		}
-		ran++
-		if tc.HaltAfterEpochs > 0 && ran >= tc.HaltAfterEpochs && e+1 < epochs {
+		if tc.HaltAfterEpochs > 0 && e+1-startEpoch >= tc.HaltAfterEpochs && e+1 < epochs {
 			// Deliberate mid-campaign halt (resume-testing kill switch):
 			// the checkpoint just written is the hand-off point.
 			break
 		}
 	}
-	stats.Traffic = rep.Counters
-	stats.PagesRetained = int64(len(logs))
-	return logs, stats, acc, rep, nil
+	return nil
 }

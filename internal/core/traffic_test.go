@@ -11,6 +11,8 @@ import (
 
 	"h3cdn/internal/browser"
 	"h3cdn/internal/har"
+	"h3cdn/internal/simnet"
+	"h3cdn/internal/simnet/traces"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/vantage"
 	"h3cdn/internal/webgen"
@@ -169,9 +171,6 @@ func TestTrafficRejectsIncompatibleConfigs(t *testing.T) {
 		{"consecutive", func(c *CampaignConfig) { c.Consecutive = true }},
 		{"trace-phases", func(c *CampaignConfig) { c.TracePhases = true }},
 		{"qlog", func(c *CampaignConfig) { c.QlogDir = t.TempDir() }},
-		{"sampled-retention", func(c *CampaignConfig) {
-			c.Retention = har.Retention{Kind: har.RetainSample, Sample: 4}
-		}},
 		{"bad-traffic", func(c *CampaignConfig) { c.Traffic.Users = -1 }},
 	}
 	for _, tc := range cases {
@@ -184,6 +183,9 @@ func TestTrafficRejectsIncompatibleConfigs(t *testing.T) {
 			tc.mut(&cfg)
 			if _, err := RunCampaign(cfg); err == nil {
 				t.Fatal("incompatible traffic campaign accepted")
+			}
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted what RunCampaign rejects")
 			}
 		})
 	}
@@ -355,5 +357,119 @@ func TestTrafficCheckpointResume(t *testing.T) {
 	again := trafficCampaign(t, withCkpt)
 	if got := harJSON(t, again); string(got) != string(want) {
 		t.Fatal("re-run after completion differs")
+	}
+}
+
+// TestTrafficSampledRetention checks that sampled retention composes
+// with the population engine: the reservoir lives in the shared visit
+// sink and in the checkpoint, so a sample:N campaign is byte-identical
+// across worker counts and across a kill/resume chain.
+func TestTrafficSampledRetention(t *testing.T) {
+	sampled := func(mut func(*CampaignConfig)) *Dataset {
+		return trafficCampaign(t, func(c *CampaignConfig) {
+			c.Retention = har.Retention{Kind: har.RetainSample, Sample: 4}
+			c.Traffic.UsersPerShard = 15 // 3 shards per mode
+			mut(c)
+		})
+	}
+	ref := sampled(func(*CampaignConfig) {})
+	want := harJSON(t, ref)
+	for mode, log := range ref.Logs {
+		if len(log.Pages) != 3*4 {
+			t.Fatalf("%v: %d retained pages, want 4 from each of 3 shards", mode, len(log.Pages))
+		}
+	}
+	if ref.Stats.PagesRetained != 24 || ref.Stats.PagesFolded != ref.Traffic.Counters.VisitsCompleted {
+		t.Fatalf("stats folded/retained = %d/%d, completed %d",
+			ref.Stats.PagesFolded, ref.Stats.PagesRetained, ref.Traffic.Counters.VisitsCompleted)
+	}
+	for _, workers := range []int{1, 4} {
+		ds := sampled(func(c *CampaignConfig) { c.Sequential, c.Workers = false, workers })
+		if got := harJSON(t, ds); string(got) != string(want) {
+			t.Fatalf("sampled population dataset differs at workers=%d", workers)
+		}
+	}
+
+	dir := t.TempDir()
+	var final *Dataset
+	for run := 0; run < 3; run++ {
+		final = sampled(func(c *CampaignConfig) {
+			c.Traffic.CheckpointDir = dir
+			c.Traffic.HaltAfterEpochs = 1
+		})
+	}
+	if got := harJSON(t, final); string(got) != string(want) {
+		t.Fatal("resumed sampled dataset differs from uninterrupted run")
+	}
+	if !accJSONEqual(t, final, ref) || final.Stats.PagesFolded != ref.Stats.PagesFolded {
+		t.Fatal("resumed sampled campaign folded different visits")
+	}
+}
+
+// TestTrafficCheckpointConfigMismatch pins the resume guard: a checkpoint
+// written under one campaign config must not resume under another, and
+// the error names both config digests. Where and when a run halts is not
+// part of the config.
+func TestTrafficCheckpointConfigMismatch(t *testing.T) {
+	dir := t.TempDir()
+	withCkpt := func(mut func(*CampaignConfig)) CampaignConfig {
+		cfg := CampaignConfig{
+			Seed:             7,
+			CorpusConfig:     webgen.Config{NumPages: 12, MeanResources: 20},
+			Vantages:         vantage.Points()[:1],
+			ProbesPerVantage: 1,
+			Modes:            []browser.Mode{browser.ModeH3},
+			Traffic:          smallTraffic(),
+			Sequential:       true,
+		}
+		cfg.Traffic.CheckpointDir = dir
+		cfg.Traffic.HaltAfterEpochs = 1
+		mut(&cfg)
+		return cfg
+	}
+	written := withCkpt(func(*CampaignConfig) {})
+	if _, err := RunCampaign(written); err != nil {
+		t.Fatal(err)
+	}
+	wrote := written.withDefaults().checkpointDigest(12)
+
+	cases := []struct {
+		name string
+		mut  func(*CampaignConfig)
+	}{
+		{"arrival-rate", func(c *CampaignConfig) { c.Traffic.ArrivalRate = 3 }},
+		{"cache-ttl", func(c *CampaignConfig) { c.Traffic.CacheTTL = 20 * time.Second }},
+		{"corpus-size", func(c *CampaignConfig) { c.CorpusConfig.NumPages = 13 }},
+		{"loss-rate", func(c *CampaignConfig) { c.LossRate = 0.01 }},
+		{"retention", func(c *CampaignConfig) { c.Retention = har.Retention{Kind: har.RetainNone} }},
+		{"impairment", func(c *CampaignConfig) {
+			im := simnet.GilbertElliott(0.01, 4)
+			c.Impairment = &im
+		}},
+		{"link-trace", func(c *CampaignConfig) {
+			tl, err := traces.Profile("lte")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.LinkTrace = tl
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := withCkpt(tc.mut)
+			_, err := RunCampaign(cfg)
+			if err == nil {
+				t.Fatal("checkpoint resumed under a different campaign config")
+			}
+			now := cfg.withDefaults().checkpointDigest(cfg.CorpusConfig.NumPages)
+			if now == wrote || !strings.Contains(err.Error(), wrote) || !strings.Contains(err.Error(), now) {
+				t.Fatalf("error %q does not name both digests %s and %s", err, wrote, now)
+			}
+		})
+	}
+
+	// Same campaign, different halt schedule: resumes to completion.
+	if _, err := RunCampaign(withCkpt(func(c *CampaignConfig) { c.Traffic.HaltAfterEpochs = 0 })); err != nil {
+		t.Fatalf("resume with another halt schedule: %v", err)
 	}
 }

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -125,8 +126,8 @@ type Universe struct {
 	edges    map[string]*cdn.Edge            // by provider name
 	servers  map[simnet.Addr]*httpsim.Server // instantiated so far
 	resolver browser.Resolver
-	startErr error // first lazy StartServer failure, surfaced by RunVisit
-	events   int64 // scheduler events executed across RunVisit calls
+	startErr error // first lazy StartServer failure, surfaced by drain
+	events   int64 // scheduler events executed across drain calls
 	recovery simnet.RecoveryStats
 
 	// pools is the universe-wide allocation arena shared by every
@@ -352,9 +353,9 @@ func (u *Universe) WarmEdge(provider string) (*cdn.Edge, error) {
 	return u.edges[provider], nil
 }
 
-// Events reports the total scheduler events executed by RunVisit calls
-// on this universe — the simulator's unit of work, cheap to aggregate
-// into a campaign-level events/sec throughput readout.
+// Events reports the total scheduler events this universe has executed —
+// the simulator's unit of work, cheap to aggregate into a campaign-level
+// events/sec throughput readout.
 func (u *Universe) Events() int64 { return u.events }
 
 // Close shuts down all servers.
@@ -394,56 +395,52 @@ func (u *Universe) Pools() *httpsim.Pools { return &u.pools }
 // the universe carries a tracer, the visit's events are recorded between
 // BeginVisit and EndVisit and flushed to the tracer's sink on success.
 func (u *Universe) RunVisit(b *browser.Browser, page *webgen.Page) (*har.PageLog, error) {
-	u.cfg.Trace.BeginVisit(page.Site, u.Sched.Now())
-	var result *har.PageLog
-	b.Visit(page, func(l *har.PageLog) {
-		result = l
-		b.CloseAll()
-	})
-	n, err := u.Sched.Run()
-	u.events += int64(n)
-	if err != nil {
-		u.cfg.Trace.Abort()
-		return nil, fmt.Errorf("core: visit %s: %w", page.Site, err)
-	}
-	if u.startErr != nil {
-		u.cfg.Trace.Abort()
-		return nil, fmt.Errorf("core: visit %s: %w", page.Site, u.startErr)
-	}
-	if result == nil {
-		u.cfg.Trace.Abort()
-		return nil, fmt.Errorf("core: visit %s never completed", page.Site)
-	}
-	u.cfg.Trace.EndVisit(result.PLT)
-	// Visit boundary: the scheduler has drained and the browser closed
-	// every connection, so no wire copy or scheduled callback can reach
-	// pooled state — rewind the arenas for the next visit.
-	u.pools.Rewind()
-	return result, nil
+	return u.runVisit(b, page, &har.PageLog{}, u.cfg.Trace)
 }
 
 // RunVisitDiscard drives one page load whose log is thrown away (a cache
 // warming pass). The entries land in a universe-owned scratch log reused
 // across calls, so warm visits allocate no per-visit log state.
 func (u *Universe) RunVisitDiscard(b *browser.Browser, page *webgen.Page) error {
+	_, err := u.runVisit(b, page, &u.warmLog, nil)
+	return err
+}
+
+// runVisit loads page into log with the scheduler to itself. tr brackets
+// the visit (a nil tracer brackets nothing).
+func (u *Universe) runVisit(b *browser.Browser, page *webgen.Page, log *har.PageLog, tr *trace.Tracer) (*har.PageLog, error) {
+	tr.BeginVisit(page.Site, u.Sched.Now())
 	completed := false
-	b.VisitInto(page, &u.warmLog, func(l *har.PageLog) {
+	b.VisitInto(page, log, func(*har.PageLog) {
 		completed = true
 		b.CloseAll()
 	})
+	err := u.drain()
+	if err == nil && !completed {
+		err = errors.New("never completed")
+	}
+	if err != nil {
+		tr.Abort()
+		return nil, fmt.Errorf("core: visit %s: %w", page.Site, err)
+	}
+	tr.EndVisit(log.PLT)
+	// Visit boundary: the scheduler has drained and the browser closed
+	// every connection, so no wire copy or scheduled callback can reach
+	// pooled state — rewind the arenas for the next visit.
+	u.pools.Rewind()
+	return log, nil
+}
+
+// drain runs the scheduler until no event is left, counts the events it
+// executed, and reports why the run cannot be trusted: a scheduler error
+// first, else the first lazy server-start failure.
+func (u *Universe) drain() error {
 	n, err := u.Sched.Run()
 	u.events += int64(n)
-	if err != nil {
-		return fmt.Errorf("core: visit %s: %w", page.Site, err)
+	if err == nil {
+		err = u.startErr
 	}
-	if u.startErr != nil {
-		return fmt.Errorf("core: visit %s: %w", page.Site, u.startErr)
-	}
-	if !completed {
-		return fmt.Errorf("core: visit %s never completed", page.Site)
-	}
-	u.pools.Rewind()
-	return nil
+	return err
 }
 
 func minf(a, b float64) float64 {

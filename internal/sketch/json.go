@@ -238,3 +238,46 @@ func (a *MetricAccumulator) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
+
+type reservoirJSON[T any] struct {
+	Capacity int   `json:"capacity"`
+	Seen     int64 `json:"seen"`
+	// Rng is the splitmix64 stream position; Seqs and Items are the
+	// sample in slot order (replacement draws index slots, so slot
+	// order is state, not presentation).
+	Rng   uint64  `json:"rng"`
+	Seqs  []int64 `json:"seqs,omitempty"`
+	Items []T     `json:"items,omitempty"`
+}
+
+// MarshalJSON encodes the reservoir's complete state — capacity, offer
+// count, stream position, and the sample with its offer sequence
+// numbers — so a decoded reservoir continues the offer sequence exactly
+// where the original stopped.
+func (r *Reservoir[T]) MarshalJSON() ([]byte, error) {
+	j := reservoirJSON[T]{Capacity: r.capacity, Seen: r.seen, Rng: r.rng}
+	for _, it := range r.items {
+		j.Seqs = append(j.Seqs, it.seq)
+		j.Items = append(j.Items, it.v)
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON decodes into r, replacing its state entirely.
+func (r *Reservoir[T]) UnmarshalJSON(data []byte) error {
+	var j reservoirJSON[T]
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if len(j.Seqs) != len(j.Items) {
+		return fmt.Errorf("sketch: reservoir seqs/items length mismatch (%d vs %d)", len(j.Seqs), len(j.Items))
+	}
+	if j.Capacity < 0 || len(j.Items) > j.Capacity || j.Seen < int64(len(j.Items)) {
+		return fmt.Errorf("sketch: reservoir holds %d items at capacity %d after %d offers", len(j.Items), j.Capacity, j.Seen)
+	}
+	*r = Reservoir[T]{capacity: j.Capacity, seen: j.Seen, rng: j.Rng}
+	for i, v := range j.Items {
+		r.items = append(r.items, reservoirItem[T]{seq: j.Seqs[i], v: v})
+	}
+	return nil
+}

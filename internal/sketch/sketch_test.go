@@ -267,6 +267,41 @@ func TestReservoirDeterministicAndOrdered(t *testing.T) {
 	}
 }
 
+// TestReservoirJSONResumes checks the checkpoint form: a reservoir
+// decoded mid-stream selects exactly what the original goes on to
+// select, and inconsistent state is refused.
+func TestReservoirJSONResumes(t *testing.T) {
+	orig := NewReservoir[int](8, 99)
+	for i := 0; i < 500; i++ {
+		orig.Offer(i)
+	}
+	blob, err := json.Marshal(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewReservoir[int](1, 0)
+	if err := json.Unmarshal(blob, back); err != nil {
+		t.Fatal(err)
+	}
+	for i := 500; i < 1000; i++ {
+		orig.Offer(i)
+		back.Offer(i)
+	}
+	if !reflect.DeepEqual(orig.Items(), back.Items()) || orig.Seen() != back.Seen() {
+		t.Fatalf("resumed reservoir diverged: %v vs %v", orig.Items(), back.Items())
+	}
+	for _, bad := range []string{
+		`{"capacity":2,"seen":3,"rng":1,"seqs":[1,2,3],"items":[1,2,3]}`, // over capacity
+		`{"capacity":2,"seen":2,"rng":1,"seqs":[1],"items":[1,2]}`,       // seqs/items mismatch
+		`{"capacity":2,"seen":1,"rng":1,"seqs":[1,2],"items":[1,2]}`,     // more items than offers
+		`{"capacity":-1}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), NewReservoir[int](1, 0)); err == nil {
+			t.Fatalf("accepted inconsistent reservoir state %s", bad)
+		}
+	}
+}
+
 func TestAccumulatorFoldMergeModeGroup(t *testing.T) {
 	mk := func(vant string, plts []int64) *MetricAccumulator {
 		a := NewAccumulator(DefaultAlpha)

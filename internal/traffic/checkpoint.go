@@ -7,13 +7,11 @@ import (
 	"time"
 
 	"h3cdn/internal/cdn"
-	"h3cdn/internal/har"
-	"h3cdn/internal/sketch"
 )
 
 // CheckpointVersion guards the on-disk format; a mismatch fails the
 // load rather than resuming from state with different semantics.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // UserMemory is one user's durable cross-session state — just the
 // learned Alt-Svc hosts. Users with nothing learned are omitted
@@ -38,25 +36,24 @@ type EdgeCache struct {
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Seed    uint64 `json:"seed"`
+	// Config is a digest of every campaign setting that shapes the
+	// shard's results (computed by internal/core). A checkpoint resumes
+	// only under the digest it was written with.
+	Config string `json:"config"`
 	// Epoch is the next epoch to run (epochs [0, Epoch) are folded in).
 	Epoch int `json:"epoch"`
 	// Clock is the campaign-absolute virtual time the next epoch starts
 	// at (≥ Epoch·EpochInterval when an epoch ran long).
 	Clock time.Duration `json:"clock"`
 
-	Users  []UserMemory `json:"users,omitempty"`
-	Edges  []EdgeCache  `json:"edges,omitempty"`
-	Report Report       `json:"report"`
+	Users []UserMemory `json:"users,omitempty"`
+	Edges []EdgeCache  `json:"edges,omitempty"`
 
-	// Accumulated results so far: the shard's metric accumulator and
-	// whatever PageLogs the retention policy kept.
-	Metrics *sketch.MetricAccumulator `json:"metrics"`
-	Logs    []har.PageLog             `json:"logs,omitempty"`
-
-	// Stats carries the shard's engine counters (events, drops,
-	// recovery) accumulated over completed epochs, opaque to this
-	// package (internal/core owns the struct).
-	Stats json.RawMessage `json:"stats,omitempty"`
+	// Sink is the shard's accumulated results so far — metric
+	// accumulator, retained PageLogs or their sampling reservoir, engine
+	// counters, traffic report — in the JSON form of internal/core's visit sink, which
+	// owns those types; opaque here.
+	Sink json.RawMessage `json:"sink"`
 }
 
 // Save writes the checkpoint atomically (temp file + rename), so a kill

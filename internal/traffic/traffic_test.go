@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,9 +10,7 @@ import (
 	"time"
 
 	"h3cdn/internal/cdn"
-	"h3cdn/internal/har"
 	"h3cdn/internal/seqrand"
-	"h3cdn/internal/sketch"
 )
 
 func validConfig() Config {
@@ -181,24 +180,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("missing checkpoint: cp=%v err=%v, want nil/nil", cp, err)
 	}
 
-	acc := sketch.NewAccumulator(sketch.DefaultAlpha)
-	acc.Group(sketch.Key{Mode: "h3", Vantage: "utah"}).Fold(sketch.VisitSample{
-		PLTNs: 7e8, Entries: 12, CacheHits: 9, CacheMisses: 3, Warm: true,
-	})
 	cp := &Checkpoint{
-		Seed:  99,
-		Epoch: 3,
-		Clock: 90 * time.Second,
-		Users: []UserMemory{{User: 4, AltSvc: []string{"a.cdn", "b.cdn"}}},
+		Seed:   99,
+		Config: "1f2e3d4c5b6a7988",
+		Epoch:  3,
+		Clock:  90 * time.Second,
+		Users:  []UserMemory{{User: 4, AltSvc: []string{"a.cdn", "b.cdn"}}},
 		Edges: []EdgeCache{{Provider: "Cloudflare", Entries: []cdn.CacheEntry{
 			{Host: "a.cdn", Path: "/x", ExpiresAt: 95 * time.Second},
 		}}},
-		Report: Report{
-			Counters: Counters{SessionsStarted: 5, VisitsGenerated: 12, VisitsCompleted: 11, VisitsShed: 1},
-			Epochs:   []EpochStat{{Epoch: 0, Visits: 11, CacheHits: 20, CacheMisses: 8}},
-		},
-		Metrics: acc,
-		Logs:    []har.PageLog{{Site: "s.sim", Protocol: "h3", PLT: 700 * time.Millisecond}},
+		Sink: json.RawMessage(`{"stats":{"Events":12}}`),
 	}
 	if err := Save(path, cp); err != nil {
 		t.Fatal(err)
@@ -210,33 +201,34 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Epoch != 3 || back.Clock != 90*time.Second || back.Seed != 99 {
+	if back.Epoch != 3 || back.Clock != 90*time.Second || back.Seed != 99 || back.Config != cp.Config {
 		t.Fatalf("clock state lost: %+v", back)
 	}
 	if !reflect.DeepEqual(back.Users, cp.Users) || !reflect.DeepEqual(back.Edges, cp.Edges) {
 		t.Fatal("user/edge state lost")
 	}
-	if !reflect.DeepEqual(back.Report, cp.Report) {
-		t.Fatalf("report lost: %+v", back.Report)
-	}
-	if len(back.Logs) != 1 || back.Logs[0].Site != "s.sim" {
-		t.Fatalf("logs lost: %+v", back.Logs)
-	}
-	g := back.Metrics.Lookup(sketch.Key{Mode: "h3", Vantage: "utah"})
-	if g == nil || g.Pages != 1 || g.WarmPages != 1 || g.CacheHits.Value() != 9 {
-		t.Fatalf("metrics lost: %+v", g)
+	if string(back.Sink) != string(cp.Sink) {
+		t.Fatalf("sink state lost: %s", back.Sink)
 	}
 
-	// Version mismatch refuses to resume.
-	cp.Version = 0
-	blob, _ := os.ReadFile(path)
-	bad := []byte(string(blob[:len(blob)-1]) + "}") // keep valid JSON below
-	_ = bad
-	if err := os.WriteFile(path, []byte(`{"version":99}`), 0o644); err != nil {
+	// A file cut short mid-write, and a checkpoint from another format
+	// version (1 is the pre-digest format), both refuse to resume.
+	blob, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("version mismatch accepted")
+	for name, content := range map[string][]byte{
+		"truncated":       blob[:len(blob)/2],
+		"empty":           {},
+		"future-version":  []byte(`{"version":99}`),
+		"previous-format": []byte(`{"version":1,"seed":99,"epoch":3}`),
+	} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Fatalf("%s checkpoint accepted", name)
+		}
 	}
 }
 
