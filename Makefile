@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet race bench bench-alloc bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke fmt
+.PHONY: all build test check vet fuzz-smoke race bench bench-alloc bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke fmt
 
 all: check
 
@@ -13,19 +13,26 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Fuzz smoke pass: a few seconds of native fuzzing on each Fuzz* target
+# (the seed corpus alone already runs under plain go test).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEnvelopes -fuzztime 5s ./internal/httpsim
+
 # Race-enabled run of the full suite; the campaign worker pool and the
-# cross-shard sync.Pools are the interesting surfaces. Race
-# instrumentation slows the internal/core campaign fixtures ~6x, past
-# go test's default 10m per-package timeout — hence the explicit one.
+# topology shared read-only across shards are the interesting surfaces
+# (shards share no allocator: every pool is confined to one universe).
+# Race instrumentation slows the internal/core campaign fixtures ~6x,
+# past go test's default 10m per-package timeout — hence the explicit
+# one.
 race:
 	$(GO) test -race -timeout 40m ./...
 
-# The repo's gate: static checks, a fast allocation smoke pass, the
-# tracing smoke pass, the trace-replay determinism smoke pass, the
-# race-enabled suite, the benchmark regression gate, and the multi-core
-# scaling gate. The smoke passes run before the (slow) race suite so
+# The repo's gate: static checks, the fuzz smoke pass, a fast allocation
+# smoke pass, the tracing smoke pass, the trace-replay determinism smoke
+# pass, the race-enabled suite, the benchmark regression gate, and the
+# multi-core scaling gate. The smoke passes run before the (slow) race suite so
 # allocation and trace-pipeline regressions fail fast.
-check: vet bench-smoke trace-smoke trace-replay-smoke traffic-smoke race benchgate bench-scaling bench-memory
+check: vet fuzz-smoke bench-smoke trace-smoke trace-replay-smoke traffic-smoke race benchgate bench-scaling bench-memory
 
 # Analysis/figure regeneration benchmarks (shares one campaign per run).
 bench:

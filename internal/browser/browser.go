@@ -110,7 +110,7 @@ type Config struct {
 	Recovery *simnet.RecoveryStats
 	// Pools, when non-nil, supplies the universe's shared allocation
 	// arenas, threaded into every connection this browser opens. The
-	// universe rewinds them at visit boundaries.
+	// universe rewinds them at visit boundaries. Nil gets a private one.
 	Pools *httpsim.Pools
 	// Trace, when non-nil, receives browser-level fetch lifecycle events
 	// and is threaded into every connection this browser opens. Nil-safe:
@@ -245,6 +245,9 @@ func New(host *simnet.Host, cfg Config) *Browser {
 	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 200 * time.Millisecond
+	}
+	if cfg.Pools == nil {
+		cfg.Pools = &httpsim.Pools{}
 	}
 	b := &Browser{
 		host:    host,

@@ -1,20 +1,21 @@
 package bufpool
 
-// Arena is a thread-confined buffer recycler with the same size classes
-// as the package-level pools, for callers that own a single-goroutine
-// region (one simulation universe). Unlike sync.Pool, an Arena is never
-// drained by the garbage collector: a warm shard reaches a steady state
-// where every visit is served from the same allocation footprint.
+// Arena is a thread-confined, size-classed buffer recycler for callers
+// that own a single-goroutine region (one simulation universe). The
+// zero value is ready to use.
 //
-// The zero value is ready to use. A nil *Arena is valid and falls back
-// to the global pools, so transports can be plumbed unconditionally.
-//
-// Ownership rule: every buffer obtained from Get must come back through
-// Put exactly once, before the owning universe's visit-boundary Rewind.
-// Stats tracks the balance; RunVisit leak checks assert Gets == Puts.
+// Ownership rule: every buffer obtained from Get or Grow goes back
+// through Put or Retire exactly once. Put is for buffers nothing else
+// references (immediate reuse); Retire is for buffers that in-flight
+// wire copies may still alias, and quarantines them until the owning
+// universe's visit-boundary Rewind. Stats tracks the balance. On the
+// universe's wire-buffer arena every buffer is back before Rewind, and
+// the universe fails the visit otherwise; a transport's send-buffer
+// arena also counts buffers its pooled records keep across visits.
 type Arena struct {
-	free  [numClasses][][]byte
-	stats ArenaStats
+	free    [numClasses]FreeList[[]byte]
+	retired [][]byte
+	stats   ArenaStats
 }
 
 // ArenaStats counts arena traffic. Gets/Puts/News are cumulative;
@@ -28,11 +29,11 @@ type ArenaStats struct {
 	HighWater int64
 }
 
+// growFloor is the smallest capacity Grow hands out.
+const growFloor = 4 << 10
+
 // Get returns a buffer with len(buf) == n. Contents are arbitrary.
 func (a *Arena) Get(n int) []byte {
-	if a == nil {
-		return Get(n)
-	}
 	a.stats.Gets++
 	a.stats.InUse++
 	if a.stats.InUse > a.stats.HighWater {
@@ -43,10 +44,7 @@ func (a *Arena) Get(n int) []byte {
 		a.stats.News++
 		return make([]byte, n)
 	}
-	if l := len(a.free[c]); l > 0 {
-		buf := a.free[c][l-1]
-		a.free[c][l-1] = nil
-		a.free[c] = a.free[c][:l-1]
+	if buf, ok := a.free[c].Get(); ok {
 		return buf[:n]
 	}
 	a.stats.News++
@@ -54,39 +52,64 @@ func (a *Arena) Get(n int) []byte {
 	return buf[:n]
 }
 
-// Put returns a buffer obtained from Get. Buffers whose capacity is not
-// an exact size class (over-max Gets) are dropped for the collector but
-// still counted, so the Gets/Puts balance stays meaningful.
+// Put returns a buffer for immediate reuse. Buffers whose capacity is
+// not an exact size class (over-max Gets) are dropped for the collector
+// but still counted, so the Gets/Puts balance stays meaningful.
 func (a *Arena) Put(buf []byte) {
-	if a == nil {
-		Put(buf)
+	a.stats.Puts++
+	a.stats.InUse--
+	a.recycle(buf)
+}
+
+func (a *Arena) recycle(buf []byte) {
+	if c := classFor(cap(buf)); c >= 0 && cap(buf) == 1<<(minClassBits+c) {
+		a.free[c].Put(buf[:cap(buf)])
+	}
+}
+
+// Grow returns a buffer with the contents of buf and capacity at least
+// need, amortizing growth by at least doubling (growFloor minimum). The
+// outgrown array is retired, not freed: zero-copy wire records alias
+// windows of it and keep reading until the scheduler drains.
+func (a *Arena) Grow(buf []byte, need int) []byte {
+	newCap := growFloor
+	if c := cap(buf); c*2 > newCap {
+		newCap = c * 2
+	}
+	for newCap < need {
+		newCap *= 2
+	}
+	nb := a.Get(newCap)[:len(buf)]
+	copy(nb, buf)
+	a.Retire(buf)
+	return nb
+}
+
+// Retire quarantines a buffer until Rewind; it is never handed out
+// again before then.
+func (a *Arena) Retire(buf []byte) {
+	if cap(buf) == 0 {
 		return
 	}
 	a.stats.Puts++
 	a.stats.InUse--
-	c := capClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	a.free[c] = append(a.free[c], buf[:cap(buf)])
+	a.retired = append(a.retired, buf)
 }
 
 // Stats returns a snapshot of the arena counters.
-func (a *Arena) Stats() ArenaStats {
-	if a == nil {
-		return ArenaStats{}
-	}
-	return a.stats
-}
+func (a *Arena) Stats() ArenaStats { return a.stats }
 
 // Rewind marks a visit boundary: all wire copies are dead (the scheduler
-// has drained) and every buffer should have been Put back. It returns
-// the outstanding balance — non-zero means a leak (or a buffer retained
-// across visits, which the ownership rule forbids). The free lists are
-// kept, not released: that is the point of the arena.
+// has drained), so retired buffers join the free lists, and every buffer
+// should have been returned. It reports the outstanding balance —
+// non-zero means a leak (or a buffer retained across visits, which the
+// ownership rule forbids). The free lists are kept, not released: that
+// is the point of the arena.
 func (a *Arena) Rewind() int64 {
-	if a == nil {
-		return 0
+	for i, buf := range a.retired {
+		a.recycle(buf)
+		a.retired[i] = nil
 	}
+	a.retired = a.retired[:0]
 	return a.stats.InUse
 }

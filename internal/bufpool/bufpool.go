@@ -1,11 +1,15 @@
-// Package bufpool provides size-classed pooled byte buffers for the
-// simulation hot path: wire records, framed blocks, response bodies, and
-// transport reassembly chunks. Buffers come back with the requested
-// length but arbitrary contents — callers that care about content must
-// overwrite it (the simulators only ever inspect lengths and headers).
+// Package bufpool provides the simulation's two recyclers: Arena, a
+// size-classed byte-buffer recycler for the hot path (wire records,
+// framed blocks, response bodies, transport reassembly chunks, send
+// buffers), and FreeList, the LIFO free list every per-universe record
+// pool is built from. Both are confined to one goroutine — the owning
+// universe's scheduler — so reuse needs no locking and, being plain
+// slices, survives garbage-collection cycles: a warm shard reaches a
+// steady state where every visit is served from the same allocation
+// footprint. Buffers come back with the requested length but arbitrary
+// contents — callers that care about content must overwrite it (the
+// simulators only ever inspect lengths and headers).
 package bufpool
-
-import "sync"
 
 // Size classes are powers of two from 256B to 8MB. Requests above the
 // largest class fall through to plain allocation. The top classes exist
@@ -18,15 +22,8 @@ const (
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
-var pools [numClasses]sync.Pool
-
-// boxes recycles the *[]byte header boxes the class pools store, so a
-// steady-state Get/Put cycle moves buffers without allocating a fresh
-// box (and its escaping slice header) on every Put.
-var boxes sync.Pool
-
-// classFor returns the pool index whose capacity fits n, or -1 when n is
-// out of the pooled range.
+// classFor returns the class index whose capacity fits n, or -1 when n
+// is out of the pooled range.
 func classFor(n int) int {
 	if n > 1<<maxClassBits {
 		return -1
@@ -38,46 +35,24 @@ func classFor(n int) int {
 	return c
 }
 
-// Get returns a buffer with len(buf) == n. Contents are arbitrary.
-func Get(n int) []byte {
-	c := classFor(n)
-	if c < 0 {
-		return make([]byte, n)
+// FreeList is a LIFO free list of recycled values. The zero value is
+// empty and ready to use.
+type FreeList[T any] []T
+
+// Get pops the most recently Put value; ok is false when the list is
+// empty. The vacated slot is zeroed so the list never pins a value it
+// has handed out.
+func (l *FreeList[T]) Get() (v T, ok bool) {
+	s := *l
+	n := len(s) - 1
+	if n < 0 {
+		return v, false
 	}
-	if v := pools[c].Get(); v != nil {
-		box := v.(*[]byte)
-		buf := *box
-		*box = nil
-		boxes.Put(box)
-		return buf[:n]
-	}
-	buf := make([]byte, 1<<(minClassBits+c))
-	return buf[:n]
+	var zero T
+	v, s[n] = s[n], zero
+	*l = s[:n]
+	return v, true
 }
 
-// Put recycles a buffer obtained from Get (or any buffer whose capacity
-// is an exact size class). Callers must not use buf afterwards.
-func Put(buf []byte) {
-	c := capClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	box, _ := boxes.Get().(*[]byte)
-	if box == nil {
-		box = new([]byte)
-	}
-	*box = buf[:cap(buf)]
-	pools[c].Put(box)
-}
-
-// capClass maps an exact power-of-two capacity to its class, or -1.
-func capClass(c int) int {
-	if c < 1<<minClassBits || c > 1<<maxClassBits || c&(c-1) != 0 {
-		return -1
-	}
-	idx := 0
-	for s := 1 << minClassBits; s < c; s <<= 1 {
-		idx++
-	}
-	return idx
-}
+// Put pushes v for a later Get.
+func (l *FreeList[T]) Put(v T) { *l = append(*l, v) }

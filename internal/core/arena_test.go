@@ -4,45 +4,70 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 
 	"h3cdn/internal/browser"
+	"h3cdn/internal/bufpool"
+	"h3cdn/internal/simnet"
 	"h3cdn/internal/webgen"
 )
 
 // TestArenaBalancedAfterVisits is the arena leak check: after every
-// clean visit, the universe's buffer arena must have every Get matched
-// by a Put (Rewind's outstanding balance is zero). A non-zero balance
-// means a transport or HTTP layer dropped a pooled buffer without
-// returning it — a leak that would grow the warm-shard footprint one
-// visit at a time.
+// visit, the universe's buffer arena must have every Get matched by a
+// Put (Rewind's outstanding balance is zero). A non-zero balance means
+// a transport or HTTP layer dropped a pooled buffer without returning
+// it — a leak that would grow the warm-shard footprint one visit at a
+// time. The impaired rows (bench's lossy profile) reach the paths a
+// clean visit never runs: reassembly chunks abandoned at an aborted
+// teardown, duplicate and overlapping segments, retried fetches.
 func TestArenaBalancedAfterVisits(t *testing.T) {
 	corpus := webgen.Generate(webgen.Config{Seed: 7, NumPages: 4, MeanResources: 10})
-	for _, mode := range []browser.Mode{browser.ModeH2, browser.ModeH3} {
-		t.Run(mode.String(), func(t *testing.T) {
-			u, err := NewUniverse(UniverseConfig{Seed: 11, Corpus: corpus})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer u.Close()
-			b := u.NewBrowser(browser.Config{Mode: mode, EnableZeroRTT: true})
-			for i := range corpus.Pages {
-				if err := u.RunVisitDiscard(b, &corpus.Pages[i]); err != nil {
-					t.Fatal(err)
+	lossy := simnet.GilbertElliott(0.02, 4)
+	lossy.JitterMax = 2 * time.Millisecond
+	lossy.ReorderRate = 0.01
+	lossy.ReorderDelay = 2 * time.Millisecond
+	rows := []struct {
+		name   string
+		impair *simnet.Impairment
+		seeds  []uint64
+	}{
+		{"", nil, []uint64{11}},
+		{"/lossy", &lossy, []uint64{11, 12, 13}},
+	}
+	for _, row := range rows {
+		for _, mode := range []browser.Mode{browser.ModeH2, browser.ModeH3} {
+			t.Run(mode.String()+row.name, func(t *testing.T) {
+				var total bufpool.ArenaStats
+				for _, seed := range row.seeds {
+					u, err := NewUniverse(UniverseConfig{Seed: seed, Corpus: corpus, Impair: row.impair})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer u.Close()
+					b := u.NewBrowser(browser.Config{Mode: mode, EnableZeroRTT: true})
+					for i := range corpus.Pages {
+						// runVisit fails the visit on a non-zero balance.
+						if err := u.RunVisitDiscard(b, &corpus.Pages[i]); err != nil {
+							t.Fatalf("seed %d visit %d: %v", seed, i, err)
+						}
+						b.ClearSessions()
+					}
+					st := u.Pools().Arena.Stats()
+					if st.Gets != st.Puts {
+						t.Fatalf("seed %d: arena gets %d != puts %d", seed, st.Gets, st.Puts)
+					}
+					total.Gets += st.Gets
+					total.News += st.News
+					if row.impair != nil && u.Net.Stats().BurstDrops == 0 {
+						t.Fatalf("seed %d: impaired row dropped nothing — profile not applied", seed)
+					}
 				}
-				b.ClearSessions()
-				if bal := u.Pools().Arena.Rewind(); bal != 0 {
-					t.Fatalf("visit %d: arena balance %d, want 0 (leak)", i, bal)
+				if total.Gets == 0 {
+					t.Fatal("arena never used — pool wiring broken")
 				}
-			}
-			st := u.Pools().Arena.Stats()
-			if st.Gets == 0 {
-				t.Fatal("arena never used — pool wiring broken")
-			}
-			if st.Gets != st.Puts {
-				t.Fatalf("arena gets %d != puts %d", st.Gets, st.Puts)
-			}
-			t.Logf("mode %s: gets=puts=%d news=%d high-water=%d", mode, st.Gets, st.News, st.HighWater)
-		})
+				t.Logf("%s%s: gets=puts=%d news=%d", mode, row.name, total.Gets, total.News)
+			})
+		}
 	}
 }
 

@@ -240,6 +240,11 @@ func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visit
 		if err == nil && en.inFlight != 0 {
 			err = fmt.Errorf("%d visits never completed", en.inFlight)
 		}
+		// Overlapping visits never rewind the epoch's arena, so the wire
+		// buffer leak rule is checked once, on the drained universe.
+		if bal := u.pools.Arena.Stats().InUse; err == nil && bal != 0 {
+			err = fmt.Errorf("arena balance %d", bal)
+		}
 		if err != nil {
 			u.Close()
 			return fmt.Errorf("traffic epoch %d: %w", e, err)

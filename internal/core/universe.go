@@ -426,8 +426,11 @@ func (u *Universe) runVisit(b *browser.Browser, page *webgen.Page, log *har.Page
 	tr.EndVisit(log.PLT)
 	// Visit boundary: the scheduler has drained and the browser closed
 	// every connection, so no wire copy or scheduled callback can reach
-	// pooled state — rewind the arenas for the next visit.
-	u.pools.Rewind()
+	// pooled state — rewind the arenas for the next visit. A wire buffer
+	// still outstanding now was dropped without being returned.
+	if bal := u.pools.Rewind(); bal != 0 {
+		return nil, fmt.Errorf("core: visit %s: arena balance %d", page.Site, bal)
+	}
 	return log, nil
 }
 

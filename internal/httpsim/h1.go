@@ -28,7 +28,8 @@ type DialConfig struct {
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
 	// Pools, when non-nil, supplies the universe's shared allocation
-	// arenas (TCP segments, buffers, header caches).
+	// arenas (TCP segments, buffers, header caches). Nil gets a private
+	// one.
 	Pools *Pools
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
@@ -86,6 +87,7 @@ var _ ClientConn = (*h1Client)(nil)
 
 // DialH1 opens an HTTP/1.1 connection to addr:port.
 func DialH1(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
+	cfg.Pools = orPrivate(cfg.Pools)
 	c := &h1Client{sched: host.Scheduler(), trace: cfg.Trace, pools: cfg.Pools}
 	dialStart := c.sched.Now()
 	dialTLS(host, addr, port, serverName, H1, cfg, func(conn *tlssim.Conn, err error) {
@@ -122,10 +124,8 @@ func dialTLS(host *simnet.Host, addr simnet.Addr, port uint16, serverName string
 	cfg DialConfig, done func(*tlssim.Conn, error), early func(*tlssim.Conn)) {
 	tcpCfg := tcpsimConfig(cfg.TCP)
 	tcpCfg.Trace = cfg.Trace
-	if cfg.Pools != nil {
-		tcpCfg.Pools = &cfg.Pools.TCP
-		tcpCfg.Arena = &cfg.Pools.Arena
-	}
+	tcpCfg.Pools = &cfg.Pools.TCP
+	tcpCfg.Arena = &cfg.Pools.Arena
 	version := cfg.TLSVersion
 	if version == 0 {
 		version = tlssim.TLS13
@@ -140,7 +140,7 @@ func dialTLS(host *simnet.Host, addr simnet.Addr, port uint16, serverName string
 			Sched:           host.Scheduler(),
 			HandshakeCPU:    cfg.HandshakeCPU,
 			ALPN:            proto.ALPN(),
-			Arena:           cfg.Pools.arena(),
+			Arena:           &cfg.Pools.Arena,
 			Trace:           cfg.Trace,
 			TraceConn:       tc.TraceID(),
 		}, func(err error) { done(tconn, err) })
@@ -353,25 +353,10 @@ func (c *h1Client) Abort() {
 
 // --- H1 wire format ---
 
-func encodeH1Request(req *Request) []byte {
-	var b strings.Builder
-	b.WriteString("GET ")
-	b.WriteString(req.Path)
-	b.WriteString(" HTTP/1.1\r\nhost: ")
-	b.WriteString(req.Host)
-	b.WriteString("\r\n")
-	b.Write(encodeHeaders(req.Header))
-	b.WriteString("\r\n")
-	return []byte(b.String())
-}
-
 // encodeH1Request assembles the request in the shared scratch buffer;
 // the result is only valid until the next Pools encode call. (The TLS
 // layer copies on Write.)
 func (pl *Pools) encodeH1Request(req *Request) []byte {
-	if pl == nil {
-		return encodeH1Request(req)
-	}
 	dst := pl.hdrBuf[:0]
 	dst = append(dst, "GET "...)
 	dst = append(dst, req.Path...)
@@ -403,9 +388,6 @@ func parseH1Request(p []byte) (*Request, bool) {
 // parseH1Request returns the canonical Request for these wire bytes
 // (parsed once per distinct request). Consumers must not mutate it.
 func (pl *Pools) parseH1Request(p []byte) (*Request, bool) {
-	if pl == nil {
-		return parseH1Request(p)
-	}
 	if req, ok := pl.reqCache[string(p)]; ok {
 		return req, req != nil
 	}
@@ -420,24 +402,9 @@ func (pl *Pools) parseH1Request(p []byte) (*Request, bool) {
 	return req, true
 }
 
-func encodeH1Response(resp Response) []byte {
-	var b strings.Builder
-	b.WriteString("HTTP/1.1 ")
-	b.WriteString(strconv.Itoa(resp.Status))
-	b.WriteString(" OK\r\ncontent-length: ")
-	b.WriteString(strconv.Itoa(resp.BodySize))
-	b.WriteString("\r\n")
-	b.Write(encodeHeaders(resp.Header))
-	b.WriteString("\r\n")
-	return []byte(b.String())
-}
-
 // encodeH1Response assembles the response envelope in the shared
 // scratch buffer; valid until the next Pools encode call.
 func (pl *Pools) encodeH1Response(resp Response) []byte {
-	if pl == nil {
-		return encodeH1Response(resp)
-	}
 	dst := pl.hdrBuf[:0]
 	dst = append(dst, "HTTP/1.1 "...)
 	dst = strconv.AppendInt(dst, int64(resp.Status), 10)
@@ -450,36 +417,10 @@ func (pl *Pools) encodeH1Response(resp Response) []byte {
 	return dst
 }
 
-func parseH1Response(p []byte) (ResponseMeta, error) {
-	s := string(p)
-	line, rest, ok := strings.Cut(s, "\r\n")
-	if !ok {
-		rest = ""
-	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 {
-		return ResponseMeta{}, ErrBadResponse
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return ResponseMeta{}, ErrBadResponse
-	}
-	h := decodeHeaders([]byte(rest))
-	clen, err := strconv.Atoi(h["content-length"])
-	if err != nil {
-		return ResponseMeta{}, ErrBadResponse
-	}
-	delete(h, "content-length")
-	return ResponseMeta{Status: status, Header: h, BodySize: clen}, nil
-}
-
-// parseH1Response is the cached variant: status and content-length are
-// parsed per call; the remaining headers resolve to a canonical shared
-// map (see Pools.canonHeaderMap).
+// parseH1Response parses status and content-length per call; the
+// remaining headers resolve to a canonical shared map (see
+// Pools.canonHeaderMap).
 func (pl *Pools) parseH1Response(p []byte) (ResponseMeta, error) {
-	if pl == nil {
-		return parseH1Response(p)
-	}
 	line := p
 	var rest []byte
 	if nl := bytes.Index(p, crlf); nl >= 0 {
@@ -536,7 +477,7 @@ func newH1ServerConn(tls *tlssim.Conn, handler Handler, pools *Pools) *h1ServerC
 func (c *h1ServerConn) respond(resp Response) {
 	c.tls.Write(c.pools.encodeH1Response(resp))
 	if resp.BodySize > 0 {
-		writeBody(c.pools.arena(), c.tls, resp.BodySize)
+		writeBody(&c.pools.Arena, c.tls, resp.BodySize)
 	}
 }
 

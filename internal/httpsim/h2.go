@@ -48,6 +48,7 @@ var _ ClientConn = (*h2Client)(nil)
 
 // DialH2 opens an HTTP/2 connection to addr:port.
 func DialH2(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
+	cfg.Pools = orPrivate(cfg.Pools)
 	c := &h2Client{
 		sched:   host.Scheduler(),
 		streams: make(map[uint32]*h2Pending),
@@ -130,7 +131,7 @@ func (c *h2Client) send(p h2Pending) {
 	sp := c.pools.getH2Pending(p)
 	c.streams[id] = sp
 	c.trace.HTTPStreamOpen(c.sched.Now(), c.traceID, int64(id), p.req.Host, p.req.Path)
-	writeBlock(c.pools.arena(), c.tls, blockHeadersReq, id, flagEndStream, c.pools.requestHeaderBlock(p.req))
+	writeBlock(&c.pools.Arena, c.tls, blockHeadersReq, id, flagEndStream, c.pools.requestHeaderBlock(p.req))
 	if sp.ev.OnSent != nil {
 		sp.ev.OnSent()
 	}
@@ -325,7 +326,7 @@ func (c *h2ServerConn) respond(id uint32, resp Response) {
 	if resp.BodySize == 0 {
 		flags = flagEndStream
 	}
-	writeBlock(c.pools.arena(), c.tls, blockHeadersResp, id, flags, c.pools.responseHeaderBlock(resp))
+	writeBlock(&c.pools.Arena, c.tls, blockHeadersResp, id, flags, c.pools.responseHeaderBlock(resp))
 	if resp.BodySize > 0 {
 		c.active = append(c.active, c.pools.getH2Response(id, resp.BodySize))
 		c.pump()
@@ -353,11 +354,11 @@ func (c *h2ServerConn) pump() {
 			if r.remaining == 0 {
 				flags = flagEndStream
 			}
-			writeBodyBlock(c.pools.arena(), c.tls, r.id, flags, n)
+			writeBodyBlock(&c.pools.Arena, c.tls, r.id, flags, n)
 			if r.remaining > 0 {
 				next = append(next, r)
 			} else {
-				c.pools.putH2Response(r)
+				c.pools.h2Resps.Put(r)
 			}
 		}
 		c.active = next

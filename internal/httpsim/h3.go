@@ -19,7 +19,8 @@ type H3DialConfig struct {
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
 	// Pools, when non-nil, supplies the universe's shared allocation
-	// arenas (QUIC records, buffers, stream states, header caches).
+	// arenas (QUIC records, buffers, stream states, header caches). Nil
+	// gets a private one.
 	Pools *Pools
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
@@ -69,12 +70,11 @@ var _ ClientConn = (*h3Client)(nil)
 
 // DialH3 opens an HTTP/3 connection to addr:port (the QUIC port).
 func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg H3DialConfig) ClientConn {
+	cfg.Pools = orPrivate(cfg.Pools)
 	c := &h3Client{sched: host.Scheduler(), trace: cfg.Trace, pools: cfg.Pools}
 	qcfg := cfg.QUIC
 	qcfg.Trace = cfg.Trace
-	if qcfg.Pools == nil && cfg.Pools != nil {
-		qcfg.Pools = &cfg.Pools.QUIC
-	}
+	qcfg.Pools = &cfg.Pools.QUIC
 	c.conn = quicsim.Dial(host, addr, port, quicsim.ClientConfig{
 		Config:        qcfg,
 		ServerName:    serverName,
@@ -140,7 +140,7 @@ func (c *h3Client) send(st *h3Stream) {
 	st.id = int64(s.ID())
 	s.SetDataFunc(st.dataFn)
 	c.trace.HTTPStreamOpen(c.sched.Now(), c.conn.TraceID(), st.id, st.req.Host, st.req.Path)
-	writeBlock(c.pools.arena(), s, blockHeadersReq, 0, flagEndStream, c.pools.requestHeaderBlock(st.req))
+	writeBlock(&c.pools.Arena, s, blockHeadersReq, 0, flagEndStream, c.pools.requestHeaderBlock(st.req))
 	s.CloseWrite()
 	if st.ev.OnSent != nil {
 		st.ev.OnSent()
@@ -319,7 +319,7 @@ func (ss *h3SrvStream) onData(data []byte) {
 }
 
 func (ss *h3SrvStream) respond(resp Response) {
-	a := ss.srv.pools.arena()
+	a := &ss.srv.pools.Arena
 	writeBlock(a, ss.st, blockHeadersResp, 0, 0, ss.srv.pools.responseHeaderBlock(resp))
 	for left := resp.BodySize; left > 0; {
 		n := left

@@ -165,15 +165,6 @@ func appendHeaderLines(dst []byte, h map[string]string, keys []string) ([]byte, 
 	return dst, keys
 }
 
-// encodeHeaders serializes headers deterministically (sorted keys).
-func encodeHeaders(h map[string]string) []byte {
-	if len(h) == 0 {
-		return nil
-	}
-	dst, _ := appendHeaderLines(nil, h, nil)
-	return dst
-}
-
 func decodeHeaders(p []byte) map[string]string {
 	h := make(map[string]string)
 	for _, line := range strings.Split(string(p), "\r\n") {
@@ -203,14 +194,8 @@ const blockHeaderSize = 10 // type(1) + streamID(4) + flags(1) + length(4)
 
 const flagEndStream = 1
 
-// encodeBlock frames a payload: [type][streamID][flags][len][payload].
-func encodeBlock(t blockType, streamID uint32, flags uint8, payload []byte) []byte {
-	buf := make([]byte, blockHeaderSize+len(payload))
-	putBlockHeader(buf, t, streamID, flags, len(payload))
-	copy(buf[blockHeaderSize:], payload)
-	return buf
-}
-
+// putBlockHeader writes the frame header [type][streamID][flags][len]
+// that precedes every payload.
 func putBlockHeader(buf []byte, t blockType, streamID uint32, flags uint8, plen int) {
 	buf[0] = byte(t)
 	binary.BigEndian.PutUint32(buf[1:5], streamID)
@@ -223,7 +208,7 @@ func putBlockHeader(buf []byte, t blockType, streamID uint32, flags uint8, plen 
 type blockWriter interface{ Write([]byte) }
 
 // writeBlock frames payload into a pooled buffer, writes it, and recycles
-// the buffer immediately. A nil arena falls back to the global bufpool.
+// the buffer immediately.
 func writeBlock(a *bufpool.Arena, w blockWriter, t blockType, streamID uint32, flags uint8, payload []byte) {
 	buf := a.Get(blockHeaderSize + len(payload))
 	putBlockHeader(buf, t, streamID, flags, len(payload))
@@ -309,26 +294,11 @@ func (p *blockParser) rewind() {
 	p.blocks = p.blocks[:0]
 }
 
-// requestHeaderBlock serializes a request for H2/H3 (pseudo-headers plus
-// regular headers). The pooled variant emits pseudo-headers first and
-// the rest sorted; decoders are order-insensitive and the byte length is
-// identical to the fully-sorted form, so wire timing is unchanged.
-func requestHeaderBlock(req *Request) []byte {
-	h := make(map[string]string, len(req.Header)+2)
-	for k, v := range req.Header {
-		h[k] = v
-	}
-	h[":authority"] = req.Host
-	h[":path"] = req.Path
-	return encodeHeaders(h)
-}
-
-// requestHeaderBlock assembles the block in the shared scratch buffer;
-// the result is only valid until the next Pools encode call.
+// requestHeaderBlock serializes a request for H2/H3: pseudo-headers
+// first, then the regular headers sorted (decoders are
+// order-insensitive). It assembles the block in the shared scratch
+// buffer; the result is only valid until the next Pools encode call.
 func (pl *Pools) requestHeaderBlock(req *Request) []byte {
-	if pl == nil {
-		return requestHeaderBlock(req)
-	}
 	dst := pl.hdrBuf[:0]
 	dst = append(dst, ":authority: "...)
 	dst = append(dst, req.Host...)
@@ -355,9 +325,6 @@ func parseRequestHeaderBlock(p []byte) *Request {
 // bytes: the corpus re-sends identical blocks every visit, so the parse
 // runs once per distinct block. Consumers must treat it as immutable.
 func (pl *Pools) parseRequestHeaderBlock(p []byte) *Request {
-	if pl == nil {
-		return parseRequestHeaderBlock(p)
-	}
 	if req, ok := pl.reqCache[string(p)]; ok {
 		return req
 	}
@@ -369,23 +336,10 @@ func (pl *Pools) parseRequestHeaderBlock(p []byte) *Request {
 	return req
 }
 
-// responseHeaderBlock serializes a response envelope for H2/H3.
-func responseHeaderBlock(resp Response) []byte {
-	h := make(map[string]string, len(resp.Header)+2)
-	for k, v := range resp.Header {
-		h[k] = v
-	}
-	h[":status"] = strconv.Itoa(resp.Status)
-	h["content-length"] = strconv.Itoa(resp.BodySize)
-	return encodeHeaders(h)
-}
-
-// responseHeaderBlock assembles the block in the shared scratch buffer;
-// the result is only valid until the next Pools encode call.
+// responseHeaderBlock serializes a response envelope for H2/H3 in the
+// shared scratch buffer; the result is only valid until the next Pools
+// encode call.
 func (pl *Pools) responseHeaderBlock(resp Response) []byte {
-	if pl == nil {
-		return responseHeaderBlock(resp)
-	}
 	dst := pl.hdrBuf[:0]
 	dst = append(dst, ":status: "...)
 	dst = strconv.AppendInt(dst, int64(resp.Status), 10)
@@ -395,21 +349,6 @@ func (pl *Pools) responseHeaderBlock(resp Response) []byte {
 	dst, pl.sortScratch = appendHeaderLines(dst, resp.Header, pl.sortScratch)
 	pl.hdrBuf = dst
 	return dst
-}
-
-func parseResponseHeaderBlock(p []byte) (ResponseMeta, error) {
-	h := decodeHeaders(p)
-	status, err := strconv.Atoi(h[":status"])
-	if err != nil {
-		return ResponseMeta{}, ErrBadResponse
-	}
-	clen, err := strconv.Atoi(h["content-length"])
-	if err != nil {
-		return ResponseMeta{}, ErrBadResponse
-	}
-	delete(h, ":status")
-	delete(h, "content-length")
-	return ResponseMeta{Status: status, Header: h, BodySize: clen}, nil
 }
 
 var (
@@ -480,13 +419,10 @@ func (pl *Pools) canonHeaderMap(key []byte) map[string]string {
 	return h
 }
 
-// parseResponseHeaderBlock is the cached variant: status and length are
-// parsed per call (they vary per resource); the remaining headers
-// resolve to a canonical shared map.
+// parseResponseHeaderBlock parses status and length per call (they vary
+// per resource); the remaining headers resolve to a canonical shared
+// map.
 func (pl *Pools) parseResponseHeaderBlock(p []byte) (ResponseMeta, error) {
-	if pl == nil {
-		return parseResponseHeaderBlock(p)
-	}
 	key, status, clen := pl.stripRespHeaders(p)
 	if status < 0 || clen < 0 {
 		return ResponseMeta{}, ErrBadResponse

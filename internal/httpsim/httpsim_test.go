@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/bufpool"
 	"h3cdn/internal/quicsim"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
@@ -355,7 +356,8 @@ func TestInFlightAccounting(t *testing.T) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	h := map[string]string{"server": "cloudflare", "via": "1.1 varnish", "x-cache": "HIT"}
-	got := decodeHeaders(encodeHeaders(h))
+	wire, _ := appendHeaderLines(nil, h, nil)
+	got := decodeHeaders(wire)
 	if len(got) != len(h) {
 		t.Fatalf("round trip: %v", got)
 	}
@@ -367,7 +369,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestBlockParserFragmentation(t *testing.T) {
-	full := encodeBlock(blockData, 7, flagEndStream, []byte("hello world"))
+	var full sink
+	writeBlock(&bufpool.Arena{}, &full, blockData, 7, flagEndStream, []byte("hello world"))
 	var p blockParser
 	var got []block
 	// Feed one byte at a time.
@@ -394,7 +397,8 @@ func TestProtocolStrings(t *testing.T) {
 
 func TestRequestHeaderBlockRoundTrip(t *testing.T) {
 	req := &Request{Host: "cdn.example", Path: "/a/b.js", Header: map[string]string{"accept": "*/*"}}
-	got := parseRequestHeaderBlock(requestHeaderBlock(req))
+	var pl Pools
+	got := pl.parseRequestHeaderBlock(pl.requestHeaderBlock(req))
 	if got.Host != req.Host || got.Path != req.Path || got.Header["accept"] != "*/*" {
 		t.Fatalf("round trip = %+v", got)
 	}

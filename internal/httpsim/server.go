@@ -35,6 +35,7 @@ type ServerConfig struct {
 	QUIC quicsim.Config
 	// Pools, when non-nil, supplies the universe's shared allocation
 	// arenas (transport records, buffers, header caches, stream states).
+	// Nil gets a private one.
 	Pools *Pools
 	// Trace, when non-nil, receives server-side transport events.
 	// Nil-safe: every emit is a no-op when nil.
@@ -55,21 +56,20 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("httpsim: StartServer: %w: nil handler", ErrNotSupported)
 	}
+	cfg.Pools = orPrivate(cfg.Pools)
 	s := &Server{host: host, cfg: cfg}
 
 	tcpCfg := cfg.TCP
 	tcpCfg.Trace = cfg.Trace
-	if cfg.Pools != nil {
-		tcpCfg.Pools = &cfg.Pools.TCP
-		tcpCfg.Arena = &cfg.Pools.Arena
-	}
+	tcpCfg.Pools = &cfg.Pools.TCP
+	tcpCfg.Arena = &cfg.Pools.Arena
 	tcpL, err := tcpsim.Listen(host, TCPPort, tcpCfg, func(tc *tcpsim.Conn) {
 		var tconn *tlssim.Conn
 		tconn = tlssim.Server(tc, tlssim.ServerConfig{
 			Sessions:     cfg.TLSSessions,
 			Sched:        host.Scheduler(),
 			HandshakeCPU: cfg.HandshakeCPU,
-			Arena:        cfg.Pools.arena(),
+			Arena:        &cfg.Pools.Arena,
 			Trace:        cfg.Trace,
 			TraceConn:    tc.TraceID(),
 		}, func(err error) {
@@ -92,9 +92,7 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 	if cfg.EnableH3 {
 		quicCfg := cfg.QUIC
 		quicCfg.Trace = cfg.Trace
-		if quicCfg.Pools == nil && cfg.Pools != nil {
-			quicCfg.Pools = &cfg.Pools.QUIC
-		}
+		quicCfg.Pools = &cfg.Pools.QUIC
 		quicE, err := quicsim.Listen(host, QUICPort, quicsim.ServerConfig{
 			Config:       quicCfg,
 			Sessions:     cfg.QUICSessions,

@@ -104,10 +104,8 @@ type Conn struct {
 	recvd     rangeSet
 	ackQueued bool
 
-	// pools recycles the send path's per-packet records. Reuse is scoped
-	// to one scheduler goroutine (the owning universe's, or this
-	// connection's private fallback arena when Config.Pools is nil), and
-	// recycling happens only when a record is provably dead: a sentPacket
+	// pools (Config.Pools) recycles the send path's per-packet records.
+	// Recycling happens only when a record is provably dead: a sentPacket
 	// retires on ack or loss-declaration with no other holder, while
 	// frames arrays and ackFrames recycle on ack only — an acked packet
 	// was delivered and fully processed, whereas a loss-declared one may
@@ -182,11 +180,6 @@ func newConn(host *simnet.Host, cfg Config) *Conn {
 		streams: make(map[uint64]*Stream),
 		cwnd:    float64(cfg.InitCwndPkts * maxPacketPayload),
 		pools:   cfg.Pools,
-	}
-	if c.pools == nil {
-		// Private arena: recycling stays per-connection, matching the
-		// pre-arena behavior for standalone endpoints.
-		c.pools = &Pools{}
 	}
 	c.ssthresh = float64(cfg.MaxCwndPkts * maxPacketPayload)
 	c.ptoTimer = c.sched.NewTimer(c.onPTO)
@@ -337,7 +330,7 @@ func (c *Conn) teardown() {
 	// dropped with the records below: those streamFrames leak to the
 	// collector rather than the pool, which is the safe direction.
 	for _, s := range c.streams {
-		c.pools.retire(s)
+		c.pools.retired = append(c.pools.retired, s)
 	}
 	c.sent = nil
 	c.sendQ = nil
@@ -417,9 +410,7 @@ func (c *Conn) trySend() {
 }
 
 func (c *Conn) buildAck() *ackFrame {
-	if n := len(c.pools.acks); n > 0 {
-		af := c.pools.acks[n-1]
-		c.pools.acks = c.pools.acks[:n-1]
+	if af, ok := c.pools.acks.Get(); ok {
 		af.ranges = c.recvd.snapshotInto(af.ranges[:0], 32)
 		return af
 	}
@@ -430,11 +421,7 @@ func (c *Conn) buildAck() *ackFrame {
 // queued control/retransmit frames, then fresh stream data round-robin.
 // Returns nil when there is nothing ack-eliciting to send.
 func (c *Conn) buildPacket() *packet {
-	var frames []frame
-	if n := len(c.pools.frames); n > 0 {
-		frames = c.pools.frames[n-1][:0]
-		c.pools.frames = c.pools.frames[:n-1]
-	}
+	frames, _ := c.pools.frames.Get()
 	budget := maxPacketPayload
 	eliciting := false
 
@@ -476,10 +463,10 @@ func (c *Conn) buildPacket() *packet {
 		// flush path emits a pooled ack-only packet instead) and the
 		// frames array.
 		if ack != nil {
-			c.pools.acks = append(c.pools.acks, ack)
+			c.pools.acks.Put(ack)
 		}
 		if cap(frames) > 0 {
-			c.pools.frames = append(c.pools.frames, frames[:0])
+			c.pools.frames.Put(frames[:0])
 		}
 		return nil
 	}
@@ -546,9 +533,7 @@ func (c *Conn) sendPacket(p *packet) {
 
 // newSentPacket takes a retired record from the free list, or allocates.
 func (c *Conn) newSentPacket() *sentPacket {
-	if n := len(c.pools.sents); n > 0 {
-		sp := c.pools.sents[n-1]
-		c.pools.sents = c.pools.sents[:n-1]
+	if sp, ok := c.pools.sents.Get(); ok {
 		return sp
 	}
 	return &sentPacket{}
@@ -564,15 +549,15 @@ func (c *Conn) retireAcked(sp *sentPacket) {
 	for i, f := range sp.frames {
 		switch f := f.(type) {
 		case *ackFrame:
-			c.pools.acks = append(c.pools.acks, f)
+			c.pools.acks.Put(f)
 		case *streamFrame:
 			c.pools.releaseHold(f)
 		}
 		sp.frames[i] = nil
 	}
-	c.pools.frames = append(c.pools.frames, sp.frames[:0])
+	c.pools.frames.Put(sp.frames[:0])
 	sp.frames = nil
-	c.pools.sents = append(c.pools.sents, sp)
+	c.pools.sents.Put(sp)
 }
 
 // --- loss detection & congestion ---
@@ -642,11 +627,7 @@ func (c *Conn) onPTO() {
 	// Probe: retransmit the oldest unacked ack-eliciting packet's
 	// frames in a fresh packet, bypassing the congestion window.
 	if len(c.sent) > 0 {
-		var frames []frame
-		if n := len(c.pools.frames); n > 0 {
-			frames = c.pools.frames[n-1][:0]
-			c.pools.frames = c.pools.frames[:n-1]
-		}
+		frames, _ := c.pools.frames.Get()
 		frames = appendRetransmittable(frames, c.sent[0].frames)
 		// The probe record takes an additional hold on each copied
 		// stream frame: the original record keeps its own, and either
@@ -671,7 +652,7 @@ func (c *Conn) onPTO() {
 			c.bytesInFlight += sp.size
 			c.transmit(p)
 		} else if cap(frames) > 0 {
-			c.pools.frames = append(c.pools.frames, frames[:0])
+			c.pools.frames.Put(frames[:0])
 		}
 	}
 	if c.ptoCount >= 2 {
@@ -775,7 +756,7 @@ func (c *Conn) handleAck(f *ackFrame) {
 		// stream-frame holds it owned transferred to sendQ above, so
 		// counts are unchanged.
 		sp.frames = nil
-		c.pools.sents = append(c.pools.sents, sp)
+		c.pools.sents.Put(sp)
 	}
 	if lost > 0 {
 		n := copy(c.sent, c.sent[lost:])

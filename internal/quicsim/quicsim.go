@@ -14,7 +14,6 @@ package quicsim
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"h3cdn/internal/simnet"
@@ -67,8 +66,8 @@ type Config struct {
 	// packet lost (RFC 9002 kPacketThreshold). Default 3.
 	ReorderThreshold uint64
 	// Pools, when non-nil, supplies the per-universe record arena shared
-	// by every endpoint of one scheduler goroutine. Nil endpoints fall
-	// back to process-global pools and plain allocation.
+	// by every endpoint of one scheduler goroutine. Nil gets a private
+	// one.
 	Pools *Pools
 	// Recovery, when non-nil, accumulates loss-recovery counters for
 	// this endpoint (probe fires, declared losses, blackout crossings).
@@ -105,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReorderThreshold == 0 {
 		c.ReorderThreshold = 3
+	}
+	if c.Pools == nil {
+		c.Pools = &Pools{}
 	}
 	return c
 }
@@ -206,48 +208,25 @@ type packet struct {
 	// ackOnly marks frames as a private one-element slice holding a
 	// private ackFrame, recycled together with the packet.
 	ackOnly bool
-	// pools, when non-nil, routes Release back to the originating
-	// universe's arena instead of the process-global sync.Pools. Release
-	// runs on the universe's scheduler goroutine, so the thread-confined
-	// arena is safe.
+	// pools routes Release back to the originating universe's free
+	// lists. Release runs on that universe's scheduler goroutine.
 	pools *Pools
 }
 
-var (
-	pktPool = sync.Pool{New: func() any { return new(packet) }}
-	ackPool = sync.Pool{New: func() any {
-		return &packet{ackOnly: true, frames: []frame{&ackFrame{}}}
-	}}
-)
-
 func newPacket(pl *Pools) *packet {
-	if pl != nil {
-		if n := len(pl.packets); n > 0 {
-			p := pl.packets[n-1]
-			pl.packets[n-1] = nil
-			pl.packets = pl.packets[:n-1]
-			return p
-		}
-		return &packet{pools: pl}
+	if p, ok := pl.packets.Get(); ok {
+		return p
 	}
-	return pktPool.Get().(*packet)
+	return &packet{pools: pl}
 }
 
 // newAckPacket returns a pooled packet carrying a single ACK frame with
 // ranges snapshotted from rs; the attached ackFrame and its range slice
 // are reused across pool round-trips.
 func newAckPacket(pl *Pools, rs *rangeSet) *packet {
-	var p *packet
-	if pl != nil {
-		if n := len(pl.ackPkts); n > 0 {
-			p = pl.ackPkts[n-1]
-			pl.ackPkts[n-1] = nil
-			pl.ackPkts = pl.ackPkts[:n-1]
-		} else {
-			p = &packet{ackOnly: true, frames: []frame{&ackFrame{}}, pools: pl}
-		}
-	} else {
-		p = ackPool.Get().(*packet)
+	p, ok := pl.ackPkts.Get()
+	if !ok {
+		p = &packet{ackOnly: true, frames: []frame{&ackFrame{}}, pools: pl}
 	}
 	af := p.frames[0].(*ackFrame)
 	af.ranges = rs.snapshotInto(af.ranges[:0], 32)
@@ -259,23 +238,14 @@ func (p *packet) Release() {
 	p.pn = 0
 	p.zeroRTT = false
 	p.dcid = 0
-	if pl := p.pools; pl != nil {
-		if p.ackOnly {
-			pl.ackPkts = append(pl.ackPkts, p)
-		} else {
-			p.frames = nil
-			pl.packets = append(pl.packets, p)
-		}
-		return
-	}
 	if p.ackOnly {
-		ackPool.Put(p)
+		p.pools.ackPkts.Put(p)
 		return
 	}
 	// The frames slice is shared with a sentPacket (or belongs to a
 	// one-shot control packet); drop the reference, never reuse it.
 	p.frames = nil
-	pktPool.Put(p)
+	p.pools.packets.Put(p)
 }
 
 func (p *packet) wireSize() int {

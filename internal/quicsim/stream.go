@@ -55,7 +55,7 @@ func (s *Stream) Write(p []byte) {
 		return
 	}
 	if need := len(s.pend) + len(p); need > cap(s.pend) {
-		s.pend = s.conn.pools.growPend(s.pend, need)
+		s.pend = s.conn.pools.pends.Grow(s.pend, need)
 	}
 	s.pend = append(s.pend, p...)
 	s.conn.trySend()

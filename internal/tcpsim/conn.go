@@ -126,8 +126,8 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEsta
 }
 
 func newConn(host *simnet.Host, cfg Config) *Conn {
-	c := cfg.Pools.getConn()
-	if c == nil {
+	c, ok := cfg.Pools.conns.Get()
+	if !ok {
 		c = &Conn{recvBuf: make(map[uint64]recvChunk)}
 		cc := c
 		c.pktFn = func(pkt simnet.Packet) {
@@ -221,7 +221,7 @@ func (c *Conn) Write(p []byte) {
 		return
 	}
 	if need := len(c.sendBuf) + len(p); need > cap(c.sendBuf) {
-		c.sendBuf = c.cfg.Pools.growSendBuf(c.sendBuf, need)
+		c.sendBuf = c.cfg.Pools.sendBufs.Grow(c.sendBuf, need)
 	}
 	c.sendBuf = append(c.sendBuf, p...)
 	if c.state == stateEstablished {
@@ -299,14 +299,16 @@ func (c *Conn) teardown() {
 	if c.listener != nil {
 		c.listener.remove(c.remote, c.remotePort)
 	}
-	c.cfg.Pools.retireSendBuf(c.sendBuf)
+	// Quarantined until Rewind, as is the conn itself: in-flight segments
+	// alias the send buffer and late closures still read the struct.
+	c.cfg.Pools.sendBufs.Retire(c.sendBuf)
 	c.sendBuf = nil
 	c.sendOff = 0
 	for _, chunk := range c.recvBuf {
 		c.cfg.Arena.Put(chunk.data)
 	}
 	clear(c.recvBuf)
-	c.cfg.Pools.retireConn(c)
+	c.cfg.Pools.retiredConns = append(c.cfg.Pools.retiredConns, c)
 }
 
 func (c *Conn) fail(err error) {

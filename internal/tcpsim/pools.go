@@ -1,24 +1,12 @@
 package tcpsim
 
-// Send-buffer size classes: powers of two from 4KB to 8MB. Buffers are
-// always sized through growSendBuf, so every pooled buffer has an exact
-// class capacity. The 8MB ceiling caps retention: a conn whose busy
-// period exceeds it falls back to plain allocation and its buffer is
-// dropped for the collector at teardown.
-const (
-	minSendBufBits = 12 // 4KB
-	maxSendBufBits = 23 // 8MB
-	sendBufClasses = maxSendBufBits - minSendBufBits + 1
-)
+import "h3cdn/internal/bufpool"
 
 // Pools is a per-universe free list for TCP allocations. All endpoints
 // of one simulation universe share one Pools on one scheduler goroutine,
-// so reuse needs no locking and — unlike the process-global sync.Pool
-// fallback — survives garbage-collection cycles: a warm shard replays
-// each visit out of the same segment, buffer, and conn footprint.
-//
-// A nil *Pools is valid and falls back to the global pool (segments) or
-// plain allocation (buffers, conns).
+// so reuse needs no locking and survives garbage-collection cycles: a
+// warm shard replays each visit out of the same segment, buffer, and
+// conn footprint. The zero value is ready to use.
 //
 // Segments recycle at delivery (the network calls Release after the
 // handler returns). Send buffers and conn structs instead quarantine
@@ -27,113 +15,28 @@ const (
 // and late-firing closures (reset probes, stray duplicate deliveries)
 // may still read a torn-down conn's fields until the scheduler drains.
 type Pools struct {
-	segs []*segment
+	segs bufpool.FreeList[*segment]
 
-	sendBufs    [sendBufClasses][][]byte
-	retiredBufs [][]byte
+	// sendBufs recycles connection send buffers through Grow/Retire
+	// only. A conn whose busy period outgrows the arena's largest class
+	// falls back to plain allocation and its buffer is dropped for the
+	// collector at Rewind.
+	sendBufs bufpool.Arena
 
-	conns        []*Conn
+	conns        bufpool.FreeList[*Conn]
 	retiredConns []*Conn
-}
-
-// sendBufClass maps a capacity to its class index, or -1 when the
-// capacity is not an exact class size (or out of range).
-func sendBufClass(c int) int {
-	if c < 1<<minSendBufBits || c > 1<<maxSendBufBits || c&(c-1) != 0 {
-		return -1
-	}
-	idx := 0
-	for s := 1 << minSendBufBits; s < c; s <<= 1 {
-		idx++
-	}
-	return idx
-}
-
-// growSendBuf returns a buffer with the contents of buf and capacity at
-// least need, amortizing growth by at least doubling. The outgrown array
-// is quarantined, not freed: in-flight segments alias windows of it and
-// keep reading until the scheduler drains. With a nil Pools it degrades
-// to plain doubling allocation, matching append's behavior.
-func (pl *Pools) growSendBuf(buf []byte, need int) []byte {
-	newCap := 1 << minSendBufBits
-	if c := cap(buf); c*2 > newCap {
-		newCap = c * 2
-	}
-	for newCap < need {
-		newCap *= 2
-	}
-	var nb []byte
-	if cls := sendBufClass(newCap); pl != nil && cls >= 0 {
-		if lst := pl.sendBufs[cls]; len(lst) > 0 {
-			nb = lst[len(lst)-1][:0]
-			lst[len(lst)-1] = nil
-			pl.sendBufs[cls] = lst[:len(lst)-1]
-		}
-	}
-	if nb == nil {
-		nb = make([]byte, 0, newCap)
-	}
-	nb = nb[:len(buf)]
-	copy(nb, buf)
-	pl.retireSendBuf(buf)
-	return nb
-}
-
-// retireSendBuf quarantines a send buffer until Rewind. In-flight
-// segments alias the backing array, so it must not be handed out again
-// before the scheduler drains.
-func (pl *Pools) retireSendBuf(buf []byte) {
-	if pl == nil || cap(buf) == 0 {
-		return
-	}
-	pl.retiredBufs = append(pl.retiredBufs, buf[:0])
-}
-
-// getConn pops a recycled conn (fields zeroed at Rewind), or nil.
-func (pl *Pools) getConn() *Conn {
-	if pl == nil {
-		return nil
-	}
-	if n := len(pl.conns); n > 0 {
-		c := pl.conns[n-1]
-		pl.conns[n-1] = nil
-		pl.conns = pl.conns[:n-1]
-		return c
-	}
-	return nil
-}
-
-// retireConn quarantines a torn-down conn until Rewind. The struct is
-// NOT zeroed here: error delivery and late probe closures still read its
-// fields after teardown, so reset happens at promotion time instead.
-func (pl *Pools) retireConn(c *Conn) {
-	if pl == nil {
-		return
-	}
-	pl.retiredConns = append(pl.retiredConns, c)
 }
 
 // Rewind promotes quarantined buffers and conns to the free lists. Must
 // only run at a visit boundary: the scheduler has drained, so no wire
 // copy, timer, or scheduled closure still references retired state.
-// Buffers without an exact class capacity (over-ceiling growth) are
-// dropped for the collector.
+// Conns are zeroed here, not when they retire: error delivery and late
+// probe closures still read their fields after teardown.
 func (pl *Pools) Rewind() {
-	if pl == nil {
-		return
-	}
-	for i, buf := range pl.retiredBufs {
-		if cls := sendBufClass(cap(buf)); cls >= 0 {
-			pl.sendBufs[cls] = append(pl.sendBufs[cls], buf)
-		}
-		pl.retiredBufs[i] = nil
-	}
-	pl.retiredBufs = pl.retiredBufs[:0]
-	for _, c := range pl.retiredConns {
+	pl.sendBufs.Rewind()
+	for i, c := range pl.retiredConns {
 		c.reset()
-		pl.conns = append(pl.conns, c)
-	}
-	for i := range pl.retiredConns {
+		pl.conns.Put(c)
 		pl.retiredConns[i] = nil
 	}
 	pl.retiredConns = pl.retiredConns[:0]

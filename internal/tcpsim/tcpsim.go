@@ -8,7 +8,6 @@ package tcpsim
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"h3cdn/internal/bufpool"
@@ -40,12 +39,11 @@ type Config struct {
 	// receive window. Default 512.
 	MaxCwndSegs int
 	// Pools, when non-nil, supplies the per-universe segment arena shared
-	// by every endpoint of one scheduler goroutine. Nil endpoints fall
-	// back to the process-global pool.
+	// by every endpoint of one scheduler goroutine. Nil gets a private
+	// one.
 	Pools *Pools
 	// Arena, when non-nil, supplies the per-universe buffer arena used
-	// for receive-side reassembly copies. Nil falls back to the global
-	// bufpool.
+	// for receive-side reassembly copies. Nil gets a private one.
 	Arena *bufpool.Arena
 	// Recovery, when non-nil, accumulates loss-recovery counters for
 	// this endpoint (timeouts, retransmissions, blackout crossings).
@@ -80,6 +78,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxCwndSegs == 0 {
 		c.MaxCwndSegs = 512
 	}
+	if c.Pools == nil {
+		c.Pools = &Pools{}
+	}
+	if c.Arena == nil {
+		c.Arena = &bufpool.Arena{}
+	}
 	return c
 }
 
@@ -110,38 +114,24 @@ type segment struct {
 	seq     uint64
 	ack     uint64
 	payload []byte
-	// pools, when non-nil, routes Release back to the originating
-	// universe's arena instead of the process-global sync.Pool. Release
-	// runs on the universe's scheduler goroutine, so the thread-confined
-	// arena is safe.
+	// pools routes Release back to the originating universe's free list.
+	// Release runs on that universe's scheduler goroutine.
 	pools *Pools
 }
 
-var segPool = sync.Pool{New: func() any { return new(segment) }}
-
 func newSegment(pl *Pools) *segment {
-	if pl != nil {
-		if n := len(pl.segs); n > 0 {
-			s := pl.segs[n-1]
-			pl.segs[n-1] = nil
-			pl.segs = pl.segs[:n-1]
-			return s
-		}
-		return &segment{pools: pl}
+	if s, ok := pl.segs.Get(); ok {
+		return s
 	}
-	return segPool.Get().(*segment)
+	return &segment{pools: pl}
 }
 
 // Release implements simnet.Releasable. The payload slice aliases the
 // sender's buffer and is only dereferenced, never recycled, here.
 func (s *segment) Release() {
-	if pl := s.pools; pl != nil {
-		*s = segment{pools: pl}
-		pl.segs = append(pl.segs, s)
-		return
-	}
-	*s = segment{}
-	segPool.Put(s)
+	pl := s.pools
+	*s = segment{pools: pl}
+	pl.segs.Put(s)
 }
 
 func (s *segment) wireSize() int { return headerSize + len(s.payload) }

@@ -33,7 +33,7 @@ type ClientConfig struct {
 	Trace     *trace.Tracer
 	TraceConn uint32
 	// Arena, when non-nil, supplies the per-universe buffer arena for
-	// record construction. Nil falls back to the global bufpool.
+	// record construction. Nil gets a private one.
 	Arena *bufpool.Arena
 }
 
@@ -51,7 +51,7 @@ type ServerConfig struct {
 	Trace     *trace.Tracer
 	TraceConn uint32
 	// Arena, when non-nil, supplies the per-universe buffer arena for
-	// record construction. Nil falls back to the global bufpool.
+	// record construction. Nil gets a private one.
 	Arena *bufpool.Arena
 }
 
@@ -95,6 +95,9 @@ var _ bytestream.Stream = (*Conn)(nil)
 func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(error)) *Conn {
 	if cfg.Version == 0 {
 		cfg.Version = TLS13
+	}
+	if cfg.Arena == nil {
+		cfg.Arena = &bufpool.Arena{}
 	}
 	c := &Conn{
 		transport:   transport,
@@ -142,6 +145,9 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 // onHandshake fires once the server may send application data (after its
 // first flight); it may be nil.
 func Server(transport bytestream.Stream, cfg ServerConfig, onHandshake func(error)) *Conn {
+	if cfg.Arena == nil {
+		cfg.Arena = &bufpool.Arena{}
+	}
 	c := &Conn{
 		transport:   transport,
 		scfg:        cfg,

@@ -13,26 +13,28 @@ import (
 )
 
 // Simulation code must be a pure function of its seeds: nothing under
-// internal/ may read the wall clock or draw from math/rand's global
-// source. Virtual time comes from simnet.Scheduler, randomness from
-// injected *rand.Rand / seqrand streams.
+// internal/ may read the wall clock, draw from math/rand's global
+// source, or recycle through a sync.Pool (process-global, drained by
+// the collector, shared across shards). Virtual time comes from
+// simnet.Scheduler, randomness from injected *rand.Rand / seqrand
+// streams, recycling from the owning universe's bufpool arenas.
 var (
 	wallClock  = map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true, "Tick": true, "NewTimer": true, "NewTicker": true}
 	seededRand = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 )
 
 // impureCalls parses one Go source file and returns a line per
-// wall-clock read or global-source math/rand call in it.
+// wall-clock read, global-source math/rand call or sync.Pool in it.
 func impureCalls(fset *token.FileSet, filename string, src any) ([]string, error) {
 	f, err := parser.ParseFile(fset, filename, src, 0)
 	if err != nil {
 		return nil, err
 	}
-	// Local names of the two packages in this file (imports may alias).
+	// Local names of the three packages in this file (imports may alias).
 	local := map[string]string{}
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
-		if path != "time" && path != "math/rand" {
+		if path != "time" && path != "math/rand" && path != "sync" {
 			continue
 		}
 		name := path[strings.LastIndex(path, "/")+1:]
@@ -62,7 +64,7 @@ func impureCalls(fset *token.FileSet, filename string, src any) ([]string, error
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr: // a clock function, called or passed around
-			if sel, path := pkgOf(n); path == "time" && wallClock[sel.Sel.Name] {
+			if sel, path := pkgOf(n); path == "time" && wallClock[sel.Sel.Name] || path == "sync" && sel.Sel.Name == "Pool" {
 				flag(sel)
 			}
 		case *ast.CallExpr:
@@ -79,9 +81,11 @@ func TestInternalIsWallClockAndGlobalRandFree(t *testing.T) {
 	// The checker must catch what it claims to, aliases included.
 	fixture := `package p
 import (
+	"sync"
 	"time"
 	mrand "math/rand"
 )
+var mu, pool = sync.Mutex{}, sync.Pool{}
 func f(rand *mrand.Rand) (time.Duration, int) {
 	start := time.Now()
 	_ = mrand.New(mrand.NewSource(1))
@@ -92,7 +96,7 @@ func f(rand *mrand.Rand) (time.Duration, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"time.Now", "time.Since", "mrand.Intn"}
+	want := []string{"sync.Pool", "time.Now", "time.Since", "mrand.Intn"}
 	if len(got) != len(want) {
 		t.Fatalf("fixture: flagged %v, want %v", got, want)
 	}
