@@ -48,7 +48,8 @@ func roundTrippable(host, path, key, val string) bool {
 }
 
 // FuzzEnvelopes pins the one HTTP codec: hostile bytes never panic a
-// parser, well-formed envelopes survive encode→parse on H1 and on H2/H3
+// parser or make the block parser retain more than one capped header
+// block, well-formed envelopes survive encode→parse on H1 and on H2/H3
 // blocks, and malformed responses are ErrBadResponse. The seeds run
 // under plain go test.
 func FuzzEnvelopes(f *testing.F) {
@@ -66,6 +67,9 @@ func FuzzEnvelopes(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\ncontent-length: 7\r\nserver: cloudflare"), "", "", "x-cache", "", 404, 0)
 	f.Add([]byte(":authority: a\r\n:path: /\r\nuser-agent: simbrowser/1.0\r\n"), "a", "/", "via", "1.1 varnish: x", 0, 2<<20)
 	f.Add([]byte("\x03\x00\x00\x00\x07\x01\x00\x00\x00\x02hi\x01\x00\x00\x00\x01\x00\xff\xff\xff\xff"), "h", "p", "k", ": ", 1, 1)
+	// A HEADERS block announcing 4 GB with more than the cap behind it:
+	// the parser must refuse it, not buffer it.
+	f.Add(append([]byte("\x02\x00\x00\x00\x01\x00\xff\xff\xff\xff"), make([]byte, 2*maxHeaderBlock)...), "h", "p", "k", "v", 1, 1)
 
 	f.Fuzz(func(t *testing.T, raw []byte, host, path, key, val string, status, size int) {
 		var pl Pools
@@ -82,6 +86,9 @@ func FuzzEnvelopes(f *testing.F) {
 		cut := len(raw) / 2
 		bp.feed(raw[:cut])
 		bp.feed(raw[cut:])
+		if held := len(bp.acc) - bp.off; held > blockHeaderSize+maxHeaderBlock || bp.overlong && held != 0 {
+			t.Fatalf("parser retains %d of %d hostile bytes (overlong=%v)", held, len(raw), bp.overlong)
+		}
 
 		if !roundTrippable(host, path, key, val) || status < 0 || size < 0 {
 			return

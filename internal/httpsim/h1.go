@@ -141,6 +141,7 @@ func dialTLS(host *simnet.Host, addr simnet.Addr, port uint16, serverName string
 			HandshakeCPU:    cfg.HandshakeCPU,
 			ALPN:            proto.ALPN(),
 			Arena:           &cfg.Pools.Arena,
+			RecvArena:       &cfg.Pools.Recv,
 			Trace:           cfg.Trace,
 			TraceConn:       tc.TraceID(),
 		}, func(err error) { done(tconn, err) })

@@ -170,7 +170,7 @@ func (c *h2Client) parse(data []byte) {
 				c.finish(b.streamID, p)
 			}
 		case blockData:
-			p.bodyLeft -= len(b.payload)
+			p.bodyLeft -= b.size
 			if p.bodyLeft <= 0 && b.flags&flagEndStream != 0 {
 				c.finish(b.streamID, p)
 			}
@@ -178,6 +178,9 @@ func (c *h2Client) parse(data []byte) {
 		if c.closed {
 			return
 		}
+	}
+	if c.parser.overlong {
+		c.fail(ErrBadResponse)
 	}
 }
 
@@ -318,6 +321,9 @@ func (c *h2ServerConn) onData(data []byte) {
 		req := c.pools.parseRequestHeaderBlock(b.payload)
 		c.ctx = ServerContext{Req: req, Protocol: H2, ServerName: c.tls.ServerName()}
 		c.handler(&c.ctx, func(resp Response) { c.respond(id, resp) })
+	}
+	if c.parser.overlong {
+		c.tls.Abort()
 	}
 }
 

@@ -44,7 +44,7 @@ type h3Stream struct {
 }
 
 // reset clears per-request state for pooling, keeping the parser's
-// capped buffers and the bound data callback.
+// buffers and the bound data callback.
 func (st *h3Stream) reset() {
 	st.parser.rewind()
 	parser, dataFn := st.parser, st.dataFn
@@ -179,12 +179,15 @@ func (c *h3Client) parseStreamData(st *h3Stream, data []byte) {
 				return
 			}
 		case blockData:
-			st.bodyLeft -= len(b.payload)
+			st.bodyLeft -= b.size
 			if st.gotMeta && st.bodyLeft <= 0 {
 				c.finish(st)
 				return
 			}
 		}
+	}
+	if st.parser.overlong {
+		c.fail(ErrBadResponse)
 	}
 }
 
@@ -315,6 +318,9 @@ func (ss *h3SrvStream) onData(data []byte) {
 		req := srv.pools.parseRequestHeaderBlock(b.payload)
 		ss.ctx = ServerContext{Req: req, Protocol: H3, ServerName: srv.conn.ServerName()}
 		srv.handler(&ss.ctx, ss.respondFn)
+	}
+	if ss.parser.overlong {
+		ss.srv.conn.Abort()
 	}
 }
 

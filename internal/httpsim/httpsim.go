@@ -227,71 +227,132 @@ func writeBodyBlock(a *bufpool.Arena, w blockWriter, streamID uint32, flags uint
 	a.Put(buf)
 }
 
+// maxHeaderBlock caps the payload of a non-DATA block. Real header
+// blocks are a few hundred bytes; the cap is what a corrupt 32-bit
+// length can make a parser buffer before the connection is refused.
+const maxHeaderBlock = 64 << 10
+
 // blockParser incrementally decodes framed blocks from a byte stream.
+// DATA payloads are never buffered — body bytes are only ever counted —
+// and every other block is parsed in place from the delivery that
+// completes it; acc carries only a header or header block split across
+// deliveries.
 type blockParser struct {
 	acc    []byte
-	off    int     // consumed prefix of acc; compacted before each append
+	off    int     // consumed prefix of acc; compacted at the next feed
 	blocks []block // reused result slice handed out by feed
+
+	data     block // the DATA block whose payload is being counted
+	dataLeft int   // payload bytes of data still to arrive
+	counting bool
+	// overlong latches once a non-DATA block announces more than
+	// maxHeaderBlock: framing is lost, so this and every later feed
+	// yield nothing. Clients fail with ErrBadResponse, servers abort.
+	overlong bool
 }
 
+// block is one decoded frame. size is the announced payload length;
+// payload is nil for blockData.
 type block struct {
 	typ      blockType
 	streamID uint32
 	flags    uint8
+	size     int
 	payload  []byte
 }
 
-// feed appends data and returns all complete blocks. Returned payloads
-// alias the parser's accumulator and the returned slice is reused by the
-// next feed — both are only valid until then. (Safe here: data delivery
-// is a scheduler event, so a callback iterating the result can never
-// re-enter feed on the same parser.) The consumed prefix is compacted in
-// place before each append so one backing array is reused across the
-// connection's lifetime.
+// feed consumes data and returns every block it completes: a DATA block
+// on the feed that carries its last byte, as a size. Returned payloads
+// alias data or the parser's carry-over and the returned slice is reused
+// by the next feed — both are only valid until then. (Safe here: data
+// delivery is a scheduler event, so a callback iterating the result can
+// never re-enter feed on the same parser.)
 func (p *blockParser) feed(data []byte) []block {
 	if p.off > 0 {
-		n := copy(p.acc, p.acc[p.off:])
-		p.acc = p.acc[:n]
+		p.acc = p.acc[:copy(p.acc, p.acc[p.off:])]
 		p.off = 0
 	}
-	p.acc = append(p.acc, data...)
 	out := p.blocks[:0]
-	for {
-		acc := p.acc[p.off:]
-		if len(acc) < blockHeaderSize {
-			p.blocks = out
-			return out
+	for !p.overlong {
+		if p.counting {
+			n := min(p.dataLeft, len(data))
+			p.dataLeft -= n
+			data = data[n:]
+			if p.dataLeft > 0 {
+				break
+			}
+			p.counting = false
+			out = append(out, p.data)
 		}
-		plen := int(binary.BigEndian.Uint32(acc[6:10]))
-		if len(acc) < blockHeaderSize+plen {
-			p.blocks = out
-			return out
+		// The next block is read from the carried bytes, topped up from
+		// data only as far as it needs, or else from data itself.
+		carried := len(p.acc) > p.off
+		src := data
+		if carried {
+			if !p.carry(&data, blockHeaderSize) {
+				break
+			}
+			src = p.acc[p.off:]
+		} else if len(src) < blockHeaderSize {
+			p.acc = append(p.acc, src...)
+			break
 		}
-		out = append(out, block{
-			typ:      blockType(acc[0]),
-			streamID: binary.BigEndian.Uint32(acc[1:5]),
-			flags:    acc[5],
-			payload:  acc[blockHeaderSize : blockHeaderSize+plen],
-		})
-		p.off += blockHeaderSize + plen
+		b := block{
+			typ:      blockType(src[0]),
+			streamID: binary.BigEndian.Uint32(src[1:5]),
+			flags:    src[5],
+			size:     int(binary.BigEndian.Uint32(src[6:10])),
+		}
+		total := blockHeaderSize
+		if b.typ != blockData {
+			if b.size > maxHeaderBlock {
+				p.overlong = true
+				p.acc, p.off = p.acc[:0], 0
+				break
+			}
+			total += b.size
+		}
+		if carried {
+			if !p.carry(&data, total) {
+				break
+			}
+			src = p.acc[p.off:]
+			p.off = len(p.acc)
+		} else if len(src) < total {
+			p.acc = append(p.acc, src...)
+			break
+		} else {
+			data = data[total:]
+		}
+		if b.typ == blockData {
+			p.data, p.dataLeft, p.counting = b, b.size, true
+			continue
+		}
+		b.payload = src[blockHeaderSize:total]
+		out = append(out, b)
 	}
+	p.blocks = out
+	return out
 }
 
-// rewind clears the parser for reuse across visits, dropping buffers
-// that grew past the pooled cap.
-func (p *blockParser) rewind() {
-	p.off = 0
-	p.acc = p.acc[:0]
-	if cap(p.acc) > maxPooledAcc {
-		p.acc = nil
-		p.blocks = nil
-		return
+// carry tops the carried bytes up to n from the front of *data and
+// reports whether they reach it.
+func (p *blockParser) carry(data *[]byte, n int) bool {
+	have := len(p.acc) - p.off
+	if k := min(n-have, len(*data)); k > 0 {
+		p.acc = append(p.acc, (*data)[:k]...)
+		*data = (*data)[k:]
+		have += k
 	}
-	// Drop stale payload aliases (they may pin an abandoned accumulator
-	// array from a mid-visit growth) before truncating.
-	p.blocks = p.blocks[:cap(p.blocks)]
-	clear(p.blocks)
-	p.blocks = p.blocks[:0]
+	return have >= n
+}
+
+// rewind clears the parser for reuse across visits.
+func (p *blockParser) rewind() {
+	// Drop stale payload aliases (they may pin an abandoned carry-over
+	// array or a transport's delivery buffer) before truncating.
+	clear(p.blocks[:cap(p.blocks)])
+	*p = blockParser{acc: p.acc[:0], blocks: p.blocks[:0]}
 }
 
 // requestHeaderBlock serializes a request for H2/H3: pseudo-headers

@@ -1,6 +1,8 @@
 package httpsim
 
 import (
+	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"h3cdn/internal/quicsim"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
+	"h3cdn/internal/tcpsim"
 	"h3cdn/internal/tlssim"
 )
 
@@ -368,21 +371,145 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockParserFragmentation is the split-point property: however the
+// wire image is cut, the parser yields the same blocks, and each on the
+// feed that carries its last byte — a DATA block as a size, its payload
+// counted and never buffered.
 func TestBlockParserFragmentation(t *testing.T) {
-	var full sink
-	writeBlock(&bufpool.Arena{}, &full, blockData, 7, flagEndStream, []byte("hello world"))
-	var p blockParser
-	var got []block
-	// Feed one byte at a time.
-	for _, c := range full {
-		got = append(got, p.feed([]byte{c})...)
+	type parsed struct {
+		typ      blockType
+		streamID uint32
+		flags    uint8
+		size     int
+		payload  string
+		end      int // wire offset just past the block
 	}
-	if len(got) != 1 {
-		t.Fatalf("parsed %d blocks", len(got))
+	var wire sink
+	var want []parsed
+	arena := &bufpool.Arena{}
+	add := func(typ blockType, id uint32, flags uint8, payload string) {
+		writeBlock(arena, &wire, typ, id, flags, []byte(payload))
+		b := parsed{typ: typ, streamID: id, flags: flags, size: len(payload), end: len(wire)}
+		if typ != blockData {
+			b.payload = payload
+		}
+		want = append(want, b)
 	}
-	b := got[0]
-	if b.typ != blockData || b.streamID != 7 || b.flags != flagEndStream || string(b.payload) != "hello world" {
-		t.Fatalf("block = %+v", b)
+	add(blockHeadersResp, 7, 0, ":status: 200\r\ncontent-length: 106\r\n")
+	add(blockData, 7, 0, strings.Repeat("d", 100)) // longer than any header block
+	add(blockData, 7, 0, "")
+	add(blockData, 9, 0, "x")
+	add(blockData, 7, flagEndStream, "tail!")
+	add(blockHeadersResp, 9, flagEndStream, ":status: 304\r\ncontent-length: 0\r\n")
+
+	// run feeds the wire cut at the given offsets and checks the blocks
+	// and the feed each one came out of.
+	run := func(name string, cuts ...int) {
+		var p blockParser
+		var got []parsed
+		start := 0
+		for _, end := range append(cuts, len(wire)) {
+			for _, b := range p.feed(wire[start:end]) {
+				if b.typ == blockData && b.payload != nil {
+					t.Fatalf("%s: DATA block carries a payload: %+v", name, b)
+				}
+				if next := len(got); next < len(want) && (want[next].end <= start || want[next].end > end) {
+					t.Fatalf("%s: block %d (ends at %d) emitted by feed [%d,%d)", name, next, want[next].end, start, end)
+				}
+				got = append(got, parsed{b.typ, b.streamID, b.flags, b.size, string(b.payload), 0})
+			}
+			if held := len(p.acc) - p.off; held > blockHeaderSize+len(want[0].payload) {
+				t.Fatalf("%s: parser holds %d bytes after feed [%d,%d) — a DATA payload was buffered", name, held, start, end)
+			}
+			start = end
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: parsed %d blocks, want %d", name, len(got), len(want))
+		}
+		for i, w := range want {
+			w.end = 0
+			if got[i] != w {
+				t.Fatalf("%s: block %d = %+v, want %+v", name, i, got[i], w)
+			}
+		}
+	}
+	run("whole")
+	every := make([]int, 0, len(wire))
+	for off := 1; off < len(wire); off++ {
+		every = append(every, off)
+		run(fmt.Sprintf("cut@%d", off), off)
+	}
+	run("byte-by-byte", every...)
+}
+
+// TestOverlongHeaderBlockIsRefused is the hostile-length rule end to end:
+// a non-DATA block announcing more than maxHeaderBlock fails a client's
+// requests with ErrBadResponse and makes a server abort the connection,
+// on H2 and on H3, instead of buffering towards the announced 4 GB.
+func TestOverlongHeaderBlockIsRefused(t *testing.T) {
+	hostile := func(typ blockType) []byte {
+		buf := make([]byte, blockHeaderSize+64)
+		putBlockHeader(buf, typ, 1, 0, maxHeaderBlock+1)
+		return buf
+	}
+	const evil = "evil.example"
+	for _, proto := range []Protocol{H2, H3} {
+		w := newHWorld(t, 5*time.Millisecond, 0, 0, 0)
+
+		// A server that answers any request with an overlong HEADERS.
+		bad := w.net.AddHost(evil)
+		var conn ClientConn
+		if proto == H2 {
+			if _, err := tcpsim.Listen(bad, TCPPort, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+				var tconn *tlssim.Conn
+				tconn = tlssim.Server(tc, tlssim.ServerConfig{Sched: w.sched}, nil)
+				tconn.SetDataFunc(func([]byte) { tconn.Write(hostile(blockHeadersResp)) })
+			}); err != nil {
+				t.Fatal(err)
+			}
+			conn = DialH2(w.client, evil, TCPPort, evil, DialConfig{})
+		} else {
+			if _, err := quicsim.Listen(bad, QUICPort, quicsim.ServerConfig{}, func(qc *quicsim.Conn) {
+				qc.SetStreamFunc(func(st *quicsim.Stream) {
+					st.SetDataFunc(func([]byte) { st.Write(hostile(blockHeadersResp)) })
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			conn = DialH3(w.client, evil, QUICPort, evil, H3DialConfig{})
+		}
+		tm := w.get(conn, evil, "/b/100")
+
+		// A client that sends the real server an overlong HEADERS.
+		var closed bool
+		var closeErr error
+		onClose := func(err error) { closed, closeErr = true, err }
+		if proto == H2 {
+			tcpsim.Dial(w.client, "edge.example", TCPPort, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+				var tconn *tlssim.Conn
+				tconn = tlssim.Client(tc, tlssim.ClientConfig{ServerName: "edge.example", ALPN: H2.ALPN(), Sched: w.sched}, func(err error) {
+					if err != nil {
+						t.Errorf("handshake: %v", err)
+						return
+					}
+					tconn.SetCloseFunc(onClose)
+					tconn.Write(hostile(blockHeadersReq))
+				})
+			})
+		} else {
+			qc := quicsim.Dial(w.client, "edge.example", QUICPort, quicsim.ClientConfig{ServerName: "edge.example"}, func(qc *quicsim.Conn) {
+				qc.OpenStream().Write(hostile(blockHeadersReq))
+			})
+			qc.SetCloseFunc(onClose)
+		}
+		w.run(t)
+
+		if !errors.Is(tm.err, ErrBadResponse) {
+			t.Errorf("%v client: err = %v, want ErrBadResponse", proto, tm.err)
+		}
+		if !closed || closeErr == nil {
+			t.Errorf("%v server: connection not aborted (closed=%v err=%v)", proto, closed, closeErr)
+		}
 	}
 }
 

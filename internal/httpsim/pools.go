@@ -6,11 +6,6 @@ import (
 	"h3cdn/internal/tcpsim"
 )
 
-// maxPooledAcc caps the parser accumulator capacity a pooled stream
-// state keeps across visits, so one heavy-tailed body does not pin its
-// high-water buffer in the pool forever.
-const maxPooledAcc = 4 << 20
-
 // Pools aggregates every per-universe allocation arena the HTTP stack
 // and its transports use. One simulation universe owns one Pools; all
 // of its endpoints run on the universe's single scheduler goroutine, so
@@ -26,6 +21,14 @@ type Pools struct {
 	TCP   tcpsim.Pools
 	QUIC  quicsim.Pools
 	Arena bufpool.Arena
+	// Recv recycles the TLS record accumulators of H1/H2 connections:
+	// taken at a connection's first delivery, Put back when it closes
+	// (nothing aliases an accumulator between deliveries, so reuse need
+	// not wait for Rewind — overlapping population visits never reach
+	// one). It is not the wire arena and carries no balance rule: a
+	// half-open server connection, whose peer's reset was lost, is never
+	// closed and keeps its buffer until the collector takes both.
+	Recv bufpool.Arena
 
 	// Canonical decode caches. Parsed requests and response header maps
 	// are keyed by their wire bytes and shared by every consumer: the
@@ -81,6 +84,7 @@ func (pl *Pools) Rewind() int64 {
 		pl.h3srvLive[i] = nil
 	}
 	pl.h3srvLive = pl.h3srvLive[:0]
+	pl.Recv.Rewind()
 	return pl.Arena.Rewind()
 }
 

@@ -70,6 +70,7 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 			Sched:        host.Scheduler(),
 			HandshakeCPU: cfg.HandshakeCPU,
 			Arena:        &cfg.Pools.Arena,
+			RecvArena:    &cfg.Pools.Recv,
 			Trace:        cfg.Trace,
 			TraceConn:    tc.TraceID(),
 		}, func(err error) {

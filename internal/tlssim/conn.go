@@ -35,6 +35,9 @@ type ClientConfig struct {
 	// Arena, when non-nil, supplies the per-universe buffer arena for
 	// record construction. Nil gets a private one.
 	Arena *bufpool.Arena
+	// RecvArena, when non-nil, supplies the per-universe recycler for
+	// the record accumulator. Nil gets a private one.
+	RecvArena *bufpool.Arena
 }
 
 // ServerConfig configures a server-side TLS connection.
@@ -53,6 +56,9 @@ type ServerConfig struct {
 	// Arena, when non-nil, supplies the per-universe buffer arena for
 	// record construction. Nil gets a private one.
 	Arena *bufpool.Arena
+	// RecvArena, when non-nil, supplies the per-universe recycler for
+	// the record accumulator. Nil gets a private one.
+	RecvArena *bufpool.Arena
 }
 
 // Conn is a TLS session over an underlying byte stream. It implements
@@ -74,10 +80,14 @@ type Conn struct {
 	hsStart     time.Duration
 	hsDone      time.Duration
 
-	arena *bufpool.Arena
+	arena *bufpool.Arena // wire records and queued writes
+	recv  *bufpool.Arena // the record accumulator
 
-	recvAcc   []byte
-	recvOff   int      // consumed prefix of recvAcc; compacted before each append
+	recvAcc    []byte // recv-owned; nil before the first delivery and after release
+	recvOff    int    // consumed prefix of recvAcc; compacted before each delivery is added
+	recvDone   bool   // nothing more will be received: deliveries are dropped
+	delivering bool   // inside onTransportData's record loop
+
 	pending   [][]byte // arena-owned app writes queued until the handshake allows them
 	pendingIn [][]byte // plaintext received before a data callback exists
 
@@ -99,6 +109,9 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 	if cfg.Arena == nil {
 		cfg.Arena = &bufpool.Arena{}
 	}
+	if cfg.RecvArena == nil {
+		cfg.RecvArena = &bufpool.Arena{}
+	}
 	c := &Conn{
 		transport:   transport,
 		isClient:    true,
@@ -106,6 +119,7 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 		version:     cfg.Version,
 		onHandshake: onHandshake,
 		arena:       cfg.Arena,
+		recv:        cfg.RecvArena,
 	}
 	if cfg.Sched != nil {
 		c.hsStart = cfg.Sched.Now()
@@ -127,7 +141,9 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 		}
 	}
 	cfg.Trace.TLSClientHello(c.hsStart, cfg.TraceConn, int(cfg.Version), c.resumed, c.earlyData)
-	transport.Write(encodeRecord(recClientHello, encodeClientHello(ch)))
+	rec := c.newRecord(recClientHello, ch.size())
+	ch.put(rec[recordHeader:])
+	c.send(rec)
 	if c.earlyData {
 		// 0-RTT: the application may transmit immediately. Completion
 		// is deferred one scheduler tick (zero virtual time) so the
@@ -148,11 +164,15 @@ func Server(transport bytestream.Stream, cfg ServerConfig, onHandshake func(erro
 	if cfg.Arena == nil {
 		cfg.Arena = &bufpool.Arena{}
 	}
+	if cfg.RecvArena == nil {
+		cfg.RecvArena = &bufpool.Arena{}
+	}
 	c := &Conn{
 		transport:   transport,
 		scfg:        cfg,
 		onHandshake: onHandshake,
 		arena:       cfg.Arena,
+		recv:        cfg.RecvArena,
 	}
 	if cfg.Sched != nil {
 		c.hsStart = cfg.Sched.Now()
@@ -267,22 +287,33 @@ func (c *Conn) writeRecords(p []byte) {
 		if n > maxRecord {
 			n = maxRecord
 		}
-		// Build the record in a pooled buffer: the transport copies on
-		// Write, so the buffer can be recycled immediately. The trailing
-		// tag bytes carry arbitrary contents — they stand in for an
-		// AEAD tag and are stripped unread by the receiver.
-		plen := n + recordTag
-		rec := c.arena.Get(recordHeader + plen)
-		rec[0] = byte(recAppData)
-		rec[1] = byte(plen >> 16)
-		rec[2] = byte(plen >> 8)
-		rec[3] = byte(plen)
-		rec[4] = 0
+		// The trailing tag bytes carry arbitrary contents — they stand
+		// in for an AEAD tag and are stripped unread by the receiver.
+		rec := c.newRecord(recAppData, n+recordTag)
 		copy(rec[recordHeader:], p[:n])
-		c.transport.Write(rec)
-		c.arena.Put(rec)
+		c.send(rec)
 		p = p[n:]
 	}
+}
+
+// newRecord returns a wire-arena buffer holding a record header for a
+// plen-byte payload; the payload bytes are arbitrary until the caller
+// writes them. Every record goes out through send.
+func (c *Conn) newRecord(t recordType, plen int) []byte {
+	rec := c.arena.Get(recordHeader + plen)
+	rec[0] = byte(t)
+	rec[1] = byte(plen >> 16)
+	rec[2] = byte(plen >> 8)
+	rec[3] = byte(plen)
+	rec[4] = 0 // reserved (legacy version byte)
+	return rec
+}
+
+// send writes a record from newRecord and recycles it: the transport
+// copies on Write.
+func (c *Conn) send(rec []byte) {
+	c.transport.Write(rec)
+	c.arena.Put(rec)
 }
 
 // Close flushes and closes the underlying transport cleanly.
@@ -291,7 +322,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed = true
-	c.releasePending()
+	c.release()
 	c.transport.Close()
 }
 
@@ -301,7 +332,7 @@ func (c *Conn) Abort() {
 		return
 	}
 	c.closed = true
-	c.releasePending()
+	c.release()
 	c.transport.Abort()
 }
 
@@ -311,7 +342,7 @@ func (c *Conn) completeHandshake(err error) {
 	}
 	if err != nil {
 		c.closed = true
-		c.releasePending()
+		c.release()
 		if c.onHandshake != nil {
 			c.onHandshake(err)
 		}
@@ -336,9 +367,9 @@ func (c *Conn) completeHandshake(err error) {
 }
 
 // releasePending returns queued pre-establishment writes to the arena.
-// Idempotent: every path that abandons the queue (completion, close,
-// abort, record failure) funnels through here so the arena's Get/Put
-// balance holds even for failed handshakes.
+// Idempotent: handshake completion and, through release, every teardown
+// path end here, so the arena's Get/Put balance holds even for failed
+// handshakes.
 func (c *Conn) releasePending() {
 	for i, p := range c.pending {
 		c.arena.Put(p)
@@ -347,14 +378,32 @@ func (c *Conn) releasePending() {
 	c.pending = c.pending[:0]
 }
 
+// release gives back what a connection holds once it is done — locally
+// closed or aborted, failed, or closed by the transport: the queued
+// writes, and the record accumulator. Later deliveries are dropped (the
+// consumers of a closed connection ignored them). A teardown can start
+// inside a delivery (a completion callback closing the connection runs
+// under handleRecord), where the record loop still iterates a payload
+// aliasing the accumulator; then only the flag is set and
+// onTransportData releases when the loop unwinds. Idempotent.
+func (c *Conn) release() {
+	c.releasePending()
+	c.recvDone = true
+	if c.delivering || c.recvAcc == nil {
+		return
+	}
+	c.recv.Put(c.recvAcc)
+	c.recvAcc, c.recvOff = nil, 0
+}
+
 func (c *Conn) onTransportClose(err error) {
 	if c.peerClosed || c.closed {
 		c.peerClosed = true
 		return
 	}
 	c.peerClosed = true
+	c.release()
 	if !c.established {
-		c.releasePending()
 		if c.onHandshake != nil {
 			hsErr := err
 			if hsErr == nil {
@@ -370,23 +419,54 @@ func (c *Conn) onTransportClose(err error) {
 }
 
 func (c *Conn) onTransportData(p []byte) {
-	// Compact the consumed prefix before appending so the accumulator
-	// reuses one backing array instead of migrating forward with every
-	// re-slice. Record payloads handed to handleRecord are only valid
-	// for the duration of that call, so moving bytes here — between
-	// transport deliveries — cannot invalidate a live payload.
-	if c.recvOff > 0 {
-		n := copy(c.recvAcc, c.recvAcc[c.recvOff:])
-		c.recvAcc = c.recvAcc[:n]
-		c.recvOff = 0
+	if c.recvDone {
+		return
 	}
-	c.recvAcc = append(c.recvAcc, p...)
+	// Make room before the record loop, where no payload alias is live
+	// (payloads handed to handleRecord are only valid for that call):
+	// compact the consumed prefix, or move to a larger class buffer and
+	// recycle the outgrown one at once.
+	live := len(c.recvAcc) - c.recvOff
+	need := live + len(p)
+	if need > cap(c.recvAcc) {
+		grown := c.recv.Get(max(need, minRecvAcc))
+		copy(grown, c.recvAcc[c.recvOff:])
+		if c.recvAcc != nil {
+			c.recv.Put(c.recvAcc)
+		}
+		c.recvAcc = grown[:need]
+	} else {
+		if c.recvOff > 0 {
+			copy(c.recvAcc, c.recvAcc[c.recvOff:])
+		}
+		c.recvAcc = c.recvAcc[:need]
+	}
+	c.recvOff = 0
+	copy(c.recvAcc[live:], p)
+
+	c.delivering = true
+	c.deliverRecords()
+	c.delivering = false
+	if c.recvDone {
+		c.release()
+	}
+}
+
+// deliverRecords hands every complete record in the accumulator to
+// handleRecord, stopping at a local close.
+func (c *Conn) deliverRecords() {
 	for {
 		acc := c.recvAcc[c.recvOff:]
 		if len(acc) < recordHeader {
 			return
 		}
 		plen := int(acc[1])<<16 | int(acc[2])<<8 | int(acc[3])
+		if plen > maxRecord+recordTag {
+			// No sender builds one: refuse it before buffering up to
+			// the 16 MB a corrupt length could announce.
+			c.failRecord()
+			return
+		}
 		if len(acc) < recordHeader+plen {
 			return
 		}
@@ -410,8 +490,8 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 		plain := payload[:len(payload)-recordTag]
 		if len(plain) > 0 {
 			if c.dataFn != nil {
-				// plain aliases recvAcc, which is only appended to
-				// between records — valid for the duration of the
+				// plain aliases recvAcc, which is only moved or released
+				// between deliveries — valid for the duration of the
 				// callback, which copies what it keeps.
 				c.dataFn(plain)
 			} else {
@@ -451,14 +531,14 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 		}
 		// Second client flight: key exchange + Finished.
 		cpuDelay(c.ccfg.Sched, c.ccfg.HandshakeCPU, func() {
-			c.transport.Write(encodeRecord(recClientKeyExchange, make([]byte, sizeClientKeyExch)))
+			c.send(c.newRecord(recClientKeyExchange, sizeClientKeyExch))
 		})
 	case recClientKeyExchange:
 		if c.isClient {
 			return
 		}
 		cpuDelay(c.scfg.Sched, c.scfg.HandshakeCPU, func() {
-			c.transport.Write(encodeRecord(recServerFinished12, make([]byte, sizeServerFinished)))
+			c.send(c.newRecord(recServerFinished12, sizeServerFinished))
 			c.completeHandshake(nil)
 		})
 	case recServerFinished12:
@@ -508,13 +588,15 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 			if sh.newTicketID != 0 {
 				c.scfg.Trace.TLSTicketIssued(c.now(), c.scfg.TraceConn, sh.newTicketID)
 			}
-			c.transport.Write(encodeRecord(recServerHello13, encodeServerHello13(sh)))
+			rec := c.newRecord(recServerHello13, sizeServerHello13)
+			sh.put(rec[recordHeader:])
+			c.send(rec)
 			c.completeHandshake(nil)
 		})
 	case TLS12:
 		cpuDelay(c.scfg.Sched, c.scfg.HandshakeCPU, func() {
 			c.scfg.Trace.TLSServerFlight(c.now(), c.scfg.TraceConn, int(TLS12), false)
-			c.transport.Write(encodeRecord(recServerHello12, make([]byte, sizeServerHello12)))
+			c.send(c.newRecord(recServerHello12, sizeServerHello12))
 		})
 	default:
 		c.failRecord()
@@ -523,7 +605,7 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 
 func (c *Conn) failRecord() {
 	c.closed = true
-	c.releasePending()
+	c.release()
 	c.transport.Abort()
 	if !c.established {
 		if c.onHandshake != nil {

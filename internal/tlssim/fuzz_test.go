@@ -1,0 +1,88 @@
+package tlssim
+
+import (
+	"testing"
+
+	"h3cdn/internal/bufpool"
+)
+
+// stubTransport is a bytestream.Stream with no peer: the test plays the
+// network through the callbacks the Conn registers, and what the Conn
+// writes is kept for building seeds.
+type stubTransport struct {
+	data  func([]byte)
+	wrote []byte
+}
+
+func (s *stubTransport) Write(p []byte)              { s.wrote = append(s.wrote, p...) }
+func (s *stubTransport) SetDataFunc(fn func([]byte)) { s.data = fn }
+func (s *stubTransport) SetCloseFunc(func(error))    {}
+func (s *stubTransport) Close()                      {}
+func (s *stubTransport) Abort()                      {}
+
+// FuzzRecords pins the record layer's receive path against a hostile
+// peer: arbitrary bytes in arbitrary pieces never panic a client or a
+// server Conn, never make it hold more than one capped record, and
+// after Abort everything it took from its arenas is back. The seeds
+// (both sides' real flights, and one of each malformation) run under
+// plain go test.
+func FuzzRecords(f *testing.F) {
+	var cli, srv stubTransport
+	c := Client(&cli, ClientConfig{ServerName: "edge.example", ALPN: "h2"}, nil)
+	hello := append([]byte(nil), cli.wrote...)
+	s := Server(&srv, ServerConfig{}, nil)
+	srv.data(hello)
+	flight := append([]byte(nil), srv.wrote...)
+	cli.wrote, srv.wrote = nil, nil
+	cli.data(flight)
+	c.Write(make([]byte, maxRecord+100)) // two app-data records
+	s.Write([]byte("response"))
+	if !c.Established() || !s.Established() || len(cli.wrote) == 0 || len(srv.wrote) == 0 {
+		f.Fatal("seed handshake did not establish")
+	}
+	var hello12 stubTransport
+	Client(&hello12, ClientConfig{Version: TLS12, ServerName: "edge.example"}, nil)
+
+	f.Add(append(hello, cli.wrote...), uint16(7), uint16(600))
+	f.Add(append(flight, srv.wrote...), uint16(2905), uint16(2906))
+	f.Add(hello12.wrote, uint16(0), uint16(0))
+	f.Add([]byte{byte(recServerHello12), 0, 0, 1, 0, 0, byte(recServerFinished12), 0, 0, 0, 0}, uint16(6), uint16(6))
+	// 16 MB announced with more than a capped record behind it: refused, not buffered.
+	f.Add(append([]byte{byte(recAppData), 0xff, 0xff, 0xff, 0}, make([]byte, 2*maxRecord)...), uint16(3), uint16(5))
+	f.Add([]byte{byte(recAppData), 0, 0, 3, 0, 1, 2, 3}, uint16(1), uint16(2))        // shorter than its tag
+	f.Add([]byte{0x7f, 0, 0, 1, 0, 0}, uint16(0), uint16(9))                          // unknown type
+	f.Add([]byte{byte(recClientHello), 0, 0, 4, 0, 3, 0, 0, 0}, uint16(4), uint16(4)) // truncated hello
+	f.Add([]byte{}, uint16(0), uint16(0))
+
+	f.Fuzz(func(t *testing.T, raw []byte, cut1, cut2 uint16) {
+		a, b := int(cut1)%(len(raw)+1), int(cut2)%(len(raw)+1)
+		if a > b {
+			a, b = b, a
+		}
+		for _, client := range []bool{true, false} {
+			var wire, recv bufpool.Arena
+			var tr stubTransport
+			var c *Conn
+			if client {
+				c = Client(&tr, ClientConfig{ServerName: "edge.example", ALPN: "h2", Arena: &wire, RecvArena: &recv}, nil)
+				c.SetDataFunc(func([]byte) {})
+			} else {
+				c = Server(&tr, ServerConfig{Arena: &wire, RecvArena: &recv}, nil)
+			}
+			c.Write([]byte("queued until the handshake allows it"))
+			for _, piece := range [][]byte{raw[:a], raw[a:b], raw[b:]} {
+				tr.data(piece)
+				if held := len(c.recvAcc) - c.recvOff; held >= recordHeader+maxRecord+recordTag {
+					t.Fatalf("client=%v: %d bytes held after a delivery, more than one capped record", client, held)
+				}
+			}
+			c.Abort()
+			if st := recv.Stats(); st.Gets != st.Puts {
+				t.Fatalf("client=%v: accumulator arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
+			}
+			if st := wire.Stats(); st.Gets != st.Puts {
+				t.Fatalf("client=%v: wire arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
+			}
+		}
+	})
+}

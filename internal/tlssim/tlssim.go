@@ -64,6 +64,11 @@ const (
 	recordHeader = 5
 	recordTag    = 24 // AEAD tag + padding overhead per app-data record
 	maxRecord    = 16 * 1024
+
+	// minRecvAcc is the smallest record accumulator a connection takes
+	// from its recycler; it grows by size class up to the one that holds
+	// a full record behind a partial one.
+	minRecvAcc = 4 << 10
 )
 
 // Errors reported through handshake and close callbacks.
@@ -138,26 +143,27 @@ type clientHello struct {
 	alpn       string
 }
 
-func encodeClientHello(ch clientHello) []byte {
-	name := []byte(ch.serverName)
-	alpn := []byte(ch.alpn)
-	n := 1 + 8 + 1 + 2 + len(name) + 1 + len(alpn)
-	size := sizeClientHello
-	if n > size {
-		size = n
-	}
-	buf := make([]byte, size)
+// size is the ClientHello payload length: the typical flight, or what
+// the fields need when a long name exceeds it.
+func (ch clientHello) size() int {
+	return max(sizeClientHello, 1+8+1+2+len(ch.serverName)+1+len(ch.alpn))
+}
+
+// put writes the fields at the head of a size()-byte payload. The
+// payload comes from an arena with arbitrary contents, so every byte a
+// decoder reads is written; the padding behind them is never read.
+func (ch clientHello) put(buf []byte) {
 	buf[0] = byte(ch.version)
 	binary.BigEndian.PutUint64(buf[1:9], ch.ticketID)
+	buf[9] = 0
 	if ch.earlyData {
 		buf[9] = 1
 	}
-	binary.BigEndian.PutUint16(buf[10:12], uint16(len(name)))
-	copy(buf[12:], name)
-	off := 12 + len(name)
-	buf[off] = byte(len(alpn))
-	copy(buf[off+1:], alpn)
-	return buf
+	binary.BigEndian.PutUint16(buf[10:12], uint16(len(ch.serverName)))
+	copy(buf[12:], ch.serverName)
+	off := 12 + len(ch.serverName)
+	buf[off] = byte(len(ch.alpn))
+	copy(buf[off+1:], ch.alpn)
 }
 
 func decodeClientHello(p []byte) (clientHello, error) {
@@ -188,13 +194,14 @@ type serverHello13 struct {
 	newTicketID uint64
 }
 
-func encodeServerHello13(sh serverHello13) []byte {
-	buf := make([]byte, sizeServerHello13)
+// put writes the fields at the head of a sizeServerHello13-byte payload
+// (arbitrary contents behind them, as with clientHello.put).
+func (sh serverHello13) put(buf []byte) {
+	buf[0] = 0
 	if sh.resumed {
 		buf[0] = 1
 	}
 	binary.BigEndian.PutUint64(buf[1:9], sh.newTicketID)
-	return buf
 }
 
 func decodeServerHello13(p []byte) (serverHello13, error) {
@@ -202,17 +209,6 @@ func decodeServerHello13(p []byte) (serverHello13, error) {
 		return serverHello13{}, ErrBadRecord
 	}
 	return serverHello13{resumed: p[0] == 1, newTicketID: binary.BigEndian.Uint64(p[1:9])}, nil
-}
-
-func encodeRecord(t recordType, payload []byte) []byte {
-	buf := make([]byte, recordHeader+len(payload))
-	buf[0] = byte(t)
-	buf[1] = byte(len(payload) >> 16)
-	buf[2] = byte(len(payload) >> 8)
-	buf[3] = byte(len(payload))
-	// buf[4] reserved (legacy version byte)
-	copy(buf[recordHeader:], payload)
-	return buf
 }
 
 // cpuDelay schedules fn after d on sched, or runs it synchronously when
