@@ -18,6 +18,7 @@ vet:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopes -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s ./internal/tlssim
+	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/tcpsim
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces

@@ -5,13 +5,17 @@ package bufpool
 // zero value is ready to use.
 //
 // Ownership rule: every buffer obtained from Get or Grow goes back
-// through Put or Retire exactly once. Put is for buffers nothing else
-// references (immediate reuse); Retire is for buffers that in-flight
-// wire copies may still alias, and quarantines them until the owning
-// universe's visit-boundary Rewind. Stats tracks the balance. On the
-// universe's wire-buffer arena every buffer is back before Rewind, and
-// the universe fails the visit otherwise; a transport's send-buffer
-// arena also counts buffers its pooled records keep across visits.
+// through Put or Retire exactly once, by whoever holds it. Put is the
+// rule: the owner proves nothing else will read the buffer (a wire
+// record delivered, a TCP byte range acknowledged, a QUIC stream fully
+// acknowledged) and the array is reusable at once. Retire is the
+// exception for a connection torn down with bytes still in flight: the
+// wire copies alias the buffer and the peer may yet read them, so it is
+// quarantined until the owning universe's visit-boundary Rewind. Stats
+// tracks the balance. On the universe's wire-buffer arena every buffer
+// is back before Rewind, and the universe fails the visit otherwise; a
+// transport's send-buffer arena also counts what connections that
+// outlive the visit still hold.
 type Arena struct {
 	free    [numClasses]FreeList[[]byte]
 	retired [][]byte
@@ -67,26 +71,25 @@ func (a *Arena) recycle(buf []byte) {
 	}
 }
 
-// Grow returns a buffer with the contents of buf and capacity at least
-// need, amortizing growth by at least doubling (growFloor minimum). The
-// outgrown array is retired, not freed: zero-copy wire records alias
-// windows of it and keep reading until the scheduler drains.
-func (a *Arena) Grow(buf []byte, need int) []byte {
+// Grow returns a buffer that starts with a copy of live and has
+// capacity at least need: the next power of two, growFloor minimum, so a
+// buffer Grow handed out at least doubles when it overflows. It is the
+// transports' one size-and-copy step and touches nothing else: the
+// array live sits in stays with its owner, who Puts it once no in-flight
+// wire record aliases it.
+func (a *Arena) Grow(live []byte, need int) []byte {
 	newCap := growFloor
-	if c := cap(buf); c*2 > newCap {
-		newCap = c * 2
-	}
 	for newCap < need {
 		newCap *= 2
 	}
-	nb := a.Get(newCap)[:len(buf)]
-	copy(nb, buf)
-	a.Retire(buf)
+	nb := a.Get(newCap)[:len(live)]
+	copy(nb, live)
 	return nb
 }
 
-// Retire quarantines a buffer until Rewind; it is never handed out
-// again before then.
+// Retire quarantines a buffer that in-flight wire copies may still
+// alias; it is never handed out again before Rewind. Only a teardown
+// with bytes in flight needs it.
 func (a *Arena) Retire(buf []byte) {
 	if cap(buf) == 0 {
 		return
@@ -100,8 +103,8 @@ func (a *Arena) Retire(buf []byte) {
 func (a *Arena) Stats() ArenaStats { return a.stats }
 
 // Rewind marks a visit boundary: all wire copies are dead (the scheduler
-// has drained), so retired buffers join the free lists, and every buffer
-// should have been returned. It reports the outstanding balance —
+// has drained), so whatever was retired joins the free lists, and every
+// buffer should have been returned. It reports the outstanding balance —
 // non-zero means a leak (or a buffer retained across visits, which the
 // ownership rule forbids). The free lists are kept, not released: that
 // is the point of the arena.

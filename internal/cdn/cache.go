@@ -28,14 +28,16 @@ type lruNode[K comparable] struct {
 	prev, next *lruNode[K]
 }
 
-// NewLRUCache returns a cache bounded to capacity entries (min 1).
+// NewLRUCache returns a cache bounded to capacity entries (min 1). The
+// map grows with what is actually cached: every edge of every universe
+// builds one, and most never come near their bound.
 func NewLRUCache[K comparable](capacity int) *LRUCache[K] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRUCache[K]{
 		capacity: capacity,
-		items:    make(map[K]*lruNode[K], capacity),
+		items:    make(map[K]*lruNode[K]),
 	}
 }
 

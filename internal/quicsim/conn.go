@@ -325,11 +325,14 @@ func (c *Conn) teardown() {
 	if c.endpoint != nil {
 		c.endpoint.remove(c.remote, c.remotePort)
 	}
-	// Quarantine the connection's streams for reuse after the next
-	// visit-boundary Rewind. Holds still counted by c.sent / c.sendQ are
-	// dropped with the records below: those streamFrames leak to the
-	// collector rather than the pool, which is the safe direction.
+	// Quarantine the connection's streams, and whatever send arrays they
+	// still hold (frames in flight alias them and the peer may yet read
+	// those), for reuse after the next visit-boundary Rewind. Holds still
+	// counted by c.sent / c.sendQ are dropped with the records below:
+	// those streamFrames leak to the collector rather than the pool,
+	// which is the safe direction.
 	for _, s := range c.streams {
+		s.releaseSendBufs(c.pools.pends.Retire)
 		c.pools.retired = append(c.pools.retired, s)
 	}
 	c.sent = nil
@@ -543,14 +546,19 @@ func (c *Conn) newSentPacket() *sentPacket {
 // processed, so its frames array and any embedded ackFrame have no other
 // holder. Stream frame structs drop this record's hold and recycle once
 // the count drains — a PTO probe may have copied their pointers into
-// another in-flight record, which keeps its own hold. Control frames
-// (hello/finished/close) are never pooled.
+// another in-flight record, which keeps its own hold. The last hold
+// draining is also the one moment a byte range counts as acknowledged
+// on its sending stream (quicsim never deletes from c.streams). Control
+// frames (hello/finished/close) are never pooled.
 func (c *Conn) retireAcked(sp *sentPacket) {
 	for i, f := range sp.frames {
 		switch f := f.(type) {
 		case *ackFrame:
 			c.pools.acks.Put(f)
 		case *streamFrame:
+			if f.holds == 1 {
+				c.streams[f.id].frameAcked(len(f.data), f.fin)
+			}
 			c.pools.releaseHold(f)
 		}
 		sp.frames[i] = nil

@@ -18,7 +18,10 @@ import "h3cdn/internal/bufpool"
 // record) because a PTO probe may copy a frame pointer into a second
 // record; Streams retire at connection teardown but are quarantined on
 // a retired list until the visit-boundary Rewind, because scheduled
-// application callbacks may still touch them until the scheduler drains.
+// application callbacks may still touch them until the scheduler drains;
+// a stream's send arrays go back when the stream is fully acknowledged,
+// and only what a torn-down connection's streams still held waits for
+// that Rewind too.
 type Pools struct {
 	packets bufpool.FreeList[*packet]
 	ackPkts bufpool.FreeList[*packet]
@@ -29,15 +32,12 @@ type Pools struct {
 	streams bufpool.FreeList[*Stream]
 	retired []*Stream
 
-	// pends recycles stream send buffers through Grow only: in-flight
-	// stream frames alias zero-copy windows of an outgrown array, which
-	// therefore stays quarantined until Rewind.
+	// pends recycles stream send arrays: a Stream takes one on its first
+	// Write, keeps those it outgrows (in-flight frames alias zero-copy
+	// windows of them) and Puts them all when it is fully acknowledged.
+	// It is not the wire arena and carries no per-visit balance rule.
 	pends bufpool.Arena
 }
-
-// maxPooledPend caps the send-buffer capacity a pooled Stream retains
-// across visits.
-const maxPooledPend = 4 << 20
 
 func (pl *Pools) newStreamFrame(id, off uint64, data []byte) *streamFrame {
 	sf, ok := pl.sframes.Get()
@@ -61,7 +61,8 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 }
 
 // newStream returns a reset Stream bound to c. The chunks map and the
-// pend buffer are retained across reuses.
+// outgrown list's allocation are retained across reuses; send arrays
+// are not.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 	s, ok := pl.streams.Get()
 	if !ok {
@@ -78,18 +79,13 @@ func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 // still call Write/CloseWrite on them; those are no-ops on the closed
 // conn only while the struct stays intact. Callers must only invoke it
 // at a visit boundary: the scheduler has drained, so no wire copy
-// aliases any pend buffer and no callback can reach a retired stream.
+// aliases the send arrays teardown retired and no callback can reach a
+// retired stream.
 func (pl *Pools) Rewind() {
 	for i, s := range pl.retired {
-		pend := s.pend[:0]
-		if cap(pend) > maxPooledPend {
-			// Heavy-tailed bodies: keep the pool's per-stream footprint
-			// bounded rather than retaining the largest body ever sent.
-			pend = nil
-		}
 		chunks := s.chunks
 		clear(chunks)
-		*s = Stream{pend: pend, chunks: chunks}
+		*s = Stream{outgrown: s.outgrown, chunks: chunks}
 		pl.streams.Put(s)
 		pl.retired[i] = nil
 	}

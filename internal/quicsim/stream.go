@@ -10,11 +10,21 @@ type Stream struct {
 	id   uint64
 
 	// Send side. pend accumulates every byte written on the stream and
-	// pendOff marks the pulled prefix — an explicit offset rather than
-	// re-slicing, so a pooled stream rewinds to the full backing array
-	// (in-flight frames alias windows of it until the visit drains).
+	// pendOff marks the pulled prefix. Frames alias windows of pend, and
+	// of the arrays it outgrew (outgrown), until the peer has delivered
+	// them; an acknowledged byte is not dead by itself — the receiver
+	// parks the sender's memory behind a gap and reads it when the gap
+	// fills — so the unit of release is the stream. acked counts the
+	// bytes whose frame retired through an ACK; once the FIN frame has
+	// too and acked == len(pend), the peer has delivered the whole stream
+	// in order, nothing will read these arrays again, and they all go
+	// back to Pools.pends (frameAcked). A stream that never gets there
+	// keeps them until its connection's teardown retires them.
 	pend      []byte
 	pendOff   int
+	outgrown  [][]byte
+	acked     int
+	finAcked  bool
 	sendOff   uint64
 	finQueued bool
 	finSent   bool
@@ -55,10 +65,43 @@ func (s *Stream) Write(p []byte) {
 		return
 	}
 	if need := len(s.pend) + len(p); need > cap(s.pend) {
-		s.pend = s.conn.pools.pends.Grow(s.pend, need)
+		old := s.pend
+		s.pend = s.conn.pools.pends.Grow(old, need)
+		if old != nil {
+			s.outgrown = append(s.outgrown, old)
+		}
 	}
 	s.pend = append(s.pend, p...)
 	s.conn.trySend()
+}
+
+// frameAcked records that a frame of n stream bytes retired through an
+// ACK — it happens once per byte range, see streamFrame.holds — and
+// gives the send arrays back when that completes the stream.
+func (s *Stream) frameAcked(n int, fin bool) {
+	s.acked += n
+	if fin {
+		s.finAcked = true
+	}
+	if s.finAcked && s.acked == len(s.pend) {
+		s.releaseSendBufs(s.conn.pools.pends.Put)
+	}
+}
+
+// releaseSendBufs hands every send array to release (Put when the stream
+// is fully acknowledged, Retire at teardown) and leaves the stream
+// holding none; the outgrown list keeps its allocation.
+func (s *Stream) releaseSendBufs(release func([]byte)) {
+	if s.pend != nil {
+		release(s.pend)
+	}
+	for _, buf := range s.outgrown {
+		release(buf)
+	}
+	clear(s.outgrown)
+	s.outgrown = s.outgrown[:0]
+	s.pend = nil
+	s.pendOff = 0
 }
 
 // CloseWrite queues a FIN after any pending data.

@@ -22,6 +22,13 @@ type recvChunk struct {
 	fin  bool
 }
 
+// outgrownBuf is a send array the window slid out of with bytes below
+// mark still in flight.
+type outgrownBuf struct {
+	buf  []byte
+	mark uint64
+}
+
 // Conn is one endpoint of a simulated TCP connection. It implements
 // bytestream.Stream. All methods must be called from scheduler context.
 type Conn struct {
@@ -36,19 +43,23 @@ type Conn struct {
 	isClient   bool
 	listener   *Listener // server side only; for conn-table cleanup
 
-	// Sender state. sendBuf[sendOff:] holds bytes [sndUna, sndUna+pending).
-	// Acked bytes advance sendOff instead of re-slicing the buffer, so a
-	// long-lived connection keeps appending into one backing array; the
-	// buffer resets to its start only once fully drained. In-flight
-	// segment payloads alias sendBuf, so acked prefix bytes are never
-	// compacted away while data is outstanding.
-	sndUna  uint64
-	sndNxt  uint64
-	sendBuf []byte
-	sendOff int
-	sentFin bool
-	finSeq  uint64
-	closing bool // Close() called: FIN queued after pending data
+	// Sender state. sendBuf[sendOff:] holds bytes [sndUna, sndUna+pending),
+	// the send window: acked bytes advance sendOff, a Write that does not
+	// fit slides the window into a fresh array (makeRoom), and a full
+	// drain hands the array back, so a connection holds memory in
+	// proportion to what is unacknowledged and an idle one holds none.
+	// In-flight segment payloads alias sendBuf; outgrown lists the arrays
+	// the window left while they still carried unacknowledged bytes, each
+	// with sndNxt at that instant — the array is dead, and Put, once
+	// sndUna reaches the mark (see processAck for why acked means dead).
+	sndUna   uint64
+	sndNxt   uint64
+	sendBuf  []byte
+	sendOff  int
+	outgrown []outgrownBuf
+	sentFin  bool
+	finSeq   uint64
+	closing  bool // Close() called: FIN queued after pending data
 
 	// Congestion control (NewReno), in bytes.
 	cwnd       float64
@@ -149,12 +160,12 @@ func newConn(host *simnet.Host, cfg Config) *Conn {
 }
 
 // reset clears a retired conn for reuse, keeping only the allocations
-// that survive pooling: the receive map (emptied at teardown) and the
-// bound-once packet/RTO closures. Called from Pools.Rewind only — never
-// before the scheduler drains.
+// that survive pooling: the receive map and the outgrown list (both
+// emptied at teardown) and the bound-once packet/RTO closures. Called
+// from Pools.Rewind only — never before the scheduler drains.
 func (c *Conn) reset() {
-	recvBuf, pktFn, onRTOFn := c.recvBuf, c.pktFn, c.onRTOFn
-	*c = Conn{recvBuf: recvBuf, pktFn: pktFn, onRTOFn: onRTOFn}
+	recvBuf, outgrown, pktFn, onRTOFn := c.recvBuf, c.outgrown, c.pktFn, c.onRTOFn
+	*c = Conn{recvBuf: recvBuf, outgrown: outgrown, pktFn: pktFn, onRTOFn: onRTOFn}
 }
 
 // TraceID returns the connection's trace id (0 when untraced).
@@ -220,13 +231,53 @@ func (c *Conn) Write(p []byte) {
 	if c.state == stateClosed || c.closing {
 		return
 	}
-	if need := len(c.sendBuf) + len(p); need > cap(c.sendBuf) {
-		c.sendBuf = c.cfg.Pools.sendBufs.Grow(c.sendBuf, need)
+	if len(c.sendBuf)+len(p) > cap(c.sendBuf) {
+		c.makeRoom(len(p))
 	}
 	c.sendBuf = append(c.sendBuf, p...)
 	if c.state == stateEstablished {
 		c.trySend()
 	}
+}
+
+// makeRoom slides the send window to the front of an array with room for
+// n more bytes. Only the unacknowledged bytes move; twice their size
+// plus n bounds the copying at one byte per byte written, what doubling
+// the whole buffer cost. Segments in flight still alias the array left
+// behind, so it waits on outgrown until everything sent so far is
+// acknowledged — sndNxt never moves backwards, and retransmissions
+// after the move alias the new array.
+func (c *Conn) makeRoom(n int) {
+	bufs := &c.cfg.Pools.sendBufs
+	old := c.sendBuf
+	live := old[c.sendOff:]
+	c.sendBuf = bufs.Grow(live, 2*(len(live)+n))
+	c.sendOff = 0
+	if old == nil {
+		return
+	}
+	if c.flight() == 0 {
+		bufs.Put(old)
+	} else {
+		c.outgrown = append(c.outgrown, outgrownBuf{buf: old, mark: c.sndNxt})
+	}
+}
+
+// releaseOutgrown hands back the arrays whose in-flight bytes sndUna has
+// passed. Marks are non-decreasing, so the dead ones form a prefix; the
+// rest compact in place to keep the list's one allocation.
+func (c *Conn) releaseOutgrown() {
+	n := 0
+	for n < len(c.outgrown) && c.outgrown[n].mark <= c.sndUna {
+		c.cfg.Pools.sendBufs.Put(c.outgrown[n].buf)
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	m := copy(c.outgrown, c.outgrown[n:])
+	clear(c.outgrown[m:])
+	c.outgrown = c.outgrown[:m]
 }
 
 // Close flushes pending data, then sends FIN.
@@ -299,9 +350,23 @@ func (c *Conn) teardown() {
 	if c.listener != nil {
 		c.listener.remove(c.remote, c.remotePort)
 	}
-	// Quarantined until Rewind, as is the conn itself: in-flight segments
-	// alias the send buffer and late closures still read the struct.
-	c.cfg.Pools.sendBufs.Retire(c.sendBuf)
+	// With nothing in flight no segment aliases the send arrays and they
+	// are reusable at once. An abort or failure with bytes in flight
+	// quarantines them until Rewind instead: the peer may read those
+	// segments before the RST lands. The conn itself always waits for
+	// Rewind — late closures still read the struct.
+	release := c.cfg.Pools.sendBufs.Retire
+	if c.flight() == 0 {
+		release = c.cfg.Pools.sendBufs.Put
+	}
+	if c.sendBuf != nil {
+		release(c.sendBuf)
+	}
+	for _, o := range c.outgrown {
+		release(o.buf)
+	}
+	clear(c.outgrown)
+	c.outgrown = c.outgrown[:0]
 	c.sendBuf = nil
 	c.sendOff = 0
 	for _, chunk := range c.recvBuf {
@@ -488,21 +553,25 @@ func (c *Conn) processAck(seg *segment) {
 	switch {
 	case seg.ack > c.sndUna:
 		acked := seg.ack - c.sndUna
-		// Trim acked bytes (the FIN offset is not in sendBuf). The
-		// prefix is released by advancing sendOff; the backing array
-		// rewinds only when fully drained, because in-flight segments
-		// alias it and duplicate segments covering acked bytes are
-		// dropped by the receiver without reading their payload.
+		// Trim acked bytes (the FIN offset is not in sendBuf) by
+		// advancing sendOff. Acknowledged means dead: ACK numbers are
+		// the receiver's rcvNxt, which only grows, and processData never
+		// reads a payload byte below it, so a duplicate still on the
+		// wire may alias a recycled array and nobody will look. A fully
+		// drained buffer therefore goes back at once, and so does every
+		// outgrown array sndUna has passed.
 		trim := acked
 		if bl := uint64(c.pending()); trim > bl {
 			trim = bl
 		}
 		c.sendOff += int(trim)
-		if c.sendOff == len(c.sendBuf) {
-			c.sendBuf = c.sendBuf[:0]
+		if c.sendBuf != nil && c.sendOff == len(c.sendBuf) {
+			c.cfg.Pools.sendBufs.Put(c.sendBuf)
+			c.sendBuf = nil
 			c.sendOff = 0
 		}
 		c.sndUna = seg.ack
+		c.releaseOutgrown()
 		if c.sndNxt < c.sndUna {
 			c.sndNxt = c.sndUna
 		}
