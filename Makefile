@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fuzz-smoke race bench bench-alloc bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke fmt
+.PHONY: all build test check vet fuzz-smoke race bench bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke fmt
 
 all: check
 
@@ -19,6 +19,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopes -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s ./internal/tlssim
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/tcpsim
+	$(GO) test -run '^$$' -fuzz FuzzParseRetention -fuzztime 5s ./internal/har
+	$(GO) test -run '^$$' -fuzz FuzzParseOutages -fuzztime 5s ./cmd/h3cdn-measure
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces
@@ -40,14 +42,9 @@ check: vet fuzz-smoke bench-smoke trace-smoke trace-replay-smoke traffic-smoke r
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Allocation benchmarks for the simulation hot path; compare against
-# BENCH_baseline.json.
-bench-alloc:
-	$(GO) test -run '^$$' -bench 'SchedulerEventDispatch|SchedulerTimerReset|RunVisitAllocs' -benchtime 2s .
-
 # Benchmark regression gate: reruns the recorded benchmarks and fails on
-# regression vs the 'current' column of BENCH_baseline.json (allocs/op
-# exactly; ns/op and B/op within a tolerance band).
+# regression vs their records in BENCH_baseline.json (allocs/op exactly;
+# ns/op and B/op within a tolerance band).
 benchgate:
 	$(GO) run ./cmd/benchgate
 

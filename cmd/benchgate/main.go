@@ -1,6 +1,8 @@
 // Command benchgate is the repository's benchmark regression gate: it
-// runs the recorded hot-path benchmarks and compares them against the
-// `current` column of BENCH_baseline.json.
+// runs the recorded hot-path benchmarks and compares them against their
+// records in BENCH_baseline.json. Each benchmark has one record, the
+// current one; a PR that moves a number re-records it and says so in
+// CHANGES.md.
 //
 // Two kinds of gate apply:
 //
@@ -70,21 +72,17 @@ type metrics struct {
 	PeakRSSMB    float64 `json:"peak_rss_mb,omitempty"`
 }
 
+// baselineEntry is one benchmark's record: where it lives and what the
+// gate compares against.
 type baselineEntry struct {
 	// Pkg is the package the benchmark lives in, as a go-test path
 	// relative to the repo root; empty means the root package.
 	Pkg string `json:"pkg"`
-	// The three history columns: Seed is the first recording, Prior the
-	// previous PR's record, Current what the gate compares against. A
-	// baseline rotation moves Current to Prior and records a fresh
-	// Current; only Current participates in gating.
-	Seed    *metrics `json:"seed"`
-	Prior   *metrics `json:"prior"`
-	Current *metrics `json:"current"`
 	// Informational entries are measured and printed but carry no
 	// per-metric band; they exist to be recorded and to feed derived
 	// gates (see gateSpec).
 	Informational bool `json:"informational"`
+	metrics
 }
 
 // gateSpec is a derived gate computed over measured results rather than
@@ -113,19 +111,13 @@ type baselineFile struct {
 	Gates      []gateSpec               `json:"gates"`
 }
 
-// validate enforces the baseline column discipline up front, so a
-// mangled rotation fails the gate run immediately instead of silently
-// gating against nothing. A `prior` without a `current` is the
-// signature of a half-finished rotation (current was moved aside and
-// never re-recorded); an unknown gate type would otherwise only
-// surface after minutes of benchmarking.
+// validate rejects a malformed baseline up front: an entry that names no
+// Go benchmark or an unknown gate type would otherwise only surface
+// after minutes of benchmarking.
 func (b *baselineFile) validate() error {
-	for name, e := range b.Benchmarks {
+	for name := range b.Benchmarks {
 		if !strings.HasPrefix(name, "Benchmark") {
-			continue
-		}
-		if e.Current == nil && e.Prior != nil {
-			return fmt.Errorf("%s: has 'prior' but no 'current' — a rotation moves current to prior and must record a fresh current", name)
+			return fmt.Errorf("%s: not a benchmark name", name)
 		}
 	}
 	for _, g := range b.Gates {
@@ -161,24 +153,14 @@ func loadBaseline(path string) (baselineFile, error) {
 	return base, nil
 }
 
-// selectGated picks every baseline entry that is a Go benchmark with a
-// recorded `current` column (other entries, like campaign wall-clock
-// notes, are free-form) and groups them by package for one
-// `go test -bench` invocation each. Sub-benchmark entries
+// selectGated lists every baseline entry and groups them by package for
+// one `go test -bench` invocation each. Sub-benchmark entries
 // ("Benchmark/sub=1") select their root benchmark in the -bench
 // pattern; measurements are keyed by the full sub-benchmark name.
-// missingPrior lists gated entries with no `prior` column — fine for a
-// first recording, worth surfacing so a dropped column is noticed.
-func selectGated(base *baselineFile) (names []string, byPkg map[string]map[string]bool, missingPrior []string) {
+func selectGated(base *baselineFile) (names []string, byPkg map[string]map[string]bool) {
 	byPkg = make(map[string]map[string]bool)
 	for name, e := range base.Benchmarks {
-		if !strings.HasPrefix(name, "Benchmark") || e.Current == nil {
-			continue
-		}
 		names = append(names, name)
-		if e.Prior == nil && !e.Informational {
-			missingPrior = append(missingPrior, name)
-		}
 		pkg := e.Pkg
 		if pkg == "" {
 			pkg = "."
@@ -190,8 +172,7 @@ func selectGated(base *baselineFile) (names []string, byPkg map[string]map[strin
 		byPkg[pkg][root] = true
 	}
 	sort.Strings(names)
-	sort.Strings(missingPrior)
-	return names, byPkg, missingPrior
+	return names, byPkg
 }
 
 // compareEntry applies the banded gate of one benchmark: allocs/op
@@ -275,16 +256,13 @@ func run() int {
 		return 1
 	}
 
-	names, byPkg, missingPrior := selectGated(&base)
+	names, byPkg := selectGated(&base)
 	if *only != "" {
-		names, byPkg, missingPrior = filterOnly(names, byPkg, missingPrior, *only)
+		names, byPkg = filterOnly(names, byPkg, *only)
 	}
 	if len(names) == 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: no gated benchmarks in %s\n", *baseline)
 		return 1
-	}
-	for _, name := range missingPrior {
-		fmt.Printf("benchgate: note %s: no 'prior' column (first recording?)\n", name)
 	}
 
 	measured := make(map[string]metrics)
@@ -321,7 +299,7 @@ func run() int {
 	failed := false
 	for _, name := range names {
 		entry := base.Benchmarks[name]
-		want := *entry.Current
+		want := entry.metrics
 		got, ok := measured[name]
 		if !ok {
 			if entry.Informational && runtime.NumCPU() == 1 {
@@ -371,20 +349,15 @@ func run() int {
 
 // filterOnly restricts a selectGated result to benchmarks whose name
 // contains the -only substring, dropping packages left with no roots.
-func filterOnly(names []string, byPkg map[string]map[string]bool, missingPrior []string, only string) ([]string, map[string]map[string]bool, []string) {
-	keep := func(in []string) []string {
-		var out []string
-		for _, n := range in {
-			if strings.Contains(n, only) {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	names = keep(names)
-	missingPrior = keep(missingPrior)
-	roots := make(map[string]bool)
+func filterOnly(names []string, byPkg map[string]map[string]bool, only string) ([]string, map[string]map[string]bool) {
+	var kept []string
 	for _, n := range names {
+		if strings.Contains(n, only) {
+			kept = append(kept, n)
+		}
+	}
+	roots := make(map[string]bool)
+	for _, n := range kept {
 		root, _, _ := strings.Cut(n, "/")
 		roots[root] = true
 	}
@@ -400,7 +373,7 @@ func filterOnly(names []string, byPkg map[string]map[string]bool, missingPrior [
 			outPkg[pkg][root] = true
 		}
 	}
-	return names, outPkg, missingPrior
+	return kept, outPkg
 }
 
 // checkGate evaluates one derived gate against the measured results,

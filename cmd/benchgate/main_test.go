@@ -7,51 +7,22 @@ import (
 	"testing"
 )
 
+// TestLoadBaselineRotate loads a baseline after a re-recording: one
+// record per benchmark, grouped by package.
 func TestLoadBaselineRotate(t *testing.T) {
 	base, err := loadBaseline(filepath.Join("testdata", "rotate.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, byPkg, missingPrior := selectGated(&base)
+	names, byPkg := selectGated(&base)
 	if want := []string{"BenchmarkAlpha", "BenchmarkBeta"}; len(names) != 2 || names[0] != want[0] || names[1] != want[1] {
-		t.Fatalf("gated = %v, want %v (free-form entries excluded)", names, want)
-	}
-	if len(missingPrior) != 0 {
-		t.Fatalf("missingPrior = %v on a fully rotated baseline", missingPrior)
+		t.Fatalf("gated = %v, want %v", names, want)
 	}
 	if !byPkg["."]["BenchmarkAlpha"] || !byPkg["./internal/core"]["BenchmarkBeta"] {
 		t.Fatalf("byPkg = %v", byPkg)
 	}
-	e := base.Benchmarks["BenchmarkAlpha"]
-	if e.Seed == nil || e.Prior == nil || e.Current == nil {
-		t.Fatal("rotation columns not parsed")
-	}
-	if e.Seed.AllocsOp != 4 || e.Prior.AllocsOp != 2 || e.Current.AllocsOp != 0 {
-		t.Fatalf("column values: seed %v prior %v current %v", e.Seed.AllocsOp, e.Prior.AllocsOp, e.Current.AllocsOp)
-	}
-}
-
-func TestLoadBaselineMissingPrior(t *testing.T) {
-	base, err := loadBaseline(filepath.Join("testdata", "missing_prior.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, _, missingPrior := selectGated(&base)
-	if len(names) != 2 {
-		t.Fatalf("gated = %v, want both entries", names)
-	}
-	if len(missingPrior) != 1 || missingPrior[0] != "BenchmarkFresh" {
-		t.Fatalf("missingPrior = %v, want [BenchmarkFresh]", missingPrior)
-	}
-}
-
-func TestLoadBaselineStalePrior(t *testing.T) {
-	_, err := loadBaseline(filepath.Join("testdata", "stale_prior.json"))
-	if err == nil {
-		t.Fatal("half-finished rotation (prior without current): want error")
-	}
-	if !strings.Contains(err.Error(), "BenchmarkHalfRotated") || !strings.Contains(err.Error(), "rotation") {
-		t.Fatalf("error %q should name the entry and the rotation discipline", err)
+	if e := base.Benchmarks["BenchmarkBeta"]; e.NsOp != 1000 || e.BOp != 128 || e.AllocsOp != 8 {
+		t.Fatalf("record = %+v", e.metrics)
 	}
 }
 
@@ -60,13 +31,9 @@ func TestLoadBaselineGateOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, _, missingPrior := selectGated(&base)
+	names, _ := selectGated(&base)
 	if len(names) != 2 {
 		t.Fatalf("gated = %v, want both informational entries measured", names)
-	}
-	// Informational entries are exempt from the prior-column discipline.
-	if len(missingPrior) != 0 {
-		t.Fatalf("missingPrior = %v, want none for informational entries", missingPrior)
 	}
 	if len(base.Gates) != 1 || base.Gates[0].Type != "min_efficiency" {
 		t.Fatalf("gates = %+v", base.Gates)
@@ -145,14 +112,13 @@ func TestZeroAllocBaselineStaysExact(t *testing.T) {
 }
 
 func TestRepoBaselinesValidate(t *testing.T) {
-	// The repo's own baselines must satisfy the column discipline the
-	// fixtures pin down.
+	// The repo's own baselines must load and name benchmarks only.
 	for _, path := range []string{"../../BENCH_baseline.json", "../../BENCH_scaling.json"} {
 		base, err := loadBaseline(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if names, _, _ := selectGated(&base); len(names) == 0 {
+		if names, _ := selectGated(&base); len(names) == 0 {
 			t.Fatalf("%s: no gated benchmarks", path)
 		}
 	}
@@ -212,6 +178,10 @@ func TestGateSpecValidation(t *testing.T) {
 	if bad.validate() == nil {
 		t.Fatal("max_rss_growth without a ceiling must not validate")
 	}
+	freeForm := baselineFile{Benchmarks: map[string]baselineEntry{"campaign_wall_clock": {}}}
+	if freeForm.validate() == nil {
+		t.Fatal("an entry that names no benchmark must not validate")
+	}
 	good := baselineFile{Gates: []gateSpec{{Type: "max_rss_growth", Benchmark: "BenchmarkX", Max: 2}}}
 	if err := good.validate(); err != nil {
 		t.Fatal(err)
@@ -223,13 +193,10 @@ func TestFilterOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, byPkg, missingPrior := selectGated(&base)
-	names, byPkg, missingPrior = filterOnly(names, byPkg, missingPrior, "Alpha")
+	names, byPkg := selectGated(&base)
+	names, byPkg = filterOnly(names, byPkg, "Alpha")
 	if len(names) != 1 || names[0] != "BenchmarkAlpha" {
 		t.Fatalf("filtered names = %v", names)
-	}
-	if len(missingPrior) != 0 {
-		t.Fatalf("missingPrior = %v", missingPrior)
 	}
 	if len(byPkg) != 1 || !byPkg["."]["BenchmarkAlpha"] {
 		t.Fatalf("byPkg = %v (packages without surviving roots must drop)", byPkg)
@@ -237,7 +204,7 @@ func TestFilterOnly(t *testing.T) {
 	// Sub-benchmark names keep their root in byPkg.
 	subNames := []string{"BenchmarkMem/pages=96", "BenchmarkMem/pages=768", "BenchmarkScale/workers=1"}
 	subPkg := map[string]map[string]bool{"./internal/core": {"BenchmarkMem": true, "BenchmarkScale": true}}
-	gotNames, gotPkg, _ := filterOnly(subNames, subPkg, nil, "Mem")
+	gotNames, gotPkg := filterOnly(subNames, subPkg, "Mem")
 	if len(gotNames) != 2 {
 		t.Fatalf("sub-benchmark filter names = %v", gotNames)
 	}

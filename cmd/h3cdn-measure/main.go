@@ -34,59 +34,74 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("h3cdn-measure", flag.ContinueOnError)
 	var (
-		seed        = flag.Uint64("seed", 2022, "campaign seed")
-		pages       = flag.Int("pages", 325, "number of websites")
-		probes      = flag.Int("probes", 1, "probes per vantage point")
-		loss        = flag.Float64("loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
-		consecutive = flag.Bool("consecutive", false, "consecutive-visit protocol (§VI-D)")
-		sequential  = flag.Bool("sequential", false, "disable shard parallelism")
-		workers     = flag.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS)")
+		seed        = fs.Uint64("seed", 2022, "campaign seed")
+		pages       = fs.Int("pages", 325, "number of websites")
+		probes      = fs.Int("probes", 1, "probes per vantage point")
+		loss        = fs.Float64("loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
+		consecutive = fs.Bool("consecutive", false, "consecutive-visit protocol (§VI-D)")
+		sequential  = fs.Bool("sequential", false, "disable shard parallelism")
+		workers     = fs.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS)")
 
-		burstLoss    = flag.Float64("burst-loss", 0, "Gilbert–Elliott average loss rate (0 disables bursty loss)")
-		burstLen     = flag.Float64("burst-len", 4, "Gilbert–Elliott mean burst length in packets")
-		jitter       = flag.Duration("jitter", 0, "uniform extra per-packet delay in [0, jitter)")
-		reorder      = flag.Float64("reorder", 0, "probability a delivered packet is held back")
-		reorderDelay = flag.Duration("reorder-delay", 2*time.Millisecond, "hold-back duration for reordered packets")
-		outages      = flag.String("outage", "", "scheduled path outages, comma-separated start-end pairs (e.g. 2s-4s,10s-11s)")
-		retries      = flag.Int("retries", 0, "browser re-fetch budget per resource after transport errors")
+		burstLoss    = fs.Float64("burst-loss", 0, "Gilbert–Elliott average loss rate (0 disables bursty loss)")
+		burstLen     = fs.Float64("burst-len", 4, "Gilbert–Elliott mean burst length in packets")
+		jitter       = fs.Duration("jitter", 0, "uniform extra per-packet delay in [0, jitter)")
+		reorder      = fs.Float64("reorder", 0, "probability a delivered packet is held back")
+		reorderDelay = fs.Duration("reorder-delay", 2*time.Millisecond, "hold-back duration for reordered packets")
+		outages      = fs.String("outage", "", "scheduled path outages, comma-separated start-end pairs (e.g. 2s-4s,10s-11s)")
+		retries      = fs.Int("retries", 0, "browser re-fetch budget per resource after transport errors")
 
-		linkTrace  = flag.String("link-trace", "", "drive the download link from a capacity trace: a synthetic profile ("+strings.Join(traces.Names(), ", ")+") or a Mahimahi trace file")
-		traceScale = flag.Float64("trace-scale", 1, "multiply the link trace's capacity samples by this factor")
+		linkTrace  = fs.String("link-trace", "", "drive the download link from a capacity trace: a synthetic profile ("+strings.Join(traces.Names(), ", ")+") or a Mahimahi trace file")
+		traceScale = fs.Float64("trace-scale", 1, "multiply the link trace's capacity samples by this factor")
 
-		trafficOn      = flag.Bool("traffic", false, "run an open-loop population traffic campaign (seeded users contending on shared TTL edge caches) instead of the one-visit-per-page census")
-		trafficUsers   = flag.Int("traffic-users", 256, "population size per mode and vantage")
-		trafficShard   = flag.Int("traffic-users-per-shard", 0, "user-partition granularity: users simulated per shard (0 = default)")
-		trafficRate    = flag.Float64("traffic-rate", 4, "population mean session-arrival rate, sessions per second of virtual time")
-		trafficDiurnal = flag.Float64("traffic-diurnal", 0, "diurnal arrival-rate modulation amplitude in [0, 1) (0 = flat rate)")
-		trafficPeriod  = flag.Duration("traffic-diurnal-period", 0, "diurnal modulation period (0 = 1h)")
-		trafficDur     = flag.Duration("traffic-duration", 2*time.Minute, "virtual-time horizon of the traffic campaign")
-		trafficEpoch   = flag.Duration("traffic-epoch", 0, "checkpoint epoch interval (0 = one epoch spanning the horizon)")
-		trafficVisits  = flag.Float64("traffic-session-visits", 0, "mean visits per session, geometric with minimum 1 (0 = default 3)")
-		trafficThink   = flag.Duration("traffic-think", 0, "mean think time between a session's visits (0 = default 5s)")
-		trafficZipf    = flag.Float64("traffic-zipf", 0, "page-popularity Zipf exponent, must be > 1 (0 = default 1.2)")
-		trafficTTL     = flag.Duration("traffic-ttl", 0, "edge-cache entry lifetime (0 = default 60s)")
-		trafficFlight  = flag.Int("traffic-max-inflight", 0, "per-shard bound on concurrently loading visits; arrivals at the bound are shed (0 = default 64)")
-		trafficCkpt    = flag.String("traffic-checkpoint", "", "checkpoint directory: each shard saves state per epoch and resumes from it on the next run (created if missing)")
-		trafficHalt    = flag.Int("traffic-halt-epochs", 0, "stop each shard after this many epochs this process, checkpoints intact — exercises kill/resume (0 = run to completion)")
+		trafficOn      = fs.Bool("traffic", false, "run an open-loop population traffic campaign (seeded users contending on shared TTL edge caches) instead of the one-visit-per-page census")
+		trafficUsers   = fs.Int("traffic-users", 256, "population size per mode and vantage")
+		trafficShard   = fs.Int("traffic-users-per-shard", 0, "user-partition granularity: users simulated per shard (0 = default)")
+		trafficRate    = fs.Float64("traffic-rate", 4, "population mean session-arrival rate, sessions per second of virtual time")
+		trafficDiurnal = fs.Float64("traffic-diurnal", 0, "diurnal arrival-rate modulation amplitude in [0, 1) (0 = flat rate)")
+		trafficPeriod  = fs.Duration("traffic-diurnal-period", 0, "diurnal modulation period (0 = 1h)")
+		trafficDur     = fs.Duration("traffic-duration", 2*time.Minute, "virtual-time horizon of the traffic campaign")
+		trafficEpoch   = fs.Duration("traffic-epoch", 0, "checkpoint epoch interval (0 = one epoch spanning the horizon)")
+		trafficVisits  = fs.Float64("traffic-session-visits", 0, "mean visits per session, geometric with minimum 1 (0 = default 3)")
+		trafficThink   = fs.Duration("traffic-think", 0, "mean think time between a session's visits (0 = default 5s)")
+		trafficZipf    = fs.Float64("traffic-zipf", 0, "page-popularity Zipf exponent, must be > 1 (0 = default 1.2)")
+		trafficTTL     = fs.Duration("traffic-ttl", 0, "edge-cache entry lifetime (0 = default 60s)")
+		trafficFlight  = fs.Int("traffic-max-inflight", 0, "per-shard bound on concurrently loading visits; arrivals at the bound are shed (0 = default 64)")
+		trafficCkpt    = fs.String("traffic-checkpoint", "", "checkpoint directory: each shard saves state per epoch and resumes from it on the next run (created if missing)")
+		trafficHalt    = fs.Int("traffic-halt-epochs", 0, "stop each shard after this many epochs this process, checkpoints intact — exercises kill/resume (0 = run to completion)")
 
-		retention  = flag.String("har-retention", "all", "HAR retention policy: all, none, or sample:N (N PageLogs per shard); metrics always cover every page")
-		qlogDir    = flag.String("qlog", "", "write per-shard qlog JSONL trace files into this directory (created if missing)")
-		out        = flag.String("o", "", "output file (default stdout)")
-		cpuprofile = flag.String("cpuprofile", "", "write CPU profile to file")
-		memprofile = flag.String("memprofile", "", "write heap profile to file")
-		memstats   = flag.Bool("memstats", false, "report peak heap and cumulative allocation after the campaign")
+		retention  = fs.String("har-retention", "all", "HAR retention policy: all, none, or sample:N (N PageLogs per shard); metrics always cover every page")
+		qlogDir    = fs.String("qlog", "", "write per-shard qlog JSONL trace files into this directory (created if missing)")
+		out        = fs.String("o", "", "output file (default stdout)")
+		cpuprofile = fs.String("cpuprofile", "", "write CPU profile to file")
+		memprofile = fs.String("memprofile", "", "write heap profile to file")
+		memstats   = fs.Bool("memstats", false, "report peak heap and cumulative allocation after the campaign")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	// Usage errors exit 2 (the flag package's own convention for bad
 	// flags), before any file creation or simulation work.
-	if err := validateImpairFlags(*burstLoss, *jitter, *reorder, *reorderDelay, *traceScale); err != nil {
+	if *pages < 1 { // 0 would mean the corpus generator's default, 325
+		fmt.Fprintf(os.Stderr, "h3cdn-measure: -pages %d: must be at least 1\n", *pages)
+		return 2
+	}
+	if err := validateImpairFlags(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, *traceScale); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
+		return 2
+	}
+	outageWindows, err := parseOutages(*outages)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "h3cdn-measure: -outage: %v\n", err)
 		return 2
 	}
 	ret, err := har.ParseRetention(*retention)
@@ -174,11 +189,7 @@ func run() int {
 		w = f
 	}
 
-	impair, err := buildImpairment(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, *outages)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
-		return 1
-	}
+	impair := buildImpairment(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, outageWindows)
 
 	tl, err := buildLinkTrace(*linkTrace, *traceScale)
 	if err != nil {
@@ -307,19 +318,24 @@ func run() int {
 }
 
 // validateImpairFlags rejects nonsensical fault/trace knob values —
-// negative rates and durations, NaN — before any file or simulation
-// work. These are usage errors (exit 2), distinct from runtime failures
-// (exit 1): a sweep script with a sign bug should fail its very first
-// invocation loudly, not run a campaign under a silently clamped knob.
-func validateImpairFlags(burstLoss float64, jitter time.Duration, reorder float64, reorderDelay time.Duration, traceScale float64) error {
-	if burstLoss < 0 || math.IsNaN(burstLoss) {
-		return fmt.Errorf("-burst-loss %v: must be a non-negative loss rate", burstLoss)
+// out-of-range rates, negative durations, NaN — before any file or
+// simulation work. These are usage errors (exit 2), distinct from
+// runtime failures (exit 1): a sweep script with a sign bug should fail
+// its very first invocation loudly, not run a campaign under a silently
+// clamped knob (simnet.GilbertElliott clamps the rate to 0.5 and the
+// burst length to 1).
+func validateImpairFlags(burstLoss, burstLen float64, jitter time.Duration, reorder float64, reorderDelay time.Duration, traceScale float64) error {
+	if !(burstLoss >= 0 && burstLoss <= 0.5) {
+		return fmt.Errorf("-burst-loss %v: must be a loss rate in [0, 0.5]", burstLoss)
+	}
+	if !(burstLen >= 1) || math.IsInf(burstLen, 1) {
+		return fmt.Errorf("-burst-len %v: must be a finite burst length of at least 1 packet", burstLen)
 	}
 	if jitter < 0 {
 		return fmt.Errorf("-jitter %v: must be a non-negative duration", jitter)
 	}
-	if reorder < 0 || math.IsNaN(reorder) {
-		return fmt.Errorf("-reorder %v: must be a non-negative probability", reorder)
+	if !(reorder >= 0 && reorder <= 1) {
+		return fmt.Errorf("-reorder %v: must be a probability in [0, 1]", reorder)
 	}
 	if reorderDelay < 0 {
 		return fmt.Errorf("-reorder-delay %v: must be a non-negative duration", reorderDelay)
@@ -418,13 +434,9 @@ func buildLinkTrace(spec string, scale float64) (*simnet.TraceLink, error) {
 
 // buildImpairment assembles the fault profile from CLI knobs, or returns
 // nil when every knob is off so campaigns keep the unimpaired fast path.
-func buildImpairment(burstLoss, burstLen float64, jitter time.Duration, reorder float64, reorderDelay time.Duration, outageSpec string) (*simnet.Impairment, error) {
-	outages, err := parseOutages(outageSpec)
-	if err != nil {
-		return nil, err
-	}
+func buildImpairment(burstLoss, burstLen float64, jitter time.Duration, reorder float64, reorderDelay time.Duration, outages []simnet.Outage) *simnet.Impairment {
 	if burstLoss <= 0 && jitter <= 0 && reorder <= 0 && len(outages) == 0 {
-		return nil, nil
+		return nil
 	}
 	im := simnet.GilbertElliott(burstLoss, burstLen)
 	im.JitterMax = jitter
@@ -433,11 +445,12 @@ func buildImpairment(burstLoss, burstLen float64, jitter time.Duration, reorder 
 		im.ReorderDelay = reorderDelay
 	}
 	im.Outages = outages
-	return &im, nil
+	return &im
 }
 
 // parseOutages parses comma-separated start-end duration pairs, e.g.
-// "2s-4s,10s-11s".
+// "2s-4s,10s-11s". Windows must be listed in time order without
+// overlapping, the form simnet.Impairment.Outages documents.
 func parseOutages(spec string) ([]simnet.Outage, error) {
 	if spec == "" {
 		return nil, nil
@@ -458,6 +471,9 @@ func parseOutages(spec string) ([]simnet.Outage, error) {
 		}
 		if end <= start {
 			return nil, fmt.Errorf("outage %q: end must follow start", field)
+		}
+		if n := len(out); n > 0 && start < out[n-1].End {
+			return nil, fmt.Errorf("outage %q: starts before the previous window ends", field)
 		}
 		out = append(out, simnet.Outage{Start: start, End: end})
 	}

@@ -15,12 +15,13 @@ import (
 func TestValidateImpairFlags(t *testing.T) {
 	type args struct {
 		burstLoss    float64
+		burstLen     float64
 		jitter       time.Duration
 		reorder      float64
 		reorderDelay time.Duration
 		traceScale   float64
 	}
-	ok := args{traceScale: 1}
+	ok := args{burstLen: 4, traceScale: 1}
 	cases := []struct {
 		name    string
 		mut     func(*args)
@@ -32,9 +33,18 @@ func TestValidateImpairFlags(t *testing.T) {
 		}, ""},
 		{"negative-burst-loss", func(a *args) { a.burstLoss = -0.01 }, "-burst-loss"},
 		{"nan-burst-loss", func(a *args) { a.burstLoss = math.NaN() }, "-burst-loss"},
+		{"burst-loss-at-clamp", func(a *args) { a.burstLoss = 0.5 }, ""},
+		{"burst-loss-above-clamp", func(a *args) { a.burstLoss = 0.7 }, "-burst-loss"},
+		{"burst-len-one", func(a *args) { a.burstLen = 1 }, ""},
+		{"burst-len-below-one", func(a *args) { a.burstLen = 0.5 }, "-burst-len"},
+		{"negative-burst-len", func(a *args) { a.burstLen = -2 }, "-burst-len"},
+		{"nan-burst-len", func(a *args) { a.burstLen = math.NaN() }, "-burst-len"},
+		{"inf-burst-len", func(a *args) { a.burstLen = math.Inf(1) }, "-burst-len"},
 		{"negative-jitter", func(a *args) { a.jitter = -time.Millisecond }, "-jitter"},
 		{"negative-reorder", func(a *args) { a.reorder = -0.5 }, "-reorder"},
 		{"nan-reorder", func(a *args) { a.reorder = math.NaN() }, "-reorder"},
+		{"certain-reorder", func(a *args) { a.reorder = 1 }, ""},
+		{"reorder-above-one", func(a *args) { a.reorder = 3 }, "-reorder"},
 		{"negative-reorder-delay", func(a *args) { a.reorderDelay = -time.Second }, "-reorder-delay"},
 		{"zero-trace-scale", func(a *args) { a.traceScale = 0 }, "-trace-scale"},
 		{"negative-trace-scale", func(a *args) { a.traceScale = -2 }, "-trace-scale"},
@@ -45,7 +55,7 @@ func TestValidateImpairFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mut(&a)
-			err := validateImpairFlags(a.burstLoss, a.jitter, a.reorder, a.reorderDelay, a.traceScale)
+			err := validateImpairFlags(a.burstLoss, a.burstLen, a.jitter, a.reorder, a.reorderDelay, a.traceScale)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -241,4 +251,61 @@ func TestHARRetentionFlag(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUsageErrorsExit2 runs the command on bad campaign inputs: each
+// must exit 2 before any work. The -o path cannot be created, so a case
+// that slipped through would exit 1 instead of running a campaign.
+func TestUsageErrorsExit2(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "missing", "ds.json")
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"negative-pages", []string{"-pages", "-3"}},
+		{"zero-pages", []string{"-pages", "0"}},
+		{"negative-probes", []string{"-probes", "-1"}},
+		{"negative-workers", []string{"-workers", "-1"}},
+		{"nan-loss", []string{"-loss", "NaN"}},
+		{"total-loss", []string{"-loss", "1.5"}},
+		{"reorder-above-one", []string{"-reorder", "3"}},
+		{"negative-burst-len", []string{"-burst-len", "-2"}},
+		{"burst-loss-above-clamp", []string{"-burst-loss", "0.7"}},
+		{"bad-retention", []string{"-har-retention", "sample:0"}},
+		{"outages-out-of-order", []string{"-outage", "10s-11s,2s-4s"}},
+		{"outages-overlapping", []string{"-outage", "1s-3s,2s-4s"}},
+		{"unknown-flag", []string{"-no-such-flag"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := run(append(tc.args, "-o", out)); got != 2 {
+				t.Fatalf("h3cdn-measure %s: exit %d, want 2", strings.Join(tc.args, " "), got)
+			}
+		})
+	}
+	if got := run([]string{"-pages", "1", "-o", out}); got != 1 {
+		t.Fatalf("valid flags with an uncreatable -o: exit %d, want 1", got)
+	}
+}
+
+// FuzzParseOutages: an accepted -outage spec yields windows in time
+// order, each 0 ≤ Start < End and none overlapping the one before.
+func FuzzParseOutages(f *testing.F) {
+	for _, s := range []string{"", "2s-4s", "2s-4s,10s-11s", "10s-11s,2s-4s", "1s-3s,2s-4s", "4s-2s", "0-1ms", "+1s-2s", " 1s-2s , 2s-3s ", "1s--2s", "x-y", "1s"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		windows, err := parseOutages(spec)
+		if err != nil {
+			return
+		}
+		for i, w := range windows {
+			if w.Start < 0 || w.Start >= w.End {
+				t.Fatalf("parseOutages(%q): window %d is [%v, %v)", spec, i, w.Start, w.End)
+			}
+			if i > 0 && w.Start < windows[i-1].End {
+				t.Fatalf("parseOutages(%q): window %d starts at %v, before window %d ends at %v", spec, i, w.Start, i-1, windows[i-1].End)
+			}
+		}
+	})
 }

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -38,7 +39,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 type reporter struct {
@@ -56,27 +57,42 @@ type reporter struct {
 	fig9   []core.Fig9Series
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("h3cdn-report", flag.ContinueOnError)
 	var (
-		exp       = flag.String("exp", "all", "experiment id (t1,t2,t3,f2,f3,f4,f5,f6a,f6b,f7,f8,f9,phases,lossprofile,celltrace,popcache,all)")
-		seed      = flag.Uint64("seed", 2022, "campaign seed")
-		pages     = flag.Int("pages", 325, "number of websites")
-		probes    = flag.Int("probes", 1, "probes per vantage point")
-		burstLen  = flag.Float64("burstlen", 4, "lossprofile: Gilbert–Elliott mean burst length in packets")
-		profiles  = flag.String("traces", "", "celltrace: comma-separated synthetic profiles (empty = all; see h3cdn-measure -link-trace)")
-		popSizes  = flag.String("pop-sizes", "", "popcache: comma-separated population sizes to sweep (empty = ¼×, 1×, 4× of -pop-users)")
-		popUsers  = flag.Int("pop-users", 64, "popcache: baseline population size anchoring the per-user offered load")
-		popRate   = flag.Float64("pop-rate", 2, "popcache: session-arrival rate at the baseline population, sessions/s of virtual time")
-		popDur    = flag.Duration("pop-duration", time.Minute, "popcache: virtual-time horizon per campaign")
-		popEpoch  = flag.Duration("pop-epoch", 10*time.Second, "popcache: epoch interval for the hit-rate warming trajectory")
-		popTTL    = flag.Duration("pop-ttl", 0, "popcache: edge-cache entry TTL (0 = default 60s)")
-		dsPath    = flag.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
-		consPath  = flag.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
-		plotDir   = flag.String("plot", "", "also export raw figure series as TSV into this directory")
-		retention = flag.String("har-retention", "all", "HAR retention policy for campaigns this command runs: all, none, or sample:N; with none/sample, experiments needing per-page data fall back to sketch-derived (approximate) statistics")
+		exp       = fs.String("exp", "all", "experiment id (t1,t2,t3,f2,f3,f4,f5,f6a,f6b,f7,f8,f9,phases,lossprofile,celltrace,popcache,all)")
+		seed      = fs.Uint64("seed", 2022, "campaign seed")
+		pages     = fs.Int("pages", 325, "number of websites")
+		probes    = fs.Int("probes", 1, "probes per vantage point")
+		burstLen  = fs.Float64("burstlen", 4, "lossprofile: Gilbert–Elliott mean burst length in packets")
+		profiles  = fs.String("traces", "", "celltrace: comma-separated synthetic profiles (empty = all; see h3cdn-measure -link-trace)")
+		popSizes  = fs.String("pop-sizes", "", "popcache: comma-separated population sizes to sweep (empty = ¼×, 1×, 4× of -pop-users)")
+		popUsers  = fs.Int("pop-users", 64, "popcache: baseline population size anchoring the per-user offered load")
+		popRate   = fs.Float64("pop-rate", 2, "popcache: session-arrival rate at the baseline population, sessions/s of virtual time")
+		popDur    = fs.Duration("pop-duration", time.Minute, "popcache: virtual-time horizon per campaign")
+		popEpoch  = fs.Duration("pop-epoch", 10*time.Second, "popcache: epoch interval for the hit-rate warming trajectory")
+		popTTL    = fs.Duration("pop-ttl", 0, "popcache: edge-cache entry TTL (0 = default 60s)")
+		dsPath    = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
+		consPath  = fs.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
+		plotDir   = fs.String("plot", "", "also export raw figure series as TSV into this directory")
+		retention = fs.String("har-retention", "all", "HAR retention policy for campaigns this command runs: all, none, or sample:N; with none/sample, experiments needing per-page data fall back to sketch-derived (approximate) statistics")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
+	// Usage errors exit 2, before any campaign runs.
+	if *pages < 1 {
+		fmt.Fprintf(os.Stderr, "h3cdn-report: -pages %d: must be at least 1\n", *pages)
+		return 2
+	}
+	if !(*burstLen >= 1) || math.IsInf(*burstLen, 1) {
+		fmt.Fprintf(os.Stderr, "h3cdn-report: -burstlen %v: must be a finite burst length of at least 1 packet\n", *burstLen)
+		return 2
+	}
 	ret, err := har.ParseRetention(*retention)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-report: -har-retention: %v\n", err)
@@ -109,6 +125,10 @@ func run() int {
 		},
 		dsPath:   *dsPath,
 		consPath: *consPath,
+	}
+	if err := r.cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "h3cdn-report: %v\n", err)
+		return 2
 	}
 
 	ids := strings.Split(*exp, ",")

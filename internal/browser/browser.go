@@ -1,7 +1,7 @@
 // Package browser implements the simulated page loader: it resolves each
 // resource's hostname to a server, pools connections per protocol the way
 // Chrome does (six HTTP/1.1 connections per host; one HTTP/2 and one
-// HTTP/3 connection per hostname, with optional H2 coalescing by edge),
+// HTTP/3 connection per hostname),
 // learns H3 support via Alt-Svc (preconnecting QUIC in the background),
 // loads resources in staged discovery waves, carries TLS-ticket and
 // QUIC-token session caches across page visits, and emits HAR-like logs
@@ -74,17 +74,6 @@ type Config struct {
 	Mode Mode
 	// Resolver is required.
 	Resolver Resolver
-	// MaxH1ConnsPerHost caps parallel H1 connections. Default 6.
-	MaxH1ConnsPerHost int
-	// CoalesceH2 pools H2 connections by edge address instead of
-	// hostname (connection coalescing under a provider-wide
-	// certificate). Chrome rarely achieves this in practice, so the
-	// default pools per hostname.
-	CoalesceH2 bool
-	// TLSTickets / QUICTokens are the session caches. When nil the
-	// browser creates private ones (cleared with ClearSessions).
-	TLSTickets *tlssim.TicketStore
-	QUICTokens *quicsim.TokenStore
 	// EnableEarlyData / EnableZeroRTT allow 0-RTT on resumed
 	// connections.
 	EnableEarlyData bool
@@ -101,9 +90,6 @@ type Config struct {
 	// Healthy paths never hit this, so the default changes nothing on
 	// baseline runs.
 	MaxFetchRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt. Default 200ms.
-	RetryBackoff time.Duration
 	// Recovery, when non-nil, receives transport loss-recovery counters
 	// from every connection this browser opens, plus its own fetch-retry
 	// count.
@@ -233,39 +219,34 @@ type pooledConn struct {
 	h1Host string        // h1 pool key, for eviction on error
 }
 
+const (
+	// maxH1ConnsPerHost caps parallel H1 connections (Chrome's six).
+	maxH1ConnsPerHost = 6
+	// retryBackoff is the delay before the first fetch retry, doubling
+	// per attempt.
+	retryBackoff = 200 * time.Millisecond
+)
+
 // New creates a browser on the probe host.
 func New(host *simnet.Host, cfg Config) *Browser {
-	if cfg.MaxH1ConnsPerHost == 0 {
-		cfg.MaxH1ConnsPerHost = 6
-	}
 	if cfg.MaxFetchRetries == 0 {
 		cfg.MaxFetchRetries = 2
 	} else if cfg.MaxFetchRetries < 0 {
 		cfg.MaxFetchRetries = 0
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 200 * time.Millisecond
-	}
 	if cfg.Pools == nil {
 		cfg.Pools = &httpsim.Pools{}
 	}
-	b := &Browser{
+	return &Browser{
 		host:    host,
 		sched:   host.Scheduler(),
 		cfg:     cfg,
-		tickets: cfg.TLSTickets,
-		tokens:  cfg.QUICTokens,
+		tickets: tlssim.NewTicketStore(),
+		tokens:  quicsim.NewTokenStore(),
 		conns:   make(map[string]*pooledConn),
 		h1:      make(map[string][]*pooledConn),
 		altSvc:  make(map[string]bool),
 	}
-	if b.tickets == nil {
-		b.tickets = tlssim.NewTicketStore()
-	}
-	if b.tokens == nil {
-		b.tokens = quicsim.NewTokenStore()
-	}
-	return b
 }
 
 // Stats returns a snapshot of browser counters.
@@ -279,11 +260,6 @@ func (b *Browser) Stats() Stats { return b.stats }
 func (b *Browser) ClearSessions() {
 	b.tickets.Clear()
 	b.tokens.Clear()
-}
-
-// ClearAltSvc additionally forgets learned H3 support (full cold start).
-func (b *Browser) ClearAltSvc() {
-	b.altSvc = make(map[string]bool)
 }
 
 // ExportAltSvc returns the hosts whose H3 support this browser has
@@ -596,7 +572,7 @@ func (st *fetchState) onError(err error) {
 		if b.cfg.Recovery != nil {
 			b.cfg.Recovery.FetchRetries++
 		}
-		backoff := b.cfg.RetryBackoff << st.attempt
+		backoff := retryBackoff << st.attempt
 		st.attempt++
 		b.cfg.Trace.FetchRetry(b.sched.Now(), st.seq, st.attempt, err.Error())
 		b.sched.After(backoff, st.run)
@@ -701,17 +677,13 @@ func (b *Browser) connFor(host string, ep Endpoint, h3Eligible bool) (*pooledCon
 		return b.h1ConnFor(host, ep)
 
 	default:
-		keyHost := host
-		if b.cfg.CoalesceH2 {
-			keyHost = string(ep.Addr)
-		}
-		if pc, ok := b.conns[string(b.connKey("h2|", keyHost))]; ok {
+		if pc, ok := b.conns[string(b.connKey("h2|", host))]; ok {
 			return pc, false
 		}
 		pc := b.newPooledConn()
 		pc.dialAt = b.sched.Now()
 		pc.conn = httpsim.DialH2(b.host, ep.Addr, httpsim.TCPPort, host, b.dialCfg())
-		pc.key = "h2|" + keyHost
+		pc.key = "h2|" + host
 		b.conns[pc.key] = pc
 		b.stats.ConnsOpened++
 		b.stats.H2Conns++
@@ -724,7 +696,7 @@ func (b *Browser) dialCfg() httpsim.DialConfig {
 		TLSTickets:      b.tickets,
 		EnableEarlyData: b.cfg.EnableEarlyData,
 		HandshakeCPU:    b.cfg.HandshakeCPU,
-		TCP:             httpsim.TCPOptions{Recovery: b.cfg.Recovery},
+		Recovery:        b.cfg.Recovery,
 		Pools:           b.cfg.Pools,
 		Trace:           b.cfg.Trace,
 	}
@@ -744,7 +716,7 @@ func (b *Browser) h1ConnFor(host string, ep Endpoint) (*pooledConn, bool) {
 			return pc, false
 		}
 	}
-	if len(list) < b.cfg.MaxH1ConnsPerHost {
+	if len(list) < maxH1ConnsPerHost {
 		pc := b.newPooledConn()
 		pc.dialAt = b.sched.Now()
 		pc.conn = httpsim.DialH1(b.host, ep.Addr, httpsim.TCPPort, host, b.dialCfg())

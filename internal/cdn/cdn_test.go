@@ -286,8 +286,9 @@ func TestLRUCapacityFloor(t *testing.T) {
 	}
 }
 
-// edgeWorld wires a client and one edge for handler tests.
-func edgeWorld(t *testing.T, provider string, h3Overhead time.Duration) (*simnet.Scheduler, *simnet.Network, *Edge) {
+// edgeWorld wires a client and one edge for handler tests. The edge has
+// no Rng, so its waits carry no jitter.
+func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Network, *Edge) {
 	t.Helper()
 	sched := &simnet.Scheduler{MaxEvents: 5_000_000}
 	pf := func(src, dst simnet.Addr) simnet.PathProps {
@@ -310,10 +311,6 @@ func edgeWorld(t *testing.T, provider string, h3Overhead time.Duration) (*simnet
 			}
 			return n, true
 		},
-		HitWait:        2 * time.Millisecond,
-		MissPenalty:    50 * time.Millisecond,
-		H3WaitOverhead: h3Overhead,
-		WaitJitter:     -1, // disabled (withDefaults only fills zero)
 	})
 	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{
 		Handler:  edge.Handler(),
@@ -325,7 +322,7 @@ func edgeWorld(t *testing.T, provider string, h3Overhead time.Duration) (*simnet
 }
 
 func TestEdgeCacheMissThenHit(t *testing.T) {
-	sched, n, edge := edgeWorld(t, "Cloudflare", 2*time.Millisecond)
+	sched, n, edge := edgeWorld(t, "Cloudflare")
 	client := n.Host("client")
 
 	var firstWaitDone, secondWaitDone time.Duration
@@ -371,7 +368,7 @@ func TestEdgeCacheMissThenHit(t *testing.T) {
 
 func TestEdgeH3WaitOverhead(t *testing.T) {
 	waitFor := func(proto httpsim.Protocol) time.Duration {
-		sched, n, _ := edgeWorld(t, "Google", 5*time.Millisecond)
+		sched, n, _ := edgeWorld(t, "Google")
 		client := n.Host("client")
 		var conn httpsim.ClientConn
 		if proto == httpsim.H3 {
@@ -393,8 +390,8 @@ func TestEdgeH3WaitOverhead(t *testing.T) {
 	h3Wait := waitFor(httpsim.H3)
 	// Same path RTT; H3 carries the extra server compute (paper §VI-B:
 	// median wait reduction below zero).
-	if h3Wait != h2Wait+5*time.Millisecond {
-		t.Fatalf("H3 wait %v vs H2 wait %v, want +5ms", h3Wait, h2Wait)
+	if h3Wait != h2Wait+8*time.Millisecond {
+		t.Fatalf("H3 wait %v vs H2 wait %v, want +8ms", h3Wait, h2Wait)
 	}
 }
 
@@ -417,10 +414,7 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 		Content: func(host, path string) (int, bool) {
 			return 4000, true
 		},
-		HitWait:     2 * time.Millisecond,
-		MissPenalty: 50 * time.Millisecond,
-		WaitJitter:  -1, // disabled
-		TTL:         2 * time.Second,
+		TTL: 2 * time.Second, // no Rng: no jitter
 	})
 	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: edge.Handler()}); err != nil {
 		t.Fatal(err)
@@ -455,10 +449,11 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 	if headersOf["stale"] != "MISS" {
 		t.Fatalf("post-TTL request = %q, want MISS", headersOf["stale"])
 	}
-	// The waiter answers HitWait after the leader's fill lands, not a
-	// full MissPenalty later: it joined the flight instead of fetching.
-	if got := timeOf["waiter"] - timeOf["leader"]; got != 2*time.Millisecond {
-		t.Fatalf("waiter trailed leader by %v, want HitWait (2ms)", got)
+	// The waiter answers edgeHitWait after the leader's fill lands, not
+	// a full edgeMissPenalty later: it joined the flight instead of
+	// fetching.
+	if got := timeOf["waiter"] - timeOf["leader"]; got != edgeHitWait {
+		t.Fatalf("waiter trailed leader by %v, want edgeHitWait (%v)", got, edgeHitWait)
 	}
 	if edge.Stampedes() != 1 {
 		t.Fatalf("stampedes = %d, want 1", edge.Stampedes())
@@ -470,7 +465,7 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 }
 
 func TestEdge404(t *testing.T) {
-	sched, n, _ := edgeWorld(t, "Fastly", 0)
+	sched, n, _ := edgeWorld(t, "Fastly")
 	client := n.Host("client")
 	conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "f.sim", httpsim.DialConfig{})
 	var status int

@@ -12,6 +12,26 @@ import (
 // ContentFunc resolves a resource's body size. ok=false yields a 404.
 type ContentFunc func(host, path string) (size int, ok bool)
 
+// Server processing costs. Jitter is drawn only when a config carries an
+// Rng.
+const (
+	// edgeHitWait is an edge's processing time for a cache hit.
+	edgeHitWait = 2 * time.Millisecond
+	// edgeMissPenalty is the extra delay of an edge's origin fetch on a
+	// cache miss.
+	edgeMissPenalty = 80 * time.Millisecond
+	// edgeWaitJitter bounds the uniform extra wait U[0, edgeWaitJitter).
+	edgeWaitJitter = time.Millisecond
+	// originWait is an origin server's per-request processing time.
+	originWait = 15 * time.Millisecond
+	// originWaitJitter bounds the origin's uniform extra wait.
+	originWaitJitter = 4 * time.Millisecond
+	// h3WaitOverhead is the extra per-request server compute under H3
+	// (QPACK, the UDP path), at edges and origins alike: the paper
+	// observes a median wait reduction below zero (§VI-B).
+	h3WaitOverhead = 8 * time.Millisecond
+)
+
 // EdgeConfig configures one CDN edge server's request handling.
 type EdgeConfig struct {
 	// Provider supplies the response-header signature.
@@ -22,25 +42,14 @@ type EdgeConfig struct {
 	Content ContentFunc
 	// CacheCapacity bounds the edge LRU cache (entries). Default 8192.
 	CacheCapacity int
-	// HitWait is the processing time for a cache hit. Default 2ms.
-	HitWait time.Duration
-	// MissPenalty is the extra delay for fetching from the origin on a
-	// cache miss. Default 80ms.
-	MissPenalty time.Duration
-	// H3WaitOverhead is the extra per-request compute for H3 (QPACK,
-	// UDP path): the paper observes median wait reduction below zero.
-	// Default 8ms.
-	H3WaitOverhead time.Duration
-	// WaitJitter adds U[0,WaitJitter) to every wait. Default 1ms.
-	WaitJitter time.Duration
-	// Rng drives jitter; required when WaitJitter > 0.
+	// Rng drives the wait jitter; nil draws none.
 	Rng *rand.Rand
 	// TTL, when positive, turns on expiring-cache semantics: every
 	// cached entry is stamped with an absolute expiry (fill time + TTL)
 	// and a request arriving past it is a miss again. TTL mode also
 	// collapses concurrent misses for the same resource into one origin
 	// fetch (single-flight): the first miss is the leader and pays the
-	// full MissPenalty; overlapping requests join as waiters, answered
+	// full edgeMissPenalty; overlapping requests join as waiters, answered
 	// the moment the leader's fetch lands, and are counted as stampede
 	// joins. Zero keeps the legacy never-expiring cache (the §III-B
 	// closed-loop protocol, where per-visit scheduler drains make
@@ -51,25 +60,6 @@ type EdgeConfig struct {
 	// edge's epoch start, for engines that rebuild universes (and their
 	// schedulers, which restart at zero) across checkpoint epochs.
 	NowOffset time.Duration
-}
-
-func (c EdgeConfig) withDefaults() EdgeConfig {
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 8192
-	}
-	if c.HitWait == 0 {
-		c.HitWait = 2 * time.Millisecond
-	}
-	if c.MissPenalty == 0 {
-		c.MissPenalty = 80 * time.Millisecond
-	}
-	if c.H3WaitOverhead == 0 {
-		c.H3WaitOverhead = 8 * time.Millisecond
-	}
-	if c.WaitJitter == 0 {
-		c.WaitJitter = time.Millisecond
-	}
-	return c
 }
 
 // resourceKey identifies a cached resource without concatenating the
@@ -107,7 +97,9 @@ type Edge struct {
 
 // NewEdge creates the edge state and returns it with its handler.
 func NewEdge(cfg EdgeConfig) *Edge {
-	cfg = cfg.withDefaults()
+	if cfg.CacheCapacity == 0 {
+		cfg.CacheCapacity = 8192
+	}
 	e := &Edge{cfg: cfg, cache: NewLRUCache[resourceKey](cfg.CacheCapacity)}
 	if cfg.TTL > 0 {
 		e.inflight = make(map[resourceKey]*originFlight)
@@ -178,16 +170,16 @@ func (e *Edge) Handler() httpsim.Handler {
 		}
 		size, ok := e.cfg.Content(ctx.Req.Host, ctx.Req.Path)
 		if !ok {
-			e.respondAfter(e.cfg.HitWait, respond, httpsim.Response{
+			e.respondAfter(edgeHitWait, respond, httpsim.Response{
 				Status: 404,
 				Header: e.headers(false),
 			})
 			return
 		}
 		key := resourceKey{ctx.Req.Host, ctx.Req.Path}
-		wait := e.cfg.HitWait
+		wait := edgeHitWait
 		if ctx.Protocol == httpsim.H3 {
-			wait += e.cfg.H3WaitOverhead
+			wait += h3WaitOverhead
 		}
 		if e.cfg.TTL > 0 {
 			e.handleTTL(ctx, respond, key, size, wait)
@@ -195,13 +187,10 @@ func (e *Edge) Handler() httpsim.Handler {
 		}
 		hit := e.cache.Contains(key)
 		if !hit {
-			wait += e.cfg.MissPenalty
+			wait += edgeMissPenalty
 			e.cache.Add(key)
 		}
-		if e.cfg.WaitJitter > 0 && e.cfg.Rng != nil {
-			wait += time.Duration(e.cfg.Rng.Int63n(int64(e.cfg.WaitJitter)))
-		}
-		e.respondAfter(wait, respond, httpsim.Response{
+		e.respondAfter(wait+jitter(e.cfg.Rng, edgeWaitJitter), respond, httpsim.Response{
 			Status:   200,
 			Header:   e.headers(hit),
 			BodySize: size,
@@ -211,10 +200,10 @@ func (e *Edge) Handler() httpsim.Handler {
 
 // handleTTL serves one request under expiring-cache semantics with
 // single-flight miss collapsing. baseWait is the hit-processing cost
-// (HitWait plus any H3 overhead) every answer pays.
+// (edgeHitWait plus any H3 overhead) every answer pays.
 //
 // Hits answer after baseWait (+jitter). The first miss for a resource
-// becomes the flight leader: it pays baseWait + MissPenalty (+jitter),
+// becomes the flight leader: it pays baseWait + edgeMissPenalty (+jitter),
 // then fills the cache — stamping expiry fill-time + TTL — and answers
 // itself and every waiter. Requests that miss while the leader's fetch
 // is in progress join as waiters: they draw no jitter (their timing is
@@ -225,11 +214,7 @@ func (e *Edge) Handler() httpsim.Handler {
 func (e *Edge) handleTTL(ctx *httpsim.ServerContext, respond func(httpsim.Response), key resourceKey, size int, baseWait time.Duration) {
 	miss := httpsim.Response{Status: 200, Header: e.headers(false), BodySize: size}
 	if e.cache.ContainsAt(key, e.now()) {
-		wait := baseWait
-		if e.cfg.WaitJitter > 0 && e.cfg.Rng != nil {
-			wait += time.Duration(e.cfg.Rng.Int63n(int64(e.cfg.WaitJitter)))
-		}
-		e.respondAfter(wait, respond, httpsim.Response{
+		e.respondAfter(baseWait+jitter(e.cfg.Rng, edgeWaitJitter), respond, httpsim.Response{
 			Status:   200,
 			Header:   e.headers(true),
 			BodySize: size,
@@ -245,11 +230,7 @@ func (e *Edge) handleTTL(ctx *httpsim.ServerContext, respond func(httpsim.Respon
 	}
 	fl := &originFlight{}
 	e.inflight[key] = fl
-	wait := baseWait + e.cfg.MissPenalty
-	if e.cfg.WaitJitter > 0 && e.cfg.Rng != nil {
-		wait += time.Duration(e.cfg.Rng.Int63n(int64(e.cfg.WaitJitter)))
-	}
-	e.cfg.Sched.After(wait, func() {
+	e.cfg.Sched.After(baseWait+edgeMissPenalty+jitter(e.cfg.Rng, edgeWaitJitter), func() {
 		e.cache.AddAt(key, e.now()+e.cfg.TTL)
 		delete(e.inflight, key)
 		respond(miss)
@@ -257,6 +238,14 @@ func (e *Edge) handleTTL(ctx *httpsim.ServerContext, respond func(httpsim.Respon
 			w()
 		}
 	})
+}
+
+// jitter draws a server's extra wait, U[0, max), or none without an Rng.
+func jitter(rng *rand.Rand, max time.Duration) time.Duration {
+	if rng == nil {
+		return 0
+	}
+	return time.Duration(rng.Int63n(int64(max)))
 }
 
 func (e *Edge) respondAfter(wait time.Duration, respond func(httpsim.Response), resp httpsim.Response) {
@@ -302,33 +291,14 @@ type OriginConfig struct {
 	Sched *simnet.Scheduler
 	// Content resolves resource sizes.
 	Content ContentFunc
-	// Wait is the per-request processing time. Default 15ms.
-	Wait time.Duration
-	// H3WaitOverhead mirrors the edge's H3 compute cost. Default 8ms.
-	H3WaitOverhead time.Duration
-	// WaitJitter adds U[0,WaitJitter). Default 4ms.
-	WaitJitter time.Duration
-	Rng        *rand.Rand
-}
-
-func (c OriginConfig) withDefaults() OriginConfig {
-	if c.Wait == 0 {
-		c.Wait = 15 * time.Millisecond
-	}
-	if c.H3WaitOverhead == 0 {
-		c.H3WaitOverhead = 8 * time.Millisecond
-	}
-	if c.WaitJitter == 0 {
-		c.WaitJitter = 4 * time.Millisecond
-	}
-	return c
+	// Rng drives the wait jitter; nil draws none.
+	Rng *rand.Rand
 }
 
 // NewOriginHandler returns a handler for a site's own (non-CDN) server.
 // Its headers carry no CDN signature, so locedge classifies its entries
 // as non-CDN.
 func NewOriginHandler(cfg OriginConfig) httpsim.Handler {
-	cfg = cfg.withDefaults()
 	// One canonical header map for every response; read-only downstream.
 	originHeaders := map[string]string{"server": "nginx/1.22"}
 	return func(ctx *httpsim.ServerContext, respond func(httpsim.Response)) {
@@ -339,13 +309,10 @@ func NewOriginHandler(cfg OriginConfig) httpsim.Handler {
 		} else {
 			resp.BodySize = size
 		}
-		wait := cfg.Wait
+		wait := originWait
 		if ctx.Protocol == httpsim.H3 {
-			wait += cfg.H3WaitOverhead
+			wait += h3WaitOverhead
 		}
-		if cfg.WaitJitter > 0 && cfg.Rng != nil {
-			wait += time.Duration(cfg.Rng.Int63n(int64(cfg.WaitJitter)))
-		}
-		cfg.Sched.After(wait, func() { respond(resp) })
+		cfg.Sched.After(wait+jitter(cfg.Rng, originWaitJitter), func() { respond(resp) })
 	}
 }

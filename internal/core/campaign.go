@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -37,7 +38,7 @@ type CampaignConfig struct {
 	// Vantages lists probe sites. Default: the three CloudLab sites.
 	Vantages []vantage.Point
 	// ProbesPerVantage overrides each site's probe count (0 keeps the
-	// site default).
+	// site default; negative is an error).
 	ProbesPerVantage int
 	// Modes lists browsing modes. Default {ModeH2, ModeH3}.
 	Modes []browser.Mode
@@ -45,7 +46,7 @@ type CampaignConfig struct {
 	// Control sweep adds more. Zero selects the default baseline of
 	// 0.3% (real Internet paths are not lossless — the paper's "0%"
 	// condition refers to *added* loss); pass a negative value for a
-	// genuinely lossless network.
+	// genuinely lossless network. NaN and rates of 1 or more are errors.
 	LossRate float64
 	// Impairment, when non-nil, applies the fault-injection layer
 	// (bursty loss, jitter, reordering, outages) to every client↔server
@@ -74,17 +75,12 @@ type CampaignConfig struct {
 	// parallel runs of the same config produce identical datasets.
 	Sequential bool
 	// Workers bounds the worker pool draining shards. 0 selects
-	// GOMAXPROCS.
+	// GOMAXPROCS; negative is an error.
 	Workers int
 	// PagesPerShard is the page-range granularity of one shard (0
 	// selects 128). Consecutive mode ignores it: session continuity
 	// spans the whole corpus, so each probe is a single shard.
 	PagesPerShard int
-	// H3WaitOverhead / MissPenalty / MaxEvents pass through to the
-	// universes.
-	H3WaitOverhead time.Duration
-	MissPenalty    time.Duration
-	MaxEvents      int
 	// QlogDir, when non-empty, enables event tracing and writes one
 	// qlog JSONL file per shard (<mode>_<vantage>_p<probe>_s<shard>.qlog)
 	// covering every measured visit. The directory must exist. Shard
@@ -283,11 +279,23 @@ func shardCampaign(cfg CampaignConfig, corpus *webgen.Corpus) []shardJob {
 	return jobs
 }
 
-// Validate reports the first configuration error: a bad retention or
-// traffic config, a campaign that would decompose into zero shards, or a
-// traffic campaign combined with per-visit machinery it cannot honor.
+// Validate reports the first configuration error: a negative count, a
+// loss rate that is NaN or drops every packet, a bad retention or traffic
+// config, a campaign that would decompose into zero shards, or a traffic
+// campaign combined with per-visit machinery it cannot honor.
 // RunCampaign calls it; front ends call it to fail before any other work.
 func (c CampaignConfig) Validate() error {
+	switch {
+	case c.Corpus == nil && c.CorpusConfig.NumPages < 0:
+		return fmt.Errorf("core: corpus of %d pages", c.CorpusConfig.NumPages)
+	case c.ProbesPerVantage < 0:
+		return fmt.Errorf("core: %d probes per vantage", c.ProbesPerVantage)
+	case c.Workers < 0:
+		return fmt.Errorf("core: %d workers", c.Workers)
+	case math.IsNaN(c.LossRate) || c.LossRate >= 1:
+		// Negative still means lossless (see LossRate).
+		return fmt.Errorf("core: loss rate %v: must be below 1", c.LossRate)
+	}
 	c = c.withDefaults()
 	if err := c.Retention.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -459,16 +467,13 @@ func runShard(cfg CampaignConfig, topo *Topology, job shardJob) shardResult {
 // one shard-epoch (population source); view is the corpus slice it serves.
 func (c CampaignConfig) universeConfig(job shardJob, seed uint64, view *webgen.Corpus, topo *Topology) UniverseConfig {
 	return UniverseConfig{
-		Seed:           seed,
-		Corpus:         view,
-		Topology:       topo,
-		Vantage:        job.point,
-		LossRate:       c.LossRate,
-		Impair:         c.Impairment,
-		LinkTrace:      c.LinkTrace,
-		H3WaitOverhead: c.H3WaitOverhead,
-		MissPenalty:    c.MissPenalty,
-		MaxEvents:      c.MaxEvents,
+		Seed:      seed,
+		Corpus:    view,
+		Topology:  topo,
+		Vantage:   job.point,
+		LossRate:  c.LossRate,
+		Impair:    c.Impairment,
+		LinkTrace: c.LinkTrace,
 	}
 }
 

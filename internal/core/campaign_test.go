@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,12 @@ func TestValidateRejectsZeroShardAndDuplicateModeCampaigns(t *testing.T) {
 		{"duplicate-mode", func(c *CampaignConfig) {
 			c.Modes = []browser.Mode{browser.ModeH2, browser.ModeH3, browser.ModeH2}
 		}, "listed twice"},
+		{"negative-pages", func(c *CampaignConfig) { c.CorpusConfig.NumPages = -3 }, "-3 pages"},
+		{"negative-probes", func(c *CampaignConfig) { c.ProbesPerVantage = -1 }, "-1 probes"},
+		{"negative-workers", func(c *CampaignConfig) { c.Workers = -1 }, "-1 workers"},
+		{"nan-loss", func(c *CampaignConfig) { c.LossRate = math.NaN() }, "loss rate NaN"},
+		{"total-loss", func(c *CampaignConfig) { c.LossRate = 1 }, "loss rate 1"},
+		{"loss-above-one", func(c *CampaignConfig) { c.LossRate = 1.5 }, "loss rate 1.5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,5 +228,8 @@ func TestValidateRejectsZeroShardAndDuplicateModeCampaigns(t *testing.T) {
 	}
 	if err := (CampaignConfig{}).Validate(); err != nil {
 		t.Fatalf("zero config (all defaults): %v", err)
+	}
+	if err := (CampaignConfig{LossRate: -1}).Validate(); err != nil {
+		t.Fatalf("negative loss (lossless): %v", err)
 	}
 }

@@ -41,7 +41,7 @@ func trafficVisitSample(log *har.PageLog) sketch.VisitSample {
 // cacheWarmth reads the visit's edge-cache interaction off its response
 // headers: HIT/MISS counts across entries, and whether the visit ran
 // fully warm — at least one edge hit and not a single origin fetch, so
-// its PLT never paid a MissPenalty. Entries without an x-cache header
+// its PLT never paid an edge miss penalty. Entries without an x-cache header
 // (origin-served resources) count neither way.
 func cacheWarmth(log *har.PageLog) (hits, misses int64, warm bool) {
 	for i := range log.Entries {

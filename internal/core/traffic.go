@@ -45,8 +45,8 @@ func (c CampaignConfig) checkpointDigest(corpusPages int) string {
 	tc := c.Traffic.WithDefaults()
 	tc.CheckpointDir, tc.HaltAfterEpochs = "", 0
 	h := sha256.New()
-	fmt.Fprintf(h, "%+v|pages=%d|loss=%v|retain=%s|retries=%d|h3wait=%v|miss=%v|maxevents=%d",
-		tc, corpusPages, c.LossRate, c.Retention, c.FetchRetries, c.H3WaitOverhead, c.MissPenalty, c.MaxEvents)
+	fmt.Fprintf(h, "%+v|pages=%d|loss=%v|retain=%s|retries=%d",
+		tc, corpusPages, c.LossRate, c.Retention, c.FetchRetries)
 	if c.Impairment != nil {
 		fmt.Fprintf(h, "|impair=%+v", *c.Impairment)
 	}

@@ -27,6 +27,15 @@ import (
 // probeAddr is the probe host's address in every universe.
 const probeAddr simnet.Addr = "probe"
 
+const (
+	// accessDownBps / accessUpBps are the probe's access link rates.
+	accessDownBps = 200e6
+	accessUpBps   = 50e6
+	// maxEvents bounds one scheduler run: a runaway guard no healthy
+	// visit comes near.
+	maxEvents = 200_000_000
+)
+
 // UniverseConfig assembles one probe's view of the simulated Internet.
 type UniverseConfig struct {
 	// Seed drives path randomness (per probe).
@@ -50,23 +59,14 @@ type UniverseConfig struct {
 	// read-only: it is shared across paths and, in campaigns, across
 	// worker goroutines; per-path mutable state lives inside simnet.
 	Impair *simnet.Impairment
-	// AccessDownBps / AccessUpBps are the probe's access link rates.
-	// Defaults 200 / 50 Mbit/s.
-	AccessDownBps float64
-	AccessUpBps   float64
 	// LinkTrace, when non-nil, replaces the download access link's fixed
 	// rate with trace-driven variable capacity (simnet.TraceLink replay).
-	// The upload direction keeps AccessUpBps: cellular recordings capture
+	// The upload direction keeps accessUpBps: cellular recordings capture
 	// the downlink, and the paper's bottleneck is the last-mile download
 	// path. Composes with Impair — capacity first, then the fault dice.
 	// The TraceLink must be immutable; it is shared across paths and
 	// worker goroutines.
 	LinkTrace *simnet.TraceLink
-	// H3WaitOverhead is the extra per-request server compute under H3.
-	// Default 2ms (see cdn.EdgeConfig).
-	H3WaitOverhead time.Duration
-	// MissPenalty is the edge-cache origin-fetch penalty. Default 80ms.
-	MissPenalty time.Duration
 	// EdgeTTL, when positive, gives every edge cache entry a lifetime and
 	// turns on single-flight origin-fetch collapsing (traffic campaigns);
 	// zero keeps the legacy infinite-TTL edge behavior.
@@ -76,30 +76,12 @@ type UniverseConfig struct {
 	// checkpoint epoch in a fresh universe and set this to the epoch's
 	// campaign-absolute start, so cache dumps carry across universes.
 	ClockOffset time.Duration
-	// MaxEvents bounds one scheduler run. Default 200M.
-	MaxEvents int
 	// Trace, when non-nil, records per-visit event traces: RunVisit
 	// brackets each measured visit with BeginVisit/EndVisit and every
 	// layer underneath (network, transports, TLS, HTTP, browser) emits
 	// into it. Warm passes (RunVisitDiscard) are not traced. Nil adds
 	// zero overhead anywhere.
 	Trace *trace.Tracer
-}
-
-func (c UniverseConfig) withDefaults() UniverseConfig {
-	if c.AccessDownBps == 0 {
-		c.AccessDownBps = 200e6
-	}
-	if c.AccessUpBps == 0 {
-		c.AccessUpBps = 50e6
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 200_000_000
-	}
-	if c.Vantage.Name == "" {
-		c.Vantage = vantage.Points()[0]
-	}
-	return c
 }
 
 // Universe is one probe's simulated Internet: the probe host, the
@@ -149,7 +131,9 @@ type nodeClass struct {
 // NewUniverse builds the probe's network and the per-shard randomness;
 // servers are instantiated on first contact (see Universe).
 func NewUniverse(cfg UniverseConfig) (*Universe, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Vantage.Name == "" {
+		cfg.Vantage = vantage.Points()[0]
+	}
 	if cfg.Corpus == nil {
 		return nil, fmt.Errorf("core: NewUniverse: nil corpus")
 	}
@@ -199,7 +183,7 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 			nc := u.nodes[srcA]
 			props = simnet.PathProps{
 				Delay:        nc.delay,
-				BandwidthBps: minf(nc.bw, cfg.AccessDownBps),
+				BandwidthBps: minf(nc.bw, accessDownBps),
 				LossRate:     cfg.LossRate,
 				LinkID:       "access-down",
 				Impair:       cfg.Impair,
@@ -209,7 +193,7 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 			nc := u.nodes[dst]
 			props = simnet.PathProps{
 				Delay:        nc.delay,
-				BandwidthBps: cfg.AccessUpBps,
+				BandwidthBps: accessUpBps,
 				LossRate:     cfg.LossRate,
 				LinkID:       "access-up",
 				Impair:       cfg.Impair,
@@ -218,7 +202,7 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 		return props
 	}
 
-	sched := &simnet.Scheduler{MaxEvents: cfg.MaxEvents}
+	sched := &simnet.Scheduler{MaxEvents: maxEvents}
 	net := simnet.NewNetwork(sched, pf, src.Sub("net"))
 	net.SetTracer(cfg.Trace)
 	u.Sched = sched
@@ -260,14 +244,12 @@ func (u *Universe) startEdge(provider string, addr simnet.Addr) error {
 	p := u.topo.providers[provider]
 	host := u.Net.AddHost(addr)
 	edge := cdn.NewEdge(cdn.EdgeConfig{
-		Provider:       p,
-		Sched:          u.Sched,
-		Content:        u.topo.ContentSize,
-		H3WaitOverhead: u.cfg.H3WaitOverhead,
-		MissPenalty:    u.cfg.MissPenalty,
-		TTL:            u.cfg.EdgeTTL,
-		NowOffset:      u.cfg.ClockOffset,
-		Rng:            u.src.Stream("edgewait", p.Name),
+		Provider:  p,
+		Sched:     u.Sched,
+		Content:   u.topo.ContentSize,
+		TTL:       u.cfg.EdgeTTL,
+		NowOffset: u.cfg.ClockOffset,
+		Rng:       u.src.Stream("edgewait", p.Name),
 	})
 	srv, err := httpsim.StartServer(host, httpsim.ServerConfig{
 		Handler:      edge.Handler(),
@@ -305,10 +287,9 @@ func (u *Universe) startOrigin(site string, addr simnet.Addr) error {
 		}
 	}
 	handler := cdn.NewOriginHandler(cdn.OriginConfig{
-		Sched:          u.Sched,
-		Content:        u.topo.ContentSize,
-		H3WaitOverhead: u.cfg.H3WaitOverhead,
-		Rng:            u.src.Stream("originwait", site),
+		Sched:   u.Sched,
+		Content: u.topo.ContentSize,
+		Rng:     u.src.Stream("originwait", site),
 	})
 	srv, err := httpsim.StartServer(host, httpsim.ServerConfig{
 		Handler:      handler,

@@ -56,3 +56,24 @@ func TestRetentionValidate(t *testing.T) {
 		t.Error("unknown kind must not validate")
 	}
 }
+
+// FuzzParseRetention: whatever -har-retention string ParseRetention
+// accepts is a valid policy that renders back to itself.
+func FuzzParseRetention(f *testing.F) {
+	for _, s := range []string{"all", "none", "sample:1", "sample:64", "sample:+7", "sample:0", "sample:-1", "sample:", "keep", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRetention(s)
+		if err != nil {
+			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("ParseRetention(%q) = %+v, which fails Validate: %v", s, r, err)
+		}
+		back, err := ParseRetention(r.String())
+		if err != nil || back != r {
+			t.Fatalf("ParseRetention(%q) = %+v renders %q, which parses to %+v, %v", s, r, r.String(), back, err)
+		}
+	})
+}

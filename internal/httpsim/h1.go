@@ -23,8 +23,9 @@ type DialConfig struct {
 	// EnableEarlyData sends TLS 0-RTT requests on resumed H1/H2
 	// connections.
 	EnableEarlyData bool
-	// TCP tunes the TCP endpoints under H1/H2.
-	TCP TCPOptions
+	// Recovery receives the TCP endpoint's loss-recovery counters (nil
+	// disables; see simnet.RecoveryStats).
+	Recovery *simnet.RecoveryStats
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
 	// Pools, when non-nil, supplies the universe's shared allocation
@@ -34,15 +35,6 @@ type DialConfig struct {
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
 	Trace *trace.Tracer
-}
-
-// TCPOptions is re-exported here to avoid each caller importing tcpsim.
-type TCPOptions struct {
-	RTOInit    time.Duration
-	MaxRetries int
-	// Recovery receives the endpoint's loss-recovery counters (nil
-	// disables; see simnet.RecoveryStats).
-	Recovery *simnet.RecoveryStats
 }
 
 type h1Pending struct {
@@ -122,10 +114,12 @@ func DialH1(host *simnet.Host, addr simnet.Addr, port uint16, serverName string,
 // Close/Abort work mid-handshake.
 func dialTLS(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, proto Protocol,
 	cfg DialConfig, done func(*tlssim.Conn, error), early func(*tlssim.Conn)) {
-	tcpCfg := tcpsimConfig(cfg.TCP)
-	tcpCfg.Trace = cfg.Trace
-	tcpCfg.Pools = &cfg.Pools.TCP
-	tcpCfg.Arena = &cfg.Pools.Arena
+	tcpCfg := tcpsim.Config{
+		Recovery: cfg.Recovery,
+		Trace:    cfg.Trace,
+		Pools:    &cfg.Pools.TCP,
+		Arena:    &cfg.Pools.Arena,
+	}
 	version := cfg.TLSVersion
 	if version == 0 {
 		version = tlssim.TLS13

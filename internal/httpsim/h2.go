@@ -5,14 +5,9 @@ import (
 	"time"
 
 	"h3cdn/internal/simnet"
-	"h3cdn/internal/tcpsim"
 	"h3cdn/internal/tlssim"
 	"h3cdn/internal/trace"
 )
-
-func tcpsimConfig(o TCPOptions) tcpsim.Config {
-	return tcpsim.Config{RTOInit: o.RTOInit, MaxRetries: o.MaxRetries, Recovery: o.Recovery}
-}
 
 type h2Pending struct {
 	req *Request

@@ -30,8 +30,7 @@ type ServerConfig struct {
 	EnableH3 bool
 	// HandshakeCPU models server crypto compute time per handshake.
 	HandshakeCPU time.Duration
-	// TCP and QUIC tune the transports.
-	TCP  tcpsim.Config
+	// QUIC tunes the QUIC transport.
 	QUIC quicsim.Config
 	// Pools, when non-nil, supplies the universe's shared allocation
 	// arenas (transport records, buffers, header caches, stream states).
@@ -59,10 +58,7 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 	cfg.Pools = orPrivate(cfg.Pools)
 	s := &Server{host: host, cfg: cfg}
 
-	tcpCfg := cfg.TCP
-	tcpCfg.Trace = cfg.Trace
-	tcpCfg.Pools = &cfg.Pools.TCP
-	tcpCfg.Arena = &cfg.Pools.Arena
+	tcpCfg := tcpsim.Config{Trace: cfg.Trace, Pools: &cfg.Pools.TCP, Arena: &cfg.Pools.Arena}
 	tcpL, err := tcpsim.Listen(host, TCPPort, tcpCfg, func(tc *tcpsim.Conn) {
 		var tconn *tlssim.Conn
 		tconn = tlssim.Server(tc, tlssim.ServerConfig{

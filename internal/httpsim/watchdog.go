@@ -12,7 +12,7 @@ import (
 var ErrRequestTimeout = errors.New("httpsim: request timed out")
 
 // requestTimeout is the client-side silence budget while requests are in
-// flight: 2x the QUIC transport's ProbeTimeout floor (15s), so transport
+// flight: 2x the QUIC transport's probeTimeout floor (15s), so transport
 // recovery always gets a full probe episode before the HTTP layer gives
 // up. It exists for the gap transport timers cannot cover: a client with
 // every sent byte acknowledged has nothing in flight, arms no PTO/RTO,

@@ -30,10 +30,10 @@ func TestArmPTOAfterCloseIsNoOp(t *testing.T) {
 }
 
 // TestBlackoutSurvivesBeyondMaxPTOs covers the PTO bugfix: with a tiny
-// SRTT the backoff base clamps to PTOMin (2ms), so MaxPTOs consecutive
+// SRTT the backoff base clamps to ptoMin (2ms), so MaxPTOs consecutive
 // expirations exhaust in ~1s of virtual time. A 3s blackout must not
-// kill the connection — failure requires the ProbeTimeout real-time
-// floor (default 15s) as well as the count.
+// kill the connection — failure requires the probeTimeout virtual-time
+// floor (15s) as well as the count.
 func TestBlackoutSurvivesBeyondMaxPTOs(t *testing.T) {
 	w := newWorld(t, 200*time.Microsecond, 0, 0, 7)
 	echoListen(t, w)
@@ -90,19 +90,19 @@ func defaultMaxPTOs() int {
 }
 
 // TestProbeTimeoutFailsUnderPermanentBlackout checks the give-up path is
-// still reachable: once both MaxPTOs and ProbeTimeout are exceeded with
-// no connectivity, the connection errors out with ErrTimeout and counts
-// a ConnFailure.
+// still reachable: once both MaxPTOs and probeTimeout (15s of virtual
+// time) are exceeded with no connectivity, the connection errors out
+// with ErrTimeout and counts a ConnFailure — not before the floor.
 func TestProbeTimeoutFailsUnderPermanentBlackout(t *testing.T) {
 	w := newWorld(t, 200*time.Microsecond, 0, 0, 7)
 	echoListen(t, w)
 	var rec simnet.RecoveryStats
 
 	var closeErr error
+	var closedAt time.Duration
 	closed := false
-	cfg := Config{ProbeTimeout: 500 * time.Millisecond, Recovery: &rec}
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Config: cfg}, func(c *Conn) {
-		c.SetCloseFunc(func(err error) { closeErr = err; closed = true })
+	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Config: Config{Recovery: &rec}}, func(c *Conn) {
+		c.SetCloseFunc(func(err error) { closeErr, closedAt, closed = err, w.sched.Now(), true })
 		s := c.OpenStream()
 		w.sched.At(5*time.Millisecond, func() {
 			w.net.SetFilter(func(simnet.Packet) bool { return false })
@@ -119,6 +119,11 @@ func TestProbeTimeoutFailsUnderPermanentBlackout(t *testing.T) {
 	}
 	if !errors.Is(closeErr, ErrTimeout) {
 		t.Fatalf("close error = %v, want ErrTimeout", closeErr)
+	}
+	// The blackout starts at 5ms and the first probe fires a PTO later,
+	// so the give-up cannot come before 5ms + probeTimeout.
+	if closedAt < 5*time.Millisecond+probeTimeout {
+		t.Fatalf("gave up at %v, before the %v probe floor", closedAt, probeTimeout)
 	}
 	if rec.ConnFailures != 1 {
 		t.Fatalf("ConnFailures = %d, want 1", rec.ConnFailures)

@@ -70,7 +70,6 @@ type Conn struct {
 	shSeen      bool
 	issuedToken uint64 // server side: token granted in our ServerHello
 	cid         uint64 // connection ID (assigned by the server)
-	migrations  int    // client: address changes performed
 	hsStart     time.Duration
 	hsDone      time.Duration
 	serverName  string
@@ -181,7 +180,7 @@ func newConn(host *simnet.Host, cfg Config) *Conn {
 		cwnd:    float64(cfg.InitCwndPkts * maxPacketPayload),
 		pools:   cfg.Pools,
 	}
-	c.ssthresh = float64(cfg.MaxCwndPkts * maxPacketPayload)
+	c.ssthresh = maxCwndPkts * maxPacketPayload
 	c.ptoTimer = c.sched.NewTimer(c.onPTO)
 	c.traceID = cfg.Trace.ConnID()
 	return c
@@ -232,32 +231,6 @@ func (c *Conn) OpenStream() *Stream {
 	return s
 }
 
-// Migrate moves a client connection to a fresh local port — the
-// simulator's stand-in for an address change (Wi-Fi to cellular). The
-// server keeps routing by connection ID (RFC 9000 §9) and updates its
-// view of the peer path; packets in flight to the old port are lost and
-// recover through normal loss detection.
-func (c *Conn) Migrate() {
-	if !c.isClient || c.state == stateClosed {
-		return
-	}
-	c.host.Unbind(c.localPort)
-	c.localPort = c.host.BindEphemeral(func(pkt simnet.Packet) {
-		p, ok := pkt.Payload.(*packet)
-		if !ok {
-			return
-		}
-		c.handlePacket(p)
-	})
-	c.migrations++
-	// Elicit a server response from the new path promptly.
-	c.ackQueued = true
-	c.trySend()
-}
-
-// Migrations reports how many address changes the client performed.
-func (c *Conn) Migrations() int { return c.migrations }
-
 // Close sends CONNECTION_CLOSE (clean) and releases all state.
 func (c *Conn) Close() { c.shutdown(nil) }
 
@@ -304,8 +277,8 @@ func (c *Conn) startCloseProbes() {
 		}
 		c.sched.After(gap, fire)
 		gap *= 2
-		if gap > c.cfg.PTOMax {
-			gap = c.cfg.PTOMax
+		if gap > ptoMax {
+			gap = ptoMax
 		}
 	}
 	fire()
@@ -369,9 +342,8 @@ func (c *Conn) becomeEstablished() {
 
 func (c *Conn) transmit(p *packet) {
 	// Both directions stamp the connection ID (0 until the handshake
-	// assigns one): the server routes on it after migration, and both
-	// peers use it to reject stale traffic from a previous incarnation
-	// of a recycled ephemeral port.
+	// assigns one): both peers use it to reject stale traffic from a
+	// previous incarnation of a recycled ephemeral port.
 	p.dcid = c.cid
 	c.stats.PacketsSent++
 	size := p.wireSize()
@@ -574,16 +546,16 @@ func (c *Conn) ptoDuration() time.Duration {
 	var base time.Duration
 	if c.hasRTT {
 		base = c.srtt + 4*c.rttvar
-		if base < c.cfg.PTOMin {
-			base = c.cfg.PTOMin
+		if base < ptoMin {
+			base = ptoMin
 		}
 	} else {
 		base = c.cfg.PTOInit
 	}
 	for i := 0; i < c.ptoCount; i++ {
 		base *= 2
-		if base >= c.cfg.PTOMax {
-			return c.cfg.PTOMax
+		if base >= ptoMax {
+			return ptoMax
 		}
 	}
 	return base
@@ -612,10 +584,10 @@ func (c *Conn) onPTO() {
 	}
 	c.ptoCount++
 	// Exhausting MaxPTOs alone is not fatal: the backoff base can be as
-	// small as PTOMin, so the count must be paired with a real-time
-	// floor (ProbeTimeout) before the connection gives up — this is what
+	// small as ptoMin, so the count must be paired with a virtual-time
+	// floor (probeTimeout) before the connection gives up — this is what
 	// lets a connection survive a multi-second blackout.
-	if c.ptoCount > c.cfg.MaxPTOs && c.sched.Now()-c.probeStart >= c.cfg.ProbeTimeout {
+	if c.ptoCount > c.cfg.MaxPTOs && c.sched.Now()-c.probeStart >= probeTimeout {
 		if c.cfg.Recovery != nil {
 			c.cfg.Recovery.ConnFailures++
 		}
@@ -723,8 +695,8 @@ func (c *Conn) handleAck(f *ackFrame) {
 		c.sent[i] = nil
 	}
 	c.sent = keep
-	if max := float64(c.cfg.MaxCwndPkts * maxPacketPayload); c.cwnd > max {
-		c.cwnd = max
+	if c.cwnd > maxCwndPkts*maxPacketPayload {
+		c.cwnd = maxCwndPkts * maxPacketPayload
 	}
 	c.rttSample(c.sched.Now() - largest.sentAt)
 	if c.ptoCount >= 2 && c.cfg.Recovery != nil {
@@ -738,7 +710,7 @@ func (c *Conn) handleAck(f *ackFrame) {
 	// the ordered slice, so lost packets form a prefix.
 	largestAcked := largest.pn
 	lost := 0
-	for lost < len(c.sent) && c.sent[lost].pn+c.cfg.ReorderThreshold <= largestAcked {
+	for lost < len(c.sent) && c.sent[lost].pn+reorderThreshold <= largestAcked {
 		lost++
 	}
 	c.cfg.Trace.QUICAck(c.sched.Now(), c.traceID, int64(largestAcked), len(f.ranges), lost)
@@ -876,8 +848,8 @@ func (c *Conn) handleClientHello(f *clientHelloFrame) {
 		// Bandwidth resumption: restart from the cached cwnd
 		// (capped), skipping slow start on the validated path.
 		if cached := c.scfg.Sessions.cachedCwnd(f.token); cached > c.cwnd {
-			if max := float64(c.cfg.MaxCwndPkts*maxPacketPayload) / 2; cached > max {
-				cached = max
+			if cached > maxCwndPkts*maxPacketPayload/2 {
+				cached = maxCwndPkts * maxPacketPayload / 2
 			}
 			c.cwnd = cached
 			c.ssthresh = cached

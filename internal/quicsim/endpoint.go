@@ -19,7 +19,6 @@ type Endpoint struct {
 	cfg     ServerConfig
 	accept  func(*Conn)
 	conns   map[peerKey]*Conn
-	byCID   map[uint64]*Conn
 	nextCID uint64
 	closed  bool
 }
@@ -34,7 +33,6 @@ func Listen(host *simnet.Host, port uint16, cfg ServerConfig, accept func(*Conn)
 		cfg:     cfg,
 		accept:  accept,
 		conns:   make(map[peerKey]*Conn),
-		byCID:   make(map[uint64]*Conn),
 		nextCID: 1,
 	}
 	e.cfg.Config = cfg.Config.withDefaults()
@@ -84,17 +82,6 @@ func (e *Endpoint) handlePacket(pkt simnet.Packet) {
 			c, ok = nil, false
 		}
 	}
-	if !ok && p.dcid != 0 {
-		// Connection migration: route by connection ID and adopt the
-		// new peer path (RFC 9000 §9).
-		if mc, found := e.byCID[p.dcid]; found && mc.state != stateClosed {
-			delete(e.conns, peerKey{mc.remote, mc.remotePort})
-			mc.remote = pkt.Src
-			mc.remotePort = pkt.SrcPort
-			e.conns[key] = mc
-			c, ok = mc, true
-		}
-	}
 	if !ok {
 		if !hasClientHello(p) {
 			// Unknown connection: stateless close so the peer
@@ -121,15 +108,11 @@ func (e *Endpoint) handlePacket(pkt simnet.Packet) {
 		c.cid = e.nextCID
 		e.nextCID++
 		e.conns[key] = c
-		e.byCID[c.cid] = c
 	}
 	c.handlePacket(p)
 }
 
 func (e *Endpoint) remove(addr simnet.Addr, port uint16) {
-	if c, ok := e.conns[peerKey{addr, port}]; ok {
-		delete(e.byCID, c.cid)
-	}
 	delete(e.conns, peerKey{addr, port})
 }
 

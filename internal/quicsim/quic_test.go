@@ -520,72 +520,3 @@ func TestBandwidthResumptionCapped(t *testing.T) {
 		t.Fatal("unknown token returned cwnd")
 	}
 }
-
-func TestConnectionMigration(t *testing.T) {
-	w := newWorld(t, 15*time.Millisecond, 50e6, 0, 4)
-	e := echoListen(t, w)
-	payload := patterned(256 * 1024)
-	var got bytes.Buffer
-	done := false
-	var conn *Conn
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
-		conn = c
-		s := c.OpenStream()
-		s.SetDataFunc(func(p []byte) { got.Write(p) })
-		s.SetFinFunc(func() { done = true })
-		s.Write(payload)
-		s.CloseWrite()
-		// Mid-transfer address change (Wi-Fi -> cellular analogue).
-		w.sched.After(40*time.Millisecond, c.Migrate)
-	})
-	w.run(t)
-	if !done {
-		t.Fatal("transfer did not complete across migration")
-	}
-	if !bytes.Equal(got.Bytes(), payload) {
-		t.Fatalf("payload corrupted across migration: %d/%d bytes", got.Len(), len(payload))
-	}
-	if conn.Migrations() != 1 {
-		t.Fatalf("migrations = %d, want 1", conn.Migrations())
-	}
-	if e.ConnCount() != 1 {
-		t.Fatalf("endpoint tracks %d conns after migration, want 1", e.ConnCount())
-	}
-}
-
-func TestMigrationThenClose(t *testing.T) {
-	w := newWorld(t, 10*time.Millisecond, 0, 0, 4)
-	e := echoListen(t, w)
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
-		w.sched.After(10*time.Millisecond, c.Migrate)
-		w.sched.After(60*time.Millisecond, c.Close)
-	})
-	w.run(t)
-	if e.ConnCount() != 0 {
-		t.Fatalf("endpoint tracks %d conns after close via migrated path", e.ConnCount())
-	}
-	if w.sched.Pending() != 0 {
-		t.Fatalf("%d stray events after migrated close", w.sched.Pending())
-	}
-}
-
-func TestMigrationSurvivesLoss(t *testing.T) {
-	w := newWorld(t, 10*time.Millisecond, 20e6, 0.03, 8)
-	echoListen(t, w)
-	payload := patterned(96 * 1024)
-	var got bytes.Buffer
-	done := false
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
-		s := c.OpenStream()
-		s.SetDataFunc(func(p []byte) { got.Write(p) })
-		s.SetFinFunc(func() { done = true })
-		s.Write(payload)
-		s.CloseWrite()
-		w.sched.After(30*time.Millisecond, c.Migrate)
-		w.sched.After(90*time.Millisecond, c.Migrate) // migrate twice
-	})
-	w.run(t)
-	if !done || !bytes.Equal(got.Bytes(), payload) {
-		t.Fatalf("double migration under loss: done=%v %d/%d bytes", done, got.Len(), len(payload))
-	}
-}

@@ -37,34 +37,37 @@ const (
 	sizeCloseFrame  = 16
 )
 
+const (
+	// maxCwndPkts caps the congestion window.
+	maxCwndPkts = 512
+	// ptoMin / ptoMax clamp the computed PTO. RFC 9002 uses timer
+	// granularity (~1ms), not TCP's conservative RTO floor — fast tail
+	// recovery is a genuine QUIC advantage.
+	ptoMin = 2 * time.Millisecond
+	ptoMax = 60 * time.Second
+	// probeTimeout is the minimum virtual time a connection keeps
+	// probing before MaxPTOs consecutive expirations may fail it.
+	// Failure requires both conditions: with a tiny SRTT the PTO base is
+	// ptoMin, so MaxPTOs backoffs alone can exhaust in well under a
+	// second — without this floor a multi-second blackout would kill
+	// every active connection instead of being ridden out.
+	probeTimeout = 15 * time.Second
+	// reorderThreshold is the packet-number distance that declares a
+	// packet lost (RFC 9002 kPacketThreshold).
+	reorderThreshold = 3
+)
+
 // Config tunes a QUIC endpoint. The zero value selects defaults.
 type Config struct {
 	// InitCwndPkts is the initial congestion window in packets.
 	// Default 10.
 	InitCwndPkts int
-	// MaxCwndPkts caps the congestion window. Default 512.
-	MaxCwndPkts int
 	// PTOInit is the probe timeout before an RTT sample exists.
 	// Default 1s.
 	PTOInit time.Duration
-	// PTOMin / PTOMax clamp the computed PTO. RFC 9002 uses timer
-	// granularity (~1ms), not TCP's conservative RTO floor — fast tail
-	// recovery is a genuine QUIC advantage. Defaults 2ms / 60s.
-	PTOMin time.Duration
-	PTOMax time.Duration
 	// MaxPTOs bounds consecutive probe timeouts before the connection
 	// errors out. Default 8.
 	MaxPTOs int
-	// ProbeTimeout is the minimum wall (virtual) time a connection keeps
-	// probing before MaxPTOs consecutive expirations may fail it.
-	// Failure requires both conditions: with a tiny SRTT the PTO base is
-	// PTOMin (2ms), so MaxPTOs backoffs alone can exhaust in well under
-	// a second — without this floor a multi-second blackout would kill
-	// every active connection instead of being ridden out. Default 15s.
-	ProbeTimeout time.Duration
-	// ReorderThreshold is the packet-number distance that declares a
-	// packet lost (RFC 9002 kPacketThreshold). Default 3.
-	ReorderThreshold uint64
 	// Pools, when non-nil, supplies the per-universe record arena shared
 	// by every endpoint of one scheduler goroutine. Nil gets a private
 	// one.
@@ -84,26 +87,11 @@ func (c Config) withDefaults() Config {
 	if c.InitCwndPkts == 0 {
 		c.InitCwndPkts = 10
 	}
-	if c.MaxCwndPkts == 0 {
-		c.MaxCwndPkts = 512
-	}
 	if c.PTOInit == 0 {
 		c.PTOInit = time.Second
 	}
-	if c.PTOMin == 0 {
-		c.PTOMin = 2 * time.Millisecond
-	}
-	if c.PTOMax == 0 {
-		c.PTOMax = 60 * time.Second
-	}
 	if c.MaxPTOs == 0 {
 		c.MaxPTOs = 8
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 15 * time.Second
-	}
-	if c.ReorderThreshold == 0 {
-		c.ReorderThreshold = 3
 	}
 	if c.Pools == nil {
 		c.Pools = &Pools{}
@@ -145,8 +133,8 @@ type serverHelloFrame struct {
 	resumed  bool
 	newToken uint64
 	// cid is the connection ID the server assigns; the client echoes
-	// it in every subsequent packet so the server can route packets
-	// from a migrated address (RFC 9000 §9).
+	// it in every subsequent packet, so packets from a previous
+	// incarnation of the same 4-tuple are told apart.
 	cid uint64
 }
 
@@ -202,8 +190,8 @@ type packet struct {
 	pn      uint64
 	frames  []frame
 	zeroRTT bool // sent as 0-RTT (before handshake confirmation)
-	// dcid routes short-header packets to the server connection even
-	// after the client's address changes (connection migration).
+	// dcid is the connection ID of the sending connection (0 before the
+	// handshake assigns one); receivers drop a mismatch as stale.
 	dcid uint64
 	// ackOnly marks frames as a private one-element slice holding a
 	// private ackFrame, recycled together with the packet.

@@ -151,9 +151,9 @@ func newConn(host *simnet.Host, cfg Config) *Conn {
 	c.host = host
 	c.sched = host.Scheduler()
 	c.cfg = cfg
-	c.cwnd = float64(cfg.InitCwndSegs * cfg.MSS)
-	c.rto = cfg.RTOInit
-	c.ssthresh = float64(cfg.MaxCwndSegs * cfg.MSS)
+	c.cwnd = initCwndSegs * mss
+	c.rto = rtoInit
+	c.ssthresh = maxCwndSegs * mss
 	c.rtoTimer = c.sched.NewTimer(c.onRTOFn)
 	c.traceID = cfg.Trace.ConnID()
 	return c
@@ -321,7 +321,7 @@ func (c *Conn) sendReset() {
 // application read timeouts; the simulator deliberately arms no timers
 // on healthy paths, so the abort itself carries the persistence.
 func (c *Conn) startResetProbes() {
-	gap := c.cfg.RTOInit
+	gap := rtoInit
 	n := 0
 	var fire func()
 	fire = func() {
@@ -332,8 +332,8 @@ func (c *Conn) startResetProbes() {
 		}
 		c.sched.After(gap, fire)
 		gap *= 2
-		if gap > c.cfg.RTOMax {
-			gap = c.cfg.RTOMax
+		if gap > rtoMax {
+			gap = rtoMax
 		}
 	}
 	fire()
@@ -490,10 +490,8 @@ func (c *Conn) trySend() {
 	if c.state != stateEstablished {
 		return
 	}
-	mss := uint64(c.cfg.MSS)
-	maxCwnd := float64(c.cfg.MaxCwndSegs * c.cfg.MSS)
-	if c.cwnd > maxCwnd {
-		c.cwnd = maxCwnd
+	if c.cwnd > maxCwndSegs*mss {
+		c.cwnd = maxCwndSegs * mss
 	}
 	for {
 		if float64(c.flight()) >= c.cwnd {
@@ -549,7 +547,6 @@ func (c *Conn) processAck(seg *segment) {
 	if seg.flags&flagACK == 0 {
 		return
 	}
-	mss := float64(c.cfg.MSS)
 	switch {
 	case seg.ack > c.sndUna:
 		acked := seg.ack - c.sndUna
@@ -631,7 +628,6 @@ func (c *Conn) processAck(seg *segment) {
 }
 
 func (c *Conn) enterRecovery() {
-	mss := float64(c.cfg.MSS)
 	half := float64(c.flight()) / 2
 	if half < 2*mss {
 		half = 2 * mss
@@ -678,8 +674,8 @@ func (c *Conn) retransmitFirst() {
 	if avail == 0 {
 		return
 	}
-	if m := uint64(c.cfg.MSS); avail > m {
-		avail = m
+	if avail > mss {
+		avail = mss
 	}
 	seg := newSegment(c.cfg.Pools)
 	seg.seq = c.sndUna
@@ -722,8 +718,8 @@ func (c *Conn) onRTO() {
 	}
 	c.cfg.Trace.TCPRTOFire(c.sched.Now(), c.traceID, c.retries, c.rto)
 	c.rto *= 2
-	if c.rto > c.cfg.RTOMax {
-		c.rto = c.cfg.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 
 	switch c.state {
@@ -736,7 +732,6 @@ func (c *Conn) onRTO() {
 		c.sendFlags(flagSYN | flagACK)
 		c.armRTO()
 	default:
-		mss := float64(c.cfg.MSS)
 		half := float64(c.flight()) / 2
 		if half < 2*mss {
 			half = 2 * mss
@@ -767,11 +762,11 @@ func (c *Conn) rttSample(sample time.Duration) {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.cfg.RTOMin {
-		rto = c.cfg.RTOMin
+	if rto < rtoMin {
+		rto = rtoMin
 	}
-	if rto > c.cfg.RTOMax {
-		rto = c.cfg.RTOMax
+	if rto > rtoMax {
+		rto = rtoMax
 	}
 	c.rto = rto
 }

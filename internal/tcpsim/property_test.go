@@ -87,8 +87,8 @@ func TestRTTEstimatorClamped(t *testing.T) {
 	c := newConn(host, Config{}.withDefaults())
 	for i := 0; i < 10_000; i++ {
 		c.rttSample(randDuration(rng))
-		if c.rto < c.cfg.RTOMin || c.rto > c.cfg.RTOMax {
-			t.Fatalf("RTO %v escaped [%v, %v]", c.rto, c.cfg.RTOMin, c.cfg.RTOMax)
+		if c.rto < rtoMin || c.rto > rtoMax {
+			t.Fatalf("RTO %v escaped [%v, %v]", c.rto, rtoMin, rtoMax)
 		}
 		if c.srtt <= 0 {
 			t.Fatalf("SRTT %v not positive", c.srtt)

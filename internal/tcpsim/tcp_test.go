@@ -295,17 +295,23 @@ func TestDialNoListenerTimesOut(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
 	// No RST from raw hosts in this sim: the SYN retries, then fails.
 	var dialErr error
+	var failedAt time.Duration
 	established := false
-	c := Dial(w.a, "server", 80, Config{RTOInit: 50 * time.Millisecond, MaxRetries: 3}, func(*Conn) {
+	c := Dial(w.a, "server", 80, Config{MaxRetries: 3}, func(*Conn) {
 		established = true
 	})
-	c.SetCloseFunc(func(err error) { dialErr = err })
+	c.SetCloseFunc(func(err error) { dialErr, failedAt = err, w.sched.Now() })
 	run(t, w.sched)
 	if established {
 		t.Fatal("established with no listener")
 	}
 	if !errors.Is(dialErr, ErrRefused) {
 		t.Fatalf("err = %v, want ErrRefused", dialErr)
+	}
+	// Three SYN retransmissions back off from rtoInit, and the fourth
+	// expiry gives up: 1+2+4+8 initial timeouts.
+	if want := 15 * rtoInit; failedAt != want {
+		t.Fatalf("dial failed at %v, want %v", failedAt, want)
 	}
 }
 
@@ -379,11 +385,11 @@ func TestSynLossRecovered(t *testing.T) {
 	// 60% loss: handshake packets will often drop, but retries must
 	// eventually establish (within the retry budget, seed-dependent).
 	w := newWorld(t, 5*time.Millisecond, 0, 0.6)
-	if _, err := Listen(w.b, 80, Config{RTOInit: 100 * time.Millisecond}, nil); err != nil {
+	if _, err := Listen(w.b, 80, Config{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	established := false
-	Dial(w.a, "server", 80, Config{RTOInit: 100 * time.Millisecond, MaxRetries: 20}, func(*Conn) {
+	Dial(w.a, "server", 80, Config{MaxRetries: 20}, func(*Conn) {
 		established = true
 	})
 	run(t, w.sched)

@@ -15,29 +15,33 @@ import (
 	"h3cdn/internal/trace"
 )
 
-// Wire overhead charged per segment (IPv4 20 + TCP 20), in bytes.
-const headerSize = 40
+const (
+	// headerSize is the wire overhead charged per segment (IPv4 20 +
+	// TCP 20), in bytes.
+	headerSize = 40
+	// mss is the maximum segment payload size, untyped because it meets
+	// both uint64 and float64 arithmetic.
+	mss = 1460
+	// initCwndSegs is the initial congestion window in segments
+	// (RFC 6928).
+	initCwndSegs = 10
+	// maxCwndSegs caps the congestion window, standing in for the
+	// receive window.
+	maxCwndSegs = 512
+	// rtoInit is the retransmission timeout before an RTT sample exists
+	// (kernel TCP's fixed 1s SYN timer).
+	rtoInit = time.Second
+	// rtoMin / rtoMax clamp the computed RTO.
+	rtoMin = 200 * time.Millisecond
+	rtoMax = 60 * time.Second
+)
 
 // Config tunes a TCP endpoint. The zero value selects the defaults noted
 // on each field via (*Config).withDefaults.
 type Config struct {
-	// MSS is the maximum segment payload size. Default 1460.
-	MSS int
-	// InitCwndSegs is the initial congestion window in segments
-	// (RFC 6928). Default 10.
-	InitCwndSegs int
-	// RTOInit is the retransmission timeout before an RTT sample
-	// exists. Default 1s.
-	RTOInit time.Duration
-	// RTOMin / RTOMax clamp the computed RTO. Defaults 200ms / 60s.
-	RTOMin time.Duration
-	RTOMax time.Duration
 	// MaxRetries bounds consecutive retransmissions of the same
 	// segment before the connection errors out. Default 8.
 	MaxRetries int
-	// MaxCwndSegs caps the congestion window, standing in for the
-	// receive window. Default 512.
-	MaxCwndSegs int
 	// Pools, when non-nil, supplies the per-universe segment arena shared
 	// by every endpoint of one scheduler goroutine. Nil gets a private
 	// one.
@@ -57,26 +61,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.InitCwndSegs == 0 {
-		c.InitCwndSegs = 10
-	}
-	if c.RTOInit == 0 {
-		c.RTOInit = time.Second
-	}
-	if c.RTOMin == 0 {
-		c.RTOMin = 200 * time.Millisecond
-	}
-	if c.RTOMax == 0 {
-		c.RTOMax = 60 * time.Second
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 8
-	}
-	if c.MaxCwndSegs == 0 {
-		c.MaxCwndSegs = 512
 	}
 	if c.Pools == nil {
 		c.Pools = &Pools{}
