@@ -2,7 +2,8 @@
 // abstraction shared by the simulated transport stack: tcpsim.Conn
 // produces one, tlssim.Conn wraps one and is one, and the HTTP/1.1 and
 // HTTP/2 layers consume one. All methods are callback-oriented because
-// the simulation is single-threaded under virtual time.
+// the simulation is single-threaded under virtual time. Gaps is the
+// reassembly buffer both transports park out-of-order data in.
 package bytestream
 
 // Stream is an ordered, reliable byte stream with asynchronous delivery.

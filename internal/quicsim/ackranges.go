@@ -1,5 +1,7 @@
 package quicsim
 
+import "sort"
+
 // pnRange is an inclusive packet-number range.
 type pnRange struct {
 	lo, hi uint64
@@ -12,72 +14,49 @@ type rangeSet struct {
 }
 
 // add inserts pn, merging adjacent ranges. Returns false on duplicates.
+// In-order packet numbers extend or follow the last range, so that is
+// checked before the search.
 func (s *rangeSet) add(pn uint64) bool {
-	// Find insertion point (ranges sorted ascending by lo).
-	i := 0
-	for i < len(s.ranges) && s.ranges[i].hi+1 < pn {
-		i++
+	n := len(s.ranges)
+	if n == 0 || s.ranges[n-1].hi+1 < pn {
+		s.ranges = append(s.ranges, pnRange{lo: pn, hi: pn})
+		return true
 	}
-	if i < len(s.ranges) && s.ranges[i].lo <= pn && pn <= s.ranges[i].hi {
+	if s.ranges[n-1].hi+1 == pn {
+		s.ranges[n-1].hi = pn
+		return true
+	}
+	// First range that pn falls in or extends (ranges sorted ascending).
+	i := sort.Search(n, func(i int) bool { return s.ranges[i].hi+1 >= pn })
+	if s.ranges[i].lo <= pn && pn <= s.ranges[i].hi {
 		return false // duplicate
 	}
 	// Extend an adjacent range if possible.
-	extendLeft := i < len(s.ranges) && s.ranges[i].hi+1 == pn
-	extendRight := i < len(s.ranges) && pn+1 == s.ranges[i].lo
 	switch {
-	case extendLeft:
+	case s.ranges[i].hi+1 == pn:
 		s.ranges[i].hi = pn
 		// Merge with the next range if now adjacent.
-		if i+1 < len(s.ranges) && s.ranges[i].hi+1 == s.ranges[i+1].lo {
+		if i+1 < n && s.ranges[i].hi+1 == s.ranges[i+1].lo {
 			s.ranges[i].hi = s.ranges[i+1].hi
 			s.ranges = append(s.ranges[:i+1], s.ranges[i+2:]...)
 		}
-		return true
-	case extendRight:
+	case pn+1 == s.ranges[i].lo:
 		s.ranges[i].lo = pn
 		if i > 0 && s.ranges[i-1].hi+1 == s.ranges[i].lo {
 			s.ranges[i-1].hi = s.ranges[i].hi
 			s.ranges = append(s.ranges[:i], s.ranges[i+1:]...)
 		}
-		return true
 	default:
 		s.ranges = append(s.ranges, pnRange{})
 		copy(s.ranges[i+1:], s.ranges[i:])
 		s.ranges[i] = pnRange{lo: pn, hi: pn}
-		return true
 	}
+	return true
 }
 
-// contains reports whether pn has been recorded.
-func (s *rangeSet) contains(pn uint64) bool {
-	for _, r := range s.ranges {
-		if r.lo <= pn && pn <= r.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// snapshot returns up to max ranges, most recent (highest) first, for an
-// ACK frame.
-func (s *rangeSet) snapshot(max int) []pnRange {
-	n := len(s.ranges)
-	if n == 0 {
-		return nil
-	}
-	if max > n {
-		max = n
-	}
-	out := make([]pnRange, 0, max)
-	for i := n - 1; i >= n-max; i-- {
-		out = append(out, s.ranges[i])
-	}
-	return out
-}
-
-// snapshotInto appends up to max ranges, most recent first, to out —
-// letting ACK frames reuse a range slice across transmissions.
-func (s *rangeSet) snapshotInto(out []pnRange, max int) []pnRange {
+// snapshot appends up to max ranges, most recent (highest) first, to out
+// for an ACK frame; a pooled frame passes its range slice back in.
+func (s *rangeSet) snapshot(out []pnRange, max int) []pnRange {
 	n := len(s.ranges)
 	if max > n {
 		max = n
@@ -86,12 +65,4 @@ func (s *rangeSet) snapshotInto(out []pnRange, max int) []pnRange {
 		out = append(out, s.ranges[i])
 	}
 	return out
-}
-
-// largest returns the highest recorded packet number (ok=false if empty).
-func (s *rangeSet) largest() (uint64, bool) {
-	if len(s.ranges) == 0 {
-		return 0, false
-	}
-	return s.ranges[len(s.ranges)-1].hi, true
 }

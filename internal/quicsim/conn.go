@@ -1,6 +1,8 @@
 package quicsim
 
 import (
+	"slices"
+	"sort"
 	"time"
 
 	"h3cdn/internal/simnet"
@@ -23,6 +25,43 @@ type sentPacket struct {
 	size         int
 	sentAt       time.Duration
 	ackEliciting bool
+}
+
+// sentList holds a connection's in-flight ack-eliciting packets ordered
+// by pn (packet numbers are assigned monotonically and pushed in send
+// order). The order makes ACK processing and packet-threshold loss
+// detection ordered passes — no map iteration, no sort — and keeps float
+// arithmetic reproducible by construction. s[head:] is live: the usual
+// ACK and every loss declaration retire a prefix, which advances head
+// instead of moving the packets still in flight.
+type sentList struct {
+	s    []*sentPacket
+	head int
+}
+
+func (l *sentList) live() []*sentPacket { return l.s[l.head:] }
+
+func (l *sentList) len() int { return len(l.s) - l.head }
+
+// push appends sp. A full array at least half retired slides its live
+// records to the front instead of growing, which keeps the copying at
+// one move per push.
+func (l *sentList) push(sp *sentPacket) {
+	if len(l.s) == cap(l.s) && l.head >= l.len() {
+		n := copy(l.s, l.s[l.head:])
+		clear(l.s[n:])
+		l.s, l.head = l.s[:n], 0
+	}
+	l.s = append(l.s, sp)
+}
+
+// drop removes the first n live records.
+func (l *sentList) drop(n int) {
+	clear(l.s[l.head : l.head+n])
+	l.head += n
+	if l.head == len(l.s) {
+		l.s, l.head = l.s[:0], 0
+	}
 }
 
 // ClientConfig configures a client connection.
@@ -74,19 +113,18 @@ type Conn struct {
 	hsDone      time.Duration
 	serverName  string
 
+	// streams never loses an entry, so its size is also the number of
+	// streams opened so far and Stream.order indexes that opening order.
+	// sendable lists the streams with data or a bare FIN to send, sorted
+	// by order; the round robin resumes at order rrIndex.
 	streams      map[uint64]*Stream
-	streamOrder  []uint64
+	sendable     []*Stream
 	rrIndex      int
 	nextStreamID uint64
 	streamFn     func(*Stream)
 
-	nextPN uint64
-	// sent holds in-flight ack-eliciting packets ordered by pn (packet
-	// numbers are assigned monotonically and appended in send order).
-	// The order makes ACK processing and packet-threshold loss
-	// detection single ordered passes — no map iteration, no sort — and
-	// keeps float arithmetic reproducible by construction.
-	sent          []*sentPacket
+	nextPN        uint64
+	sent          sentList
 	bytesInFlight int
 	cwnd          float64
 	ssthresh      float64
@@ -225,8 +263,8 @@ func (c *Conn) SetCloseFunc(fn func(error)) { c.closeFn = fn }
 func (c *Conn) OpenStream() *Stream {
 	s := c.pools.newStream(c, c.nextStreamID)
 	c.nextStreamID += 4
+	s.order = len(c.streams)
 	c.streams[s.id] = s
-	c.streamOrder = append(c.streamOrder, s.id)
 	c.stats.StreamsOpened++
 	return s
 }
@@ -308,8 +346,9 @@ func (c *Conn) teardown() {
 		s.releaseSendBufs(c.pools.pends.Retire)
 		c.pools.retired = append(c.pools.retired, s)
 	}
-	c.sent = nil
+	c.sent = sentList{}
 	c.sendQ = nil
+	c.sendable = nil
 }
 
 func (c *Conn) fail(err error) {
@@ -386,10 +425,10 @@ func (c *Conn) trySend() {
 
 func (c *Conn) buildAck() *ackFrame {
 	if af, ok := c.pools.acks.Get(); ok {
-		af.ranges = c.recvd.snapshotInto(af.ranges[:0], 32)
+		af.ranges = c.recvd.snapshot(af.ranges[:0], 32)
 		return af
 	}
-	return &ackFrame{ranges: c.recvd.snapshot(32)}
+	return &ackFrame{ranges: c.recvd.snapshot(nil, 32)}
 }
 
 // buildPacket assembles the next packet: a pending ACK rides along, then
@@ -455,40 +494,56 @@ func (c *Conn) buildPacket() *packet {
 	return p
 }
 
-// pullStreamFrame extracts up to maxData bytes from the next stream in
-// round-robin order with pending data (or a bare FIN).
-func (c *Conn) pullStreamFrame(maxData int) *streamFrame {
-	n := len(c.streamOrder)
-	for i := 0; i < n; i++ {
-		idx := (c.rrIndex + i) % n
-		s := c.streams[c.streamOrder[idx]]
-		if s == nil {
-			continue
-		}
-		avail := len(s.pend) - s.pendOff
-		if avail == 0 && !(s.finQueued && !s.finSent) {
-			continue
-		}
-		c.rrIndex = (idx + 1) % n
-		take := avail
-		if take > maxData {
-			take = maxData
-		}
-		// Zero-copy: alias the pending buffer with a capped capacity.
-		// Later appends to s.pend only ever write past the current
-		// length, so the frame's window is never rewritten even though
-		// it may share the backing array.
-		data := s.pend[s.pendOff : s.pendOff+take : s.pendOff+take]
-		s.pendOff += take
-		sf := c.pools.newStreamFrame(s.id, s.sendOff, data)
-		s.sendOff += uint64(take)
-		if s.finQueued && s.pendOff == len(s.pend) {
-			sf.fin = true
-			s.finSent = true
-		}
-		return sf
+// queue adds s to the sendable list, in order, if it has anything to
+// send and is not on it yet. Streams open in increasing order, so the
+// tail is checked before the search.
+func (c *Conn) queue(s *Stream) {
+	if s.queued || !s.hasSendable() {
+		return
 	}
-	return nil
+	s.queued = true
+	i := len(c.sendable)
+	if i > 0 && c.sendable[i-1].order > s.order {
+		i = sort.Search(i, func(j int) bool { return c.sendable[j].order > s.order })
+	}
+	c.sendable = slices.Insert(c.sendable, i, s)
+}
+
+// pullStreamFrame extracts up to maxData bytes from the next stream in
+// round-robin order with pending data (or a bare FIN): the first sendable
+// stream at or after rrIndex in opening order, wrapping around — the
+// stream a scan of every stream from rrIndex would stop at.
+func (c *Conn) pullStreamFrame(maxData int) *streamFrame {
+	if len(c.sendable) == 0 {
+		return nil
+	}
+	k := sort.Search(len(c.sendable), func(j int) bool { return c.sendable[j].order >= c.rrIndex })
+	if k == len(c.sendable) {
+		k = 0
+	}
+	s := c.sendable[k]
+	c.rrIndex = (s.order + 1) % len(c.streams)
+	take := len(s.pend) - s.pendOff
+	if take > maxData {
+		take = maxData
+	}
+	// Zero-copy: alias the pending buffer with a capped capacity.
+	// Later appends to s.pend only ever write past the current
+	// length, so the frame's window is never rewritten even though
+	// it may share the backing array.
+	data := s.pend[s.pendOff : s.pendOff+take : s.pendOff+take]
+	s.pendOff += take
+	sf := c.pools.newStreamFrame(s.id, s.sendOff, data)
+	s.sendOff += uint64(take)
+	if s.finQueued && s.pendOff == len(s.pend) {
+		sf.fin = true
+		s.finSent = true
+	}
+	if !s.hasSendable() {
+		s.queued = false
+		c.sendable = slices.Delete(c.sendable, k, k+1)
+	}
+	return sf
 }
 
 func (c *Conn) sendPacket(p *packet) {
@@ -499,7 +554,7 @@ func (c *Conn) sendPacket(p *packet) {
 		sp.size = p.wireSize()
 		sp.sentAt = c.sched.Now()
 		sp.ackEliciting = true
-		c.sent = append(c.sent, sp)
+		c.sent.push(sp)
 		c.bytesInFlight += sp.size
 		c.armPTO()
 	}
@@ -568,7 +623,7 @@ func (c *Conn) armPTO() {
 		// — must be a no-op, not a nil dereference.
 		return
 	}
-	if len(c.sent) == 0 {
+	if c.sent.len() == 0 {
 		c.ptoTimer.Stop()
 		return
 	}
@@ -606,9 +661,9 @@ func (c *Conn) onPTO() {
 	c.cfg.Trace.QUICPTOFire(c.sched.Now(), c.traceID, c.ptoCount)
 	// Probe: retransmit the oldest unacked ack-eliciting packet's
 	// frames in a fresh packet, bypassing the congestion window.
-	if len(c.sent) > 0 {
+	if c.sent.len() > 0 {
 		frames, _ := c.pools.frames.Get()
-		frames = appendRetransmittable(frames, c.sent[0].frames)
+		frames = appendRetransmittable(frames, c.sent.live()[0].frames)
 		// The probe record takes an additional hold on each copied
 		// stream frame: the original record keeps its own, and either
 		// may retire first.
@@ -628,7 +683,7 @@ func (c *Conn) onPTO() {
 			sp.size = p.wireSize()
 			sp.sentAt = c.sched.Now()
 			sp.ackEliciting = true
-			c.sent = append(c.sent, sp)
+			c.sent.push(sp)
 			c.bytesInFlight += sp.size
 			c.transmit(p)
 		} else if cap(frames) > 0 {
@@ -655,28 +710,36 @@ func appendRetransmittable(dst, frames []frame) []frame {
 	return dst
 }
 
+// handleAck retires the in-flight packets f acknowledges, then declares
+// losses. f.ranges is descending and disjoint (rangeSet.snapshot) and
+// c.sent ascending by pn, so one upward walk of both in lockstep, from
+// the first record at or above the lowest acked pn, finds every covered
+// record; they retire in pn order, which the order-dependent cwnd float
+// arithmetic needs. The walk stops past the highest range: packets sent
+// after it are never touched.
 func (c *Conn) handleAck(f *ackFrame) {
-	covered := func(pn uint64) bool {
-		for _, r := range f.ranges {
-			if r.lo <= pn && pn <= r.hi {
-				return true
-			}
-		}
-		return false
+	r := len(f.ranges) - 1
+	if r < 0 {
+		return
 	}
-
-	// c.sent is ordered by pn, so a single in-place partition pass
-	// processes newly acked packets in pn order — the order the old
-	// map+sort implementation produced — without collecting, sorting,
-	// or iterating a map.
-	var largest *sentPacket
-	keep := c.sent[:0]
-	for _, sp := range c.sent {
-		if !covered(sp.pn) {
-			keep = append(keep, sp)
+	live := c.sent.live()
+	i := sort.Search(len(live), func(i int) bool { return live[i].pn >= f.ranges[r].lo })
+	retired := 0
+	var largestAcked uint64
+	var largestSentAt time.Duration
+	for ; i < len(live); i++ {
+		sp := live[i]
+		for r >= 0 && f.ranges[r].hi < sp.pn {
+			r--
+		}
+		if r < 0 {
+			break
+		}
+		if sp.pn < f.ranges[r].lo {
 			continue
 		}
-		largest = sp // pn increases along the slice: last covered = max
+		retired++
+		largestAcked, largestSentAt = sp.pn, sp.sentAt
 		c.bytesInFlight -= sp.size
 		// Congestion window growth per acked bytes.
 		if c.cwnd < c.ssthresh {
@@ -684,21 +747,26 @@ func (c *Conn) handleAck(f *ackFrame) {
 		} else {
 			c.cwnd += maxPacketPayload * float64(sp.size) / c.cwnd
 		}
-		// Recycle now; pn and sentAt stay readable through largest until
-		// the first post-loop send reuses the record.
 		c.retireAcked(sp)
+		live[i] = nil
 	}
-	if largest == nil {
+	if retired == 0 {
 		return
 	}
-	for i := len(keep); i < len(c.sent); i++ {
-		c.sent[i] = nil
+	// Close the holes by sliding the survivors below them up, toward the
+	// packets sent later; an ACK of the oldest packets moves nothing.
+	w := i
+	for j := i - 1; j >= 0; j-- {
+		if sp := live[j]; sp != nil {
+			w--
+			live[w] = sp
+		}
 	}
-	c.sent = keep
+	c.sent.drop(w)
 	if c.cwnd > maxCwndPkts*maxPacketPayload {
 		c.cwnd = maxCwndPkts * maxPacketPayload
 	}
-	c.rttSample(c.sched.Now() - largest.sentAt)
+	c.rttSample(c.sched.Now() - largestSentAt)
 	if c.ptoCount >= 2 && c.cfg.Recovery != nil {
 		// Progress after ≥2 consecutive probe fires: the connection rode
 		// out a blackout rather than an isolated drop.
@@ -707,14 +775,14 @@ func (c *Conn) handleAck(f *ackFrame) {
 	c.ptoCount = 0
 
 	// Packet-threshold loss detection: pn+threshold is increasing along
-	// the ordered slice, so lost packets form a prefix.
-	largestAcked := largest.pn
+	// the ordered list, so lost packets form a prefix.
+	live = c.sent.live()
 	lost := 0
-	for lost < len(c.sent) && c.sent[lost].pn+reorderThreshold <= largestAcked {
+	for lost < len(live) && live[lost].pn+reorderThreshold <= largestAcked {
 		lost++
 	}
 	c.cfg.Trace.QUICAck(c.sched.Now(), c.traceID, int64(largestAcked), len(f.ranges), lost)
-	for _, sp := range c.sent[:lost] {
+	for _, sp := range live[:lost] {
 		c.bytesInFlight -= sp.size
 		c.stats.PacketsDeclaredLost++
 		if c.cfg.Recovery != nil {
@@ -738,13 +806,7 @@ func (c *Conn) handleAck(f *ackFrame) {
 		sp.frames = nil
 		c.pools.sents.Put(sp)
 	}
-	if lost > 0 {
-		n := copy(c.sent, c.sent[lost:])
-		for i := n; i < len(c.sent); i++ {
-			c.sent[i] = nil
-		}
-		c.sent = c.sent[:n]
-	}
+	c.sent.drop(lost)
 
 	c.armPTO()
 	c.trySend()
@@ -914,8 +976,8 @@ func (c *Conn) handleStreamFrame(f *streamFrame) {
 	s, ok := c.streams[f.id]
 	if !ok {
 		s = c.pools.newStream(c, f.id)
+		s.order = len(c.streams)
 		c.streams[f.id] = s
-		c.streamOrder = append(c.streamOrder, f.id)
 		c.stats.StreamsAccepted++
 		if c.streamFn != nil {
 			c.streamFn(s)

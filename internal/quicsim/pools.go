@@ -60,13 +60,13 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 	pl.sframes.Put(sf)
 }
 
-// newStream returns a reset Stream bound to c. The chunks map and the
-// outgrown list's allocation are retained across reuses; send arrays
+// newStream returns a reset Stream bound to c. The gap buffer's and the
+// outgrown list's allocations are retained across reuses; send arrays
 // are not.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 	s, ok := pl.streams.Get()
 	if !ok {
-		s = &Stream{chunks: make(map[uint64][]byte)}
+		s = &Stream{}
 	}
 	s.conn = c
 	s.id = id
@@ -84,7 +84,7 @@ func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 func (pl *Pools) Rewind() {
 	for i, s := range pl.retired {
 		chunks := s.chunks
-		clear(chunks)
+		chunks.Reset()
 		*s = Stream{outgrown: s.outgrown, chunks: chunks}
 		pl.streams.Put(s)
 		pl.retired[i] = nil

@@ -64,7 +64,7 @@ func TestStreamReassemblyAnyOrder(t *testing.T) {
 		}
 		rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
 
-		s := &Stream{conn: &Conn{stats: ConnStats{}}, chunks: make(map[uint64][]byte)}
+		s := &Stream{conn: &Conn{}}
 		var got []byte
 		finSeen := false
 		s.SetDataFunc(func(p []byte) { got = append(got, p...) })
@@ -84,4 +84,22 @@ func TestStreamReassemblyAnyOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// contains reports whether pn has been recorded.
+func (s *rangeSet) contains(pn uint64) bool {
+	for _, r := range s.ranges {
+		if r.lo <= pn && pn <= r.hi {
+			return true
+		}
+	}
+	return false
+}
+
+// largest returns the highest recorded packet number (ok=false if empty).
+func (s *rangeSet) largest() (uint64, bool) {
+	if len(s.ranges) == 0 {
+		return 0, false
+	}
+	return s.ranges[len(s.ranges)-1].hi, true
 }

@@ -443,7 +443,7 @@ func TestRangeSet(t *testing.T) {
 	if lg, ok := rs.largest(); !ok || lg != 11 {
 		t.Fatalf("largest = %d, %v", lg, ok)
 	}
-	snap := rs.snapshot(1)
+	snap := rs.snapshot(nil, 1)
 	if len(snap) != 1 || snap[0] != (pnRange{10, 11}) {
 		t.Fatalf("snapshot = %v", snap)
 	}

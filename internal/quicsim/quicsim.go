@@ -217,7 +217,7 @@ func newAckPacket(pl *Pools, rs *rangeSet) *packet {
 		p = &packet{ackOnly: true, frames: []frame{&ackFrame{}}, pools: pl}
 	}
 	af := p.frames[0].(*ackFrame)
-	af.ranges = rs.snapshotInto(af.ranges[:0], 32)
+	af.ranges = rs.snapshot(af.ranges[:0], 32)
 	return p
 }
 

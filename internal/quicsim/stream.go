@@ -1,6 +1,10 @@
 package quicsim
 
-import "time"
+import (
+	"time"
+
+	"h3cdn/internal/bytestream"
+)
 
 // Stream is an ordered byte stream multiplexed on a Conn. Data on one
 // stream is delivered in order; loss on one stream never blocks another —
@@ -28,10 +32,15 @@ type Stream struct {
 	sendOff   uint64
 	finQueued bool
 	finSent   bool
+	// order is the stream's index in its connection's opening order, the
+	// round-robin position; queued marks it on the connection's sendable
+	// list.
+	order  int
+	queued bool
 
 	// Receive side.
 	rcvOff  uint64
-	chunks  map[uint64][]byte
+	chunks  bytestream.Gaps[[]byte]
 	finOff  uint64
 	hasFin  bool
 	gotEOF  bool
@@ -72,7 +81,14 @@ func (s *Stream) Write(p []byte) {
 		}
 	}
 	s.pend = append(s.pend, p...)
+	s.conn.queue(s)
 	s.conn.trySend()
+}
+
+// hasSendable reports whether the stream has unpulled bytes or a FIN
+// still to send.
+func (s *Stream) hasSendable() bool {
+	return len(s.pend) > s.pendOff || (s.finQueued && !s.finSent)
 }
 
 // frameAcked records that a frame of n stream bytes retired through an
@@ -110,6 +126,7 @@ func (s *Stream) CloseWrite() {
 		return
 	}
 	s.finQueued = true
+	s.conn.queue(s)
 	s.conn.trySend()
 }
 
@@ -117,6 +134,10 @@ func (s *Stream) CloseWrite() {
 func (s *Stream) BytesReceived() int64 { return s.nRecved }
 
 // receive ingests a (possibly out-of-order, possibly duplicate) frame.
+// Data at rcvOff is delivered at once: every buffered chunk starts above
+// rcvOff, so it is the chunk the gap scan would pick first. Chunks alias
+// the sender's pend either way (see frameAcked for why that memory
+// outlives them).
 func (s *Stream) receive(f *streamFrame) {
 	if f.fin {
 		s.hasFin = true
@@ -130,47 +151,39 @@ func (s *Stream) receive(f *streamFrame) {
 			data = data[s.rcvOff-off:]
 			off = s.rcvOff
 		}
-		if prev, ok := s.chunks[off]; !ok || len(data) > len(prev) {
-			s.chunks[off] = data
+		if off == s.rcvOff {
+			s.deliver(data)
+		} else if prev, found := s.chunks.Slot(off); !found || len(data) > len(*prev) {
+			*prev = data
 		}
 	}
 	s.advance()
 }
 
+// deliver hands the in-order bytes at rcvOff to the application.
+func (s *Stream) deliver(data []byte) {
+	s.rcvOff += uint64(len(data))
+	s.nRecved += int64(len(data))
+	s.conn.stats.BytesDelivered += int64(len(data))
+	if s.dataFn != nil {
+		s.dataFn(data)
+	}
+}
+
+// advance drains the gap buffer up to the first hole, taking the LOWEST
+// chunk at or below rcvOff each time: with loss and reordering, trimming
+// can leave several overlapping chunks there, and the choice decides
+// delivery granularity. Then it reports EOF and stall transitions.
 func (s *Stream) advance() {
 	for {
-		// Pick the LOWEST eligible chunk, not any map-order one: with
-		// loss and reordering, trimming can leave several overlapping
-		// chunks at or below rcvOff, and the choice decides delivery
-		// granularity — map iteration would make the trace
-		// nondeterministic.
-		var best uint64
-		found := false
-		for off := range s.chunks {
-			if off > s.rcvOff {
-				continue
-			}
-			if !found || off < best {
-				best = off
-				found = true
-			}
-		}
-		if !found {
+		off, data, ok := s.chunks.Head()
+		if !ok || off > s.rcvOff {
 			break
 		}
-		off := best
-		data := s.chunks[off]
-		end := off + uint64(len(data))
-		delete(s.chunks, off)
-		if end <= s.rcvOff {
-			continue // stale duplicate
-		}
-		chunk := data[s.rcvOff-off:]
-		s.rcvOff = end
-		s.nRecved += int64(len(chunk))
-		s.conn.stats.BytesDelivered += int64(len(chunk))
-		if s.dataFn != nil {
-			s.dataFn(chunk)
+		s.chunks.Pop()
+		// A chunk that ends at or below rcvOff is a stale duplicate.
+		if end := off + uint64(len(data)); end > s.rcvOff {
+			s.deliver(data[s.rcvOff-off:])
 		}
 	}
 	if s.hasFin && !s.gotEOF && s.rcvOff >= s.finOff {
@@ -181,15 +194,13 @@ func (s *Stream) advance() {
 	}
 	if s.conn.cfg.Trace != nil {
 		switch {
-		case !s.holActive && len(s.chunks) > 0:
+		case !s.holActive && s.chunks.Len() > 0:
 			s.holActive = true
 			s.holStart = s.conn.sched.Now()
 			buffered := 0
-			for _, data := range s.chunks {
-				buffered += len(data)
-			}
+			s.chunks.Each(func(_ uint64, data []byte) { buffered += len(data) })
 			s.conn.cfg.Trace.QUICStallStart(s.holStart, s.conn.traceID, s.id, buffered)
-		case s.holActive && len(s.chunks) == 0:
+		case s.holActive && s.chunks.Len() == 0:
 			s.holActive = false
 			now := s.conn.sched.Now()
 			s.conn.cfg.Trace.QUICStallEnd(now, s.conn.traceID, s.id, now-s.holStart)

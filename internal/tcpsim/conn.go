@@ -17,6 +17,8 @@ const (
 	stateClosed
 )
 
+// recvChunk is a reassembly-arena copy of bytes that arrived beyond a
+// sequence gap; fin marks a segment that carried the FIN.
 type recvChunk struct {
 	data []byte
 	fin  bool
@@ -81,9 +83,11 @@ type Conn struct {
 	synSentAt   time.Duration
 	synRetrans  bool
 
-	// Receiver state: strict in-order delivery.
+	// Receiver state: strict in-order delivery. recvBuf holds only what
+	// arrived beyond a gap; every chunk in it starts above rcvNxt between
+	// segments (advanceReceive consumes the rest).
 	rcvNxt    uint64
-	recvBuf   map[uint64]recvChunk
+	recvBuf   bytestream.Gaps[recvChunk]
 	peerEOF   bool
 	finRcvd   bool // FIN delivered to app
 	finAcked  bool // our FIN acknowledged
@@ -139,7 +143,7 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEsta
 func newConn(host *simnet.Host, cfg Config) *Conn {
 	c, ok := cfg.Pools.conns.Get()
 	if !ok {
-		c = &Conn{recvBuf: make(map[uint64]recvChunk)}
+		c = &Conn{}
 		cc := c
 		c.pktFn = func(pkt simnet.Packet) {
 			if seg, ok := pkt.Payload.(*segment); ok {
@@ -160,7 +164,7 @@ func newConn(host *simnet.Host, cfg Config) *Conn {
 }
 
 // reset clears a retired conn for reuse, keeping only the allocations
-// that survive pooling: the receive map and the outgrown list (both
+// that survive pooling: the gap buffer and the outgrown list (both
 // emptied at teardown) and the bound-once packet/RTO closures. Called
 // from Pools.Rewind only — never before the scheduler drains.
 func (c *Conn) reset() {
@@ -369,10 +373,8 @@ func (c *Conn) teardown() {
 	c.outgrown = c.outgrown[:0]
 	c.sendBuf = nil
 	c.sendOff = 0
-	for _, chunk := range c.recvBuf {
-		c.cfg.Arena.Put(chunk.data)
-	}
-	clear(c.recvBuf)
+	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { c.cfg.Arena.Put(chunk.data) })
+	c.recvBuf.Reset()
 	c.cfg.Pools.retiredConns = append(c.cfg.Pools.retiredConns, c)
 }
 
@@ -785,13 +787,21 @@ func (c *Conn) processData(seg *segment) {
 		payload = payload[c.rcvNxt-start:]
 		start = c.rcvNxt
 	}
-	if prev, ok := c.recvBuf[start]; !ok || len(payload) > len(prev.data) || seg.flags&flagFIN != 0 {
+	fin := seg.flags&flagFIN != 0
+	if start == c.rcvNxt && !fin {
+		// In order: every buffered chunk starts above rcvNxt, so this is
+		// the chunk the gap scan would pick first and deliver whole.
+		// Hand the payload over as it is, with no copy. It aliases the
+		// peer's send window, which is safe for the callback's duration:
+		// the bytes are unacknowledged until the ACK below goes out.
+		c.deliver(payload)
+	} else if prev, found := c.recvBuf.Slot(start); !found || len(payload) > len(prev.data) || fin {
 		buf := c.cfg.Arena.Get(len(payload))
 		copy(buf, payload)
-		c.recvBuf[start] = recvChunk{data: buf, fin: seg.flags&flagFIN != 0}
-		if ok {
+		if found {
 			c.cfg.Arena.Put(prev.data)
 		}
+		*prev = recvChunk{data: buf, fin: fin}
 	}
 	c.advanceReceive()
 	// HOL-stall bookkeeping: data buffered beyond a sequence gap means
@@ -799,15 +809,13 @@ func (c *Conn) processData(seg *segment) {
 	// is only read here, so an untraced connection skips it entirely.
 	if c.cfg.Trace != nil {
 		switch {
-		case !c.holActive && len(c.recvBuf) > 0:
+		case !c.holActive && c.recvBuf.Len() > 0:
 			c.holActive = true
 			c.holStart = c.sched.Now()
 			buffered := 0
-			for _, chunk := range c.recvBuf {
-				buffered += len(chunk.data)
-			}
+			c.recvBuf.Each(func(_ uint64, chunk recvChunk) { buffered += len(chunk.data) })
 			c.cfg.Trace.TCPHolStart(c.holStart, c.traceID, buffered)
-		case c.holActive && len(c.recvBuf) == 0:
+		case c.holActive && c.recvBuf.Len() == 0:
 			c.holActive = false
 			now := c.sched.Now()
 			c.cfg.Trace.TCPHolEnd(now, c.traceID, now-c.holStart)
@@ -816,39 +824,31 @@ func (c *Conn) processData(seg *segment) {
 	c.sendFlags(flagACK)
 }
 
+// deliver hands the in-order bytes at rcvNxt to the application.
+func (c *Conn) deliver(data []byte) {
+	c.rcvNxt += uint64(len(data))
+	c.stats.BytesDelivered += int64(len(data))
+	if c.dataFn != nil {
+		c.dataFn(data)
+	}
+}
+
+// advanceReceive drains the gap buffer up to the first hole. It takes the
+// LOWEST chunk at or below rcvNxt each time: with reordering in the path,
+// retransmission trimming can leave several overlapping chunks there,
+// and the choice decides delivery granularity. A chunk is popped before
+// its callback runs, so a teardown inside the callback never sees it.
 func (c *Conn) advanceReceive() {
 	for {
-		// Pick the LOWEST eligible chunk, not any map-order one: with
-		// reordering in the path, retransmission trimming can leave
-		// several overlapping chunks at or below rcvNxt, and the choice
-		// decides delivery granularity — map iteration would make the
-		// byte stream's event trace nondeterministic.
-		var best uint64
-		found := false
-		for start := range c.recvBuf {
-			if start > c.rcvNxt {
-				continue
-			}
-			if !found || start < best {
-				best = start
-				found = true
-			}
-		}
-		if !found {
+		start, chunk, ok := c.recvBuf.Head()
+		if !ok || start > c.rcvNxt {
 			return
 		}
-		start := best
-		chunk := c.recvBuf[start]
+		c.recvBuf.Pop()
 		end := start + uint64(len(chunk.data))
 		if end > c.rcvNxt || (chunk.fin && !c.peerEOF && end == c.rcvNxt) {
-			data := chunk.data[c.rcvNxt-start:]
-			delete(c.recvBuf, start)
-			if len(data) > 0 {
-				c.rcvNxt = end
-				c.stats.BytesDelivered += int64(len(data))
-				if c.dataFn != nil {
-					c.dataFn(data)
-				}
+			if data := chunk.data[c.rcvNxt-start:]; len(data) > 0 {
+				c.deliver(data)
 			}
 			c.cfg.Arena.Put(chunk.data)
 			if chunk.fin {
@@ -857,8 +857,7 @@ func (c *Conn) advanceReceive() {
 			}
 			continue
 		}
-		delete(c.recvBuf, start) // stale duplicate
-		c.cfg.Arena.Put(chunk.data)
+		c.cfg.Arena.Put(chunk.data) // stale duplicate
 	}
 }
 

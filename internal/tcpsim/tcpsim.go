@@ -47,7 +47,8 @@ type Config struct {
 	// one.
 	Pools *Pools
 	// Arena, when non-nil, supplies the per-universe buffer arena used
-	// for receive-side reassembly copies. Nil gets a private one.
+	// for receive-side reassembly copies of out-of-order data. Nil gets
+	// a private one.
 	Arena *bufpool.Arena
 	// Recovery, when non-nil, accumulates loss-recovery counters for
 	// this endpoint (timeouts, retransmissions, blackout crossings).
@@ -93,8 +94,10 @@ const (
 // offsets (no wraparound modeling). A FIN consumes one offset.
 //
 // Segments are pooled: each is sent exactly once (retransmissions build
-// fresh segments), receivers copy the payload during delivery, and the
-// network recycles the segment via Release after the handler returns.
+// fresh segments), receivers read the payload during delivery (handing
+// in-order bytes straight to the application, copying only what lands
+// beyond a gap), and the network recycles the segment via Release after
+// the handler returns.
 type segment struct {
 	flags   segFlags
 	seq     uint64
