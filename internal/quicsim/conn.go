@@ -95,6 +95,7 @@ type Conn struct {
 
 	isClient   bool
 	remote     simnet.Addr
+	route      *simnet.Route // to remote, resolved once per connection
 	localPort  uint16
 	remotePort uint16
 	endpoint   *Endpoint // server side, for conn-table cleanup
@@ -162,10 +163,9 @@ type Conn struct {
 // virtual time) for 0-RTT resumption. Transport failures surface through
 // SetCloseFunc.
 func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg ClientConfig, onEstablished func(*Conn)) *Conn {
-	c := newConn(host, cfg.Config)
+	c := newConn(host, dst, cfg.Config)
 	c.isClient = true
 	c.ccfg = cfg
-	c.remote = dst
 	c.remotePort = dstPort
 	c.serverName = cfg.ServerName
 	c.onEstablished = onEstablished
@@ -207,10 +207,12 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg ClientConfig, 
 	return c
 }
 
-func newConn(host *simnet.Host, cfg Config) *Conn {
+func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	cfg = cfg.withDefaults()
 	c := &Conn{
 		host:    host,
+		remote:  remote,
+		route:   host.Route(remote),
 		sched:   host.Scheduler(),
 		cfg:     cfg,
 		state:   stateHandshaking,
@@ -388,7 +390,7 @@ func (c *Conn) transmit(p *packet) {
 	size := p.wireSize()
 	c.stats.BytesSent += int64(size)
 	c.cfg.Trace.QUICPacketSent(c.sched.Now(), c.traceID, int64(p.pn), size)
-	c.host.Send(c.localPort, c.remote, c.remotePort, size, p)
+	c.route.Send(c.localPort, c.remotePort, size, p)
 }
 
 // canSendStreamData reports whether stream frames may be emitted now:

@@ -98,9 +98,8 @@ func (e *Endpoint) handlePacket(pkt simnet.Packet) {
 			}
 			return
 		}
-		c = newConn(e.host, e.cfg.Config)
+		c = newConn(e.host, pkt.Src, e.cfg.Config)
 		c.scfg = e.cfg
-		c.remote = pkt.Src
 		c.remotePort = pkt.SrcPort
 		c.localPort = e.port
 		c.endpoint = e

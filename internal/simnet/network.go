@@ -68,7 +68,11 @@ type PathProps struct {
 	Trace *TraceLink
 }
 
-// PathFunc resolves the directed path properties between two hosts.
+// PathFunc resolves the directed path properties between two hosts. A
+// Network calls it once per directed (src, dst) pair, when the pair's
+// Route is first resolved, and reuses the answer for every later packet
+// on that pair. It must therefore be pure: a function of its arguments
+// and of state fixed before the pair's first packet.
 type PathFunc func(src, dst Addr) PathProps
 
 // Stats counts network-level activity for a Network.
@@ -90,7 +94,7 @@ type Network struct {
 	path   PathFunc
 	hosts  map[Addr]*Host
 	pairs  map[pairKey]*pathState
-	queues map[queueKey]*pathQueues
+	routes map[routeKey]*Route
 	rng    *seqrand.Source
 	stats  Stats
 	filter func(Packet) bool
@@ -103,8 +107,7 @@ type Network struct {
 // Records are pooled per network so the per-packet hot path schedules no
 // closures and allocates nothing in steady state.
 type delivery struct {
-	n    *Network
-	ps   *pathState
+	r    *Route
 	pkt  Packet
 	drop bool // loss: only the serialization slot is released
 	next *delivery
@@ -114,19 +117,20 @@ type delivery struct {
 // (see Scheduler.AtArg).
 func runDelivery(x any) {
 	d := x.(*delivery)
-	d.ps.inFlight--
+	r := d.r
+	r.ps.inFlight--
 	if d.drop {
 		releasePayload(d.pkt.Payload)
 	} else {
-		d.n.deliver(d.pkt)
+		r.deliver(&d.pkt)
 	}
-	d.n.releaseDelivery(d)
+	r.n.releaseDelivery(d)
 }
 
 func (n *Network) allocDelivery() *delivery {
 	d := n.freeDeliveries
 	if d == nil {
-		return &delivery{n: n}
+		return &delivery{}
 	}
 	n.freeDeliveries = d.next
 	d.next = nil
@@ -134,7 +138,7 @@ func (n *Network) allocDelivery() *delivery {
 }
 
 func (n *Network) releaseDelivery(d *delivery) {
-	d.ps = nil
+	d.r = nil
 	d.pkt = Packet{}
 	d.drop = false
 	d.next = n.freeDeliveries
@@ -174,38 +178,57 @@ type pathState struct {
 	epoch int64
 }
 
-// queueKey identifies one directed (src, dst) pair's delivery queues.
-// Unlike pairKey it never collapses onto a shared link: coalescing
-// relies on per-queue nondecreasing times, and on a shared link packets
-// from different sources carry different propagation delays.
-type queueKey struct {
+// A Route is one directed (src, dst) pair of a Network, resolved once
+// on first use and then reused for every packet on the pair. It caches
+// everything about the pair that is fixed for its lifetime — the
+// PathFunc's answer, the serialization state (shared with every pair on
+// the same LinkID), the destination host — so sending and delivering a
+// packet does no address-keyed lookup.
+//
+// Completions coalesce onto the route's two FIFO queues: successive
+// sends on one pair serialize in order (busyUntil is monotone) and share
+// one propagation delay, so each queue's times are nondecreasing and the
+// whole pair occupies at most two heap slots instead of one per packet
+// in flight (see EventQueue). Arrivals (serialization end + propagation
+// delay) and loss completions (serialization end only) follow different
+// time laws, so each needs its own monotone queue. The queues are per
+// pair even on a shared link: packets from different sources carry
+// different propagation delays.
+type Route struct {
+	n        *Network
 	src, dst Addr
-}
+	props    PathProps
+	ps       *pathState
+	// host is the destination, cached on the first delivery that finds
+	// it: a lazily instantiated server's host may be added after a route
+	// to it was resolved, and until then deliveries count NoRoute.
+	host *Host
 
-// pathQueues coalesces one pair's scheduled completions into at most
-// two heap entries (see EventQueue). Arrivals (serialization end +
-// propagation delay) and loss completions (serialization end only)
-// follow different time laws, so each needs its own monotone queue.
-type pathQueues struct {
 	arrive EventQueue
 	drop   EventQueue
 	// frontier is the latest scheduled arrival among FIFO deliveries on
-	// this (src,dst) pair: the link preserves order, so a jittered
-	// packet is delayed, never overtaken past — every delivery clamps
-	// to at least the frontier, and only packets explicitly held back
-	// by the reordering impairment leave it unadvanced (they alone may
-	// be overtaken by later sends). On unimpaired paths arrivals are
+	// this pair: the link preserves order, so a jittered packet is
+	// delayed, never overtaken past — every delivery clamps to at least
+	// the frontier, and only packets explicitly held back by the
+	// reordering impairment leave it unadvanced (they alone may be
+	// overtaken by later sends). On unimpaired paths arrivals are
 	// already monotone and the clamp is a no-op.
 	frontier time.Duration
 }
 
-func (n *Network) pathQueues(src, dst Addr) *pathQueues {
-	q, ok := n.queues[queueKey{src, dst}]
-	if !ok {
-		q = &pathQueues{}
-		n.queues[queueKey{src, dst}] = q
+type routeKey struct {
+	src, dst Addr
+}
+
+// route returns the src→dst route, resolving it on first use.
+func (n *Network) route(src, dst Addr) *Route {
+	if r, ok := n.routes[routeKey{src, dst}]; ok {
+		return r
 	}
-	return q
+	props := n.path(src, dst)
+	r := &Route{n: n, src: src, dst: dst, props: props, ps: n.pairState(src, dst, props.LinkID)}
+	n.routes[routeKey{src, dst}] = r
+	return r
 }
 
 // NewNetwork creates a network driven by sched with paths from path and
@@ -219,7 +242,7 @@ func NewNetwork(sched *Scheduler, path PathFunc, rng *seqrand.Source) *Network {
 		path:   path,
 		hosts:  make(map[Addr]*Host),
 		pairs:  make(map[pairKey]*pathState),
-		queues: make(map[queueKey]*pathQueues),
+		routes: make(map[routeKey]*Route),
 		rng:    rng,
 	}
 }
@@ -241,7 +264,7 @@ func (n *Network) AddHost(addr Addr) *Host {
 		addr:  addr,
 		ports: make(map[uint16]PacketHandler),
 		// Ephemeral range start; deterministic across runs.
-		nextEphemeral: 49152,
+		nextEphemeral: ephemeralFirst,
 	}
 	n.hosts[addr] = h
 	return h
@@ -267,26 +290,28 @@ func (n *Network) pairState(src, dst Addr, link string) *pathState {
 	return ps
 }
 
-// send transmits pkt, applying serialization, queue, loss, and propagation.
-func (n *Network) send(pkt Packet) {
+// Send transmits a packet from srcPort to the route's destination at
+// dstPort, applying serialization, queue, loss, and propagation.
+// Ownership of payload passes to the network (see Releasable).
+func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
+	n := r.n
 	n.stats.Sent++
-	n.stats.BytesSent += int64(pkt.Size)
-	n.trace.PacketSent(n.sched.Now(), string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size)
+	n.stats.BytesSent += int64(size)
+	n.trace.PacketSent(n.sched.Now(), string(r.src), string(r.dst), srcPort, dstPort, size)
 
-	if n.filter != nil && !n.filter(pkt) {
+	if n.filter != nil && !n.filter(Packet{Src: r.src, SrcPort: srcPort, Dst: r.dst, DstPort: dstPort, Size: size, Payload: payload}) {
 		n.stats.LossDrops++
-		n.trace.PacketDropped(n.sched.Now(), string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size, trace.DropFilter)
-		releasePayload(pkt.Payload)
+		n.trace.PacketDropped(n.sched.Now(), string(r.src), string(r.dst), srcPort, dstPort, size, trace.DropFilter)
+		releasePayload(payload)
 		return
 	}
 
-	props := n.path(pkt.Src, pkt.Dst)
-	ps := n.pairState(pkt.Src, pkt.Dst, props.LinkID)
+	props, ps := &r.props, r.ps
 
 	if props.QueueLimit > 0 && ps.inFlight >= props.QueueLimit {
 		n.stats.QueueDrops++
-		n.trace.PacketDropped(n.sched.Now(), string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size, trace.DropQueue)
-		releasePayload(pkt.Payload)
+		n.trace.PacketDropped(n.sched.Now(), string(r.src), string(r.dst), srcPort, dstPort, size, trace.DropQueue)
+		releasePayload(payload)
 		return
 	}
 
@@ -304,25 +329,18 @@ func (n *Network) send(pkt Packet) {
 		// attribution can tell capacity stalls from loss stalls.
 		if e := props.Trace.Epoch(start); e != ps.epoch {
 			ps.epoch = e
-			n.trace.LinkEpoch(now, string(pkt.Src), string(pkt.Dst), e, props.Trace.EpochBps(e), ps.inFlight)
+			n.trace.LinkEpoch(now, string(r.src), string(r.dst), e, props.Trace.EpochBps(e), ps.inFlight)
 		}
-		tx = props.Trace.Serialize(start, int64(pkt.Size)*8) - start
+		tx = props.Trace.Serialize(start, int64(size)*8) - start
 	} else if props.BandwidthBps > 0 {
-		tx = time.Duration(float64(pkt.Size*8) / props.BandwidthBps * float64(time.Second))
+		tx = time.Duration(float64(size*8) / props.BandwidthBps * float64(time.Second))
 	}
 	ps.busyUntil = start + tx
 	ps.inFlight++
 
 	d := n.allocDelivery()
-	d.ps = ps
-	d.pkt = pkt
-
-	// Completions coalesce onto per-(src,dst) FIFO queues: successive
-	// sends on one pair serialize in order (busyUntil is monotone) and
-	// share one propagation delay, so each queue's times are
-	// nondecreasing and the whole pair occupies one heap slot instead of
-	// one per packet in flight.
-	q := n.pathQueues(pkt.Src, pkt.Dst)
+	d.r = r
+	d.pkt = Packet{Src: r.src, SrcPort: srcPort, Dst: r.dst, DstPort: dstPort, Size: size, Payload: payload}
 
 	// The impairment layer runs first (the path's condition evolves per
 	// transmission attempt, independent of ambient loss); its randomness
@@ -336,14 +354,14 @@ func (n *Network) send(pkt Packet) {
 	if props.Impair != nil {
 		cause, delta, h := n.impair(ps, props.Impair, start)
 		if cause != 0 {
-			n.trace.PacketDropped(now, string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size, cause)
+			n.trace.PacketDropped(now, string(r.src), string(r.dst), srcPort, dstPort, size, cause)
 			d.drop = true
-			n.sched.QueueAtArg(&q.drop, start+tx, runDelivery, d)
+			n.sched.QueueAtArg(&r.drop, start+tx, runDelivery, d)
 			return
 		}
 		extra, held = delta, h
 		if extra > 0 {
-			n.trace.PacketDelayed(now, string(pkt.Src), string(pkt.Dst), extra)
+			n.trace.PacketDelayed(now, string(r.src), string(r.dst), extra)
 		}
 	}
 
@@ -351,9 +369,9 @@ func (n *Network) send(pkt Packet) {
 	// consumed link time (they were serialized onto the wire).
 	if props.LossRate > 0 && ps.lossRng.Float64() < props.LossRate {
 		n.stats.LossDrops++
-		n.trace.PacketDropped(now, string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size, trace.DropLoss)
+		n.trace.PacketDropped(now, string(r.src), string(r.dst), srcPort, dstPort, size, trace.DropLoss)
 		d.drop = true
-		n.sched.QueueAtArg(&q.drop, start+tx, runDelivery, d)
+		n.sched.QueueAtArg(&r.drop, start+tx, runDelivery, d)
 		return
 	}
 
@@ -364,13 +382,13 @@ func (n *Network) send(pkt Packet) {
 	// frontier unadvanced: later sends may overtake it, which is the
 	// one sanctioned source of out-of-order delivery.
 	at := start + tx + props.Delay + extra
-	if at < q.frontier {
-		at = q.frontier
+	if at < r.frontier {
+		at = r.frontier
 	}
 	if !held {
-		q.frontier = at
+		r.frontier = at
 	}
-	n.sched.QueueAtArg(&q.arrive, at, runDelivery, d)
+	n.sched.QueueAtArg(&r.arrive, at, runDelivery, d)
 }
 
 // impair applies the fault-injection layer to one transmission attempt
@@ -421,12 +439,17 @@ func (n *Network) impair(ps *pathState, im *Impairment, start time.Duration) (ca
 	return 0, extra, held
 }
 
-func (n *Network) deliver(pkt Packet) {
-	h, ok := n.hosts[pkt.Dst]
-	if !ok {
-		n.stats.NoRoute++
-		releasePayload(pkt.Payload)
-		return
+// deliver hands pkt to the handler bound at its destination port.
+func (r *Route) deliver(pkt *Packet) {
+	n := r.n
+	h := r.host
+	if h == nil {
+		if h = n.hosts[r.dst]; h == nil {
+			n.stats.NoRoute++
+			releasePayload(pkt.Payload)
+			return
+		}
+		r.host = h
 	}
 	fn, ok := h.ports[pkt.DstPort]
 	if !ok {
@@ -436,12 +459,6 @@ func (n *Network) deliver(pkt Packet) {
 	}
 	n.stats.Delivered++
 	n.trace.PacketArrived(n.sched.Now(), string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size)
-	fn(pkt)
+	fn(*pkt)
 	releasePayload(pkt.Payload)
-}
-
-// RTT returns the round-trip propagation delay between two hosts
-// (sum of the two directed path delays, no serialization).
-func (n *Network) RTT(a, b Addr) time.Duration {
-	return n.path(a, b).Delay + n.path(b, a).Delay
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -174,6 +175,25 @@ func TestEphemeralPortsUnique(t *testing.T) {
 	}
 }
 
+func TestBindEphemeralPanicsWhenExhausted(t *testing.T) {
+	var s Scheduler
+	n := NewNetwork(&s, nil, seqrand.New(1))
+	h := n.AddHost("full")
+	for range ephemeralPorts {
+		h.BindEphemeral(func(Packet) {})
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("BindEphemeral returned with every ephemeral port bound")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, `"full"`) {
+			t.Fatalf("panic %v does not name the host", r)
+		}
+	}()
+	h.BindEphemeral(func(Packet) {})
+}
+
 func TestBindConflict(t *testing.T) {
 	var s Scheduler
 	n := NewNetwork(&s, symPath(0, 0, 0), seqrand.New(1))
@@ -202,11 +222,14 @@ func TestDuplicateHostPanics(t *testing.T) {
 	n.AddHost("x")
 }
 
+// TestRTT checks that the two directed routes of a pair carry their
+// PathFunc delays.
 func TestRTT(t *testing.T) {
 	var s Scheduler
 	n := NewNetwork(&s, symPath(15*time.Millisecond, 0, 0), seqrand.New(1))
-	if got := n.RTT("a", "b"); got != 30*time.Millisecond {
-		t.Fatalf("RTT = %v, want 30ms", got)
+	a, b := n.AddHost("a"), n.AddHost("b")
+	if got := a.Route("b").props.Delay + b.Route("a").props.Delay; got != 30*time.Millisecond {
+		t.Fatalf("round-trip delay = %v, want 30ms", got)
 	}
 }
 

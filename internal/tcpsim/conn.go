@@ -39,6 +39,7 @@ type Conn struct {
 	cfg   Config
 
 	remote     simnet.Addr
+	route      *simnet.Route // to remote, resolved once per connection
 	localPort  uint16
 	remotePort uint16
 	state      connState
@@ -124,9 +125,8 @@ var _ bytestream.Stream = (*Conn)(nil)
 // queued and flushed at that point.
 func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEstablished func(*Conn)) *Conn {
 	cfg = cfg.withDefaults()
-	c := newConn(host, cfg)
+	c := newConn(host, dst, cfg)
 	c.isClient = true
-	c.remote = dst
 	c.remotePort = dstPort
 	c.localPort = host.BindEphemeral(c.pktFn)
 	c.state = stateSynSent
@@ -140,7 +140,7 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEsta
 	return c
 }
 
-func newConn(host *simnet.Host, cfg Config) *Conn {
+func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	c, ok := cfg.Pools.conns.Get()
 	if !ok {
 		c = &Conn{}
@@ -153,6 +153,8 @@ func newConn(host *simnet.Host, cfg Config) *Conn {
 		c.onRTOFn = cc.onRTO
 	}
 	c.host = host
+	c.remote = remote
+	c.route = host.Route(remote)
 	c.sched = host.Scheduler()
 	c.cfg = cfg
 	c.cwnd = initCwndSegs * mss
@@ -314,7 +316,7 @@ func (c *Conn) sendReset() {
 	seg.seq = c.sndNxt
 	seg.ack = c.rcvNxt
 	c.stats.SegsSent++
-	c.host.Send(c.localPort, c.remote, c.remotePort, seg.wireSize(), seg)
+	c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
 }
 
 // startResetProbes re-sends RST with exponential spacing after an
@@ -403,7 +405,7 @@ func (c *Conn) sendSeg(seg *segment) {
 	seg.ack = c.rcvNxt
 	c.stats.SegsSent++
 	c.stats.BytesSent += int64(len(seg.payload))
-	c.host.Send(c.localPort, c.remote, c.remotePort, seg.wireSize(), seg)
+	c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
 }
 
 func (c *Conn) sendFlags(f segFlags) {
@@ -412,7 +414,7 @@ func (c *Conn) sendFlags(f segFlags) {
 	if f&flagSYN != 0 && f&flagACK == 0 {
 		// Initial SYN carries no ACK.
 		c.stats.SegsSent++
-		c.host.Send(c.localPort, c.remote, c.remotePort, seg.wireSize(), seg)
+		c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
 		return
 	}
 	c.sendSeg(seg)

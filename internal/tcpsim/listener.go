@@ -73,8 +73,7 @@ func (l *Listener) handlePacket(pkt simnet.Packet) {
 			}
 			return
 		}
-		c = newConn(l.host, l.cfg)
-		c.remote = pkt.Src
+		c = newConn(l.host, pkt.Src, l.cfg)
 		c.remotePort = pkt.SrcPort
 		c.localPort = l.port
 		c.listener = l

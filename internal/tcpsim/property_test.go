@@ -47,7 +47,7 @@ func TestReceiverReassemblyAnyOrder(t *testing.T) {
 		sched := &simnet.Scheduler{MaxEvents: 1_000_000}
 		net := simnet.NewNetwork(sched, nil, seqrand.New(1))
 		host := net.AddHost("recv")
-		c := newConn(host, Config{}.withDefaults())
+		c := newConn(host, "", Config{}.withDefaults())
 		c.isClient = true
 		c.localPort = host.BindEphemeral(func(simnet.Packet) {})
 		c.state = stateEstablished
@@ -84,7 +84,7 @@ func TestRTTEstimatorClamped(t *testing.T) {
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, nil, seqrand.New(1))
 	host := net.AddHost("h")
-	c := newConn(host, Config{}.withDefaults())
+	c := newConn(host, "", Config{}.withDefaults())
 	for i := 0; i < 10_000; i++ {
 		c.rttSample(randDuration(rng))
 		if c.rto < rtoMin || c.rto > rtoMax {
