@@ -7,15 +7,15 @@ package bufpool
 // Ownership rule: every buffer obtained from Get or Grow goes back
 // through Put or Retire exactly once, by whoever holds it. Put is the
 // rule: the owner proves nothing else will read the buffer (a wire
-// record delivered, a TCP byte range acknowledged, a QUIC stream fully
+// record delivered, a TCP segment released, a QUIC stream fully
 // acknowledged) and the array is reusable at once. Retire is the
-// exception for a connection torn down with bytes still in flight: the
-// wire copies alias the buffer and the peer may yet read them, so it is
-// quarantined until the owning universe's visit-boundary Rewind. Stats
-// tracks the balance. On the universe's wire-buffer arena every buffer
-// is back before Rewind, and the universe fails the visit otherwise; a
-// transport's send-buffer arena also counts what connections that
-// outlive the visit still hold.
+// exception for a QUIC connection torn down with stream bytes still in
+// flight: its frames alias the buffer and the peer may yet read them, so
+// it is quarantined until the owning universe's visit-boundary Rewind.
+// Stats tracks the balance. On the universe's wire-buffer arena every
+// buffer is back before Rewind, and the universe fails the visit
+// otherwise; a transport's send-side arena also counts what connections
+// that outlive the visit still hold.
 type Arena struct {
 	free    [numClasses]FreeList[[]byte]
 	retired [][]byte
@@ -74,9 +74,9 @@ func (a *Arena) recycle(buf []byte) {
 // Grow returns a buffer that starts with a copy of live and has
 // capacity at least need: the next power of two, growFloor minimum, so a
 // buffer Grow handed out at least doubles when it overflows. It is the
-// transports' one size-and-copy step and touches nothing else: the
-// array live sits in stays with its owner, who Puts it once no in-flight
-// wire record aliases it.
+// QUIC stream send buffer's size-and-copy step and touches nothing else:
+// the array live sits in stays with its owner, who Puts it once no
+// in-flight frame aliases it.
 func (a *Arena) Grow(live []byte, need int) []byte {
 	newCap := growFloor
 	for newCap < need {
@@ -88,8 +88,8 @@ func (a *Arena) Grow(live []byte, need int) []byte {
 }
 
 // Retire quarantines a buffer that in-flight wire copies may still
-// alias; it is never handed out again before Rewind. Only a teardown
-// with bytes in flight needs it.
+// alias; it is never handed out again before Rewind. Only a QUIC
+// teardown with stream bytes in flight needs it.
 func (a *Arena) Retire(buf []byte) {
 	if cap(buf) == 0 {
 		return

@@ -1,9 +1,10 @@
 // Package bufpool provides the simulation's two recyclers: Arena, a
 // size-classed byte-buffer recycler for the hot path (wire records,
-// framed blocks, response bodies, transport reassembly chunks, send
-// buffers), and FreeList, the LIFO free list every per-universe record
-// pool is built from. Both are confined to one goroutine — the owning
-// universe's scheduler — so reuse needs no locking and, being plain
+// framed blocks, transport reassembly chunks, TCP segment payloads and
+// extents, QUIC send buffers), and FreeList, the LIFO free list every
+// per-universe record pool is built from. Both are confined to one
+// goroutine — the owning universe's scheduler — so reuse needs no
+// locking and, being plain
 // slices, survives garbage-collection cycles: a warm shard reaches a
 // steady state where every visit is served from the same allocation
 // footprint. Buffers come back with the requested length but arbitrary

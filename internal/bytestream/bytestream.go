@@ -4,6 +4,13 @@
 // HTTP/2 layers consume one. All methods are callback-oriented because
 // the simulation is single-threaded under virtual time. Gaps is the
 // reassembly buffer both transports park out-of-order data in.
+//
+// Most bytes on the simulated wire are opaque: their writer does not
+// specify their value and no reader inspects them (response bodies, AEAD
+// tags, handshake padding). WriteOpaque queues them by count, so no layer
+// materialises or copies them; only the supplied bytes a writer does
+// specify — headers, framing, handshake fields — are ever stored. A
+// reader that looks at an opaque byte sees arbitrary contents.
 package bytestream
 
 // Stream is an ordered, reliable byte stream with asynchronous delivery.
@@ -15,8 +22,12 @@ type Stream interface {
 	// Write queues p for transmission. The implementation copies p
 	// before returning; the caller keeps ownership of the backing array
 	// and may reuse or recycle it immediately (this is what lets the
-	// HTTP layers frame into pooled buffers).
+	// HTTP layers frame into pooled buffers). It is WriteOpaque(p, 0).
 	Write(p []byte)
+	// WriteOpaque queues head, copied before return as Write copies,
+	// followed by n opaque bytes: stream positions the peer receives
+	// and counts but whose contents are arbitrary.
+	WriteOpaque(head []byte, n int)
 	// SetDataFunc registers the in-order delivery callback. The chunk
 	// passed to the callback is only valid for the duration of the
 	// call: implementations may recycle the backing array afterwards,

@@ -13,7 +13,7 @@ import (
 // sink is a blockWriter that keeps what it is given.
 type sink []byte
 
-func (s *sink) Write(p []byte) { *s = append(*s, p...) }
+func (s *sink) WriteOpaque(head []byte, n int) { *s = append(append(*s, head...), make([]byte, n)...) }
 
 // malformedResponses are envelopes both response parsers must reject:
 // each is tried as an H1 head and as an H2/H3 header block, and each
@@ -48,8 +48,8 @@ func roundTrippable(host, path, key, val string) bool {
 }
 
 // FuzzEnvelopes pins the one HTTP codec: hostile bytes never panic a
-// parser or make the block parser retain more than one capped header
-// block, well-formed envelopes survive encode→parse on H1 and on H2/H3
+// parser or make the block parser or the H1 head carry retain more than
+// one capped header block, well-formed envelopes survive encode→parse on H1 and on H2/H3
 // blocks, and malformed responses are ErrBadResponse. The seeds run
 // under plain go test.
 func FuzzEnvelopes(f *testing.F) {
@@ -70,6 +70,8 @@ func FuzzEnvelopes(f *testing.F) {
 	// A HEADERS block announcing 4 GB with more than the cap behind it:
 	// the parser must refuse it, not buffer it.
 	f.Add(append([]byte("\x02\x00\x00\x00\x01\x00\xff\xff\xff\xff"), make([]byte, 2*maxHeaderBlock)...), "h", "p", "k", "v", 1, 1)
+	// An H1 head that never ends: the head carry must give up at the cap.
+	f.Add(append([]byte("HTTP/1.1 200 OK\r\n"), bytes.Repeat([]byte("x-filler: abcdefgh\r\n"), maxHeaderBlock/10)...), "h", "p", "k", "v", 1, 1)
 
 	f.Fuzz(func(t *testing.T, raw []byte, host, path, key, val string, status, size int) {
 		var pl Pools
@@ -88,6 +90,15 @@ func FuzzEnvelopes(f *testing.F) {
 		bp.feed(raw[cut:])
 		if held := len(bp.acc) - bp.off; held > blockHeaderSize+maxHeaderBlock || bp.overlong && held != 0 {
 			t.Fatalf("parser retains %d of %d hostile bytes (overlong=%v)", held, len(raw), bp.overlong)
+		}
+		var heads headCarry
+		for _, piece := range [][]byte{raw[:cut], raw[cut:]} {
+			for ok := true; ok; {
+				_, piece, ok = heads.take(piece)
+			}
+		}
+		if held := len(heads.acc); held > maxHeaderBlock || heads.overlong && held != 0 {
+			t.Fatalf("head carry retains %d of %d hostile bytes (overlong=%v)", held, len(raw), heads.overlong)
 		}
 
 		if !roundTrippable(host, path, key, val) || status < 0 || size < 0 {

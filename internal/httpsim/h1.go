@@ -64,13 +64,10 @@ type h1Client struct {
 	hasCur bool
 	dog    reqWatchdog
 
-	// Response parse state. acc accumulates with an explicit consumed
-	// offset (compacted before each append) so one backing array serves
-	// the connection's lifetime.
-	acc       []byte
-	accOff    int
-	meta      ResponseMeta
-	inBody    bool
+	// Response parse state. Body bytes are counted straight from the
+	// delivery, never buffered; heads carries only a response head split
+	// across deliveries.
+	heads     headCarry
 	bodyLeft  int
 	gotHeader bool
 }
@@ -201,20 +198,11 @@ func (c *h1Client) next() {
 	p.stream = c.nextStream
 	c.cur = p
 	c.hasCur = true
-	c.resetParse()
 	c.trace.HTTPStreamOpen(c.sched.Now(), c.traceID, p.stream, p.req.Host, p.req.Path)
 	c.tls.Write(c.pools.encodeH1Request(p.req))
 	if p.ev.OnSent != nil {
 		p.ev.OnSent()
 	}
-}
-
-func (c *h1Client) resetParse() {
-	c.acc = c.acc[:0]
-	c.accOff = 0
-	c.inBody = false
-	c.bodyLeft = 0
-	c.gotHeader = false
 }
 
 func (c *h1Client) onData(p []byte) {
@@ -227,32 +215,23 @@ func (c *h1Client) onData(p []byte) {
 }
 
 func (c *h1Client) parse(p []byte) {
-	if c.accOff > 0 {
-		n := copy(c.acc, c.acc[c.accOff:])
-		c.acc = c.acc[:n]
-		c.accOff = 0
-	}
-	c.acc = append(c.acc, p...)
-	for {
-		if !c.hasCur {
-			return
-		}
-		acc := c.acc[c.accOff:]
+	for c.hasCur {
 		if !c.gotHeader {
-			idx := bytes.Index(acc, crlf2)
-			if idx < 0 {
+			head, rest, ok := c.heads.take(p)
+			if !ok {
+				if c.heads.overlong {
+					c.fail(ErrBadResponse)
+				}
 				return
 			}
-			meta, err := c.pools.parseH1Response(acc[:idx])
+			meta, err := c.pools.parseH1Response(head)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			c.meta = meta
+			p = rest
 			c.gotHeader = true
 			c.bodyLeft = meta.BodySize
-			c.accOff += idx + 4
-			acc = c.acc[c.accOff:]
 			c.trace.HTTPHeaders(c.sched.Now(), c.traceID, c.cur.stream, meta.Status, meta.BodySize)
 			if c.cur.ev.OnHeaders != nil {
 				c.cur.ev.OnHeaders(meta)
@@ -261,14 +240,12 @@ func (c *h1Client) parse(p []byte) {
 				return
 			}
 		}
-		if len(acc) < c.bodyLeft {
-			c.bodyLeft -= len(acc)
-			c.acc = c.acc[:0]
-			c.accOff = 0
+		n := min(c.bodyLeft, len(p))
+		c.bodyLeft -= n
+		p = p[n:]
+		if c.bodyLeft > 0 {
 			return
 		}
-		c.accOff += c.bodyLeft
-		c.bodyLeft = 0
 		done := c.cur
 		c.hasCur = false
 		c.gotHeader = false
@@ -446,8 +423,7 @@ type h1ServerConn struct {
 	tls     *tlssim.Conn
 	handler Handler
 	pools   *Pools
-	acc     []byte
-	accOff  int
+	heads   headCarry
 	// ctx and respondFn are reused across requests: dispatch is
 	// synchronous from onData and handlers copy what they need before
 	// scheduling a delayed respond.
@@ -471,30 +447,78 @@ func newH1ServerConn(tls *tlssim.Conn, handler Handler, pools *Pools) *h1ServerC
 
 func (c *h1ServerConn) respond(resp Response) {
 	c.tls.Write(c.pools.encodeH1Response(resp))
-	if resp.BodySize > 0 {
-		writeBody(&c.pools.Arena, c.tls, resp.BodySize)
-	}
+	writeBody(c.tls, resp.BodySize)
 }
 
 func (c *h1ServerConn) onData(p []byte) {
-	if c.accOff > 0 {
-		n := copy(c.acc, c.acc[c.accOff:])
-		c.acc = c.acc[:n]
-		c.accOff = 0
-	}
-	c.acc = append(c.acc, p...)
 	for {
-		acc := c.acc[c.accOff:]
-		idx := bytes.Index(acc, crlf2)
-		if idx < 0 {
+		head, rest, ok := c.heads.take(p)
+		if !ok {
+			if c.heads.overlong {
+				c.tls.Abort()
+			}
 			return
 		}
-		req, ok := c.pools.parseH1Request(acc[:idx])
-		c.accOff += idx + 4
+		p = rest
+		req, ok := c.pools.parseH1Request(head)
 		if !ok {
 			continue
 		}
 		c.ctx = ServerContext{Req: req, Protocol: H1, ServerName: c.tls.ServerName()}
 		c.handler(&c.ctx, c.respondFn)
 	}
+}
+
+// headCarry finds HTTP/1.1 heads — the bytes before a CRLFCRLF — in a
+// byte stream whose deliveries may split them. Each delivery is scanned
+// once, and only an unterminated head is copied: acc holds at most
+// maxHeaderBlock bytes, grown to exactly what it carries.
+type headCarry struct {
+	acc []byte
+	// overlong latches once the unterminated head passes
+	// maxHeaderBlock: framing is lost, so take yields nothing more.
+	// Clients fail with ErrBadResponse, servers abort.
+	overlong bool
+}
+
+// take returns the head p completes, without its terminator, and the
+// bytes after it. head is valid until the next take. ok is false when p
+// ends inside a head, which is then carried.
+func (h *headCarry) take(p []byte) (head, rest []byte, ok bool) {
+	if h.overlong {
+		return nil, nil, false
+	}
+	if k := len(h.acc); k > 0 {
+		// A terminator straddling the carried bytes and p starts in the
+		// last three carried bytes and ends in the first three of p.
+		var seam [6]byte
+		n := copy(seam[:], h.acc[max(k-3, 0):])
+		m := copy(seam[n:], p[:min(len(p), 3)])
+		if i := bytes.Index(seam[:n+m], crlf2); i >= 0 {
+			head, h.acc = h.acc[:k-n+i], h.acc[:0]
+			return head, p[i+4-n:], true
+		}
+	}
+	if i := bytes.Index(p, crlf2); i >= 0 {
+		if len(h.acc) == 0 {
+			return p[:i], p[i+4:], true
+		}
+		h.carry(p[:i])
+		head, h.acc = h.acc, h.acc[:0]
+		return head, p[i+4:], true
+	}
+	if len(h.acc)+len(p) > maxHeaderBlock {
+		h.acc, h.overlong = nil, true
+		return nil, nil, false
+	}
+	h.carry(p)
+	return nil, nil, false
+}
+
+// carry appends p to acc, growing it to exactly the length needed.
+func (h *headCarry) carry(p []byte) {
+	if need := len(h.acc) + len(p); need > cap(h.acc) {
+		h.acc = append(make([]byte, 0, need), h.acc...)
+	}
+	h.acc = append(h.acc, p...)
 }

@@ -203,9 +203,9 @@ func putBlockHeader(buf []byte, t blockType, streamID uint32, flags uint8, plen 
 	binary.BigEndian.PutUint32(buf[6:10], uint32(plen))
 }
 
-// blockWriter is any byte sink honoring the bytestream contract (Write
-// copies before returning).
-type blockWriter interface{ Write([]byte) }
+// blockWriter is any byte sink honoring the bytestream contract
+// (WriteOpaque copies head before returning).
+type blockWriter interface{ WriteOpaque(head []byte, n int) }
 
 // writeBlock frames payload into a pooled buffer, writes it, and recycles
 // the buffer immediately.
@@ -213,18 +213,18 @@ func writeBlock(a *bufpool.Arena, w blockWriter, t blockType, streamID uint32, f
 	buf := a.Get(blockHeaderSize + len(payload))
 	putBlockHeader(buf, t, streamID, flags, len(payload))
 	copy(buf[blockHeaderSize:], payload)
-	w.Write(buf)
+	w.WriteOpaque(buf, 0)
 	a.Put(buf)
 }
 
 // writeBodyBlock writes a blockData frame carrying a synthetic n-byte
-// body. Body bytes are only ever counted, never inspected, so the pooled
-// buffer's arbitrary contents stand in for the payload.
+// body. Body bytes are only ever counted, never inspected, so only the
+// block header is supplied and the body is opaque.
 func writeBodyBlock(a *bufpool.Arena, w blockWriter, streamID uint32, flags uint8, n int) {
-	buf := a.Get(blockHeaderSize + n)
-	putBlockHeader(buf, blockData, streamID, flags, n)
-	w.Write(buf)
-	a.Put(buf)
+	hdr := a.Get(blockHeaderSize)
+	putBlockHeader(hdr, blockData, streamID, flags, n)
+	w.WriteOpaque(hdr, n)
+	a.Put(hdr)
 }
 
 // maxHeaderBlock caps the payload of a non-DATA block. Real header
@@ -494,17 +494,12 @@ func (pl *Pools) parseResponseHeaderBlock(p []byte) (ResponseMeta, error) {
 // bodyChunkSize is the DATA frame payload granularity for H2/H3 servers.
 const bodyChunkSize = 16 * 1024
 
-// writeBody streams a synthetic n-byte body (no framing) in pooled
-// bodyChunkSize chunks; contents are arbitrary, as with writeBodyBlock.
-func writeBody(a *bufpool.Arena, w blockWriter, n int) {
+// writeBody streams a synthetic n-byte body (no framing) as opaque
+// bodyChunkSize writes, as with writeBodyBlock.
+func writeBody(w blockWriter, n int) {
 	for n > 0 {
-		c := n
-		if c > bodyChunkSize {
-			c = bodyChunkSize
-		}
-		buf := a.Get(c)
-		w.Write(buf)
-		a.Put(buf)
+		c := min(n, bodyChunkSize)
+		w.WriteOpaque(nil, c)
 		n -= c
 	}
 }

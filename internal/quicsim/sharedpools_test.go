@@ -11,16 +11,26 @@ import (
 	"h3cdn/internal/simnet"
 )
 
+// span is a range [off, end) of stream offsets.
+type span struct{ off, end int }
+
 // flow is one direction of one stream: a byte pattern of its own, the
 // sizes it is written in (random when nil), and what the far end has
-// seen of it.
+// seen of it. Pieces alternate between Write and WriteOpaque; a
+// WriteOpaque piece supplies a short head of the pattern and leaves the
+// rest opaque.
 type flow struct {
-	want    []byte
-	pieces  []int
-	written int
-	got     int
-	corrupt bool
-	eof     bool
+	want     []byte
+	pieces   []int
+	supplied []span // the stream ranges a writer specified, in order
+	opaque   int    // opaque bytes written
+	writes   int
+	written  int
+	got      int
+	gotOpq   int // opaque bytes received
+	next     int // first span the receiver has not passed
+	corrupt  bool
+	eof      bool
 }
 
 func newFlow(rng *rand.Rand, maxLen int) *flow {
@@ -29,11 +39,30 @@ func newFlow(rng *rand.Rand, maxLen int) *flow {
 	return f
 }
 
+// receive checks every supplied byte of p at its stream offset and
+// counts the opaque ones, whose contents are arbitrary.
 func (f *flow) receive(p []byte) {
-	if f.got+len(p) > len(f.want) || !bytes.Equal(p, f.want[f.got:f.got+len(p)]) {
+	start, end := f.got, f.got+len(p)
+	f.got = end
+	if end > f.written {
 		f.corrupt = true
+		return
 	}
-	f.got += len(p)
+	for f.next < len(f.supplied) && f.supplied[f.next].end <= start {
+		f.next++
+	}
+	covered := 0
+	for _, sp := range f.supplied[f.next:] {
+		if sp.off >= end {
+			break
+		}
+		lo, hi := max(sp.off, start), min(sp.end, end)
+		if !bytes.Equal(p[lo-start:hi-start], f.want[lo:hi]) {
+			f.corrupt = true
+		}
+		covered += hi - lo
+	}
+	f.gotOpq += len(p) - covered
 }
 
 // drive writes the flow on s, starting after start, in its pieces (or
@@ -54,7 +83,22 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, s *Stream, start t
 		if left := len(f.want) - f.written; n > left {
 			n = left
 		}
-		s.Write(f.want[f.written : f.written+n])
+		h := n
+		if f.writes%2 == 1 {
+			h = rng.Intn(min(n, 64) + 1)
+		}
+		f.writes++
+		if k := len(f.supplied) - 1; k >= 0 && f.supplied[k].end == f.written {
+			f.supplied[k].end += h
+		} else if h > 0 {
+			f.supplied = append(f.supplied, span{f.written, f.written + h})
+		}
+		f.opaque += n - h
+		if h == n {
+			s.Write(f.want[f.written : f.written+n])
+		} else {
+			s.WriteOpaque(f.want[f.written:f.written+h], n-h)
+		}
 		f.written += n
 		sched.After(time.Duration(rng.Intn(8_000))*time.Microsecond, next)
 	}
@@ -64,9 +108,10 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, s *Stream, start t
 // runSharedPools runs conns connections × streams streams at once over
 // one path (impair may be nil), every endpoint on ONE Pools, each
 // direction of each stream a flow from mkFlow (up, then down, stream by
-// stream), and checks that every receiver got exactly its bytes and EOF
-// and that the send arena, whose counters it returns, came out even
-// although no connection closed.
+// stream), and checks that every receiver got every supplied byte where
+// it was written, the right number of opaque ones, and EOF, and that the
+// send arena, whose counters it returns, came out even although no
+// connection closed.
 func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, streams int, mkFlow func(*rand.Rand) *flow) bufpool.ArenaStats {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec
@@ -117,9 +162,9 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, 
 	for i := 0; i < conns; i++ {
 		for j := 0; j < streams; j++ {
 			for dir, f := range []*flow{up[i][j], down[i][j]} {
-				if f.corrupt || f.got != len(f.want) || !f.eof {
-					t.Fatalf("seed %d conn %d stream %d dir %d: got %d of %d bytes, corrupt=%v eof=%v",
-						seed, i, j, dir, f.got, len(f.want), f.corrupt, f.eof)
+				if f.corrupt || f.got != len(f.want) || f.gotOpq != f.opaque || !f.eof {
+					t.Fatalf("seed %d conn %d stream %d dir %d: got %d of %d bytes (%d of %d opaque), corrupt=%v eof=%v",
+						seed, i, j, dir, f.got, len(f.want), f.gotOpq, f.opaque, f.corrupt, f.eof)
 				}
 			}
 		}

@@ -69,18 +69,23 @@ func (s *Stream) SetDataFunc(fn func([]byte)) { s.dataFn = fn }
 func (s *Stream) SetFinFunc(fn func()) { s.finFn = fn }
 
 // Write queues p for transmission on this stream.
-func (s *Stream) Write(p []byte) {
+func (s *Stream) Write(p []byte) { s.WriteOpaque(p, 0) }
+
+// WriteOpaque queues head followed by n opaque bytes: head is appended
+// to pend and pend is resliced over the n bytes after it, unwritten.
+func (s *Stream) WriteOpaque(head []byte, n int) {
 	if s.conn.state == stateClosed || s.finQueued {
 		return
 	}
-	if need := len(s.pend) + len(p); need > cap(s.pend) {
+	if need := len(s.pend) + len(head) + n; need > cap(s.pend) {
 		old := s.pend
 		s.pend = s.conn.pools.pends.Grow(old, need)
 		if old != nil {
 			s.outgrown = append(s.outgrown, old)
 		}
 	}
-	s.pend = append(s.pend, p...)
+	s.pend = append(s.pend, head...)
+	s.pend = s.pend[:len(s.pend)+n]
 	s.conn.queue(s)
 	s.conn.trySend()
 }

@@ -28,8 +28,10 @@ type Packet struct {
 // recycled. Ownership of the payload transfers to the network at send
 // time: once the packet has been delivered (the handler returned) or
 // dropped, the network calls Release exactly once. Handlers must not
-// retain the payload object beyond the callback (retaining byte slices
-// the payload points to is fine — Release must not recycle those).
+// retain the payload object beyond the callback, nor byte slices it
+// points to unless its type leaves them alone on Release (a QUIC frame
+// aliases stream memory its sender frees; a TCP segment's payload goes
+// back with it).
 type Releasable interface{ Release() }
 
 func releasePayload(p any) {

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"sort"
 	"time"
 
 	"h3cdn/internal/bytestream"
@@ -24,12 +25,13 @@ type recvChunk struct {
 	fin  bool
 }
 
-// outgrownBuf is a send array the window slid out of with bytes below
-// mark still in flight.
-type outgrownBuf struct {
-	buf  []byte
-	mark uint64
+// extent is an arena copy of supplied bytes starting at stream offset off.
+type extent struct {
+	off  uint64
+	data []byte
 }
+
+func (e extent) end() uint64 { return e.off + uint64(len(e.data)) }
 
 // Conn is one endpoint of a simulated TCP connection. It implements
 // bytestream.Stream. All methods must be called from scheduler context.
@@ -46,23 +48,19 @@ type Conn struct {
 	isClient   bool
 	listener   *Listener // server side only; for conn-table cleanup
 
-	// Sender state. sendBuf[sendOff:] holds bytes [sndUna, sndUna+pending),
-	// the send window: acked bytes advance sendOff, a Write that does not
-	// fit slides the window into a fresh array (makeRoom), and a full
-	// drain hands the array back, so a connection holds memory in
-	// proportion to what is unacknowledged and an idle one holds none.
-	// In-flight segment payloads alias sendBuf; outgrown lists the arrays
-	// the window left while they still carried unacknowledged bytes, each
-	// with sndNxt at that instant — the array is dead, and Put, once
-	// sndUna reaches the mark (see processAck for why acked means dead).
-	sndUna   uint64
-	sndNxt   uint64
-	sendBuf  []byte
-	sendOff  int
-	outgrown []outgrownBuf
-	sentFin  bool
-	finSeq   uint64
-	closing  bool // Close() called: FIN queued after pending data
+	// Sender state. Bytes [sndUna, sndEnd) are written and not yet
+	// acknowledged. The window stores only the supplied ones: extents
+	// lists them in offset order, and everything between is opaque. Each
+	// data segment gets its own payload buffer, filled from the extents
+	// when it is built (payload), so an extent goes back as soon as
+	// sndUna passes it and an idle connection holds nothing.
+	sndUna  uint64
+	sndNxt  uint64
+	sndEnd  uint64
+	extents []extent
+	sentFin bool
+	finSeq  uint64
+	closing bool // Close() called: FIN queued after pending data
 
 	// Congestion control (NewReno), in bytes.
 	cwnd       float64
@@ -166,12 +164,12 @@ func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 }
 
 // reset clears a retired conn for reuse, keeping only the allocations
-// that survive pooling: the gap buffer and the outgrown list (both
-// emptied at teardown) and the bound-once packet/RTO closures. Called
-// from Pools.Rewind only — never before the scheduler drains.
+// that survive pooling: the gap buffer and the extent list (both emptied
+// at teardown) and the bound-once packet/RTO closures. Called from
+// Pools.Rewind only — never before the scheduler drains.
 func (c *Conn) reset() {
-	recvBuf, outgrown, pktFn, onRTOFn := c.recvBuf, c.outgrown, c.pktFn, c.onRTOFn
-	*c = Conn{recvBuf: recvBuf, outgrown: outgrown, pktFn: pktFn, onRTOFn: onRTOFn}
+	recvBuf, extents, pktFn, onRTOFn := c.recvBuf, c.extents, c.pktFn, c.onRTOFn
+	*c = Conn{recvBuf: recvBuf, extents: extents, pktFn: pktFn, onRTOFn: onRTOFn}
 }
 
 // TraceID returns the connection's trace id (0 when untraced).
@@ -199,16 +197,7 @@ func (c *Conn) Cwnd() float64 { return c.cwnd }
 func (c *Conn) SetDataFunc(fn func([]byte)) { c.dataFn = fn }
 
 // UnsentBytes reports bytes accepted by Write but not yet transmitted.
-func (c *Conn) UnsentBytes() int {
-	sent := c.sndNxt - c.sndUna
-	if bl := uint64(c.pending()); sent > bl {
-		sent = bl
-	}
-	return c.pending() - int(sent)
-}
-
-// pending reports un-acked bytes still held in sendBuf.
-func (c *Conn) pending() int { return len(c.sendBuf) - c.sendOff }
+func (c *Conn) UnsentBytes() int { return int(c.sndEnd - min(c.sndNxt, c.sndEnd)) }
 
 // SetDrainFunc registers fn, invoked whenever the unsent backlog falls to
 // or below threshold after transmission progress (bytestream.Throttled).
@@ -233,57 +222,56 @@ func (c *Conn) maybeNotifyDrain() {
 func (c *Conn) SetCloseFunc(fn func(error)) { c.closeFn = fn }
 
 // Write queues p for transmission.
-func (c *Conn) Write(p []byte) {
+func (c *Conn) Write(p []byte) { c.WriteOpaque(p, 0) }
+
+// WriteOpaque queues head followed by n opaque bytes. Only head is
+// stored, as an extent; the opaque bytes advance sndEnd and nothing else.
+func (c *Conn) WriteOpaque(head []byte, n int) {
 	if c.state == stateClosed || c.closing {
 		return
 	}
-	if len(c.sendBuf)+len(p) > cap(c.sendBuf) {
-		c.makeRoom(len(p))
+	if len(head) > 0 {
+		data := c.cfg.Pools.extents.Get(len(head))
+		copy(data, head)
+		c.extents = append(c.extents, extent{off: c.sndEnd, data: data})
 	}
-	c.sendBuf = append(c.sendBuf, p...)
+	c.sndEnd += uint64(len(head) + n)
 	if c.state == stateEstablished {
 		c.trySend()
 	}
 }
 
-// makeRoom slides the send window to the front of an array with room for
-// n more bytes. Only the unacknowledged bytes move; twice their size
-// plus n bounds the copying at one byte per byte written, what doubling
-// the whole buffer cost. Segments in flight still alias the array left
-// behind, so it waits on outgrown until everything sent so far is
-// acknowledged — sndNxt never moves backwards, and retransmissions
-// after the move alias the new array.
-func (c *Conn) makeRoom(n int) {
-	bufs := &c.cfg.Pools.sendBufs
-	old := c.sendBuf
-	live := old[c.sendOff:]
-	c.sendBuf = bufs.Grow(live, 2*(len(live)+n))
-	c.sendOff = 0
-	if old == nil {
-		return
+// payload returns a pooled buffer holding stream bytes [seq, seq+n): the
+// supplied ones copied from the extents that overlap the range, the
+// opaque ones whatever the buffer held before.
+func (c *Conn) payload(seq uint64, n int) []byte {
+	buf := c.cfg.Pools.payloads.Get(n)
+	end := seq + uint64(n)
+	i := sort.Search(len(c.extents), func(i int) bool { return c.extents[i].end() > seq })
+	for _, e := range c.extents[i:] {
+		if e.off >= end {
+			break
+		}
+		lo, hi := max(e.off, seq), min(e.end(), end)
+		copy(buf[lo-seq:hi-seq], e.data[lo-e.off:])
 	}
-	if c.flight() == 0 {
-		bufs.Put(old)
-	} else {
-		c.outgrown = append(c.outgrown, outgrownBuf{buf: old, mark: c.sndNxt})
-	}
+	return buf
 }
 
-// releaseOutgrown hands back the arrays whose in-flight bytes sndUna has
-// passed. Marks are non-decreasing, so the dead ones form a prefix; the
-// rest compact in place to keep the list's one allocation.
-func (c *Conn) releaseOutgrown() {
+// trimAcked gives back the extents sndUna has passed. They form a
+// prefix; the rest compact in place to keep the list's one allocation.
+func (c *Conn) trimAcked() {
 	n := 0
-	for n < len(c.outgrown) && c.outgrown[n].mark <= c.sndUna {
-		c.cfg.Pools.sendBufs.Put(c.outgrown[n].buf)
+	for n < len(c.extents) && c.extents[n].end() <= c.sndUna {
+		c.cfg.Pools.extents.Put(c.extents[n].data)
 		n++
 	}
 	if n == 0 {
 		return
 	}
-	m := copy(c.outgrown, c.outgrown[n:])
-	clear(c.outgrown[m:])
-	c.outgrown = c.outgrown[:m]
+	m := copy(c.extents, c.extents[n:])
+	clear(c.extents[m:])
+	c.extents = c.extents[:m]
 }
 
 // Close flushes pending data, then sends FIN.
@@ -356,25 +344,14 @@ func (c *Conn) teardown() {
 	if c.listener != nil {
 		c.listener.remove(c.remote, c.remotePort)
 	}
-	// With nothing in flight no segment aliases the send arrays and they
-	// are reusable at once. An abort or failure with bytes in flight
-	// quarantines them until Rewind instead: the peer may read those
-	// segments before the RST lands. The conn itself always waits for
-	// Rewind — late closures still read the struct.
-	release := c.cfg.Pools.sendBufs.Retire
-	if c.flight() == 0 {
-		release = c.cfg.Pools.sendBufs.Put
+	// Segments own their payloads, so nothing on the wire reads the
+	// extents and they go back at once, in flight or not. The conn
+	// itself waits for Rewind — late closures still read the struct.
+	for _, e := range c.extents {
+		c.cfg.Pools.extents.Put(e.data)
 	}
-	if c.sendBuf != nil {
-		release(c.sendBuf)
-	}
-	for _, o := range c.outgrown {
-		release(o.buf)
-	}
-	clear(c.outgrown)
-	c.outgrown = c.outgrown[:0]
-	c.sendBuf = nil
-	c.sendOff = 0
+	clear(c.extents)
+	c.extents = c.extents[:0]
 	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { c.cfg.Arena.Put(chunk.data) })
 	c.recvBuf.Reset()
 	c.cfg.Pools.retiredConns = append(c.cfg.Pools.retiredConns, c)
@@ -488,8 +465,6 @@ func (c *Conn) handleSegment(seg *segment) {
 
 func (c *Conn) flight() uint64 { return c.sndNxt - c.sndUna }
 
-func (c *Conn) streamEnd() uint64 { return c.sndUna + uint64(c.pending()) }
-
 func (c *Conn) trySend() {
 	if c.state != stateEstablished {
 		return
@@ -501,17 +476,13 @@ func (c *Conn) trySend() {
 		if float64(c.flight()) >= c.cwnd {
 			return
 		}
-		off := c.sndNxt - c.sndUna
-		if off < uint64(c.pending()) {
-			end := off + mss
-			if end > uint64(c.pending()) {
-				end = uint64(c.pending())
-			}
+		if c.sndNxt < c.sndEnd {
+			n := min(c.sndEnd-c.sndNxt, mss)
 			seg := newSegment(c.cfg.Pools)
 			seg.seq = c.sndNxt
-			seg.payload = c.sendBuf[c.sendOff+int(off) : c.sendOff+int(end)]
+			seg.payload = c.payload(c.sndNxt, int(n))
 			c.markTimed(seg)
-			c.sndNxt = c.sndUna + end
+			c.sndNxt += n
 			c.sendSeg(seg)
 			c.armRTOIfIdle()
 			continue
@@ -519,7 +490,7 @@ func (c *Conn) trySend() {
 		// All buffered data sent; maybe FIN.
 		if c.closing && !c.sentFin {
 			c.sentFin = true
-			c.finSeq = c.streamEnd()
+			c.finSeq = c.sndEnd
 			seg := newSegment(c.cfg.Pools)
 			seg.flags = flagFIN
 			seg.seq = c.finSeq
@@ -554,25 +525,8 @@ func (c *Conn) processAck(seg *segment) {
 	switch {
 	case seg.ack > c.sndUna:
 		acked := seg.ack - c.sndUna
-		// Trim acked bytes (the FIN offset is not in sendBuf) by
-		// advancing sendOff. Acknowledged means dead: ACK numbers are
-		// the receiver's rcvNxt, which only grows, and processData never
-		// reads a payload byte below it, so a duplicate still on the
-		// wire may alias a recycled array and nobody will look. A fully
-		// drained buffer therefore goes back at once, and so does every
-		// outgrown array sndUna has passed.
-		trim := acked
-		if bl := uint64(c.pending()); trim > bl {
-			trim = bl
-		}
-		c.sendOff += int(trim)
-		if c.sendBuf != nil && c.sendOff == len(c.sendBuf) {
-			c.cfg.Pools.sendBufs.Put(c.sendBuf)
-			c.sendBuf = nil
-			c.sendOff = 0
-		}
 		c.sndUna = seg.ack
-		c.releaseOutgrown()
+		c.trimAcked()
 		if c.sndNxt < c.sndUna {
 			c.sndNxt = c.sndUna
 		}
@@ -671,19 +625,13 @@ func (c *Conn) retransmitFirst() {
 		c.armRTO()
 		return
 	}
-	avail := c.sndNxt - c.sndUna
-	if bl := uint64(c.pending()); avail > bl {
-		avail = bl
-	}
-	if avail == 0 {
+	sent := min(c.sndNxt, c.sndEnd)
+	if sent <= c.sndUna {
 		return
-	}
-	if avail > mss {
-		avail = mss
 	}
 	seg := newSegment(c.cfg.Pools)
 	seg.seq = c.sndUna
-	seg.payload = c.sendBuf[c.sendOff : c.sendOff+int(avail)]
+	seg.payload = c.payload(c.sndUna, int(min(sent-c.sndUna, mss)))
 	c.sendSeg(seg)
 	c.armRTO()
 }
@@ -793,9 +741,9 @@ func (c *Conn) processData(seg *segment) {
 	if start == c.rcvNxt && !fin {
 		// In order: every buffered chunk starts above rcvNxt, so this is
 		// the chunk the gap scan would pick first and deliver whole.
-		// Hand the payload over as it is, with no copy. It aliases the
-		// peer's send window, which is safe for the callback's duration:
-		// the bytes are unacknowledged until the ACK below goes out.
+		// Hand the payload over as it is, with no copy. The segment owns
+		// it, and the network releases the segment only after this
+		// handler returns.
 		c.deliver(payload)
 	} else if prev, found := c.recvBuf.Slot(start); !found || len(payload) > len(prev.data) || fin {
 		buf := c.cfg.Arena.Get(len(payload))

@@ -21,46 +21,94 @@ func lossyPath(avgLoss float64) *simnet.Impairment {
 	return &im
 }
 
+// span is a range [off, end) of stream offsets.
+type span struct{ off, end int }
+
 // flow is one direction of one connection: a byte pattern of its own,
-// the sizes it is written in, and what the far end has seen of it.
+// the pieces it is written in, and what the far end has seen of it.
+// Pieces alternate between Write and WriteOpaque; a WriteOpaque piece
+// supplies a short head of the pattern and leaves the rest opaque.
 type flow struct {
-	want    []byte
-	pieces  []int
-	written int
-	got     int
-	corrupt bool
-	eof     bool
+	want     []byte
+	pieces   []int
+	heads    []int  // supplied bytes at the front of each piece
+	supplied []span // the stream ranges a writer specified, in order
+	opaque   int    // opaque bytes written
+	written  int
+	got      int
+	gotOpq   int // opaque bytes received
+	next     int // first span the receiver has not passed
+	corrupt  bool
+	eof      bool
 }
 
 func newFlow(rng *rand.Rand, pieces []int) *flow {
-	n := 0
-	for _, p := range pieces {
-		n += p
+	f := &flow{pieces: pieces, heads: make([]int, len(pieces))}
+	off := 0
+	for i, n := range pieces {
+		h := n
+		if i%2 == 1 {
+			h = rng.Intn(min(n, 64) + 1)
+		}
+		f.heads[i] = h
+		if h > 0 {
+			if k := len(f.supplied) - 1; k >= 0 && f.supplied[k].end == off {
+				f.supplied[k].end += h
+			} else {
+				f.supplied = append(f.supplied, span{off, off + h})
+			}
+		}
+		f.opaque += n - h
+		off += n
 	}
-	f := &flow{want: make([]byte, n), pieces: pieces}
+	f.want = make([]byte, off)
 	rng.Read(f.want)
 	return f
 }
 
+// receive checks every supplied byte of p at its stream offset and
+// counts the opaque ones, whose contents are arbitrary.
 func (f *flow) receive(p []byte) {
-	if f.got+len(p) > len(f.want) || !bytes.Equal(p, f.want[f.got:f.got+len(p)]) {
+	start, end := f.got, f.got+len(p)
+	f.got = end
+	if end > len(f.want) {
 		f.corrupt = true
+		return
 	}
-	f.got += len(p)
+	for f.next < len(f.supplied) && f.supplied[f.next].end <= start {
+		f.next++
+	}
+	covered := 0
+	for _, sp := range f.supplied[f.next:] {
+		if sp.off >= end {
+			break
+		}
+		lo, hi := max(sp.off, start), min(sp.end, end)
+		if !bytes.Equal(p[lo-start:hi-start], f.want[lo:hi]) {
+			f.corrupt = true
+		}
+		covered += hi - lo
+	}
+	f.gotOpq += len(p) - covered
 }
 
 // drive writes the flow's pieces on c at random virtual times, then
 // closes c's sending side.
 func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, c *Conn) {
+	i := 0
 	var next func()
 	next = func() {
-		if len(f.pieces) == 0 {
+		if i == len(f.pieces) {
 			c.Close()
 			return
 		}
-		n := f.pieces[0]
-		f.pieces = f.pieces[1:]
-		c.Write(f.want[f.written : f.written+n])
+		n, h := f.pieces[i], f.heads[i]
+		if i%2 == 0 {
+			c.Write(f.want[f.written : f.written+n])
+		} else {
+			c.WriteOpaque(f.want[f.written:f.written+h], n-h)
+		}
+		i++
 		f.written += n
 		sched.After(time.Duration(rng.Intn(8_000))*time.Microsecond, next)
 	}
@@ -70,9 +118,10 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, c *Conn) {
 // runSharedPools runs len(plans) connections at once over one impaired
 // path, every endpoint on ONE Pools and one wire arena, each direction
 // writing plans[i][dir] pieces of its own pattern, and checks that every
-// receiver got exactly its bytes and that the send arena, whose counters
-// it returns, came out even.
-func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [][2][]int) bufpool.ArenaStats {
+// receiver got every supplied byte where it was written and the right
+// number of opaque ones, and that the extent and payload arenas came out
+// even. It returns those arenas' counters.
+func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [][2][]int) (payloads, extents bufpool.ArenaStats) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec
 	sched := &simnet.Scheduler{MaxEvents: 200_000_000}
@@ -109,20 +158,20 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [
 
 	for i, pr := range pairs {
 		for dir, f := range []*flow{pr.up, pr.down} {
-			if f.corrupt || f.got != len(f.want) || !f.eof {
-				t.Fatalf("seed %d conn %d dir %d: got %d of %d bytes, corrupt=%v eof=%v",
-					seed, i, dir, f.got, len(f.want), f.corrupt, f.eof)
+			if f.corrupt || f.got != len(f.want) || f.gotOpq != f.opaque || !f.eof {
+				t.Fatalf("seed %d conn %d dir %d: got %d of %d bytes (%d of %d opaque), corrupt=%v eof=%v",
+					seed, i, dir, f.got, len(f.want), f.gotOpq, f.opaque, f.corrupt, f.eof)
 			}
 		}
 	}
 	if st := arena.Stats(); st.InUse != 0 {
 		t.Fatalf("seed %d: wire arena after the drain: %+v", seed, st)
 	}
-	st := pools.sendBufs.Stats()
-	if st.InUse != 0 {
-		t.Fatalf("seed %d: send arena after the drain: %+v", seed, st)
+	payloads, extents = pools.payloads.Stats(), pools.extents.Stats()
+	if payloads.InUse != 0 || extents.InUse != 0 {
+		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
-	return st
+	return payloads, extents
 }
 
 func randomPieces(rng *rand.Rand, maxLen int) []int {
@@ -138,13 +187,13 @@ func randomPieces(rng *rand.Rand, maxLen int) []int {
 	return pieces
 }
 
-// TestSharedPoolsExactDelivery is the property the sliding send window
-// rests on: arrays go back to the shared arena while other connections
-// are mid-transfer, and no receiver ever sees a byte that is not its
-// own. It has teeth — with makeRoom Putting the outgrown array at once
-// instead of parking it until sndUna passes its mark, segments still in
-// flight alias an array another connection is already writing, and the
-// test fails on seed 1.
+// TestSharedPoolsExactDelivery is the property the extent window and
+// segment-owned payloads rest on: extents and payload buffers change
+// hands between connections mid-transfer, every supplied byte still
+// arrives where it was written, and every buffer comes back. It has
+// teeth — each of these fails a seed: payload copying an extent one
+// offset off; Release not returning the payload; trimAcked giving back
+// an extent that straddles sndUna.
 func TestSharedPoolsExactDelivery(t *testing.T) {
 	const conns, maxLen = 24, 600 << 10
 	for seed := int64(1); seed <= 6; seed++ {
@@ -153,8 +202,8 @@ func TestSharedPoolsExactDelivery(t *testing.T) {
 		for i := range plans {
 			plans[i] = [2][]int{randomPieces(rng, maxLen), randomPieces(rng, maxLen)}
 		}
-		if st := runSharedPools(t, seed, lossyPath(0.02), plans); st.News >= st.Gets {
-			t.Fatalf("seed %d: send arrays never reused: %+v", seed, st)
+		if payloads, extents := runSharedPools(t, seed, lossyPath(0.02), plans); payloads.News >= payloads.Gets || extents.News >= extents.Gets {
+			t.Fatalf("seed %d: buffers never reused: payloads %+v, extents %+v", seed, payloads, extents)
 		}
 	}
 }

@@ -97,7 +97,8 @@ const (
 // fresh segments), receivers read the payload during delivery (handing
 // in-order bytes straight to the application, copying only what lands
 // beyond a gap), and the network recycles the segment via Release after
-// the handler returns.
+// the handler returns. A data segment owns its payload, a pooled buffer
+// the sender filled when it built the segment, and Release returns it.
 type segment struct {
 	flags   segFlags
 	seq     uint64
@@ -115,10 +116,13 @@ func newSegment(pl *Pools) *segment {
 	return &segment{pools: pl}
 }
 
-// Release implements simnet.Releasable. The payload slice aliases the
-// sender's buffer and is only dereferenced, never recycled, here.
+// Release implements simnet.Releasable, returning the payload buffer
+// with the segment.
 func (s *segment) Release() {
 	pl := s.pools
+	if s.payload != nil {
+		pl.payloads.Put(s.payload)
+	}
 	*s = segment{pools: pl}
 	pl.segs.Put(s)
 }

@@ -141,9 +141,10 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 		}
 	}
 	cfg.Trace.TLSClientHello(c.hsStart, cfg.TraceConn, int(cfg.Version), c.resumed, c.earlyData)
-	rec := c.newRecord(recClientHello, ch.size())
-	ch.put(rec[recordHeader:])
-	c.send(rec)
+	fields := c.arena.Get(ch.fieldsLen())
+	ch.put(fields)
+	c.writeRecords(recClientHello, fields, ch.size()-len(fields))
+	c.arena.Put(fields)
 	if c.earlyData {
 		// 0-RTT: the application may transmit immediately. Completion
 		// is deferred one scheduler tick (zero virtual time) so the
@@ -268,52 +269,49 @@ func (c *Conn) SetDrainFunc(threshold int, fn func()) {
 
 // Write queues plaintext. Before the handshake permits transmission the
 // data is buffered (or sent as 0-RTT early data when enabled).
-func (c *Conn) Write(p []byte) {
+func (c *Conn) Write(p []byte) { c.WriteOpaque(p, 0) }
+
+// WriteOpaque queues head followed by n opaque bytes of plaintext.
+// Before the handshake permits transmission both are buffered, the
+// opaque bytes materialised with arbitrary contents.
+func (c *Conn) WriteOpaque(head []byte, n int) {
 	if c.closed {
 		return
 	}
 	if !c.established {
-		buf := c.arena.Get(len(p))
-		copy(buf, p)
+		buf := c.arena.Get(len(head) + n)
+		copy(buf, head)
 		c.pending = append(c.pending, buf)
 		return
 	}
-	c.writeRecords(p)
+	c.writeRecords(recAppData, head, n)
 }
 
-func (c *Conn) writeRecords(p []byte) {
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxRecord {
-			n = maxRecord
+// writeRecords is the one record writer. It frames head followed by n
+// opaque bytes as records of type t: app data splits at maxRecord and
+// each record ends in recordTag opaque bytes, standing in for an AEAD
+// tag the receiver strips unread; a handshake message is one record.
+// Each record reaches the transport as one WriteOpaque of its header and
+// the head bytes that fall in it, then the rest of it as opaque bytes.
+func (c *Conn) writeRecords(t recordType, head []byte, n int) {
+	for left := len(head) + n; left > 0; {
+		plen, tag := left, 0
+		if t == recAppData {
+			plen, tag = min(left, maxRecord), recordTag
 		}
-		// The trailing tag bytes carry arbitrary contents — they stand
-		// in for an AEAD tag and are stripped unread by the receiver.
-		rec := c.newRecord(recAppData, n+recordTag)
-		copy(rec[recordHeader:], p[:n])
-		c.send(rec)
-		p = p[n:]
+		h := min(len(head), plen)
+		rec := c.arena.Get(recordHeader + h)
+		rec[0] = byte(t)
+		rec[1] = byte((plen + tag) >> 16)
+		rec[2] = byte((plen + tag) >> 8)
+		rec[3] = byte(plen + tag)
+		rec[4] = 0 // reserved (legacy version byte)
+		copy(rec[recordHeader:], head[:h])
+		c.transport.WriteOpaque(rec, plen-h+tag)
+		c.arena.Put(rec)
+		head = head[h:]
+		left -= plen
 	}
-}
-
-// newRecord returns a wire-arena buffer holding a record header for a
-// plen-byte payload; the payload bytes are arbitrary until the caller
-// writes them. Every record goes out through send.
-func (c *Conn) newRecord(t recordType, plen int) []byte {
-	rec := c.arena.Get(recordHeader + plen)
-	rec[0] = byte(t)
-	rec[1] = byte(plen >> 16)
-	rec[2] = byte(plen >> 8)
-	rec[3] = byte(plen)
-	rec[4] = 0 // reserved (legacy version byte)
-	return rec
-}
-
-// send writes a record from newRecord and recycles it: the transport
-// copies on Write.
-func (c *Conn) send(rec []byte) {
-	c.transport.Write(rec)
-	c.arena.Put(rec)
 }
 
 // Close flushes and closes the underlying transport cleanly.
@@ -361,7 +359,7 @@ func (c *Conn) completeHandshake(err error) {
 		c.onHandshake(nil)
 	}
 	for _, p := range c.pending {
-		c.writeRecords(p)
+		c.writeRecords(recAppData, p, 0)
 	}
 	c.releasePending()
 }
@@ -531,14 +529,14 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 		}
 		// Second client flight: key exchange + Finished.
 		cpuDelay(c.ccfg.Sched, c.ccfg.HandshakeCPU, func() {
-			c.send(c.newRecord(recClientKeyExchange, sizeClientKeyExch))
+			c.writeRecords(recClientKeyExchange, nil, sizeClientKeyExch)
 		})
 	case recClientKeyExchange:
 		if c.isClient {
 			return
 		}
 		cpuDelay(c.scfg.Sched, c.scfg.HandshakeCPU, func() {
-			c.send(c.newRecord(recServerFinished12, sizeServerFinished))
+			c.writeRecords(recServerFinished12, nil, sizeServerFinished)
 			c.completeHandshake(nil)
 		})
 	case recServerFinished12:
@@ -588,15 +586,16 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 			if sh.newTicketID != 0 {
 				c.scfg.Trace.TLSTicketIssued(c.now(), c.scfg.TraceConn, sh.newTicketID)
 			}
-			rec := c.newRecord(recServerHello13, sizeServerHello13)
-			sh.put(rec[recordHeader:])
-			c.send(rec)
+			fields := c.arena.Get(serverHello13Fields)
+			sh.put(fields)
+			c.writeRecords(recServerHello13, fields, sizeServerHello13-len(fields))
+			c.arena.Put(fields)
 			c.completeHandshake(nil)
 		})
 	case TLS12:
 		cpuDelay(c.scfg.Sched, c.scfg.HandshakeCPU, func() {
 			c.scfg.Trace.TLSServerFlight(c.now(), c.scfg.TraceConn, int(TLS12), false)
-			c.send(c.newRecord(recServerHello12, sizeServerHello12))
+			c.writeRecords(recServerHello12, nil, sizeServerHello12)
 		})
 	default:
 		c.failRecord()

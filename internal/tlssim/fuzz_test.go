@@ -14,7 +14,10 @@ type stubTransport struct {
 	wrote []byte
 }
 
-func (s *stubTransport) Write(p []byte)              { s.wrote = append(s.wrote, p...) }
+func (s *stubTransport) Write(p []byte) { s.WriteOpaque(p, 0) }
+func (s *stubTransport) WriteOpaque(head []byte, n int) {
+	s.wrote = append(append(s.wrote, head...), make([]byte, n)...)
+}
 func (s *stubTransport) SetDataFunc(fn func([]byte)) { s.data = fn }
 func (s *stubTransport) SetCloseFunc(func(error))    {}
 func (s *stubTransport) Close()                      {}

@@ -143,15 +143,15 @@ type clientHello struct {
 	alpn       string
 }
 
+// fieldsLen is the length of the fields put writes.
+func (ch clientHello) fieldsLen() int { return 1 + 8 + 1 + 2 + len(ch.serverName) + 1 + len(ch.alpn) }
+
 // size is the ClientHello payload length: the typical flight, or what
 // the fields need when a long name exceeds it.
-func (ch clientHello) size() int {
-	return max(sizeClientHello, 1+8+1+2+len(ch.serverName)+1+len(ch.alpn))
-}
+func (ch clientHello) size() int { return max(sizeClientHello, ch.fieldsLen()) }
 
-// put writes the fields at the head of a size()-byte payload. The
-// payload comes from an arena with arbitrary contents, so every byte a
-// decoder reads is written; the padding behind them is never read.
+// put writes the fields into a fieldsLen()-byte buffer: every byte a
+// decoder reads. The padding behind them in the payload is opaque.
 func (ch clientHello) put(buf []byte) {
 	buf[0] = byte(ch.version)
 	binary.BigEndian.PutUint64(buf[1:9], ch.ticketID)
@@ -194,8 +194,12 @@ type serverHello13 struct {
 	newTicketID uint64
 }
 
-// put writes the fields at the head of a sizeServerHello13-byte payload
-// (arbitrary contents behind them, as with clientHello.put).
+// serverHello13Fields is the length of the fields serverHello13.put
+// writes at the head of its sizeServerHello13-byte payload.
+const serverHello13Fields = 9
+
+// put writes the fields into a serverHello13Fields-byte buffer (opaque
+// padding behind them, as with clientHello.put).
 func (sh serverHello13) put(buf []byte) {
 	buf[0] = 0
 	if sh.resumed {
@@ -205,7 +209,7 @@ func (sh serverHello13) put(buf []byte) {
 }
 
 func decodeServerHello13(p []byte) (serverHello13, error) {
-	if len(p) < 9 {
+	if len(p) < serverHello13Fields {
 		return serverHello13{}, ErrBadRecord
 	}
 	return serverHello13{resumed: p[0] == 1, newTicketID: binary.BigEndian.Uint64(p[1:9])}, nil
