@@ -22,6 +22,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/quicsim
 	$(GO) test -run '^$$' -fuzz FuzzParseRetention -fuzztime 5s ./internal/har
 	$(GO) test -run '^$$' -fuzz FuzzParseOutages -fuzztime 5s ./cmd/h3cdn-measure
+	$(GO) test -run '^$$' -fuzz FuzzParseMahimahiTrace -fuzztime 5s ./internal/simnet
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces
@@ -44,13 +45,14 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Benchmark regression gate: reruns the recorded benchmarks and fails on
-# regression vs their records in BENCH_baseline.json (allocs/op exactly;
-# ns/op and B/op within a tolerance band).
+# an allocs/op regression vs their records in BENCH_baseline.json (a 2%
+# band). ns/op and B/op are printed, never gated: they move with the
+# machine's load.
 benchgate:
 	$(GO) run ./cmd/benchgate
 
 # Fast allocation smoke pass: one short run of the gated benchmarks,
-# gating allocs/op only (ns/op and B/op are too noisy at 100ms).
+# with the allocs/op band widened to 15% for the short run's warm-up.
 bench-smoke:
 	$(GO) run ./cmd/benchgate -benchtime 100ms -smoke
 

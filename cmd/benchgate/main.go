@@ -4,16 +4,14 @@
 // current one; a PR that moves a number re-records it and says so in
 // CHANGES.md.
 //
-// Two kinds of gate apply:
-//
-//   - allocs/op is near-exact: a 2% band absorbs pool/GC timing jitter
-//     on campaign-sized benchmarks, while a zero baseline stays exact
-//     (0 x 1.02 = 0). This is what keeps the scheduler dispatch and
-//     timer-reset paths pinned at zero allocations.
-//   - ns/op (and B/op) carry a tolerance band (-tolerance, default
-//     0.40): wall-time on shared CI-class machines is noisy — identical
-//     code has measured ±20% run-to-run on the 1-core reference
-//     container — so only regressions beyond the band fail.
+// It gates only numbers that do not depend on the machine or its load.
+// Per benchmark that is allocs/op, near-exact: a 2% band absorbs pool/GC
+// timing jitter on campaign-sized benchmarks, while a zero baseline
+// stays exact (0 x 1.02 = 0). This is what keeps the scheduler dispatch
+// and timer-reset paths pinned at zero allocations. ns/op and B/op are
+// measured and printed but never gated: wall time on a shared machine
+// swings with its load (identical code has failed a ±40% band and
+// passed on a rerun), and no baseline records them.
 //
 // The gated set includes BenchmarkRunVisitImpairedAllocs (fault layer
 // armed: bursty loss + jitter + reordering), budgeting the recovery
@@ -22,10 +20,9 @@
 //
 // Baseline entries may name their package with a "pkg" field (a go-test
 // path like "./internal/core"); benchmarks are grouped and run with one
-// `go test -bench` invocation per package. `-smoke` gates allocs/op
-// only (with a widened 15% band — short runs amortize pool warm-up over
-// fewer iterations), for the fast `make bench-smoke` pass where ns/op
-// and B/op are too noisy to judge.
+// `go test -bench` invocation per package. `-smoke` widens the allocs/op
+// band to 15% for the fast `make bench-smoke` pass: short runs amortize
+// pool warm-up over fewer iterations.
 //
 // A second baseline file, BENCH_scaling.json, records the multi-core
 // campaign scaling benchmark (`benchgate -baseline BENCH_scaling.json`,
@@ -45,7 +42,7 @@
 //
 // Usage:
 //
-//	benchgate [-baseline BENCH_baseline.json] [-tolerance 0.40] [-benchtime 2s] [-smoke]
+//	benchgate [-baseline BENCH_baseline.json] [-benchtime 2s] [-smoke] [-only substr]
 //
 // Exit status 0 when every recorded benchmark is within its gate,
 // 1 otherwise. Stdlib-only by design: it must run anywhere `go test`
@@ -64,9 +61,11 @@ import (
 	"strings"
 )
 
+// metrics is one benchmark's numbers. NsOp and BOp are measured only:
+// baselines do not record them.
 type metrics struct {
-	NsOp         float64 `json:"ns_op"`
-	BOp          float64 `json:"b_op"`
+	NsOp         float64 `json:"-"`
+	BOp          float64 `json:"-"`
 	AllocsOp     float64 `json:"allocs_op"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	PeakRSSMB    float64 `json:"peak_rss_mb,omitempty"`
@@ -175,22 +174,14 @@ func selectGated(base *baselineFile) (names []string, byPkg map[string]map[strin
 	return names, byPkg
 }
 
-// compareEntry applies the banded gate of one benchmark: allocs/op
-// within allocsBand always, B/op and ns/op within the tolerance band
-// unless smoke (short runs are too noisy to judge either). It returns
-// the violation descriptions, empty when the measurement passes.
-func compareEntry(want, got metrics, smoke bool, tolerance, allocsBand float64) []string {
-	var reasons []string
+// compareEntry applies the banded gate of one benchmark, allocs/op
+// within allocsBand. It returns the violation descriptions, empty when
+// the measurement passes.
+func compareEntry(want, got metrics, allocsBand float64) []string {
 	if got.AllocsOp > want.AllocsOp*allocsBand {
-		reasons = append(reasons, fmt.Sprintf("allocs/op %.0f > %.0f +%.0f%%", got.AllocsOp, want.AllocsOp, (allocsBand-1)*100))
+		return []string{fmt.Sprintf("allocs/op %.0f > %.0f +%.0f%%", got.AllocsOp, want.AllocsOp, (allocsBand-1)*100)}
 	}
-	if !smoke && got.BOp > want.BOp*(1+tolerance) {
-		reasons = append(reasons, fmt.Sprintf("B/op %.0f > %.0f +%.0f%%", got.BOp, want.BOp, tolerance*100))
-	}
-	if !smoke && got.NsOp > want.NsOp*(1+tolerance) {
-		reasons = append(reasons, fmt.Sprintf("ns/op %.2f > %.2f +%.0f%%", got.NsOp, want.NsOp, tolerance*100))
-	}
-	return reasons
+	return nil
 }
 
 // parseBenchLine parses one `go test -bench` result row, e.g.
@@ -243,9 +234,8 @@ func main() {
 func run() int {
 	var (
 		baseline  = flag.String("baseline", "BENCH_baseline.json", "baseline file")
-		tolerance = flag.Float64("tolerance", 0.40, "relative ns/op regression band")
 		benchtime = flag.String("benchtime", "2s", "go test -benchtime value")
-		smoke     = flag.Bool("smoke", false, "gate allocs/op only (short-benchtime smoke pass: ns/op and B/op are too noisy to judge)")
+		smoke     = flag.Bool("smoke", false, "widen the allocs/op band for a short-benchtime smoke pass")
 		only      = flag.String("only", "", "run only benchmarks whose name contains this substring; gates on other benchmarks are skipped")
 	)
 	flag.Parse()
@@ -316,18 +306,15 @@ func run() int {
 			continue
 		}
 		status := "ok  "
-		reasons := compareEntry(want, got, *smoke, *tolerance, allocsBand)
+		reasons := compareEntry(want, got, allocsBand)
 		if len(reasons) > 0 {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("benchgate: %s %-34s %12.2f ns/op (base %.2f)  %8.0f B/op (base %.0f)  %5.0f allocs/op (base %.0f)\n",
-			status, name, got.NsOp, want.NsOp, got.BOp, want.BOp, got.AllocsOp, want.AllocsOp)
+		fmt.Printf("benchgate: %s %-34s %12.2f ns/op  %8.0f B/op  %5.0f allocs/op (base %.0f)\n",
+			status, name, got.NsOp, got.BOp, got.AllocsOp, want.AllocsOp)
 		for _, r := range reasons {
 			fmt.Printf("benchgate:      %s: %s\n", name, r)
-		}
-		if got.NsOp < want.NsOp*(1-*tolerance) {
-			fmt.Printf("benchgate:      %s: ns/op improved beyond the band — consider refreshing %s\n", name, *baseline)
 		}
 	}
 	for _, g := range base.Gates {

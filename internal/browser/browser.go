@@ -350,31 +350,24 @@ func (b *Browser) connKey(prefix, host string) []byte {
 // Visit loads a page with progressive discovery, approximating a browser
 // render pipeline: the document first, then head resources (scripts and
 // stylesheets), then body media (images and fonts), then everything else.
-// Each wave starts when the previous one completes. onDone receives the
-// completed HAR page log; PLT is the time from visit start until the last
-// entry finishes — the onLoad analogue.
-func (b *Browser) Visit(page *webgen.Page, onDone func(*har.PageLog)) {
-	b.visit(page, &har.PageLog{Entries: make([]har.Entry, len(page.Resources))}, onDone)
-}
-
-// VisitInto is Visit with a caller-owned scratch log: the struct is reset
-// and its Entries backing array reused when capacity allows. Intended for
-// discarded warm passes — the log and its entries are only valid until
-// the next VisitInto call with the same scratch.
-func (b *Browser) VisitInto(page *webgen.Page, log *har.PageLog, onDone func(*har.PageLog)) {
+// Each wave starts when the previous one completes. onDone receives log,
+// completed; PLT is the time from visit start until the last entry
+// finishes — the onLoad analogue.
+//
+// log is reset first, and its Entries backing array reused when
+// capacity allows: a fresh &har.PageLog{} gets its own entries, while a
+// scratch log passed to every call (a discarded warm pass) costs no
+// per-visit log state and is valid only until the next Visit with it.
+func (b *Browser) Visit(page *webgen.Page, log *har.PageLog, onDone func(*har.PageLog)) {
 	n := len(page.Resources)
 	entries := log.Entries
-	if cap(entries) < n {
+	if entries == nil || cap(entries) < n { // nil Entries would encode as null
 		entries = make([]har.Entry, n)
 	} else {
 		entries = entries[:n]
 		clear(entries)
 	}
 	*log = har.PageLog{Entries: entries}
-	b.visit(page, log, onDone)
-}
-
-func (b *Browser) visit(page *webgen.Page, log *har.PageLog, onDone func(*har.PageLog)) {
 	b.reclaimStates()
 	start := b.sched.Now()
 	log.Site = page.Site

@@ -94,7 +94,7 @@ func testPage(hosts []string, eligible bool) *webgen.Page {
 func (w *testWorld) visit(t *testing.T, b *Browser, page *webgen.Page) *har.PageLog {
 	t.Helper()
 	var log *har.PageLog
-	b.Visit(page, func(l *har.PageLog) {
+	b.Visit(page, &har.PageLog{}, func(l *har.PageLog) {
 		log = l
 		b.CloseAll()
 	})

@@ -1,7 +1,7 @@
 // Package bufpool provides the simulation's two recyclers: Arena, a
 // size-classed byte-buffer recycler for the hot path (wire records,
-// framed blocks, transport reassembly chunks, TCP segment payloads and
-// extents, QUIC send buffers), and FreeList, the LIFO free list every
+// framed blocks, transport packet payloads, supplied-byte extents and
+// reassembly chunks), and FreeList, the LIFO free list every
 // per-universe record pool is built from. Both are confined to one
 // goroutine — the owning universe's scheduler — so reuse needs no
 // locking and, being plain
@@ -13,10 +13,7 @@
 package bufpool
 
 // Size classes are powers of two from 256B to 8MB. Requests above the
-// largest class fall through to plain allocation. The top classes exist
-// for transport send/accumulation buffers that scale with response
-// bodies (the corpus clamps bodies at 2MB); small wire records only ever
-// touch the bottom classes.
+// largest class fall through to plain allocation.
 const (
 	minClassBits = 8  // 256
 	maxClassBits = 23 // 8MB

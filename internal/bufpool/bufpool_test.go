@@ -66,39 +66,3 @@ func TestClassFor(t *testing.T) {
 		}
 	}
 }
-
-// Grow only sizes and copies: the outgrown array stays with its owner,
-// who Puts it for immediate reuse once nothing aliases it. A buffer
-// retired at a teardown with bytes in flight stays out of circulation
-// until Rewind, and comes back after.
-func TestRetiredBuffersWaitForRewind(t *testing.T) {
-	var a Arena
-	small := a.Grow(nil, 100)
-	if len(small) != 0 || cap(small) != growFloor {
-		t.Fatalf("Grow(nil, 100): len=%d cap=%d, want 0/%d", len(small), cap(small), growFloor)
-	}
-	small = append(small, "payload"...)
-	big := a.Grow(small, 3*growFloor)
-	if string(big) != "payload" || cap(big) != 4*growFloor {
-		t.Fatalf("Grow kept %q cap=%d, want \"payload\" cap=%d", big, cap(big), 4*growFloor)
-	}
-	if st := a.Stats(); st.Gets != 2 || st.Puts != 0 || st.InUse != 2 {
-		t.Fatalf("Grow gave the outgrown array back itself: %+v", st)
-	}
-	sameArray := func(x, y []byte) bool { return &x[:1][0] == &y[:1][0] }
-
-	a.Put(small) // acknowledged: reusable at once, no Rewind needed
-	if buf := a.Get(growFloor); !sameArray(buf, small) {
-		t.Fatal("outgrown buffer not reused after Put")
-	}
-
-	a.Retire(big)
-	a.Retire(nil) // a conn that never wrote: nothing to quarantine
-	if buf := a.Get(4 * growFloor); sameArray(buf, big) {
-		t.Fatal("Get handed out a retired buffer before Rewind")
-	}
-	a.Rewind()
-	if buf := a.Grow(nil, 4*growFloor); !sameArray(buf, big) {
-		t.Fatal("retired buffer not reused after Rewind")
-	}
-}

@@ -3,7 +3,8 @@
 // produces one, tlssim.Conn wraps one and is one, and the HTTP/1.1 and
 // HTTP/2 layers consume one. All methods are callback-oriented because
 // the simulation is single-threaded under virtual time. Gaps is the
-// reassembly buffer both transports park out-of-order data in.
+// reassembly buffer both transports park out-of-order data in, and
+// Extents the store of supplied bytes both send from.
 //
 // Most bytes on the simulated wire are opaque: their writer does not
 // specify their value and no reader inspects them (response bodies, AEAD

@@ -108,7 +108,7 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 				page := &corpus.Pages[i%len(corpus.Pages)]
 				u.Sched.After(time.Duration(i)*300*time.Millisecond, func() {
 					b := u.NewBrowser(browser.Config{Mode: mode, EnableZeroRTT: true})
-					b.Visit(page, func(*har.PageLog) {
+					b.Visit(page, &har.PageLog{}, func(*har.PageLog) {
 						done++
 						b.CloseAll()
 					})

@@ -107,7 +107,7 @@ func (en *trafficEngine) visit(user int, b *browser.Browser, sess *traffic.Sessi
 	}
 	en.inFlight++
 	page := &en.corpus.Pages[sess.NextPage()]
-	b.Visit(page, func(l *har.PageLog) {
+	b.Visit(page, &har.PageLog{}, func(l *har.PageLog) {
 		en.inFlight--
 		en.counters.VisitsCompleted++
 		en.epoch.Visits++

@@ -392,7 +392,7 @@ func (u *Universe) RunVisitDiscard(b *browser.Browser, page *webgen.Page) error 
 func (u *Universe) runVisit(b *browser.Browser, page *webgen.Page, log *har.PageLog, tr *trace.Tracer) (*har.PageLog, error) {
 	tr.BeginVisit(page.Site, u.Sched.Now())
 	completed := false
-	b.VisitInto(page, log, func(*har.PageLog) {
+	b.Visit(page, log, func(*har.PageLog) {
 		completed = true
 		b.CloseAll()
 	})

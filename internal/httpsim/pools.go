@@ -84,8 +84,7 @@ func (pl *Pools) Rewind() int64 {
 		pl.h3srvLive[i] = nil
 	}
 	pl.h3srvLive = pl.h3srvLive[:0]
-	pl.Recv.Rewind()
-	return pl.Arena.Rewind()
+	return pl.Arena.Stats().InUse
 }
 
 // --- per-request record pools ---

@@ -338,14 +338,15 @@ func (c *Conn) teardown() {
 	if c.endpoint != nil {
 		c.endpoint.remove(c.remote, c.remotePort)
 	}
-	// Quarantine the connection's streams, and whatever send arrays they
-	// still hold (frames in flight alias them and the peer may yet read
-	// those), for reuse after the next visit-boundary Rewind. Holds still
-	// counted by c.sent / c.sendQ are dropped with the records below:
-	// those streamFrames leak to the collector rather than the pool,
-	// which is the safe direction.
+	// Packets own their payloads, so nothing on the wire reads the
+	// streams' bytes and they go back at once, in flight or not. The
+	// stream structs wait for the visit-boundary Rewind: scheduled
+	// callbacks may still reach them. Holds still counted by c.sent /
+	// c.sendQ are dropped with the records below: those streamFrames
+	// leak to the collector rather than the pool, which is the safe
+	// direction.
 	for _, s := range c.streams {
-		s.releaseSendBufs(c.pools.pends.Retire)
+		s.release()
 		c.pools.retired = append(c.pools.retired, s)
 	}
 	c.sent = sentList{}
@@ -382,6 +383,7 @@ func (c *Conn) becomeEstablished() {
 // --- sending ---
 
 func (c *Conn) transmit(p *packet) {
+	c.fill(p)
 	// Both directions stamp the connection ID (0 until the handshake
 	// assigns one): both peers use it to reject stale traffic from a
 	// previous incarnation of a recycled ephemeral port.
@@ -391,6 +393,19 @@ func (c *Conn) transmit(p *packet) {
 	c.stats.BytesSent += int64(size)
 	c.cfg.Trace.QUICPacketSent(c.sched.Now(), c.traceID, int64(p.pn), size)
 	c.route.Send(c.localPort, c.remotePort, size, p)
+}
+
+// fill gives every STREAM frame p carries a payload buffer of its own,
+// copied from the sending stream's extents (opaque positions keep
+// whatever the buffer held), and records the frame as the receiver will
+// read it.
+func (c *Conn) fill(p *packet) {
+	for _, f := range p.frames {
+		if sf, ok := f.(*streamFrame); ok {
+			data := sf.s.supplied.Payload(&c.pools.payloads, sf.off, sf.n)
+			p.data = append(p.data, streamData{id: sf.s.id, off: sf.off, data: data, fin: sf.fin})
+		}
+	}
 }
 
 // canSendStreamData reports whether stream frames may be emitted now:
@@ -525,19 +540,10 @@ func (c *Conn) pullStreamFrame(maxData int) *streamFrame {
 	}
 	s := c.sendable[k]
 	c.rrIndex = (s.order + 1) % len(c.streams)
-	take := len(s.pend) - s.pendOff
-	if take > maxData {
-		take = maxData
-	}
-	// Zero-copy: alias the pending buffer with a capped capacity.
-	// Later appends to s.pend only ever write past the current
-	// length, so the frame's window is never rewritten even though
-	// it may share the backing array.
-	data := s.pend[s.pendOff : s.pendOff+take : s.pendOff+take]
-	s.pendOff += take
-	sf := c.pools.newStreamFrame(s.id, s.sendOff, data)
-	s.sendOff += uint64(take)
-	if s.finQueued && s.pendOff == len(s.pend) {
+	take := min(s.sendEnd-s.sendOff, uint64(maxData))
+	sf := c.pools.newStreamFrame(s, s.sendOff, int(take))
+	s.sendOff += take
+	if s.finQueued && s.sendOff == s.sendEnd {
 		sf.fin = true
 		s.finSent = true
 	}
@@ -577,8 +583,8 @@ func (c *Conn) newSentPacket() *sentPacket {
 // the count drains — a PTO probe may have copied their pointers into
 // another in-flight record, which keeps its own hold. The last hold
 // draining is also the one moment a byte range counts as acknowledged
-// on its sending stream (quicsim never deletes from c.streams). Control
-// frames (hello/finished/close) are never pooled.
+// on its sending stream. Control frames (hello/finished/close) are never
+// pooled.
 func (c *Conn) retireAcked(sp *sentPacket) {
 	for i, f := range sp.frames {
 		switch f := f.(type) {
@@ -586,7 +592,7 @@ func (c *Conn) retireAcked(sp *sentPacket) {
 			c.pools.acks.Put(f)
 		case *streamFrame:
 			if f.holds == 1 {
-				c.streams[f.id].frameAcked(len(f.data), f.fin)
+				f.s.frameAcked(f.n, f.fin)
 			}
 			c.pools.releaseHold(f)
 		}
@@ -860,6 +866,7 @@ func (c *Conn) handlePacket(p *packet) {
 		return
 	}
 	c.cfg.Trace.QUICPacketRecv(c.sched.Now(), c.traceID, int64(p.pn), false)
+	data := p.data
 	for _, f := range p.frames {
 		switch f := f.(type) {
 		case *clientHelloFrame:
@@ -869,7 +876,8 @@ func (c *Conn) handlePacket(p *packet) {
 		case finishedFrame:
 			// Confirms the client reached 1-RTT; nothing further.
 		case *streamFrame:
-			c.handleStreamFrame(f)
+			c.handleStreamData(data[0])
+			data = data[1:]
 		case *ackFrame:
 			c.handleAck(f)
 		case *closeFrame:
@@ -974,7 +982,7 @@ func (c *Conn) handleServerHello(f *serverHelloFrame) {
 	}
 }
 
-func (c *Conn) handleStreamFrame(f *streamFrame) {
+func (c *Conn) handleStreamData(f streamData) {
 	s, ok := c.streams[f.id]
 	if !ok {
 		s = c.pools.newStream(c, f.id)

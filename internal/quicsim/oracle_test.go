@@ -1,7 +1,6 @@
 package quicsim
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -210,17 +209,15 @@ func refPull(c *Conn, order []uint64, rrIndex *int, maxData int) *streamFrame {
 	for i := 0; i < n; i++ {
 		idx := (*rrIndex + i) % n
 		s := c.streams[order[idx]]
-		avail := len(s.pend) - s.pendOff
+		avail := s.sendEnd - s.sendOff
 		if avail == 0 && !(s.finQueued && !s.finSent) {
 			continue
 		}
 		*rrIndex = (idx + 1) % n
-		take := min(avail, maxData)
-		data := s.pend[s.pendOff : s.pendOff+take : s.pendOff+take]
-		s.pendOff += take
-		sf := c.pools.newStreamFrame(s.id, s.sendOff, data)
-		s.sendOff += uint64(take)
-		if s.finQueued && s.pendOff == len(s.pend) {
+		take := min(avail, uint64(maxData))
+		sf := c.pools.newStreamFrame(s, s.sendOff, int(take))
+		s.sendOff += take
+		if s.finQueued && s.sendOff == s.sendEnd {
 			sf.fin = true
 			s.finSent = true
 		}
@@ -251,7 +248,7 @@ func TestPullStreamFrameMatchesScan(t *testing.T) {
 				order = append(order, id)
 			case k == 1:
 				for _, c := range []*Conn{a, b} {
-					c.handleStreamFrame(&streamFrame{id: peerID})
+					c.handleStreamData(streamData{id: peerID})
 				}
 				order = append(order, peerID)
 				peerID += 4
@@ -267,8 +264,8 @@ func TestPullStreamFrameMatchesScan(t *testing.T) {
 			case k == 8:
 				id := order[rng.Intn(len(order))]
 				for _, c := range []*Conn{a, b} {
-					if s := c.streams[id]; s.finSent && s.pendOff == len(s.pend) && !s.finAcked {
-						s.frameAcked(len(s.pend)-s.acked, true)
+					if s := c.streams[id]; s.finSent && !s.finAcked {
+						s.frameAcked(int(s.sendEnd-s.acked), true)
 					}
 				}
 			default:
@@ -278,9 +275,9 @@ func TestPullStreamFrameMatchesScan(t *testing.T) {
 				if (fa == nil) != (fb == nil) {
 					t.Fatalf("trial %d op %d: pulled %v, scan pulled %v", trial, op, fa, fb)
 				}
-				if fa != nil && (fa.id != fb.id || fa.off != fb.off || fa.fin != fb.fin || !bytes.Equal(fa.data, fb.data)) {
+				if fa != nil && (fa.s.id != fb.s.id || fa.off != fb.off || fa.fin != fb.fin || fa.n != fb.n) {
 					t.Fatalf("trial %d op %d: pulled stream %d [%d+%d fin %v], scan pulled %d [%d+%d fin %v]",
-						trial, op, fa.id, fa.off, len(fa.data), fa.fin, fb.id, fb.off, len(fb.data), fb.fin)
+						trial, op, fa.s.id, fa.off, fa.n, fa.fin, fb.s.id, fb.off, fb.n, fb.fin)
 				}
 				if a.rrIndex != rr {
 					t.Fatalf("trial %d op %d: rrIndex %d, scan %d", trial, op, a.rrIndex, rr)

@@ -46,13 +46,13 @@ func TestStreamReassemblyAnyOrder(t *testing.T) {
 		payload := patterned(1 + rng.Intn(5000))
 
 		// Chop into random frames.
-		var frames []*streamFrame
+		var frames []streamData
 		for off := 0; off < len(payload); {
 			n := 1 + rng.Intn(700)
 			if off+n > len(payload) {
 				n = len(payload) - off
 			}
-			frames = append(frames, &streamFrame{
+			frames = append(frames, streamData{
 				id: 0, off: uint64(off), data: payload[off : off+n],
 				fin: off+n == len(payload),
 			})
@@ -64,7 +64,7 @@ func TestStreamReassemblyAnyOrder(t *testing.T) {
 		}
 		rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
 
-		s := &Stream{conn: &Conn{}}
+		s := &Stream{conn: &Conn{pools: &Pools{}}}
 		var got []byte
 		finSeen := false
 		s.SetDataFunc(func(p []byte) { got = append(got, p...) })

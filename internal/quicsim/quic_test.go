@@ -275,7 +275,7 @@ func TestNoCrossStreamHoLBlocking(t *testing.T) {
 					return true
 				}
 				for _, f := range p.frames {
-					if sf, ok := f.(*streamFrame); ok && sf.id == 0 && sf.off == 0 {
+					if sf, ok := f.(*streamFrame); ok && sf.s.id == 0 && sf.off == 0 {
 						dropped = true
 						return false // drop stream A's first data packet
 					}

@@ -146,11 +146,14 @@ type finishedFrame struct{}
 func (finishedFrame) wireSize() int      { return sizeFinished }
 func (finishedFrame) ackEliciting() bool { return true }
 
+// streamFrame is the sender's record of one STREAM frame: n bytes of
+// stream s from off. It carries no bytes; the packet that transmits it
+// copies them from the stream (Conn.fill).
 type streamFrame struct {
-	id   uint64
-	off  uint64
-	data []byte
-	fin  bool
+	s   *Stream
+	off uint64
+	n   int
+	fin bool
 	// holds counts in-flight records (sentPacket or sendQ) referencing
 	// this frame. A PTO probe copies frame pointers into a second record,
 	// so the struct may only recycle when the count drains to zero — and
@@ -160,8 +163,19 @@ type streamFrame struct {
 	holds int32
 }
 
-func (f *streamFrame) wireSize() int    { return streamFrameHeader + len(f.data) }
+func (f *streamFrame) wireSize() int    { return streamFrameHeader + f.n }
 func (*streamFrame) ackEliciting() bool { return true }
+
+// streamData is a STREAM frame as its packet carries it, recorded with
+// the packet's own copy of its bytes when the packet was transmitted.
+// Receivers read only this, never the sender's streamFrame, which may
+// have been recycled by the time a late copy arrives.
+type streamData struct {
+	id   uint64
+	off  uint64
+	data []byte
+	fin  bool
+}
 
 type ackFrame struct {
 	ranges []pnRange // descending, most recent first
@@ -179,16 +193,21 @@ func (*closeFrame) ackEliciting() bool { return false }
 
 // packet is the on-wire QUIC datagram payload.
 //
-// Packet structs are pooled: each is sent exactly once, receivers retain
-// stream-frame data slices but never the packet itself, and the network
-// recycles the struct via Release after the handler returns. The frames
-// slice is shared with the sender's sentPacket record for retransmission
-// and is therefore never recycled — except for ACK-only packets, which
-// bypass loss recovery entirely and keep a private reusable ackFrame
-// attached across pool round-trips.
+// Packet structs are pooled: each is sent exactly once, receivers read
+// it during delivery and retain nothing of it (copying only stream
+// bytes that land beyond a gap), and the network recycles the struct via
+// Release after the handler returns. A packet owns its stream bytes:
+// transmit copies them from the sending streams into data, whether the
+// packet is a first send, a loss retransmission or a probe, and Release
+// returns them. The frames slice is shared with the sender's sentPacket
+// record for retransmission and is therefore never recycled — except
+// for ACK-only packets, which bypass loss recovery entirely and keep a
+// private reusable ackFrame attached across pool round-trips.
 type packet struct {
-	pn      uint64
-	frames  []frame
+	pn     uint64
+	frames []frame
+	// data holds one entry per STREAM frame in frames, in frame order.
+	data    []streamData
 	zeroRTT bool // sent as 0-RTT (before handshake confirmation)
 	// dcid is the connection ID of the sending connection (0 before the
 	// handshake assigns one); receivers drop a mismatch as stale.
@@ -226,6 +245,11 @@ func (p *packet) Release() {
 	p.pn = 0
 	p.zeroRTT = false
 	p.dcid = 0
+	for _, d := range p.data {
+		p.pools.payloads.Put(d.data)
+	}
+	clear(p.data)
+	p.data = p.data[:0]
 	if p.ackOnly {
 		p.pools.ackPkts.Put(p)
 		return

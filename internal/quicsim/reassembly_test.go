@@ -27,7 +27,7 @@ type delivery struct {
 	arrival, off, n int
 }
 
-func (r *refStream) receive(arrival int, f *streamFrame) {
+func (r *refStream) receive(arrival int, f streamData) {
 	if f.fin {
 		r.hasFin = true
 		r.finOff = f.off + uint64(len(f.data))
@@ -81,18 +81,18 @@ func (r *refStream) receive(arrival int, f *streamFrame) {
 // duplicates and overlapping re-framings that a receiver trims, in one of
 // four orders — in order, in order with local swaps, with lost originals
 // arriving late as retransmissions, or shuffled.
-func frameArrivals(rng *rand.Rand, payload []byte) []*streamFrame {
-	var frames []*streamFrame
+func frameArrivals(rng *rand.Rand, payload []byte) []streamData {
+	var frames []streamData
 	for off := 0; off < len(payload); {
 		n := 1 + rng.Intn(maxPacketPayload)
 		if off+n > len(payload) {
 			n = len(payload) - off
 		}
-		frames = append(frames, &streamFrame{off: uint64(off), data: payload[off : off+n]})
+		frames = append(frames, streamData{off: uint64(off), data: payload[off : off+n]})
 		off += n
 	}
 	if rng.Intn(3) == 0 {
-		frames = append(frames, &streamFrame{off: uint64(len(payload)), fin: true})
+		frames = append(frames, streamData{off: uint64(len(payload)), fin: true})
 	} else {
 		frames[len(frames)-1].fin = true
 	}
@@ -100,7 +100,7 @@ func frameArrivals(rng *rand.Rand, payload []byte) []*streamFrame {
 	if mode == 0 {
 		return frames
 	}
-	var extra []*streamFrame
+	var extra []streamData
 	for i := 0; i < len(frames)/4; i++ {
 		extra = append(extra, frames[rng.Intn(len(frames))])
 	}
@@ -115,7 +115,7 @@ func frameArrivals(rng *rand.Rand, payload []byte) []*streamFrame {
 		if rng.Intn(4) == 0 {
 			end = len(payload)
 		}
-		extra = append(extra, &streamFrame{off: uint64(start), data: payload[start:end],
+		extra = append(extra, streamData{off: uint64(start), data: payload[start:end],
 			fin: end == len(payload) && rng.Intn(2) == 0})
 	}
 	switch mode {
@@ -127,7 +127,7 @@ func frameArrivals(rng *rand.Rand, payload []byte) []*streamFrame {
 			}
 		}
 	case 2:
-		var late []*streamFrame
+		var late []streamData
 		kept := frames[:0]
 		for _, f := range frames {
 			if rng.Intn(6) == 0 {
@@ -159,7 +159,7 @@ func TestReassemblyMatchesReference(t *testing.T) {
 			ref.receive(i, f)
 		}
 
-		s := &Stream{conn: &Conn{}}
+		s := &Stream{conn: &Conn{pools: &Pools{}}}
 		var log []delivery
 		got, eofAt, arrival := 0, -1, 0
 		s.SetDataFunc(func(p []byte) {

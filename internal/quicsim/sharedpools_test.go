@@ -108,11 +108,16 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, s *Stream, start t
 // runSharedPools runs conns connections × streams streams at once over
 // one path (impair may be nil), every endpoint on ONE Pools, each
 // direction of each stream a flow from mkFlow (up, then down, stream by
-// stream), and checks that every receiver got every supplied byte where
-// it was written, the right number of opaque ones, and EOF, and that the
-// send arena, whose counters it returns, came out even although no
-// connection closed.
-func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, streams int, mkFlow func(*rand.Rand) *flow) bufpool.ArenaStats {
+// stream). Connection i is aborted at both ends at virtual time
+// abortAt[i] when that is non-zero (a one-sided abort whose
+// CONNECTION_CLOSE is lost leaves an idle peer holding its parked bytes
+// for good, which is a live connection, not a leak). It checks that
+// every receiver of a surviving connection got every supplied byte
+// where it was written, the right number of opaque ones, and EOF, and
+// that the payload and extent arenas came out even after the drain with
+// no Rewind. It returns those arenas' counters and the number of aborts
+// that found bytes in flight.
+func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, streams int, abortAt []time.Duration, mkFlow func(*rand.Rand) *flow) (payloads, extents bufpool.ArenaStats, inFlightAborts int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec
 	sched := &simnet.Scheduler{MaxEvents: 200_000_000}
@@ -133,7 +138,9 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, 
 		for j := 0; j < streams; j++ {
 			up[i][j], down[i][j] = mkFlow(rng), mkFlow(rng)
 		}
+		var srv *Conn
 		if _, err := Listen(server, uint16(443+i), ServerConfig{Config: cfg}, func(c *Conn) {
+			srv = c
 			c.SetStreamFunc(func(s *Stream) {
 				j := s.ID() / 4
 				s.SetDataFunc(up[i][j].receive)
@@ -143,23 +150,38 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, 
 		}); err != nil {
 			t.Fatal(err)
 		}
-		Dial(client, "server", uint16(443+i), ClientConfig{Config: cfg, ServerName: "server"}, func(c *Conn) {
+		cli := Dial(client, "server", uint16(443+i), ClientConfig{Config: cfg, ServerName: "server"}, func(c *Conn) {
 			for j := 0; j < streams; j++ {
 				j := j
 				s := c.OpenStream()
 				s.SetDataFunc(down[i][j].receive)
 				s.SetFinFunc(func() { down[i][j].eof = true })
 				// Staggered starts: early streams finish, and give their
-				// arrays back, while later ones are still to open.
+				// bytes back, while later ones are still to open.
 				up[i][j].drive(sched, rng, s, time.Duration(rng.Intn(3_000))*time.Millisecond)
 			}
 		})
+		if i < len(abortAt) && abortAt[i] > 0 {
+			sched.After(abortAt[i], func() {
+				for _, c := range []*Conn{cli, srv} {
+					if c != nil && c.state != stateClosed && c.bytesInFlight > 0 {
+						inFlightAborts++
+					}
+					if c != nil {
+						c.Abort()
+					}
+				}
+			})
+		}
 	}
 	if _, err := sched.Run(); err != nil {
 		t.Fatalf("seed %d: scheduler: %v", seed, err)
 	}
 
 	for i := 0; i < conns; i++ {
+		if i < len(abortAt) && abortAt[i] > 0 {
+			continue
+		}
 		for j := 0; j < streams; j++ {
 			for dir, f := range []*flow{up[i][j], down[i][j]} {
 				if f.corrupt || f.got != len(f.want) || f.gotOpq != f.opaque || !f.eof {
@@ -169,34 +191,41 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, 
 			}
 		}
 	}
-	st := pools.pends.Stats()
-	if st.InUse != 0 {
-		t.Fatalf("seed %d: send arena after the drain: %+v", seed, st)
+	payloads, extents = pools.payloads.Stats(), pools.extents.Stats()
+	if payloads.InUse != 0 || extents.InUse != 0 {
+		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
-	return st
+	return payloads, extents, inFlightAborts
 }
 
-// TestSharedPoolsExactDelivery is the property per-stream release rests
-// on: 4 connections × 8 streams, every endpoint on ONE Pools, each
+// TestSharedPoolsExactDelivery is the property packet-owned payloads
+// rest on: 4 connections × 8 streams, every endpoint on ONE Pools, each
 // direction of each stream its own pattern of up to 600 KB, over bench's
 // lossy profile (Gilbert-Elliott 2 % in bursts of four, 2 ms jitter, 1 %
-// reordering). Streams start and finish at different times, so send
-// arrays go back to the shared arena and out again while other streams
-// are mid-transfer, and no receiver may ever see a byte that is not its
-// own; afterwards every array is back although no connection closed,
-// and arrays were reused. It has teeth — release a stream once its FIN
-// is sent and half its bytes are acknowledged (frameAcked: s.finSent &&
-// s.acked >= len(s.pend)/2) and retransmissions and parked chunks read
-// recycled memory: the test fails on seed 1.
+// reordering), with one connection aborted at both ends mid-transfer.
+// Payloads, parked copies and extents change hands between streams
+// while others are mid-transfer, no receiver may ever see a byte that is
+// not its own, and afterwards every buffer is back with no Rewind,
+// including what the aborted connection had in flight. It has teeth —
+// each of these fails a seed: fill copying the extents one offset off;
+// packet.Release keeping the payload; receive parking the packet's
+// slice instead of a copy; a stream giving its extents back once its
+// FIN is sent rather than acknowledged.
 func TestSharedPoolsExactDelivery(t *testing.T) {
 	const conns, streams, maxLen = 4, 8, 600 << 10
+	inFlight := 0
 	for seed := int64(1); seed <= 6; seed++ {
-		st := runSharedPools(t, seed, lossyPath(0.02, 0.01), conns, streams, func(rng *rand.Rand) *flow {
+		abortAt := []time.Duration{time.Duration(200+seed*250) * time.Millisecond}
+		payloads, extents, n := runSharedPools(t, seed, lossyPath(0.02, 0.01), conns, streams, abortAt, func(rng *rand.Rand) *flow {
 			return newFlow(rng, maxLen)
 		})
-		if st.News >= st.Gets {
-			t.Fatalf("seed %d: send arrays never reused: %+v (want News < Gets)", seed, st)
+		if payloads.News >= payloads.Gets || extents.News >= extents.Gets {
+			t.Fatalf("seed %d: buffers never reused: payloads %+v, extents %+v", seed, payloads, extents)
 		}
+		inFlight += n
+	}
+	if inFlight == 0 {
+		t.Fatal("no abort found bytes in flight")
 	}
 }
 
@@ -211,18 +240,20 @@ func lossyPath(avgLoss, reorder float64) *simnet.Impairment {
 	return &im
 }
 
-// FuzzTransfer lets the fuzzer pick the seed, the loss and reorder rates
-// and the piece sizes of 2 connections × 3 streams on one Pools; the
+// FuzzTransfer lets the fuzzer pick the seed, the loss and reorder rates,
+// the piece sizes of 2 connections × 3 streams on one Pools, and when
+// (in 10 ms steps, 0 for never) the second connection is aborted; the
 // assertions are TestSharedPoolsExactDelivery's. It is tcpsim's
-// FuzzTransfer for the per-stream release rule and the receive path's
-// gap buffer.
+// FuzzTransfer for packet-owned payloads, the per-stream release rule
+// and the receive path's gap buffer.
 func FuzzTransfer(f *testing.F) {
-	f.Add(uint64(1), uint8(20), uint8(10), []byte{255, 3, 90, 255, 255, 0, 17, 200, 255, 255, 255, 40, 255, 9, 255, 255})
-	f.Add(uint64(7), uint8(0), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint64(2022), uint8(100), uint8(50), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
-	f.Add(uint64(3), uint8(0), uint8(100), []byte{40, 0, 255, 1})
-	f.Add(uint64(4), uint8(50), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, seed uint64, lossPermille, reorderPermille uint8, sizes []byte) {
+	f.Add(uint64(1), uint8(20), uint8(10), uint8(0), []byte{255, 3, 90, 255, 255, 0, 17, 200, 255, 255, 255, 40, 255, 9, 255, 255})
+	f.Add(uint64(7), uint8(0), uint8(0), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint64(2022), uint8(100), uint8(50), uint8(30), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add(uint64(3), uint8(0), uint8(100), uint8(0), []byte{40, 0, 255, 1})
+	f.Add(uint64(4), uint8(50), uint8(0), uint8(12), []byte{})
+	f.Add(uint64(5), uint8(20), uint8(10), uint8(8), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, seed uint64, lossPermille, reorderPermille, abortTenMs uint8, sizes []byte) {
 		const conns, streams = 2, 3
 		if len(sizes) > 96 {
 			sizes = sizes[:96]
@@ -237,8 +268,9 @@ func FuzzTransfer(f *testing.F) {
 		if loss, reorder := float64(lossPermille%101)/1000, float64(reorderPermille%101)/1000; loss > 0 || reorder > 0 {
 			impair = lossyPath(loss, reorder)
 		}
+		abortAt := []time.Duration{0, time.Duration(abortTenMs) * 10 * time.Millisecond}
 		k := 0
-		runSharedPools(t, int64(seed>>1), impair, conns, streams, func(rng *rand.Rand) *flow {
+		runSharedPools(t, int64(seed>>1), impair, conns, streams, abortAt, func(rng *rand.Rand) *flow {
 			pieces := plans[k]
 			k++
 			n := 0

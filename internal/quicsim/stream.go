@@ -13,23 +13,19 @@ type Stream struct {
 	conn *Conn
 	id   uint64
 
-	// Send side. pend accumulates every byte written on the stream and
-	// pendOff marks the pulled prefix. Frames alias windows of pend, and
-	// of the arrays it outgrew (outgrown), until the peer has delivered
-	// them; an acknowledged byte is not dead by itself — the receiver
-	// parks the sender's memory behind a gap and reads it when the gap
-	// fills — so the unit of release is the stream. acked counts the
-	// bytes whose frame retired through an ACK; once the FIN frame has
-	// too and acked == len(pend), the peer has delivered the whole stream
-	// in order, nothing will read these arrays again, and they all go
-	// back to Pools.pends (frameAcked). A stream that never gets there
-	// keeps them until its connection's teardown retires them.
-	pend      []byte
-	pendOff   int
-	outgrown  [][]byte
-	acked     int
-	finAcked  bool
+	// Send side. Bytes [0, sendEnd) are written and [0, sendOff) framed.
+	// supplied stores only the supplied ones; everything between them is
+	// opaque. Every packet copies its frames' bytes out of supplied when
+	// it is transmitted, so nothing on the wire or in the peer aliases
+	// them. acked counts the bytes whose frame retired through an ACK;
+	// once the FIN frame has too and acked == sendEnd, no frame of the
+	// stream can be sent again and supplied goes back (frameAcked). A
+	// stream that never gets there gives it back at teardown.
+	supplied  bytestream.Extents
+	sendEnd   uint64
 	sendOff   uint64
+	acked     uint64
+	finAcked  bool
 	finQueued bool
 	finSent   bool
 	// order is the stream's index in its connection's opening order, the
@@ -71,21 +67,15 @@ func (s *Stream) SetFinFunc(fn func()) { s.finFn = fn }
 // Write queues p for transmission on this stream.
 func (s *Stream) Write(p []byte) { s.WriteOpaque(p, 0) }
 
-// WriteOpaque queues head followed by n opaque bytes: head is appended
-// to pend and pend is resliced over the n bytes after it, unwritten.
+// WriteOpaque queues head followed by n opaque bytes. Only head is
+// stored, as an extent; the opaque bytes advance sendEnd and nothing
+// else.
 func (s *Stream) WriteOpaque(head []byte, n int) {
 	if s.conn.state == stateClosed || s.finQueued {
 		return
 	}
-	if need := len(s.pend) + len(head) + n; need > cap(s.pend) {
-		old := s.pend
-		s.pend = s.conn.pools.pends.Grow(old, need)
-		if old != nil {
-			s.outgrown = append(s.outgrown, old)
-		}
-	}
-	s.pend = append(s.pend, head...)
-	s.pend = s.pend[:len(s.pend)+n]
+	s.supplied.Add(&s.conn.pools.extents, s.sendEnd, head)
+	s.sendEnd += uint64(len(head) + n)
 	s.conn.queue(s)
 	s.conn.trySend()
 }
@@ -93,36 +83,29 @@ func (s *Stream) WriteOpaque(head []byte, n int) {
 // hasSendable reports whether the stream has unpulled bytes or a FIN
 // still to send.
 func (s *Stream) hasSendable() bool {
-	return len(s.pend) > s.pendOff || (s.finQueued && !s.finSent)
+	return s.sendEnd > s.sendOff || (s.finQueued && !s.finSent)
 }
 
 // frameAcked records that a frame of n stream bytes retired through an
 // ACK — it happens once per byte range, see streamFrame.holds — and
-// gives the send arrays back when that completes the stream.
+// gives the supplied bytes back when that completes the stream.
 func (s *Stream) frameAcked(n int, fin bool) {
-	s.acked += n
+	s.acked += uint64(n)
 	if fin {
 		s.finAcked = true
 	}
-	if s.finAcked && s.acked == len(s.pend) {
-		s.releaseSendBufs(s.conn.pools.pends.Put)
+	if s.finAcked && s.acked == s.sendEnd {
+		s.supplied.Release(&s.conn.pools.extents)
 	}
 }
 
-// releaseSendBufs hands every send array to release (Put when the stream
-// is fully acknowledged, Retire at teardown) and leaves the stream
-// holding none; the outgrown list keeps its allocation.
-func (s *Stream) releaseSendBufs(release func([]byte)) {
-	if s.pend != nil {
-		release(s.pend)
-	}
-	for _, buf := range s.outgrown {
-		release(buf)
-	}
-	clear(s.outgrown)
-	s.outgrown = s.outgrown[:0]
-	s.pend = nil
-	s.pendOff = 0
+// release gives back everything the stream holds: its supplied bytes
+// and the out-of-order copies parked in chunks. Teardown calls it.
+func (s *Stream) release() {
+	pl := s.conn.pools
+	s.supplied.Release(&pl.extents)
+	s.chunks.Each(func(_ uint64, data []byte) { pl.payloads.Put(data) })
+	s.chunks.Reset()
 }
 
 // CloseWrite queues a FIN after any pending data.
@@ -139,16 +122,16 @@ func (s *Stream) CloseWrite() {
 func (s *Stream) BytesReceived() int64 { return s.nRecved }
 
 // receive ingests a (possibly out-of-order, possibly duplicate) frame.
-// Data at rcvOff is delivered at once: every buffered chunk starts above
-// rcvOff, so it is the chunk the gap scan would pick first. Chunks alias
-// the sender's pend either way (see frameAcked for why that memory
-// outlives them).
-func (s *Stream) receive(f *streamFrame) {
+// Data at rcvOff is delivered at once, straight from the packet: every
+// buffered chunk starts above rcvOff, so it is the chunk the gap scan
+// would pick first. Data beyond a gap is copied into a payloads buffer
+// and parked, since the packet's payload goes back once it is handled.
+func (s *Stream) receive(f streamData) {
+	end := f.off + uint64(len(f.data))
 	if f.fin {
 		s.hasFin = true
-		s.finOff = f.off + uint64(len(f.data))
+		s.finOff = end
 	}
-	end := f.off + uint64(len(f.data))
 	if end > s.rcvOff && len(f.data) > 0 {
 		data := f.data
 		off := f.off
@@ -159,7 +142,13 @@ func (s *Stream) receive(f *streamFrame) {
 		if off == s.rcvOff {
 			s.deliver(data)
 		} else if prev, found := s.chunks.Slot(off); !found || len(data) > len(*prev) {
-			*prev = data
+			pl := s.conn.pools
+			buf := pl.payloads.Get(len(data))
+			copy(buf, data)
+			if found {
+				pl.payloads.Put(*prev)
+			}
+			*prev = buf
 		}
 	}
 	s.advance()
@@ -178,7 +167,9 @@ func (s *Stream) deliver(data []byte) {
 // advance drains the gap buffer up to the first hole, taking the LOWEST
 // chunk at or below rcvOff each time: with loss and reordering, trimming
 // can leave several overlapping chunks there, and the choice decides
-// delivery granularity. Then it reports EOF and stall transitions.
+// delivery granularity. A chunk is popped before its callback runs, so
+// a teardown inside the callback never sees it. Then it reports EOF and
+// stall transitions.
 func (s *Stream) advance() {
 	for {
 		off, data, ok := s.chunks.Head()
@@ -190,6 +181,7 @@ func (s *Stream) advance() {
 		if end := off + uint64(len(data)); end > s.rcvOff {
 			s.deliver(data[s.rcvOff-off:])
 		}
+		s.conn.pools.payloads.Put(data)
 	}
 	if s.hasFin && !s.gotEOF && s.rcvOff >= s.finOff {
 		s.gotEOF = true

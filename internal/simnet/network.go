@@ -29,9 +29,7 @@ type Packet struct {
 // time: once the packet has been delivered (the handler returned) or
 // dropped, the network calls Release exactly once. Handlers must not
 // retain the payload object beyond the callback, nor byte slices it
-// points to unless its type leaves them alone on Release (a QUIC frame
-// aliases stream memory its sender frees; a TCP segment's payload goes
-// back with it).
+// points to: a TCP segment's or QUIC packet's payload goes back with it.
 type Releasable interface{ Release() }
 
 func releasePayload(p any) {

@@ -192,10 +192,15 @@ const defaultMahimahiMTU = 1500
 // epoch transitions per packet walk.
 const DefaultTraceWindow = 100 * time.Millisecond
 
+// maxTraceSpan bounds a Mahimahi trace's timestamps. Real traces span
+// minutes; the bound keeps one hostile line from overflowing the
+// millisecond conversion or asking for billions of epochs.
+const maxTraceSpan = 24 * time.Hour
+
 // ParseMahimahiTrace reads a Mahimahi packet-delivery-opportunity trace:
 // one integer millisecond timestamp per line, each granting one MTU-sized
 // (1500 B if mtu <= 0) delivery opportunity; timestamps must be
-// non-decreasing. Opportunities are bucketed into window-wide epochs
+// non-decreasing and at most maxTraceSpan. Opportunities are bucketed into window-wide epochs
 // (DefaultTraceWindow if window <= 0) whose capacity is the bucket's
 // delivered bits over the window; the trace length rounds up to a whole
 // number of windows so replay wraps cleanly.
@@ -218,6 +223,9 @@ func ParseMahimahiTrace(name string, r io.Reader, mtu int, window time.Duration)
 		ms, err := strconv.ParseInt(text, 10, 64)
 		if err != nil || ms < 0 {
 			return nil, fmt.Errorf("simnet: trace %q line %d: want a non-negative ms timestamp, got %q", name, line, text)
+		}
+		if ms > maxTraceSpan.Milliseconds() {
+			return nil, fmt.Errorf("simnet: trace %q line %d: timestamp %d ms is beyond %v", name, line, ms, maxTraceSpan)
 		}
 		at := time.Duration(ms) * time.Millisecond
 		if n := len(stamps); n > 0 && at < stamps[n-1] {

@@ -175,11 +175,33 @@ func TestParseMahimahiTrace(t *testing.T) {
 		"negative":   "-5\n",
 		"decreasing": "100\n50\n",
 		"empty":      "# nothing\n",
+		"overflow":   "9223372036854775807\n",
+		"years":      "100000000000\n",
 	} {
 		if _, err := ParseMahimahiTrace(name, strings.NewReader(bad), 0, 0); err == nil {
 			t.Errorf("%s: want parse error", name)
 		}
 	}
+}
+
+// FuzzParseMahimahiTrace feeds arbitrary text to the trace parser: it
+// must not panic, and a trace it accepts has at least one epoch and a
+// finite, positive mean rate.
+func FuzzParseMahimahiTrace(f *testing.F) {
+	f.Add("# comment\n0\n10\n\n99\n150\n250\n")
+	f.Add("9223372036854775807\n")
+	f.Add("100000000000\n")
+	f.Add("0\n86400000\n")
+	f.Add("5\n5\n5\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		tl, err := ParseMahimahiTrace("fuzz", strings.NewReader(src), 0, 0)
+		if err != nil {
+			return
+		}
+		if mean := tl.MeanBps(); tl.Epochs() < 1 || !(mean > 0) || math.IsInf(mean, 0) {
+			t.Fatalf("accepted trace with %d epochs, mean %v bps", tl.Epochs(), mean)
+		}
+	})
 }
 
 // tracePath wires the same TraceLink onto every directed path.

@@ -1,7 +1,6 @@
 package tcpsim
 
 import (
-	"sort"
 	"time"
 
 	"h3cdn/internal/bytestream"
@@ -25,14 +24,6 @@ type recvChunk struct {
 	fin  bool
 }
 
-// extent is an arena copy of supplied bytes starting at stream offset off.
-type extent struct {
-	off  uint64
-	data []byte
-}
-
-func (e extent) end() uint64 { return e.off + uint64(len(e.data)) }
-
 // Conn is one endpoint of a simulated TCP connection. It implements
 // bytestream.Stream. All methods must be called from scheduler context.
 type Conn struct {
@@ -52,12 +43,12 @@ type Conn struct {
 	// acknowledged. The window stores only the supplied ones: extents
 	// lists them in offset order, and everything between is opaque. Each
 	// data segment gets its own payload buffer, filled from the extents
-	// when it is built (payload), so an extent goes back as soon as
-	// sndUna passes it and an idle connection holds nothing.
+	// when it is built (Extents.Payload), so an extent goes back as soon
+	// as sndUna passes it and an idle connection holds nothing.
 	sndUna  uint64
 	sndNxt  uint64
 	sndEnd  uint64
-	extents []extent
+	extents bytestream.Extents
 	sentFin bool
 	finSeq  uint64
 	closing bool // Close() called: FIN queued after pending data
@@ -230,48 +221,11 @@ func (c *Conn) WriteOpaque(head []byte, n int) {
 	if c.state == stateClosed || c.closing {
 		return
 	}
-	if len(head) > 0 {
-		data := c.cfg.Pools.extents.Get(len(head))
-		copy(data, head)
-		c.extents = append(c.extents, extent{off: c.sndEnd, data: data})
-	}
+	c.extents.Add(&c.cfg.Pools.extents, c.sndEnd, head)
 	c.sndEnd += uint64(len(head) + n)
 	if c.state == stateEstablished {
 		c.trySend()
 	}
-}
-
-// payload returns a pooled buffer holding stream bytes [seq, seq+n): the
-// supplied ones copied from the extents that overlap the range, the
-// opaque ones whatever the buffer held before.
-func (c *Conn) payload(seq uint64, n int) []byte {
-	buf := c.cfg.Pools.payloads.Get(n)
-	end := seq + uint64(n)
-	i := sort.Search(len(c.extents), func(i int) bool { return c.extents[i].end() > seq })
-	for _, e := range c.extents[i:] {
-		if e.off >= end {
-			break
-		}
-		lo, hi := max(e.off, seq), min(e.end(), end)
-		copy(buf[lo-seq:hi-seq], e.data[lo-e.off:])
-	}
-	return buf
-}
-
-// trimAcked gives back the extents sndUna has passed. They form a
-// prefix; the rest compact in place to keep the list's one allocation.
-func (c *Conn) trimAcked() {
-	n := 0
-	for n < len(c.extents) && c.extents[n].end() <= c.sndUna {
-		c.cfg.Pools.extents.Put(c.extents[n].data)
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	m := copy(c.extents, c.extents[n:])
-	clear(c.extents[m:])
-	c.extents = c.extents[:m]
 }
 
 // Close flushes pending data, then sends FIN.
@@ -347,11 +301,7 @@ func (c *Conn) teardown() {
 	// Segments own their payloads, so nothing on the wire reads the
 	// extents and they go back at once, in flight or not. The conn
 	// itself waits for Rewind — late closures still read the struct.
-	for _, e := range c.extents {
-		c.cfg.Pools.extents.Put(e.data)
-	}
-	clear(c.extents)
-	c.extents = c.extents[:0]
+	c.extents.Release(&c.cfg.Pools.extents)
 	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { c.cfg.Arena.Put(chunk.data) })
 	c.recvBuf.Reset()
 	c.cfg.Pools.retiredConns = append(c.cfg.Pools.retiredConns, c)
@@ -480,7 +430,7 @@ func (c *Conn) trySend() {
 			n := min(c.sndEnd-c.sndNxt, mss)
 			seg := newSegment(c.cfg.Pools)
 			seg.seq = c.sndNxt
-			seg.payload = c.payload(c.sndNxt, int(n))
+			seg.payload = c.extents.Payload(&c.cfg.Pools.payloads, c.sndNxt, int(n))
 			c.markTimed(seg)
 			c.sndNxt += n
 			c.sendSeg(seg)
@@ -526,7 +476,7 @@ func (c *Conn) processAck(seg *segment) {
 	case seg.ack > c.sndUna:
 		acked := seg.ack - c.sndUna
 		c.sndUna = seg.ack
-		c.trimAcked()
+		c.extents.Trim(&c.cfg.Pools.extents, c.sndUna)
 		if c.sndNxt < c.sndUna {
 			c.sndNxt = c.sndUna
 		}
@@ -631,7 +581,7 @@ func (c *Conn) retransmitFirst() {
 	}
 	seg := newSegment(c.cfg.Pools)
 	seg.seq = c.sndUna
-	seg.payload = c.payload(c.sndUna, int(min(sent-c.sndUna, mss)))
+	seg.payload = c.extents.Payload(&c.cfg.Pools.payloads, c.sndUna, int(min(sent-c.sndUna, mss)))
 	c.sendSeg(seg)
 	c.armRTO()
 }

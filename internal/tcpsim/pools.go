@@ -22,9 +22,9 @@ type Pools struct {
 	payloads bufpool.Arena
 
 	// extents recycles the arena copies of supplied bytes (WriteOpaque
-	// takes, trimAcked and teardown give back). It is not the wire arena
-	// and carries no per-visit balance rule: a connection that outlives
-	// the visit keeps its unacknowledged extents.
+	// takes, the ACK path and teardown give back). It is not the wire
+	// arena and carries no per-visit balance rule: a connection that
+	// outlives the visit keeps its unacknowledged extents.
 	extents bufpool.Arena
 
 	conns        bufpool.FreeList[*Conn]

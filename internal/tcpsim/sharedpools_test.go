@@ -191,9 +191,9 @@ func randomPieces(rng *rand.Rand, maxLen int) []int {
 // segment-owned payloads rest on: extents and payload buffers change
 // hands between connections mid-transfer, every supplied byte still
 // arrives where it was written, and every buffer comes back. It has
-// teeth — each of these fails a seed: payload copying an extent one
-// offset off; Release not returning the payload; trimAcked giving back
-// an extent that straddles sndUna.
+// teeth — each of these fails a seed: Extents.Payload copying an extent
+// one offset off; Release not returning the payload; Extents.Trim
+// giving back an extent that straddles sndUna.
 func TestSharedPoolsExactDelivery(t *testing.T) {
 	const conns, maxLen = 24, 600 << 10
 	for seed := int64(1); seed <= 6; seed++ {
