@@ -3,7 +3,6 @@ package httpsim
 import (
 	"bytes"
 	"strconv"
-	"strings"
 	"time"
 
 	"h3cdn/internal/simnet"
@@ -341,37 +340,18 @@ func (pl *Pools) encodeH1Request(req *Request) []byte {
 	return dst
 }
 
-func parseH1Request(p []byte) (*Request, bool) {
-	s := string(p)
-	line, rest, ok := strings.Cut(s, "\r\n")
-	if !ok {
-		return nil, false
+// parseH1Head reads what a server routes on from an HTTP/1.1 head: Path
+// is the request line's second field (the line needs two spaces) and
+// Host the value of the last host line, both interned.
+func (pl *Pools) parseH1Head(p []byte) (Request, bool) {
+	line, rest, ok := bytes.Cut(p, crlf)
+	_, target, ok1 := bytes.Cut(line, space)
+	path, _, ok2 := bytes.Cut(target, space)
+	if !ok || !ok1 || !ok2 {
+		return Request{}, false
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 {
-		return nil, false
-	}
-	h := decodeHeaders([]byte(rest))
-	req := &Request{Path: parts[1], Host: h["host"], Header: h}
-	delete(h, "host")
-	return req, true
-}
-
-// parseH1Request returns the canonical Request for these wire bytes
-// (parsed once per distinct request). Consumers must not mutate it.
-func (pl *Pools) parseH1Request(p []byte) (*Request, bool) {
-	if req, ok := pl.reqCache[string(p)]; ok {
-		return req, req != nil
-	}
-	req, ok := parseH1Request(p)
-	if !ok {
-		return nil, false
-	}
-	if pl.reqCache == nil {
-		pl.reqCache = make(map[string]*Request)
-	}
-	pl.reqCache[string(p)] = req
-	return req, true
+	host, _ := lastValues(rest, "host", "host")
+	return Request{Host: pl.intern(host), Path: pl.intern(path)}, true
 }
 
 // encodeH1Response assembles the response envelope in the shared
@@ -393,11 +373,7 @@ func (pl *Pools) encodeH1Response(resp Response) []byte {
 // remaining headers resolve to a canonical shared map (see
 // Pools.canonHeaderMap).
 func (pl *Pools) parseH1Response(p []byte) (ResponseMeta, error) {
-	line := p
-	var rest []byte
-	if nl := bytes.Index(p, crlf); nl >= 0 {
-		line, rest = p[:nl], p[nl+2:]
-	}
+	line, rest := cutLine(p)
 	// Status is the second space-separated token of "HTTP/1.1 200 OK".
 	sp := bytes.IndexByte(line, ' ')
 	if sp < 0 {
@@ -424,9 +400,10 @@ type h1ServerConn struct {
 	handler Handler
 	pools   *Pools
 	heads   headCarry
-	// ctx and respondFn are reused across requests: dispatch is
+	// req, ctx and respondFn are reused across requests: dispatch is
 	// synchronous from onData and handlers copy what they need before
 	// scheduling a delayed respond.
+	req       Request
 	ctx       ServerContext
 	respondFn func(Response)
 }
@@ -460,11 +437,10 @@ func (c *h1ServerConn) onData(p []byte) {
 			return
 		}
 		p = rest
-		req, ok := c.pools.parseH1Request(head)
-		if !ok {
+		if c.req, ok = c.pools.parseH1Head(head); !ok {
 			continue
 		}
-		c.ctx = ServerContext{Req: req, Protocol: H1, ServerName: c.tls.ServerName()}
+		c.ctx = ServerContext{Req: &c.req, Protocol: H1, ServerName: c.tls.ServerName()}
 		c.handler(&c.ctx, c.respondFn)
 	}
 }

@@ -286,10 +286,11 @@ type h2ServerConn struct {
 	parser  blockParser
 	active  []*h2Response
 	pumping bool
-	// ctx is reused across this connection's requests: dispatch is
-	// synchronous from onData and handlers copy what they need before
-	// scheduling a delayed respond, so the context never outlives the
+	// req and ctx are reused across this connection's requests:
+	// dispatch is synchronous from onData and handlers copy what they
+	// need before scheduling a delayed respond, so neither outlives the
 	// handler call.
+	req Request
 	ctx ServerContext
 }
 
@@ -313,8 +314,8 @@ func (c *h2ServerConn) onData(data []byte) {
 			continue
 		}
 		id := b.streamID
-		req := c.pools.parseRequestHeaderBlock(b.payload)
-		c.ctx = ServerContext{Req: req, Protocol: H2, ServerName: c.tls.ServerName()}
+		c.req = c.pools.parseRequestBlock(b.payload)
+		c.ctx = ServerContext{Req: &c.req, Protocol: H2, ServerName: c.tls.ServerName()}
 		c.handler(&c.ctx, func(resp Response) { c.respond(id, resp) })
 	}
 	if c.parser.overlong {

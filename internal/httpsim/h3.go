@@ -287,12 +287,13 @@ func newH3Server(conn *quicsim.Conn, handler Handler, pools *Pools) *h3Server {
 // h3SrvStream is the server-side per-stream state. Pooled per universe
 // with callbacks bound once per struct lifetime; each instance serves
 // exactly one request stream per visit (H3 maps one request to one
-// stream), so the embedded ServerContext is never shared between
-// concurrent requests.
+// stream), so the embedded Request and ServerContext are never shared
+// between concurrent requests.
 type h3SrvStream struct {
 	srv       *h3Server
 	st        *quicsim.Stream
 	parser    blockParser
+	req       Request
 	ctx       ServerContext
 	dataFn    func([]byte)
 	respondFn func(Response)
@@ -315,8 +316,8 @@ func (ss *h3SrvStream) onData(data []byte) {
 			continue
 		}
 		srv := ss.srv
-		req := srv.pools.parseRequestHeaderBlock(b.payload)
-		ss.ctx = ServerContext{Req: req, Protocol: H3, ServerName: srv.conn.ServerName()}
+		ss.req = srv.pools.parseRequestBlock(b.payload)
+		ss.ctx = ServerContext{Req: &ss.req, Protocol: H3, ServerName: srv.conn.ServerName()}
 		srv.handler(&ss.ctx, ss.respondFn)
 	}
 	if ss.parser.overlong {

@@ -137,7 +137,10 @@ type ClientConn interface {
 // synchronously or after scheduling a delay (simulated processing time).
 type Handler func(ctx *ServerContext, respond func(Response))
 
-// ServerContext carries per-request server-side information.
+// ServerContext carries per-request server-side information; Req holds
+// only Host and Path. The server reuses the context and its Req for the
+// next request, so both are valid only during the handler call: a
+// handler that responds later copies out what it keeps.
 type ServerContext struct {
 	Req      *Request
 	Protocol Protocol
@@ -371,30 +374,41 @@ func (pl *Pools) requestHeaderBlock(req *Request) []byte {
 	return dst
 }
 
-func parseRequestHeaderBlock(p []byte) *Request {
-	h := decodeHeaders(p)
-	req := &Request{Host: h[":authority"], Path: h[":path"], Header: make(map[string]string)}
-	for k, v := range h {
-		if !strings.HasPrefix(k, ":") {
-			req.Header[k] = v
-		}
-	}
-	return req
+// parseRequestBlock reads what a server routes on from an H2/H3 request
+// block: the values of its last :authority and :path lines, interned.
+func (pl *Pools) parseRequestBlock(p []byte) Request {
+	host, path := lastValues(p, ":authority", ":path")
+	return Request{Host: pl.intern(host), Path: pl.intern(path)}
 }
 
-// parseRequestHeaderBlock returns the canonical Request for these wire
-// bytes: the corpus re-sends identical blocks every visit, so the parse
-// runs once per distinct block. Consumers must treat it as immutable.
-func (pl *Pools) parseRequestHeaderBlock(p []byte) *Request {
-	if req, ok := pl.reqCache[string(p)]; ok {
-		return req
+// lastValues returns the values of the last header lines keyed ka and
+// kb (nil if none), with decodeHeaders' rule: a line's key is the text
+// before its first ": ", and a line without one is skipped.
+func lastValues(p []byte, ka, kb string) (va, vb []byte) {
+	for rest := p; len(rest) > 0; {
+		var line []byte
+		line, rest = cutLine(rest)
+		if k, v, ok := bytes.Cut(line, colonSpace); ok && string(k) == ka {
+			va = v
+		} else if ok && string(k) == kb {
+			vb = v
+		}
 	}
-	req := parseRequestHeaderBlock(p)
-	if pl.reqCache == nil {
-		pl.reqCache = make(map[string]*Request)
+	return va, vb
+}
+
+// intern returns b as a string, allocating only the first time the
+// universe sees its value; the lookup itself allocates nothing.
+func (pl *Pools) intern(b []byte) string {
+	if s, ok := pl.names[string(b)]; ok {
+		return s
 	}
-	pl.reqCache[string(p)] = req
-	return req
+	s := string(b)
+	if pl.names == nil {
+		pl.names = make(map[string]string)
+	}
+	pl.names[s] = s
+	return s
 }
 
 // responseHeaderBlock serializes a response envelope for H2/H3 in the
@@ -415,9 +429,19 @@ func (pl *Pools) responseHeaderBlock(resp Response) []byte {
 var (
 	crlf         = []byte("\r\n")
 	crlf2        = []byte("\r\n\r\n")
+	colonSpace   = []byte(": ")
+	space        = []byte(" ")
 	statusPrefix = []byte(":status: ")
 	clenPrefix   = []byte("content-length: ")
 )
+
+// cutLine splits off p's first CRLF-terminated line, or all of p.
+func cutLine(p []byte) (line, rest []byte) {
+	if nl := bytes.Index(p, crlf); nl >= 0 {
+		return p[:nl], p[nl+2:]
+	}
+	return p, nil
+}
 
 // parseDecimal parses a non-negative base-10 integer, returning -1 on
 // empty or malformed input.
@@ -445,11 +469,7 @@ func (pl *Pools) stripRespHeaders(p []byte) (key []byte, status, clen int) {
 	key = pl.keyBuf[:0]
 	for rest := p; len(rest) > 0; {
 		var line []byte
-		if nl := bytes.Index(rest, crlf); nl >= 0 {
-			line, rest = rest[:nl], rest[nl+2:]
-		} else {
-			line, rest = rest, nil
-		}
+		line, rest = cutLine(rest)
 		switch {
 		case len(line) == 0:
 		case bytes.HasPrefix(line, statusPrefix):

@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -525,9 +526,37 @@ func TestProtocolStrings(t *testing.T) {
 func TestRequestHeaderBlockRoundTrip(t *testing.T) {
 	req := &Request{Host: "cdn.example", Path: "/a/b.js", Header: map[string]string{"accept": "*/*"}}
 	var pl Pools
-	got := pl.parseRequestHeaderBlock(pl.requestHeaderBlock(req))
-	if got.Host != req.Host || got.Path != req.Path || got.Header["accept"] != "*/*" {
+	got := pl.parseRequestBlock(pl.requestHeaderBlock(req))
+	if got.Host != req.Host || got.Path != req.Path || got.Header != nil {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestServerRequestParseAllocs pins what a server request costs: a head
+// or block whose values the universe has seen parses without
+// allocating, and a new path costs one string.
+func TestServerRequestParseAllocs(t *testing.T) {
+	var pl Pools
+	h1 := []byte("GET /a/b.js HTTP/1.1\r\nhost: cdn.example\r\naccept: */*")
+	block := bytes.Clone(pl.requestHeaderBlock(&Request{Host: "cdn.example", Path: "/a/b.js", Header: map[string]string{"accept": "*/*"}}))
+	if n := testing.AllocsPerRun(100, func() { pl.parseH1Head(h1) }); n != 0 {
+		t.Errorf("h1 head parsed again: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { pl.parseRequestBlock(block) }); n != 0 {
+		t.Errorf("h2/h3 block parsed again: %v allocs, want 0", n)
+	}
+
+	var fresh [][]byte
+	for i := range 101 {
+		fresh = append(fresh, fmt.Appendf(nil, ":authority: cdn.example\r\n:path: /new/%d\r\n", i))
+	}
+	next := 0
+	n := testing.AllocsPerRun(100, func() {
+		pl.parseRequestBlock(fresh[next])
+		next++
+	})
+	if n != 1 {
+		t.Errorf("new path: %v allocs, want 1", n)
 	}
 }
 

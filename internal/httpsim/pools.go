@@ -14,7 +14,9 @@ import (
 // footprint. The zero value is ready to use.
 //
 // Callers must invoke Rewind at visit boundaries only (scheduler
-// drained, all connections closed); see DESIGN.md §4.17.
+// drained, all connections closed); see DESIGN.md §4.17. Rewind leaves
+// respCache and the request interner alone: both live as long as the
+// universe (DESIGN.md §4.27).
 type Pools struct {
 	// TCP, QUIC and Arena are the transport-layer arenas, handed to
 	// endpoints by dialTLS/DialH3/StartServer.
@@ -30,13 +32,12 @@ type Pools struct {
 	// closed and keeps its buffer until the collector takes both.
 	Recv bufpool.Arena
 
-	// Canonical decode caches. Parsed requests and response header maps
-	// are keyed by their wire bytes and shared by every consumer: the
-	// corpus re-sends identical header blocks every visit, and consumers
-	// (handlers, HAR entries) only ever read them. Never mutate a
-	// Request or header map obtained from these caches.
-	reqCache  map[string]*Request
+	// respCache maps a response's stripped header lines to one canonical
+	// header map shared by every consumer: the corpus re-sends identical
+	// headers every visit, and consumers (HAR entries, the locedge
+	// classifier) only ever read them. Never mutate a map from it.
 	respCache map[string]map[string]string
+	names     map[string]string // interned request Hosts and Paths (intern)
 
 	hdrBuf      []byte   // header-block assembly scratch
 	keyBuf      []byte   // respCache key assembly scratch

@@ -85,6 +85,11 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	if len(j.Counts) != len(j.Bounds)+1 {
 		return fmt.Errorf("sketch: histogram counts length %d, want %d", len(j.Counts), len(j.Bounds)+1)
 	}
+	for i := 1; i < len(j.Bounds); i++ {
+		if j.Bounds[i] <= j.Bounds[i-1] {
+			return fmt.Errorf("sketch: histogram bounds not strictly increasing at %d (%v after %v)", i, j.Bounds[i], j.Bounds[i-1])
+		}
+	}
 	*h = *NewHistogram(j.Bounds)
 	copy(h.counts, j.Counts)
 	h.count = j.Count
