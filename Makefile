@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseOutages -fuzztime 5s ./cmd/h3cdn-measure
 	$(GO) test -run '^$$' -fuzz FuzzParseMahimahiTrace -fuzztime 5s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzSketchJSON -fuzztime 5s ./internal/sketch
+	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 5s ./internal/core
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces

@@ -1,8 +1,10 @@
-// Package bufpool provides the simulation's two recyclers: Arena, a
+// Package bufpool provides the simulation's recyclers: Arena, a
 // size-classed byte-buffer recycler for the hot path (wire records,
 // framed blocks, transport packet payloads, supplied-byte extents and
-// reassembly chunks), and FreeList, the LIFO free list every
-// per-universe record pool is built from. Both are confined to one
+// reassembly chunks); FreeList, the LIFO free list every per-universe
+// record pool is built from; and Recycler, a FreeList that hands a
+// torn-down struct out again only from the scheduler event after its
+// teardown. Both are confined to one
 // goroutine — the owning universe's scheduler — so reuse needs no
 // locking and, being plain
 // slices, survives garbage-collection cycles: a warm shard reaches a

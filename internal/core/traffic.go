@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -12,6 +13,7 @@ import (
 
 	"h3cdn/internal/browser"
 	"h3cdn/internal/har"
+	"h3cdn/internal/httpsim"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/webgen"
@@ -33,7 +35,9 @@ import (
 // checkpoint records — which makes a killed-and-resumed run
 // byte-identical to an uninterrupted one by construction, because the
 // uninterrupted run crosses epochs through the very same dump/restore
-// path.
+// path. The shard's allocation pools cross epochs too, warm, but they
+// are not state: nothing simulated reads them, so a resumed shard that
+// starts them cold reproduces the same bytes.
 
 // checkpointDigest fingerprints every campaign setting that shapes a
 // population shard's results beyond its seed and its place in the shard
@@ -139,15 +143,67 @@ func (en *trafficEngine) endSession(user int, b *browser.Browser) {
 	b.CloseAll()
 }
 
+// restoreCheckpoint loads the checkpoint at path into sink and returns
+// it for the rest of what it carries, or (nil, nil) when there is none.
+// It rejects a checkpoint written under another shard seed or config
+// digest, and one whose contents the shard could not continue from: a
+// sink whose sketches would not merge into the campaign's (Merge
+// panics on a differing α or histogram bounds), that lacks the
+// accumulator or, under sampled retention, the reservoir, or whose
+// epoch fields lie outside the campaign's epochs.
+func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink *visitSink) (*traffic.Checkpoint, error) {
+	cp, err := traffic.Load(path)
+	if err != nil || cp == nil {
+		return nil, err
+	}
+	if cp.Seed != seed {
+		return nil, fmt.Errorf("core: checkpoint %s was written under seed %d, campaign shard seed is %d", path, cp.Seed, seed)
+	}
+	if cp.Config != digest {
+		return nil, fmt.Errorf("core: checkpoint %s was written under campaign config %s, this campaign's config is %s", path, cp.Config, digest)
+	}
+	if cp.Epoch < 0 || cp.Epoch > epochs {
+		return nil, fmt.Errorf("core: checkpoint %s resumes at epoch %d of %d", path, cp.Epoch, epochs)
+	}
+	var st sinkState
+	if err := json.Unmarshal(cp.Sink, &st); err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s sink state: %w", path, err)
+	}
+	switch {
+	case st.Acc == nil:
+		err = errors.New("no metrics")
+	case st.Reservoir == nil && sink.Reservoir != nil:
+		err = errors.New("no retention reservoir")
+	default:
+		err = sink.Acc.Compatible(st.Acc)
+	}
+	if st.Report != nil {
+		for _, es := range st.Report.Epochs {
+			if es.Epoch < 0 || es.Epoch >= cp.Epoch {
+				err = fmt.Errorf("report of epoch %d", es.Epoch)
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s sink state: %w", path, err)
+	}
+	sink.sinkState = st
+	return cp, nil
+}
+
 // runPopulation is the open-loop visit source: the user slice
 // [job.lo, job.hi) browsing the full corpus against this shard's own
 // edges (an independent PoP), for the configured horizon, in checkpoint
 // epochs. One scheduler drain covers a whole epoch, with visits
-// overlapping up to MaxInFlight, so — unlike the scripted source — there
-// is no visit boundary at which the arena could rewind. Every finished
-// visit goes to sink, as does the arrival and edge-contention accounting
-// (sink.Report).
+// overlapping up to MaxInFlight. Every finished visit goes to sink, as
+// does the arrival and edge-contention accounting (sink.Report).
 func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink) error {
+	return runEpochs(cfg, topo, job, sink, &httpsim.Pools{}, nil)
+}
+
+// runEpochs runs runPopulation's epochs with every epoch's universe on
+// pools, calling epochDone (when non-nil) with each one once it closed.
+func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink, pools *httpsim.Pools, epochDone func(*Universe)) error {
 	tc := cfg.Traffic.WithDefaults()
 	corpus := topo.Corpus()
 	seed := shardSeed(cfg, job)
@@ -166,20 +222,11 @@ func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visit
 	if tc.CheckpointDir != "" {
 		ckptPath = filepath.Join(tc.CheckpointDir, "traffic_"+job.slug()+".ckpt.json")
 		digest = cfg.checkpointDigest(len(corpus.Pages))
-		cp, err := traffic.Load(ckptPath)
+		cp, err := restoreCheckpoint(ckptPath, seed, digest, tc.Epochs(), sink)
 		if err != nil {
 			return err
 		}
 		if cp != nil {
-			if cp.Seed != seed {
-				return fmt.Errorf("core: checkpoint %s was written under seed %d, campaign shard seed is %d", ckptPath, cp.Seed, seed)
-			}
-			if cp.Config != digest {
-				return fmt.Errorf("core: checkpoint %s was written under campaign config %s, this campaign's config is %s", ckptPath, cp.Config, digest)
-			}
-			if err := json.Unmarshal(cp.Sink, &sink.sinkState); err != nil {
-				return fmt.Errorf("core: checkpoint %s sink state: %w", ckptPath, err)
-			}
 			startEpoch, clock, edges = cp.Epoch, cp.Clock, cp.Edges
 			for _, um := range cp.Users {
 				userMem[um.User-job.lo] = um.AltSvc
@@ -202,6 +249,7 @@ func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visit
 		uc := cfg.universeConfig(job, seqrand.New(seed).StreamSeed("epoch", strconv.Itoa(e)), corpus, topo)
 		uc.EdgeTTL = tc.CacheTTL
 		uc.ClockOffset = clock
+		uc.Pools = pools
 		u, err := NewUniverse(uc)
 		if err != nil {
 			return err
@@ -240,9 +288,9 @@ func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visit
 		if err == nil && en.inFlight != 0 {
 			err = fmt.Errorf("%d visits never completed", en.inFlight)
 		}
-		// Overlapping visits never rewind the epoch's arena, so the wire
-		// buffer leak rule is checked once, on the drained universe.
-		if bal := u.pools.Arena.Stats().InUse; err == nil && bal != 0 {
+		// Visits overlap, so the wire-buffer leak rule a scripted shard
+		// checks at each visit boundary is checked here, once per epoch.
+		if bal := u.pools.Rewind(); err == nil && bal != 0 {
 			err = fmt.Errorf("arena balance %d", bal)
 		}
 		if err != nil {
@@ -287,6 +335,9 @@ func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visit
 		}
 		sort.Slice(edges, func(i, j int) bool { return edges[i].Provider < edges[j].Provider })
 		u.Close()
+		if epochDone != nil {
+			epochDone(u)
+		}
 
 		if ckptPath != "" {
 			users := make([]traffic.UserMemory, 0, len(userMem))

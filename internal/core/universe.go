@@ -82,6 +82,11 @@ type UniverseConfig struct {
 	// into it. Warm passes (RunVisitDiscard) are not traced. Nil adds
 	// zero overhead anywhere.
 	Trace *trace.Tracer
+	// Pools, when non-nil, is the allocation arena the universe's
+	// endpoints share, carried in from an earlier universe on the same
+	// goroutine (a population shard's previous epoch); nil gets a fresh
+	// one. Pool state never changes what is simulated.
+	Pools *httpsim.Pools
 }
 
 // Universe is one probe's simulated Internet: the probe host, the
@@ -114,10 +119,10 @@ type Universe struct {
 
 	// pools is the universe-wide allocation arena shared by every
 	// endpoint (probe and servers): all of them run on this universe's
-	// one scheduler goroutine. RunVisit/RunVisitDiscard rewind it at
-	// each visit boundary, so a warm universe replays visits out of a
-	// steady allocation footprint.
-	pools httpsim.Pools
+	// one scheduler goroutine, so a warm universe replays visits out of
+	// a steady allocation footprint. RunVisit/RunVisitDiscard check its
+	// wire-arena balance at each visit boundary.
+	pools *httpsim.Pools
 
 	// warmLog is the reusable scratch log for RunVisitDiscard.
 	warmLog har.PageLog
@@ -151,6 +156,10 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 		nodes:   make(map[simnet.Addr]nodeClass, len(cfg.Corpus.Pages)+len(topo.providers)),
 		edges:   make(map[string]*cdn.Edge, len(topo.providers)),
 		servers: make(map[simnet.Addr]*httpsim.Server, len(cfg.Corpus.Pages)+len(topo.providers)),
+		pools:   cfg.Pools,
+	}
+	if u.pools == nil {
+		u.pools = &httpsim.Pools{}
 	}
 
 	// Node classes for every address the shard can reach. Edge delays
@@ -263,7 +272,7 @@ func (u *Universe) startEdge(provider string, addr simnet.Addr) error {
 		// handshake flights from a cached RTT estimate rather
 		// than the RFC's conservative 1s initial PTO.
 		QUIC:  quicsim.Config{InitCwndPkts: 32, PTOInit: 300 * time.Millisecond},
-		Pools: &u.pools,
+		Pools: u.pools,
 		Trace: u.cfg.Trace,
 	})
 	if err != nil {
@@ -298,7 +307,7 @@ func (u *Universe) startOrigin(site string, addr simnet.Addr) error {
 		EnableH3:     u.topo.corpus.H3Support[site],
 		HandshakeCPU: 800 * time.Microsecond,
 		QUIC:         quicsim.Config{InitCwndPkts: 32, PTOInit: 300 * time.Millisecond},
-		Pools:        &u.pools,
+		Pools:        u.pools,
 		Trace:        u.cfg.Trace,
 	})
 	if err != nil {
@@ -363,14 +372,14 @@ func (u *Universe) NewBrowser(cfg browser.Config) *browser.Browser {
 		cfg.Trace = u.cfg.Trace
 	}
 	if cfg.Pools == nil {
-		cfg.Pools = &u.pools
+		cfg.Pools = u.pools
 	}
 	return browser.New(u.Client, cfg)
 }
 
 // Pools exposes the universe's allocation arena (for stats and leak
 // checks); treat it as owned by the universe's scheduler goroutine.
-func (u *Universe) Pools() *httpsim.Pools { return &u.pools }
+func (u *Universe) Pools() *httpsim.Pools { return u.pools }
 
 // RunVisit drives one page load to completion and returns its log. When
 // the universe carries a tracer, the visit's events are recorded between
@@ -406,9 +415,8 @@ func (u *Universe) runVisit(b *browser.Browser, page *webgen.Page, log *har.Page
 	}
 	tr.EndVisit(log.PLT)
 	// Visit boundary: the scheduler has drained and the browser closed
-	// every connection, so no wire copy or scheduled callback can reach
-	// pooled state — rewind the arenas for the next visit. A wire buffer
-	// still outstanding now was dropped without being returned.
+	// every connection, so every wire buffer is back. One still
+	// outstanding now was dropped without being returned.
 	if bal := u.pools.Rewind(); bal != 0 {
 		return nil, fmt.Errorf("core: visit %s: arena balance %d", page.Site, bal)
 	}

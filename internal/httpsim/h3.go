@@ -28,12 +28,13 @@ type H3DialConfig struct {
 }
 
 // h3Stream is the client-side per-request state. Instances are pooled
-// per universe (see Pools.getH3Stream) and stay live until the
-// visit-boundary Rewind; dataFn is bound once per struct lifetime.
+// per universe (see Pools.getH3Stream); dataFn is bound once per struct
+// lifetime.
 type h3Stream struct {
 	c   *h3Client
 	req *Request
 	ev  RequestEvents
+	s   *quicsim.Stream // nil until sent
 
 	parser   blockParser
 	dataFn   func([]byte)
@@ -137,6 +138,7 @@ func (c *h3Client) flush() {
 func (c *h3Client) send(st *h3Stream) {
 	c.actives = append(c.actives, st)
 	s := c.conn.OpenStream()
+	st.s = s
 	st.id = int64(s.ID())
 	s.SetDataFunc(st.dataFn)
 	c.trace.HTTPStreamOpen(c.sched.Now(), c.conn.TraceID(), st.id, st.req.Host, st.req.Path)
@@ -206,6 +208,17 @@ func (c *h3Client) finish(st *h3Stream) {
 	if st.ev.OnComplete != nil {
 		st.ev.OnComplete()
 	}
+	c.retire(st)
+}
+
+// retire recycles a state whose request has completed or failed: its
+// stream stops calling it (a late delivery was ignored anyway), and
+// nothing else holds it.
+func (c *h3Client) retire(st *h3Stream) {
+	if st.s != nil {
+		st.s.SetDataFunc(nil)
+	}
+	c.pools.h3cli.Retire(st, c.sched)
 }
 
 func (c *h3Client) onClose(err error) {
@@ -238,6 +251,7 @@ func (c *h3Client) fail(err error) {
 		if st.ev.OnError != nil {
 			st.ev.OnError(err)
 		}
+		c.retire(st)
 	}
 	c.queue = nil
 	for _, st := range c.actives {
@@ -246,6 +260,7 @@ func (c *h3Client) fail(err error) {
 		if st.ev.OnError != nil {
 			st.ev.OnError(err)
 		}
+		c.retire(st)
 	}
 	c.actives = nil
 }
@@ -272,13 +287,14 @@ func (c *h3Client) Abort() {
 
 // h3Server handles one QUIC connection's request streams.
 type h3Server struct {
+	sched   *simnet.Scheduler
 	conn    *quicsim.Conn
 	handler Handler
 	pools   *Pools
 }
 
-func newH3Server(conn *quicsim.Conn, handler Handler, pools *Pools) *h3Server {
-	s := &h3Server{conn: conn, handler: handler, pools: pools}
+func newH3Server(sched *simnet.Scheduler, conn *quicsim.Conn, handler Handler, pools *Pools) *h3Server {
+	s := &h3Server{sched: sched, conn: conn, handler: handler, pools: pools}
 	conn.SetStreamFunc(s.onStream)
 	conn.SetCloseFunc(func(error) {})
 	return s
@@ -286,9 +302,10 @@ func newH3Server(conn *quicsim.Conn, handler Handler, pools *Pools) *h3Server {
 
 // h3SrvStream is the server-side per-stream state. Pooled per universe
 // with callbacks bound once per struct lifetime; each instance serves
-// exactly one request stream per visit (H3 maps one request to one
-// stream), so the embedded Request and ServerContext are never shared
-// between concurrent requests.
+// exactly one request stream (H3 maps one request to one stream), so
+// the embedded Request and ServerContext are never shared between
+// concurrent requests. It holds its stream from handler dispatch until
+// respond, which may run after the connection died, recycles both.
 type h3SrvStream struct {
 	srv       *h3Server
 	st        *quicsim.Stream
@@ -315,16 +332,23 @@ func (ss *h3SrvStream) onData(data []byte) {
 		if b.typ != blockHeadersReq {
 			continue
 		}
+		// The stream's one request: stop reading it, and hold it for
+		// respond.
+		ss.st.SetDataFunc(nil)
+		ss.st.Hold()
 		srv := ss.srv
 		ss.req = srv.pools.parseRequestBlock(b.payload)
 		ss.ctx = ServerContext{Req: &ss.req, Protocol: H3, ServerName: srv.conn.ServerName()}
 		srv.handler(&ss.ctx, ss.respondFn)
+		return
 	}
 	if ss.parser.overlong {
 		ss.srv.conn.Abort()
 	}
 }
 
+// respond writes the response (nothing, on a dead stream) and lets go
+// of the stream and the state, which nothing else reaches.
 func (ss *h3SrvStream) respond(resp Response) {
 	a := &ss.srv.pools.Arena
 	writeBlock(a, ss.st, blockHeadersResp, 0, 0, ss.srv.pools.responseHeaderBlock(resp))
@@ -337,4 +361,6 @@ func (ss *h3SrvStream) respond(resp Response) {
 		writeBodyBlock(a, ss.st, 0, 0, n)
 	}
 	ss.st.CloseWrite()
+	ss.st.Release()
+	ss.srv.pools.h3srv.Retire(ss, ss.srv.sched)
 }

@@ -133,8 +133,9 @@ type ClientConn interface {
 	Abort()
 }
 
-// Handler processes a request on the server. respond may be invoked
-// synchronously or after scheduling a delay (simulated processing time).
+// Handler processes a request on the server. respond must be invoked
+// exactly once, synchronously or after scheduling a delay (simulated
+// processing time): the per-request state behind it is recycled then.
 type Handler func(ctx *ServerContext, respond func(Response))
 
 // ServerContext carries per-request server-side information; Req holds

@@ -13,10 +13,10 @@ import (
 // cycles. A warm shard replays each visit out of the same allocation
 // footprint. The zero value is ready to use.
 //
-// Callers must invoke Rewind at visit boundaries only (scheduler
-// drained, all connections closed); see DESIGN.md §4.17. Rewind leaves
-// respCache and the request interner alone: both live as long as the
-// universe (DESIGN.md §4.27).
+// Nothing in it waits for a visit boundary (DESIGN.md §4.17), so a
+// Pools may outlive its universe: a population shard carries one through
+// its epochs, one scheduler at a time. respCache and the request
+// interner live as long as the Pools (DESIGN.md §4.27).
 type Pools struct {
 	// TCP, QUIC and Arena are the transport-layer arenas, handed to
 	// endpoints by dialTLS/DialH3/StartServer.
@@ -46,18 +46,13 @@ type Pools struct {
 	h2Pendings bufpool.FreeList[*h2Pending]
 	h2Resps    bufpool.FreeList[*h2Response]
 
-	// H3 stream states are handed out from the free lists and stay on
-	// the live lists until Rewind.
-	h3cliFree bufpool.FreeList[*h3Stream]
-	h3cliLive []*h3Stream
-	h3srvFree bufpool.FreeList[*h3SrvStream]
-	h3srvLive []*h3SrvStream
+	h3cli bufpool.Recycler[*h3Stream]    // see h3Client.retire
+	h3srv bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
 }
 
 // orPrivate is every Dial*/StartServer's defaulting step: an endpoint
 // configured without pools gets a private set, so nothing past this
-// point sees a nil *Pools. A private set is never rewound; what it
-// quarantines stays quarantined for the endpoint's lifetime.
+// point sees a nil *Pools.
 func orPrivate(pl *Pools) *Pools {
 	if pl == nil {
 		return &Pools{}
@@ -65,28 +60,11 @@ func orPrivate(pl *Pools) *Pools {
 	return pl
 }
 
-// Rewind resets every per-visit pool at a visit boundary and returns
-// the buffer arena's outstanding-buffer count (non-zero means a Get/Put
-// leak). Only call once the scheduler has drained and the browser has
-// closed every connection: pooled stream states may be touched by
-// scheduled callbacks until then.
-func (pl *Pools) Rewind() int64 {
-	pl.TCP.Rewind()
-	pl.QUIC.Rewind()
-	for i, st := range pl.h3cliLive {
-		st.reset()
-		pl.h3cliFree.Put(st)
-		pl.h3cliLive[i] = nil
-	}
-	pl.h3cliLive = pl.h3cliLive[:0]
-	for i, ss := range pl.h3srvLive {
-		ss.reset()
-		pl.h3srvFree.Put(ss)
-		pl.h3srvLive[i] = nil
-	}
-	pl.h3srvLive = pl.h3srvLive[:0]
-	return pl.Arena.Stats().InUse
-}
+// Rewind is the visit-boundary check: it returns the wire arena's
+// outstanding-buffer count, non-zero (a Get/Put leak) once the scheduler
+// has drained and the browser has closed every connection. It resets
+// nothing.
+func (pl *Pools) Rewind() int64 { return pl.Arena.Stats().InUse }
 
 // --- per-request record pools ---
 
@@ -116,13 +94,9 @@ func (pl *Pools) getH2Response(id uint32, remaining int) *h2Response {
 	return r
 }
 
-// getH3Stream hands out a client stream state. Pooled states live until
-// the visit-boundary Rewind rather than being recycled on completion: a
-// late transport event (duplicate retransmission after finish) may
-// still invoke the stream's data callback, which must find the state it
-// was bound to, not a reused one.
+// getH3Stream hands out a client stream state.
 func (pl *Pools) getH3Stream(c *h3Client, req *Request, ev RequestEvents) *h3Stream {
-	st, ok := pl.h3cliFree.Get()
+	st, ok := pl.h3cli.Get(c.sched, (*h3Stream).reset)
 	if !ok {
 		st = &h3Stream{}
 		// Bound once per struct lifetime; reads st.c at call time so the
@@ -133,14 +107,13 @@ func (pl *Pools) getH3Stream(c *h3Client, req *Request, ev RequestEvents) *h3Str
 	st.c = c
 	st.req = req
 	st.ev = ev
-	pl.h3cliLive = append(pl.h3cliLive, st)
 	return st
 }
 
 // getH3SrvStream hands out a server stream state bound to one QUIC
-// stream; same live-until-Rewind discipline as getH3Stream.
+// stream.
 func (pl *Pools) getH3SrvStream(srv *h3Server, st *quicsim.Stream) *h3SrvStream {
-	ss, ok := pl.h3srvFree.Get()
+	ss, ok := pl.h3srv.Get(srv.sched, (*h3SrvStream).reset)
 	if !ok {
 		ss = &h3SrvStream{}
 		sp := ss
@@ -149,6 +122,5 @@ func (pl *Pools) getH3SrvStream(srv *h3Server, st *quicsim.Stream) *h3SrvStream 
 	}
 	ss.srv = srv
 	ss.st = st
-	pl.h3srvLive = append(pl.h3srvLive, ss)
 	return ss
 }

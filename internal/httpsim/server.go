@@ -95,7 +95,7 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 			Sessions:     cfg.QUICSessions,
 			HandshakeCPU: cfg.HandshakeCPU,
 		}, func(qc *quicsim.Conn) {
-			newH3Server(qc, cfg.Handler, cfg.Pools)
+			newH3Server(host.Scheduler(), qc, cfg.Handler, cfg.Pools)
 		})
 		if err != nil {
 			tcpL.Close()

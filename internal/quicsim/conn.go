@@ -339,15 +339,16 @@ func (c *Conn) teardown() {
 		c.endpoint.remove(c.remote, c.remotePort)
 	}
 	// Packets own their payloads, so nothing on the wire reads the
-	// streams' bytes and they go back at once, in flight or not. The
-	// stream structs wait for the visit-boundary Rewind: scheduled
-	// callbacks may still reach them. Holds still counted by c.sent /
-	// c.sendQ are dropped with the records below: those streamFrames
-	// leak to the collector rather than the pool, which is the safe
-	// direction.
+	// streams' bytes and they go back at once, in flight or not; no
+	// packet reads a stream struct either (receivers use packet.data).
+	// Holds still counted by c.sent / c.sendQ are dropped with the
+	// records below: those streamFrames leak to the collector rather
+	// than the pool, which is the safe direction.
 	for _, s := range c.streams {
-		s.release()
-		c.pools.retired = append(c.pools.retired, s)
+		s.freeBytes()
+		if !s.held {
+			c.pools.streams.Retire(s, c.sched)
+		}
 	}
 	c.sent = sentList{}
 	c.sendQ = nil

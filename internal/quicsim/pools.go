@@ -17,10 +17,9 @@ import "h3cdn/internal/bufpool"
 // ackFrames and sentPacket records recycle on definitive ACK retirement
 // only; streamFrame structs are reference-counted (one hold per
 // in-flight record) because a PTO probe may copy a frame pointer into a
-// second record; Streams retire at connection teardown but are
-// quarantined on a retired list until the visit-boundary Rewind,
-// because scheduled application callbacks may still touch them until
-// the scheduler drains.
+// second record; a Stream struct is free from the scheduler event after
+// its connection tears down (bufpool.Recycler), or, if its application
+// holds it (Stream.Hold), after the application lets go.
 // The bytes a stream holds do not wait: its extents go back when it is
 // fully acknowledged or its connection tears down, and its parked
 // out-of-order copies when they are delivered or at teardown.
@@ -31,8 +30,7 @@ type Pools struct {
 	sents   bufpool.FreeList[*sentPacket]
 	acks    bufpool.FreeList[*ackFrame]
 	sframes bufpool.FreeList[*streamFrame]
-	streams bufpool.FreeList[*Stream]
-	retired []*Stream
+	streams bufpool.Recycler[*Stream]
 
 	// payloads recycles packet payloads (transmit takes, Release gives
 	// back) and the copies a receiving stream parks beyond a gap.
@@ -60,33 +58,18 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 	if sf.holds > 0 {
 		return
 	}
+	*sf = streamFrame{}
 	pl.sframes.Put(sf)
 }
 
 // newStream returns a reset Stream bound to c. The gap buffer's and the
 // extent list's allocations are retained across reuses.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
-	s, ok := pl.streams.Get()
+	s, ok := pl.streams.Get(c.sched, func(s *Stream) { *s = Stream{supplied: s.supplied, chunks: s.chunks} })
 	if !ok {
 		s = &Stream{}
 	}
 	s.conn = c
 	s.id = id
 	return s
-}
-
-// Rewind promotes the streams of torn-down connections to the free
-// list. They sit on retired until now because pending application
-// callbacks (e.g. a server response scheduled before the close) may
-// still call Write/CloseWrite on them; those are no-ops on the closed
-// conn only while the struct stays intact. Callers must only invoke it
-// at a visit boundary: the scheduler has drained, so no callback can
-// reach a retired stream. Teardown already gave back their bytes.
-func (pl *Pools) Rewind() {
-	for i, s := range pl.retired {
-		*s = Stream{supplied: s.supplied, chunks: s.chunks}
-		pl.streams.Put(s)
-		pl.retired[i] = nil
-	}
-	pl.retired = pl.retired[:0]
 }

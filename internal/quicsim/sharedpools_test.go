@@ -66,12 +66,15 @@ func (f *flow) receive(p []byte) {
 }
 
 // drive writes the flow on s, starting after start, in its pieces (or
-// random ones) at random virtual times, then sends FIN.
+// random ones) at random virtual times, then sends FIN. It holds s
+// throughout, since its connection may be aborted in between.
 func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, s *Stream, start time.Duration) {
+	s.Hold()
 	var next func()
 	next = func() {
 		if f.written == len(f.want) {
 			s.CloseWrite()
+			s.Release()
 			return
 		}
 		var n int
@@ -105,19 +108,22 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, s *Stream, start t
 	sched.After(start, next)
 }
 
-// runSharedPools runs conns connections × streams streams at once over
-// one path (impair may be nil), every endpoint on ONE Pools, each
-// direction of each stream a flow from mkFlow (up, then down, stream by
-// stream). Connection i is aborted at both ends at virtual time
-// abortAt[i] when that is non-zero (a one-sided abort whose
-// CONNECTION_CLOSE is lost leaves an idle peer holding its parked bytes
-// for good, which is a live connection, not a leak). It checks that
-// every receiver of a surviving connection got every supplied byte
-// where it was written, the right number of opaque ones, and EOF, and
-// that the payload and extent arenas came out even after the drain with
-// no Rewind. It returns those arenas' counters and the number of aborts
-// that found bytes in flight.
-func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, streams int, abortAt []time.Duration, mkFlow func(*rand.Rand) *flow) (payloads, extents bufpool.ArenaStats, inFlightAborts int) {
+// runSharedPools runs waves waves of conns connections × streams
+// streams over one path (impair may be nil), every endpoint on ONE
+// Pools, each direction of each stream a flow from mkFlow (up, then
+// down, stream by stream). A wave's connections run at once; once they
+// drain, both ends close them and the next wave opens its streams in
+// the structs they retired. Connection i of a wave is aborted at both
+// ends abortAt[i] after the wave starts when that is non-zero (a
+// one-sided abort whose CONNECTION_CLOSE is lost leaves an idle peer
+// holding its parked bytes for good, which is a live connection, not a
+// leak). It checks that every receiver of a surviving connection got
+// every supplied byte where it was written, the right number of opaque
+// ones, and EOF, and that the payload and extent arenas came out even
+// after the drain with no Rewind. It returns those arenas' counters,
+// the number of aborts that found bytes in flight, and how many streams
+// of later waves reused a struct of an earlier one.
+func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, waves, conns, streams int, abortAt []time.Duration, mkFlow func(*rand.Rand) *flow) (payloads, extents bufpool.ArenaStats, inFlightAborts, reused int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec
 	sched := &simnet.Scheduler{MaxEvents: 200_000_000}
@@ -131,96 +137,126 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, conns, 
 	// Exact delivery needs every connection to survive the loss.
 	cfg := Config{Pools: pools, MaxPTOs: 64}
 
-	up, down := make([][]*flow, conns), make([][]*flow, conns)
-	for i := 0; i < conns; i++ {
-		i := i
-		up[i], down[i] = make([]*flow, streams), make([]*flow, streams)
-		for j := 0; j < streams; j++ {
-			up[i][j], down[i][j] = mkFlow(rng), mkFlow(rng)
-		}
-		var srv *Conn
-		if _, err := Listen(server, uint16(443+i), ServerConfig{Config: cfg}, func(c *Conn) {
-			srv = c
-			c.SetStreamFunc(func(s *Stream) {
-				j := s.ID() / 4
-				s.SetDataFunc(up[i][j].receive)
-				s.SetFinFunc(func() { up[i][j].eof = true })
-				down[i][j].drive(sched, rng, s, 0)
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		cli := Dial(client, "server", uint16(443+i), ClientConfig{Config: cfg, ServerName: "server"}, func(c *Conn) {
+	earlier := make(map[*Stream]bool) // stream structs of finished waves
+	for wave := 0; wave < waves; wave++ {
+		var opened []*Stream
+		var ends []*Conn
+		up, down := make([][]*flow, conns), make([][]*flow, conns)
+		for i := 0; i < conns; i++ {
+			i := i
+			up[i], down[i] = make([]*flow, streams), make([]*flow, streams)
 			for j := 0; j < streams; j++ {
-				j := j
-				s := c.OpenStream()
-				s.SetDataFunc(down[i][j].receive)
-				s.SetFinFunc(func() { down[i][j].eof = true })
-				// Staggered starts: early streams finish, and give their
-				// bytes back, while later ones are still to open.
-				up[i][j].drive(sched, rng, s, time.Duration(rng.Intn(3_000))*time.Millisecond)
+				up[i][j], down[i][j] = mkFlow(rng), mkFlow(rng)
 			}
-		})
-		if i < len(abortAt) && abortAt[i] > 0 {
-			sched.After(abortAt[i], func() {
-				for _, c := range []*Conn{cli, srv} {
-					if c != nil && c.state != stateClosed && c.bytesInFlight > 0 {
-						inFlightAborts++
-					}
-					if c != nil {
-						c.Abort()
-					}
+			var srv *Conn
+			port := uint16(443 + wave*conns + i)
+			if _, err := Listen(server, port, ServerConfig{Config: cfg}, func(c *Conn) {
+				srv = c
+				ends = append(ends, c)
+				c.SetStreamFunc(func(s *Stream) {
+					opened = append(opened, s)
+					j := s.ID() / 4
+					s.SetDataFunc(up[i][j].receive)
+					s.SetFinFunc(func() { up[i][j].eof = true })
+					down[i][j].drive(sched, rng, s, 0)
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			cli := Dial(client, "server", port, ClientConfig{Config: cfg, ServerName: "server"}, func(c *Conn) {
+				for j := 0; j < streams; j++ {
+					j := j
+					s := c.OpenStream()
+					opened = append(opened, s)
+					s.SetDataFunc(down[i][j].receive)
+					s.SetFinFunc(func() { down[i][j].eof = true })
+					// Staggered starts: early streams finish, and give their
+					// bytes back, while later ones are still to open.
+					up[i][j].drive(sched, rng, s, time.Duration(rng.Intn(3_000))*time.Millisecond)
 				}
 			})
+			ends = append(ends, cli)
+			if i < len(abortAt) && abortAt[i] > 0 {
+				sched.After(abortAt[i], func() {
+					for _, c := range []*Conn{cli, srv} {
+						if c != nil && c.state != stateClosed && c.bytesInFlight > 0 {
+							inFlightAborts++
+						}
+						if c != nil {
+							c.Abort()
+						}
+					}
+				})
+			}
 		}
-	}
-	if _, err := sched.Run(); err != nil {
-		t.Fatalf("seed %d: scheduler: %v", seed, err)
-	}
+		if _, err := sched.Run(); err != nil {
+			t.Fatalf("seed %d: scheduler: %v", seed, err)
+		}
 
-	for i := 0; i < conns; i++ {
-		if i < len(abortAt) && abortAt[i] > 0 {
-			continue
-		}
-		for j := 0; j < streams; j++ {
-			for dir, f := range []*flow{up[i][j], down[i][j]} {
-				if f.corrupt || f.got != len(f.want) || f.gotOpq != f.opaque || !f.eof {
-					t.Fatalf("seed %d conn %d stream %d dir %d: got %d of %d bytes (%d of %d opaque), corrupt=%v eof=%v",
-						seed, i, j, dir, f.got, len(f.want), f.gotOpq, f.opaque, f.corrupt, f.eof)
+		for i := 0; i < conns; i++ {
+			if i < len(abortAt) && abortAt[i] > 0 {
+				continue
+			}
+			for j := 0; j < streams; j++ {
+				for dir, f := range []*flow{up[i][j], down[i][j]} {
+					if f.corrupt || f.got != len(f.want) || f.gotOpq != f.opaque || !f.eof {
+						t.Fatalf("seed %d wave %d conn %d stream %d dir %d: got %d of %d bytes (%d of %d opaque), corrupt=%v eof=%v",
+							seed, wave, i, j, dir, f.got, len(f.want), f.gotOpq, f.opaque, f.corrupt, f.eof)
+					}
 				}
 			}
+		}
+		for _, s := range opened {
+			if earlier[s] {
+				reused++
+			}
+		}
+		for _, s := range opened {
+			earlier[s] = true
+		}
+		// Close the wave so its streams retire for the next one.
+		for _, c := range ends {
+			c.Close()
+		}
+		if _, err := sched.Run(); err != nil {
+			t.Fatalf("seed %d: scheduler: %v", seed, err)
 		}
 	}
 	payloads, extents = pools.payloads.Stats(), pools.extents.Stats()
 	if payloads.InUse != 0 || extents.InUse != 0 {
 		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
-	return payloads, extents, inFlightAborts
+	return payloads, extents, inFlightAborts, reused
 }
 
 // TestSharedPoolsExactDelivery is the property packet-owned payloads
-// rest on: 4 connections × 8 streams, every endpoint on ONE Pools, each
-// direction of each stream its own pattern of up to 600 KB, over bench's
-// lossy profile (Gilbert-Elliott 2 % in bursts of four, 2 ms jitter, 1 %
-// reordering), with one connection aborted at both ends mid-transfer.
-// Payloads, parked copies and extents change hands between streams
-// while others are mid-transfer, no receiver may ever see a byte that is
-// not its own, and afterwards every buffer is back with no Rewind,
-// including what the aborted connection had in flight. It has teeth —
+// and recycled streams rest on: two waves of 4 connections × 8 streams,
+// every endpoint on ONE Pools, each direction of each stream its own
+// pattern of up to 600 KB, over bench's lossy profile (Gilbert-Elliott
+// 2 % in bursts of four, 2 ms jitter, 1 % reordering), with one
+// connection per wave aborted at both ends mid-transfer. Payloads,
+// parked copies and extents change hands between streams while others
+// are mid-transfer, the second wave runs in the stream structs the
+// first one retired, no receiver may ever see a byte that is not its
+// own, and afterwards every buffer is back with no Rewind, including
+// what the aborted connections had in flight. It has teeth —
 // each of these fails a seed: fill copying the extents one offset off;
 // packet.Release keeping the payload; receive parking the packet's
 // slice instead of a copy; a stream giving its extents back once its
 // FIN is sent rather than acknowledged.
 func TestSharedPoolsExactDelivery(t *testing.T) {
-	const conns, streams, maxLen = 4, 8, 600 << 10
+	const waves, conns, streams, maxLen = 2, 4, 8, 600 << 10
 	inFlight := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		abortAt := []time.Duration{time.Duration(200+seed*250) * time.Millisecond}
-		payloads, extents, n := runSharedPools(t, seed, lossyPath(0.02, 0.01), conns, streams, abortAt, func(rng *rand.Rand) *flow {
+		payloads, extents, n, reused := runSharedPools(t, seed, lossyPath(0.02, 0.01), waves, conns, streams, abortAt, func(rng *rand.Rand) *flow {
 			return newFlow(rng, maxLen)
 		})
 		if payloads.News >= payloads.Gets || extents.News >= extents.Gets {
 			t.Fatalf("seed %d: buffers never reused: payloads %+v, extents %+v", seed, payloads, extents)
+		}
+		if reused == 0 {
+			t.Fatalf("seed %d: the second wave reused no stream struct of the first", seed)
 		}
 		inFlight += n
 	}
@@ -241,9 +277,9 @@ func lossyPath(avgLoss, reorder float64) *simnet.Impairment {
 }
 
 // FuzzTransfer lets the fuzzer pick the seed, the loss and reorder rates,
-// the piece sizes of 2 connections × 3 streams on one Pools, and when
-// (in 10 ms steps, 0 for never) the second connection is aborted; the
-// assertions are TestSharedPoolsExactDelivery's. It is tcpsim's
+// the piece sizes of two waves of 2 connections × 3 streams on one Pools,
+// and when (in 10 ms steps, 0 for never) each wave's second connection
+// is aborted; the assertions are TestSharedPoolsExactDelivery's. It is tcpsim's
 // FuzzTransfer for packet-owned payloads, the per-stream release rule
 // and the receive path's gap buffer.
 func FuzzTransfer(f *testing.F) {
@@ -258,9 +294,9 @@ func FuzzTransfer(f *testing.F) {
 		if len(sizes) > 96 {
 			sizes = sizes[:96]
 		}
-		// Deal the sizes round the twelve directions; a direction left
-		// without any sends one byte, then FIN.
-		plans := make([][]int, 2*conns*streams)
+		// Deal the sizes round the twenty-four directions; a direction
+		// left without any sends one byte, then FIN.
+		plans := make([][]int, 2*2*conns*streams)
 		for i, b := range sizes {
 			plans[i%len(plans)] = append(plans[i%len(plans)], 1+int(b)*257)
 		}
@@ -270,7 +306,7 @@ func FuzzTransfer(f *testing.F) {
 		}
 		abortAt := []time.Duration{0, time.Duration(abortTenMs) * 10 * time.Millisecond}
 		k := 0
-		runSharedPools(t, int64(seed>>1), impair, conns, streams, abortAt, func(rng *rand.Rand) *flow {
+		runSharedPools(t, int64(seed>>1), impair, 2, conns, streams, abortAt, func(rng *rand.Rand) *flow {
 			pieces := plans[k]
 			k++
 			n := 0

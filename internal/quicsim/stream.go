@@ -33,6 +33,7 @@ type Stream struct {
 	// list.
 	order  int
 	queued bool
+	held   bool // by the application: teardown leaves it to Release
 
 	// Receive side.
 	rcvOff  uint64
@@ -99,9 +100,22 @@ func (s *Stream) frameAcked(n int, fin bool) {
 	}
 }
 
-// release gives back everything the stream holds: its supplied bytes
+// Hold keeps the struct from recycling at teardown, for an application
+// that may call the stream in a later event (a dead stream's writes do
+// nothing).
+func (s *Stream) Hold() { s.held = true }
+
+// Release drops Hold; the caller must not touch the stream again.
+func (s *Stream) Release() {
+	if s.held && s.conn.state == stateClosed {
+		s.conn.pools.streams.Retire(s, s.conn.sched)
+	}
+	s.held = false
+}
+
+// freeBytes gives back everything the stream holds: its supplied bytes
 // and the out-of-order copies parked in chunks. Teardown calls it.
-func (s *Stream) release() {
+func (s *Stream) freeBytes() {
 	pl := s.conn.pools
 	s.supplied.Release(&pl.extents)
 	s.chunks.Each(func(_ uint64, data []byte) { pl.payloads.Put(data) })

@@ -30,6 +30,8 @@ type Scheduler struct {
 	seq     uint64
 	live    int // scheduled, non-canceled, not-yet-executed events
 	stopped bool
+	// executed counts the events that have returned (see Stamp).
+	executed uint64
 
 	free       *event // recycled events, linked through event.next
 	freeTimers *Timer // recycled timers, linked through Timer.next
@@ -130,6 +132,22 @@ func (s *Scheduler) cancelEvent(ev *event) {
 	}
 }
 
+// A Stamp marks a moment on one scheduler by the number of events that
+// had returned.
+type Stamp struct {
+	s *Scheduler
+	n uint64
+}
+
+// Stamp marks now.
+func (s *Scheduler) Stamp() Stamp { return Stamp{s, s.executed} }
+
+// Returned reports whether an event has returned since st was taken —
+// for a stamp taken inside an event, that event itself — or st comes
+// from another scheduler: a finished epoch's, which will never dispatch
+// again.
+func (s *Scheduler) Returned(st Stamp) bool { return st.s != s || st.n < s.executed }
+
 // Stop makes Run return after the current event.
 func (s *Scheduler) Stop() { s.stopped = true }
 
@@ -158,6 +176,7 @@ func (s *Scheduler) Step() bool {
 			s.releaseEvent(ev)
 			fn()
 		}
+		s.executed++
 		return true
 	}
 	return false

@@ -1,6 +1,10 @@
 package sketch
 
-import "sort"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // NumPhases is the number of phase buckets a visit attribution carries
 // (resolve, connect, handshake, stall, transfer, other — the campaign's
@@ -241,6 +245,30 @@ func (a *MetricAccumulator) Keys() []Key {
 		return keys[i].Vantage < keys[j].Vantage
 	})
 	return keys
+}
+
+// Compatible reports, as an error, why o cannot merge into a: o, or a
+// sketch of o, whose α differs from a's (o gives its α to the groups it
+// creates later), or a histogram whose bounds are not DefaultPLTBoundsMs
+// — what a's groups carry, and what Merge panics on.
+// Accumulators built by this package always merge; a decoded one (a
+// checkpoint) is checked before use.
+func (a *MetricAccumulator) Compatible(o *MetricAccumulator) error {
+	if o.alpha != a.alpha {
+		return fmt.Errorf("sketch: accumulator alpha %v, want %v", o.alpha, a.alpha)
+	}
+	for _, k := range o.Keys() {
+		g := o.groups[k]
+		if !slices.Equal(g.PLTHist.bounds, DefaultPLTBoundsMs) {
+			return fmt.Errorf("sketch: group %s/%s: histogram bounds %v", k.Mode, k.Vantage, g.PLTHist.bounds)
+		}
+		for _, q := range append([]*Quantile{g.PLT, g.PLTCold, g.PLTWarm}, g.Phase[:]...) {
+			if q.alpha != a.alpha {
+				return fmt.Errorf("sketch: group %s/%s: sketch alpha %v, want %v", k.Mode, k.Vantage, q.alpha, a.alpha)
+			}
+		}
+	}
+	return nil
 }
 
 // Merge folds o into a, group by group. Merging is associative and

@@ -41,7 +41,6 @@ func BenchmarkTCPOpaqueTransfer(b *testing.B) {
 		if _, err := sched.Run(); err != nil {
 			b.Fatal(err)
 		}
-		cfg.Pools.Rewind()
 	}
 	transfer() // warm the pools
 	received = 0

@@ -76,12 +76,11 @@ type Conn struct {
 	// Receiver state: strict in-order delivery. recvBuf holds only what
 	// arrived beyond a gap; every chunk in it starts above rcvNxt between
 	// segments (advanceReceive consumes the rest).
-	rcvNxt    uint64
-	recvBuf   bytestream.Gaps[recvChunk]
-	peerEOF   bool
-	finRcvd   bool // FIN delivered to app
-	finAcked  bool // our FIN acknowledged
-	closeSent bool // close callback delivered
+	rcvNxt   uint64
+	recvBuf  bytestream.Gaps[recvChunk]
+	peerEOF  bool
+	finRcvd  bool // FIN delivered to app
+	finAcked bool // our FIN acknowledged
 
 	// Tracing. traceID is 0 when untraced; HOL-stall bookkeeping only
 	// runs when a tracer is installed (purely observational — it can
@@ -130,7 +129,7 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEsta
 }
 
 func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
-	c, ok := cfg.Pools.conns.Get()
+	c, ok := cfg.Pools.conns.Get(host.Scheduler(), (*Conn).reset)
 	if !ok {
 		c = &Conn{}
 		cc := c
@@ -156,8 +155,8 @@ func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 
 // reset clears a retired conn for reuse, keeping only the allocations
 // that survive pooling: the gap buffer and the extent list (both emptied
-// at teardown) and the bound-once packet/RTO closures. Called from
-// Pools.Rewind only — never before the scheduler drains.
+// at teardown) and the bound-once packet/RTO closures. The recycler
+// calls it once the event that tore the conn down has returned.
 func (c *Conn) reset() {
 	recvBuf, extents, pktFn, onRTOFn := c.recvBuf, c.extents, c.pktFn, c.onRTOFn
 	*c = Conn{recvBuf: recvBuf, extents: extents, pktFn: pktFn, onRTOFn: onRTOFn}
@@ -252,15 +251,6 @@ func (c *Conn) Abort() {
 // resetProbeLimit bounds the RST re-sends after a timeout abort.
 const resetProbeLimit = 12
 
-func (c *Conn) sendReset() {
-	seg := newSegment(c.cfg.Pools)
-	seg.flags = flagRST | flagACK
-	seg.seq = c.sndNxt
-	seg.ack = c.rcvNxt
-	c.stats.SegsSent++
-	c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
-}
-
 // startResetProbes re-sends RST with exponential spacing after an
 // established connection aborts on max retries. The peer may be
 // mid-receive with nothing of its own in flight, so a single RST lost to
@@ -269,22 +259,41 @@ func (c *Conn) sendReset() {
 // application read timeouts; the simulator deliberately arms no timers
 // on healthy paths, so the abort itself carries the persistence.
 func (c *Conn) startResetProbes() {
-	gap := rtoInit
-	n := 0
-	var fire func()
-	fire = func() {
-		c.sendReset()
-		n++
-		if n >= resetProbeLimit {
-			return
-		}
-		c.sched.After(gap, fire)
-		gap *= 2
-		if gap > rtoMax {
-			gap = rtoMax
-		}
+	p := &resetProbe{
+		route: c.route, sched: c.sched, pools: c.cfg.Pools,
+		localPort: c.localPort, remotePort: c.remotePort,
+		seq: c.sndNxt, ack: c.rcvNxt, gap: rtoInit,
 	}
-	fire()
+	p.fire()
+}
+
+// resetProbe is one abort's RST series. It copies what a RST carries
+// instead of holding the conn, which is torn down when the series starts
+// and may be recycled before it ends.
+type resetProbe struct {
+	route                 *simnet.Route
+	sched                 *simnet.Scheduler
+	pools                 *Pools
+	localPort, remotePort uint16
+	seq, ack              uint64
+	gap                   time.Duration
+	n                     int
+}
+
+func fireResetProbe(x any) { x.(*resetProbe).fire() }
+
+func (p *resetProbe) fire() {
+	seg := newSegment(p.pools)
+	seg.flags = flagRST | flagACK
+	seg.seq = p.seq
+	seg.ack = p.ack
+	p.route.Send(p.localPort, p.remotePort, seg.wireSize(), seg)
+	p.n++
+	if p.n >= resetProbeLimit {
+		return
+	}
+	p.sched.AfterArg(p.gap, fireResetProbe, p)
+	p.gap = min(2*p.gap, rtoMax)
 }
 
 func (c *Conn) teardown() {
@@ -299,12 +308,14 @@ func (c *Conn) teardown() {
 		c.listener.remove(c.remote, c.remotePort)
 	}
 	// Segments own their payloads, so nothing on the wire reads the
-	// extents and they go back at once, in flight or not. The conn
-	// itself waits for Rewind — late closures still read the struct.
+	// extents and they go back at once, in flight or not. The struct
+	// is free from the next event on: the timer is released, the port
+	// unbound, reset probes hold a copy, and the layer above stops
+	// calling once it learns of the teardown (tlssim) or caused it.
 	c.extents.Release(&c.cfg.Pools.extents)
 	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { c.cfg.Arena.Put(chunk.data) })
 	c.recvBuf.Reset()
-	c.cfg.Pools.retiredConns = append(c.cfg.Pools.retiredConns, c)
+	c.cfg.Pools.conns.Retire(c, c.sched)
 }
 
 func (c *Conn) fail(err error) {
@@ -315,11 +326,11 @@ func (c *Conn) fail(err error) {
 	c.deliverClose(err)
 }
 
+// deliverClose reports the end of the stream: nil for the peer's FIN,
+// an error for a failure teardown. Each happens at most once, and a
+// failure after the FIN is reported too, so the layer above always
+// learns that the struct is gone before it could be recycled.
 func (c *Conn) deliverClose(err error) {
-	if c.closeSent {
-		return
-	}
-	c.closeSent = true
 	if c.closeFn != nil {
 		c.closeFn(err)
 	}

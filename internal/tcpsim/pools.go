@@ -10,11 +10,10 @@ import "h3cdn/internal/bufpool"
 //
 // Segments and their payload buffers recycle at delivery or drop (the
 // network calls Release after the handler returns). Extents go back when
-// sndUna passes them or their connection tears down, so overlapping
-// visits that never reach a Rewind still reuse them. Conn structs wait
-// for the visit-boundary Rewind: late-firing closures (reset probes,
-// stray duplicate deliveries) may still read a torn-down conn's fields
-// until the scheduler drains.
+// sndUna passes them or their connection tears down. A torn-down conn
+// struct is free from the next scheduler event on (bufpool.Recycler):
+// nothing scheduled still reaches it, so overlapping visits and a shard's
+// successive epochs reuse it without waiting for the scheduler to drain.
 type Pools struct {
 	segs bufpool.FreeList[*segment]
 	// payloads recycles segment payload buffers: the sender takes one
@@ -27,20 +26,5 @@ type Pools struct {
 	// outlives the visit keeps its unacknowledged extents.
 	extents bufpool.Arena
 
-	conns        bufpool.FreeList[*Conn]
-	retiredConns []*Conn
-}
-
-// Rewind promotes retired conns to the free list. Must only run at a
-// visit boundary: the scheduler has drained, so no timer or scheduled
-// closure still references them. Conns are zeroed here, not when they
-// retire: error delivery and late probe closures still read their
-// fields after teardown.
-func (pl *Pools) Rewind() {
-	for i, c := range pl.retiredConns {
-		c.reset()
-		pl.conns.Put(c)
-		pl.retiredConns[i] = nil
-	}
-	pl.retiredConns = pl.retiredConns[:0]
+	conns bufpool.Recycler[*Conn]
 }

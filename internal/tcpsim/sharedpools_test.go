@@ -115,13 +115,17 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, c *Conn) {
 	sched.After(time.Duration(rng.Intn(20_000))*time.Microsecond, next)
 }
 
-// runSharedPools runs len(plans) connections at once over one impaired
-// path, every endpoint on ONE Pools and one wire arena, each direction
-// writing plans[i][dir] pieces of its own pattern, and checks that every
-// receiver got every supplied byte where it was written and the right
-// number of opaque ones, and that the extent and payload arenas came out
-// even. It returns those arenas' counters.
-func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [][2][]int) (payloads, extents bufpool.ArenaStats) {
+// runSharedPools runs len(plans) connections over one impaired path,
+// every endpoint on ONE Pools and one wire arena, each direction writing
+// plans[i][dir] pieces of its own pattern. They run in waves equal
+// groups: a wave's connections run at once, and the next wave dials
+// once every one of them has torn down, so it draws the conn structs
+// they retired. It checks that every receiver got every supplied byte
+// where it was written and the right number of opaque ones, and that
+// the extent and payload arenas came out even. It returns those
+// arenas' counters and how many conns of later waves reused a struct
+// of an earlier one.
+func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [][2][]int, waves int) (payloads, extents bufpool.ArenaStats, reused int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec
 	sched := &simnet.Scheduler{MaxEvents: 200_000_000}
@@ -137,23 +141,38 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [
 
 	type pair struct{ up, down *flow }
 	pairs := make([]pair, len(plans))
-	for i, plan := range plans {
-		pr := pair{up: newFlow(rng, plan[0]), down: newFlow(rng, plan[1])}
-		pairs[i] = pr
-		if _, err := Listen(server, uint16(1000+i), cfg, func(c *Conn) {
-			c.SetDataFunc(pr.up.receive)
-			c.SetCloseFunc(func(err error) { pr.up.eof = err == nil })
-			pr.down.drive(sched, rng, c)
-		}); err != nil {
-			t.Fatal(err)
+	earlier := make(map[*Conn]bool) // conn structs of finished waves
+	per := (len(plans) + waves - 1) / waves
+	for lo := 0; lo < len(plans); lo += per {
+		var wave []*Conn
+		for i := lo; i < min(lo+per, len(plans)); i++ {
+			pr := pair{up: newFlow(rng, plans[i][0]), down: newFlow(rng, plans[i][1])}
+			pairs[i] = pr
+			if _, err := Listen(server, uint16(1000+i), cfg, func(c *Conn) {
+				wave = append(wave, c)
+				c.SetDataFunc(pr.up.receive)
+				c.SetCloseFunc(func(err error) { pr.up.eof = pr.up.eof || err == nil })
+				pr.down.drive(sched, rng, c)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			c := Dial(client, "server", uint16(1000+i), cfg, nil)
+			wave = append(wave, c)
+			c.SetDataFunc(pr.down.receive)
+			c.SetCloseFunc(func(err error) { pr.down.eof = pr.down.eof || err == nil })
+			pr.up.drive(sched, rng, c) // early pieces queue behind the handshake
 		}
-		c := Dial(client, "server", uint16(1000+i), cfg, nil)
-		c.SetDataFunc(pr.down.receive)
-		c.SetCloseFunc(func(err error) { pr.down.eof = err == nil })
-		pr.up.drive(sched, rng, c) // early pieces queue behind the handshake
-	}
-	if _, err := sched.Run(); err != nil {
-		t.Fatalf("seed %d: scheduler: %v", seed, err)
+		if _, err := sched.Run(); err != nil {
+			t.Fatalf("seed %d: scheduler: %v", seed, err)
+		}
+		for _, c := range wave {
+			if earlier[c] {
+				reused++
+			}
+		}
+		for _, c := range wave {
+			earlier[c] = true
+		}
 	}
 
 	for i, pr := range pairs {
@@ -171,7 +190,7 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [
 	if payloads.InUse != 0 || extents.InUse != 0 {
 		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
-	return payloads, extents
+	return payloads, extents, reused
 }
 
 func randomPieces(rng *rand.Rand, maxLen int) []int {
@@ -187,41 +206,47 @@ func randomPieces(rng *rand.Rand, maxLen int) []int {
 	return pieces
 }
 
-// TestSharedPoolsExactDelivery is the property the extent window and
-// segment-owned payloads rest on: extents and payload buffers change
-// hands between connections mid-transfer, every supplied byte still
-// arrives where it was written, and every buffer comes back. It has
-// teeth — each of these fails a seed: Extents.Payload copying an extent
-// one offset off; Release not returning the payload; Extents.Trim
-// giving back an extent that straddles sndUna.
+// TestSharedPoolsExactDelivery is the property the extent window,
+// segment-owned payloads and recycled conns rest on: extents and payload
+// buffers change hands between connections mid-transfer, a second wave
+// of 24 connections runs in the conn structs the first wave retired,
+// every supplied byte still arrives where it was written, and every
+// buffer comes back. It has teeth — each of these fails a seed:
+// Extents.Payload copying an extent one offset off; Release not
+// returning the payload; Extents.Trim giving back an extent that
+// straddles sndUna.
 func TestSharedPoolsExactDelivery(t *testing.T) {
-	const conns, maxLen = 24, 600 << 10
+	const conns, waves, maxLen = 24, 2, 600 << 10
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed)) //nolint:gosec
-		plans := make([][2][]int, conns)
+		plans := make([][2][]int, conns*waves)
 		for i := range plans {
 			plans[i] = [2][]int{randomPieces(rng, maxLen), randomPieces(rng, maxLen)}
 		}
-		if payloads, extents := runSharedPools(t, seed, lossyPath(0.02), plans); payloads.News >= payloads.Gets || extents.News >= extents.Gets {
+		payloads, extents, reused := runSharedPools(t, seed, lossyPath(0.02), plans, waves)
+		if payloads.News >= payloads.Gets || extents.News >= extents.Gets {
 			t.Fatalf("seed %d: buffers never reused: payloads %+v, extents %+v", seed, payloads, extents)
+		}
+		if reused == 0 {
+			t.Fatalf("seed %d: the second wave reused no conn struct of the first", seed)
 		}
 	}
 }
 
 // FuzzTransfer lets the fuzzer pick the seed, the loss rate and the
-// piece sizes of four concurrent connections on one Pools; the
-// assertions are TestSharedPoolsExactDelivery's.
+// piece sizes of two waves of four concurrent connections on one Pools;
+// the assertions are TestSharedPoolsExactDelivery's.
 func FuzzTransfer(f *testing.F) {
 	f.Add(uint64(1), uint8(20), []byte{255, 3, 90, 255, 255, 0, 17, 200, 255, 255, 255, 40, 255, 9, 255, 255})
 	f.Add(uint64(7), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint64(2022), uint8(100), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Add(uint64(3), uint8(50), []byte{})
 	f.Fuzz(func(t *testing.T, seed uint64, lossPermille uint8, sizes []byte) {
-		const conns = 4
+		const conns = 8
 		if len(sizes) > 96 {
 			sizes = sizes[:96]
 		}
-		// Deal the sizes round the eight directions; a direction left
+		// Deal the sizes round the sixteen directions; a direction left
 		// without any still opens, closes and must see EOF.
 		plans := make([][2][]int, conns)
 		for i, b := range sizes {
@@ -232,6 +257,6 @@ func FuzzTransfer(f *testing.F) {
 		if lossPermille > 0 {
 			impair = lossyPath(float64(lossPermille%101) / 1000)
 		}
-		runSharedPools(t, int64(seed>>1), impair, plans)
+		runSharedPools(t, int64(seed>>1), impair, plans, 2)
 	})
 }

@@ -80,6 +80,10 @@ type Conn struct {
 	hsStart     time.Duration
 	hsDone      time.Duration
 
+	// transportGone: the transport reported a failure teardown, after
+	// which its struct may be recycled, so nothing calls it again.
+	transportGone bool
+
 	arena *bufpool.Arena // wire records and queued writes
 	recv  *bufpool.Arena // the record accumulator
 
@@ -250,19 +254,25 @@ func (c *Conn) SetDataFunc(fn func([]byte)) {
 // SetCloseFunc registers the end-of-stream callback.
 func (c *Conn) SetCloseFunc(fn func(error)) { c.closeFn = fn }
 
+// transportLive reports whether the transport may still be called:
+// this conn has not closed or aborted it, and it has not torn down.
+func (c *Conn) transportLive() bool { return !c.closed && !c.transportGone }
+
 // UnsentBytes implements bytestream.Throttled by delegating to the
-// transport (0 when the transport exposes no backpressure).
+// transport (0 when the transport exposes no backpressure or is no
+// longer live).
 func (c *Conn) UnsentBytes() int {
-	if t, ok := c.transport.(bytestream.Throttled); ok {
+	if t, ok := c.transport.(bytestream.Throttled); ok && c.transportLive() {
 		return t.UnsentBytes()
 	}
 	return 0
 }
 
 // SetDrainFunc implements bytestream.Throttled by delegating to the
-// transport; it is a no-op when the transport exposes no backpressure.
+// transport; it is a no-op when the transport exposes no backpressure
+// or is no longer live.
 func (c *Conn) SetDrainFunc(threshold int, fn func()) {
-	if t, ok := c.transport.(bytestream.Throttled); ok {
+	if t, ok := c.transport.(bytestream.Throttled); ok && c.transportLive() {
 		t.SetDrainFunc(threshold, fn)
 	}
 }
@@ -275,7 +285,7 @@ func (c *Conn) Write(p []byte) { c.WriteOpaque(p, 0) }
 // Before the handshake permits transmission both are buffered, the
 // opaque bytes materialised with arbitrary contents.
 func (c *Conn) WriteOpaque(head []byte, n int) {
-	if c.closed {
+	if !c.transportLive() {
 		return
 	}
 	if !c.established {
@@ -293,7 +303,11 @@ func (c *Conn) WriteOpaque(head []byte, n int) {
 // tag the receiver strips unread; a handshake message is one record.
 // Each record reaches the transport as one WriteOpaque of its header and
 // the head bytes that fall in it, then the rest of it as opaque bytes.
+// A flight whose CPU delay outlives the transport writes nothing.
 func (c *Conn) writeRecords(t recordType, head []byte, n int) {
+	if !c.transportLive() {
+		return
+	}
 	for left := len(head) + n; left > 0; {
 		plen, tag := left, 0
 		if t == recAppData {
@@ -321,7 +335,9 @@ func (c *Conn) Close() {
 	}
 	c.closed = true
 	c.release()
-	c.transport.Close()
+	if !c.transportGone {
+		c.transport.Close()
+	}
 }
 
 // Abort tears down the underlying transport immediately.
@@ -331,7 +347,9 @@ func (c *Conn) Abort() {
 	}
 	c.closed = true
 	c.release()
-	c.transport.Abort()
+	if !c.transportGone {
+		c.transport.Abort()
+	}
 }
 
 func (c *Conn) completeHandshake(err error) {
@@ -395,6 +413,9 @@ func (c *Conn) release() {
 }
 
 func (c *Conn) onTransportClose(err error) {
+	if err != nil {
+		c.transportGone = true
+	}
 	if c.peerClosed || c.closed {
 		c.peerClosed = true
 		return
@@ -605,7 +626,9 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 func (c *Conn) failRecord() {
 	c.closed = true
 	c.release()
-	c.transport.Abort()
+	if !c.transportGone {
+		c.transport.Abort()
+	}
 	if !c.established {
 		if c.onHandshake != nil {
 			c.onHandshake(ErrBadRecord)
