@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fuzz-smoke race bench bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke fmt
+.PHONY: all build test check vet fuzz-smoke race bench bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke report-smoke fmt
 
 all: check
 
@@ -25,6 +25,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseMahimahiTrace -fuzztime 5s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzSketchJSON -fuzztime 5s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLoadDataset -fuzztime 5s ./internal/core
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces
@@ -37,10 +38,11 @@ race:
 
 # The repo's gate: static checks, the fuzz smoke pass, a fast allocation
 # smoke pass, the tracing smoke pass, the trace-replay determinism smoke
-# pass, the race-enabled suite, the benchmark regression gate, and the
-# multi-core scaling gate. The smoke passes run before the (slow) race suite so
-# allocation and trace-pipeline regressions fail fast.
-check: vet fuzz-smoke bench-smoke trace-smoke trace-replay-smoke traffic-smoke race benchgate bench-scaling bench-memory
+# pass, the population-traffic and report smoke passes, the race-enabled
+# suite, the benchmark regression gate, and the multi-core scaling gate.
+# The smoke passes run before the (slow) race suite so allocation and
+# trace-pipeline regressions fail fast.
+check: vet fuzz-smoke bench-smoke trace-smoke trace-replay-smoke traffic-smoke report-smoke race benchgate bench-scaling bench-memory
 
 # Analysis/figure regeneration benchmarks (shares one campaign per run).
 bench:
@@ -115,6 +117,25 @@ traffic-smoke:
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -workers 2 -traffic-checkpoint .traffic-smoke/ckpt-sample -o .traffic-smoke/sample-resumed.json
 	cmp .traffic-smoke/sample-seq.json .traffic-smoke/sample-resumed.json
 	rm -rf .traffic-smoke
+
+# Report smoke pass: h3cdn-report renders every dataset experiment the
+# same from its own campaigns as from datasets h3cdn-measure wrote under
+# the same shared flags (so both commands build the same campaign), and
+# the experiments that always run their own campaigns complete.
+REPORT_SMOKE_EXPS = t2,f2,f3,f4,f5,f6a,f6b,f7,f8,t3
+report-smoke:
+	rm -rf .report-smoke && mkdir -p .report-smoke
+	$(GO) build -o .report-smoke/h3cdn-measure ./cmd/h3cdn-measure
+	$(GO) build -o .report-smoke/h3cdn-report ./cmd/h3cdn-report
+	.report-smoke/h3cdn-measure -pages 6 -o .report-smoke/std.json
+	.report-smoke/h3cdn-measure -pages 6 -consecutive -o .report-smoke/cons.json
+	.report-smoke/h3cdn-report -pages 6 -exp $(REPORT_SMOKE_EXPS) > .report-smoke/own.txt
+	.report-smoke/h3cdn-report -pages 6 -exp $(REPORT_SMOKE_EXPS) \
+		-dataset .report-smoke/std.json -consecutive-dataset .report-smoke/cons.json > .report-smoke/loaded.txt
+	cmp .report-smoke/own.txt .report-smoke/loaded.txt
+	.report-smoke/h3cdn-report -pages 6 -exp t1,f9,phases,lossprofile,celltrace,popcache \
+		-pop-users 16 -pop-duration 20s > /dev/null
+	rm -rf .report-smoke
 
 # Tracing smoke pass: run a small traced campaign through h3cdn-measure
 # -qlog and validate every emitted qlog line with qlogcheck.

@@ -25,12 +25,10 @@ import (
 	"time"
 
 	"h3cdn/internal/core"
-	"h3cdn/internal/har"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/simnet/traces"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/vantage"
-	"h3cdn/internal/webgen"
 )
 
 func main() {
@@ -39,110 +37,67 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("h3cdn-measure", flag.ContinueOnError)
-	var (
-		seed        = fs.Uint64("seed", 2022, "campaign seed")
-		pages       = fs.Int("pages", 325, "number of websites")
-		probes      = fs.Int("probes", 1, "probes per vantage point")
-		loss        = fs.Float64("loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
-		consecutive = fs.Bool("consecutive", false, "consecutive-visit protocol (§VI-D)")
-		sequential  = fs.Bool("sequential", false, "disable shard parallelism")
-		workers     = fs.Int("workers", 0, "concurrent shard workers (0 = GOMAXPROCS)")
+	cfg := core.CampaignConfig{Vantages: vantage.Points()}
+	cfg.BindFlags(fs)
+	fs.Float64Var(&cfg.LossRate, "loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
+	fs.BoolVar(&cfg.Consecutive, "consecutive", false, "consecutive-visit protocol (§VI-D)")
+	fs.BoolVar(&cfg.Sequential, "sequential", false, "disable shard parallelism")
+	fs.IntVar(&cfg.Workers, "workers", 0, "concurrent shard workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.FetchRetries, "retries", 0, "browser re-fetch budget per resource after transport errors")
+	fs.StringVar(&cfg.QlogDir, "qlog", "", "write per-shard qlog JSONL trace files into this directory (created if missing)")
 
+	var outages []simnet.Outage
+	fs.Func("outage", "scheduled path outages, a comma-separated `list` of start-end pairs (e.g. 2s-4s,10s-11s)", func(s string) (err error) {
+		outages, err = parseOutages(s)
+		return err
+	})
+	var (
 		burstLoss    = fs.Float64("burst-loss", 0, "Gilbert–Elliott average loss rate (0 disables bursty loss)")
 		burstLen     = fs.Float64("burst-len", 4, "Gilbert–Elliott mean burst length in packets")
 		jitter       = fs.Duration("jitter", 0, "uniform extra per-packet delay in [0, jitter)")
 		reorder      = fs.Float64("reorder", 0, "probability a delivered packet is held back")
 		reorderDelay = fs.Duration("reorder-delay", 2*time.Millisecond, "hold-back duration for reordered packets")
-		outages      = fs.String("outage", "", "scheduled path outages, comma-separated start-end pairs (e.g. 2s-4s,10s-11s)")
-		retries      = fs.Int("retries", 0, "browser re-fetch budget per resource after transport errors")
 
 		linkTrace  = fs.String("link-trace", "", "drive the download link from a capacity trace: a synthetic profile ("+strings.Join(traces.Names(), ", ")+") or a Mahimahi trace file")
 		traceScale = fs.Float64("trace-scale", 1, "multiply the link trace's capacity samples by this factor")
 
-		trafficOn      = fs.Bool("traffic", false, "run an open-loop population traffic campaign (seeded users contending on shared TTL edge caches) instead of the one-visit-per-page census")
-		trafficUsers   = fs.Int("traffic-users", 256, "population size per mode and vantage")
-		trafficShard   = fs.Int("traffic-users-per-shard", 0, "user-partition granularity: users simulated per shard (0 = default)")
-		trafficRate    = fs.Float64("traffic-rate", 4, "population mean session-arrival rate, sessions per second of virtual time")
-		trafficDiurnal = fs.Float64("traffic-diurnal", 0, "diurnal arrival-rate modulation amplitude in [0, 1) (0 = flat rate)")
-		trafficPeriod  = fs.Duration("traffic-diurnal-period", 0, "diurnal modulation period (0 = 1h)")
-		trafficDur     = fs.Duration("traffic-duration", 2*time.Minute, "virtual-time horizon of the traffic campaign")
-		trafficEpoch   = fs.Duration("traffic-epoch", 0, "checkpoint epoch interval (0 = one epoch spanning the horizon)")
-		trafficVisits  = fs.Float64("traffic-session-visits", 0, "mean visits per session, geometric with minimum 1 (0 = default 3)")
-		trafficThink   = fs.Duration("traffic-think", 0, "mean think time between a session's visits (0 = default 5s)")
-		trafficZipf    = fs.Float64("traffic-zipf", 0, "page-popularity Zipf exponent, must be > 1 (0 = default 1.2)")
-		trafficTTL     = fs.Duration("traffic-ttl", 0, "edge-cache entry lifetime (0 = default 60s)")
-		trafficFlight  = fs.Int("traffic-max-inflight", 0, "per-shard bound on concurrently loading visits; arrivals at the bound are shed (0 = default 64)")
-		trafficCkpt    = fs.String("traffic-checkpoint", "", "checkpoint directory: each shard saves state per epoch and resumes from it on the next run (created if missing)")
-		trafficHalt    = fs.Int("traffic-halt-epochs", 0, "stop each shard after this many epochs this process, checkpoints intact — exercises kill/resume (0 = run to completion)")
+		trafficOn = fs.Bool("traffic", false, "run an open-loop population traffic campaign (seeded users contending on shared TTL edge caches) instead of the one-visit-per-page census")
 
-		retention  = fs.String("har-retention", "all", "HAR retention policy: all, none, or sample:N (N PageLogs per shard); metrics always cover every page")
-		qlogDir    = fs.String("qlog", "", "write per-shard qlog JSONL trace files into this directory (created if missing)")
 		out        = fs.String("o", "", "output file (default stdout)")
 		cpuprofile = fs.String("cpuprofile", "", "write CPU profile to file")
 		memprofile = fs.String("memprofile", "", "write heap profile to file")
 		memstats   = fs.Bool("memstats", false, "report peak heap and cumulative allocation after the campaign")
 	)
+	var tc traffic.Config
+	fs.IntVar(&tc.Users, "traffic-users", 256, "population size per mode and vantage")
+	fs.IntVar(&tc.UsersPerShard, "traffic-users-per-shard", 0, "user-partition granularity: users simulated per shard (0 = default)")
+	fs.Float64Var(&tc.ArrivalRate, "traffic-rate", 4, "population mean session-arrival rate, sessions per second of virtual time")
+	fs.Float64Var(&tc.DiurnalAmplitude, "traffic-diurnal", 0, "diurnal arrival-rate modulation amplitude in [0, 1) (0 = flat rate)")
+	fs.DurationVar(&tc.DiurnalPeriod, "traffic-diurnal-period", 0, "diurnal modulation period (0 = 1h)")
+	fs.DurationVar(&tc.Duration, "traffic-duration", 2*time.Minute, "virtual-time horizon of the traffic campaign")
+	fs.DurationVar(&tc.EpochInterval, "traffic-epoch", 0, "checkpoint epoch interval (0 = one epoch spanning the horizon)")
+	fs.Float64Var(&tc.SessionVisits, "traffic-session-visits", 0, "mean visits per session, geometric with minimum 1 (0 = default 3)")
+	fs.DurationVar(&tc.ThinkTime, "traffic-think", 0, "mean think time between a session's visits (0 = default 5s)")
+	fs.Float64Var(&tc.ZipfS, "traffic-zipf", 0, "page-popularity Zipf exponent, must be > 1 (0 = default 1.2)")
+	fs.DurationVar(&tc.CacheTTL, "traffic-ttl", 0, "edge-cache entry lifetime (0 = default 60s)")
+	fs.IntVar(&tc.MaxInFlight, "traffic-max-inflight", 0, "per-shard bound on concurrently loading visits; arrivals at the bound are shed (0 = default 64)")
+	fs.StringVar(&tc.CheckpointDir, "traffic-checkpoint", "", "checkpoint directory: each shard saves state per epoch and resumes from it on the next run (created if missing)")
+	fs.IntVar(&tc.HaltAfterEpochs, "traffic-halt-epochs", 0, "stop each shard after this many epochs this process, checkpoints intact — exercises kill/resume (0 = run to completion)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
 		}
 		return 2
 	}
+	if *trafficOn {
+		cfg.Traffic = &tc
+	}
 
 	// Usage errors exit 2 (the flag package's own convention for bad
 	// flags), before any file creation or simulation work.
-	if *pages < 1 { // 0 would mean the corpus generator's default, 325
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: -pages %d: must be at least 1\n", *pages)
-		return 2
-	}
 	if err := validateImpairFlags(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, *traceScale); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 		return 2
-	}
-	outageWindows, err := parseOutages(*outages)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: -outage: %v\n", err)
-		return 2
-	}
-	ret, err := har.ParseRetention(*retention)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: -har-retention: %v\n", err)
-		return 2
-	}
-	tcfg, err := buildTrafficConfig(trafficFlags{
-		enabled:       *trafficOn,
-		users:         *trafficUsers,
-		usersPerShard: *trafficShard,
-		rate:          *trafficRate,
-		diurnal:       *trafficDiurnal,
-		diurnalPeriod: *trafficPeriod,
-		duration:      *trafficDur,
-		epoch:         *trafficEpoch,
-		sessionVisits: *trafficVisits,
-		think:         *trafficThink,
-		zipf:          *trafficZipf,
-		ttl:           *trafficTTL,
-		maxInFlight:   *trafficFlight,
-		checkpoint:    *trafficCkpt,
-		haltEpochs:    *trafficHalt,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
-		return 2
-	}
-	cfg := core.CampaignConfig{
-		Seed:             *seed,
-		CorpusConfig:     webgen.Config{NumPages: *pages},
-		Vantages:         vantage.Points(),
-		ProbesPerVantage: *probes,
-		LossRate:         *loss,
-		Consecutive:      *consecutive,
-		Sequential:       *sequential,
-		Workers:          *workers,
-		FetchRetries:     *retries,
-		QlogDir:          *qlogDir,
-		Retention:        ret,
-		Traffic:          tcfg,
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
@@ -189,7 +144,7 @@ func run(args []string) int {
 		w = f
 	}
 
-	impair := buildImpairment(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, outageWindows)
+	impair := buildImpairment(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, outages)
 
 	tl, err := buildLinkTrace(*linkTrace, *traceScale)
 	if err != nil {
@@ -200,14 +155,14 @@ func run(args []string) int {
 	// The campaign expects the qlog directory to exist; create it before
 	// the run so a bad path fails fast. Same for the traffic checkpoint
 	// directory.
-	if *qlogDir != "" {
-		if err := os.MkdirAll(*qlogDir, 0o755); err != nil {
+	if cfg.QlogDir != "" {
+		if err := os.MkdirAll(cfg.QlogDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 			return 1
 		}
 	}
-	if tcfg != nil && tcfg.CheckpointDir != "" {
-		if err := os.MkdirAll(tcfg.CheckpointDir, 0o755); err != nil {
+	if cfg.Traffic != nil && tc.CheckpointDir != "" {
+		if err := os.MkdirAll(tc.CheckpointDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 			return 1
 		}
@@ -254,10 +209,12 @@ func run(args []string) int {
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "h3cdn-measure: %d pages x %d vantages x %d probes, consecutive=%v\n",
-		*pages, len(cfg.Vantages), *probes, *consecutive)
-	if tcfg != nil {
+		cfg.CorpusConfig.NumPages, len(cfg.Vantages), cfg.ProbesPerVantage, cfg.Consecutive)
+	if cfg.Traffic != nil {
+		// The effective values: the campaign fills the same defaults.
+		d := tc.WithDefaults()
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: traffic: %d users, %.2f sessions/s over %v (epoch %v, TTL %v)\n",
-			tcfg.Users, tcfg.ArrivalRate, tcfg.Duration, tcfg.EpochInterval, tcfg.CacheTTL)
+			d.Users, d.ArrivalRate, d.Duration, d.EpochInterval, d.CacheTTL)
 	}
 	ds, err := core.RunCampaign(cfg)
 	if err != nil {
@@ -275,7 +232,7 @@ func run(args []string) int {
 			float64(peakHeap)/(1<<20), float64(ms.TotalAlloc)/(1<<20), ms.NumGC)
 	}
 	fmt.Fprintf(os.Stderr, "h3cdn-measure: retention=%s pages folded=%d retained=%d\n",
-		ret, ds.Stats.PagesFolded, ds.Stats.PagesRetained)
+		cfg.Retention, ds.Stats.PagesFolded, ds.Stats.PagesRetained)
 	if tr := ds.Traffic; tr != nil {
 		c := tr.Counters
 		hitRate := 0.0
@@ -290,8 +247,8 @@ func run(args []string) int {
 	fmt.Fprintf(os.Stderr, "h3cdn-measure: done in %v\n", elapsed.Round(time.Second))
 	fmt.Fprintf(os.Stderr, "h3cdn-measure: %d events executed (%.0f events/sec)\n",
 		ds.Stats.Events, float64(ds.Stats.Events)/elapsed.Seconds())
-	if *qlogDir != "" {
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: qlog traces written to %s\n", *qlogDir)
+	if cfg.QlogDir != "" {
+		fmt.Fprintf(os.Stderr, "h3cdn-measure: qlog traces written to %s\n", cfg.QlogDir)
 	}
 	if impair != nil {
 		r := ds.Stats.Recovery
@@ -344,64 +301,6 @@ func validateImpairFlags(burstLoss, burstLen float64, jitter time.Duration, reor
 		return fmt.Errorf("-trace-scale %v: must be a positive finite factor", traceScale)
 	}
 	return nil
-}
-
-// trafficFlags holds the parsed -traffic-* knobs.
-type trafficFlags struct {
-	enabled       bool
-	users         int
-	usersPerShard int
-	rate          float64
-	diurnal       float64
-	diurnalPeriod time.Duration
-	duration      time.Duration
-	epoch         time.Duration
-	sessionVisits float64
-	think         time.Duration
-	zipf          float64
-	ttl           time.Duration
-	maxInFlight   int
-	checkpoint    string
-	haltEpochs    int
-}
-
-// buildTrafficConfig validates the -traffic-* knobs and assembles the
-// campaign's population-traffic config, or returns nil when -traffic is
-// off. Like validateImpairFlags these are usage errors (exit 2) caught
-// before any simulation work: zero users or a NaN arrival rate in a
-// sweep script should fail the first invocation loudly. Which other
-// campaign knobs -traffic combines with is core.CampaignConfig.Validate's
-// call, not this function's.
-func buildTrafficConfig(tf trafficFlags) (*traffic.Config, error) {
-	if !tf.enabled {
-		return nil, nil
-	}
-	if tf.haltEpochs < 0 {
-		return nil, fmt.Errorf("-traffic-halt-epochs %d: must be non-negative", tf.haltEpochs)
-	}
-	tc := &traffic.Config{
-		Users:            tf.users,
-		UsersPerShard:    tf.usersPerShard,
-		ArrivalRate:      tf.rate,
-		DiurnalAmplitude: tf.diurnal,
-		DiurnalPeriod:    tf.diurnalPeriod,
-		Duration:         tf.duration,
-		EpochInterval:    tf.epoch,
-		SessionVisits:    tf.sessionVisits,
-		ThinkTime:        tf.think,
-		ZipfS:            tf.zipf,
-		CacheTTL:         tf.ttl,
-		MaxInFlight:      tf.maxInFlight,
-		CheckpointDir:    tf.checkpoint,
-		HaltAfterEpochs:  tf.haltEpochs,
-	}
-	if err := tc.Validate(); err != nil {
-		return nil, err
-	}
-	// Fill defaults here so the pre-run summary prints the effective
-	// values (the campaign would default them anyway).
-	*tc = tc.WithDefaults()
-	return tc, nil
 }
 
 // buildLinkTrace resolves the -link-trace spec: a synthetic profile name

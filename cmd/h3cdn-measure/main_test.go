@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"h3cdn/internal/core"
-	"h3cdn/internal/har"
 )
 
 func TestValidateImpairFlags(t *testing.T) {
@@ -72,104 +69,6 @@ func TestValidateImpairFlags(t *testing.T) {
 	}
 }
 
-// TestBuildTrafficConfig covers the -traffic-* usage validation: bad
-// knob values and incompatible flag combinations are rejected before
-// any simulation work (exit 2), same contract as the impair-flag table
-// above. Mutate-one-knob cases start from a valid baseline. Like run(),
-// the test passes the built traffic config through
-// core.CampaignConfig.Validate, which owns the combination rules.
-func TestBuildTrafficConfig(t *testing.T) {
-	type args struct {
-		tf          trafficFlags
-		consecutive bool
-		qlogDir     string
-		ret         har.Retention
-	}
-	ok := args{
-		tf: trafficFlags{
-			enabled:  true,
-			users:    256,
-			rate:     4,
-			duration: 2 * time.Minute,
-		},
-		ret: har.Retention{Kind: har.RetainAll},
-	}
-	cases := []struct {
-		name    string
-		mut     func(*args)
-		wantErr string // substring of the error, "" = valid
-	}{
-		{"defaults", func(a *args) {}, ""},
-		{"all-knobs-on", func(a *args) {
-			a.tf.usersPerShard = 32
-			a.tf.diurnal, a.tf.diurnalPeriod = 0.5, time.Hour
-			a.tf.epoch = 30 * time.Second
-			a.tf.sessionVisits, a.tf.think = 4, 2*time.Second
-			a.tf.zipf, a.tf.ttl, a.tf.maxInFlight = 1.3, 45*time.Second, 128
-			a.tf.checkpoint = "ckpt"
-		}, ""},
-		{"zero-users", func(a *args) { a.tf.users = 0 }, "users"},
-		{"negative-users", func(a *args) { a.tf.users = -5 }, "users"},
-		{"negative-users-per-shard", func(a *args) { a.tf.usersPerShard = -1 }, "users per shard"},
-		{"zero-rate", func(a *args) { a.tf.rate = 0 }, "arrival rate"},
-		{"negative-rate", func(a *args) { a.tf.rate = -1 }, "arrival rate"},
-		{"nan-rate", func(a *args) { a.tf.rate = math.NaN() }, "arrival rate"},
-		{"inf-rate", func(a *args) { a.tf.rate = math.Inf(1) }, "arrival rate"},
-		{"zero-duration", func(a *args) { a.tf.duration = 0 }, "duration"},
-		{"diurnal-too-big", func(a *args) { a.tf.diurnal = 1 }, "amplitude"},
-		{"nan-diurnal", func(a *args) { a.tf.diurnal = math.NaN() }, "amplitude"},
-		{"negative-diurnal-period", func(a *args) { a.tf.diurnalPeriod = -time.Hour }, "period"},
-		{"negative-epoch", func(a *args) { a.tf.epoch = -time.Second }, "epoch"},
-		{"fractional-session-visits", func(a *args) { a.tf.sessionVisits = 0.5 }, "session visits"},
-		{"negative-think", func(a *args) { a.tf.think = -time.Second }, "think"},
-		{"zipf-at-one", func(a *args) { a.tf.zipf = 1 }, "zipf"},
-		{"nan-zipf", func(a *args) { a.tf.zipf = math.NaN() }, "zipf"},
-		{"negative-ttl", func(a *args) { a.tf.ttl = -time.Second }, "TTL"},
-		{"negative-max-inflight", func(a *args) { a.tf.maxInFlight = -1 }, "in-flight"},
-		{"negative-halt-epochs", func(a *args) { a.tf.haltEpochs = -1 }, "-traffic-halt-epochs"},
-		{"with-consecutive", func(a *args) { a.consecutive = true }, "Consecutive"},
-		{"with-qlog", func(a *args) { a.qlogDir = "qlogs" }, "QlogDir"},
-		{"with-sampled-retention", func(a *args) {
-			a.ret = har.Retention{Kind: har.RetainSample, Sample: 8}
-		}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := ok
-			tc.mut(&a)
-			cfg, err := buildTrafficConfig(a.tf)
-			if err == nil {
-				err = core.CampaignConfig{
-					Consecutive: a.consecutive, QlogDir: a.qlogDir, Retention: a.ret, Traffic: cfg,
-				}.Validate()
-			}
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				if cfg == nil {
-					t.Fatal("valid -traffic flags: want a config, got nil")
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("want error naming %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not name the offending knob %q", err, tc.wantErr)
-			}
-		})
-	}
-
-	// -traffic off: every other knob is ignored, no config, no error.
-	off := ok
-	off.tf.enabled = false
-	off.tf.users = -1
-	if cfg, err := buildTrafficConfig(off.tf); cfg != nil || err != nil {
-		t.Fatalf("disabled traffic: got (%v, %v), want (nil, nil)", cfg, err)
-	}
-}
-
 func TestBuildLinkTrace(t *testing.T) {
 	if tl, err := buildLinkTrace("", 1); tl != nil || err != nil {
 		t.Fatalf("empty spec: %v, %v", tl, err)
@@ -215,44 +114,6 @@ func TestBuildLinkTrace(t *testing.T) {
 	}
 }
 
-// TestHARRetentionFlag covers the -har-retention values main validates
-// via har.ParseRetention before any simulation work; malformed values
-// are usage errors (exit 2), same as the impair-flag table above.
-func TestHARRetentionFlag(t *testing.T) {
-	cases := []struct {
-		name  string
-		value string
-		want  string // String() round-trip of the parsed policy, "" = error
-	}{
-		{"all", "all", "all"},
-		{"none", "none", "none"},
-		{"sample", "sample:64", "sample:64"},
-		{"sample-one", "sample:1", "sample:1"},
-		{"sample-zero", "sample:0", ""},
-		{"sample-negative", "sample:-1", ""},
-		{"sample-garbage", "sample:lots", ""},
-		{"unknown", "keep", ""},
-		{"empty", "", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ret, err := har.ParseRetention(tc.value)
-			if tc.want == "" {
-				if err == nil {
-					t.Fatalf("-har-retention %q: want usage error, got %v", tc.value, ret)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("-har-retention %q: %v", tc.value, err)
-			}
-			if got := ret.String(); got != tc.want {
-				t.Fatalf("-har-retention %q parsed to %q, want %q", tc.value, got, tc.want)
-			}
-		})
-	}
-}
-
 // TestUsageErrorsExit2 runs the command on bad campaign inputs: each
 // must exit 2 before any work. The -o path cannot be created, so a case
 // that slipped through would exit 1 instead of running a campaign.
@@ -285,6 +146,106 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 	if got := run([]string{"-pages", "1", "-o", out}); got != 1 {
 		t.Fatalf("valid flags with an uncreatable -o: exit %d, want 1", got)
+	}
+}
+
+// runToOutput runs the command on args over a 1-page corpus with an -o
+// path that cannot be created: a usage error exits 2 before any work,
+// and valid flags get as far as the -o path and exit 1, so no case runs
+// a campaign.
+func runToOutput(t *testing.T, args ...string) int {
+	out := filepath.Join(t.TempDir(), "missing", "ds.json")
+	return run(append(args, "-pages", "1", "-o", out))
+}
+
+// TestBuildTrafficConfig covers how the command builds a campaign's
+// traffic config from the -traffic-* flags: bad knob values and
+// incompatible flag combinations exit 2 before any work, valid ones
+// pass. traffic.Config.Validate owns the knob rules and
+// core.CampaignConfig.Validate the combination rules.
+func TestBuildTrafficConfig(t *testing.T) {
+	cases := []struct {
+		name  string
+		args  []string
+		valid bool
+	}{
+		{"defaults", nil, true},
+		{"all-knobs-on", []string{
+			"-traffic-users-per-shard", "32", "-traffic-diurnal", "0.5", "-traffic-diurnal-period", "1h",
+			"-traffic-epoch", "30s", "-traffic-session-visits", "4", "-traffic-think", "2s",
+			"-traffic-zipf", "1.3", "-traffic-ttl", "45s", "-traffic-max-inflight", "128",
+			"-traffic-checkpoint", "ckpt",
+		}, true},
+		{"zero-users", []string{"-traffic-users", "0"}, false},
+		{"negative-users", []string{"-traffic-users", "-5"}, false},
+		{"negative-users-per-shard", []string{"-traffic-users-per-shard", "-1"}, false},
+		{"zero-rate", []string{"-traffic-rate", "0"}, false},
+		{"negative-rate", []string{"-traffic-rate", "-1"}, false},
+		{"nan-rate", []string{"-traffic-rate", "NaN"}, false},
+		{"inf-rate", []string{"-traffic-rate", "Inf"}, false},
+		{"zero-duration", []string{"-traffic-duration", "0"}, false},
+		{"diurnal-too-big", []string{"-traffic-diurnal", "1"}, false},
+		{"nan-diurnal", []string{"-traffic-diurnal", "NaN"}, false},
+		{"negative-diurnal-period", []string{"-traffic-diurnal-period", "-1h"}, false},
+		{"negative-epoch", []string{"-traffic-epoch", "-1s"}, false},
+		{"fractional-session-visits", []string{"-traffic-session-visits", "0.5"}, false},
+		{"negative-think", []string{"-traffic-think", "-1s"}, false},
+		{"zipf-at-one", []string{"-traffic-zipf", "1"}, false},
+		{"nan-zipf", []string{"-traffic-zipf", "NaN"}, false},
+		{"negative-ttl", []string{"-traffic-ttl", "-1s"}, false},
+		{"negative-max-inflight", []string{"-traffic-max-inflight", "-1"}, false},
+		{"negative-halt-epochs", []string{"-traffic-halt-epochs", "-1"}, false},
+		{"with-consecutive", []string{"-consecutive"}, false},
+		{"with-qlog", []string{"-qlog", "qlogs"}, false},
+		{"with-sampled-retention", []string{"-har-retention", "sample:8"}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := 2
+			if tc.valid {
+				want = 1
+			}
+			if got := runToOutput(t, append([]string{"-traffic"}, tc.args...)...); got != want {
+				t.Fatalf("h3cdn-measure -traffic %s: exit %d, want %d", strings.Join(tc.args, " "), got, want)
+			}
+		})
+	}
+
+	// -traffic off: every other knob is ignored.
+	if got := runToOutput(t, "-traffic-users", "-1", "-traffic-rate", "NaN"); got != 1 {
+		t.Fatalf("-traffic-* knobs without -traffic: exit %d, want 1", got)
+	}
+}
+
+// TestHARRetentionFlag covers the -har-retention values: a malformed one
+// fails flag parsing (exit 2) before any work, a valid one passes.
+// har's TestParseRetention pins what each value parses to.
+func TestHARRetentionFlag(t *testing.T) {
+	cases := []struct {
+		name  string
+		value string
+		valid bool
+	}{
+		{"all", "all", true},
+		{"none", "none", true},
+		{"sample", "sample:64", true},
+		{"sample-one", "sample:1", true},
+		{"sample-zero", "sample:0", false},
+		{"sample-negative", "sample:-1", false},
+		{"sample-garbage", "sample:lots", false},
+		{"unknown", "keep", false},
+		{"empty", "", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := 2
+			if tc.valid {
+				want = 1
+			}
+			if got := runToOutput(t, "-har-retention", tc.value); got != want {
+				t.Fatalf("-har-retention %q: exit %d, want %d", tc.value, got, want)
+			}
+		})
 	}
 }
 

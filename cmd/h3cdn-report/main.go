@@ -32,10 +32,8 @@ import (
 	"time"
 
 	"h3cdn/internal/core"
-	"h3cdn/internal/har"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/vantage"
-	"h3cdn/internal/webgen"
 )
 
 func main() {
@@ -44,38 +42,43 @@ func main() {
 
 type reporter struct {
 	cfg      core.CampaignConfig
-	dsPath   string
-	consPath string
 	burstLen float64
 	profiles []string
 	popTc    traffic.Config
 	popSizes []int
 
-	std    *core.Dataset
-	cons   *core.Dataset
+	// paths and loaded hold each protocol's dataset, keyed by whether
+	// it is the consecutive one: a -dataset / -consecutive-dataset
+	// path ("" runs a campaign) and the dataset once loaded or run.
+	paths  map[bool]string
+	loaded map[bool]*core.Dataset
 	traced *core.Dataset
 	fig9   []core.Fig9Series
 }
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("h3cdn-report", flag.ContinueOnError)
+	r := &reporter{
+		cfg:    core.CampaignConfig{Vantages: vantage.Points()},
+		loaded: map[bool]*core.Dataset{},
+	}
+	r.cfg.BindFlags(fs)
+	fs.IntVar(&r.popTc.Users, "pop-users", 64, "popcache: baseline population size anchoring the per-user offered load")
+	fs.Float64Var(&r.popTc.ArrivalRate, "pop-rate", 2, "popcache: session-arrival rate at the baseline population, sessions/s of virtual time")
+	fs.DurationVar(&r.popTc.Duration, "pop-duration", time.Minute, "popcache: virtual-time horizon per campaign")
+	fs.DurationVar(&r.popTc.EpochInterval, "pop-epoch", 10*time.Second, "popcache: epoch interval for the hit-rate warming trajectory")
+	fs.DurationVar(&r.popTc.CacheTTL, "pop-ttl", 0, "popcache: edge-cache entry TTL (0 = default 60s)")
+	fs.Func("pop-sizes", "popcache: comma-separated population `sizes` to sweep (empty = ¼×, 1×, 4× of -pop-users)", func(s string) (err error) {
+		r.popSizes, err = parseSizes(s)
+		return err
+	})
+	fs.Float64Var(&r.burstLen, "burstlen", 4, "lossprofile: Gilbert–Elliott mean burst length in packets")
 	var (
-		exp       = fs.String("exp", "all", "experiment id (t1,t2,t3,f2,f3,f4,f5,f6a,f6b,f7,f8,f9,phases,lossprofile,celltrace,popcache,all)")
-		seed      = fs.Uint64("seed", 2022, "campaign seed")
-		pages     = fs.Int("pages", 325, "number of websites")
-		probes    = fs.Int("probes", 1, "probes per vantage point")
-		burstLen  = fs.Float64("burstlen", 4, "lossprofile: Gilbert–Elliott mean burst length in packets")
-		profiles  = fs.String("traces", "", "celltrace: comma-separated synthetic profiles (empty = all; see h3cdn-measure -link-trace)")
-		popSizes  = fs.String("pop-sizes", "", "popcache: comma-separated population sizes to sweep (empty = ¼×, 1×, 4× of -pop-users)")
-		popUsers  = fs.Int("pop-users", 64, "popcache: baseline population size anchoring the per-user offered load")
-		popRate   = fs.Float64("pop-rate", 2, "popcache: session-arrival rate at the baseline population, sessions/s of virtual time")
-		popDur    = fs.Duration("pop-duration", time.Minute, "popcache: virtual-time horizon per campaign")
-		popEpoch  = fs.Duration("pop-epoch", 10*time.Second, "popcache: epoch interval for the hit-rate warming trajectory")
-		popTTL    = fs.Duration("pop-ttl", 0, "popcache: edge-cache entry TTL (0 = default 60s)")
-		dsPath    = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
-		consPath  = fs.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
-		plotDir   = fs.String("plot", "", "also export raw figure series as TSV into this directory")
-		retention = fs.String("har-retention", "all", "HAR retention policy for campaigns this command runs: all, none, or sample:N; with none/sample, experiments needing per-page data fall back to sketch-derived (approximate) statistics")
+		exp      = fs.String("exp", "all", "experiment id (t1,t2,t3,f2,f3,f4,f5,f6a,f6b,f7,f8,f9,phases,lossprofile,celltrace,popcache,all)")
+		profiles = fs.String("traces", "", "celltrace: comma-separated synthetic profiles (empty = all; see h3cdn-measure -link-trace)")
+		dsPath   = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
+		consPath = fs.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
+		plotDir  = fs.String("plot", "", "also export raw figure series as TSV into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -83,53 +86,24 @@ func run(args []string) int {
 		}
 		return 2
 	}
+	r.profiles = splitList(*profiles)
+	r.paths = map[bool]string{false: *dsPath, true: *consPath}
 
 	// Usage errors exit 2, before any campaign runs.
-	if *pages < 1 {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: -pages %d: must be at least 1\n", *pages)
+	if !(r.burstLen >= 1) || math.IsInf(r.burstLen, 1) {
+		fmt.Fprintf(os.Stderr, "h3cdn-report: -burstlen %v: must be a finite burst length of at least 1 packet\n", r.burstLen)
 		return 2
-	}
-	if !(*burstLen >= 1) || math.IsInf(*burstLen, 1) {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: -burstlen %v: must be a finite burst length of at least 1 packet\n", *burstLen)
-		return 2
-	}
-	ret, err := har.ParseRetention(*retention)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: -har-retention: %v\n", err)
-		return 2
-	}
-
-	sizes, err := parseSizes(*popSizes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: -pop-sizes: %v\n", err)
-		return 2
-	}
-
-	r := &reporter{
-		burstLen: *burstLen,
-		profiles: splitList(*profiles),
-		popSizes: sizes,
-		popTc: traffic.Config{
-			Users:         *popUsers,
-			ArrivalRate:   *popRate,
-			Duration:      *popDur,
-			EpochInterval: *popEpoch,
-			CacheTTL:      *popTTL,
-		},
-		cfg: core.CampaignConfig{
-			Seed:             *seed,
-			CorpusConfig:     webgen.Config{NumPages: *pages},
-			Vantages:         vantage.Points(),
-			ProbesPerVantage: *probes,
-			Retention:        ret,
-		},
-		dsPath:   *dsPath,
-		consPath: *consPath,
 	}
 	if err := r.cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-report: %v\n", err)
 		return 2
 	}
+	sizes, err := core.PopCacheSizes(r.popTc, r.popSizes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "h3cdn-report: -pop-*: %v\n", err)
+		return 2
+	}
+	r.popSizes = sizes
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
@@ -142,7 +116,7 @@ func run(args []string) int {
 		}
 	}
 	if *plotDir != "" {
-		if err := core.WritePlotData(*plotDir, r.std, r.cons, r.fig9); err != nil {
+		if err := core.WritePlotData(*plotDir, r.loaded[false], r.loaded[true], r.fig9); err != nil {
 			fmt.Fprintf(os.Stderr, "h3cdn-report: %v\n", err)
 			return 1
 		}
@@ -151,40 +125,37 @@ func run(args []string) int {
 	return 0
 }
 
-func (r *reporter) standard() (*core.Dataset, error) {
-	if r.std != nil {
-		return r.std, nil
+// dataset returns the standard or the consecutive protocol's dataset:
+// loaded from its -dataset / -consecutive-dataset file when one is set,
+// else from a campaign this command runs.
+func (r *reporter) dataset(consecutive bool) (*core.Dataset, error) {
+	if ds := r.loaded[consecutive]; ds != nil {
+		return ds, nil
 	}
-	if r.dsPath != "" {
-		f, err := os.Open(r.dsPath)
+	var ds *core.Dataset
+	if path := r.paths[consecutive]; path != "" {
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		r.std, err = core.LoadDataset(f)
-		return r.std, err
-	}
-	var err error
-	r.std, err = r.campaign(false)
-	return r.std, err
-}
-
-func (r *reporter) consecutive() (*core.Dataset, error) {
-	if r.cons != nil {
-		return r.cons, nil
-	}
-	if r.consPath != "" {
-		f, err := os.Open(r.consPath)
-		if err != nil {
+		if ds, err = core.LoadDataset(f); err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		r.cons, err = core.LoadDataset(f)
-		return r.cons, err
+	} else {
+		cfg := r.cfg
+		cfg.Consecutive = consecutive
+		kind := "standard"
+		if consecutive {
+			kind = "consecutive"
+		}
+		var err error
+		if ds, err = runCampaign(kind, cfg); err != nil {
+			return nil, err
+		}
 	}
-	var err error
-	r.cons, err = r.campaign(true)
-	return r.cons, err
+	r.loaded[consecutive] = ds
+	return ds, nil
 }
 
 // tracedStandard returns a standard-protocol dataset carrying phase
@@ -192,30 +163,20 @@ func (r *reporter) consecutive() (*core.Dataset, error) {
 // serialized, so a -dataset file cannot supply them: this always runs a
 // campaign (with tracing on), even when -dataset is set.
 func (r *reporter) tracedStandard() (*core.Dataset, error) {
-	if r.traced != nil {
-		return r.traced, nil
+	if r.traced == nil {
+		cfg := r.cfg
+		cfg.TracePhases = true
+		ds, err := runCampaign("traced standard", cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.traced = ds
 	}
-	cfg := r.cfg
-	cfg.TracePhases = true
-	fmt.Fprintf(os.Stderr, "h3cdn-report: running traced standard campaign (%d pages, %d probes/vantage)...\n",
-		cfg.CorpusConfig.NumPages, cfg.ProbesPerVantage)
-	start := time.Now()
-	ds, err := core.RunCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "h3cdn-report: traced campaign done in %v\n", time.Since(start).Round(time.Second))
-	r.traced = ds
-	return ds, nil
+	return r.traced, nil
 }
 
-func (r *reporter) campaign(consecutive bool) (*core.Dataset, error) {
-	cfg := r.cfg
-	cfg.Consecutive = consecutive
-	kind := "standard"
-	if consecutive {
-		kind = "consecutive"
-	}
+// runCampaign runs one campaign, logging its start and duration.
+func runCampaign(kind string, cfg core.CampaignConfig) (*core.Dataset, error) {
 	fmt.Fprintf(os.Stderr, "h3cdn-report: running %s campaign (%d pages, %d probes/vantage)...\n",
 		kind, cfg.CorpusConfig.NumPages, cfg.ProbesPerVantage)
 	start := time.Now()
@@ -227,74 +188,49 @@ func (r *reporter) campaign(consecutive bool) (*core.Dataset, error) {
 	return ds, nil
 }
 
+// datasetExps are the experiments that analyse one protocol's dataset,
+// keyed by id: consecutive picks the consecutive protocol's dataset
+// over the standard one, and render computes and renders the result.
+var datasetExps = map[string]struct {
+	consecutive bool
+	render      func(*core.Dataset) (string, error)
+}{
+	"t2":  {false, func(ds *core.Dataset) (string, error) { return core.RenderTable2(core.ComputeTable2(ds)), nil }},
+	"f2":  {false, func(ds *core.Dataset) (string, error) { return core.RenderFigure2(core.ComputeFigure2(ds)), nil }},
+	"f3":  {false, func(ds *core.Dataset) (string, error) { return core.RenderFigure3(core.ComputeFigure3(ds)), nil }},
+	"f4":  {false, func(ds *core.Dataset) (string, error) { return core.RenderFigure4(core.ComputeFigure4(ds)), nil }},
+	"f5":  {false, func(ds *core.Dataset) (string, error) { return core.RenderFigure5(core.ComputeFigure5(ds)), nil }},
+	"f6a": {false, func(ds *core.Dataset) (string, error) { return core.RenderFigure6a(core.ComputeFigure6a(ds)), nil }},
+	"f6b": {false, func(ds *core.Dataset) (string, error) { return core.RenderFigure6b(core.ComputeFigure6b(ds)), nil }},
+	"f7": {false, func(ds *core.Dataset) (string, error) {
+		return core.RenderFigure7(core.ComputeFigure7ab(ds), core.ComputeFigure7c(ds)), nil
+	}},
+	"f8": {true, func(ds *core.Dataset) (string, error) { return core.RenderFigure8(core.ComputeFigure8(ds)), nil }},
+	"t3": {true, func(ds *core.Dataset) (string, error) {
+		t3, err := core.ComputeTable3(ds)
+		if err != nil {
+			return "", err
+		}
+		return core.RenderTable3(t3), nil
+	}},
+}
+
 func (r *reporter) report(id string) error {
+	if e, ok := datasetExps[id]; ok {
+		ds, err := r.dataset(e.consecutive)
+		if err != nil {
+			return err
+		}
+		out, err := e.render(ds)
+		if err != nil {
+			return err
+		}
+		fmt.Println(out)
+		return nil
+	}
 	switch id {
 	case "t1":
 		fmt.Println(core.RenderTable1(core.Table1()))
-	case "t2":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderTable2(core.ComputeTable2(ds)))
-	case "f2":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure2(core.ComputeFigure2(ds)))
-	case "f3":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure3(core.ComputeFigure3(ds)))
-	case "f4":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure4(core.ComputeFigure4(ds)))
-	case "f5":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure5(core.ComputeFigure5(ds)))
-	case "f6a":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure6a(core.ComputeFigure6a(ds)))
-	case "f6b":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure6b(core.ComputeFigure6b(ds)))
-	case "f7":
-		ds, err := r.standard()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure7(core.ComputeFigure7ab(ds), core.ComputeFigure7c(ds)))
-	case "f8":
-		ds, err := r.consecutive()
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderFigure8(core.ComputeFigure8(ds)))
-	case "t3":
-		ds, err := r.consecutive()
-		if err != nil {
-			return err
-		}
-		t3, err := core.ComputeTable3(ds)
-		if err != nil {
-			return err
-		}
-		fmt.Println(core.RenderTable3(t3))
 	case "f9":
 		fmt.Fprintln(os.Stderr, "h3cdn-report: running Figure 9 loss sweep (3 campaigns)...")
 		series, err := core.RunFigure9(r.cfg)
@@ -340,13 +276,14 @@ func (r *reporter) report(id string) error {
 	return nil
 }
 
-// parseSizes parses the comma-separated -pop-sizes population list.
+// parseSizes parses the comma-separated -pop-sizes population list;
+// core.PopCacheSizes judges the sizes.
 func parseSizes(s string) ([]int, error) {
 	var out []int
 	for _, f := range splitList(s) {
 		n, err := strconv.Atoi(f)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("population size %q: want a positive integer", f)
+		if err != nil {
+			return nil, fmt.Errorf("population size %q: want an integer", f)
 		}
 		out = append(out, n)
 	}

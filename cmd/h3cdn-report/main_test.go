@@ -20,6 +20,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"bad-retention", []string{"-har-retention", "keep"}},
 		{"bad-pop-sizes", []string{"-pop-sizes", "0"}},
 		{"unknown-flag", []string{"-no-such-flag"}},
+		{"negative-pop-rate", []string{"-pop-rate", "-1"}},
+		{"pop-users-below-default-sweep", []string{"-pop-users", "3"}},
+		{"zero-pop-duration", []string{"-pop-duration", "0"}},
+		{"negative-pop-epoch", []string{"-pop-epoch", "-1s"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -112,6 +115,26 @@ type CampaignConfig struct {
 	// visit per corpus page. Incompatible with Consecutive, TracePhases
 	// and QlogDir (see Validate).
 	Traffic *traffic.Config
+}
+
+// BindFlags registers the flags shared by every command that runs
+// campaigns, each binding the field it sets: -seed, -pages, -probes and
+// -har-retention. A -pages below 1 (0 would select webgen's default) or
+// a malformed -har-retention fails fs.Parse.
+func (c *CampaignConfig) BindFlags(fs *flag.FlagSet) {
+	fs.Uint64Var(&c.Seed, "seed", 2022, "campaign seed")
+	c.CorpusConfig.NumPages = 325
+	fs.Func("pages", "number of websites, an `int` of at least 1 (default 325)", func(s string) error {
+		n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil || n < 1 {
+			return errors.New("must be an integer of at least 1")
+		}
+		c.CorpusConfig.NumPages = int(n)
+		return nil
+	})
+	fs.IntVar(&c.ProbesPerVantage, "probes", 1, "probes per vantage point")
+	c.Retention = har.Retention{Kind: har.RetainAll}
+	fs.Var(&c.Retention, "har-retention", "HAR retention `policy`: all, none, or sample:N (N PageLogs per shard); metrics always cover every page, and experiments needing per-page data fall back to sketch-derived (approximate) statistics (default all)")
 }
 
 // probesAt returns how many probes the campaign runs at a vantage point.

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"flag"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"h3cdn/internal/browser"
+	"h3cdn/internal/har"
 	"h3cdn/internal/vantage"
 	"h3cdn/internal/webgen"
 )
@@ -231,5 +234,34 @@ func TestValidateRejectsZeroShardAndDuplicateModeCampaigns(t *testing.T) {
 	}
 	if err := (CampaignConfig{LossRate: -1}).Validate(); err != nil {
 		t.Fatalf("negative loss (lossless): %v", err)
+	}
+}
+
+// TestBindFlags: the shared flags bind their defaults and parsed values
+// straight into the fields they set, and a bad -pages or -har-retention
+// fails the parse itself.
+func TestBindFlags(t *testing.T) {
+	parse := func(args ...string) (CampaignConfig, error) {
+		var c CampaignConfig
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c.BindFlags(fs)
+		return c, fs.Parse(args)
+	}
+	c, err := parse()
+	if err != nil || c.Seed != 2022 || c.CorpusConfig.NumPages != 325 || c.ProbesPerVantage != 1 || c.Retention != (har.Retention{Kind: har.RetainAll}) {
+		t.Fatalf("defaults: %+v, %v", c, err)
+	}
+	c, err = parse("-seed", "7", "-pages", "12", "-probes", "3", "-har-retention", "sample:4")
+	if err != nil || c.Seed != 7 || c.CorpusConfig.NumPages != 12 || c.ProbesPerVantage != 3 || c.Retention != (har.Retention{Kind: har.RetainSample, Sample: 4}) {
+		t.Fatalf("parsed: %+v, %v", c, err)
+	}
+	for _, args := range [][]string{
+		{"-pages", "0"}, {"-pages", "-3"}, {"-pages", "many"},
+		{"-har-retention", "sample:0"}, {"-har-retention", "keep"},
+	} {
+		if _, err := parse(args...); err == nil {
+			t.Errorf("%v: parsed without error", args)
+		}
 	}
 }

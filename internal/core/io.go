@@ -46,11 +46,16 @@ func (d *Dataset) SaveJSON(w io.Writer) error {
 	return nil
 }
 
-// LoadDataset deserializes a dataset written by SaveJSON.
+// LoadDataset deserializes a dataset written by SaveJSON. A dataset
+// without a corpus, or with a null log for a mode, is rejected: the
+// analyses read both.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	var in datasetJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: load dataset: %w", err)
+	}
+	if in.Corpus == nil {
+		return nil, fmt.Errorf("core: load dataset: no corpus")
 	}
 	ds := &Dataset{
 		Seed:        in.Seed,
@@ -62,6 +67,9 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 		mode, ok := modeByName(name)
 		if !ok {
 			return nil, fmt.Errorf("core: load dataset: unknown mode %q", name)
+		}
+		if log == nil {
+			return nil, fmt.Errorf("core: load dataset: mode %s has a null log", name)
 		}
 		ds.Logs[mode] = log
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"h3cdn/internal/browser"
+	"h3cdn/internal/vantage"
+	"h3cdn/internal/webgen"
 )
 
 func TestDatasetJSONRoundTrip(t *testing.T) {
@@ -51,9 +53,60 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(strings.NewReader("{nope")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := LoadDataset(strings.NewReader(`{"logs":{"spdy":{}}}`)); err == nil {
+	if _, err := LoadDataset(strings.NewReader(`{"corpus":{},"logs":{"spdy":{}}}`)); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
+	// The analyses dereference the corpus and every mode's log.
+	for _, in := range []string{`{}`, `{"corpus":null,"logs":{}}`, `{"corpus":{"pages":[]},"logs":{"h2":null}}`} {
+		if _, err := LoadDataset(strings.NewReader(in)); err == nil {
+			t.Errorf("%s accepted", in)
+		}
+	}
+}
+
+// FuzzLoadDataset feeds the loader hostile dataset bytes, as
+// h3cdn-report -dataset reads them. Each must fail with an error or load
+// a dataset the analyses run on without a panic, and that re-saves to
+// bytes which load and save again unchanged.
+func FuzzLoadDataset(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{"h2":null}}`))
+	ds, err := RunCampaign(CampaignConfig{
+		Seed:             7,
+		CorpusConfig:     webgen.Config{NumPages: 2, MeanResources: 6},
+		Vantages:         vantage.Points()[:1],
+		ProbesPerVantage: 1,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var real bytes.Buffer
+	if err := ds.SaveJSON(&real); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.Bytes())
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		ds, err := LoadDataset(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		ComputeSiteMetrics(ds)
+		ComputeTable2(ds)
+		var first, second bytes.Buffer
+		if err := ds.SaveJSON(&first); err != nil {
+			t.Fatalf("loaded dataset does not save: %v", err)
+		}
+		again, err := LoadDataset(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-saved dataset does not load: %v", err)
+		}
+		if err := again.SaveJSON(&second); err != nil {
+			t.Fatalf("reloaded dataset does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save is not stable across a load:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestModeByName(t *testing.T) {

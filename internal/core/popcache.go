@@ -52,19 +52,14 @@ var popCacheModes = []browser.Mode{browser.ModeH1, browser.ModeH2, browser.ModeH
 // stays bounded at any population size.
 func RunPopCache(base CampaignConfig, tc traffic.Config, sizes []int) ([]PopCacheRow, error) {
 	base = base.withDefaults()
-	if err := tc.Validate(); err != nil {
-		return nil, fmt.Errorf("core: popcache: %w", err)
+	sizes, err := PopCacheSizes(tc, sizes)
+	if err != nil {
+		return nil, err
 	}
 	tc = tc.WithDefaults()
-	if len(sizes) == 0 {
-		sizes = []int{tc.Users / 4, tc.Users, tc.Users * 4}
-	}
 	perUser := tc.ArrivalRate / float64(tc.Users)
 	rows := make([]PopCacheRow, 0, len(sizes)*len(popCacheModes))
 	for _, n := range sizes {
-		if n <= 0 {
-			return nil, fmt.Errorf("core: popcache: population size %d", n)
-		}
 		for _, mode := range popCacheModes {
 			cfg := base
 			cfg.Modes = []browser.Mode{mode}
@@ -81,6 +76,25 @@ func RunPopCache(base CampaignConfig, tc traffic.Config, sizes []int) ([]PopCach
 		}
 	}
 	return rows, nil
+}
+
+// PopCacheSizes validates a population sweep's traffic shape and returns
+// the population sizes RunPopCache sweeps: sizes, or ¼×, 1× and 4× of
+// tc.Users when sizes is empty. Every size must be positive. Front ends
+// call it to fail before any campaign runs.
+func PopCacheSizes(tc traffic.Config, sizes []int) ([]int, error) {
+	if err := tc.Validate(); err != nil {
+		return nil, fmt.Errorf("core: popcache: %w", err)
+	}
+	if len(sizes) == 0 {
+		sizes = []int{tc.Users / 4, tc.Users, tc.Users * 4}
+	}
+	for _, n := range sizes {
+		if n <= 0 {
+			return nil, fmt.Errorf("core: popcache: population size %d", n)
+		}
+	}
+	return sizes, nil
 }
 
 // popCacheRow reduces one campaign's traffic report and sketches to a

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -189,6 +190,12 @@ func TestTrafficRejectsIncompatibleConfigs(t *testing.T) {
 			}
 		})
 	}
+	// A sampled HAR reservoir rides in the traffic checkpoint, so
+	// sampled retention combines with a traffic campaign.
+	sampled := CampaignConfig{Traffic: smallTraffic(), Retention: har.Retention{Kind: har.RetainSample, Sample: 8}}
+	if err := sampled.Validate(); err != nil {
+		t.Fatalf("traffic with sampled retention: %v", err)
+	}
 }
 
 // goldenTrafficSHA256 pins the exact dataset bytes of the reference
@@ -317,6 +324,25 @@ func TestPopCacheExperiment(t *testing.T) {
 	}
 	if _, err := RunPopCache(base, tc, []int{0}); err == nil {
 		t.Fatal("zero population size accepted")
+	}
+}
+
+// TestPopCacheSizes pins the sweep's default sizes and the check that
+// covers them: a baseline under 4 users defaults to a size-0 population.
+func TestPopCacheSizes(t *testing.T) {
+	tc := traffic.Config{Users: 64, ArrivalRate: 2, Duration: time.Minute}
+	if got, err := PopCacheSizes(tc, nil); err != nil || !slices.Equal(got, []int{16, 64, 256}) {
+		t.Fatalf("default sizes: %v, %v", got, err)
+	}
+	if got, err := PopCacheSizes(tc, []int{5, 7}); err != nil || !slices.Equal(got, []int{5, 7}) {
+		t.Fatalf("explicit sizes: %v, %v", got, err)
+	}
+	tc.Users = 3
+	if _, err := PopCacheSizes(tc, nil); err == nil || !strings.Contains(err.Error(), "population size 0") {
+		t.Fatalf("3-user baseline: %v, want a size-0 error", err)
+	}
+	if _, err := PopCacheSizes(tc, []int{3}); err != nil {
+		t.Fatalf("explicit sizes override the default sweep: %v", err)
 	}
 }
 

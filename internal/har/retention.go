@@ -61,6 +61,17 @@ func (r Retention) String() string {
 	}
 }
 
+// Set parses s in the ParseRetention forms into r, so a *Retention is
+// a flag.Value and a malformed value fails flag parsing.
+func (r *Retention) Set(s string) error {
+	parsed, err := ParseRetention(s)
+	if err != nil {
+		return err
+	}
+	*r = parsed
+	return nil
+}
+
 // Validate reports whether the policy is well-formed.
 func (r Retention) Validate() error {
 	switch r.Kind {

@@ -45,6 +45,26 @@ func TestParseRetention(t *testing.T) {
 	}
 }
 
+// TestRetentionSet: as a flag.Value, a *Retention takes exactly what
+// ParseRetention accepts and keeps its value on a malformed one.
+func TestRetentionSet(t *testing.T) {
+	for _, in := range []string{"all", "none", "sample:64", "sample:1", "sample:0", "sample:-1", "sample:lots", "keep", ""} {
+		want, wantErr := ParseRetention(in)
+		r := Retention{Kind: RetainSample, Sample: 9}
+		err := r.Set(in)
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("Set(%q): error %v, ParseRetention error %v", in, err, wantErr)
+			continue
+		}
+		if err != nil {
+			want = Retention{Kind: RetainSample, Sample: 9}
+		}
+		if r != want {
+			t.Errorf("Set(%q) left %+v, want %+v", in, r, want)
+		}
+	}
+}
+
 func TestRetentionValidate(t *testing.T) {
 	if (Retention{}).Validate() != nil {
 		t.Error("zero-value retention (RetainAll) must validate")

@@ -150,6 +150,9 @@ func (c Config) Validate() error {
 	if c.UsersPerShard < 0 {
 		return fmt.Errorf("traffic: users per shard must be positive (got %d)", c.UsersPerShard)
 	}
+	if c.HaltAfterEpochs < 0 {
+		return fmt.Errorf("traffic: halt-after epochs must be non-negative (got %d)", c.HaltAfterEpochs)
+	}
 	return nil
 }
 

@@ -44,6 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative TTL", func(c *Config) { c.CacheTTL = -time.Second }},
 		{"negative in-flight", func(c *Config) { c.MaxInFlight = -1 }},
 		{"negative users/shard", func(c *Config) { c.UsersPerShard = -1 }},
+		{"negative halt epochs", func(c *Config) { c.HaltAfterEpochs = -1 }},
 	}
 	for _, tc := range cases {
 		c := validConfig()
