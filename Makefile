@@ -29,7 +29,8 @@ fuzz-smoke:
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces
-# (shards share no allocator: every pool is confined to one universe).
+# (concurrent shards share no allocator: every pool belongs to one worker,
+# whose shards use it one at a time).
 # Race instrumentation slows the internal/core campaign fixtures ~6x,
 # past go test's default 10m per-package timeout — hence the explicit
 # one.

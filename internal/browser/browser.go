@@ -138,11 +138,6 @@ type Browser struct {
 	stats Stats
 }
 
-// sharedReqHeader is the constant header set every browser request
-// carries. httpsim treats Request.Header as read-only, so one immutable
-// map serves all requests.
-var sharedReqHeader = map[string]string{"accept": "*/*", "user-agent": "simbrowser/1.0"}
-
 // fetchState carries one resource fetch across its transport callbacks
 // and retries. States are pooled per browser: the four RequestEvents
 // closures are bound once, when the state object is first created, and
@@ -175,7 +170,6 @@ func (b *Browser) newFetchState() *fetchState {
 		return st
 	}
 	st := &fetchState{b: b}
-	st.req.Header = sharedReqHeader
 	st.events = httpsim.RequestEvents{
 		OnSent:     st.onSent,
 		OnHeaders:  st.onHeaders,

@@ -1,17 +1,16 @@
 // Package bufpool provides the simulation's recyclers: Arena, a
 // size-classed byte-buffer recycler for the hot path (wire records,
 // framed blocks, transport packet payloads, supplied-byte extents and
-// reassembly chunks); FreeList, the LIFO free list every per-universe
-// record pool is built from; and Recycler, a FreeList that hands a
-// torn-down struct out again only from the scheduler event after its
-// teardown. Both are confined to one
-// goroutine — the owning universe's scheduler — so reuse needs no
-// locking and, being plain
-// slices, survives garbage-collection cycles: a warm shard reaches a
-// steady state where every visit is served from the same allocation
-// footprint. Buffers come back with the requested length but arbitrary
-// contents — callers that care about content must overwrite it (the
-// simulators only ever inspect lengths and headers).
+// reassembly chunks); FreeList, the LIFO free list every record pool is
+// built from; and Recycler, a FreeList that hands a torn-down struct out
+// again only from the scheduler event after its teardown. All are
+// confined to one goroutine — a campaign worker's, running one universe
+// at a time — so reuse needs no locking and, being plain slices,
+// survives garbage-collection cycles: warm pools reach a steady state
+// where every visit is served from the same allocation footprint.
+// Buffers come back with the requested length but arbitrary contents —
+// callers that care about content must overwrite it (the simulators only
+// ever inspect lengths and headers).
 package bufpool
 
 // Size classes are powers of two from 256B to 8MB. Requests above the

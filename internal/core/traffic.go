@@ -197,8 +197,8 @@ func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink
 // epochs. One scheduler drain covers a whole epoch, with visits
 // overlapping up to MaxInFlight. Every finished visit goes to sink, as
 // does the arrival and edge-contention accounting (sink.Report).
-func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink) error {
-	return runEpochs(cfg, topo, job, sink, &httpsim.Pools{}, nil)
+func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink, pools *httpsim.Pools) error {
+	return runEpochs(cfg, topo, job, sink, pools, nil)
 }
 
 // runEpochs runs runPopulation's epochs with every epoch's universe on

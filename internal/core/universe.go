@@ -83,9 +83,10 @@ type UniverseConfig struct {
 	// zero overhead anywhere.
 	Trace *trace.Tracer
 	// Pools, when non-nil, is the allocation arena the universe's
-	// endpoints share, carried in from an earlier universe on the same
-	// goroutine (a population shard's previous epoch); nil gets a fresh
-	// one. Pool state never changes what is simulated.
+	// endpoints share. Campaigns pass their worker's Pools, which every
+	// universe that worker runs uses in turn, one at a time on its
+	// goroutine (every shard, and every epoch of a population shard);
+	// nil gets a fresh one. Pool state never changes what is simulated.
 	Pools *httpsim.Pools
 }
 
@@ -117,11 +118,11 @@ type Universe struct {
 	events   int64 // scheduler events executed across drain calls
 	recovery simnet.RecoveryStats
 
-	// pools is the universe-wide allocation arena shared by every
-	// endpoint (probe and servers): all of them run on this universe's
-	// one scheduler goroutine, so a warm universe replays visits out of
-	// a steady allocation footprint. RunVisit/RunVisitDiscard check its
-	// wire-arena balance at each visit boundary.
+	// pools is the allocation arena shared by every endpoint (probe and
+	// servers): all of them run on this universe's one scheduler
+	// goroutine, so warm pools replay visits out of a steady allocation
+	// footprint. RunVisit/RunVisitDiscard check its wire-arena balance
+	// at each visit boundary.
 	pools *httpsim.Pools
 
 	// warmLog is the reusable scratch log for RunVisitDiscard.

@@ -146,7 +146,7 @@ func FuzzEnvelopes(f *testing.F) {
 		if !roundTrippable(host, path, key, val) || status < 0 || size < 0 {
 			return
 		}
-		req := &Request{Host: host, Path: path, Header: map[string]string{key: val}}
+		req := &Request{Host: host, Path: path}
 		resp := Response{Status: status, BodySize: size, Header: map[string]string{key: val}}
 		checkReq := func(proto string, got Request, ok bool) {
 			if !ok || got.Host != host || got.Path != path {

@@ -27,9 +27,8 @@ type DialConfig struct {
 	Recovery *simnet.RecoveryStats
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
-	// Pools, when non-nil, supplies the universe's shared allocation
-	// arenas (TCP segments, buffers, header caches). Nil gets a private
-	// one.
+	// Pools, when non-nil, supplies the shared allocation arenas (TCP
+	// segments, buffers, header caches). Nil gets a private one.
 	Pools *Pools
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
@@ -334,7 +333,7 @@ func (pl *Pools) encodeH1Request(req *Request) []byte {
 	dst = append(dst, " HTTP/1.1\r\nhost: "...)
 	dst = append(dst, req.Host...)
 	dst = append(dst, "\r\n"...)
-	dst, pl.sortScratch = appendHeaderLines(dst, req.Header, pl.sortScratch)
+	dst = append(dst, requestHeaderLines...)
 	dst = append(dst, "\r\n"...)
 	pl.hdrBuf = dst
 	return dst

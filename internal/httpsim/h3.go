@@ -18,9 +18,9 @@ type H3DialConfig struct {
 	QUIC quicsim.Config
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
-	// Pools, when non-nil, supplies the universe's shared allocation
-	// arenas (QUIC records, buffers, stream states, header caches). Nil
-	// gets a private one.
+	// Pools, when non-nil, supplies the shared allocation arenas (QUIC
+	// records, buffers, stream states, header caches). Nil gets a
+	// private one.
 	Pools *Pools
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
@@ -28,7 +28,7 @@ type H3DialConfig struct {
 }
 
 // h3Stream is the client-side per-request state. Instances are pooled
-// per universe (see Pools.getH3Stream); dataFn is bound once per struct
+// in Pools (see Pools.getH3Stream); dataFn is bound once per struct
 // lifetime.
 type h3Stream struct {
 	c   *h3Client
@@ -300,7 +300,7 @@ func newH3Server(sched *simnet.Scheduler, conn *quicsim.Conn, handler Handler, p
 	return s
 }
 
-// h3SrvStream is the server-side per-stream state. Pooled per universe
+// h3SrvStream is the server-side per-stream state. Pooled in Pools
 // with callbacks bound once per struct lifetime; each instance serves
 // exactly one request stream (H3 maps one request to one stream), so
 // the embedded Request and ServerContext are never shared between

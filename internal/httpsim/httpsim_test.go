@@ -524,11 +524,52 @@ func TestProtocolStrings(t *testing.T) {
 }
 
 func TestRequestHeaderBlockRoundTrip(t *testing.T) {
-	req := &Request{Host: "cdn.example", Path: "/a/b.js", Header: map[string]string{"accept": "*/*"}}
+	req := &Request{Host: "cdn.example", Path: "/a/b.js"}
 	var pl Pools
-	got := pl.parseRequestBlock(pl.requestHeaderBlock(req))
-	if got.Host != req.Host || got.Path != req.Path || got.Header != nil {
+	if got := pl.parseRequestBlock(pl.requestHeaderBlock(req)); got != *req {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestRequestEncodingUnchanged: the request encoders write the header
+// lines that requests used to carry in a map — the browser's constant
+// accept and user-agent — so H1 heads and H2/H3 header blocks are the
+// bytes they were, framed blocks included, and every request costs the
+// wire what it did.
+func TestRequestEncodingUnchanged(t *testing.T) {
+	browserHeader := map[string]string{"accept": "*/*", "user-agent": "simbrowser/1.0"}
+	// The encoders as they were, serializing the map.
+	mapH1 := func(req *Request) []byte {
+		dst := fmt.Appendf(nil, "GET %s HTTP/1.1\r\nhost: %s\r\n", req.Path, req.Host)
+		dst, _ = appendHeaderLines(dst, browserHeader, nil)
+		return append(dst, "\r\n"...)
+	}
+	mapBlock := func(req *Request) []byte {
+		dst := fmt.Appendf(nil, ":authority: %s\r\n:path: %s\r\n", req.Host, req.Path)
+		dst, _ = appendHeaderLines(dst, browserHeader, nil)
+		return dst
+	}
+	var pl Pools
+	for _, req := range []*Request{
+		{Host: "cdn.example", Path: "/a/b.js"},
+		{Host: "origin.site-17.example", Path: "/"},
+		{Host: "", Path: ""},
+	} {
+		if got, want := pl.encodeH1Request(req), mapH1(req); !bytes.Equal(got, want) {
+			t.Fatalf("h1 %+v:\n got %q\nwant %q", req, got, want)
+		}
+		for _, proto := range []struct {
+			name   string
+			stream uint32
+		}{{"h2", 7}, {"h3", 0}} {
+			var got, want sink
+			arena := &bufpool.Arena{}
+			writeBlock(arena, &got, blockHeadersReq, proto.stream, flagEndStream, pl.requestHeaderBlock(req))
+			writeBlock(arena, &want, blockHeadersReq, proto.stream, flagEndStream, mapBlock(req))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %+v:\n got %q\nwant %q", proto.name, req, got, want)
+			}
+		}
 	}
 }
 
@@ -538,7 +579,7 @@ func TestRequestHeaderBlockRoundTrip(t *testing.T) {
 func TestServerRequestParseAllocs(t *testing.T) {
 	var pl Pools
 	h1 := []byte("GET /a/b.js HTTP/1.1\r\nhost: cdn.example\r\naccept: */*")
-	block := bytes.Clone(pl.requestHeaderBlock(&Request{Host: "cdn.example", Path: "/a/b.js", Header: map[string]string{"accept": "*/*"}}))
+	block := bytes.Clone(pl.requestHeaderBlock(&Request{Host: "cdn.example", Path: "/a/b.js"}))
 	if n := testing.AllocsPerRun(100, func() { pl.parseH1Head(h1) }); n != 0 {
 		t.Errorf("h1 head parsed again: %v allocs, want 0", n)
 	}

@@ -32,11 +32,11 @@ type ClientConfig struct {
 	// TCP connection's identity in the trace.
 	Trace     *trace.Tracer
 	TraceConn uint32
-	// Arena, when non-nil, supplies the per-universe buffer arena for
-	// record construction. Nil gets a private one.
+	// Arena, when non-nil, supplies the buffer arena for record
+	// construction. Nil gets a private one.
 	Arena *bufpool.Arena
-	// RecvArena, when non-nil, supplies the per-universe recycler for
-	// the record accumulator. Nil gets a private one.
+	// RecvArena, when non-nil, supplies the recycler for split-record
+	// carries. Nil gets a private one.
 	RecvArena *bufpool.Arena
 }
 
@@ -53,11 +53,11 @@ type ServerConfig struct {
 	// server side of the handshake.
 	Trace     *trace.Tracer
 	TraceConn uint32
-	// Arena, when non-nil, supplies the per-universe buffer arena for
-	// record construction. Nil gets a private one.
+	// Arena, when non-nil, supplies the buffer arena for record
+	// construction. Nil gets a private one.
 	Arena *bufpool.Arena
-	// RecvArena, when non-nil, supplies the per-universe recycler for
-	// the record accumulator. Nil gets a private one.
+	// RecvArena, when non-nil, supplies the recycler for split-record
+	// carries. Nil gets a private one.
 	RecvArena *bufpool.Arena
 }
 
@@ -85,10 +85,9 @@ type Conn struct {
 	transportGone bool
 
 	arena *bufpool.Arena // wire records and queued writes
-	recv  *bufpool.Arena // the record accumulator
+	recv  *bufpool.Arena // split-record carries
 
-	recvAcc    []byte // recv-owned; nil before the first delivery and after release
-	recvOff    int    // consumed prefix of recvAcc; compacted before each delivery is added
+	carry      []byte // recv-owned copy of a record split across deliveries; nil between records
 	recvDone   bool   // nothing more will be received: deliveries are dropped
 	delivering bool   // inside onTransportData's record loop
 
@@ -396,20 +395,28 @@ func (c *Conn) releasePending() {
 
 // release gives back what a connection holds once it is done — locally
 // closed or aborted, failed, or closed by the transport: the queued
-// writes, and the record accumulator. Later deliveries are dropped (the
-// consumers of a closed connection ignored them). A teardown can start
-// inside a delivery (a completion callback closing the connection runs
-// under handleRecord), where the record loop still iterates a payload
-// aliasing the accumulator; then only the flag is set and
-// onTransportData releases when the loop unwinds. Idempotent.
+// writes, and a carry. Later deliveries are dropped (the consumers of a
+// closed connection ignored them). A teardown can start inside a
+// delivery (a completion callback closing the connection runs under
+// handleRecord), where the record loop may still be reading the carry;
+// then only the flag is set and onTransportData releases when the loop
+// unwinds. Idempotent.
+//
+// The carry rule: a connection holds a receive buffer only while a
+// record is split across deliveries. Whole records are parsed in place
+// from the delivery; the bytes of a split one are copied into a carry
+// taken from recv at carrySize — one class, so any carry can serve any
+// split record — and the carry goes back as soon as that record has
+// been handled. Between records, and after release, a connection holds
+// nothing.
 func (c *Conn) release() {
 	c.releasePending()
 	c.recvDone = true
-	if c.delivering || c.recvAcc == nil {
+	if c.delivering || c.carry == nil {
 		return
 	}
-	c.recv.Put(c.recvAcc)
-	c.recvAcc, c.recvOff = nil, 0
+	c.recv.Put(c.carry)
+	c.carry = nil
 }
 
 func (c *Conn) onTransportClose(err error) {
@@ -441,62 +448,80 @@ func (c *Conn) onTransportData(p []byte) {
 	if c.recvDone {
 		return
 	}
-	// Make room before the record loop, where no payload alias is live
-	// (payloads handed to handleRecord are only valid for that call):
-	// compact the consumed prefix, or move to a larger class buffer and
-	// recycle the outgrown one at once.
-	live := len(c.recvAcc) - c.recvOff
-	need := live + len(p)
-	if need > cap(c.recvAcc) {
-		grown := c.recv.Get(max(need, minRecvAcc))
-		copy(grown, c.recvAcc[c.recvOff:])
-		if c.recvAcc != nil {
-			c.recv.Put(c.recvAcc)
-		}
-		c.recvAcc = grown[:need]
-	} else {
-		if c.recvOff > 0 {
-			copy(c.recvAcc, c.recvAcc[c.recvOff:])
-		}
-		c.recvAcc = c.recvAcc[:need]
-	}
-	c.recvOff = 0
-	copy(c.recvAcc[live:], p)
-
 	c.delivering = true
-	c.deliverRecords()
+	c.deliverRecords(p)
 	c.delivering = false
 	if c.recvDone {
 		c.release()
 	}
 }
 
-// deliverRecords hands every complete record in the accumulator to
-// handleRecord, stopping at a local close.
-func (c *Conn) deliverRecords() {
-	for {
-		acc := c.recvAcc[c.recvOff:]
-		if len(acc) < recordHeader {
-			return
+// deliverRecords hands every record that p completes to handleRecord,
+// stopping at a local close: first a carried record topped up from p,
+// then each whole record in p, in place. A record p leaves split goes
+// into a carry (see release).
+func (c *Conn) deliverRecords(p []byte) {
+	if c.carry != nil {
+		// Top the carried record up: its header first, then the rest.
+		for {
+			n := recordSize(c.carry)
+			if n < 0 {
+				c.failRecord()
+				return
+			}
+			want := max(n, recordHeader)
+			k := min(want-len(c.carry), len(p))
+			c.carry = append(c.carry, p[:k]...)
+			p = p[k:]
+			if len(c.carry) < want {
+				return
+			}
+			if n > 0 {
+				break
+			}
 		}
-		plen := int(acc[1])<<16 | int(acc[2])<<8 | int(acc[3])
-		if plen > maxRecord+recordTag {
-			// No sender builds one: refuse it before buffering up to
-			// the 16 MB a corrupt length could announce.
-			c.failRecord()
-			return
-		}
-		if len(acc) < recordHeader+plen {
-			return
-		}
-		rt := recordType(acc[0])
-		payload := acc[recordHeader : recordHeader+plen]
-		c.recvOff += recordHeader + plen
-		c.handleRecord(rt, payload)
+		rec := c.carry
+		c.handleRecord(recordType(rec[0]), rec[recordHeader:])
+		c.recv.Put(rec)
+		c.carry = nil
 		if c.closed {
 			return
 		}
 	}
+	for {
+		n := recordSize(p)
+		if n < 0 {
+			c.failRecord()
+			return
+		}
+		if n == 0 || len(p) < n {
+			if len(p) > 0 {
+				c.carry = append(c.recv.Get(carrySize)[:0], p...)
+			}
+			return
+		}
+		c.handleRecord(recordType(p[0]), p[recordHeader:n])
+		p = p[n:]
+		if c.closed {
+			return
+		}
+	}
+}
+
+// recordSize reads the record header at the front of b: the length of
+// the whole record, 0 when b is shorter than a header, or -1 when it
+// announces more than a capped record. No sender builds one, so it is
+// refused before anything is buffered toward the 16 MB a corrupt length
+// could announce.
+func recordSize(b []byte) int {
+	if len(b) < recordHeader {
+		return 0
+	}
+	plen := int(b[1])<<16 | int(b[2])<<8 | int(b[3])
+	if plen > maxRecord+recordTag {
+		return -1
+	}
+	return recordHeader + plen
 }
 
 func (c *Conn) handleRecord(rt recordType, payload []byte) {
@@ -509,9 +534,9 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 		plain := payload[:len(payload)-recordTag]
 		if len(plain) > 0 {
 			if c.dataFn != nil {
-				// plain aliases recvAcc, which is only moved or released
-				// between deliveries — valid for the duration of the
-				// callback, which copies what it keeps.
+				// plain aliases the delivery or the carry — valid for
+				// the duration of the callback, which copies what it
+				// keeps.
 				c.dataFn(plain)
 			} else {
 				buf := make([]byte, len(plain))

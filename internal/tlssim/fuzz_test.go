@@ -1,6 +1,7 @@
 package tlssim
 
 import (
+	"bytes"
 	"testing"
 
 	"h3cdn/internal/bufpool"
@@ -25,10 +26,12 @@ func (s *stubTransport) Abort()                      {}
 
 // FuzzRecords pins the record layer's receive path against a hostile
 // peer: arbitrary bytes in arbitrary pieces never panic a client or a
-// server Conn, never make it hold more than one capped record, and
-// after Abort everything it took from its arenas is back. The seeds
-// (both sides' real flights, and one of each malformation) run under
-// plain go test.
+// server Conn; its carry always holds less than one capped record, and
+// after a piece that ends on a record boundary it holds no receive
+// buffer at all; it hands the data callback the same plaintext, in the
+// same calls, as one delivery of the same bytes; and after Abort
+// everything it took from its arenas is back. The seeds (both sides'
+// real flights, and one of each malformation) run under plain go test.
 func FuzzRecords(f *testing.F) {
 	var cli, srv stubTransport
 	c := Client(&cli, ClientConfig{ServerName: "edge.example", ALPN: "h2"}, nil)
@@ -62,30 +65,84 @@ func FuzzRecords(f *testing.F) {
 		if a > b {
 			a, b = b, a
 		}
+		bounds := recordBoundaries(raw)
 		for _, client := range []bool{true, false} {
 			var wire, recv bufpool.Arena
-			var tr stubTransport
-			var c *Conn
-			if client {
-				c = Client(&tr, ClientConfig{ServerName: "edge.example", ALPN: "h2", Arena: &wire, RecvArena: &recv}, nil)
-				c.SetDataFunc(func([]byte) {})
-			} else {
-				c = Server(&tr, ServerConfig{Arena: &wire, RecvArena: &recv}, nil)
-			}
-			c.Write([]byte("queued until the handshake allows it"))
+			split := newFuzzConn(client, &wire, &recv)
+			end := 0
 			for _, piece := range [][]byte{raw[:a], raw[a:b], raw[b:]} {
-				tr.data(piece)
-				if held := len(c.recvAcc) - c.recvOff; held >= recordHeader+maxRecord+recordTag {
-					t.Fatalf("client=%v: %d bytes held after a delivery, more than one capped record", client, held)
+				split.tr.data(piece)
+				end += len(piece)
+				if len(split.c.carry) >= carrySize {
+					t.Fatalf("client=%v: a %d-byte carry after a delivery, not less than one capped record", client, len(split.c.carry))
+				}
+				if bounds[end] && split.c.carry != nil {
+					t.Fatalf("client=%v: the piece ending at %d ends on a record boundary, but the Conn holds a receive buffer", client, end)
 				}
 			}
-			c.Abort()
+			whole := newFuzzConn(client, &bufpool.Arena{}, &bufpool.Arena{})
+			whole.tr.data(raw)
+			split.flush()
+			whole.flush()
+			if !bytes.Equal(split.plain, whole.plain) || split.calls != whole.calls {
+				t.Fatalf("client=%v: split delivery gave %d plaintext bytes in %d calls, one delivery %d in %d",
+					client, len(split.plain), split.calls, len(whole.plain), whole.calls)
+			}
+			split.c.Abort()
 			if st := recv.Stats(); st.Gets != st.Puts {
-				t.Fatalf("client=%v: accumulator arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
+				t.Fatalf("client=%v: carry arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
 			}
 			if st := wire.Stats(); st.Gets != st.Puts {
 				t.Fatalf("client=%v: wire arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
 			}
 		}
 	})
+}
+
+// fuzzConn is one side of FuzzRecords: a Conn on a stub transport that
+// records the plaintext it hands its data callback. A client has its
+// callback from the start; a server gets it only at flush, so what it
+// received before is buffered and flushed in one go.
+type fuzzConn struct {
+	c     *Conn
+	tr    stubTransport
+	plain []byte
+	calls int
+}
+
+func newFuzzConn(client bool, wire, recv *bufpool.Arena) *fuzzConn {
+	fc := &fuzzConn{}
+	if client {
+		fc.c = Client(&fc.tr, ClientConfig{ServerName: "edge.example", ALPN: "h2", Arena: wire, RecvArena: recv}, nil)
+		fc.c.SetDataFunc(fc.onData)
+	} else {
+		fc.c = Server(&fc.tr, ServerConfig{Arena: wire, RecvArena: recv}, nil)
+	}
+	fc.c.Write([]byte("queued until the handshake allows it"))
+	return fc
+}
+
+func (fc *fuzzConn) onData(p []byte) {
+	fc.plain = append(fc.plain, p...)
+	fc.calls++
+}
+
+func (fc *fuzzConn) flush() {
+	if !fc.c.isClient {
+		fc.c.SetDataFunc(fc.onData)
+	}
+}
+
+// recordBoundaries marks every offset of raw at which a record ends,
+// and 0, as far as raw parses as well-formed records.
+func recordBoundaries(raw []byte) map[int]bool {
+	bounds := map[int]bool{0: true}
+	for off := 0; ; {
+		n := recordSize(raw[off:])
+		if n <= 0 || off+n > len(raw) {
+			return bounds
+		}
+		off += n
+		bounds[off] = true
+	}
 }

@@ -65,10 +65,9 @@ const (
 	recordTag    = 24 // AEAD tag + padding overhead per app-data record
 	maxRecord    = 16 * 1024
 
-	// minRecvAcc is the smallest record accumulator a connection takes
-	// from its recycler; it grows by size class up to the one that holds
-	// a full record behind a partial one.
-	minRecvAcc = 4 << 10
+	// carrySize is the one size a split-record carry is taken at: a
+	// capped record with its header and tag (see Conn.release).
+	carrySize = recordHeader + maxRecord + recordTag
 )
 
 // Errors reported through handshake and close callbacks.
