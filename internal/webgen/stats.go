@@ -40,7 +40,7 @@ func (c *Corpus) Stats() CorpusStats {
 		st.TotalResources += len(p.Resources)
 		nCDN := 0
 		for j := range p.Resources {
-			if p.Resources[j].Provider != "" {
+			if p.Resources[j].Provider() != "" {
 				nCDN++
 				if p.Resources[j].Size < 20_000 {
 					smallCDN++
@@ -94,7 +94,7 @@ func (c *Corpus) ProviderResourceCounts(provider string) []int {
 	for i := range c.Pages {
 		n := 0
 		for j := range c.Pages[i].Resources {
-			if c.Pages[i].Resources[j].Provider == provider {
+			if c.Pages[i].Resources[j].Provider() == provider {
 				n++
 			}
 		}

@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"h3cdn/internal/cdn"
 	"h3cdn/internal/seqrand"
@@ -72,19 +75,67 @@ func (t ResourceType) ext() string {
 // host and path as separate fields would roughly double the bytes
 // (extra string data, allocator rounding, and two more 16-byte headers
 // per resource). Host/Path are therefore accessor methods slicing the
-// url field. JSON round-trips still speak {host, path, ...} via the
+// url field. The provider is an index into the interned provider names
+// for the same reason (two bytes, not a sixteen-byte string header):
+// with the field order below a resource packs into 32 bytes, not 64.
+// JSON round-trips still speak {host, path, provider, ...} via the
 // custom marshalers below.
 type Resource struct {
+	url      string // "https://" + host + path
 	Size     int
+	hostLen  uint16
+	provider uint16 // index into providerNames; 0 is the origin
 	Type     ResourceType
-	Provider string // "" = origin (non-CDN)
 	// H3Eligible marks resources actually servable over H3: the host
 	// must have H3 enabled and the resource's serving path covered by
 	// the provider's partial rollout (§VI-C's deployment density).
 	H3Eligible bool
+}
 
-	url     string // "https://" + host + path
-	hostLen uint16
+// Provider returns the CDN provider serving the resource, "" for the
+// origin (non-CDN).
+func (r *Resource) Provider() string { return (*providerNames.list.Load())[r.provider] }
+
+// SetProvider records the CDN provider serving the resource ("" for
+// the origin). It panics once more than 65535 distinct names are in use.
+func (r *Resource) SetProvider(name string) { r.provider = mustInternProvider(name) }
+
+// providerNames interns provider names, so a resource stores its
+// provider as an index and resources still compare equal by value
+// across corpora. Names are few (the registry's, plus any a test or a
+// loaded corpus brings) and are only ever added: readers load an
+// immutable snapshot without locking.
+var providerNames struct {
+	mu   sync.Mutex
+	list atomic.Pointer[[]string]
+}
+
+func init() { providerNames.list.Store(&[]string{""}) }
+
+func mustInternProvider(name string) uint16 {
+	i, err := internProvider(name)
+	if err != nil {
+		panic(err)
+	}
+	return i
+}
+
+func internProvider(name string) (uint16, error) {
+	if i := slices.Index(*providerNames.list.Load(), name); i >= 0 {
+		return uint16(i), nil
+	}
+	providerNames.mu.Lock()
+	defer providerNames.mu.Unlock()
+	list := *providerNames.list.Load()
+	if i := slices.Index(list, name); i >= 0 {
+		return uint16(i), nil
+	}
+	if len(list) > math.MaxUint16 {
+		return 0, fmt.Errorf("webgen: more than %d distinct providers", math.MaxUint16)
+	}
+	list = append(list[:len(list):len(list)], name)
+	providerNames.list.Store(&list)
+	return uint16(len(list) - 1), nil
 }
 
 // SetLocation records the resource's host and path (stored packed; see
@@ -128,7 +179,7 @@ func (r Resource) MarshalJSON() ([]byte, error) {
 		Path:       r.Path(),
 		Size:       r.Size,
 		Type:       r.Type,
-		Provider:   r.Provider,
+		Provider:   r.Provider(),
 		H3Eligible: r.H3Eligible,
 	})
 }
@@ -141,7 +192,11 @@ func (r *Resource) UnmarshalJSON(b []byte) error {
 	}
 	r.Size = w.Size
 	r.Type = w.Type
-	r.Provider = w.Provider
+	provider, err := internProvider(w.Provider)
+	if err != nil {
+		return err
+	}
+	r.provider = provider
 	r.H3Eligible = w.H3Eligible
 	r.SetLocation(w.Host, w.Path)
 	return nil
@@ -159,7 +214,7 @@ func (p *Page) Providers() []string {
 	seen := make(map[string]bool)
 	var out []string
 	for i := range p.Resources {
-		prov := p.Resources[i].Provider
+		prov := p.Resources[i].Provider()
 		if prov != "" && !seen[prov] {
 			seen[prov] = true
 			out = append(out, prov)
@@ -172,7 +227,7 @@ func (p *Page) Providers() []string {
 func (p *Page) CDNResourceCount() int {
 	n := 0
 	for i := range p.Resources {
-		if p.Resources[i].Provider != "" {
+		if p.Resources[i].Provider() != "" {
 			n++
 		}
 	}
@@ -286,10 +341,15 @@ func Generate(cfg Config) *Corpus {
 		return ok
 	}
 
+	providers := make(map[string]uint16, len(cfg.Providers))
+	for _, p := range cfg.Providers {
+		providers[p.Name] = mustInternProvider(p.Name)
+	}
+
 	var urlBuf []byte
 	for i := 0; i < cfg.NumPages; i++ {
 		rng := src.Stream(seqrand.Label("page", i))
-		page := generatePage(cfg, i, rng, ensureHost)
+		page := generatePage(cfg, i, rng, ensureHost, providers)
 		// Re-pack the page's URLs into one backing string: one
 		// allocation per page instead of one per resource, and no
 		// per-string allocator rounding.
@@ -310,7 +370,7 @@ func Generate(cfg Config) *Corpus {
 	return corpus
 }
 
-func generatePage(cfg Config, rank int, rng *rand.Rand, ensureHost func(string, string, float64) bool) Page {
+func generatePage(cfg Config, rank int, rng *rand.Rand, ensureHost func(string, string, float64) bool, providers map[string]uint16) Page {
 	site := fmt.Sprintf("site%03d.sim", rank)
 	originH3 := ensureHost(site, "", cfg.OriginH3Adoption)
 
@@ -369,7 +429,7 @@ func generatePage(cfg Config, rank int, rng *rand.Rand, ensureHost func(string, 
 		r := Resource{
 			Size:       drawSize(rng, typ),
 			Type:       typ,
-			Provider:   prov.Name,
+			provider:   providers[prov.Name],
 			H3Eligible: hostH3 && rng.Float64() < prov.H3PathFraction,
 		}
 		r.SetLocation(host, "/assets/"+site+"/r"+strconv.Itoa(j)+"."+typ.ext())

@@ -120,8 +120,8 @@ func TestDocumentIsFirstAndOriginHosted(t *testing.T) {
 		if doc.Type != Document {
 			t.Fatalf("page %d: first resource is %v", i, doc.Type)
 		}
-		if doc.Provider != "" || doc.Host() != c.Pages[i].Site {
-			t.Fatalf("page %d: document hosted at %q (provider %q)", i, doc.Host(), doc.Provider)
+		if doc.Provider() != "" || doc.Host() != c.Pages[i].Site {
+			t.Fatalf("page %d: document hosted at %q (provider %q)", i, doc.Host(), doc.Provider())
 		}
 	}
 }
@@ -131,8 +131,8 @@ func TestHostProviderConsistency(t *testing.T) {
 	for i := range c.Pages {
 		for j := range c.Pages[i].Resources {
 			r := &c.Pages[i].Resources[j]
-			if got := c.HostProvider[r.Host()]; got != r.Provider {
-				t.Fatalf("host %q mapped to %q but resource says %q", r.Host(), got, r.Provider)
+			if got := c.HostProvider[r.Host()]; got != r.Provider() {
+				t.Fatalf("host %q mapped to %q but resource says %q", r.Host(), got, r.Provider())
 			}
 			if _, ok := c.H3Support[r.Host()]; !ok {
 				t.Fatalf("host %q missing H3 support entry", r.Host())
@@ -228,12 +228,12 @@ func TestResourceTypeStrings(t *testing.T) {
 }
 
 func TestPageHelpers(t *testing.T) {
-	p := Page{Resources: []Resource{
-		{Provider: ""},
-		{Provider: "Google"},
-		{Provider: "Google"},
-		{Provider: "Fastly"},
-	}}
+	var p Page
+	for _, prov := range []string{"", "Google", "Google", "Fastly"} {
+		var r Resource
+		r.SetProvider(prov)
+		p.Resources = append(p.Resources, r)
+	}
 	if got := p.CDNResourceCount(); got != 3 {
 		t.Fatalf("CDNResourceCount = %d", got)
 	}
@@ -268,7 +268,7 @@ func TestResourceJSONRoundTrip(t *testing.T) {
 	for i := range back {
 		a, b := &c.Pages[0].Resources[i], &back[i]
 		if a.Host() != b.Host() || a.Path() != b.Path() || a.URL() != b.URL() ||
-			a.Size != b.Size || a.Type != b.Type || a.Provider != b.Provider || a.H3Eligible != b.H3Eligible {
+			a.Size != b.Size || a.Type != b.Type || a.Provider() != b.Provider() || a.H3Eligible != b.H3Eligible {
 			t.Fatalf("resource %d changed across JSON round-trip:\n  %+v\n  %+v", i, a, b)
 		}
 	}
