@@ -7,6 +7,7 @@ import (
 	"h3cdn/internal/analysis"
 	"h3cdn/internal/browser"
 	"h3cdn/internal/cdn"
+	"h3cdn/internal/har"
 	"h3cdn/internal/locedge"
 )
 
@@ -196,7 +197,6 @@ type Fig4 struct {
 	Presence   []Fig4Presence
 	PagesWithK map[int]int
 	AtLeastTwo float64
-	totalPages int
 }
 
 // Fig4Presence is one provider's appearance probability.
@@ -221,7 +221,7 @@ func ComputeFigure4(ds *Dataset) Fig4 {
 			atLeast2++
 		}
 	}
-	f := Fig4{PagesWithK: withK, totalPages: len(sms)}
+	f := Fig4{PagesWithK: withK}
 	for prov, n := range counts {
 		f.Presence = append(f.Presence, Fig4Presence{Provider: prov, Probability: float64(n) / float64(len(sms))})
 	}
@@ -256,20 +256,7 @@ func ComputeFigure5(ds *Dataset) []Fig5Series {
 	// Count provider resources per (site, provider) from classified
 	// entries of the composition log.
 	counts := make(map[string]map[string]int) // provider → site → count
-	log := ds.Logs[browser.ModeH3]
-	if log == nil {
-		for _, l := range ds.Logs {
-			log = l
-			break
-		}
-	}
-	seen := make(map[string]bool)
-	for i := range log.Pages {
-		p := &log.Pages[i]
-		if seen[p.Site] {
-			continue
-		}
-		seen[p.Site] = true
+	firstH3Pages(ds, func(p *har.PageLog) {
 		for j := range p.Entries {
 			cls := locedge.Classify(p.Entries[j].Header)
 			if !cls.IsCDN {
@@ -280,7 +267,7 @@ func ComputeFigure5(ds *Dataset) []Fig5Series {
 			}
 			counts[cls.Provider][p.Site]++
 		}
-	}
+	})
 	out := make([]Fig5Series, 0, 4)
 	for _, prov := range cdn.GiantProviders() {
 		xs := make([]float64, 0, len(counts[prov]))
@@ -454,13 +441,8 @@ func ComputeFigure8(ds *Dataset) []Fig8Point {
 	for i := range sms {
 		byK[len(sms[i].Providers)] = append(byK[len(sms[i].Providers)], i)
 	}
-	ks := make([]int, 0, len(byK))
-	for k := range byK {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	out := make([]Fig8Point, 0, len(ks))
-	for _, k := range ks {
+	out := make([]Fig8Point, 0, len(byK))
+	for _, k := range sortedKeys(byK) {
 		var red, res []float64
 		for _, idx := range byK[k] {
 			red = append(red, msOf(sms[idx].PLTReduction()))
@@ -500,16 +482,9 @@ func ComputeTable3(ds *Dataset) (Table3, error) {
 	sms := ComputeSiteMetrics(ds)
 
 	// Collect CDN hostnames per site from the H3-mode log.
-	log := ds.Logs[browser.ModeH3]
 	siteHosts := make(map[string]map[string]bool)
 	hostSites := make(map[string]map[string]bool)
-	seen := make(map[string]bool)
-	for i := range log.Pages {
-		p := &log.Pages[i]
-		if seen[p.Site] {
-			continue
-		}
-		seen[p.Site] = true
+	firstH3Pages(ds, func(p *har.PageLog) {
 		for j := range p.Entries {
 			e := &p.Entries[j]
 			if !locedge.Classify(e.Header).IsCDN {
@@ -524,7 +499,7 @@ func ComputeTable3(ds *Dataset) (Table3, error) {
 			}
 			hostSites[e.Host][p.Site] = true
 		}
-	}
+	})
 
 	// Features: domains used by at least two sites.
 	var features []string
@@ -688,4 +663,31 @@ func binnedMedians(points []analysis.Point, bins int) (xs, ys []float64) {
 		ys = append(ys, analysis.NewSorted(by).Median())
 	}
 	return xs, ys
+}
+
+// firstH3Pages calls fn on the H3-mode log's first page of each site, in
+// log order. A dataset without an H3-mode log has no such pages.
+func firstH3Pages(ds *Dataset, fn func(p *har.PageLog)) {
+	log := ds.Logs[browser.ModeH3]
+	if log == nil {
+		return
+	}
+	seen := make(map[string]bool)
+	for i := range log.Pages {
+		p := &log.Pages[i]
+		if !seen[p.Site] {
+			seen[p.Site] = true
+			fn(p)
+		}
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	ks := make([]int, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Ints(ks)
+	return ks
 }

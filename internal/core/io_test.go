@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,8 +64,8 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 
 // FuzzLoadDataset feeds the loader hostile dataset bytes, as
 // h3cdn-report -dataset reads them. Each must fail with an error or load
-// a dataset the analyses run on without a panic, and that re-saves to
-// bytes which load and save again unchanged.
+// a dataset that every dataset row of Artifacts runs on without a panic,
+// and that re-saves to bytes which load and save again unchanged.
 func FuzzLoadDataset(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{"h2":null}}`))
@@ -85,13 +83,21 @@ func FuzzLoadDataset(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real.Bytes())
+	// Datasets without an H3-mode log: Figure 5 and Table III read it.
+	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{}}`))
+	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{"h2":{"pages":[]}}}`))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ds, err := LoadDataset(bytes.NewReader(blob))
 		if err != nil {
 			return
 		}
-		ComputeSiteMetrics(ds)
-		ComputeTable2(ds)
+		// Every dataset row must run to a result or an error.
+		in := ReportInputs{Dataset: func(bool) (*Dataset, error) { return ds, nil }}
+		for _, a := range Artifacts {
+			if a.Input == FromStandard || a.Input == FromConsecutive {
+				a.Run(in)
+			}
+		}
 		var first, second bytes.Buffer
 		if err := ds.SaveJSON(&first); err != nil {
 			t.Fatalf("loaded dataset does not save: %v", err)
@@ -121,25 +127,48 @@ func TestModeByName(t *testing.T) {
 	}
 }
 
-func TestWritePlotData(t *testing.T) {
-	ds := smallCampaign(t, nil)
-	cons := smallCampaign(t, func(c *CampaignConfig) { c.Consecutive = true })
-	fig9 := []Fig9Series{{LossRate: 0.005, Slope: 1.2, Intercept: 3}}
-	dir := t.TempDir()
-	if err := WritePlotData(dir, ds, cons, fig9); err != nil {
-		t.Fatal(err)
+// TestArtifactRows runs the -exp all rows of Artifacts on the
+// small campaign fixtures. Each must render text; each dataset row must
+// export plot files, none empty; and no two rows may export the same
+// file name, which would overwrite one artifact's plot data with
+// another's.
+func TestArtifactRows(t *testing.T) {
+	datasets := map[bool]*Dataset{
+		false: smallCampaign(t, nil),
+		true:  smallCampaign(t, func(c *CampaignConfig) { c.Consecutive = true }),
 	}
-	for _, name := range []string{
-		"table2.txt", "fig2.tsv", "fig3_ccdf.tsv", "fig4a.tsv", "fig4b.tsv",
-		"fig6a.tsv", "fig6b_connect.tsv", "fig7ab.tsv", "fig7c.tsv",
-		"fig8.tsv", "fig9_loss0.5.tsv",
-	} {
-		info, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	in := ReportInputs{
+		Campaign: CampaignConfig{
+			Seed:             7,
+			CorpusConfig:     webgen.Config{NumPages: 12, MeanResources: 40},
+			Vantages:         vantage.Points()[:1],
+			ProbesPerVantage: 1,
+		},
+		Dataset: func(consecutive bool) (*Dataset, error) { return datasets[consecutive], nil },
+	}
+	owner := map[string]string{}
+	for _, a := range Artifacts {
+		if !a.InAll {
+			continue
 		}
-		if info.Size() == 0 {
-			t.Fatalf("%s is empty", name)
+		text, plots, err := a.Run(in)
+		if err != nil {
+			t.Fatalf("%s: %v", a.ID, err)
+		}
+		if text == "" {
+			t.Errorf("%s: empty text", a.ID)
+		}
+		if len(plots) == 0 && (a.Input == FromStandard || a.Input == FromConsecutive) {
+			t.Errorf("%s: no plot files", a.ID)
+		}
+		for _, p := range plots {
+			if p.Content == "" {
+				t.Errorf("%s: %s is empty", a.ID, p.Name)
+			}
+			if prev, dup := owner[p.Name]; dup {
+				t.Errorf("%s and %s both export %s", prev, a.ID, p.Name)
+			}
+			owner[p.Name] = a.ID
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -66,7 +65,7 @@ func RenderFigure3(f Fig3) string {
 	w := newTable(&sb)
 	fmt.Fprintln(w, "x (% CDN)\tP(share > x)")
 	for _, x := range []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90} {
-		fmt.Fprintf(w, "%.0f\t%.3f\n", x, ccdfAt(f.CCDF, x))
+		fmt.Fprintf(w, "%.0f\t%.3f\n", x, analysis.InterpolateY(f.CCDF, x))
 	}
 	_ = w.Flush()
 	fmt.Fprintf(&sb, "pages with >50%% CDN resources: %.1f%% (paper: ~75%%)\n", 100*f.PagesOverHalfCDN)
@@ -86,12 +85,7 @@ func RenderFigure4(f Fig4) string {
 	sb.WriteString("Figure 4(b): pages by number of providers used\n")
 	w = newTable(&sb)
 	fmt.Fprintln(w, "#providers\tpages")
-	ks := make([]int, 0, len(f.PagesWithK))
-	for k := range f.PagesWithK {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
+	for _, k := range sortedKeys(f.PagesWithK) {
 		fmt.Fprintf(w, "%d\t%d\n", k, f.PagesWithK[k])
 	}
 	_ = w.Flush()
@@ -107,7 +101,7 @@ func RenderFigure5(series []Fig5Series) string {
 	fmt.Fprintln(w, "Provider\tmedian\tP(>10)\tP(>20)\tP(>50)")
 	for _, s := range series {
 		fmt.Fprintf(w, "%s\t%.0f\t%.2f\t%.2f\t%.2f\n",
-			s.Provider, s.MedianCount, ccdfAt(s.CCDF, 10), ccdfAt(s.CCDF, 20), ccdfAt(s.CCDF, 50))
+			s.Provider, s.MedianCount, analysis.InterpolateY(s.CCDF, 10), analysis.InterpolateY(s.CCDF, 20), analysis.InterpolateY(s.CCDF, 50))
 	}
 	_ = w.Flush()
 	return sb.String()
@@ -132,9 +126,9 @@ func RenderFigure6b(f Fig6b) string {
 	sb.WriteString("Figure 6(b): CDF of phase reductions (per-site, ms)\n")
 	w := newTable(&sb)
 	fmt.Fprintln(w, "Phase\tmedian\tP(reduction<=0)")
-	fmt.Fprintf(w, "connection\t%.2f\t%.2f\n", f.MedianConnectMs, cdfAt(f.ConnectCDF, 0))
-	fmt.Fprintf(w, "wait\t%.2f\t%.2f\n", f.MedianWaitMs, cdfAt(f.WaitCDF, 0))
-	fmt.Fprintf(w, "receive\t%.2f\t%.2f\n", f.MedianReceiveMs, cdfAt(f.ReceiveCDF, 0))
+	fmt.Fprintf(w, "connection\t%.2f\t%.2f\n", f.MedianConnectMs, analysis.InterpolateY(f.ConnectCDF, 0))
+	fmt.Fprintf(w, "wait\t%.2f\t%.2f\n", f.MedianWaitMs, analysis.InterpolateY(f.WaitCDF, 0))
+	fmt.Fprintf(w, "receive\t%.2f\t%.2f\n", f.MedianReceiveMs, analysis.InterpolateY(f.ReceiveCDF, 0))
 	_ = w.Flush()
 	sb.WriteString("paper: median connection > 0, wait < 0, receive ~ 0\n")
 	return sb.String()
@@ -201,12 +195,4 @@ func RenderFigure9(series []Fig9Series) string {
 	_ = w.Flush()
 	sb.WriteString("paper slopes: 0.80 (0%), 1.42 (0.5%), 2.15 (1%); reduction rises with loss\n")
 	return sb.String()
-}
-
-func cdfAt(curve []analysis.Point, x float64) float64 {
-	return analysis.InterpolateY(curve, x)
-}
-
-func ccdfAt(curve []analysis.Point, x float64) float64 {
-	return analysis.InterpolateY(curve, x)
 }

@@ -68,13 +68,3 @@ func TestRenderTable3(t *testing.T) {
 		}
 	}
 }
-
-func TestCurveInterpolationHelpers(t *testing.T) {
-	curve := []analysis.Point{{X: 1, Y: 0.3}, {X: 5, Y: 0.9}}
-	if got := cdfAt(curve, 3); got != 0.3 {
-		t.Fatalf("cdfAt = %v", got)
-	}
-	if got := ccdfAt(curve, 6); got != 0.9 {
-		t.Fatalf("ccdfAt = %v", got)
-	}
-}
