@@ -23,9 +23,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseRetention -fuzztime 5s ./internal/har
 	$(GO) test -run '^$$' -fuzz FuzzParseOutages -fuzztime 5s ./cmd/h3cdn-measure
 	$(GO) test -run '^$$' -fuzz FuzzParseMahimahiTrace -fuzztime 5s ./internal/simnet
+	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 5s -fuzzminimizetime 200x ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzSketchJSON -fuzztime 5s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadDataset -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzQlogcheck -fuzztime 5s ./cmd/qlogcheck
 
 # Race-enabled run of the full suite; the campaign worker pool and the
 # topology shared read-only across shards are the interesting surfaces

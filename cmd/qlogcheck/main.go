@@ -14,12 +14,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 )
 
 func main() {
@@ -67,23 +72,27 @@ type summary struct {
 	dropped int
 }
 
-// checkFile validates one qlog file line by line.
+// checkFile validates one qlog file.
 func checkFile(name string) (summary, error) {
-	var sum summary
 	f, err := os.Open(name)
 	if err != nil {
-		return sum, err
+		return summary{}, err
 	}
 	defer f.Close()
+	return check(f)
+}
 
-	sc := bufio.NewScanner(f)
+// check validates a qlog stream line by line.
+func check(r io.Reader) (summary, error) {
+	var sum summary
+	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20)
 	line := 0
 	openVisit := false
 	for sc.Scan() {
 		line++
 		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		if err := decodeRecord(sc.Bytes(), &rec); err != nil {
 			return sum, fmt.Errorf("line %d: invalid JSON: %v", line, err)
 		}
 		if line == 1 {
@@ -100,8 +109,12 @@ func checkFile(name string) (summary, error) {
 			openVisit = true
 			sum.visits++
 			if data, ok := rec["data"].(map[string]any); ok {
-				if d, _ := data["dropped_events"].(float64); d > 0 {
-					sum.dropped += int(d)
+				if v, ok := data["dropped_events"]; ok {
+					d, err := count(v)
+					if err != nil || d > math.MaxInt-sum.dropped {
+						return sum, fmt.Errorf("line %d: dropped_events %v is not a non-negative integer", line, v)
+					}
+					sum.dropped += d
 				}
 			}
 		case "sim:visit_end":
@@ -125,4 +138,28 @@ func checkFile(name string) (summary, error) {
 		return sum, fmt.Errorf("unterminated visit at end of file")
 	}
 	return sum, nil
+}
+
+// decodeRecord parses one line as a single JSON value, keeping numbers
+// as json.Number so that counts are checked exactly.
+func decodeRecord(b []byte, rec *map[string]any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	if err := dec.Decode(rec); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return nil
+}
+
+// count parses a JSON number written as a non-negative decimal integer.
+func count(v any) (int, error) {
+	n, ok := v.(json.Number)
+	if !ok {
+		return 0, errors.New("not a number")
+	}
+	d, err := strconv.ParseUint(string(n), 10, strconv.IntSize-1)
+	return int(d), err
 }

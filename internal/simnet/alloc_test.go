@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"h3cdn/internal/seqrand"
 )
 
 func TestAtArgPassesArgument(t *testing.T) {
@@ -53,25 +55,49 @@ func TestEventFreeList(t *testing.T) {
 	}
 }
 
-// TestCanceledEventsRecycled asserts canceled events return to the free
-// list (via Step and via RunUntil) instead of leaking.
+// TestCanceledEventsRecycled asserts a canceled event and a stopped
+// timer leave the heap at once, instead of waiting there as tombstones,
+// and that the canceled event returns to the free list.
 func TestCanceledEventsRecycled(t *testing.T) {
 	var s Scheduler
-	ev := s.After(time.Millisecond, func() {})
-	s.cancelEvent(ev)
+	ev := s.After(time.Millisecond, func() { t.Fatal("canceled event ran") })
 	s.After(2*time.Millisecond, func() {})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.free == nil {
-		t.Fatal("free list empty after run")
+	s.cancelEvent(ev)
+	if len(s.heap) != 1 || s.free != ev {
+		t.Fatalf("after cancel: heap holds %d slots, free list head %p; want 1 and the canceled event", len(s.heap), s.free)
 	}
 
-	ev = s.After(time.Millisecond, func() {})
-	s.cancelEvent(ev)
+	tm := s.NewTimer(func() { t.Fatal("stopped timer fired") })
+	tm.Reset(30 * time.Second)
+	tm.Reset(40 * time.Second) // a later re-arm leaves a lagging slot
+	tm.Stop()
+	if len(s.heap) != 1 || s.Pending() != 1 {
+		t.Fatalf("after Stop: heap holds %d slots, Pending=%d; want 1 and 1", len(s.heap), s.Pending())
+	}
 	s.RunUntil(5 * time.Millisecond)
 	if len(s.heap) != 0 {
-		t.Fatalf("%d events still queued after RunUntil", len(s.heap))
+		t.Fatalf("%d slots still queued after RunUntil", len(s.heap))
+	}
+}
+
+// TestRouteSendAllocationFree asserts a steady-state Route.Send plus the
+// dispatch of its arrival allocates nothing: the delivery record is
+// recycled and the route's FIFO owns its heap event.
+func TestRouteSendAllocationFree(t *testing.T) {
+	var s Scheduler
+	n := NewNetwork(&s, symPath(time.Millisecond, 100e6, 0), seqrand.New(1))
+	if err := n.AddHost("b").Bind(80, func(Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	r := n.AddHost("a").Route("b")
+	r.Send(1, 80, 1200, nil)
+	s.Step()
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Send(1, 80, 1200, nil)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per Route.Send+Step, want 0", allocs)
 	}
 }
 

@@ -7,9 +7,14 @@ import "time"
 // on this hot path twice over: no `any` boxing and no interface calls
 // for Less/Swap, and the 4-ary layout halves tree depth, trading a few
 // extra comparisons per level (cheap, cache-resident) for fewer
-// cache-missing levels. Events carry their heap index so membership
-// tests, in-place reschedule, and removal are O(1)/O(log n) without
-// search.
+// cache-missing levels. Events carry their heap index, so in-place
+// re-keying and removal are O(log n) without search.
+//
+// An event's (at, seq) is its place in the heap. For a Timer re-armed
+// later that place may precede the timer's own key: the re-arm only
+// records the new key, and settle re-keys the event when it reaches
+// the top. Sequence numbers are unique, so an event is current exactly
+// when its seq equals its timer's.
 //
 // Index geometry: children of i are 4i+1..4i+4, parent is (i-1)/4.
 
@@ -23,30 +28,68 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// pushHeap inserts ev, which must already carry its (at, seq) key.
-func (s *Scheduler) pushHeap(ev *event) {
+// key assigns the next (at, seq) key for time t, clamped to now.
+func (s *Scheduler) key(t time.Duration) (time.Duration, uint64) {
+	if t < s.now {
+		t = s.now
+	}
+	seq := s.seq
+	s.seq++
+	return t, seq
+}
+
+// push inserts ev, which must already carry its (at, seq) key.
+func (s *Scheduler) push(ev *event) {
 	i := len(s.heap)
 	s.heap = append(s.heap, ev)
 	ev.index = i
 	s.siftUp(i)
 }
 
-// popMin removes and returns the minimum event. The heap must be
-// non-empty. The popped event's index is set to -1.
-func (s *Scheduler) popMin() *event {
+// remove deletes the event at i, setting its index to -1.
+func (s *Scheduler) remove(i int) {
 	h := s.heap
-	ev := h[0]
+	h[i].index = -1
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
 	s.heap = h[:n]
-	ev.index = -1
-	if n > 0 {
-		s.heap[0] = last
-		last.index = 0
-		s.siftDown(0)
+	if i == n {
+		return
 	}
-	return ev
+	s.heap[i] = last
+	last.index = i
+	if i > 0 && less(last, s.heap[(i-1)/4]) {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
+	}
+}
+
+// rekeyTop moves the minimum event to the later key (at, seq).
+func (s *Scheduler) rekeyTop(at time.Duration, seq uint64) {
+	ev := s.heap[0]
+	ev.at, ev.seq = at, seq
+	s.siftDown(0)
+}
+
+// settle re-keys top events that lag their timer's key until the top
+// is current, and reports whether any event is left. Re-keying
+// dispatches nothing: the clock, Run's count and the event budget do
+// not move.
+func (s *Scheduler) settle() bool {
+	for len(s.heap) > 0 {
+		ev := s.heap[0]
+		if ev.kind != timerEvent {
+			return true
+		}
+		t := ev.arg.(*Timer)
+		if t.seq == ev.seq {
+			return true
+		}
+		s.rekeyTop(t.at, t.seq)
+	}
+	return false
 }
 
 // siftUp restores heap order after the event at i may have become
@@ -78,10 +121,7 @@ func (s *Scheduler) siftDown(i int) {
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		m := c
 		for j := c + 1; j < end; j++ {
 			if less(h[j], h[m]) {
@@ -97,90 +137,4 @@ func (s *Scheduler) siftDown(i int) {
 	}
 	h[i] = ev
 	ev.index = i
-}
-
-// reschedule moves a pending heap event to time t (clamped to now) with
-// a fresh sequence number — exactly the (at, seq) key that canceling it
-// and scheduling a replacement would produce, but without the cancel
-// tombstone or the second heap entry. The caller must not pass queued
-// or already-popped events.
-func (s *Scheduler) reschedule(ev *event, t time.Duration) {
-	if t < s.now {
-		t = s.now
-	}
-	ev.at = t
-	ev.seq = s.seq
-	s.seq++
-	i := ev.index
-	s.siftUp(i)
-	if ev.index == i {
-		s.siftDown(i)
-	}
-}
-
-// An EventQueue coalesces a stream of events whose scheduled times are
-// (per queue) nondecreasing — e.g. packet deliveries on one network
-// path, which serialize in send order — into a single heap entry: only
-// the queue's head lives in the heap; the rest wait on an intrusive
-// FIFO linked through event.next. Each event's (at, seq) key is still
-// assigned at enqueue time, so ordering against events outside the
-// queue (and FIFO ties) is byte-identical to pushing every event
-// individually: the queue head is always the queue's minimum, hence the
-// heap minimum is always the global minimum.
-//
-// The zero value is an empty queue. A queue is bound to the scheduler
-// it is first used with.
-type EventQueue struct {
-	head, tail *event
-}
-
-// QueueAtArg schedules fn(arg) at absolute virtual time t on q. If t is
-// not in (nondecreasing) order with q's tail — possible when a caller's
-// monotonicity assumption fails — the event falls back to a standalone
-// heap entry, preserving exact dispatch order at the cost of the
-// coalescing win.
-func (s *Scheduler) QueueAtArg(q *EventQueue, t time.Duration, fn func(any), arg any) *event {
-	if t < s.now {
-		t = s.now
-	}
-	ev := s.allocEvent()
-	ev.at = t
-	ev.seq = s.seq
-	s.seq++
-	ev.argFn = fn
-	ev.arg = arg
-	s.live++
-	switch {
-	case q.tail == nil:
-		ev.q = q
-		q.head, q.tail = ev, ev
-		s.pushHeap(ev)
-	case t >= q.tail.at:
-		ev.q = q
-		q.tail.next = ev
-		q.tail = ev
-		ev.index = -1 // pending in FIFO, not in the heap
-	default:
-		s.pushHeap(ev) // out of order: standalone entry
-	}
-	return ev
-}
-
-// advanceQueue promotes the next pending event after ev (just popped
-// from the heap) to its queue's head slot. Must run before ev is
-// dispatched or released: the callback may enqueue onto the same queue,
-// and releaseEvent reuses the next link.
-func (s *Scheduler) advanceQueue(ev *event) {
-	q := ev.q
-	if q == nil {
-		return
-	}
-	ev.q = nil
-	q.head = ev.next
-	ev.next = nil
-	if q.head != nil {
-		s.pushHeap(q.head)
-	} else {
-		q.tail = nil
-	}
 }

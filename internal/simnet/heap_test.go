@@ -5,18 +5,20 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"h3cdn/internal/seqrand"
 )
 
 // --- reference model: container/heap over (at, seq), the seed
-// implementation this package's monomorphic 4-ary heap replaced. The
-// cross-check below drives the scheduler and the model with the same
-// operation sequence and asserts identical dispatch order, including
-// same-time FIFO ties and cancel/reschedule interleavings.
+// implementation this package's monomorphic 4-ary heap replaced. It
+// keeps the seed's semantics too: a re-armed or stopped timer leaves a
+// canceled item behind, skipped at dispatch.
 
 type refItem struct {
 	at       time.Duration
 	seq      uint64
 	id       int
+	fifo     int // route FIFO index, -1 for a standalone item
 	canceled bool
 }
 
@@ -29,227 +31,385 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int)        { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)          { *h = append(*h, x.(*refItem)) }
-func (h *refHeap) Pop() any            { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h *refHeap) popMin() *refItem    { return heap.Pop(h).(*refItem) }
-func (h *refHeap) pushItem(i *refItem) { heap.Push(h, i) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refItem)) }
+func (h *refHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// refModel mirrors the scheduler's semantics: seq assigned at
-// push/reschedule time, times clamped to now, canceled items skipped at
-// dispatch.
+// refModel mirrors the scheduler's semantics: seq assigned at every
+// push and re-arm, times clamped to now, canceled items skipped at
+// dispatch. It also tracks what the real heap should hold: standalone
+// items (events, armed timers, deliveries that overtook their FIFO)
+// plus one slot per non-empty FIFO.
 type refModel struct {
-	h   refHeap
-	now time.Duration
-	seq uint64
+	h          refHeap
+	now        time.Duration
+	seq        uint64
+	live       int
+	standalone int
+	fifoLen    []int
+	fifoTail   []time.Duration
 }
 
-func (m *refModel) push(t time.Duration, id int) *refItem {
+func (m *refModel) push(t time.Duration, id, fifo int) *refItem {
 	if t < m.now {
 		t = m.now
 	}
-	it := &refItem{at: t, seq: m.seq, id: id}
+	if fifo >= 0 && m.fifoLen[fifo] > 0 && t < m.fifoTail[fifo] {
+		fifo = -1 // out of order with the FIFO's tail: standalone
+	}
+	it := &refItem{at: t, seq: m.seq, id: id, fifo: fifo}
 	m.seq++
-	m.h.pushItem(it)
+	m.live++
+	if fifo >= 0 {
+		m.fifoLen[fifo]++
+		m.fifoTail[fifo] = t
+	} else {
+		m.standalone++
+	}
+	heap.Push(&m.h, it)
 	return it
 }
 
-func (m *refModel) reschedule(it *refItem, t time.Duration) {
-	if t < m.now {
-		t = m.now
-	}
-	it.at = t
-	it.seq = m.seq
-	m.seq++
-	heap.Init(&m.h) // lazy but correct: rebuild order
+func (m *refModel) cancel(it *refItem) {
+	it.canceled = true
+	m.live--
+	m.standalone--
 }
 
-// step dispatches the next live item, returning its id (-1 when empty).
-func (m *refModel) step() int {
+// peek returns the next live item without dispatching it.
+func (m *refModel) peek() *refItem {
 	for m.h.Len() > 0 {
-		it := m.h.popMin()
-		if it.canceled {
-			continue
+		if it := m.h[0]; !it.canceled {
+			return it
 		}
-		m.now = it.at
-		return it.id
+		heap.Pop(&m.h)
 	}
-	return -1
+	return nil
 }
 
-// TestHeapCrossCheck drives the scheduler and the reference model with
-// an identical randomized sequence of push / queue-enqueue / cancel /
-// reschedule / dispatch operations and asserts the dispatch orders are
-// identical. Times are drawn on a coarse grid so same-time FIFO
-// tie-breaks are exercised constantly.
-func TestHeapCrossCheck(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var s Scheduler
-		var m refModel
-
-		const queues = 3
-		qs := make([]*EventQueue, queues)
-		qLast := make([]time.Duration, queues)
-		for i := range qs {
-			qs[i] = &EventQueue{}
-		}
-
-		type handle struct {
-			ev *event
-			it *refItem
-			// queued events must not be rescheduled (contract of
-			// Scheduler.reschedule); track eligibility.
-			standalone bool
-		}
-		live := map[int]*handle{}
-		nextID := 0
-		var got, want []int
-		fire := func(id int) func() {
-			return func() {
-				got = append(got, id)
-				delete(live, id)
-			}
-		}
-
-		grid := func() time.Duration {
-			// Coarse grid around now: heavy tie traffic plus occasional
-			// past times (exercising the clamp).
-			return s.Now() + time.Duration(rng.Intn(8)-1)*time.Millisecond
-		}
-
-		for op := 0; op < 4000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 3: // standalone push
-				id := nextID
-				nextID++
-				at := grid()
-				ev := s.At(at, fire(id))
-				it := m.push(at, id)
-				live[id] = &handle{ev: ev, it: it, standalone: true}
-			case r < 6: // queue enqueue, mostly monotone, sometimes not
-				qi := rng.Intn(queues)
-				at := qLast[qi] + time.Duration(rng.Intn(3))*time.Millisecond
-				if rng.Intn(10) == 0 {
-					at = grid() // may violate monotonicity: fallback path
-				}
-				if at > qLast[qi] {
-					qLast[qi] = at
-				}
-				id := nextID
-				nextID++
-				cb := fire(id)
-				ev := s.QueueAtArg(qs[qi], at, func(any) { cb() }, nil)
-				it := m.push(at, id)
-				live[id] = &handle{ev: ev, it: it}
-			case r < 7: // cancel a random live event
-				for id, h := range live {
-					s.cancelEvent(h.ev)
-					h.it.canceled = true
-					delete(live, id)
-					break
-				}
-			case r < 8: // reschedule a random standalone live event
-				for _, h := range live {
-					if !h.standalone {
-						continue
-					}
-					at := grid()
-					s.reschedule(h.ev, at)
-					m.reschedule(h.it, at)
-					break
-				}
-			default: // dispatch one event
-				ran := s.Step()
-				id := m.step()
-				if ran != (id >= 0) {
-					t.Fatalf("seed %d op %d: Step=%v but model id=%d", seed, op, ran, id)
-				}
-				if id >= 0 {
-					want = append(want, id)
-				}
-			}
-			if s.Pending() != len(live) {
-				t.Fatalf("seed %d op %d: Pending=%d, want %d live", seed, op, s.Pending(), len(live))
-			}
-		}
-		// Drain both.
-		for s.Step() {
-		}
-		for id := m.step(); id >= 0; id = m.step() {
-			want = append(want, id)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: dispatched %d events, model %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: got %d, want %d", seed, i, got[i], want[i])
-			}
-		}
-		if s.Pending() != 0 {
-			t.Fatalf("seed %d: Pending=%d after drain", seed, s.Pending())
-		}
-		if s.Now() != m.now {
-			t.Fatalf("seed %d: clock %v, model %v", seed, s.Now(), m.now)
-		}
+func (m *refModel) pop() *refItem {
+	it := m.peek()
+	if it == nil {
+		return nil
 	}
+	heap.Pop(&m.h)
+	m.now = it.at
+	m.live--
+	if it.fifo >= 0 {
+		m.fifoLen[it.fifo]--
+	} else {
+		m.standalone--
+	}
+	return it
 }
 
-// TestEventQueueCoalescing asserts the structural claim behind the
-// per-path delivery queues: N monotone enqueues on one queue occupy a
-// single heap slot, yet dispatch in exact (at, seq) order against
-// standalone events.
-func TestEventQueueCoalescing(t *testing.T) {
+func (m *refModel) heapSlots() int {
+	n := m.standalone
+	for _, l := range m.fifoLen {
+		if l > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// fuzzFIFOs is the number of route FIFOs a scheduler program drives:
+// the arrive FIFOs of three routes and the drop FIFO of the first.
+const (
+	fuzzFIFOs  = 4
+	fuzzTimers = 4
+)
+
+// dropTok is a drop-FIFO payload: the network releases it when the loss
+// completion runs, which is how the program sees that dispatch.
+type dropTok struct {
+	id   int
+	fire func(int)
+}
+
+func (d *dropTok) Release() { d.fire(d.id) }
+
+// runSchedulerProgram decodes prog, two bytes per operation, and runs
+// it on a Scheduler (with a Network supplying real route FIFOs) and on
+// the reference model, checking after every operation that both agree
+// on dispatch order, clock, Pending, each timer's Armed/Deadline, and
+// that the heap holds exactly the live standalone entries plus one slot
+// per non-empty FIFO.
+func runSchedulerProgram(t *testing.T, prog []byte) {
 	var s Scheduler
-	q := &EventQueue{}
-	var got []int
-	for i := 0; i < 100; i++ {
-		i := i
-		s.QueueAtArg(q, time.Duration(i)*time.Millisecond, func(any) { got = append(got, i) }, nil)
+	n := NewNetwork(&s, nil, seqrand.New(1))
+	dst := n.AddHost("dst")
+	var got, want []int
+	// chain maps an id to the FIFO its dispatch enqueues onto, nested
+	// inside the dispatching callback (a FIFO's own included). The
+	// nested delivery's id and delay derive from its parent's, so the
+	// model can replay it when it dispatches the parent.
+	chain := map[int]int{}
+	const chained = 1 << 20
+	nextID := 0
+	var fifos [fuzzFIFOs]*fifo
+	for i, src := range []Addr{"a", "b", "c"} {
+		fifos[i] = &n.AddHost(src).Route("dst").arrive
 	}
-	if len(s.heap) != 1 {
-		t.Fatalf("heap holds %d entries for 100 queued events, want 1", len(s.heap))
+	fifos[3] = &fifos[0].r.drop
+
+	m := refModel{fifoLen: make([]int, fuzzFIFOs), fifoTail: make([]time.Duration, fuzzFIFOs)}
+	var enqueue func(k, id int, at time.Duration)
+	fired := func(id int) {
+		got = append(got, id)
+		if k, ok := chain[id]; ok {
+			enqueue(k, id+chained, s.Now()+time.Duration(id%3)*time.Millisecond)
+		}
+	}
+	if err := dst.Bind(80, func(p Packet) { fired(p.Payload.(int)) }); err != nil {
+		t.Fatal(err)
+	}
+	enqueue = func(k, id int, at time.Duration) {
+		q := fifos[k]
+		d := n.allocDelivery()
+		d.dstPort = 80
+		if q.drop {
+			d.payload = &dropTok{id: id, fire: fired}
+		} else {
+			d.payload = id
+		}
+		q.r.ps.inFlight++
+		q.push(d, at)
+	}
+	dispatched := func(it *refItem) {
+		want = append(want, it.id)
+		if k, ok := chain[it.id]; ok {
+			m.push(m.now+time.Duration(it.id%3)*time.Millisecond, it.id+chained, k)
+		}
+	}
+
+	var timers [fuzzTimers]*Timer
+	var items [fuzzTimers]*refItem
+	timerID := func(j int) int { return -1 - j }
+	for j := range timers {
+		timers[j] = s.NewTimer(func() { got = append(got, timerID(j)) })
+	}
+	fireTimer := func(it *refItem) {
+		if it.id < 0 {
+			items[-1-it.id] = nil
+		}
+	}
+	arm := func(j int, at time.Duration) {
+		if items[j] != nil {
+			m.cancel(items[j])
+		}
+		timers[j].ResetAt(at)
+		items[j] = m.push(at, timerID(j), -1)
+	}
+	stop := func(j int) {
+		if items[j] != nil {
+			m.cancel(items[j])
+			items[j] = nil
+		}
+	}
+
+	step := func() {
+		it := m.pop()
+		if ran := s.Step(); ran != (it != nil) {
+			t.Fatalf("Step=%v but model item %v", ran, it)
+		}
+		if it != nil {
+			fireTimer(it)
+			dispatched(it)
+		}
+	}
+
+	checked := 0
+	for pc := 0; pc+1 < len(prog); pc += 2 {
+		op, arg := prog[pc]%10, int(prog[pc+1])
+		near := s.Now() + time.Duration(arg%8-1)*time.Millisecond
+		switch op {
+		case 0, 1: // standalone push; bit 6 chains a FIFO enqueue
+			id := nextID
+			nextID++
+			if arg&0x40 != 0 {
+				chain[id] = (arg >> 3) % fuzzFIFOs
+			}
+			s.At(near, func() { fired(id) })
+			m.push(near, id, -1)
+		case 2, 3: // FIFO enqueue in order with the tail
+			k := arg % fuzzFIFOs
+			at := max(m.fifoTail[k], s.Now()) + time.Duration(arg>>2%3)*time.Millisecond
+			id := nextID
+			nextID++
+			if arg&0x80 != 0 {
+				chain[id] = (arg >> 4) % fuzzFIFOs
+			}
+			enqueue(k, id, at)
+			m.push(at, id, k)
+		case 4: // FIFO enqueue at any time: may overtake the tail
+			id := nextID
+			nextID++
+			enqueue(arg%fuzzFIFOs, id, near)
+			m.push(near, id, arg%fuzzFIFOs)
+		case 5: // timer re-armed later (or armed)
+			j := arg % fuzzTimers
+			arm(j, max(timers[j].Deadline(), s.Now())+time.Duration(arg>>2%4)*time.Millisecond)
+		case 6: // timer re-armed earlier (clamped to now)
+			j := arg % fuzzTimers
+			arm(j, timers[j].Deadline()-time.Duration(arg>>2%4)*time.Millisecond)
+		case 7:
+			j := arg % fuzzTimers
+			timers[j].Stop()
+			stop(j)
+		case 8: // Release, then take a (recycled) timer for the slot
+			j := arg % fuzzTimers
+			timers[j].Release()
+			stop(j)
+			timers[j] = s.NewTimer(func() { got = append(got, timerID(j)) })
+		default:
+			if arg&1 != 0 {
+				step()
+				break
+			}
+			until := s.Now() + time.Duration(arg>>1%4)*time.Millisecond
+			ran := s.RunUntil(until)
+			mran := 0
+			for it := m.peek(); it != nil && it.at <= until; it = m.peek() {
+				fireTimer(m.pop())
+				dispatched(it)
+				mran++
+			}
+			m.now = max(m.now, until)
+			if ran != mran {
+				t.Fatalf("pc %d: RunUntil ran %d events, model %d", pc, ran, mran)
+			}
+		}
+		checkAgainstModel(t, pc, &s, &m, got, want, &checked, timers[:], items[:])
+	}
+	for s.Pending() > 0 {
+		step()
+	}
+	checkAgainstModel(t, len(prog), &s, &m, got, want, &checked, timers[:], items[:])
+	if m.peek() != nil {
+		t.Fatal("model has items left after the scheduler drained")
+	}
+}
+
+// checkAgainstModel compares the scheduler with the model after the
+// operation at pc; dispatches before *checked were compared already.
+func checkAgainstModel(t *testing.T, pc int, s *Scheduler, m *refModel, got, want []int, checked *int, timers []*Timer, items []*refItem) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("pc %d: dispatched %d events, model %d", pc, len(got), len(want))
+	}
+	for i := *checked; i < len(got); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("pc %d: dispatch order diverges at %d: got %d, want %d", pc, i, got[i], want[i])
+		}
+	}
+	*checked = len(got)
+	if s.Now() != m.now {
+		t.Fatalf("pc %d: clock %v, model %v", pc, s.Now(), m.now)
+	}
+	if s.Pending() != m.live {
+		t.Fatalf("pc %d: Pending=%d, model %d", pc, s.Pending(), m.live)
+	}
+	for j, tm := range timers {
+		it := items[j]
+		if tm.Armed() != (it != nil) {
+			t.Fatalf("pc %d: timer %d Armed=%v, model %v", pc, j, tm.Armed(), it != nil)
+		}
+		if it != nil && tm.Deadline() != it.at {
+			t.Fatalf("pc %d: timer %d Deadline=%v, model %v", pc, j, tm.Deadline(), it.at)
+		}
+	}
+	if len(s.heap) != m.heapSlots() {
+		t.Fatalf("pc %d: heap holds %d slots, want %d live standalone entries and non-empty FIFOs", pc, len(s.heap), m.heapSlots())
+	}
+}
+
+// schedulerProgram is a random program of n operations.
+func schedulerProgram(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	prog := make([]byte, 2*n)
+	rng.Read(prog)
+	return prog
+}
+
+// FuzzScheduler drives the scheduler and the container/heap reference
+// model with one program of standalone pushes, in-order and overtaking
+// FIFO enqueues (some nested inside dispatch), timer re-arms later and
+// earlier, Stop, Release, Step and RunUntil. Times fall on a coarse
+// grid, so same-time FIFO ties and past-time clamps are constant.
+func FuzzScheduler(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(schedulerProgram(seed, 500))
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		runSchedulerProgram(t, prog)
+	})
+}
+
+// TestRouteFIFOSlots asserts the structural claim behind the route
+// FIFOs: however many packets are in flight on one route, arrivals and
+// loss completions together occupy at most two heap slots, yet every
+// packet counts in Pending and dispatches in exact order against
+// standalone events.
+func TestRouteFIFOSlots(t *testing.T) {
+	var s Scheduler
+	n := NewNetwork(&s, symPath(10*time.Millisecond, 8e6, 0.2), seqrand.New(3))
+	a := n.AddHost("a")
+	var got []int
+	if err := n.AddHost("b").Bind(80, func(p Packet) { got = append(got, p.Payload.(int)) }); err != nil {
+		t.Fatal(err)
+	}
+	r := a.Route("b")
+	for i := 0; i < 100; i++ {
+		r.Send(1, 80, 1000, i) // 1 ms apart on the wire
+	}
+	if len(s.heap) != 2 {
+		t.Fatalf("heap holds %d slots for 100 packets in flight, want 2", len(s.heap))
 	}
 	if s.Pending() != 100 {
 		t.Fatalf("Pending=%d, want 100", s.Pending())
 	}
-	// A standalone event between queue entries must interleave exactly.
-	s.At(50*time.Millisecond+time.Microsecond, func() { got = append(got, -1) })
+	// A standalone event between two arrivals interleaves exactly.
+	mark := -1
+	s.At(60*time.Millisecond+time.Microsecond, func() { mark = len(got) })
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 101 {
-		t.Fatalf("ran %d events, want 101", len(got))
+	if int64(len(got)) != n.Stats().Delivered || n.Stats().LossDrops == 0 {
+		t.Fatalf("delivered %d of %+v; want every non-dropped packet and some drops", len(got), n.Stats())
 	}
-	for i := 0; i <= 50; i++ {
-		if got[i] != i {
-			t.Fatalf("got[%d]=%d, want %d", i, got[i], i)
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("arrivals out of order: %v", got)
 		}
 	}
-	if got[51] != -1 {
-		t.Fatalf("standalone event ran at position %v, want 51", got[51])
+	// Packet i arrives at (i+1) ms + 10 ms: ids ≤ 49 came before the mark.
+	if mark < 0 || (mark > 0 && got[mark-1] > 49) || (mark < len(got) && got[mark] < 50) {
+		t.Fatalf("standalone event ran after %d arrivals %v, want between ids 49 and 50", mark, got)
 	}
-	for i := 52; i < 101; i++ {
-		if got[i] != i-1 {
-			t.Fatalf("got[%d]=%d, want %d", i, got[i], i-1)
-		}
+	if len(s.heap) != 0 || r.arrive.head != nil || r.drop.head != nil {
+		t.Fatal("drained route left heap slots or queued deliveries")
 	}
 }
 
-// TestEventQueueSameTimeFIFO asserts FIFO ordering among same-time
-// events across a queue and standalone scheduling: sequence numbers are
-// assigned at enqueue, so arrival order is preserved.
-func TestEventQueueSameTimeFIFO(t *testing.T) {
+// TestRouteFIFOSameTimeTies asserts FIFO ordering among same-time
+// events across a route FIFO and standalone scheduling: sequence numbers
+// are assigned at send, so send order is dispatch order.
+func TestRouteFIFOSameTimeTies(t *testing.T) {
 	var s Scheduler
-	q := &EventQueue{}
+	n := NewNetwork(&s, nil, seqrand.New(1)) // zero delay, infinite bandwidth
+	a := n.AddHost("a")
 	var got []int
-	add := func(i int) func(any) { return func(any) { got = append(got, i) } }
-	s.QueueAtArg(q, time.Millisecond, add(0), nil)
-	s.AtArg(time.Millisecond, add(1), nil)
-	s.QueueAtArg(q, time.Millisecond, add(2), nil)
-	s.AtArg(time.Millisecond, add(3), nil)
-	s.QueueAtArg(q, time.Millisecond, add(4), nil)
+	if err := n.AddHost("b").Bind(80, func(p Packet) { got = append(got, p.Payload.(int)) }); err != nil {
+		t.Fatal(err)
+	}
+	r := a.Route("b")
+	add := func(i int) func() { return func() { got = append(got, i) } }
+	r.Send(1, 80, 100, 0)
+	s.At(0, add(1))
+	r.Send(1, 80, 100, 2)
+	s.At(0, add(3))
+	r.Send(1, 80, 100, 4)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,26 +420,8 @@ func TestEventQueueSameTimeFIFO(t *testing.T) {
 	}
 }
 
-// TestEventQueueAllocationFree asserts queue enqueue+dispatch recycles
-// events like the standalone path.
-func TestEventQueueAllocationFree(t *testing.T) {
-	var s Scheduler
-	q := &EventQueue{}
-	fn := func(any) {}
-	s.QueueAtArg(q, 0, fn, nil)
-	s.Step()
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.QueueAtArg(q, s.Now()+time.Microsecond, fn, nil)
-		s.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocs per queue enqueue+dispatch, want 0", allocs)
-	}
-}
-
-// TestTimerRescheduleInPlace asserts Reset on an armed timer updates the
-// heap entry instead of churning a cancel tombstone: the heap must not
-// grow with repeated resets.
+// TestTimerRescheduleInPlace asserts Reset on an armed timer keeps one
+// heap slot: later re-arms leave it where it is, earlier ones move it.
 func TestTimerRescheduleInPlace(t *testing.T) {
 	var s Scheduler
 	tm := s.NewTimer(func() {})
@@ -287,14 +429,42 @@ func TestTimerRescheduleInPlace(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tm.Reset(time.Duration(i+2) * time.Millisecond)
 	}
+	tm.Reset(time.Microsecond)
 	if len(s.heap) != 1 {
-		t.Fatalf("heap holds %d entries after 101 resets of one timer, want 1", len(s.heap))
+		t.Fatalf("heap holds %d entries after 102 resets of one timer, want 1", len(s.heap))
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending=%d, want 1", s.Pending())
+	if s.Pending() != 1 || tm.Deadline() != time.Microsecond {
+		t.Fatalf("Pending=%d Deadline=%v, want 1 and 1µs", s.Pending(), tm.Deadline())
 	}
 	tm.Stop()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending=%d after Stop, want 0", s.Pending())
+	if s.Pending() != 0 || len(s.heap) != 0 {
+		t.Fatalf("Pending=%d heap=%d after Stop, want 0 and 0", s.Pending(), len(s.heap))
+	}
+}
+
+// TestTimerLaterRearmRekeyedNotDispatched asserts a timer re-armed
+// later fires once, at its new deadline: the stale slot surfacing first
+// is re-keyed without running anything, advancing the clock or counting
+// toward Run's total.
+func TestTimerLaterRearmRekeyedNotDispatched(t *testing.T) {
+	var s Scheduler
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	tm.Reset(time.Millisecond)
+	tm.Reset(5 * time.Millisecond)
+	s.At(3*time.Millisecond, func() {
+		if fired != 0 {
+			t.Fatal("timer fired at its superseded deadline")
+		}
+	})
+	if n := s.RunUntil(4 * time.Millisecond); n != 1 {
+		t.Fatalf("RunUntil(4ms) ran %d events, want 1", n)
+	}
+	if !tm.Armed() || tm.Deadline() != 5*time.Millisecond {
+		t.Fatalf("Armed=%v Deadline=%v, want armed at 5ms", tm.Armed(), tm.Deadline())
+	}
+	n, err := s.Run()
+	if err != nil || n != 1 || fired != 1 || s.Now() != 5*time.Millisecond {
+		t.Fatalf("Run ran %d events (%v), fired %d at %v; want 1, 1 at 5ms", n, err, fired, s.Now())
 	}
 }

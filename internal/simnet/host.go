@@ -11,6 +11,9 @@ type Host struct {
 	addr          Addr
 	ports         map[uint16]PacketHandler
 	nextEphemeral uint16
+	// gen counts Unbind calls: a Route reuses the handler it last found
+	// here only while gen is unchanged.
+	gen uint32
 }
 
 // Addr returns the host address.
@@ -56,7 +59,10 @@ func (h *Host) BindEphemeral(fn PacketHandler) uint16 {
 }
 
 // Unbind releases a port. Unbinding a free port is a no-op.
-func (h *Host) Unbind(port uint16) { delete(h.ports, port) }
+func (h *Host) Unbind(port uint16) {
+	delete(h.ports, port)
+	h.gen++
+}
 
 // Route returns the directed path from h to dst, resolving it on first
 // use. A connection holds its route for its lifetime, so its per-packet

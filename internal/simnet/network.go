@@ -103,26 +103,92 @@ type Network struct {
 	freeDeliveries *delivery // recycled delivery records
 }
 
-// delivery is the scheduled arrival (or loss completion) of one packet.
-// Records are pooled per network so the per-packet hot path schedules no
-// closures and allocates nothing in steady state.
+// delivery is the scheduled arrival (or loss completion) of one packet:
+// the one record a packet in flight costs. It carries its own (at, seq)
+// key and waits on its route's arrive or drop FIFO; the route supplies
+// the addresses. Records are pooled per network so the per-packet hot
+// path schedules no closures and allocates nothing in steady state.
 type delivery struct {
-	r    *Route
-	pkt  Packet
-	drop bool // loss: only the serialization slot is released
-	next *delivery
+	at               time.Duration
+	seq              uint64
+	q                *fifo
+	payload          any
+	size             int
+	srcPort, dstPort uint16
+	next             *delivery // FIFO link while queued; free-list link after
 }
 
-// runDelivery is the package-level event callback for packet arrivals
-// (see Scheduler.AtArg).
-func runDelivery(x any) {
-	d := x.(*delivery)
-	r := d.r
-	r.ps.inFlight--
-	if d.drop {
-		releasePayload(d.pkt.Payload)
+// A fifo is one of a route's two completion queues. Successive sends on
+// one pair serialize in order (busyUntil is monotone) and share one
+// propagation delay, so each queue's times are nondecreasing and the
+// queue owns a single heap event keyed by its head: dispatching the
+// head re-keys that event to the next head in place. Each delivery's key
+// is assigned at enqueue, so ordering against every other event (and
+// FIFO ties) is byte-identical to giving each packet its own event.
+type fifo struct {
+	ev         event // in the heap iff head != nil
+	r          *Route
+	drop       bool // loss completions: only the serialization slot is released
+	head, tail *delivery
+}
+
+func (q *fifo) init(r *Route, drop bool) {
+	q.r, q.drop = r, drop
+	q.ev = event{fn: runFIFO, arg: q, index: -1, kind: fifoEvent}
+}
+
+// push schedules d's completion at t (clamped to now). A delivery out
+// of order with the tail — one sent after a reorder-held packet and
+// overtaking it — gets a standalone event with its own key instead.
+func (q *fifo) push(d *delivery, t time.Duration) {
+	s := q.r.n.sched
+	d.at, d.seq = s.key(t)
+	d.q = q
+	switch {
+	case q.tail == nil:
+		s.live++
+		q.head, q.tail = d, d
+		q.ev.at, q.ev.seq = d.at, d.seq
+		s.push(&q.ev)
+	case d.at >= q.tail.at:
+		s.live++
+		q.tail.next = d
+		q.tail = d
+	default:
+		s.pushPooled(d.at, d.seq, runHeld, d)
+	}
+}
+
+// runFIFO is the event callback of a route FIFO: it re-keys the
+// queue's event (still the heap top) to the next head, then completes
+// the old head.
+func runFIFO(x any) {
+	q := x.(*fifo)
+	d := q.head
+	s := q.r.n.sched
+	if q.head = d.next; q.head != nil {
+		d.next = nil
+		s.rekeyTop(q.head.at, q.head.seq)
 	} else {
-		r.deliver(&d.pkt)
+		q.tail = nil
+		s.remove(0)
+	}
+	q.complete(d)
+}
+
+// runHeld is the event callback of a delivery that overtook its FIFO.
+func runHeld(x any) {
+	d := x.(*delivery)
+	d.q.complete(d)
+}
+
+func (q *fifo) complete(d *delivery) {
+	r := q.r
+	r.ps.inFlight--
+	if q.drop {
+		releasePayload(d.payload)
+	} else {
+		r.deliver(d)
 	}
 	r.n.releaseDelivery(d)
 }
@@ -138,10 +204,7 @@ func (n *Network) allocDelivery() *delivery {
 }
 
 func (n *Network) releaseDelivery(d *delivery) {
-	d.r = nil
-	d.pkt = Packet{}
-	d.drop = false
-	d.next = n.freeDeliveries
+	*d = delivery{next: n.freeDeliveries}
 	n.freeDeliveries = d
 }
 
@@ -185,15 +248,13 @@ type pathState struct {
 // the same LinkID), the destination host — so sending and delivering a
 // packet does no address-keyed lookup.
 //
-// Completions coalesce onto the route's two FIFO queues: successive
-// sends on one pair serialize in order (busyUntil is monotone) and share
-// one propagation delay, so each queue's times are nondecreasing and the
-// whole pair occupies at most two heap slots instead of one per packet
-// in flight (see EventQueue). Arrivals (serialization end + propagation
-// delay) and loss completions (serialization end only) follow different
-// time laws, so each needs its own monotone queue. The queues are per
-// pair even on a shared link: packets from different sources carry
-// different propagation delays.
+// Completions wait on the route's two FIFOs (see fifo), so the whole
+// pair occupies at most two heap slots instead of one per packet in
+// flight. Arrivals (serialization end + propagation delay) and loss
+// completions (serialization end only) follow different time laws, so
+// each needs its own monotone queue. The queues are per pair even on a
+// shared link: packets from different sources carry different
+// propagation delays.
 type Route struct {
 	n        *Network
 	src, dst Addr
@@ -203,9 +264,14 @@ type Route struct {
 	// it: a lazily instantiated server's host may be added after a route
 	// to it was resolved, and until then deliveries count NoRoute.
 	host *Host
+	// handler is what the last delivery found bound at port on host,
+	// valid while host's binding generation is still gen.
+	handler PacketHandler
+	port    uint16
+	gen     uint32
 
-	arrive EventQueue
-	drop   EventQueue
+	arrive fifo
+	drop   fifo
 	// frontier is the latest scheduled arrival among FIFO deliveries on
 	// this pair: the link preserves order, so a jittered packet is
 	// delayed, never overtaken past — every delivery clamps to at least
@@ -227,6 +293,8 @@ func (n *Network) route(src, dst Addr) *Route {
 	}
 	props := n.path(src, dst)
 	r := &Route{n: n, src: src, dst: dst, props: props, ps: n.pairState(src, dst, props.LinkID)}
+	r.arrive.init(r, false)
+	r.drop.init(r, true)
 	n.routes[routeKey{src, dst}] = r
 	return r
 }
@@ -339,8 +407,7 @@ func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
 	ps.inFlight++
 
 	d := n.allocDelivery()
-	d.r = r
-	d.pkt = Packet{Src: r.src, SrcPort: srcPort, Dst: r.dst, DstPort: dstPort, Size: size, Payload: payload}
+	d.srcPort, d.dstPort, d.size, d.payload = srcPort, dstPort, size, payload
 
 	// The impairment layer runs first (the path's condition evolves per
 	// transmission attempt, independent of ambient loss); its randomness
@@ -355,8 +422,7 @@ func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
 		cause, delta, h := n.impair(ps, props.Impair, start)
 		if cause != 0 {
 			n.trace.PacketDropped(now, string(r.src), string(r.dst), srcPort, dstPort, size, cause)
-			d.drop = true
-			n.sched.QueueAtArg(&r.drop, start+tx, runDelivery, d)
+			r.drop.push(d, start+tx)
 			return
 		}
 		extra, held = delta, h
@@ -370,8 +436,7 @@ func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
 	if props.LossRate > 0 && ps.lossRng.Float64() < props.LossRate {
 		n.stats.LossDrops++
 		n.trace.PacketDropped(now, string(r.src), string(r.dst), srcPort, dstPort, size, trace.DropLoss)
-		d.drop = true
-		n.sched.QueueAtArg(&r.drop, start+tx, runDelivery, d)
+		r.drop.push(d, start+tx)
 		return
 	}
 
@@ -388,7 +453,7 @@ func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
 	if !held {
 		r.frontier = at
 	}
-	n.sched.QueueAtArg(&r.arrive, at, runDelivery, d)
+	r.arrive.push(d, at)
 }
 
 // impair applies the fault-injection layer to one transmission attempt
@@ -399,8 +464,7 @@ func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
 // the packet back (the caller then leaves the FIFO frontier unadvanced
 // so later sends may overtake it). Dropped packets are scheduled by the
 // caller on the same drop queue as ambient loss, so they consume their
-// serialization slot and release pooled payloads exactly once via
-// runDelivery.
+// serialization slot and release pooled payloads exactly once.
 func (n *Network) impair(ps *pathState, im *Impairment, start time.Duration) (cause int64, extra time.Duration, held bool) {
 	if len(im.Outages) > 0 && im.down(start) {
 		n.stats.OutageDrops++
@@ -439,26 +503,33 @@ func (n *Network) impair(ps *pathState, im *Impairment, start time.Duration) (ca
 	return 0, extra, held
 }
 
-// deliver hands pkt to the handler bound at its destination port.
-func (r *Route) deliver(pkt *Packet) {
+// deliver hands d's packet to the handler bound at its destination
+// port. The handler the last delivery found is reused while the
+// destination's bindings are unchanged, so a pair carrying one
+// connection's packets looks up no port.
+func (r *Route) deliver(d *delivery) {
 	n := r.n
 	h := r.host
 	if h == nil {
 		if h = n.hosts[r.dst]; h == nil {
 			n.stats.NoRoute++
-			releasePayload(pkt.Payload)
+			releasePayload(d.payload)
 			return
 		}
 		r.host = h
 	}
-	fn, ok := h.ports[pkt.DstPort]
-	if !ok {
-		n.stats.NoRoute++
-		releasePayload(pkt.Payload)
-		return
+	fn := r.handler
+	if fn == nil || r.port != d.dstPort || r.gen != h.gen {
+		var ok bool
+		if fn, ok = h.ports[d.dstPort]; !ok {
+			n.stats.NoRoute++
+			releasePayload(d.payload)
+			return
+		}
+		r.handler, r.port, r.gen = fn, d.dstPort, h.gen
 	}
 	n.stats.Delivered++
-	n.trace.PacketArrived(n.sched.Now(), string(pkt.Src), string(pkt.Dst), pkt.SrcPort, pkt.DstPort, pkt.Size)
-	fn(*pkt)
-	releasePayload(pkt.Payload)
+	n.trace.PacketArrived(n.sched.Now(), string(r.src), string(r.dst), d.srcPort, d.dstPort, d.size)
+	fn(Packet{Src: r.src, SrcPort: d.srcPort, Dst: r.dst, DstPort: d.dstPort, Size: d.size, Payload: d.payload})
+	releasePayload(d.payload)
 }

@@ -202,6 +202,45 @@ func TestSendConservationAcrossRoutes(t *testing.T) {
 	}
 }
 
+// TestRouteHandlerInvalidatedByUnbind pins the route's cached demux: a
+// route reuses the handler its last delivery found only while the
+// destination's bindings are unchanged. After Unbind the next packet
+// counts NoRoute and releases its payload; after a new Bind the new
+// handler receives.
+func TestRouteHandlerInvalidatedByUnbind(t *testing.T) {
+	var s Scheduler
+	n := NewNetwork(&s, symPath(time.Millisecond, 0, 0), seqrand.New(1))
+	b := n.AddHost("b")
+	r := n.AddHost("a").Route("b")
+	gotA, gotB, released := 0, 0, 0
+	send := func() {
+		r.Send(1, 80, 100, &countedPayload{released: &released, t: t})
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Bind(80, func(Packet) { gotA++ }); err != nil {
+		t.Fatal(err)
+	}
+	send()
+	send()
+	if gotA != 2 {
+		t.Fatalf("handler A saw %d packets, want 2", gotA)
+	}
+	b.Unbind(80)
+	send()
+	if st := n.Stats(); gotA != 2 || st.NoRoute != 1 || released != 3 {
+		t.Fatalf("after Unbind: A saw %d, NoRoute %d, released %d; want 2, 1, 3", gotA, st.NoRoute, released)
+	}
+	if err := b.Bind(80, func(Packet) { gotB++ }); err != nil {
+		t.Fatal(err)
+	}
+	send()
+	if gotA != 2 || gotB != 1 || released != 4 {
+		t.Fatalf("after Bind(B): A saw %d, B saw %d, released %d; want 2, 1, 4", gotA, gotB, released)
+	}
+}
+
 // BenchmarkRouteSend measures the steady-state per-packet path a
 // connection takes: Route.Send through serialization and the loss dice,
 // then dispatch of the arrival to a bound handler. It must not allocate.

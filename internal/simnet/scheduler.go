@@ -20,15 +20,17 @@ var ErrStopped = errors.New("simnet: scheduler stopped")
 // Scheduler owns the virtual clock and the pending event set.
 // The zero value is ready to use.
 //
-// The pending set is a monomorphic 4-ary min-heap (see heap.go) plus
-// per-queue FIFOs of coalesced events (EventQueue); executed and
-// canceled events are recycled through an intrusive free list, so
-// steady-state event dispatch performs no heap allocation.
+// The pending set is a monomorphic 4-ary min-heap (see heap.go) that
+// holds only live entries: a standalone event per At/After call and per
+// armed Timer, and one event per non-empty route FIFO, keyed by the
+// FIFO's head delivery (see fifo). Standalone events are recycled
+// through an intrusive free list; Timers and FIFOs own theirs. So
+// steady-state dispatch performs no heap allocation.
 type Scheduler struct {
 	now     time.Duration
 	heap    []*event // 4-ary min-heap over (at, seq)
 	seq     uint64
-	live    int // scheduled, non-canceled, not-yet-executed events
+	live    int // scheduled, not-yet-executed events and deliveries
 	stopped bool
 	// executed counts the events that have returned (see Stamp).
 	executed uint64
@@ -44,21 +46,37 @@ type Scheduler struct {
 // ErrEventBudget is reported by Run when MaxEvents was exhausted.
 var ErrEventBudget = errors.New("simnet: event budget exhausted")
 
-// An event carries either a plain closure (fn) or an argument-passing
-// callback (argFn + arg). The latter lets hot paths schedule work without
-// allocating a closure per call: a package-level func(any) plus a pointer
-// argument stay allocation-free.
+// An event is one heap entry's callback, fn(arg). Passing a
+// package-level func(any) and a pointer argument lets hot paths
+// schedule work without allocating a closure per call; At and After
+// box their plain closure as arg of callFunc, which allocates nothing
+// either.
 type event struct {
-	at       time.Duration
-	seq      uint64 // tie-break: FIFO among same-time events
-	fn       func()
-	argFn    func(any)
-	arg      any
-	canceled bool
-	index    int         // heap index; -1 when popped or FIFO-pending
-	q        *EventQueue // owning queue, nil for standalone events
-	next     *event      // FIFO link while queued; free-list link after
+	at    time.Duration // heap key; a Timer's own may be later (see heap.go)
+	seq   uint64
+	fn    func(any)
+	arg   any
+	index int // heap position; -1 when not in the heap
+	kind  eventKind
+	next  *event // free-list link
 }
+
+// eventKind says who owns an event and so how Step dispatches it.
+type eventKind uint8
+
+const (
+	// pooled: a standalone event from the free list. Step removes it,
+	// recycles it and runs it.
+	pooled eventKind = iota
+	// timerEvent: a Timer's own event. Step removes it and runs it.
+	timerEvent
+	// fifoEvent: a route FIFO's persistent event. Step runs it in
+	// place; its callback first re-keys it to the FIFO's next
+	// head or removes it.
+	fifoEvent
+)
+
+func callFunc(x any) { x.(func())() }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
@@ -66,69 +84,70 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 func (s *Scheduler) allocEvent() *event {
 	ev := s.free
 	if ev == nil {
-		return &event{}
+		return &event{index: -1}
 	}
 	s.free = ev.next
 	ev.next = nil
 	return ev
 }
 
-// releaseEvent returns a popped event to the free list. Callers must
-// guarantee no live reference to ev remains (Timer clears its reference
-// before its callback runs; nothing else retains events).
+// releaseEvent returns a pooled event that left the heap to the free
+// list. Callers must guarantee no live reference to ev remains.
 func (s *Scheduler) releaseEvent(ev *event) {
 	ev.fn = nil
-	ev.argFn = nil
 	ev.arg = nil
-	ev.canceled = false
 	ev.next = s.free
 	s.free = ev
 }
 
-func (s *Scheduler) schedule(t time.Duration, fn func(), argFn func(any), arg any) *event {
-	if t < s.now {
-		t = s.now
-	}
+// pushPooled schedules fn(arg) as a standalone event with key (at, seq).
+func (s *Scheduler) pushPooled(at time.Duration, seq uint64, fn func(any), arg any) *event {
 	ev := s.allocEvent()
-	ev.at = t
-	ev.seq = s.seq
-	ev.fn = fn
-	ev.argFn = argFn
-	ev.arg = arg
-	s.seq++
+	ev.at, ev.seq = at, seq
+	ev.fn, ev.arg = fn, arg
 	s.live++
-	s.pushHeap(ev)
+	s.push(ev)
 	return ev
+}
+
+func (s *Scheduler) schedule(t time.Duration, fn func(any), arg any) *event {
+	at, seq := s.key(t)
+	return s.pushPooled(at, seq, fn, arg)
 }
 
 // At schedules fn at absolute virtual time t. Times in the past run "now".
 func (s *Scheduler) At(t time.Duration, fn func()) *event {
-	return s.schedule(t, fn, nil, nil)
+	return s.schedule(t, callFunc, fn)
 }
 
 // After schedules fn delay after the current virtual time.
 func (s *Scheduler) After(delay time.Duration, fn func()) *event {
-	return s.schedule(s.now+delay, fn, nil, nil)
+	return s.schedule(s.now+delay, callFunc, fn)
 }
 
 // AtArg schedules fn(arg) at absolute virtual time t. Passing a
 // package-level function and a pointer argument avoids the per-call
 // closure allocation of At.
 func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) *event {
-	return s.schedule(t, nil, fn, arg)
+	return s.schedule(t, fn, arg)
 }
 
 // AfterArg schedules fn(arg) delay after the current virtual time.
 func (s *Scheduler) AfterArg(delay time.Duration, fn func(any), arg any) *event {
-	return s.schedule(s.now+delay, nil, fn, arg)
+	return s.schedule(s.now+delay, fn, arg)
 }
 
-// cancelEvent marks a pending event canceled. The event stays where it
-// is (heap or queue FIFO) and is recycled lazily when it surfaces.
+// cancelEvent removes a pending standalone event from the heap: a
+// pooled event or a Timer's. A route FIFO's event cannot be canceled.
+// Canceling an event that is not pending is a no-op.
 func (s *Scheduler) cancelEvent(ev *event) {
-	if !ev.canceled {
-		ev.canceled = true
-		s.live--
+	if ev.index < 0 {
+		return
+	}
+	s.remove(ev.index)
+	s.live--
+	if ev.kind == pooled {
+		s.releaseEvent(ev)
 	}
 }
 
@@ -151,35 +170,33 @@ func (s *Scheduler) Returned(st Stamp) bool { return st.s != s || st.n < s.execu
 // Stop makes Run return after the current event.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending reports the number of live (non-canceled) scheduled events,
-// including events coalesced on queues. O(1).
+// Pending reports the number of scheduled, not-yet-executed events,
+// counting each packet in flight once. O(1).
 func (s *Scheduler) Pending() int { return s.live }
 
 // Step executes the next event, if any, advancing the clock.
 // It reports whether an event ran.
 func (s *Scheduler) Step() bool {
-	for len(s.heap) > 0 {
-		ev := s.popMin()
-		s.advanceQueue(ev)
-		if ev.canceled {
-			s.releaseEvent(ev)
-			continue
-		}
-		s.live--
-		s.now = ev.at
-		if ev.argFn != nil {
-			fn, arg := ev.argFn, ev.arg
-			s.releaseEvent(ev)
-			fn(arg)
-		} else {
-			fn := ev.fn
-			s.releaseEvent(ev)
-			fn()
-		}
-		s.executed++
-		return true
+	if !s.settle() {
+		return false
 	}
-	return false
+	ev := s.heap[0]
+	s.now = ev.at
+	s.live--
+	switch ev.kind {
+	case fifoEvent:
+		ev.fn(ev.arg)
+	case timerEvent:
+		s.remove(0)
+		ev.fn(ev.arg)
+	default:
+		s.remove(0)
+		fn, arg := ev.fn, ev.arg
+		s.releaseEvent(ev)
+		fn(arg)
+	}
+	s.executed++
+	return true
 }
 
 // Run executes events until none remain, Stop is called, or the event
@@ -203,20 +220,9 @@ func (s *Scheduler) Run() (int, error) {
 // It returns the number of events executed.
 func (s *Scheduler) RunUntil(t time.Duration) int {
 	n := 0
-	for len(s.heap) > 0 {
-		next := s.heap[0]
-		if next.canceled {
-			ev := s.popMin()
-			s.advanceQueue(ev)
-			s.releaseEvent(ev)
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		if s.Step() {
-			n++
-		}
+	for s.settle() && s.heap[0].at <= t {
+		s.Step()
+		n++
 	}
 	if s.now < t {
 		s.now = t

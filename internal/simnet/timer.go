@@ -6,18 +6,19 @@ import "time"
 // It mirrors the subset of time.Timer semantics protocol state machines
 // need (RTO, PTO, idle timeouts) under virtual time.
 //
-// Arming a timer allocates nothing: the scheduler event carries the timer
-// pointer itself rather than a per-Reset closure.
+// A Timer owns its scheduler event, so arming it allocates nothing and
+// stopping it takes that event out of the heap.
 type Timer struct {
+	ev event // in the heap iff armed
+	// at, seq is the timer's key; ev's lags it after a later re-arm.
+	at   time.Duration
+	seq  uint64
 	s    *Scheduler
 	fn   func()
-	ev   *event
 	next *Timer // free-list link
 }
 
-// timerFire adapts the arg-carrying event callback to Timer.fire without
-// a per-arm closure.
-func timerFire(x any) { x.(*Timer).fire() }
+func timerFire(x any) { x.(*Timer).fn() }
 
 // NewTimer returns a stopped timer that will invoke fn when it fires.
 // Timers released via Release are recycled.
@@ -25,6 +26,7 @@ func (s *Scheduler) NewTimer(fn func()) *Timer {
 	t := s.freeTimers
 	if t == nil {
 		t = &Timer{s: s}
+		t.ev = event{fn: timerFire, arg: t, index: -1, kind: timerEvent}
 	} else {
 		s.freeTimers = t.next
 		t.next = nil
@@ -47,38 +49,37 @@ func (t *Timer) Release() {
 // pending expiry.
 func (t *Timer) Reset(delay time.Duration) { t.ResetAt(t.s.now + delay) }
 
-// ResetAt (re)arms the timer to fire at absolute virtual time at. An
-// armed timer's event is rescheduled in place — a heap key update with a
-// fresh sequence number, ordering-identical to cancel+push but without
-// churning a cancel tombstone through the heap on every RTO/PTO re-arm.
+// ResetAt (re)arms the timer to fire at absolute virtual time at, with
+// a fresh sequence number: the (at, seq) key that stopping it and
+// arming it anew would produce. Moving an armed timer earlier sifts its
+// event up at once. Moving it later, as RTO/PTO re-arms mostly do, only
+// records the new key: the event stays put, and the scheduler re-keys
+// it if it reaches the top first (see settle).
 func (t *Timer) ResetAt(at time.Duration) {
-	if t.ev != nil {
-		t.s.reschedule(t.ev, at)
-		return
+	s := t.s
+	ev := &t.ev
+	t.at, t.seq = s.key(at)
+	switch {
+	case ev.index < 0:
+		ev.at, ev.seq = t.at, t.seq
+		s.live++
+		s.push(ev)
+	case t.at < ev.at:
+		ev.at, ev.seq = t.at, t.seq
+		s.siftUp(ev.index)
 	}
-	t.ev = t.s.AtArg(at, timerFire, t)
-}
-
-func (t *Timer) fire() {
-	t.ev = nil
-	t.fn()
 }
 
 // Stop cancels a pending expiry. Stopping a stopped timer is a no-op.
-func (t *Timer) Stop() {
-	if t.ev != nil {
-		t.s.cancelEvent(t.ev)
-		t.ev = nil
-	}
-}
+func (t *Timer) Stop() { t.s.cancelEvent(&t.ev) }
 
 // Armed reports whether the timer has a pending expiry.
-func (t *Timer) Armed() bool { return t.ev != nil }
+func (t *Timer) Armed() bool { return t.ev.index >= 0 }
 
 // Deadline returns the pending expiry time; valid only when Armed.
 func (t *Timer) Deadline() time.Duration {
-	if t.ev == nil {
+	if !t.Armed() {
 		return 0
 	}
-	return t.ev.at
+	return t.at
 }

@@ -19,7 +19,11 @@ type Listener struct {
 	cfg    Config
 	accept func(*Conn)
 	conns  map[connKey]*Conn
-	closed bool
+	// last is the connection the last segment was demultiplexed to, so a
+	// run of one peer's segments hashes no key. remove and Close clear it.
+	last    *Conn
+	lastKey connKey
+	closed  bool
 }
 
 // Listen binds port on host. accept fires when a connection completes the
@@ -50,6 +54,7 @@ func (l *Listener) Close() {
 		c.Abort()
 	}
 	l.conns = make(map[connKey]*Conn)
+	l.last = nil
 }
 
 // ConnCount reports the number of tracked connections.
@@ -61,8 +66,11 @@ func (l *Listener) handlePacket(pkt simnet.Packet) {
 		return
 	}
 	key := connKey{pkt.Src, pkt.SrcPort}
-	c, ok := l.conns[key]
-	if !ok {
+	c := l.last
+	if c == nil || key != l.lastKey {
+		c = l.conns[key]
+	}
+	if c == nil {
 		if seg.flags&flagSYN == 0 || seg.flags&flagACK != 0 {
 			// Stray non-SYN for an unknown connection: reset the
 			// peer so it releases state promptly.
@@ -84,14 +92,20 @@ func (l *Listener) handlePacket(pkt simnet.Packet) {
 			}
 		}
 		l.conns[key] = c
+		l.last, l.lastKey = c, key
 		c.synSentAt = c.sched.Now()
 		c.sendFlags(flagSYN | flagACK)
 		c.armRTO()
 		return
 	}
+	l.last, l.lastKey = c, key
 	c.handleSegment(seg)
 }
 
 func (l *Listener) remove(addr simnet.Addr, port uint16) {
-	delete(l.conns, connKey{addr, port})
+	key := connKey{addr, port}
+	delete(l.conns, key)
+	if l.lastKey == key {
+		l.last = nil
+	}
 }

@@ -464,3 +464,44 @@ func TestDeterministicTransfer(t *testing.T) {
 		t.Fatalf("same seed produced different completion times: %v vs %v", a, b)
 	}
 }
+
+// TestListenerDemuxForgetsTornDownConn pins the listener's cached demux:
+// once a connection is torn down, a new SYN from the same (addr, port)
+// opens a new connection instead of reaching the old one through the
+// cache.
+func TestListenerDemuxForgetsTornDownConn(t *testing.T) {
+	w := newWorld(t, 5*time.Millisecond, 0, 0)
+	pools := &Pools{}
+	accepted := 0
+	l, err := Listen(w.b, 80, Config{Pools: pools}, func(*Conn) { accepted++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Dial(w.a, "server", 80, Config{Pools: pools}, nil)
+	run(t, w.sched)
+	port := c.LocalPort()
+	if accepted != 1 || l.ConnCount() != 1 {
+		t.Fatalf("accepted %d, tracking %d conns; want 1 and 1", accepted, l.ConnCount())
+	}
+	// The client's RST is the last segment the listener demultiplexes;
+	// it tears the server conn down, and its struct goes back to the
+	// pool once the next event runs.
+	c.Abort()
+	run(t, w.sched)
+	if l.ConnCount() != 0 {
+		t.Fatalf("tracking %d conns after the peer's RST, want 0", l.ConnCount())
+	}
+
+	// A raw endpoint on the freed port opens anew from the same address.
+	var replies []segFlags
+	if err := w.a.Bind(port, func(p simnet.Packet) { replies = append(replies, p.Payload.(*segment).flags) }); err != nil {
+		t.Fatal(err)
+	}
+	syn := newSegment(pools)
+	syn.flags = flagSYN
+	w.a.Send(port, "server", 80, syn.wireSize(), syn)
+	w.sched.RunUntil(w.sched.Now() + 20*time.Millisecond)
+	if l.ConnCount() != 1 || len(replies) != 1 || replies[0] != flagSYN|flagACK {
+		t.Fatalf("after a new SYN from %d: tracking %d conns, replies %v; want 1 conn and one SYN-ACK", port, l.ConnCount(), replies)
+	}
+}
