@@ -17,6 +17,7 @@ vet:
 # (the seed corpus alone already runs under plain go test).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopes -fuzztime 5s ./internal/httpsim
+	$(GO) test -run '^$$' -fuzz FuzzClientResponses -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s ./internal/tlssim
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/tcpsim
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/quicsim

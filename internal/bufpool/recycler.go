@@ -50,3 +50,14 @@ func (r *Recycler[T]) Get(s *simnet.Scheduler, reset func(T)) (v T, ok bool) {
 	}
 	return r.free.Get()
 }
+
+// Promote resets and frees every retired value whatever its stamp. Call
+// it once the schedulers that retired them will run no more events.
+func (r *Recycler[T]) Promote(reset func(T)) {
+	for _, d := range r.dying[r.head:] {
+		reset(d.v)
+		r.free.Put(d.v)
+	}
+	clear(r.dying)
+	r.dying, r.head = r.dying[:0], 0
+}

@@ -77,3 +77,26 @@ func TestRecyclerDyingListStaysBounded(t *testing.T) {
 		t.Fatalf("retired list cap %d, free %d after 1000 round trips", cap(r.dying), len(r.free))
 	}
 }
+
+// TestRecyclerPromoteFreesEveryRetired: Promote frees values whose
+// retiring event is still running, reset, and leaves no retired entry
+// that could pin one.
+func TestRecyclerPromoteFreesEveryRetired(t *testing.T) {
+	sched := &simnet.Scheduler{}
+	var r Recycler[*rec]
+	a, b := &rec{live: true}, &rec{live: true}
+	r.Retire(a, sched)
+	r.Retire(b, sched)
+	r.Promote(resetRec)
+	if a.live || b.live || len(r.free) != 2 || len(r.dying) != 0 || r.head != 0 {
+		t.Fatalf("after Promote: a.live %v, b.live %v, free %d, dying %d", a.live, b.live, len(r.free), len(r.dying))
+	}
+	for _, d := range r.dying[:cap(r.dying)] {
+		if d.v != nil {
+			t.Fatal("a promoted value is still reachable from the retired list")
+		}
+	}
+	if got, _ := r.Get(sched, resetRec); got != b {
+		t.Fatalf("Get after Promote = %p, want the last retired %p", got, b)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"h3cdn/internal/simnet"
-	"h3cdn/internal/tcpsim"
 	"h3cdn/internal/tlssim"
 	"h3cdn/internal/trace"
 )
@@ -35,186 +34,35 @@ type DialConfig struct {
 	Trace *trace.Tracer
 }
 
-type h1Pending struct {
-	req    *Request
-	ev     RequestEvents
-	stream int64
-}
-
 // h1Client is an HTTP/1.1 client connection: strictly one request in
 // flight; further requests queue (the browser opens parallel connections).
 type h1Client struct {
-	sched       *simnet.Scheduler
-	tls         *tlssim.Conn
-	established bool
-	hsDur       time.Duration
-	sslDur      time.Duration
-	resumed     bool
-	closed      bool
-
-	trace      *trace.Tracer
-	traceID    uint32
-	pools      *Pools
-	nextStream int64
-
-	queue  []h1Pending
-	cur    h1Pending
-	hasCur bool
-	dog    reqWatchdog
-
-	// Response parse state. Body bytes are counted straight from the
-	// delivery, never buffered; heads carries only a response head split
-	// across deliveries.
-	heads     headCarry
-	bodyLeft  int
-	gotHeader bool
+	client
+	tlsWire
+	// heads carries only a response head split across deliveries; body
+	// bytes are counted straight from the delivery, never buffered.
+	heads headCarry
 }
 
 var _ ClientConn = (*h1Client)(nil)
 
 // DialH1 opens an HTTP/1.1 connection to addr:port.
 func DialH1(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	cfg.Pools = orPrivate(cfg.Pools)
-	c := &h1Client{sched: host.Scheduler(), trace: cfg.Trace, pools: cfg.Pools}
-	dialStart := c.sched.Now()
-	dialTLS(host, addr, port, serverName, H1, cfg, func(conn *tlssim.Conn, err error) {
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if c.closed {
-			// The client gave up (watchdog or abort) while the handshake
-			// was still running; release the late connection.
-			conn.Abort()
-			return
-		}
-		c.tls = conn
-		// Handshake duration covers TCP + TLS, from the dial call; the
-		// SSL portion is the TLS layer's own span (HAR "ssl").
-		c.hsDur = c.sched.Now() - dialStart
-		c.sslDur = conn.HandshakeDuration()
-		c.traceID = conn.TraceID()
-		c.resumed = conn.Resumed()
-		conn.SetDataFunc(c.onData)
-		conn.SetCloseFunc(c.onClose)
-		c.established = true
-		c.next()
-	}, func(conn *tlssim.Conn) { c.tls = conn })
-	c.dog.init(c.sched, c.watchdogFire)
+	c := &h1Client{}
+	c.dial(&c.client, c, host, addr, port, serverName, H1, cfg)
 	return c
 }
 
-// dialTLS opens TCP then TLS with the given ALPN. early gives the caller
-// the TLS conn as soon as it exists (before handshake completion) so
-// Close/Abort work mid-handshake.
-func dialTLS(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, proto Protocol,
-	cfg DialConfig, done func(*tlssim.Conn, error), early func(*tlssim.Conn)) {
-	tcpCfg := tcpsim.Config{
-		Recovery: cfg.Recovery,
-		Trace:    cfg.Trace,
-		Pools:    &cfg.Pools.TCP,
-		Arena:    &cfg.Pools.Arena,
-	}
-	version := cfg.TLSVersion
-	if version == 0 {
-		version = tlssim.TLS13
-	}
-	tc := tcpsim.Dial(host, addr, port, tcpCfg, func(tc *tcpsim.Conn) {
-		var tconn *tlssim.Conn
-		tconn = tlssim.Client(tc, tlssim.ClientConfig{
-			Version:         version,
-			ServerName:      serverName,
-			Tickets:         cfg.TLSTickets,
-			EnableEarlyData: cfg.EnableEarlyData,
-			Sched:           host.Scheduler(),
-			HandshakeCPU:    cfg.HandshakeCPU,
-			ALPN:            proto.ALPN(),
-			Arena:           &cfg.Pools.Arena,
-			RecvArena:       &cfg.Pools.Recv,
-			Trace:           cfg.Trace,
-			TraceConn:       tc.TraceID(),
-		}, func(err error) { done(tconn, err) })
-		if early != nil {
-			early(tconn)
-		}
-	})
-	// Cover the SYN window: until the TLS layer takes over the close
-	// callback (on establishment), a connection that dies dialing — SYN
-	// retry exhaustion, RST — would otherwise vanish without ever
-	// resolving the dial.
-	tc.SetCloseFunc(func(err error) {
-		if err == nil {
-			err = ErrConnClosed
-		}
-		done(nil, err)
-	})
+func (c *h1Client) send(r *request) {
+	r.id = c.sent
+	c.trace.HTTPStreamOpen(c.sched.Now(), c.traceID, r.id, r.req.Host, r.req.Path)
+	c.tls.Write(c.pools.encodeH1Request(r.req))
 }
 
-func (c *h1Client) Protocol() Protocol { return H1 }
-
-func (c *h1Client) Established() bool { return c.established }
-
-func (c *h1Client) HandshakeDuration() time.Duration { return c.hsDur }
-
-func (c *h1Client) SSLDuration() time.Duration { return c.sslDur }
-
-func (c *h1Client) TraceID() uint32 { return c.traceID }
-
-func (c *h1Client) Resumed() bool { return c.resumed }
-
-func (c *h1Client) InFlight() int {
-	n := len(c.queue)
-	if c.hasCur {
-		n++
-	}
-	return n
-}
-
-func (c *h1Client) Do(req *Request, ev RequestEvents) {
-	if c.closed {
-		if ev.OnError != nil {
-			ev.OnError(ErrConnClosed)
-		}
-		return
-	}
-	c.queue = append(c.queue, h1Pending{req: req, ev: ev})
-	if c.established {
-		c.next()
-	}
-	if !c.closed {
-		c.dog.touch(c.InFlight())
-	}
-}
-
-func (c *h1Client) next() {
-	if c.hasCur || len(c.queue) == 0 || c.closed {
-		return
-	}
-	p := c.queue[0]
-	c.queue = c.queue[1:]
-	c.nextStream++
-	p.stream = c.nextStream
-	c.cur = p
-	c.hasCur = true
-	c.trace.HTTPStreamOpen(c.sched.Now(), c.traceID, p.stream, p.req.Host, p.req.Path)
-	c.tls.Write(c.pools.encodeH1Request(p.req))
-	if p.ev.OnSent != nil {
-		p.ev.OnSent()
-	}
-}
-
-func (c *h1Client) onData(p []byte) {
-	c.parse(p)
-	if !c.closed {
-		// Response bytes arrived: reset the silence budget, or disarm it
-		// entirely if this delivery completed the last request.
-		c.dog.touch(c.InFlight())
-	}
-}
-
-func (c *h1Client) parse(p []byte) {
-	for c.hasCur {
-		if !c.gotHeader {
+func (c *h1Client) parse(_ *request, p []byte) {
+	for len(c.active) > 0 {
+		r := c.active[0]
+		if !r.gotMeta {
 			head, rest, ok := c.heads.take(p)
 			if !ok {
 				if c.heads.overlong {
@@ -222,102 +70,18 @@ func (c *h1Client) parse(p []byte) {
 				}
 				return
 			}
-			meta, err := c.pools.parseH1Response(head)
-			if err != nil {
-				c.fail(err)
-				return
-			}
 			p = rest
-			c.gotHeader = true
-			c.bodyLeft = meta.BodySize
-			c.trace.HTTPHeaders(c.sched.Now(), c.traceID, c.cur.stream, meta.Status, meta.BodySize)
-			if c.cur.ev.OnHeaders != nil {
-				c.cur.ev.OnHeaders(meta)
-			}
-			if c.closed || !c.hasCur {
+			if meta, err := c.pools.parseH1Response(head); !c.headers(r, meta, err) {
 				return
 			}
 		}
-		n := min(c.bodyLeft, len(p))
-		c.bodyLeft -= n
+		n := min(r.bodyLeft, len(p))
+		r.bodyLeft -= n
 		p = p[n:]
-		if c.bodyLeft > 0 {
+		if r.bodyLeft > 0 {
 			return
 		}
-		done := c.cur
-		c.hasCur = false
-		c.gotHeader = false
-		c.trace.HTTPStreamClose(c.sched.Now(), c.traceID, done.stream)
-		if done.ev.OnComplete != nil {
-			done.ev.OnComplete()
-		}
-		c.next()
-	}
-}
-
-func (c *h1Client) onClose(err error) {
-	if err == nil {
-		err = ErrConnClosed
-	}
-	c.fail(err)
-}
-
-// watchdogFire aborts a connection that has been silent for
-// requestTimeout with requests outstanding. fail runs first so the
-// retry fan-out sees ErrRequestTimeout rather than the transport's own
-// error from the close callback.
-func (c *h1Client) watchdogFire() {
-	if c.closed {
-		return
-	}
-	tls := c.tls
-	c.fail(ErrRequestTimeout)
-	if tls != nil {
-		tls.Abort()
-	}
-}
-
-func (c *h1Client) fail(err error) {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.dog.release()
-	if c.hasCur {
-		c.hasCur = false
-		c.trace.HTTPStreamFail(c.sched.Now(), c.traceID, c.cur.stream, err.Error())
-		if c.cur.ev.OnError != nil {
-			c.cur.ev.OnError(err)
-		}
-		c.cur = h1Pending{}
-	}
-	for _, p := range c.queue {
-		if p.ev.OnError != nil {
-			p.ev.OnError(err)
-		}
-	}
-	c.queue = nil
-}
-
-func (c *h1Client) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.dog.release()
-	if c.tls != nil {
-		c.tls.Close()
-	}
-}
-
-func (c *h1Client) Abort() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.dog.release()
-	if c.tls != nil {
-		c.tls.Abort()
+		c.complete(r)
 	}
 }
 

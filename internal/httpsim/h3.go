@@ -27,44 +27,10 @@ type H3DialConfig struct {
 	Trace *trace.Tracer
 }
 
-// h3Stream is the client-side per-request state. Instances are pooled
-// in Pools (see Pools.getH3Stream); dataFn is bound once per struct
-// lifetime.
-type h3Stream struct {
-	c   *h3Client
-	req *Request
-	ev  RequestEvents
-	s   *quicsim.Stream // nil until sent
-
-	parser   blockParser
-	dataFn   func([]byte)
-	id       int64
-	gotMeta  bool
-	bodyLeft int
-	done     bool
-}
-
-// reset clears per-request state for pooling, keeping the parser's
-// buffers and the bound data callback.
-func (st *h3Stream) reset() {
-	st.parser.rewind()
-	parser, dataFn := st.parser, st.dataFn
-	*st = h3Stream{parser: parser, dataFn: dataFn}
-}
-
 // h3Client maps each request to one QUIC stream.
 type h3Client struct {
-	sched       *simnet.Scheduler
-	conn        *quicsim.Conn
-	pools       *Pools
-	established bool
-	closed      bool
-	trace       *trace.Tracer
-	queue       []*h3Stream
-	// actives keeps send order: failure fan-out must visit streams
-	// deterministically (map iteration would scramble retry scheduling).
-	actives []*h3Stream
-	dog     reqWatchdog
+	client
+	conn *quicsim.Conn
 }
 
 var _ ClientConn = (*h3Client)(nil)
@@ -72,7 +38,8 @@ var _ ClientConn = (*h3Client)(nil)
 // DialH3 opens an HTTP/3 connection to addr:port (the QUIC port).
 func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg H3DialConfig) ClientConn {
 	cfg.Pools = orPrivate(cfg.Pools)
-	c := &h3Client{sched: host.Scheduler(), trace: cfg.Trace, pools: cfg.Pools}
+	c := &h3Client{}
+	c.init(host.Scheduler(), H3, cfg.Pools, cfg.Trace, c)
 	qcfg := cfg.QUIC
 	qcfg.Trace = cfg.Trace
 	qcfg.Pools = &cfg.Pools.QUIC
@@ -82,18 +49,11 @@ func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string,
 		Tokens:        cfg.Tokens,
 		EnableZeroRTT: cfg.EnableZeroRTT,
 		HandshakeCPU:  cfg.HandshakeCPU,
-	}, func(*quicsim.Conn) {
-		c.established = true
-		c.flush()
-	})
+	}, func(*quicsim.Conn) { c.establish() })
 	c.conn.SetCloseFunc(c.onClose)
 	c.dog.init(c.sched, c.watchdogFire)
 	return c
 }
-
-func (c *h3Client) Protocol() Protocol { return H3 }
-
-func (c *h3Client) Established() bool { return c.established }
 
 func (c *h3Client) HandshakeDuration() time.Duration { return c.conn.HandshakeDuration() }
 
@@ -105,182 +65,49 @@ func (c *h3Client) TraceID() uint32 { return c.conn.TraceID() }
 
 func (c *h3Client) Resumed() bool { return c.conn.Resumed() }
 
-func (c *h3Client) InFlight() int { return len(c.actives) + len(c.queue) }
-
-func (c *h3Client) Do(req *Request, ev RequestEvents) {
-	if c.closed {
-		if ev.OnError != nil {
-			ev.OnError(ErrConnClosed)
-		}
-		return
-	}
-	st := c.pools.getH3Stream(c, req, ev)
-	if !c.established {
-		c.queue = append(c.queue, st)
-		c.dog.touch(c.InFlight())
-		return
-	}
-	c.send(st)
-	c.dog.touch(c.InFlight())
-}
-
-func (c *h3Client) flush() {
-	q := c.queue
-	c.queue = nil
-	for _, st := range q {
-		if c.closed {
-			return
-		}
-		c.send(st)
+func (c *h3Client) closeTransport(abort bool) {
+	if abort {
+		c.conn.Abort()
+	} else {
+		c.conn.Close()
 	}
 }
 
-func (c *h3Client) send(st *h3Stream) {
-	c.actives = append(c.actives, st)
+func (c *h3Client) send(r *request) {
+	if r.dataFn == nil {
+		r.dataFn = func(data []byte) { r.c.deliver(r, data) }
+	}
 	s := c.conn.OpenStream()
-	st.s = s
-	st.id = int64(s.ID())
-	s.SetDataFunc(st.dataFn)
-	c.trace.HTTPStreamOpen(c.sched.Now(), c.conn.TraceID(), st.id, st.req.Host, st.req.Path)
-	writeBlock(&c.pools.Arena, s, blockHeadersReq, 0, flagEndStream, c.pools.requestHeaderBlock(st.req))
+	r.stream = s
+	r.id = int64(s.ID())
+	s.SetDataFunc(r.dataFn)
+	c.trace.HTTPStreamOpen(c.sched.Now(), c.conn.TraceID(), r.id, r.req.Host, r.req.Path)
+	writeBlock(&c.pools.Arena, s, blockHeadersReq, 0, flagEndStream, c.pools.requestHeaderBlock(r.req))
 	s.CloseWrite()
-	if st.ev.OnSent != nil {
-		st.ev.OnSent()
-	}
 }
 
-func (c *h3Client) onStreamData(st *h3Stream, data []byte) {
-	c.parseStreamData(st, data)
-	if !c.closed {
-		// Response bytes arrived: reset the silence budget, or disarm it
-		// entirely if this delivery completed the last request.
-		c.dog.touch(c.InFlight())
-	}
-}
-
-func (c *h3Client) parseStreamData(st *h3Stream, data []byte) {
-	if st.done || c.closed {
-		return
-	}
-	for _, b := range st.parser.feed(data) {
+func (c *h3Client) parse(r *request, data []byte) {
+	for _, b := range r.parser.feed(data) {
 		switch b.typ {
 		case blockHeadersResp:
-			meta, err := c.pools.parseResponseHeaderBlock(b.payload)
-			if err != nil {
-				c.fail(err)
+			if meta, err := c.pools.parseResponseHeaderBlock(b.payload); !c.headers(r, meta, err) {
 				return
 			}
-			st.gotMeta = true
-			st.bodyLeft = meta.BodySize
-			c.trace.HTTPHeaders(c.sched.Now(), c.conn.TraceID(), st.id, meta.Status, meta.BodySize)
-			if st.ev.OnHeaders != nil {
-				st.ev.OnHeaders(meta)
-			}
-			if st.bodyLeft == 0 {
-				c.finish(st)
+			if r.bodyLeft == 0 {
+				c.complete(r)
 				return
 			}
 		case blockData:
-			st.bodyLeft -= b.size
-			if st.gotMeta && st.bodyLeft <= 0 {
-				c.finish(st)
+			r.bodyLeft -= b.size
+			if r.gotMeta && r.bodyLeft <= 0 {
+				c.complete(r)
 				return
 			}
 		}
 	}
-	if st.parser.overlong {
+	if r.parser.overlong {
 		c.fail(ErrBadResponse)
 	}
-}
-
-func (c *h3Client) finish(st *h3Stream) {
-	if st.done {
-		return
-	}
-	st.done = true
-	for i, a := range c.actives {
-		if a == st {
-			c.actives = append(c.actives[:i], c.actives[i+1:]...)
-			break
-		}
-	}
-	c.trace.HTTPStreamClose(c.sched.Now(), c.conn.TraceID(), st.id)
-	if st.ev.OnComplete != nil {
-		st.ev.OnComplete()
-	}
-	c.retire(st)
-}
-
-// retire recycles a state whose request has completed or failed: its
-// stream stops calling it (a late delivery was ignored anyway), and
-// nothing else holds it.
-func (c *h3Client) retire(st *h3Stream) {
-	if st.s != nil {
-		st.s.SetDataFunc(nil)
-	}
-	c.pools.h3cli.Retire(st, c.sched)
-}
-
-func (c *h3Client) onClose(err error) {
-	if err == nil {
-		err = ErrConnClosed
-	}
-	c.fail(err)
-}
-
-// watchdogFire aborts a connection that has been silent for
-// requestTimeout with requests outstanding. fail runs first so the
-// retry fan-out sees ErrRequestTimeout rather than the transport's own
-// ErrAborted from the close callback.
-func (c *h3Client) watchdogFire() {
-	if c.closed {
-		return
-	}
-	c.fail(ErrRequestTimeout)
-	c.conn.Abort()
-}
-
-func (c *h3Client) fail(err error) {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.dog.release()
-	for _, st := range c.queue {
-		st.done = true
-		if st.ev.OnError != nil {
-			st.ev.OnError(err)
-		}
-		c.retire(st)
-	}
-	c.queue = nil
-	for _, st := range c.actives {
-		st.done = true
-		c.trace.HTTPStreamFail(c.sched.Now(), c.conn.TraceID(), st.id, err.Error())
-		if st.ev.OnError != nil {
-			st.ev.OnError(err)
-		}
-		c.retire(st)
-	}
-	c.actives = nil
-}
-
-func (c *h3Client) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.dog.release()
-	c.conn.Close()
-}
-
-func (c *h3Client) Abort() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.dog.release()
-	c.conn.Abort()
 }
 
 // --- server side ---

@@ -102,7 +102,6 @@ type RequestEvents struct {
 var (
 	ErrConnClosed   = errors.New("httpsim: connection closed")
 	ErrBadResponse  = errors.New("httpsim: malformed response")
-	ErrTooManyReqs  = errors.New("httpsim: request queue overflow")
 	ErrNotSupported = errors.New("httpsim: operation not supported")
 )
 
@@ -129,10 +128,12 @@ type ClientConn interface {
 	// "ssl", a subset of HandshakeDuration). For H3 the integrated
 	// QUIC handshake is all crypto, so it equals HandshakeDuration.
 	SSLDuration() time.Duration
-	// Close terminates the connection gracefully.
+	// Close terminates the connection gracefully. Every outstanding
+	// request, sent or queued, first gets OnError(ErrConnClosed), sent
+	// ones in send order; a later Do gets the same at once.
 	Close()
 	// Abort terminates immediately (no peer notification beyond
-	// transport reset).
+	// transport reset), failing outstanding requests as Close does.
 	Abort()
 }
 

@@ -17,9 +17,9 @@ import (
 	"h3cdn/internal/tlssim"
 )
 
-// sizeHandler serves bodies whose size is encoded in the path: "/b/<n>".
-// It tags responses with a synthetic CDN header so header passage is
-// testable.
+// sizeHandler serves bodies whose size is encoded in the path: "/b/<n>";
+// "/bad/<n>" answers with a malformed (negative) status. It tags
+// responses with a synthetic CDN header so header passage is testable.
 func sizeHandler(sched *simnet.Scheduler, wait time.Duration) Handler {
 	return func(ctx *ServerContext, respond func(Response)) {
 		n := 0
@@ -30,6 +30,9 @@ func sizeHandler(sched *simnet.Scheduler, wait time.Duration) Handler {
 			Status:   200,
 			Header:   map[string]string{"server": "simcdn", "x-proto": ctx.Protocol.String()},
 			BodySize: n,
+		}
+		if strings.HasPrefix(ctx.Req.Path, "/bad/") {
+			resp.Status = -1
 		}
 		if wait == 0 {
 			respond(resp)
@@ -331,15 +334,29 @@ func TestH2HoLBlockingVsH3(t *testing.T) {
 	}
 }
 
+// TestConnAbortFailsInFlight closes or aborts a connection while its
+// request waits in the server's handler: the request must get exactly
+// one OnError(ErrConnClosed) and never complete.
 func TestConnAbortFailsInFlight(t *testing.T) {
-	for _, proto := range []Protocol{H2, H3} {
-		w := newHWorld(t, 25*time.Millisecond, 0, 0, 200*time.Millisecond)
-		conn := w.dial(proto)
-		tm := w.get(conn, "edge.example", "/b/100")
-		w.sched.After(120*time.Millisecond, conn.Abort)
-		w.run(t)
-		if tm.done != 0 {
-			t.Fatalf("%v: completed despite abort", proto)
+	for _, proto := range []Protocol{H1, H2, H3} {
+		for _, abort := range []bool{false, true} {
+			w := newHWorld(t, 25*time.Millisecond, 0, 0, 200*time.Millisecond)
+			conn := w.dial(proto)
+			var completed int
+			var errs []error
+			conn.Do(&Request{Host: "edge.example", Path: "/b/100"}, RequestEvents{
+				OnComplete: func() { completed++ },
+				OnError:    func(err error) { errs = append(errs, err) },
+			})
+			end := conn.Close
+			if abort {
+				end = conn.Abort
+			}
+			w.sched.After(120*time.Millisecond, end)
+			w.run(t)
+			if completed != 0 || len(errs) != 1 || !errors.Is(errs[0], ErrConnClosed) {
+				t.Fatalf("%v, abort=%v: %d completions, errors %v; want one ErrConnClosed", proto, abort, completed, errs)
+			}
 		}
 	}
 }

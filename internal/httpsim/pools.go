@@ -47,10 +47,9 @@ type Pools struct {
 	keyBuf      []byte   // respCache key assembly scratch
 	sortScratch []string // sorted header keys scratch
 
-	h2Pendings bufpool.FreeList[*h2Pending]
-	h2Resps    bufpool.FreeList[*h2Response]
+	h2Resps bufpool.FreeList[*h2Response]
 
-	h3cli bufpool.Recycler[*h3Stream]    // see h3Client.retire
+	reqs  bufpool.Recycler[*request]     // see client.retire
 	h3srv bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
 
 	detached PoolNews // TCP and QUIC payload news of detached transport pools
@@ -75,17 +74,20 @@ func (pl *Pools) Rewind() int64 { return pl.Arena.Stats().InUse }
 // Detach cuts the Pools loose from the universes that ran on it. Call it
 // when their schedulers will run no more events: a campaign worker does
 // at each shard boundary. What carries to the next universe, warm, is
-// the wire arena, the TLS carries and the HTTP record pools. Dropped:
+// the wire arena, the TLS carries and the HTTP record pools; the client
+// request records retired in the finished universes are reset into
+// their free list (Recycler.Promote), where they reach no universe.
+// Dropped:
 //   - the transport pools, whole. Their packet payloads are the packets
 //     in flight, whose high water a shard's busiest visit sets at about
 //     four times the median visit's: carried, they would sit mostly
 //     idle in every later shard (on the 768-page CampaignMemory
 //     campaign, 3 to 4 MB more peak heap). Their conn and stream
 //     recyclers would keep the finished universe alive besides;
-//   - the H3 stream-state recyclers. A Recycler promotes a retired
-//     struct only on its next Get, and the next universe may never ask
-//     that one (an H2 shard after an H3 one), so the struct would keep
-//     the finished universe alive;
+//   - the H3 server stream-state recycler. A Recycler promotes a
+//     retired struct only on its next Get, and the next universe may
+//     never ask that one (an H2 shard after an H3 one), so the struct
+//     would keep the finished universe alive;
 //   - the interned request names, which only the finished universes'
 //     requests shared.
 func (pl *Pools) Detach() {
@@ -93,7 +95,7 @@ func (pl *Pools) Detach() {
 	pl.detached.QUIC += pl.QUIC.PayloadStats().News
 	pl.TCP = tcpsim.Pools{}
 	pl.QUIC = quicsim.Pools{}
-	pl.h3cli = bufpool.Recycler[*h3Stream]{}
+	pl.reqs.Promote((*request).reset)
 	pl.h3srv = bufpool.Recycler[*h3SrvStream]{}
 	clear(pl.names)
 }
@@ -130,23 +132,6 @@ func (pl *Pools) News() PoolNews {
 
 // --- per-request record pools ---
 
-func (pl *Pools) getH2Pending(p h2Pending) *h2Pending {
-	sp, ok := pl.h2Pendings.Get()
-	if !ok {
-		sp = new(h2Pending)
-	}
-	*sp = p
-	return sp
-}
-
-// putH2Pending recycles immediately: once OnComplete/OnError has fired
-// the record is unreachable (h2Client holds the only reference, in the
-// streams map, and has already deleted it).
-func (pl *Pools) putH2Pending(p *h2Pending) {
-	*p = h2Pending{}
-	pl.h2Pendings.Put(p)
-}
-
 func (pl *Pools) getH2Response(id uint32, remaining int) *h2Response {
 	r, ok := pl.h2Resps.Get()
 	if !ok {
@@ -156,20 +141,14 @@ func (pl *Pools) getH2Response(id uint32, remaining int) *h2Response {
 	return r
 }
 
-// getH3Stream hands out a client stream state.
-func (pl *Pools) getH3Stream(c *h3Client, req *Request, ev RequestEvents) *h3Stream {
-	st, ok := pl.h3cli.Get(c.sched, (*h3Stream).reset)
+// getRequest hands out a request record bound to c.
+func (pl *Pools) getRequest(c *client, req *Request, ev RequestEvents) *request {
+	r, ok := pl.reqs.Get(c.sched, (*request).reset)
 	if !ok {
-		st = &h3Stream{}
-		// Bound once per struct lifetime; reads st.c at call time so the
-		// closure survives pooling.
-		sp := st
-		st.dataFn = func(data []byte) { sp.c.onStreamData(sp, data) }
+		r = &request{}
 	}
-	st.c = c
-	st.req = req
-	st.ev = ev
-	return st
+	r.c, r.req, r.ev = c, req, ev
+	return r
 }
 
 // getH3SrvStream hands out a server stream state bound to one QUIC

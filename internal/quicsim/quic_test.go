@@ -312,16 +312,15 @@ func TestNoCrossStreamHoLBlocking(t *testing.T) {
 func TestLossStatsCounted(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 50e6, 0.05, 21)
 	echoListen(t, w)
-	var conn *Conn
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
-		conn = c
+	var rs simnet.RecoveryStats
+	Dial(w.client, "server", 443, ClientConfig{Config: Config{Recovery: &rs}, ServerName: "server"}, func(c *Conn) {
 		s := c.OpenStream()
 		s.Write(patterned(512 * 1024))
 		s.CloseWrite()
 	})
 	w.run(t)
-	if conn.Stats().PacketsDeclaredLost == 0 && conn.Stats().PTOs == 0 {
-		t.Fatalf("no loss detected under 5%% loss: %+v", conn.Stats())
+	if rs.PacketsDeclaredLost == 0 && rs.ProbeFires == 0 {
+		t.Fatalf("no loss detected under 5%% loss: %+v", rs)
 	}
 }
 

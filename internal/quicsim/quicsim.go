@@ -103,7 +103,6 @@ func (c Config) withDefaults() Config {
 var (
 	ErrTimeout   = errors.New("quicsim: connection timed out")
 	ErrAborted   = errors.New("quicsim: connection aborted")
-	ErrClosed    = errors.New("quicsim: connection closed by peer")
 	ErrHandshake = errors.New("quicsim: handshake failed")
 )
 
@@ -275,16 +274,4 @@ func (p *packet) isAckEliciting() bool {
 		}
 	}
 	return false
-}
-
-// ConnStats counts per-connection activity.
-type ConnStats struct {
-	PacketsSent         int64
-	PacketsReceived     int64
-	BytesSent           int64
-	BytesDelivered      int64
-	PacketsDeclaredLost int64
-	PTOs                int64
-	StreamsOpened       int64
-	StreamsAccepted     int64
 }

@@ -172,7 +172,6 @@ func (s *Stream) receive(f streamData) {
 func (s *Stream) deliver(data []byte) {
 	s.rcvOff += uint64(len(data))
 	s.nRecved += int64(len(data))
-	s.conn.stats.BytesDelivered += int64(len(data))
 	if s.dataFn != nil {
 		s.dataFn(data)
 	}

@@ -102,8 +102,6 @@ type Conn struct {
 	drainFn        func()
 	drainThreshold int
 	notifying      bool
-
-	stats ConnStats
 }
 
 var _ bytestream.Stream = (*Conn)(nil)
@@ -173,9 +171,6 @@ func (c *Conn) LocalPort() uint16 { return c.localPort }
 
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.state == stateEstablished }
-
-// Stats returns a snapshot of connection counters.
-func (c *Conn) Stats() ConnStats { return c.stats }
 
 // SmoothedRTT returns the current SRTT estimate (zero before any sample).
 func (c *Conn) SmoothedRTT() time.Duration { return c.srtt }
@@ -341,8 +336,6 @@ func (c *Conn) deliverClose(err error) {
 func (c *Conn) sendSeg(seg *segment) {
 	seg.flags |= flagACK
 	seg.ack = c.rcvNxt
-	c.stats.SegsSent++
-	c.stats.BytesSent += int64(len(seg.payload))
 	c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
 }
 
@@ -351,7 +344,6 @@ func (c *Conn) sendFlags(f segFlags) {
 	seg.flags = f
 	if f&flagSYN != 0 && f&flagACK == 0 {
 		// Initial SYN carries no ACK.
-		c.stats.SegsSent++
 		c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
 		return
 	}
@@ -362,7 +354,6 @@ func (c *Conn) handleSegment(seg *segment) {
 	if c.state == stateClosed {
 		return
 	}
-	c.stats.SegsReceived++
 
 	if seg.flags&flagRST != 0 {
 		c.fail(ErrAborted)
@@ -530,13 +521,11 @@ func (c *Conn) processAck(seg *segment) {
 			}
 		}
 	case seg.ack == c.sndUna && c.flight() > 0 && len(seg.payload) == 0 && seg.flags&(flagSYN|flagFIN) == 0:
-		c.stats.DupAcksSeen++
 		c.dupAcks++
 		switch {
 		case c.inRecovery:
 			c.cwnd += mss // window inflation
 		case c.dupAcks == 3:
-			c.stats.FastRetransmits++
 			if c.cfg.Recovery != nil {
 				c.cfg.Recovery.FastRetransmits++
 			}
@@ -573,7 +562,6 @@ func (c *Conn) noteRecovered() {
 }
 
 func (c *Conn) retransmitFirst() {
-	c.stats.Retransmits++
 	if c.cfg.Recovery != nil {
 		c.cfg.Recovery.Retransmits++
 	}
@@ -625,7 +613,6 @@ func (c *Conn) onRTO() {
 		}
 		return
 	}
-	c.stats.Timeouts++
 	if c.cfg.Recovery != nil {
 		c.cfg.Recovery.Timeouts++
 	}
@@ -738,7 +725,6 @@ func (c *Conn) processData(seg *segment) {
 // deliver hands the in-order bytes at rcvNxt to the application.
 func (c *Conn) deliver(data []byte) {
 	c.rcvNxt += uint64(len(data))
-	c.stats.BytesDelivered += int64(len(data))
 	if c.dataFn != nil {
 		c.dataFn(data)
 	}

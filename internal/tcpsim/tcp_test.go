@@ -151,14 +151,12 @@ func TestRetransmitCountedUnderLoss(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var client *Conn
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
-		client = c
+	var rs simnet.RecoveryStats
+	Dial(w.a, "server", 80, Config{Recovery: &rs}, func(c *Conn) {
 		c.Write(patterned(256 * 1024))
 	})
 	run(t, w.sched)
-	st := client.Stats()
-	if st.Retransmits == 0 {
+	if rs.Retransmits == 0 {
 		t.Fatal("no retransmissions under 5% loss")
 	}
 }
@@ -167,10 +165,9 @@ func TestNoRetransmitOnCleanPath(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond, 100e6, 0)
 	payload := patterned(64 * 1024)
 	echoServer(t, w.b, 80, Config{})
-	var client *Conn
+	var rs simnet.RecoveryStats
 	n := 0
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
-		client = c
+	Dial(w.a, "server", 80, Config{Recovery: &rs}, func(c *Conn) {
 		c.SetDataFunc(func(p []byte) { n += len(p) })
 		c.Write(payload)
 	})
@@ -178,8 +175,8 @@ func TestNoRetransmitOnCleanPath(t *testing.T) {
 	if n != len(payload) {
 		t.Fatalf("delivered %d, want %d", n, len(payload))
 	}
-	if st := client.Stats(); st.Retransmits != 0 || st.Timeouts != 0 {
-		t.Fatalf("clean path produced retransmits: %+v", st)
+	if rs.Retransmits != 0 || rs.Timeouts != 0 {
+		t.Fatalf("clean path produced retransmits: %+v", rs)
 	}
 }
 
@@ -366,18 +363,16 @@ func TestFastRetransmitPreferredOverTimeout(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var c *Conn
-	Dial(w.a, "server", 80, Config{}, func(conn *Conn) {
-		c = conn
+	var rs simnet.RecoveryStats
+	Dial(w.a, "server", 80, Config{Recovery: &rs}, func(c *Conn) {
 		c.Write(patterned(1024 * 1024))
 	})
 	run(t, w.sched)
-	st := c.Stats()
-	if st.FastRetransmits == 0 {
-		t.Fatalf("no fast retransmits: %+v", st)
+	if rs.FastRetransmits == 0 {
+		t.Fatalf("no fast retransmits: %+v", rs)
 	}
-	if st.Timeouts > st.FastRetransmits {
-		t.Fatalf("timeouts (%d) dominate fast retransmits (%d)", st.Timeouts, st.FastRetransmits)
+	if rs.Timeouts > rs.FastRetransmits {
+		t.Fatalf("timeouts (%d) dominate fast retransmits (%d)", rs.Timeouts, rs.FastRetransmits)
 	}
 }
 

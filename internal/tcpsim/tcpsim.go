@@ -136,15 +136,3 @@ func (s *segment) end() uint64 {
 	}
 	return e
 }
-
-// ConnStats counts per-connection activity.
-type ConnStats struct {
-	SegsSent        int64
-	SegsReceived    int64
-	BytesSent       int64
-	BytesDelivered  int64
-	Retransmits     int64
-	FastRetransmits int64
-	Timeouts        int64
-	DupAcksSeen     int64
-}
