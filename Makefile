@@ -19,6 +19,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopes -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzClientResponses -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s ./internal/tlssim
+	$(GO) test -run '^$$' -fuzz FuzzTLSTransfer -fuzztime 5s ./internal/tlssim
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/tcpsim
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/quicsim
 	$(GO) test -run '^$$' -fuzz FuzzParseRetention -fuzztime 5s ./internal/har

@@ -12,6 +12,14 @@
 // materialises or copies them; only the supplied bytes a writer does
 // specify — headers, framing, handshake fields — are ever stored. A
 // reader that looks at an opaque byte sees arbitrary contents.
+//
+// On the wire, a stretch of opaque bytes with no supplied byte among
+// them holds no memory either: it is an opaque run (Opaque), a slice of
+// one shared, read-only zero array that belongs to no arena. Extents
+// hands one out for every all-opaque payload, the transports park one
+// beyond a gap by reference, and tlssim tops a split record up from one
+// without a copy. Nobody writes to a run, appends to it or returns it to
+// an arena; IsOpaque tells it apart from a buffer by identity.
 package bytestream
 
 // Stream is an ordered, reliable byte stream with asynchronous delivery.

@@ -10,7 +10,8 @@ import (
 // each with its stream offset, in offset order. The opaque bytes between
 // them are never stored. A sender copies out of it into every wire
 // payload it builds (Payload), so no wire copy aliases an extent and an
-// extent's only reader is the sender itself. The zero value is empty;
+// extent's only reader is the sender itself; an all-opaque payload is
+// an opaque run and copies nothing. The zero value is empty;
 // Trim and Release keep the list's allocation.
 type Extents struct {
 	s []extent
@@ -34,13 +35,18 @@ func (x *Extents) Add(a *bufpool.Arena, off uint64, p []byte) {
 	x.s = append(x.s, extent{off: off, data: data})
 }
 
-// Payload returns a buffer from a holding stream bytes [off, off+n): the
-// supplied ones copied from the extents that overlap the range, the
-// opaque ones whatever the buffer held before.
+// Payload returns stream bytes [off, off+n). A range that overlaps no
+// extent is all opaque and gets Opaque(n), which holds no buffer; any
+// other gets a buffer from a holding the supplied bytes copied from the
+// extents that overlap it, the opaque ones whatever the buffer held
+// before. The caller gives it back with Recycle, which skips a run.
 func (x *Extents) Payload(a *bufpool.Arena, off uint64, n int) []byte {
-	buf := a.Get(n)
 	end := off + uint64(n)
 	i := sort.Search(len(x.s), func(i int) bool { return x.s[i].end() > off })
+	if n == 0 || (n <= MaxOpaque && (i == len(x.s) || x.s[i].off >= end)) {
+		return Opaque(n)
+	}
+	buf := a.Get(n)
 	for _, e := range x.s[i:] {
 		if e.off >= end {
 			break

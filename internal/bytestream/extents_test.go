@@ -2,6 +2,7 @@ package bytestream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"h3cdn/internal/bufpool"
@@ -10,8 +11,10 @@ import (
 // TestExtentsPayloadMatchesStream writes random supplied and opaque
 // runs, then builds payloads of random ranges and trims at random
 // offsets: every supplied byte of a payload must be the one written at
-// its offset, and every extent and payload must be back in the arenas
-// after Release.
+// its offset, a range with no supplied byte must be an opaque run that
+// takes no buffer, and every extent and payload buffer must be back in
+// the arenas after Release. Only buffers are scribbled on and Put: a
+// run is shared and read-only.
 func TestExtentsPayloadMatchesStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(32)) //nolint:gosec
 	for trial := 0; trial < 200; trial++ {
@@ -40,14 +43,25 @@ func TestExtentsPayloadMatchesStream(t *testing.T) {
 				continue
 			}
 			off := trimmed + rng.Intn(len(dense)-trimmed+1)
-			buf := x.Payload(&payloads, uint64(off), rng.Intn(len(dense)-off+1))
+			n := rng.Intn(len(dense) - off + 1)
+			gets := payloads.Stats().Gets
+			buf := x.Payload(&payloads, uint64(off), n)
+			if len(buf) != n {
+				t.Fatalf("trial %d: payload of %d bytes at %d has length %d", trial, n, off, len(buf))
+			}
 			for i, sup := range supplied[off : off+len(buf)] {
 				if sup && buf[i] != dense[off+i] {
 					t.Fatalf("trial %d: payload of %d bytes at %d: byte %d is not the one written", trial, len(buf), off, off+i)
 				}
 			}
-			rng.Read(buf) // whatever the next payload from this buffer holds
-			payloads.Put(buf)
+			allOpaque := !slices.Contains(supplied[off:off+n], true)
+			if took := payloads.Stats().Gets != gets; IsOpaque(buf) == took || allOpaque && n <= MaxOpaque && took {
+				t.Fatalf("trial %d: payload of %d bytes at %d, all opaque %v: opaque run %v, took a buffer %v", trial, n, off, allOpaque, IsOpaque(buf), took)
+			}
+			if !IsOpaque(buf) {
+				rng.Read(buf) // whatever the next payload from this buffer holds
+				payloads.Put(buf)
+			}
 		}
 		x.Release(&a)
 		if st := a.Stats(); st.InUse != 0 || len(x.s) != 0 || payloads.Stats().InUse != 0 {

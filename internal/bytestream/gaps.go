@@ -4,8 +4,9 @@ import "sort"
 
 // Gaps is a reassembly buffer: the chunks of an ordered byte stream that
 // arrived ahead of a hole, sorted by stream offset with at most one chunk
-// per offset. C is the receiver's chunk payload (an arena copy in both
-// transports; tcpsim adds a FIN flag).
+// per offset. C is the receiver's chunk payload (in both transports an
+// arena copy or an opaque run parked by reference; tcpsim adds a FIN
+// flag).
 //
 // Both transports use it the same way: park a chunk that starts beyond
 // the next expected offset, and when the hole fills, repeatedly take the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/bytestream"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/tlssim"
 )
@@ -47,13 +48,16 @@ func testClient(proto Protocol, reqs int, log *[]string) (c *client, carried fun
 const bodyFill = "\r\n\r\nHTTP/1.1 200 OK\x02\x00\x00\x00\x01\x00\x00\x00\x00\x05"
 
 // responseStream is the wire image of resps answering requests 0, 1, ...
-// in turn on one H1 or H2 connection, as the servers frame them, and its
-// largest head or header block, framing included.
-func responseStream(proto Protocol, resps []Response) (stream []byte, maxHead int) {
+// in turn on one H1 or H2 connection, as the servers frame them, its
+// largest head or header block, framing included, and which of its
+// bytes are body bytes, the ones the servers write opaque.
+func responseStream(proto Protocol, resps []Response) (stream []byte, maxHead int, opaque []bool) {
 	var pl Pools
 	body := func(n int) {
+		opaque = append(opaque, make([]bool, len(stream)-len(opaque))...)
 		for i := 0; i < n; i++ {
 			stream = append(stream, bodyFill[i%len(bodyFill)])
+			opaque = append(opaque, true)
 		}
 	}
 	for i, resp := range resps {
@@ -86,7 +90,7 @@ func responseStream(proto Protocol, resps []Response) (stream []byte, maxHead in
 			body(n)
 		}
 	}
-	return stream, maxHead
+	return stream, maxHead, append(opaque, make([]bool, len(stream)-len(opaque))...)
 }
 
 // wantEvents is the event log of resps delivered whole.
@@ -99,21 +103,49 @@ func wantEvents(resps []Response) []string {
 }
 
 // feedCuts feeds stream, cut at the sorted offsets cuts, to a fresh
-// client of proto with n requests. It fails t if the client carries
-// more than maxHead bytes between deliveries, and returns the log.
-func feedCuts(t *testing.T, proto Protocol, n int, stream []byte, cuts []int, maxHead int) []string {
+// client of proto with n requests. With opaque non-nil, every stretch of
+// a piece that opaque marks is fed as bytestream.Opaque runs instead, as
+// the transports deliver segments that hold no supplied byte. It fails
+// t if the client carries more than maxHead bytes between deliveries,
+// and returns the log.
+func feedCuts(t *testing.T, proto Protocol, n int, stream []byte, cuts []int, maxHead int, opaque []bool) []string {
 	t.Helper()
 	var log []string
 	c, carried := testClient(proto, n, &log)
 	prev := 0
 	for _, cut := range append(cuts, len(stream)) {
-		c.onData(stream[prev:cut])
+		for _, p := range opaquePieces(stream[:cut], prev, opaque) {
+			c.onData(p)
+		}
 		prev = cut
 		if k := carried(); k > maxHead {
 			t.Fatalf("%v, cuts %v: carrying %d bytes, largest head is %d", proto, cuts, k, maxHead)
 		}
 	}
 	return log
+}
+
+// opaquePieces is stream[from:] as deliveries: one piece when opaque is
+// nil, else cut wherever opaque changes, each marked stretch replaced by
+// opaque runs of at most a TCP MSS.
+func opaquePieces(stream []byte, from int, opaque []bool) [][]byte {
+	if opaque == nil {
+		return [][]byte{stream[from:]}
+	}
+	var pieces [][]byte
+	for i := from; i < len(stream); {
+		j := i
+		for j < len(stream) && opaque[j] == opaque[i] && (!opaque[i] || j-i < 1460) {
+			j++
+		}
+		if opaque[i] {
+			pieces = append(pieces, bytestream.Opaque(j-i))
+		} else {
+			pieces = append(pieces, stream[i:j])
+		}
+		i = j
+	}
+	return pieces
 }
 
 // clientResponses are the responses TestClientCountsWithoutBuffering
@@ -133,13 +165,13 @@ var clientResponses = []Response{
 func TestClientCountsWithoutBuffering(t *testing.T) {
 	want := wantEvents(clientResponses)
 	for _, proto := range []Protocol{H1, H2} {
-		stream, maxHead := responseStream(proto, clientResponses)
+		stream, maxHead, _ := responseStream(proto, clientResponses)
 		n := len(clientResponses)
-		if got := feedCuts(t, proto, n, stream, nil, maxHead); !slices.Equal(got, want) {
+		if got := feedCuts(t, proto, n, stream, nil, maxHead, nil); !slices.Equal(got, want) {
 			t.Fatalf("%v unsplit feed: %v, want %v", proto, got, want)
 		}
 		for cut := 0; cut <= len(stream); cut++ {
-			if got := feedCuts(t, proto, n, stream, []int{cut}, maxHead); !slices.Equal(got, want) {
+			if got := feedCuts(t, proto, n, stream, []int{cut}, maxHead, nil); !slices.Equal(got, want) {
 				t.Fatalf("%v split at %d: %v, want %v", proto, cut, got, want)
 			}
 		}
@@ -150,7 +182,7 @@ func TestClientCountsWithoutBuffering(t *testing.T) {
 				cuts = append(cuts, rng.Intn(len(stream)+1))
 			}
 			slices.Sort(cuts)
-			if got := feedCuts(t, proto, n, stream, cuts, maxHead); !slices.Equal(got, want) {
+			if got := feedCuts(t, proto, n, stream, cuts, maxHead, nil); !slices.Equal(got, want) {
 				t.Fatalf("%v trial %d, cuts %v: %v, want %v", proto, trial, cuts, got, want)
 			}
 		}
@@ -193,7 +225,9 @@ func decodeFuzzResponses(spec []byte) []Response {
 // fuzzed sequence of responses, fed to an H1 and an H2 client cut at up
 // to 40 fuzzed offsets (two bytes each), must log what the unsplit feed
 // logs — each response's head and completion, in order — and neither
-// client may carry more than the largest head or header block.
+// client may carry more than the largest head or header block. A replay
+// at the same cuts with every body byte fed as opaque runs must log the
+// same: the parsers never read what a writer left opaque.
 func FuzzClientResponses(f *testing.F) {
 	seed := encodeFuzzResponses(clientResponses, []int{0, 1, 2, 3})
 	f.Add(seed, []byte{})
@@ -207,14 +241,17 @@ func FuzzClientResponses(f *testing.F) {
 		}
 		want := wantEvents(resps)
 		for _, proto := range []Protocol{H1, H2} {
-			stream, maxHead := responseStream(proto, resps)
+			stream, maxHead, opaque := responseStream(proto, resps)
 			var cuts []int
-			for ; len(rawCuts) >= 2 && len(cuts) < 40; rawCuts = rawCuts[2:] {
-				cuts = append(cuts, int(binary.BigEndian.Uint16(rawCuts))%(len(stream)+1))
+			for raw := rawCuts; len(raw) >= 2 && len(cuts) < 40; raw = raw[2:] {
+				cuts = append(cuts, int(binary.BigEndian.Uint16(raw))%(len(stream)+1))
 			}
 			slices.Sort(cuts)
-			if got := feedCuts(t, proto, len(resps), stream, cuts, maxHead); !slices.Equal(got, want) {
+			if got := feedCuts(t, proto, len(resps), stream, cuts, maxHead, nil); !slices.Equal(got, want) {
 				t.Fatalf("%v, cuts %v: %v, want %v", proto, cuts, got, want)
+			}
+			if got := feedCuts(t, proto, len(resps), stream, cuts, maxHead, opaque); !slices.Equal(got, want) {
+				t.Fatalf("%v, cuts %v, bodies opaque: %v, want %v", proto, cuts, got, want)
 			}
 		}
 	})

@@ -389,10 +389,10 @@ func (c *Conn) transmit(p *packet) {
 	c.route.Send(c.localPort, c.remotePort, size, p)
 }
 
-// fill gives every STREAM frame p carries a payload buffer of its own,
-// copied from the sending stream's extents (opaque positions keep
-// whatever the buffer held), and records the frame as the receiver will
-// read it.
+// fill gives every STREAM frame p carries its payload, built from the
+// sending stream's extents (Extents.Payload: a buffer of its own, or an
+// opaque run when the frame holds no supplied byte), and records the
+// frame as the receiver will read it.
 func (c *Conn) fill(p *packet) {
 	for _, f := range p.frames {
 		if sf, ok := f.(*streamFrame); ok {

@@ -13,7 +13,8 @@ import "h3cdn/internal/bufpool"
 // value is ready to use.
 //
 // Recycling discipline (see DESIGN.md §4.17): packets and their payloads
-// recycle via simnet's Release after delivery or drop; frames arrays,
+// recycle via simnet's Release after delivery or drop (an all-opaque
+// payload is an opaque run, which nothing recycles); frames arrays,
 // ackFrames and sentPacket records recycle on definitive ACK retirement
 // only; streamFrame structs are reference-counted (one hold per
 // in-flight record) because a PTO probe may copy a frame pointer into a
@@ -33,7 +34,8 @@ type Pools struct {
 	streams bufpool.Recycler[*Stream]
 
 	// payloads recycles packet payloads (transmit takes, Release gives
-	// back) and the copies a receiving stream parks beyond a gap.
+	// back) and the copies a receiving stream parks beyond a gap. An
+	// all-opaque payload or chunk is an opaque run and takes nothing.
 	payloads bufpool.Arena
 	// extents recycles streams' copies of supplied bytes (WriteOpaque
 	// takes, full acknowledgement or teardown gives back). Neither is

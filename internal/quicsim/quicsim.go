@@ -16,6 +16,7 @@ import (
 	"errors"
 	"time"
 
+	"h3cdn/internal/bytestream"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/trace"
 )
@@ -194,11 +195,13 @@ func (*closeFrame) ackEliciting() bool { return false }
 //
 // Packet structs are pooled: each is sent exactly once, receivers read
 // it during delivery and retain nothing of it (copying only stream
-// bytes that land beyond a gap), and the network recycles the struct via
-// Release after the handler returns. A packet owns its stream bytes:
-// transmit copies them from the sending streams into data, whether the
-// packet is a first send, a loss retransmission or a probe, and Release
-// returns them. The frames slice is shared with the sender's sentPacket
+// bytes that land beyond a gap, unless they are an opaque run), and the
+// network recycles the struct via Release after the handler returns. A
+// packet owns its stream bytes unless they are an opaque run
+// (bytestream.Opaque: no supplied byte in the frame's range): transmit
+// copies them from the sending streams into data, whether the packet is
+// a first send, a loss retransmission or a probe, and Release returns
+// the owned ones. The frames slice is shared with the sender's sentPacket
 // record for retransmission and is therefore never recycled — except
 // for ACK-only packets, which bypass loss recovery entirely and keep a
 // private reusable ackFrame attached across pool round-trips.
@@ -245,7 +248,7 @@ func (p *packet) Release() {
 	p.zeroRTT = false
 	p.dcid = 0
 	for _, d := range p.data {
-		p.pools.payloads.Put(d.data)
+		bytestream.Recycle(&p.pools.payloads, d.data)
 	}
 	clear(p.data)
 	p.data = p.data[:0]

@@ -276,6 +276,35 @@ func lossyPath(avgLoss, reorder float64) *simnet.Impairment {
 	return &im
 }
 
+// TestOpaqueTransferTakesNoPayloadBuffer sends 2 MB on one stream over
+// bench's lossy profile as short supplied heads — a 10-byte write, then
+// up to 64 bytes more at the front of each opaque body — and 20 KB
+// opaque bodies. Only frames that hold a supplied byte take a payload
+// buffer, and only such frames arriving beyond a gap a parked copy (the
+// payloads arena serves both): the count scales with the heads, not
+// with the ≈ 1 750 frames the bytes fill.
+func TestOpaqueTransferTakesNoPayloadBuffer(t *testing.T) {
+	const heads, body = 100, 20 << 10
+	for seed := int64(1); seed <= 3; seed++ {
+		k := 0
+		payloads, _, _, _ := runSharedPools(t, seed, lossyPath(0.02, 0.01), 1, 1, 1, nil, func(rng *rand.Rand) *flow {
+			k++
+			if k == 2 { // the response direction: one byte
+				return &flow{want: []byte{1}, pieces: []int{1}}
+			}
+			fl := &flow{want: make([]byte, heads*(10+body))}
+			for i := 0; i < heads; i++ {
+				fl.pieces = append(fl.pieces, 10, body)
+			}
+			rng.Read(fl.want)
+			return fl
+		})
+		if payloads.Gets > 2*heads {
+			t.Fatalf("seed %d: %d heads took %d payload and reassembly buffers", seed, heads, payloads.Gets)
+		}
+	}
+}
+
 // FuzzTransfer lets the fuzzer pick the seed, the loss and reorder rates,
 // the piece sizes of two waves of 2 connections × 3 streams on one Pools,
 // and when (in 10 ms steps, 0 for never) each wave's second connection

@@ -118,7 +118,7 @@ func (s *Stream) Release() {
 func (s *Stream) freeBytes() {
 	pl := s.conn.pools
 	s.supplied.Release(&pl.extents)
-	s.chunks.Each(func(_ uint64, data []byte) { pl.payloads.Put(data) })
+	s.chunks.Each(func(_ uint64, data []byte) { bytestream.Recycle(&pl.payloads, data) })
 	s.chunks.Reset()
 }
 
@@ -139,7 +139,8 @@ func (s *Stream) BytesReceived() int64 { return s.nRecved }
 // Data at rcvOff is delivered at once, straight from the packet: every
 // buffered chunk starts above rcvOff, so it is the chunk the gap scan
 // would pick first. Data beyond a gap is copied into a payloads buffer
-// and parked, since the packet's payload goes back once it is handled.
+// and parked, since the packet's payload goes back once it is handled;
+// an opaque run is parked as it is.
 func (s *Stream) receive(f streamData) {
 	end := f.off + uint64(len(f.data))
 	if f.fin {
@@ -157,10 +158,13 @@ func (s *Stream) receive(f streamData) {
 			s.deliver(data)
 		} else if prev, found := s.chunks.Slot(off); !found || len(data) > len(*prev) {
 			pl := s.conn.pools
-			buf := pl.payloads.Get(len(data))
-			copy(buf, data)
+			buf := data
+			if !bytestream.IsOpaque(data) {
+				buf = pl.payloads.Get(len(data))
+				copy(buf, data)
+			}
 			if found {
-				pl.payloads.Put(*prev)
+				bytestream.Recycle(&pl.payloads, *prev)
 			}
 			*prev = buf
 		}
@@ -194,7 +198,7 @@ func (s *Stream) advance() {
 		if end := off + uint64(len(data)); end > s.rcvOff {
 			s.deliver(data[s.rcvOff-off:])
 		}
-		s.conn.pools.payloads.Put(data)
+		bytestream.Recycle(&s.conn.pools.payloads, data)
 	}
 	if s.hasFin && !s.gotEOF && s.rcvOff >= s.finOff {
 		s.gotEOF = true

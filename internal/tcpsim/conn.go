@@ -17,8 +17,10 @@ const (
 	stateClosed
 )
 
-// recvChunk is a reassembly-arena copy of bytes that arrived beyond a
-// sequence gap; fin marks a segment that carried the FIN.
+// recvChunk holds bytes that arrived beyond a sequence gap: a
+// reassembly-arena copy, or the segment's opaque run itself, parked by
+// reference (bytestream.IsOpaque); fin marks a segment that carried the
+// FIN.
 type recvChunk struct {
 	data []byte
 	fin  bool
@@ -43,8 +45,9 @@ type Conn struct {
 	// acknowledged. The window stores only the supplied ones: extents
 	// lists them in offset order, and everything between is opaque. Each
 	// data segment gets its own payload buffer, filled from the extents
-	// when it is built (Extents.Payload), so an extent goes back as soon
-	// as sndUna passes it and an idle connection holds nothing.
+	// when it is built (Extents.Payload), or an opaque run when it holds
+	// no supplied byte, so an extent goes back as soon as sndUna passes
+	// it and an idle connection holds nothing.
 	sndUna  uint64
 	sndNxt  uint64
 	sndEnd  uint64
@@ -308,7 +311,7 @@ func (c *Conn) teardown() {
 	// unbound, reset probes hold a copy, and the layer above stops
 	// calling once it learns of the teardown (tlssim) or caused it.
 	c.extents.Release(&c.cfg.Pools.extents)
-	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { c.cfg.Arena.Put(chunk.data) })
+	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { bytestream.Recycle(c.cfg.Arena, chunk.data) })
 	c.recvBuf.Reset()
 	c.cfg.Pools.conns.Retire(c, c.sched)
 }
@@ -694,10 +697,13 @@ func (c *Conn) processData(seg *segment) {
 		// handler returns.
 		c.deliver(payload)
 	} else if prev, found := c.recvBuf.Slot(start); !found || len(payload) > len(prev.data) || fin {
-		buf := c.cfg.Arena.Get(len(payload))
-		copy(buf, payload)
+		buf := payload
+		if !bytestream.IsOpaque(payload) {
+			buf = c.cfg.Arena.Get(len(payload))
+			copy(buf, payload)
+		}
 		if found {
-			c.cfg.Arena.Put(prev.data)
+			bytestream.Recycle(c.cfg.Arena, prev.data)
 		}
 		*prev = recvChunk{data: buf, fin: fin}
 	}
@@ -747,14 +753,14 @@ func (c *Conn) advanceReceive() {
 			if data := chunk.data[c.rcvNxt-start:]; len(data) > 0 {
 				c.deliver(data)
 			}
-			c.cfg.Arena.Put(chunk.data)
+			bytestream.Recycle(c.cfg.Arena, chunk.data)
 			if chunk.fin {
 				c.rcvNxt++ // consume the FIN offset
 				c.peerEOF = true
 			}
 			continue
 		}
-		c.cfg.Arena.Put(chunk.data) // stale duplicate
+		bytestream.Recycle(c.cfg.Arena, chunk.data) // stale duplicate
 	}
 }
 

@@ -9,7 +9,8 @@ import "h3cdn/internal/bufpool"
 // conn footprint. The zero value is ready to use.
 //
 // Segments and their payload buffers recycle at delivery or drop (the
-// network calls Release after the handler returns). Extents go back when
+// network calls Release after the handler returns); an all-opaque
+// payload is an opaque run and takes no buffer. Extents go back when
 // sndUna passes them or their connection tears down. A torn-down conn
 // struct is free from the next scheduler event on (bufpool.Recycler):
 // nothing scheduled still reaches it, so overlapping visits and a shard's
@@ -17,7 +18,8 @@ import "h3cdn/internal/bufpool"
 type Pools struct {
 	segs bufpool.FreeList[*segment]
 	// payloads recycles segment payload buffers: the sender takes one
-	// per data segment it builds, Release gives it back.
+	// per data segment it builds that holds a supplied byte, Release
+	// gives it back.
 	payloads bufpool.Arena
 
 	// extents recycles the arena copies of supplied bytes (WriteOpaque

@@ -218,8 +218,9 @@ func TestReassemblyMatchesReference(t *testing.T) {
 }
 
 // TestInOrderDeliveryTakesNoArenaBuffer: segments that arrive in order
-// reach the application without a reassembly copy; only the FIN, which
-// always goes through the gap buffer, takes (and returns) one.
+// reach the application without a reassembly copy, and so does the
+// FIN, which always goes through the gap buffer: it carries no bytes,
+// so it is parked without a buffer.
 func TestInOrderDeliveryTakesNoArenaBuffer(t *testing.T) {
 	payload := patterned(200_000)
 	arena := &bufpool.Arena{}
@@ -234,7 +235,7 @@ func TestInOrderDeliveryTakesNoArenaBuffer(t *testing.T) {
 		t.Fatalf("in-order data: %d of %d bytes delivered, arena %+v", got, len(payload), st)
 	}
 	c.handleSegment(&segment{seq: uint64(len(payload)), flags: flagFIN})
-	if st := arena.Stats(); st.Gets != 1 || st.InUse != 0 || !c.peerEOF {
+	if st := arena.Stats(); st.Gets != 0 || st.InUse != 0 || !c.peerEOF {
 		t.Fatalf("FIN: peerEOF=%v, arena %+v", c.peerEOF, st)
 	}
 }

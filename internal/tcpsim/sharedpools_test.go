@@ -122,10 +122,10 @@ func (f *flow) drive(sched *simnet.Scheduler, rng *rand.Rand, c *Conn) {
 // once every one of them has torn down, so it draws the conn structs
 // they retired. It checks that every receiver got every supplied byte
 // where it was written and the right number of opaque ones, and that
-// the extent and payload arenas came out even. It returns those
-// arenas' counters and how many conns of later waves reused a struct
-// of an earlier one.
-func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [][2][]int, waves int) (payloads, extents bufpool.ArenaStats, reused int) {
+// the extent, payload and reassembly arenas came out even. It returns
+// those arenas' counters and how many conns of later waves reused a
+// struct of an earlier one.
+func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [][2][]int, waves int) (payloads, extents, recv bufpool.ArenaStats, reused int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec
 	sched := &simnet.Scheduler{MaxEvents: 200_000_000}
@@ -183,14 +183,14 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [
 			}
 		}
 	}
-	if st := arena.Stats(); st.InUse != 0 {
-		t.Fatalf("seed %d: wire arena after the drain: %+v", seed, st)
+	if recv = arena.Stats(); recv.InUse != 0 {
+		t.Fatalf("seed %d: wire arena after the drain: %+v", seed, recv)
 	}
 	payloads, extents = pools.payloads.Stats(), pools.extents.Stats()
 	if payloads.InUse != 0 || extents.InUse != 0 {
 		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
-	return payloads, extents, reused
+	return payloads, extents, recv, reused
 }
 
 func randomPieces(rng *rand.Rand, maxLen int) []int {
@@ -223,12 +223,32 @@ func TestSharedPoolsExactDelivery(t *testing.T) {
 		for i := range plans {
 			plans[i] = [2][]int{randomPieces(rng, maxLen), randomPieces(rng, maxLen)}
 		}
-		payloads, extents, reused := runSharedPools(t, seed, lossyPath(0.02), plans, waves)
+		payloads, extents, _, reused := runSharedPools(t, seed, lossyPath(0.02), plans, waves)
 		if payloads.News >= payloads.Gets || extents.News >= extents.Gets {
 			t.Fatalf("seed %d: buffers never reused: payloads %+v, extents %+v", seed, payloads, extents)
 		}
 		if reused == 0 {
 			t.Fatalf("seed %d: the second wave reused no conn struct of the first", seed)
+		}
+	}
+}
+
+// TestOpaqueTransferTakesNoPayloadBuffer sends 2 MB over bench's lossy
+// profile as short supplied heads — a 10-byte write, then up to 64 bytes
+// more at the front of each opaque body — and 20 KB opaque bodies. Only
+// segments that hold a supplied byte take a payload buffer, and only
+// such segments arriving beyond a gap a reassembly copy: both counts
+// scale with the heads, not with the ≈ 1 450 segments the bytes fill.
+func TestOpaqueTransferTakesNoPayloadBuffer(t *testing.T) {
+	const heads, body = 100, 20 << 10
+	var pieces []int
+	for i := 0; i < heads; i++ {
+		pieces = append(pieces, 10, body)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		payloads, _, recv, _ := runSharedPools(t, seed, lossyPath(0.02), [][2][]int{{pieces, {1}}}, 1)
+		if payloads.Gets > 2*heads || recv.Gets > heads/2 {
+			t.Fatalf("seed %d: %d heads took %d payload and %d reassembly buffers", seed, heads, payloads.Gets, recv.Gets)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"h3cdn/internal/bufpool"
+	"h3cdn/internal/bytestream"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/trace"
 )
@@ -96,9 +97,11 @@ const (
 // Segments are pooled: each is sent exactly once (retransmissions build
 // fresh segments), receivers read the payload during delivery (handing
 // in-order bytes straight to the application, copying only what lands
-// beyond a gap), and the network recycles the segment via Release after
+// beyond a gap and is not an opaque run), and the network recycles the segment via Release after
 // the handler returns. A data segment owns its payload, a pooled buffer
-// the sender filled when it built the segment, and Release returns it.
+// the sender filled when it built the segment, unless it is an opaque
+// run (bytestream.Opaque: no supplied byte in its range); Release
+// returns an owned one.
 type segment struct {
 	flags   segFlags
 	seq     uint64
@@ -120,9 +123,7 @@ func newSegment(pl *Pools) *segment {
 // with the segment.
 func (s *segment) Release() {
 	pl := s.pools
-	if s.payload != nil {
-		pl.payloads.Put(s.payload)
-	}
+	bytestream.Recycle(&pl.payloads, s.payload)
 	*s = segment{pools: pl}
 	pl.segs.Put(s)
 }

@@ -91,8 +91,8 @@ type Conn struct {
 	recvDone   bool   // nothing more will be received: deliveries are dropped
 	delivering bool   // inside onTransportData's record loop
 
-	pending   [][]byte // arena-owned app writes queued until the handshake allows them
-	pendingIn [][]byte // plaintext received before a data callback exists
+	pending   []pendingWrite // app writes queued until the handshake allows them
+	pendingIn [][]byte       // plaintext received before a data callback exists
 
 	dataFn      func([]byte)
 	closeFn     func(error)
@@ -100,6 +100,13 @@ type Conn struct {
 }
 
 var _ bytestream.Stream = (*Conn)(nil)
+
+// pendingWrite is one WriteOpaque queued before the handshake: an arena
+// copy of its head and its opaque count, replayed as the same write.
+type pendingWrite struct {
+	head []byte
+	n    int
+}
 
 // Client starts a TLS handshake as the initiator over transport.
 // onHandshake fires as soon as application data may be sent: after one
@@ -281,16 +288,16 @@ func (c *Conn) SetDrainFunc(threshold int, fn func()) {
 func (c *Conn) Write(p []byte) { c.WriteOpaque(p, 0) }
 
 // WriteOpaque queues head followed by n opaque bytes of plaintext.
-// Before the handshake permits transmission both are buffered, the
-// opaque bytes materialised with arbitrary contents.
+// Before the handshake permits transmission a copy of head is queued
+// with the count, and the handshake replays them as the same write.
 func (c *Conn) WriteOpaque(head []byte, n int) {
 	if !c.transportLive() {
 		return
 	}
 	if !c.established {
-		buf := c.arena.Get(len(head) + n)
+		buf := c.arena.Get(len(head))
 		copy(buf, head)
-		c.pending = append(c.pending, buf)
+		c.pending = append(c.pending, pendingWrite{head: buf, n: n})
 		return
 	}
 	c.writeRecords(recAppData, head, n)
@@ -372,13 +379,15 @@ func (c *Conn) completeHandshake(err error) {
 	if tr, id := c.tracer(); tr != nil {
 		tr.TLSHandshakeDone(c.hsDone, id, c.isClient, c.resumed, c.earlyData)
 	}
+	// Writes queued behind the handshake go first, so that they precede
+	// whatever the callback writes and a Close from it cannot drop them.
+	for _, w := range c.pending {
+		c.writeRecords(recAppData, w.head, w.n)
+	}
+	c.releasePending()
 	if c.onHandshake != nil {
 		c.onHandshake(nil)
 	}
-	for _, p := range c.pending {
-		c.writeRecords(recAppData, p, 0)
-	}
-	c.releasePending()
 }
 
 // releasePending returns queued pre-establishment writes to the arena.
@@ -386,9 +395,9 @@ func (c *Conn) completeHandshake(err error) {
 // path end here, so the arena's Get/Put balance holds even for failed
 // handshakes.
 func (c *Conn) releasePending() {
-	for i, p := range c.pending {
-		c.arena.Put(p)
-		c.pending[i] = nil
+	for i, w := range c.pending {
+		c.arena.Put(w.head)
+		c.pending[i] = pendingWrite{}
 	}
 	c.pending = c.pending[:0]
 }
@@ -406,9 +415,9 @@ func (c *Conn) releasePending() {
 // record is split across deliveries. Whole records are parsed in place
 // from the delivery; the bytes of a split one are copied into a carry
 // taken from recv at carrySize — one class, so any carry can serve any
-// split record — and the carry goes back as soon as that record has
-// been handled. Between records, and after release, a connection holds
-// nothing.
+// split record; an opaque run only extends it (deliverRecords) — and
+// the carry goes back as soon as that record has been handled. Between
+// records, and after release, a connection holds nothing.
 func (c *Conn) release() {
 	c.releasePending()
 	c.recvDone = true
@@ -460,6 +469,12 @@ func (c *Conn) onTransportData(p []byte) {
 // stopping at a local close: first a carried record topped up from p,
 // then each whole record in p, in place. A record p leaves split goes
 // into a carry (see release).
+//
+// An opaque run (bytestream.IsOpaque) tops a carry up without a copy:
+// once the header is in, the carry only grows its length over bytes it
+// already holds, whose stale contents are as valid for opaque positions
+// as the run's. A run never holds a header (a writer supplies every
+// header), so it never starts a record or parses in place.
 func (c *Conn) deliverRecords(p []byte) {
 	if c.carry != nil {
 		// Top the carried record up: its header first, then the rest.
@@ -471,7 +486,11 @@ func (c *Conn) deliverRecords(p []byte) {
 			}
 			want := max(n, recordHeader)
 			k := min(want-len(c.carry), len(p))
-			c.carry = append(c.carry, p[:k]...)
+			if n > 0 && bytestream.IsOpaque(p) {
+				c.carry = c.carry[:len(c.carry)+k] // want <= carrySize <= cap
+			} else {
+				c.carry = append(c.carry, p[:k]...)
+			}
 			p = p[k:]
 			if len(c.carry) < want {
 				return

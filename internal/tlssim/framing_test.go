@@ -189,9 +189,11 @@ func TestRecordFramingUnchanged(t *testing.T) {
 		}
 	})
 
-	t.Run("pending writes materialise", func(t *testing.T) {
+	t.Run("pending writes stay opaque", func(t *testing.T) {
 		ct, st := &recordingTransport{}, &recordingTransport{}
-		c := Client(ct, ClientConfig{ServerName: "edge.example"}, nil)
+		marker := []byte("written by the handshake callback")
+		var c *Conn
+		c = Client(ct, ClientConfig{ServerName: "edge.example"}, func(error) { c.Write(marker) })
 		head := pattern(100)
 		c.WriteOpaque(head, maxRecord+5)
 		from := len(ct.writes)
@@ -204,23 +206,23 @@ func TestRecordFramingUnchanged(t *testing.T) {
 		if !c.Established() {
 			t.Fatal("handshake did not complete")
 		}
-		// Queued before the handshake, the whole plaintext was stored —
-		// its opaque part with arbitrary contents — so every plaintext
-		// byte is supplied and only the tags are opaque.
+		// Queued before the handshake, the write keeps its head and its
+		// opaque count: the replayed records supply the same bytes as
+		// the same write made after the handshake. They go out before
+		// anything the handshake callback writes.
 		plain := append(bytes.Clone(head), make([]byte, maxRecord+5)...)
-		recs, supplied := materialised(recAppData, plain, len(plain))
-		writes := ct.writes[from:]
-		if len(writes) != len(recs) {
-			t.Fatalf("pending flush: %d writes, want %d records", len(writes), len(recs))
-		}
-		for i, w := range writes {
-			if len(w.head) != supplied[i] || w.n != recordTag || !bytes.Equal(w.head[:recordHeader], recs[i][:recordHeader]) {
-				t.Fatalf("pending write %d: header % x, %d supplied + %d opaque; want % x, %d + %d",
-					i, w.head[:recordHeader], len(w.head), w.n, recs[i][:recordHeader], supplied[i], recordTag)
+		recs, supplied := materialised(recAppData, plain, len(head))
+		replayed := ct.writes[from : from+len(recs)]
+		checkFraming(t, "pending flush", replayed, recs, supplied)
+		markerRecs, markerSupplied := materialised(recAppData, marker, len(marker))
+		checkFraming(t, "handshake callback write", ct.writes[from+len(recs):], markerRecs, markerSupplied)
+		after := len(ct.writes)
+		c.WriteOpaque(head, maxRecord+5)
+		for i, w := range ct.writes[after:] {
+			if r := replayed[i]; len(r.head) != len(w.head) || r.n != w.n {
+				t.Fatalf("pending write %d: %d supplied + %d opaque, the same write after the handshake %d + %d",
+					i, len(r.head), r.n, len(w.head), w.n)
 			}
-		}
-		if !bytes.Equal(writes[0].head[recordHeader:recordHeader+len(head)], head) {
-			t.Fatal("pending flush: the head is not at the front of the first record")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"h3cdn/internal/bufpool"
+	"h3cdn/internal/bytestream"
 )
 
 // stubTransport is a bytestream.Stream with no peer: the test plays the
@@ -30,8 +31,13 @@ func (s *stubTransport) Abort()                      {}
 // after a piece that ends on a record boundary it holds no receive
 // buffer at all; it hands the data callback the same plaintext, in the
 // same calls, as one delivery of the same bytes; and after Abort
-// everything it took from its arenas is back. The seeds (both sides'
-// real flights, and one of each malformation) run under plain go test.
+// everything it took from its arenas is back. A replay at the same cuts
+// feeds every zero run in an app-data record's payload, where a writer
+// may leave bytes opaque, as bytestream.Opaque runs of at most a TCP
+// MSS: it must make the
+// same calls, with the same plaintext wherever the bytes were supplied.
+// The seeds (both sides' real flights, and one of each malformation) run
+// under plain go test.
 func FuzzRecords(f *testing.F) {
 	var cli, srv stubTransport
 	c := Client(&cli, ClientConfig{ServerName: "edge.example", ALPN: "h2"}, nil)
@@ -66,6 +72,7 @@ func FuzzRecords(f *testing.F) {
 			a, b = b, a
 		}
 		bounds := recordBoundaries(raw)
+		opaque, plainOpaque := opaqueZeros(raw)
 		for _, client := range []bool{true, false} {
 			var wire, recv bufpool.Arena
 			split := newFuzzConn(client, &wire, &recv)
@@ -82,15 +89,44 @@ func FuzzRecords(f *testing.F) {
 			}
 			whole := newFuzzConn(client, &bufpool.Arena{}, &bufpool.Arena{})
 			whole.tr.data(raw)
+			var opqRecv bufpool.Arena
+			opq := newFuzzConn(client, &bufpool.Arena{}, &opqRecv)
+			for _, cut := range [][2]int{{0, a}, {a, b}, {b, len(raw)}} {
+				for i := cut[0]; i < cut[1]; {
+					j := i + 1
+					for j < cut[1] && opaque[j] == opaque[i] && (!opaque[i] || j-i < 1460) {
+						j++
+					}
+					if opaque[i] {
+						opq.tr.data(bytestream.Opaque(j - i))
+					} else {
+						opq.tr.data(raw[i:j])
+					}
+					i = j
+				}
+			}
 			split.flush()
 			whole.flush()
+			opq.flush()
 			if !bytes.Equal(split.plain, whole.plain) || split.calls != whole.calls {
 				t.Fatalf("client=%v: split delivery gave %d plaintext bytes in %d calls, one delivery %d in %d",
 					client, len(split.plain), split.calls, len(whole.plain), whole.calls)
 			}
+			if len(opq.plain) != len(whole.plain) || opq.calls != whole.calls {
+				t.Fatalf("client=%v: opaque replay gave %d plaintext bytes in %d calls, one delivery %d in %d",
+					client, len(opq.plain), opq.calls, len(whole.plain), whole.calls)
+			}
+			for i := range opq.plain {
+				if !plainOpaque[i] && opq.plain[i] != whole.plain[i] {
+					t.Fatalf("client=%v: opaque replay changed supplied plaintext byte %d", client, i)
+				}
+			}
 			split.c.Abort()
-			if st := recv.Stats(); st.Gets != st.Puts {
-				t.Fatalf("client=%v: carry arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
+			opq.c.Abort()
+			for _, st := range []bufpool.ArenaStats{recv.Stats(), opqRecv.Stats()} {
+				if st.Gets != st.Puts {
+					t.Fatalf("client=%v: carry arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
+				}
 			}
 			if st := wire.Stats(); st.Gets != st.Puts {
 				t.Fatalf("client=%v: wire arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
@@ -130,6 +166,28 @@ func (fc *fuzzConn) onData(p []byte) {
 func (fc *fuzzConn) flush() {
 	if !fc.c.isClient {
 		fc.c.SetDataFunc(fc.onData)
+	}
+}
+
+// opaqueZeros marks the bytes of raw a replay feeds as opaque runs: the
+// zero bytes in the payload of each app-data record, as far as raw parses
+// as well-formed records. A writer supplies every record header and
+// handshake field, so only app data may hold opaque bytes. plain marks
+// the same bytes in the plaintext the records deliver, tags stripped.
+func opaqueZeros(raw []byte) (opaque, plain []bool) {
+	opaque = make([]bool, len(raw))
+	for off := 0; ; {
+		n := recordSize(raw[off:])
+		if n <= 0 || off+n > len(raw) {
+			return opaque, plain
+		}
+		if recordType(raw[off]) == recAppData && n-recordHeader >= recordTag {
+			for i := off + recordHeader; i < off+n; i++ {
+				opaque[i] = raw[i] == 0
+			}
+			plain = append(plain, opaque[off+recordHeader:off+n-recordTag]...)
+		}
+		off += n
 	}
 }
 
