@@ -314,12 +314,24 @@ func (b *Browser) CloseAll() {
 	b.closeKeys = hosts[:0]
 }
 
-// recycleConn returns a pooledConn record to the free list. Only called
-// once the visit has completed: the record is reused no sooner than the
-// next visit, after reclaimStates has dropped every st.pc reference.
+// recycleConn releases a closed connection and returns its pooledConn
+// record to the free list. Only called once the visit has completed: the
+// record is reused no sooner than the next visit, after reclaimStates
+// has dropped every st.pc reference.
 func (b *Browser) recycleConn(pc *pooledConn) {
+	releaseConn(pc)
 	*pc = pooledConn{}
 	b.freeConns = append(b.freeConns, pc)
+}
+
+// releaseConn lets a closed or failed connection go: the browser makes
+// no further call to it, so httpsim may recycle it (ClientConn.Release).
+// Every fetch that could read it has ended.
+func releaseConn(pc *pooledConn) {
+	if pc.conn != nil {
+		pc.conn.Release()
+		pc.conn = nil
+	}
 }
 
 // newPooledConn pops a recycled record or allocates one.
@@ -574,9 +586,11 @@ func (st *fetchState) onError(err error) {
 
 // evict drops a connection that reported a transport error from the
 // pools, so subsequent fetches dial fresh instead of queueing onto a
-// dead connection (which would fail every request routed to it). The
-// identity check tolerates a pool slot already replaced by a retry.
+// dead connection (which would fail every request routed to it), and
+// releases it: an error ends every request on the connection at once.
+// The identity check tolerates a pool slot already replaced by a retry.
 func (b *Browser) evict(pc *pooledConn) {
+	releaseConn(pc)
 	if pc.key != "" {
 		if cur, ok := b.conns[pc.key]; ok && cur == pc {
 			delete(b.conns, pc.key)

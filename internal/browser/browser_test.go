@@ -350,3 +350,32 @@ func TestBrowserUsesRegistryHeaders(t *testing.T) {
 		t.Fatal("registry lost Cloudflare")
 	}
 }
+
+// TestClosedConnsReleased: the browser lets every connection go once it
+// closed it, cutting its own reference, so httpsim may recycle the
+// record (ClientConn.Release). A second visit, on records the first one
+// released, charges the same connect and TLS phases: the HAR fields read
+// from a connection are read before it is released.
+func TestClosedConnsReleased(t *testing.T) {
+	w := newTestWorld(t)
+	b := New(w.probe, Config{
+		Mode:     ModeH2,
+		Resolver: w.resolver(nil, map[string]bool{"h1.cdn": true}),
+		Pools:    &httpsim.Pools{},
+	})
+	page := testPage([]string{"a.cdn", "b.cdn", "h1.cdn"}, false)
+	first := w.visit(t, b, page)
+	for _, pc := range b.freeConns {
+		if pc.conn != nil {
+			t.Fatal("a closed connection is still referenced by its pool record")
+		}
+	}
+	b.ClearSessions()
+	second := w.visit(t, b, page)
+	for i := range first.Entries {
+		a, c := first.Entries[i], second.Entries[i]
+		if a.Connect != c.Connect || a.SSL != c.SSL || a.ReusedConn != c.ReusedConn || a.ResumedConn != c.ResumedConn {
+			t.Fatalf("entry %d: first visit %+v, second %+v", i, a, c)
+		}
+	}
+}

@@ -510,3 +510,80 @@ func TestOriginHandlerHeaders(t *testing.T) {
 		t.Fatalf("origin headers look like a CDN: %v", meta.Header)
 	}
 }
+
+// TestStampedeWaiterAfterReuse: a request that joined an origin fetch
+// (TTL mode's single flight) is aborted with its connection, whose
+// server record a new connection then takes, with a request of its own
+// waiting. When the fetch lands, the aborted waiter's responder must
+// write nothing — above all not into the new occupant's stream — and
+// every live request gets exactly its own response.
+func TestStampedeWaiterAfterReuse(t *testing.T) {
+	sched := &simnet.Scheduler{MaxEvents: 5_000_000}
+	n := simnet.NewNetwork(sched, func(src, dst simnet.Addr) simnet.PathProps {
+		return simnet.PathProps{Delay: time.Millisecond}
+	}, seqrand.New(1))
+	client, server := n.AddHost("client"), n.AddHost("edge")
+	prov, _ := ProviderByName("Cloudflare")
+	edge := NewEdge(EdgeConfig{
+		Provider: prov,
+		Sched:    sched,
+		Content: func(host, path string) (int, bool) {
+			size, err := strconv.Atoi(path[1:])
+			return size, err == nil
+		},
+		TTL: time.Minute, // no Rng: no jitter
+	})
+	// Each connection dials its own server name; ctxAt notes the
+	// context of its request, which lives in its server record.
+	ctxAt := make(map[string]*httpsim.ServerContext)
+	h := edge.Handler()
+	handler := func(ctx *httpsim.ServerContext, respond func(httpsim.Response)) {
+		ctxAt[ctx.ServerName] = ctx
+		h(ctx, respond)
+	}
+	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: handler, Pools: &httpsim.Pools{}}); err != nil {
+		t.Fatal(err)
+	}
+	clientPools := &httpsim.Pools{}
+	type result struct {
+		meta httpsim.ResponseMeta
+		done bool
+		err  error
+	}
+	get := func(name, path string) (httpsim.ClientConn, *result) {
+		conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, name, httpsim.DialConfig{Pools: clientPools})
+		res := &result{}
+		conn.Do(&httpsim.Request{Host: "cdn.site.sim", Path: path}, httpsim.RequestEvents{
+			OnHeaders:  func(m httpsim.ResponseMeta) { res.meta = m },
+			OnComplete: func() { res.done = true },
+			OnError:    func(err error) { res.err = err },
+		})
+		return conn, res
+	}
+	_, leader := get("leader.sim", "/5000")
+	aborted, waiter := get("waiter.sim", "/5000")
+	sched.At(20*time.Millisecond, aborted.Abort)
+	var next *result
+	sched.At(30*time.Millisecond, func() { _, next = get("next.sim", "/777") })
+	if _, err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	if edge.Stampedes() != 1 {
+		t.Fatalf("%d stampede joins, want the aborted request's 1", edge.Stampedes())
+	}
+	if ctxAt["next.sim"] != ctxAt["waiter.sim"] {
+		t.Fatal("the new connection did not reuse the aborted one's server record")
+	}
+	if waiter.done || waiter.meta.Status != 0 {
+		t.Fatalf("the aborted request got a response: %+v", waiter.meta)
+	}
+	for _, c := range []struct {
+		res  *result
+		size int
+	}{{leader, 5000}, {next, 777}} {
+		if c.res.err != nil || !c.res.done || c.res.meta.Status != 200 || c.res.meta.BodySize != c.size {
+			t.Fatalf("request for %d bytes: err %v, done %v, meta %+v", c.size, c.res.err, c.res.done, c.res.meta)
+		}
+	}
+}

@@ -69,9 +69,21 @@ type resourceKey struct {
 }
 
 // originFlight is one in-progress origin fetch under single-flight
-// collapsing: the leader's completion callback answers every waiter.
+// collapsing: when it lands, it answers the leader and then every
+// waiter. Flights are recycled per Edge.
 type originFlight struct {
-	waiters []func()
+	e       *Edge
+	key     resourceKey
+	miss    httpsim.Response
+	leader  *httpsim.Responder
+	waiters []flightWaiter
+}
+
+// flightWaiter is a request that joined a flight: its responder answers
+// wait after the fetch lands.
+type flightWaiter struct {
+	r    *httpsim.Responder
+	wait time.Duration
 }
 
 // Edge is a CDN edge server's request-handling state (cache plus
@@ -82,7 +94,9 @@ type Edge struct {
 
 	// inflight tracks origin fetches in progress (TTL mode only), keyed
 	// by resource: concurrent misses join the flight instead of fetching.
-	inflight map[resourceKey]*originFlight
+	// freeFlights recycles landed flights.
+	inflight    map[resourceKey]*originFlight
+	freeFlights []*originFlight
 
 	// hitHeaders/missHeaders are the two canonical response-header maps,
 	// built once: httpsim treats Response.Header as read-only, so every
@@ -168,9 +182,10 @@ func (e *Edge) Handler() httpsim.Handler {
 		if ctx.Protocol == httpsim.H3 {
 			e.h3Reqs++
 		}
+		r := ctx.Responder(respond)
 		size, ok := e.cfg.Content(ctx.Req.Host, ctx.Req.Path)
 		if !ok {
-			e.respondAfter(edgeHitWait, respond, httpsim.Response{
+			r.After(e.cfg.Sched, edgeHitWait, httpsim.Response{
 				Status: 404,
 				Header: e.headers(false),
 			})
@@ -182,7 +197,7 @@ func (e *Edge) Handler() httpsim.Handler {
 			wait += h3WaitOverhead
 		}
 		if e.cfg.TTL > 0 {
-			e.handleTTL(ctx, respond, key, size, wait)
+			e.handleTTL(r, key, size, wait)
 			return
 		}
 		hit := e.cache.Contains(key)
@@ -190,7 +205,7 @@ func (e *Edge) Handler() httpsim.Handler {
 			wait += edgeMissPenalty
 			e.cache.Add(key)
 		}
-		e.respondAfter(wait+jitter(e.cfg.Rng, edgeWaitJitter), respond, httpsim.Response{
+		r.After(e.cfg.Sched, wait+jitter(e.cfg.Rng, edgeWaitJitter), httpsim.Response{
 			Status:   200,
 			Header:   e.headers(hit),
 			BodySize: size,
@@ -210,11 +225,12 @@ func (e *Edge) Handler() httpsim.Handler {
 // the leader's) and answer baseWait after the fill, with miss headers —
 // a collapsed request still waited on the origin, it just didn't ask it
 // again. Waiter responses carry the leader's completion order, so the
-// whole dance is deterministic in virtual time.
-func (e *Edge) handleTTL(ctx *httpsim.ServerContext, respond func(httpsim.Response), key resourceKey, size int, baseWait time.Duration) {
-	miss := httpsim.Response{Status: 200, Header: e.headers(false), BodySize: size}
+// whole dance is deterministic in virtual time. A waiter holds its
+// responder, which writes nothing if its connection has been recycled
+// by the time the flight lands.
+func (e *Edge) handleTTL(r *httpsim.Responder, key resourceKey, size int, baseWait time.Duration) {
 	if e.cache.ContainsAt(key, e.now()) {
-		e.respondAfter(baseWait+jitter(e.cfg.Rng, edgeWaitJitter), respond, httpsim.Response{
+		r.After(e.cfg.Sched, baseWait+jitter(e.cfg.Rng, edgeWaitJitter), httpsim.Response{
 			Status:   200,
 			Header:   e.headers(true),
 			BodySize: size,
@@ -223,21 +239,36 @@ func (e *Edge) handleTTL(ctx *httpsim.ServerContext, respond func(httpsim.Respon
 	}
 	if fl := e.inflight[key]; fl != nil {
 		e.stampedes++
-		fl.waiters = append(fl.waiters, func() {
-			e.respondAfter(baseWait, respond, miss)
-		})
+		fl.waiters = append(fl.waiters, flightWaiter{r, baseWait})
 		return
 	}
-	fl := &originFlight{}
+	var fl *originFlight
+	if n := len(e.freeFlights); n > 0 {
+		fl = e.freeFlights[n-1]
+		e.freeFlights = e.freeFlights[:n-1]
+	} else {
+		fl = &originFlight{e: e}
+	}
+	fl.key, fl.leader = key, r
+	fl.miss = httpsim.Response{Status: 200, Header: e.headers(false), BodySize: size}
 	e.inflight[key] = fl
-	e.cfg.Sched.After(baseWait+edgeMissPenalty+jitter(e.cfg.Rng, edgeWaitJitter), func() {
-		e.cache.AddAt(key, e.now()+e.cfg.TTL)
-		delete(e.inflight, key)
-		respond(miss)
-		for _, w := range fl.waiters {
-			w()
-		}
-	})
+	e.cfg.Sched.AfterArg(baseWait+edgeMissPenalty+jitter(e.cfg.Rng, edgeWaitJitter), landFlight, fl)
+}
+
+// landFlight fills the cache with a flight's resource and answers the
+// leader, then every waiter, in join order.
+func landFlight(x any) {
+	fl := x.(*originFlight)
+	e := fl.e
+	e.cache.AddAt(fl.key, e.now()+e.cfg.TTL)
+	delete(e.inflight, fl.key)
+	fl.leader.Respond(fl.miss)
+	for _, w := range fl.waiters {
+		w.r.After(e.cfg.Sched, w.wait, fl.miss)
+	}
+	clear(fl.waiters)
+	*fl = originFlight{e: e, waiters: fl.waiters[:0]}
+	e.freeFlights = append(e.freeFlights, fl)
 }
 
 // jitter draws a server's extra wait, U[0, max), or none without an Rng.
@@ -246,14 +277,6 @@ func jitter(rng *rand.Rand, max time.Duration) time.Duration {
 		return 0
 	}
 	return time.Duration(rng.Int63n(int64(max)))
-}
-
-func (e *Edge) respondAfter(wait time.Duration, respond func(httpsim.Response), resp httpsim.Response) {
-	if wait <= 0 {
-		respond(resp)
-		return
-	}
-	e.cfg.Sched.After(wait, func() { respond(resp) })
 }
 
 // headers returns the canonical response signature for hit/miss, which
@@ -313,6 +336,6 @@ func NewOriginHandler(cfg OriginConfig) httpsim.Handler {
 		if ctx.Protocol == httpsim.H3 {
 			wait += h3WaitOverhead
 		}
-		cfg.Sched.After(wait+jitter(cfg.Rng, originWaitJitter), func() { respond(resp) })
+		ctx.Responder(respond).After(cfg.Sched, wait+jitter(cfg.Rng, originWaitJitter), resp)
 	}
 }

@@ -38,6 +38,9 @@ type Topology struct {
 	providers map[string]cdn.Provider
 	edgeAddr  map[string]simnet.Addr
 	preloaded map[string]bool
+	// originAddr is each origin-served host's address, "origin." + host,
+	// built once so that Endpoint allocates nothing.
+	originAddr map[string]simnet.Addr
 }
 
 // NewTopology builds the shared topology for a corpus. The corpus must
@@ -54,6 +57,12 @@ func NewTopology(corpus *webgen.Corpus) *Topology {
 		providers: make(map[string]cdn.Provider, len(reg)),
 		edgeAddr:  make(map[string]simnet.Addr, len(reg)),
 		preloaded: make(map[string]bool, len(reg)),
+	}
+	t.originAddr = make(map[string]simnet.Addr)
+	for host, prov := range corpus.HostProvider {
+		if prov == "" {
+			t.originAddr[host] = simnet.Addr("origin." + host)
+		}
 	}
 	for i := range corpus.Pages {
 		p := &corpus.Pages[i]
@@ -107,7 +116,7 @@ func (t *Topology) Endpoint(hostname string) (browser.Endpoint, bool) {
 	}
 	if prov == "" {
 		return browser.Endpoint{
-			Addr:       simnet.Addr("origin." + hostname),
+			Addr:       t.originAddr[hostname],
 			SupportsH3: t.corpus.H3Support[hostname],
 			H1Only:     t.corpus.H1Only[hostname],
 		}, true

@@ -137,3 +137,31 @@ func TestConcurrentCampaignsSharedCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestEndpointAllocatesNothing pins the resolver's per-fetch cost: every
+// host's answer, an origin host's address included, is built by
+// NewTopology, so a lookup allocates nothing.
+func TestEndpointAllocatesNothing(t *testing.T) {
+	corpus := webgen.Generate(webgen.Config{Seed: 3, NumPages: 6, MeanResources: 40})
+	topo := NewTopology(corpus)
+	var origin, edge string
+	for host, prov := range corpus.HostProvider {
+		if prov == "" && (origin == "" || host < origin) {
+			origin = host
+		}
+		if prov != "" && (edge == "" || host < edge) {
+			edge = host
+		}
+	}
+	if origin == "" || edge == "" {
+		t.Fatalf("corpus lacks an origin or an edge host (origin %q, edge %q)", origin, edge)
+	}
+	if ep, ok := topo.Endpoint(origin); !ok || string(ep.Addr) != "origin."+origin {
+		t.Fatalf("Endpoint(%q) = %+v, %v; want address origin.%s", origin, ep, ok, origin)
+	}
+	for _, host := range []string{origin, edge} {
+		if n := testing.AllocsPerRun(100, func() { topo.Endpoint(host) }); n != 0 {
+			t.Errorf("Endpoint(%q): %v allocs per call, want 0", host, n)
+		}
+	}
+}

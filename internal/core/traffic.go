@@ -335,6 +335,9 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		}
 		sort.Slice(edges, func(i, j int) bool { return edges[i].Provider < edges[j].Provider })
 		u.Close()
+		// The epoch's scheduler runs no more: free what it retired, so
+		// that no record keeps its universe alive into the next epoch.
+		pools.Promote()
 		if epochDone != nil {
 			epochDone(u)
 		}

@@ -23,6 +23,12 @@ type wire interface {
 	// closeTransport closes (abort: resets) the transport, if dialed.
 	closeTransport(abort bool)
 	TraceID() uint32
+	// settled reports that no dial or handshake callback of the
+	// transport can still reach the record.
+	settled() bool
+	// recycle cuts the transport's remaining callbacks into the record
+	// and retires it into its recycler.
+	recycle()
 }
 
 // request is the client-side state of one request, pooled in
@@ -54,6 +60,10 @@ func (r *request) reset() {
 // in queued until the connection has room, then move to active, both
 // kept in send order. Exactly one of OnComplete or OnError ends each
 // request, however the connection ends.
+//
+// The record is pooled in Pools, per protocol, with its callbacks bound
+// once per struct. It retires once it is closed, its holder has released
+// it (Release) and its transport can no longer call it (wire.settled).
 type client struct {
 	sched *simnet.Scheduler
 	pools *Pools
@@ -63,16 +73,60 @@ type client struct {
 
 	established bool
 	closed      bool
+	released    bool // the holder makes no further call
+	retired     bool
 	sent        int64 // requests sent so far
 	queued      []*request
 	active      []*request
 	dog         reqWatchdog
+
+	onDataFn  func([]byte) // onData, bound once
+	onCloseFn func(error)  // onClose, bound once
+	fireFn    func()       // watchdogFire, bound once
 }
 
-// init sets c up, not yet established, as a proto client over w. The
-// caller dials, then arms the watchdog.
-func (c *client) init(sched *simnet.Scheduler, proto Protocol, pools *Pools, tr *trace.Tracer, w wire) {
-	*c = client{sched: sched, proto: proto, pools: pools, trace: tr, w: w}
+// bind sets w and the bound callbacks of a newly allocated record.
+func (c *client) bind(w wire) {
+	c.w = w
+	c.onDataFn, c.onCloseFn, c.fireFn = c.onData, c.onClose, c.watchdogFire
+}
+
+// reset clears a retired record for reuse, keeping the request arrays
+// (emptied by fail) and the bound callbacks.
+func (c *client) reset() {
+	*c = client{
+		w:         c.w,
+		queued:    c.queued[:0],
+		active:    c.active[:0],
+		onDataFn:  c.onDataFn,
+		onCloseFn: c.onCloseFn,
+		fireFn:    c.fireFn,
+	}
+}
+
+// init sets c up, not yet established, as a proto client. The caller
+// dials, then arms the watchdog.
+func (c *client) init(sched *simnet.Scheduler, proto Protocol, pools *Pools, tr *trace.Tracer) {
+	c.sched, c.proto, c.pools, c.trace = sched, proto, pools, tr
+}
+
+// Release tells the connection that its holder makes no further call; it
+// is closed first if still open. The record is recycled once its
+// transport can no longer call it: at once, unless a dial or handshake
+// is still to report back.
+func (c *client) Release() {
+	c.Close()
+	c.released = true
+	c.maybeRetire()
+}
+
+// maybeRetire recycles the record once nothing reaches it.
+func (c *client) maybeRetire() {
+	if c.retired || !c.closed || !c.released || !c.w.settled() {
+		return
+	}
+	c.retired = true
+	c.w.recycle()
 }
 
 func (c *client) Protocol() Protocol { return c.proto }
@@ -195,7 +249,9 @@ func (c *client) fail(err error) {
 		}
 		c.retire(r)
 	}
-	c.active, c.queued = nil, nil
+	clear(c.active)
+	clear(c.queued)
+	c.active, c.queued = c.active[:0], c.queued[:0]
 }
 
 // Close fails every outstanding request with ErrConnClosed, then closes
@@ -222,11 +278,36 @@ func (c *client) shut(err error, abort bool) {
 
 // tlsWire is the TCP+TLS transport under an H1 or H2 client.
 type tlsWire struct {
+	c       *client
 	tls     *tlssim.Conn // nil until TCP connects
 	hsDur   time.Duration
 	sslDur  time.Duration
 	resumed bool
 	traceID uint32
+
+	// dialing: TCP has neither connected nor failed, so it may still
+	// call onTCP or onTCPClose. hsPending: the TLS handshake may still
+	// call onHandshake.
+	dialing   bool
+	hsPending bool
+	dialStart time.Duration
+	tlsCfg    tlssim.ClientConfig // all but TraceConn, set at connect
+
+	onTCPFn       func(*tcpsim.Conn) // bound once, as are the two below
+	onTCPCloseFn  func(error)
+	onHandshakeFn func(error)
+}
+
+// bind sets up a newly allocated record: c is its request lifecycle and
+// w its outer struct.
+func (t *tlsWire) bind(c *client, w wire) {
+	c.bind(w)
+	t.c = c
+	t.onTCPFn, t.onTCPCloseFn, t.onHandshakeFn = t.onTCP, t.onTCPClose, t.onHandshake
+}
+
+func (t *tlsWire) reset() {
+	*t = tlsWire{c: t.c, onTCPFn: t.onTCPFn, onTCPCloseFn: t.onTCPCloseFn, onHandshakeFn: t.onHandshakeFn}
 }
 
 func (t *tlsWire) HandshakeDuration() time.Duration { return t.hsDur }
@@ -240,19 +321,31 @@ func (t *tlsWire) Resumed() bool { return t.resumed }
 func (t *tlsWire) closeTransport(abort bool) {
 	switch {
 	case t.tls == nil:
+		return
 	case abort:
 		t.tls.Abort()
 	default:
 		t.tls.Close()
 	}
+	// A closed TLS conn reports nothing more, its handshake included.
+	t.hsPending = false
 }
 
-// dial sets c up as a proto client over t and opens TCP, then TLS with
+func (t *tlsWire) settled() bool { return !t.dialing && !t.hsPending }
+
+// release lets the TLS conn go, cutting its callbacks into the record.
+func (t *tlsWire) release() {
+	if t.tls != nil {
+		t.tls.Release()
+	}
+}
+
+// dial sets the client up as a proto client and opens TCP, then TLS with
 // proto's ALPN. t.tls exists from TCP connect on, so Close and Abort
 // reach a handshake in progress.
-func (t *tlsWire) dial(c *client, w wire, host *simnet.Host, addr simnet.Addr, port uint16, serverName string, proto Protocol, cfg DialConfig) {
-	cfg.Pools = orPrivate(cfg.Pools)
-	c.init(host.Scheduler(), proto, cfg.Pools, cfg.Trace, w)
+func (t *tlsWire) dial(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, proto Protocol, cfg DialConfig) {
+	c := t.c
+	c.init(host.Scheduler(), proto, cfg.Pools, cfg.Trace)
 	tcpCfg := tcpsim.Config{
 		Recovery: cfg.Recovery,
 		Trace:    cfg.Trace,
@@ -263,47 +356,65 @@ func (t *tlsWire) dial(c *client, w wire, host *simnet.Host, addr simnet.Addr, p
 	if version == 0 {
 		version = tlssim.TLS13
 	}
-	dialStart := c.sched.Now()
-	tc := tcpsim.Dial(host, addr, port, tcpCfg, func(tc *tcpsim.Conn) {
-		t.tls = tlssim.Client(tc, tlssim.ClientConfig{
-			Version:         version,
-			ServerName:      serverName,
-			Tickets:         cfg.TLSTickets,
-			EnableEarlyData: cfg.EnableEarlyData,
-			Sched:           c.sched,
-			HandshakeCPU:    cfg.HandshakeCPU,
-			ALPN:            proto.ALPN(),
-			Arena:           &cfg.Pools.Arena,
-			RecvArena:       &cfg.Pools.Recv,
-			Trace:           cfg.Trace,
-			TraceConn:       tc.TraceID(),
-		}, func(err error) {
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if c.closed {
-				// The client gave up (watchdog or abort) while the
-				// handshake was still running; release the late
-				// connection.
-				t.tls.Abort()
-				return
-			}
-			// Handshake duration covers TCP + TLS, from the dial call;
-			// the SSL portion is the TLS layer's own span (HAR "ssl").
-			t.hsDur = c.sched.Now() - dialStart
-			t.sslDur = t.tls.HandshakeDuration()
-			t.traceID = t.tls.TraceID()
-			t.resumed = t.tls.Resumed()
-			t.tls.SetDataFunc(c.onData)
-			t.tls.SetCloseFunc(c.onClose)
-			c.establish()
-		})
-	})
+	t.tlsCfg = tlssim.ClientConfig{
+		Version:         version,
+		ServerName:      serverName,
+		Tickets:         cfg.TLSTickets,
+		EnableEarlyData: cfg.EnableEarlyData,
+		Sched:           c.sched,
+		HandshakeCPU:    cfg.HandshakeCPU,
+		ALPN:            proto.ALPN(),
+		Arena:           &cfg.Pools.Arena,
+		RecvArena:       &cfg.Pools.Recv,
+		Trace:           cfg.Trace,
+		Pools:           &cfg.Pools.recs.tls,
+	}
+	t.dialStart = c.sched.Now()
+	t.dialing = true
+	tc := tcpsim.Dial(host, addr, port, tcpCfg, t.onTCPFn)
 	// Cover the SYN window: until the TLS layer takes over the close
-	// callback (on establishment), a connection that dies dialing — SYN
+	// callback (on connect), a connection that dies dialing — SYN
 	// retry exhaustion, RST — would otherwise vanish without ever
 	// resolving the dial.
-	tc.SetCloseFunc(c.onClose)
-	c.dog.init(c.sched, c.watchdogFire)
+	tc.SetCloseFunc(t.onTCPCloseFn)
+	c.dog.init(c.sched, c.fireFn)
+}
+
+// onTCP starts TLS on the connected TCP conn.
+func (t *tlsWire) onTCP(tc *tcpsim.Conn) {
+	t.dialing, t.hsPending = false, true
+	cfg := t.tlsCfg
+	cfg.TraceConn = tc.TraceID()
+	t.tls = tlssim.Client(tc, cfg, t.onHandshakeFn)
+}
+
+// onTCPClose reports a TCP conn that died dialing.
+func (t *tlsWire) onTCPClose(err error) {
+	t.dialing = false
+	t.c.onClose(err)
+	t.c.maybeRetire()
+}
+
+func (t *tlsWire) onHandshake(err error) {
+	c := t.c
+	t.hsPending = false
+	switch {
+	case err != nil:
+		c.fail(err)
+	case c.closed:
+		// The client gave up (watchdog or abort) while the handshake
+		// was still running; release the late connection.
+		t.tls.Abort()
+	default:
+		// Handshake duration covers TCP + TLS, from the dial call; the
+		// SSL portion is the TLS layer's own span (HAR "ssl").
+		t.hsDur = c.sched.Now() - t.dialStart
+		t.sslDur = t.tls.HandshakeDuration()
+		t.traceID = t.tls.TraceID()
+		t.resumed = t.tls.Resumed()
+		t.tls.SetDataFunc(c.onDataFn)
+		t.tls.SetCloseFunc(c.onCloseFn)
+		c.establish()
+	}
+	c.maybeRetire()
 }

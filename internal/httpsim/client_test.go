@@ -24,14 +24,15 @@ func testClient(proto Protocol, reqs int, log *[]string) (c *client, carried fun
 	tw := tlsWire{tls: tlssim.Client(&nullStream{}, tlssim.ClientConfig{ServerName: "cdn.example"}, nil)}
 	if proto == H1 {
 		h := &h1Client{tlsWire: tw}
+		h.tlsWire.bind(&h.client, h)
 		c, carried = &h.client, func() int { return cap(h.heads.acc) }
-		c.init(sched, H1, &Pools{}, nil, h)
 	} else {
 		h := &h2Client{tlsWire: tw}
+		h.tlsWire.bind(&h.client, h)
 		c, carried = &h.client, func() int { return len(h.parser.acc) - h.parser.off }
-		c.init(sched, H2, &Pools{}, nil, h)
 	}
-	c.dog.init(sched, c.watchdogFire)
+	c.init(sched, proto, &Pools{}, nil)
+	c.dog.init(sched, c.fireFn)
 	c.establish()
 	for i := 0; i < reqs; i++ {
 		c.Do(&Request{Host: "cdn.example", Path: fmt.Sprintf("/r%d", i)}, RequestEvents{

@@ -48,9 +48,30 @@ var _ ClientConn = (*h1Client)(nil)
 
 // DialH1 opens an HTTP/1.1 connection to addr:port.
 func DialH1(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	c := &h1Client{}
-	c.dial(&c.client, c, host, addr, port, serverName, H1, cfg)
+	cfg.Pools = orPrivate(cfg.Pools)
+	c, ok := cfg.Pools.recs.h1.Get(host.Scheduler(), (*h1Client).reset)
+	if !ok {
+		c = newH1Client()
+	}
+	c.dial(host, addr, port, serverName, H1, cfg)
 	return c
+}
+
+func newH1Client() *h1Client {
+	c := &h1Client{}
+	c.tlsWire.bind(&c.client, c)
+	return c
+}
+
+func (c *h1Client) reset() {
+	c.client.reset()
+	c.tlsWire.reset()
+	c.heads = headCarry{acc: c.heads.acc[:0]}
+}
+
+func (c *h1Client) recycle() {
+	c.release()
+	c.pools.recs.h1.Retire(c, c.sched)
 }
 
 func (c *h1Client) send(r *request) {
@@ -157,54 +178,27 @@ func (pl *Pools) parseH1Response(p []byte) (ResponseMeta, error) {
 	return ResponseMeta{Status: status, Header: pl.canonHeaderMap(key), BodySize: clen}, nil
 }
 
-// h1ServerConn serves HTTP/1.1 on one TLS connection.
-type h1ServerConn struct {
-	tls     *tlssim.Conn
-	handler Handler
-	pools   *Pools
-	heads   headCarry
-	// req, ctx and respondFn are reused across requests: dispatch is
-	// synchronous from onData and handlers copy what they need before
-	// scheduling a delayed respond.
-	req       Request
-	ctx       ServerContext
-	respondFn func(Response)
-}
-
-func newH1ServerConn(tls *tlssim.Conn, handler Handler, pools *Pools) *h1ServerConn {
-	c := &h1ServerConn{tls: tls, handler: handler, pools: pools}
-	c.respondFn = c.respond
-	tls.SetDataFunc(c.onData)
-	// Passive close: answer the client's FIN with our own so both
-	// endpoints fully release ports and timers.
-	tls.SetCloseFunc(func(err error) {
-		if err == nil {
-			tls.Close()
-		}
-	})
-	return c
-}
-
-func (c *h1ServerConn) respond(resp Response) {
-	c.tls.Write(c.pools.encodeH1Response(resp))
+// respondH1 writes an HTTP/1.1 response.
+func (c *serverConn) respondH1(resp Response) {
+	c.tls.Write(c.srv.cfg.Pools.encodeH1Response(resp))
 	writeBody(c.tls, resp.BodySize)
 }
 
-func (c *h1ServerConn) onData(p []byte) {
+// onDataH1 dispatches every request head the delivery completes.
+func (c *serverConn) onDataH1(p []byte) {
 	for {
 		head, rest, ok := c.heads.take(p)
 		if !ok {
 			if c.heads.overlong {
-				c.tls.Abort()
+				c.abort()
 			}
 			return
 		}
 		p = rest
-		if c.req, ok = c.pools.parseH1Head(head); !ok {
+		if c.req, ok = c.srv.cfg.Pools.parseH1Head(head); !ok {
 			continue
 		}
-		c.ctx = ServerContext{Req: &c.req, Protocol: H1, ServerName: c.tls.ServerName()}
-		c.handler(&c.ctx, c.respondFn)
+		c.dispatch(0)
 	}
 }
 

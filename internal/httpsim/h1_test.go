@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"h3cdn/internal/bytestream"
+	"h3cdn/internal/simnet"
 	"h3cdn/internal/tlssim"
 )
 
@@ -30,9 +32,9 @@ func TestH1UnterminatedHeadIsBounded(t *testing.T) {
 		var feed func([]byte)
 		tr := &nullStream{}
 		if server {
-			sc := newH1ServerConn(tlssim.Server(tr, tlssim.ServerConfig{}, nil), func(*ServerContext, func(Response)) {
+			sc := newTestServerConn(H1, tr, func(*ServerContext, func(Response)) {
 				log = append(log, "request")
-			}, &Pools{})
+			})
 			carry, feed = &sc.heads, sc.onData
 		} else {
 			c, _ := testClient(H1, 1, &log)
@@ -55,4 +57,15 @@ func TestH1UnterminatedHeadIsBounded(t *testing.T) {
 			t.Fatalf("client: events %v, want E0 %v", log, ErrBadResponse)
 		}
 	}
+}
+
+// newTestServerConn is an established proto server connection record
+// over a TLS connection on tr, serving handler.
+func newTestServerConn(proto Protocol, tr bytestream.Stream, handler Handler) *serverConn {
+	srv := &Server{host: simnet.NewNetwork(&simnet.Scheduler{}, nil, nil).AddHost("server"), cfg: ServerConfig{Handler: handler, Pools: &Pools{}}}
+	sc := srv.cfg.Pools.getServerConn(srv)
+	sc.tls = tlssim.Server(tr, tlssim.ServerConfig{}, nil)
+	sc.proto = proto
+	sc.tls.SetDataFunc(sc.dataFn)
+	return sc
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"h3cdn/internal/simnet"
-	"h3cdn/internal/tlssim"
 )
 
 // h2Client multiplexes requests as streams over one TLS/TCP connection.
@@ -18,9 +17,30 @@ var _ ClientConn = (*h2Client)(nil)
 
 // DialH2 opens an HTTP/2 connection to addr:port.
 func DialH2(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	c := &h2Client{}
-	c.dial(&c.client, c, host, addr, port, serverName, H2, cfg)
+	cfg.Pools = orPrivate(cfg.Pools)
+	c, ok := cfg.Pools.recs.h2.Get(host.Scheduler(), (*h2Client).reset)
+	if !ok {
+		c = newH2Client()
+	}
+	c.dial(host, addr, port, serverName, H2, cfg)
 	return c
+}
+
+func newH2Client() *h2Client {
+	c := &h2Client{}
+	c.tlsWire.bind(&c.client, c)
+	return c
+}
+
+func (c *h2Client) reset() {
+	c.client.reset()
+	c.tlsWire.reset()
+	c.parser.rewind()
+}
+
+func (c *h2Client) recycle() {
+	c.release()
+	c.pools.recs.h2.Retire(c, c.sched)
 }
 
 // send opens the next odd stream id: 1, 3, 5, ...
@@ -74,61 +94,31 @@ type h2Response struct {
 // emulating HTTP/2 flow-controlled frame scheduling.
 const h2SendWatermark = 32 * 1024
 
-// h2ServerConn serves HTTP/2 on one TLS connection. Active response
-// bodies are interleaved round-robin in bodyChunkSize DATA frames under
-// the transport backpressure watermark.
-type h2ServerConn struct {
-	tls     *tlssim.Conn
-	handler Handler
-	pools   *Pools
-	parser  blockParser
-	active  []*h2Response
-	pumping bool
-	// req and ctx are reused across this connection's requests:
-	// dispatch is synchronous from onData and handlers copy what they
-	// need before scheduling a delayed respond, so neither outlives the
-	// handler call.
-	req Request
-	ctx ServerContext
-}
-
-func newH2ServerConn(tls *tlssim.Conn, handler Handler, pools *Pools) *h2ServerConn {
-	c := &h2ServerConn{tls: tls, handler: handler, pools: pools}
-	tls.SetDataFunc(c.onData)
-	// Passive close: answer the client's FIN with our own so both
-	// endpoints fully release ports and timers.
-	tls.SetCloseFunc(func(err error) {
-		if err == nil {
-			tls.Close()
-		}
-	})
-	tls.SetDrainFunc(h2SendWatermark, c.pump)
-	return c
-}
-
-func (c *h2ServerConn) onData(data []byte) {
+// onDataH2 dispatches every request the delivery completes. The
+// server interleaves active response bodies round-robin in
+// bodyChunkSize DATA frames under the transport backpressure watermark.
+func (c *serverConn) onDataH2(data []byte) {
 	for _, b := range c.parser.feed(data) {
 		if b.typ != blockHeadersReq {
 			continue
 		}
-		id := b.streamID
-		c.req = c.pools.parseRequestBlock(b.payload)
-		c.ctx = ServerContext{Req: &c.req, Protocol: H2, ServerName: c.tls.ServerName()}
-		c.handler(&c.ctx, func(resp Response) { c.respond(id, resp) })
+		c.req = c.srv.cfg.Pools.parseRequestBlock(b.payload)
+		c.dispatch(b.streamID)
 	}
 	if c.parser.overlong {
-		c.tls.Abort()
+		c.abort()
 	}
 }
 
-func (c *h2ServerConn) respond(id uint32, resp Response) {
+func (c *serverConn) respondH2(id uint32, resp Response) {
+	pl := c.srv.cfg.Pools
 	flags := uint8(0)
 	if resp.BodySize == 0 {
 		flags = flagEndStream
 	}
-	writeBlock(&c.pools.Arena, c.tls, blockHeadersResp, id, flags, c.pools.responseHeaderBlock(resp))
+	writeBlock(&pl.Arena, c.tls, blockHeadersResp, id, flags, pl.responseHeaderBlock(resp))
 	if resp.BodySize > 0 {
-		c.active = append(c.active, c.pools.getH2Response(id, resp.BodySize))
+		c.active = append(c.active, pl.getH2Response(id, resp.BodySize))
 		c.pump()
 	}
 }
@@ -136,7 +126,7 @@ func (c *h2ServerConn) respond(id uint32, resp Response) {
 // pump drains active response bodies round-robin into the TLS stream
 // while the transport backlog stays under the watermark; transmission
 // progress re-invokes it via the drain callback.
-func (c *h2ServerConn) pump() {
+func (c *serverConn) pump() {
 	if c.pumping {
 		return
 	}
@@ -154,11 +144,11 @@ func (c *h2ServerConn) pump() {
 			if r.remaining == 0 {
 				flags = flagEndStream
 			}
-			writeBodyBlock(&c.pools.Arena, c.tls, r.id, flags, n)
+			writeBodyBlock(&c.srv.cfg.Pools.Arena, c.tls, r.id, flags, n)
 			if r.remaining > 0 {
 				next = append(next, r)
 			} else {
-				c.pools.h2Resps.Put(r)
+				c.srv.cfg.Pools.h2Resps.Put(r)
 			}
 		}
 		c.active = next

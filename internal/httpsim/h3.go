@@ -30,7 +30,8 @@ type H3DialConfig struct {
 // h3Client maps each request to one QUIC stream.
 type h3Client struct {
 	client
-	conn *quicsim.Conn
+	conn  *quicsim.Conn
+	estFn func(*quicsim.Conn) // bound once
 }
 
 var _ ClientConn = (*h3Client)(nil)
@@ -38,8 +39,11 @@ var _ ClientConn = (*h3Client)(nil)
 // DialH3 opens an HTTP/3 connection to addr:port (the QUIC port).
 func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg H3DialConfig) ClientConn {
 	cfg.Pools = orPrivate(cfg.Pools)
-	c := &h3Client{}
-	c.init(host.Scheduler(), H3, cfg.Pools, cfg.Trace, c)
+	c, ok := cfg.Pools.recs.h3.Get(host.Scheduler(), (*h3Client).reset)
+	if !ok {
+		c = newH3Client()
+	}
+	c.init(host.Scheduler(), H3, cfg.Pools, cfg.Trace)
 	qcfg := cfg.QUIC
 	qcfg.Trace = cfg.Trace
 	qcfg.Pools = &cfg.Pools.QUIC
@@ -49,10 +53,35 @@ func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string,
 		Tokens:        cfg.Tokens,
 		EnableZeroRTT: cfg.EnableZeroRTT,
 		HandshakeCPU:  cfg.HandshakeCPU,
-	}, func(*quicsim.Conn) { c.establish() })
-	c.conn.SetCloseFunc(c.onClose)
-	c.dog.init(c.sched, c.watchdogFire)
+	}, c.estFn)
+	c.conn.SetCloseFunc(c.onCloseFn)
+	c.dog.init(c.sched, c.fireFn)
 	return c
+}
+
+func newH3Client() *h3Client {
+	c := &h3Client{}
+	c.bind(c)
+	c.estFn = c.onEstablished
+	return c
+}
+
+func (c *h3Client) onEstablished(*quicsim.Conn) { c.establish() }
+
+func (c *h3Client) reset() {
+	c.client.reset()
+	c.conn = nil
+}
+
+// settled: once the record is closed its QUIC conn calls it no more
+// but through the close callback, which Release cuts. The record closes
+// its conn, or the conn failed, or it failed on a malformed response,
+// which only an established conn delivers.
+func (*h3Client) settled() bool { return true }
+
+func (c *h3Client) recycle() {
+	c.conn.Release()
+	c.pools.recs.h3.Retire(c, c.sched)
 }
 
 func (c *h3Client) HandshakeDuration() time.Duration { return c.conn.HandshakeDuration() }
@@ -112,19 +141,46 @@ func (c *h3Client) parse(r *request, data []byte) {
 
 // --- server side ---
 
-// h3Server handles one QUIC connection's request streams.
+// h3Server handles one QUIC connection's request streams. It is pooled
+// in Pools with its callbacks bound once per struct, and retires when
+// its connection reports the end; its stream states keep what they need
+// to answer after that.
 type h3Server struct {
 	sched   *simnet.Scheduler
 	conn    *quicsim.Conn
 	handler Handler
 	pools   *Pools
+
+	streamFn func(*quicsim.Stream)
+	closeFn  func(error)
 }
 
 func newH3Server(sched *simnet.Scheduler, conn *quicsim.Conn, handler Handler, pools *Pools) *h3Server {
-	s := &h3Server{sched: sched, conn: conn, handler: handler, pools: pools}
-	conn.SetStreamFunc(s.onStream)
-	conn.SetCloseFunc(func(error) {})
+	s, ok := pools.recs.h3srv.Get(sched, (*h3Server).reset)
+	if !ok {
+		s = allocH3Server()
+	}
+	s.sched, s.conn, s.handler, s.pools = sched, conn, handler, pools
+	conn.SetStreamFunc(s.streamFn)
+	conn.SetCloseFunc(s.closeFn)
 	return s
+}
+
+func allocH3Server() *h3Server {
+	s := &h3Server{}
+	s.streamFn, s.closeFn = s.onStream, s.onClose
+	return s
+}
+
+func (s *h3Server) reset() {
+	*s = h3Server{streamFn: s.streamFn, closeFn: s.closeFn}
+}
+
+// onClose retires the server: its connection has torn down, so it
+// delivers no further stream or data.
+func (s *h3Server) onClose(error) {
+	s.conn.Release()
+	s.pools.recs.h3srv.Retire(s, s.sched)
 }
 
 // h3SrvStream is the server-side per-stream state. Pooled in Pools
@@ -132,21 +188,29 @@ func newH3Server(sched *simnet.Scheduler, conn *quicsim.Conn, handler Handler, p
 // exactly one request stream (H3 maps one request to one stream), so
 // the embedded Request and ServerContext are never shared between
 // concurrent requests. It holds its stream from handler dispatch until
-// respond, which may run after the connection died, recycles both.
+// its responder answers, which may be after the connection died, and
+// recycles both then.
 type h3SrvStream struct {
-	srv       *h3Server
-	st        *quicsim.Stream
-	parser    blockParser
-	req       Request
-	ctx       ServerContext
-	dataFn    func([]byte)
-	respondFn func(Response)
+	pools  *Pools
+	sched  *simnet.Scheduler
+	srv    *h3Server // while the stream delivers
+	st     *quicsim.Stream
+	gen    uint32 // incarnation: reset bumps it
+	parser blockParser
+	req    Request
+	ctx    ServerContext
+	dataFn func([]byte)
+}
+
+func newH3SrvStream() *h3SrvStream {
+	ss := &h3SrvStream{}
+	ss.dataFn = ss.onData
+	return ss
 }
 
 func (ss *h3SrvStream) reset() {
 	ss.parser.rewind()
-	parser, dataFn, respondFn := ss.parser, ss.dataFn, ss.respondFn
-	*ss = h3SrvStream{parser: parser, dataFn: dataFn, respondFn: respondFn}
+	*ss = h3SrvStream{gen: ss.gen + 1, parser: ss.parser, dataFn: ss.dataFn}
 }
 
 func (s *h3Server) onStream(st *quicsim.Stream) {
@@ -160,13 +224,15 @@ func (ss *h3SrvStream) onData(data []byte) {
 			continue
 		}
 		// The stream's one request: stop reading it, and hold it for
-		// respond.
+		// the responder.
 		ss.st.SetDataFunc(nil)
 		ss.st.Hold()
 		srv := ss.srv
-		ss.req = srv.pools.parseRequestBlock(b.payload)
-		ss.ctx = ServerContext{Req: &ss.req, Protocol: H3, ServerName: srv.conn.ServerName()}
-		srv.handler(&ss.ctx, ss.respondFn)
+		ss.srv = nil
+		ss.req = ss.pools.parseRequestBlock(b.payload)
+		r := ss.pools.getResponder(ss, ss.gen, 0)
+		ss.ctx = ServerContext{Req: &ss.req, Protocol: H3, ServerName: srv.conn.ServerName(), responder: r}
+		srv.handler(&ss.ctx, r.respondFn)
 		return
 	}
 	if ss.parser.overlong {
@@ -174,11 +240,13 @@ func (ss *h3SrvStream) onData(data []byte) {
 	}
 }
 
+func (ss *h3SrvStream) incarnation() uint32 { return ss.gen }
+
 // respond writes the response (nothing, on a dead stream) and lets go
 // of the stream and the state, which nothing else reaches.
-func (ss *h3SrvStream) respond(resp Response) {
-	a := &ss.srv.pools.Arena
-	writeBlock(a, ss.st, blockHeadersResp, 0, 0, ss.srv.pools.responseHeaderBlock(resp))
+func (ss *h3SrvStream) respond(_ uint32, resp Response) {
+	a := &ss.pools.Arena
+	writeBlock(a, ss.st, blockHeadersResp, 0, 0, ss.pools.responseHeaderBlock(resp))
 	for left := resp.BodySize; left > 0; {
 		n := left
 		if n > bodyChunkSize {
@@ -189,5 +257,5 @@ func (ss *h3SrvStream) respond(resp Response) {
 	}
 	ss.st.CloseWrite()
 	ss.st.Release()
-	ss.srv.pools.h3srv.Retire(ss, ss.srv.sched)
+	ss.pools.h3streams.Retire(ss, ss.sched)
 }

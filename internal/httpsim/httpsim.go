@@ -135,11 +135,20 @@ type ClientConn interface {
 	// Abort terminates immediately (no peer notification beyond
 	// transport reset), failing outstanding requests as Close does.
 	Abort()
+	// Release tells the connection that its holder makes no further
+	// call, this one's values included; it is closed first if still
+	// open. A connection drawn from a Pools is recycled once its
+	// transport can no longer call it either. Read what you keep —
+	// HandshakeDuration, SSLDuration, Resumed, TraceID — before.
+	Release()
 }
 
-// Handler processes a request on the server. respond must be invoked
-// exactly once, synchronously or after scheduling a delay (simulated
-// processing time): the per-request state behind it is recycled then.
+// Handler processes a request on the server. It answers exactly once,
+// synchronously or after a delay (simulated processing time): by calling
+// respond, or through the Responder that ctx.Responder(respond) returns,
+// which can also wait without a closure (Responder.After). A server's
+// respond is its pooled responder's Respond, and the per-request state
+// behind it is recycled once it has answered.
 type Handler func(ctx *ServerContext, respond func(Response))
 
 // ServerContext carries per-request server-side information; Req holds
@@ -151,6 +160,18 @@ type ServerContext struct {
 	Protocol Protocol
 	// ServerName is the SNI/authority the connection was opened for.
 	ServerName string
+
+	responder *Responder // the server's, for this request
+}
+
+// Responder returns the request's responder: the one the server drew
+// for it, or, for a context built outside a server, a new one that calls
+// respond. Like respond, it answers once.
+func (ctx *ServerContext) Responder(respond func(Response)) *Responder {
+	if ctx.responder != nil {
+		return ctx.responder
+	}
+	return &Responder{fn: respond}
 }
 
 // --- header and body serialization (shared by H1/H2/H3) ---

@@ -4,6 +4,7 @@ import (
 	"h3cdn/internal/bufpool"
 	"h3cdn/internal/quicsim"
 	"h3cdn/internal/tcpsim"
+	"h3cdn/internal/tlssim"
 )
 
 // Pools aggregates every allocation arena the HTTP stack and its
@@ -11,10 +12,10 @@ import (
 // it takes on it, one universe at a time: all of a universe's endpoints
 // run on its single scheduler goroutine, so reuse needs no locking, and
 // the free lists survive garbage-collection cycles and universes alike.
-// A worker's wire buffers, TLS carries and HTTP records warm in its
-// first shard, and later shards replay out of the same footprint; the
-// transport pools start afresh with each shard. The zero value is ready
-// to use.
+// A worker's wire buffers, TLS carries and HTTP request records warm in
+// its first shard, and later shards replay out of the same footprint;
+// the transport pools and the connection records start afresh with each
+// shard. The zero value is ready to use.
 //
 // Nothing in it waits for a visit boundary (DESIGN.md §4.17), so a
 // Pools outlives its universes; Detach, called once their schedulers
@@ -49,10 +50,23 @@ type Pools struct {
 
 	h2Resps bufpool.FreeList[*h2Response]
 
-	reqs  bufpool.Recycler[*request]     // see client.retire
-	h3srv bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
+	reqs      bufpool.Recycler[*request]     // see client.retire
+	h3streams bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
+	recs      recordPools
 
 	detached PoolNews // TCP and QUIC payload news of detached transport pools
+}
+
+// recordPools recycles the connection records above the transports and
+// the responders. Like the transport pools they last one shard (Detach).
+type recordPools struct {
+	tls        tlssim.Pools
+	h1         bufpool.Recycler[*h1Client]
+	h2         bufpool.Recycler[*h2Client]
+	h3         bufpool.Recycler[*h3Client]
+	srv        bufpool.Recycler[*serverConn]
+	h3srv      bufpool.Recycler[*h3Server]
+	responders bufpool.FreeList[*Responder]
 }
 
 // orPrivate is every Dial*/StartServer's defaulting step: an endpoint
@@ -84,10 +98,11 @@ func (pl *Pools) Rewind() int64 { return pl.Arena.Stats().InUse }
 //     idle in every later shard (on the 768-page CampaignMemory
 //     campaign, 3 to 4 MB more peak heap). Their conn and stream
 //     recyclers would keep the finished universe alive besides;
-//   - the H3 server stream-state recycler. A Recycler promotes a
-//     retired struct only on its next Get, and the next universe may
-//     never ask that one (an H2 shard after an H3 one), so the struct
-//     would keep the finished universe alive;
+//   - the H3 server stream-state recycler and the connection records
+//     and responders (recs). A Recycler promotes a retired struct only
+//     on its next Get, and the next universe may never ask that one (an
+//     H2 shard after an H3 one), so the struct would keep the finished
+//     universe alive;
 //   - the interned request names, which only the finished universes'
 //     requests shared.
 func (pl *Pools) Detach() {
@@ -96,8 +111,25 @@ func (pl *Pools) Detach() {
 	pl.TCP = tcpsim.Pools{}
 	pl.QUIC = quicsim.Pools{}
 	pl.reqs.Promote((*request).reset)
-	pl.h3srv = bufpool.Recycler[*h3SrvStream]{}
+	pl.h3streams = bufpool.Recycler[*h3SrvStream]{}
+	pl.recs = recordPools{}
 	clear(pl.names)
+}
+
+// Promote resets every connection record retired so far into its free
+// list, whatever its stamp. Call it once the schedulers that retired
+// them will run no more events, as a population shard does between its
+// epochs: a record of a kind the next epoch never asks for (an HTTP/1.1
+// client, say) would otherwise stay retired and keep the finished
+// epoch's universe alive. Detach drops the records instead.
+func (pl *Pools) Promote() {
+	r := &pl.recs
+	r.tls.Promote()
+	r.h1.Promote((*h1Client).reset)
+	r.h2.Promote((*h2Client).reset)
+	r.h3.Promote((*h3Client).reset)
+	r.srv.Promote((*serverConn).reset)
+	r.h3srv.Promote((*h3Server).reset)
 }
 
 // PoolNews counts the buffers a Pools' arenas had to allocate because
@@ -154,14 +186,10 @@ func (pl *Pools) getRequest(c *client, req *Request, ev RequestEvents) *request 
 // getH3SrvStream hands out a server stream state bound to one QUIC
 // stream.
 func (pl *Pools) getH3SrvStream(srv *h3Server, st *quicsim.Stream) *h3SrvStream {
-	ss, ok := pl.h3srv.Get(srv.sched, (*h3SrvStream).reset)
+	ss, ok := pl.h3streams.Get(srv.sched, (*h3SrvStream).reset)
 	if !ok {
-		ss = &h3SrvStream{}
-		sp := ss
-		ss.dataFn = func(data []byte) { sp.onData(data) }
-		ss.respondFn = func(resp Response) { sp.respond(resp) }
+		ss = newH3SrvStream()
 	}
-	ss.srv = srv
-	ss.st = st
+	ss.pools, ss.sched, ss.srv, ss.st = pl, srv.sched, srv, st
 	return ss
 }

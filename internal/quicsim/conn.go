@@ -155,6 +155,24 @@ type Conn struct {
 
 	onEstablished func(*Conn)
 	closeFn       func(error)
+
+	// The struct is pooled (Pools.conns) and retires once its owner has
+	// released it, it has torn down, no handshake step or close probe
+	// waits on the scheduler (steps) and its application holds none of
+	// its streams (held).
+	released bool
+	retired  bool
+	steps    int
+	held     int
+	// probeGap and probeN pace the close probes after a timeout abort.
+	probeGap time.Duration
+	probeN   int
+
+	// pktFn and onPTOFn are bound once when the struct is allocated and
+	// kept across reuse, as are the streams map and the sent, sendable
+	// and received-range arrays (emptied at teardown).
+	pktFn   func(simnet.Packet)
+	onPTOFn func()
 }
 
 // Dial opens a client connection. onEstablished fires as soon as stream
@@ -169,13 +187,7 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg ClientConfig, 
 	c.serverName = cfg.ServerName
 	c.onEstablished = onEstablished
 	c.nextStreamID = 0 // client-initiated bidirectional: 0, 4, 8, ...
-	c.localPort = host.BindEphemeral(func(pkt simnet.Packet) {
-		p, ok := pkt.Payload.(*packet)
-		if !ok {
-			return
-		}
-		c.handlePacket(p)
-	})
+	c.localPort = host.BindEphemeral(c.pktFn)
 
 	c.hsStart = c.sched.Now()
 	ch := &clientHelloFrame{serverName: cfg.ServerName, nonce: uint64(c.hsStart)}
@@ -197,33 +209,111 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg ClientConfig, 
 	if c.zeroRTT {
 		// 0-RTT: the application may open streams immediately; defer
 		// one tick so the callback never runs before Dial returns.
-		c.sched.After(0, func() {
-			if c.state != stateClosed {
-				c.becomeEstablished()
-			}
-		})
+		c.after(0, zeroRTTEvent)
 	}
 	return c
 }
 
+// zeroRTTReady establishes a 0-RTT client one tick after Dial.
+func (c *Conn) zeroRTTReady() {
+	if c.state != stateClosed {
+		c.becomeEstablished()
+	}
+}
+
 func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	cfg = cfg.withDefaults()
-	c := &Conn{
-		host:    host,
-		remote:  remote,
-		route:   host.Route(remote),
-		sched:   host.Scheduler(),
-		cfg:     cfg,
-		state:   stateHandshaking,
-		streams: make(map[uint64]*Stream),
-		cwnd:    float64(cfg.InitCwndPkts * maxPacketPayload),
-		pools:   cfg.Pools,
+	c, ok := cfg.Pools.conns.Get(host.Scheduler(), (*Conn).reset)
+	if !ok {
+		c = allocConn()
 	}
+	c.host = host
+	c.remote = remote
+	c.route = host.Route(remote)
+	c.sched = host.Scheduler()
+	c.cfg = cfg
+	c.state = stateHandshaking
+	c.cwnd = float64(cfg.InitCwndPkts * maxPacketPayload)
+	c.pools = cfg.Pools
 	c.ssthresh = maxCwndPkts * maxPacketPayload
-	c.ptoTimer = c.sched.NewTimer(c.onPTO)
+	c.ptoTimer = c.sched.NewTimer(c.onPTOFn)
 	c.traceID = cfg.Trace.ConnID()
 	return c
 }
+
+// allocConn allocates a conn with its callbacks bound.
+func allocConn() *Conn {
+	c := &Conn{streams: make(map[uint64]*Stream)}
+	c.pktFn, c.onPTOFn = c.onPacket, c.onPTO
+	return c
+}
+
+// reset clears a retired conn for reuse, keeping the bound callbacks and
+// the arrays and map it grew.
+func (c *Conn) reset() {
+	clear(c.streams)
+	*c = Conn{
+		streams:  c.streams,
+		sendable: c.sendable[:0],
+		sent:     sentList{s: c.sent.s[:0]},
+		recvd:    rangeSet{ranges: c.recvd.ranges[:0]},
+		pktFn:    c.pktFn,
+		onPTOFn:  c.onPTOFn,
+	}
+}
+
+// onPacket is a client conn's port handler.
+func (c *Conn) onPacket(pkt simnet.Packet) {
+	if p, ok := pkt.Payload.(*packet); ok {
+		c.handlePacket(p)
+	}
+}
+
+// Release tells the conn that its owner makes no further call and takes
+// no further callback: the stream, close and establishment callbacks are
+// cut. It is recycled from the next event on once it has also torn down,
+// no handshake step or close probe is scheduled and its application
+// holds none of its streams.
+func (c *Conn) Release() {
+	c.streamFn, c.closeFn, c.onEstablished = nil, nil, nil
+	c.released = true
+	c.maybeRetire()
+}
+
+func (c *Conn) maybeRetire() {
+	if !c.released || c.retired || c.state != stateClosed || c.steps > 0 || c.held > 0 {
+		return
+	}
+	c.retired = true
+	c.pools.conns.Retire(c, c.sched)
+}
+
+// after schedules event for c after d; until it runs, c is not recycled.
+func (c *Conn) after(d time.Duration, event func(any)) {
+	c.steps++
+	c.sched.AfterArg(d, event, c)
+}
+
+// stepEvent runs run for the conn an after event was scheduled for.
+func stepEvent(x any, run func(*Conn)) {
+	c := x.(*Conn)
+	c.steps--
+	run(c)
+	c.maybeRetire()
+}
+
+func zeroRTTEvent(x any)     { stepEvent(x, (*Conn).zeroRTTReady) }
+func serverHelloEvent(x any) { stepEvent(x, (*Conn).sendServerHello) }
+func finishEvent(x any)      { stepEvent(x, (*Conn).finishHandshake) }
+func closeProbeEvent(x any)  { stepEvent(x, (*Conn).sendCloseProbe) }
+
+// The CONNECTION_CLOSE packets' frame lists are shared: nothing writes a
+// control packet's frames, and Release drops them without reuse.
+var (
+	closeClean   = []frame{&closeFrame{}}
+	closeAborted = []frame{&closeFrame{err: ErrAborted}}
+	closeTimeout = []frame{&closeFrame{err: ErrTimeout}}
+)
 
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() simnet.Addr { return c.remote }
@@ -280,7 +370,10 @@ func (c *Conn) shutdown(err error) {
 	// Best-effort close notification, bypassing congestion control.
 	p := newPacket(c.pools)
 	p.pn = c.nextPN
-	p.frames = []frame{&closeFrame{err: err}}
+	p.frames = closeClean
+	if err != nil {
+		p.frames = closeAborted
+	}
 	c.transmit(p)
 	c.nextPN++
 	c.teardown()
@@ -297,26 +390,22 @@ const closeProbeLimit = 12
 // timeout; the simulator arms no timers on healthy paths, so the abort
 // itself carries the persistence.
 func (c *Conn) startCloseProbes() {
-	gap := c.cfg.PTOInit
-	n := 0
-	var fire func()
-	fire = func() {
-		p := newPacket(c.pools)
-		p.pn = c.nextPN
-		p.frames = []frame{&closeFrame{err: ErrTimeout}}
-		c.nextPN++
-		c.transmit(p)
-		n++
-		if n >= closeProbeLimit {
-			return
-		}
-		c.sched.After(gap, fire)
-		gap *= 2
-		if gap > ptoMax {
-			gap = ptoMax
-		}
+	c.probeGap, c.probeN = c.cfg.PTOInit, 0
+	c.sendCloseProbe()
+}
+
+func (c *Conn) sendCloseProbe() {
+	p := newPacket(c.pools)
+	p.pn = c.nextPN
+	p.frames = closeTimeout
+	c.nextPN++
+	c.transmit(p)
+	c.probeN++
+	if c.probeN >= closeProbeLimit {
+		return
 	}
-	fire()
+	c.after(c.probeGap, closeProbeEvent)
+	c.probeGap = min(2*c.probeGap, ptoMax)
 }
 
 func (c *Conn) teardown() {
@@ -345,9 +434,12 @@ func (c *Conn) teardown() {
 			c.pools.streams.Retire(s, c.sched)
 		}
 	}
-	c.sent = sentList{}
+	clear(c.sent.s)
+	c.sent = sentList{s: c.sent.s[:0]}
 	c.sendQ = nil
-	c.sendable = nil
+	clear(c.sendable)
+	c.sendable = c.sendable[:0]
+	c.maybeRetire()
 }
 
 func (c *Conn) fail(err error) {
@@ -650,10 +742,15 @@ func (c *Conn) onPTO() {
 		}
 		c.cfg.Trace.QUICConnFail(c.sched.Now(), c.traceID, ErrTimeout.Error())
 		wasEstablished := c.state == stateEstablished
+		// The close probes still use the conn after the owner, told by
+		// fail, may have released it.
+		c.steps++
 		c.fail(ErrTimeout)
+		c.steps--
 		if wasEstablished {
 			c.startCloseProbes()
 		}
+		c.maybeRetire()
 		return
 	}
 	if c.cfg.Recovery != nil {
@@ -925,23 +1022,26 @@ func (c *Conn) handleClientHello(f *clientHelloFrame) {
 	if resumed {
 		cpu /= 2
 	}
-	respond := func() {
-		if c.state == stateClosed {
-			return
-		}
-		sh := &serverHelloFrame{resumed: resumed, cid: c.cid}
-		if c.scfg.Sessions != nil {
-			sh.newToken = c.scfg.Sessions.issue()
-			c.issuedToken = sh.newToken
-		}
-		c.sendQ = append(c.sendQ, sh)
-		c.becomeEstablished()
-	}
 	if cpu > 0 {
-		c.sched.After(cpu, respond)
+		c.after(cpu, serverHelloEvent)
 	} else {
-		respond()
+		c.sendServerHello()
 	}
+}
+
+// sendServerHello answers the ClientHello, once the handshake CPU time
+// has passed, with the resumption verdict it drew (c.resumed).
+func (c *Conn) sendServerHello() {
+	if c.state == stateClosed {
+		return
+	}
+	sh := &serverHelloFrame{resumed: c.resumed, cid: c.cid}
+	if c.scfg.Sessions != nil {
+		sh.newToken = c.scfg.Sessions.issue()
+		c.issuedToken = sh.newToken
+	}
+	c.sendQ = append(c.sendQ, sh)
+	c.becomeEstablished()
 }
 
 func (c *Conn) handleServerHello(f *serverHelloFrame) {
@@ -959,18 +1059,21 @@ func (c *Conn) handleServerHello(f *serverHelloFrame) {
 	if c.resumed {
 		cpu /= 2
 	}
-	finish := func() {
-		if c.state == stateClosed {
-			return
-		}
-		c.becomeEstablished()
-		c.trySend()
-	}
 	if cpu > 0 {
-		c.sched.After(cpu, finish)
+		c.after(cpu, finishEvent)
 	} else {
-		finish()
+		c.finishHandshake()
 	}
+}
+
+// finishHandshake establishes the client once its handshake CPU time has
+// passed.
+func (c *Conn) finishHandshake() {
+	if c.state == stateClosed {
+		return
+	}
+	c.becomeEstablished()
+	c.trySend()
 }
 
 func (c *Conn) handleStreamData(f streamData) {

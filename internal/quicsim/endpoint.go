@@ -89,7 +89,7 @@ func (e *Endpoint) handlePacket(pkt simnet.Packet) {
 			// close (avoid close loops).
 			if !isCloseOnly(p) {
 				reply := newPacket(e.cfg.Pools)
-				reply.frames = []frame{&closeFrame{err: ErrAborted}}
+				reply.frames = closeAborted
 				// Echo the sender's connection ID so only that (dead)
 				// connection matches; a new conn on a recycled port
 				// ignores the mismatched close.

@@ -32,6 +32,7 @@ type Pools struct {
 	acks    bufpool.FreeList[*ackFrame]
 	sframes bufpool.FreeList[*streamFrame]
 	streams bufpool.Recycler[*Stream]
+	conns   bufpool.Recycler[*Conn] // see Conn.Release
 
 	// payloads recycles packet payloads (transmit takes, Release gives
 	// back) and the copies a receiving stream parks beyond a gap. An
@@ -70,7 +71,7 @@ func (pl *Pools) PayloadStats() bufpool.ArenaStats { return pl.payloads.Stats() 
 // newStream returns a reset Stream bound to c. The gap buffer's and the
 // extent list's allocations are retained across reuses.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
-	s, ok := pl.streams.Get(c.sched, func(s *Stream) { *s = Stream{supplied: s.supplied, chunks: s.chunks} })
+	s, ok := pl.streams.Get(c.sched, (*Stream).reset)
 	if !ok {
 		s = &Stream{}
 	}

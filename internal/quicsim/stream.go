@@ -52,6 +52,10 @@ type Stream struct {
 	holStart  time.Duration
 }
 
+// reset clears a retired stream for reuse, keeping its extent list and
+// gap buffer, which teardown or Release emptied.
+func (s *Stream) reset() { *s = Stream{supplied: s.supplied, chunks: s.chunks} }
+
 // ID returns the stream identifier.
 func (s *Stream) ID() uint64 { return s.id }
 
@@ -100,17 +104,28 @@ func (s *Stream) frameAcked(n int, fin bool) {
 	}
 }
 
-// Hold keeps the struct from recycling at teardown, for an application
-// that may call the stream in a later event (a dead stream's writes do
-// nothing).
-func (s *Stream) Hold() { s.held = true }
+// Hold keeps the struct, and its connection's, from recycling at
+// teardown, for an application that may call the stream in a later event
+// (a dead stream's writes do nothing).
+func (s *Stream) Hold() {
+	if !s.held {
+		s.held = true
+		s.conn.held++
+	}
+}
 
 // Release drops Hold; the caller must not touch the stream again.
 func (s *Stream) Release() {
-	if s.held && s.conn.state == stateClosed {
-		s.conn.pools.streams.Retire(s, s.conn.sched)
+	if !s.held {
+		return
 	}
 	s.held = false
+	c := s.conn
+	c.held--
+	if c.state == stateClosed {
+		c.pools.streams.Retire(s, c.sched)
+		c.maybeRetire()
+	}
 }
 
 // freeBytes gives back everything the stream holds: its supplied bytes

@@ -92,7 +92,9 @@ type Conn struct {
 	holActive bool
 	holStart  time.Duration
 
-	onEstablished func()
+	// onEstablished fires once the handshake completes: the dialer's
+	// callback, or the listener's accept.
+	onEstablished func(*Conn)
 	dataFn        func([]byte)
 	closeFn       func(error)
 
@@ -119,9 +121,7 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEsta
 	c.remotePort = dstPort
 	c.localPort = host.BindEphemeral(c.pktFn)
 	c.state = stateSynSent
-	if onEstablished != nil {
-		c.onEstablished = func() { onEstablished(c) }
-	}
+	c.onEstablished = onEstablished
 	c.synSentAt = c.sched.Now()
 	cfg.Trace.TCPSynSent(c.synSentAt, c.traceID)
 	c.sendFlags(flagSYN)
@@ -132,14 +132,7 @@ func Dial(host *simnet.Host, dst simnet.Addr, dstPort uint16, cfg Config, onEsta
 func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	c, ok := cfg.Pools.conns.Get(host.Scheduler(), (*Conn).reset)
 	if !ok {
-		c = &Conn{}
-		cc := c
-		c.pktFn = func(pkt simnet.Packet) {
-			if seg, ok := pkt.Payload.(*segment); ok {
-				cc.handleSegment(seg)
-			}
-		}
-		c.onRTOFn = cc.onRTO
+		c = allocConn()
 	}
 	c.host = host
 	c.remote = remote
@@ -151,6 +144,18 @@ func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	c.ssthresh = maxCwndSegs * mss
 	c.rtoTimer = c.sched.NewTimer(c.onRTOFn)
 	c.traceID = cfg.Trace.ConnID()
+	return c
+}
+
+// allocConn allocates a conn with its packet and RTO callbacks bound.
+func allocConn() *Conn {
+	c := &Conn{}
+	c.pktFn = func(pkt simnet.Packet) {
+		if seg, ok := pkt.Payload.(*segment); ok {
+			c.handleSegment(seg)
+		}
+	}
+	c.onRTOFn = c.onRTO
 	return c
 }
 
@@ -375,7 +380,7 @@ func (c *Conn) handleSegment(seg *segment) {
 			c.rtoTimer.Stop()
 			c.sendFlags(flagACK)
 			if c.onEstablished != nil {
-				c.onEstablished()
+				c.onEstablished(c)
 			}
 			c.trySend()
 		}
@@ -390,7 +395,7 @@ func (c *Conn) handleSegment(seg *segment) {
 				c.rttSample(c.sched.Now() - c.synSentAt)
 			}
 			if c.onEstablished != nil {
-				c.onEstablished()
+				c.onEstablished(c)
 			}
 			// Fall through: this segment may carry data.
 		} else {

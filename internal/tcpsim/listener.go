@@ -86,11 +86,7 @@ func (l *Listener) handlePacket(pkt simnet.Packet) {
 		c.localPort = l.port
 		c.listener = l
 		c.state = stateSynRcvd
-		c.onEstablished = func() {
-			if l.accept != nil {
-				l.accept(c)
-			}
-		}
+		c.onEstablished = l.accept
 		l.conns[key] = c
 		l.last, l.lastKey = c, key
 		c.synSentAt = c.sched.Now()

@@ -38,6 +38,9 @@ type ClientConfig struct {
 	// RecvArena, when non-nil, supplies the recycler for split-record
 	// carries. Nil gets a private one.
 	RecvArena *bufpool.Arena
+	// Pools, when non-nil and Sched is set, recycles the Conn struct
+	// (see Pools). Nil allocates one the collector takes.
+	Pools *Pools
 }
 
 // ServerConfig configures a server-side TLS connection.
@@ -59,7 +62,21 @@ type ServerConfig struct {
 	// RecvArena, when non-nil, supplies the recycler for split-record
 	// carries. Nil gets a private one.
 	RecvArena *bufpool.Arena
+	// Pools mirrors ClientConfig.Pools.
+	Pools *Pools
 }
+
+// Pools recycles Conn structs under the bufpool.Recycler rule: a conn is
+// retired once its owner has released it (Release), it calls its
+// transport no more (it closed, or the transport tore down) and no
+// handshake step waits on the scheduler. The zero value is ready to use.
+type Pools struct {
+	conns bufpool.Recycler[*Conn]
+}
+
+// Promote resets and frees every retired conn whatever its stamp; call
+// it once the schedulers that retired them will run no more events.
+func (pl *Pools) Promote() { pl.conns.Promote((*Conn).reset) }
 
 // Conn is a TLS session over an underlying byte stream. It implements
 // bytestream.Stream itself, delivering plaintext application data.
@@ -97,6 +114,17 @@ type Conn struct {
 	dataFn      func([]byte)
 	closeFn     func(error)
 	onHandshake func(error)
+
+	// pools is where the conn retires to; nil for an unpooled conn and
+	// once it has retired.
+	pools    *Pools
+	released bool // the owner makes no further call (Release)
+	steps    int  // handshake steps waiting on the scheduler (cpuDelay)
+
+	// onDataT/onCloseT are the transport's callbacks into the conn,
+	// bound once when the struct is allocated and kept across reuse.
+	onDataT  func([]byte)
+	onCloseT func(error)
 }
 
 var _ bytestream.Stream = (*Conn)(nil)
@@ -106,6 +134,32 @@ var _ bytestream.Stream = (*Conn)(nil)
 type pendingWrite struct {
 	head []byte
 	n    int
+}
+
+// newConn takes a reset struct from pools, when it can recycle one under
+// sched, or allocates one; either way its transport callbacks are bound.
+func newConn(pools *Pools, sched *simnet.Scheduler) *Conn {
+	if pools == nil || sched == nil {
+		return allocConn(nil)
+	}
+	if c, ok := pools.conns.Get(sched, (*Conn).reset); ok {
+		c.pools = pools
+		return c
+	}
+	return allocConn(pools)
+}
+
+func allocConn(pools *Pools) *Conn {
+	c := &Conn{pools: pools}
+	c.onDataT, c.onCloseT = c.onTransportData, c.onTransportClose
+	return c
+}
+
+// reset clears a retired conn for reuse, keeping the bound transport
+// callbacks and the queued-write array (emptied by releasePending).
+func (c *Conn) reset() {
+	onDataT, onCloseT, pending := c.onDataT, c.onCloseT, c.pending[:0]
+	*c = Conn{onDataT: onDataT, onCloseT: onCloseT, pending: pending}
 }
 
 // Client starts a TLS handshake as the initiator over transport.
@@ -122,20 +176,19 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 	if cfg.RecvArena == nil {
 		cfg.RecvArena = &bufpool.Arena{}
 	}
-	c := &Conn{
-		transport:   transport,
-		isClient:    true,
-		ccfg:        cfg,
-		version:     cfg.Version,
-		onHandshake: onHandshake,
-		arena:       cfg.Arena,
-		recv:        cfg.RecvArena,
-	}
+	c := newConn(cfg.Pools, cfg.Sched)
+	c.transport = transport
+	c.isClient = true
+	c.ccfg = cfg
+	c.version = cfg.Version
+	c.onHandshake = onHandshake
+	c.arena = cfg.Arena
+	c.recv = cfg.RecvArena
 	if cfg.Sched != nil {
 		c.hsStart = cfg.Sched.Now()
 	}
-	transport.SetDataFunc(c.onTransportData)
-	transport.SetCloseFunc(c.onTransportClose)
+	transport.SetDataFunc(c.onDataT)
+	transport.SetCloseFunc(c.onCloseT)
 
 	c.alpn = cfg.ALPN
 	c.serverName = cfg.ServerName
@@ -160,9 +213,10 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 		// is deferred one scheduler tick (zero virtual time) so the
 		// callback never fires before Client returns.
 		if cfg.Sched != nil {
-			cfg.Sched.After(0, func() { c.completeHandshake(nil) })
+			c.steps++
+			cfg.Sched.AfterArg(0, completeEvent, c)
 		} else {
-			c.completeHandshake(nil)
+			c.completeHandshake()
 		}
 	}
 	return c
@@ -178,19 +232,51 @@ func Server(transport bytestream.Stream, cfg ServerConfig, onHandshake func(erro
 	if cfg.RecvArena == nil {
 		cfg.RecvArena = &bufpool.Arena{}
 	}
-	c := &Conn{
-		transport:   transport,
-		scfg:        cfg,
-		onHandshake: onHandshake,
-		arena:       cfg.Arena,
-		recv:        cfg.RecvArena,
-	}
+	c := newConn(cfg.Pools, cfg.Sched)
+	c.transport = transport
+	c.scfg = cfg
+	c.onHandshake = onHandshake
+	c.arena = cfg.Arena
+	c.recv = cfg.RecvArena
 	if cfg.Sched != nil {
 		c.hsStart = cfg.Sched.Now()
 	}
-	transport.SetDataFunc(c.onTransportData)
-	transport.SetCloseFunc(c.onTransportClose)
+	transport.SetDataFunc(c.onDataT)
+	transport.SetCloseFunc(c.onCloseT)
 	return c
+}
+
+// sched is this side's scheduler (nil without CPU cost modelling).
+func (c *Conn) sched() *simnet.Scheduler {
+	if c.isClient {
+		return c.ccfg.Sched
+	}
+	return c.scfg.Sched
+}
+
+// Release tells the conn that its owner makes no further call and takes
+// no further callback: the data, close and handshake callbacks are cut.
+// A pooled conn is recycled from the next event on once it also calls
+// its transport no more and no handshake step is waiting (see Pools); a
+// conn still open then is left to the collector. Idempotent.
+func (c *Conn) Release() {
+	c.dataFn, c.closeFn, c.onHandshake = nil, nil, nil
+	c.pendingIn = nil
+	c.released = true
+	c.maybeRetire()
+}
+
+// maybeRetire retires a pooled conn that nothing reaches any more: its
+// owner released it, no handshake step is scheduled, and its transport
+// no longer calls it — the conn closed (Close cut the transport's
+// callbacks, Abort tore it down) or the transport tore down.
+func (c *Conn) maybeRetire() {
+	if c.pools == nil || !c.released || c.steps > 0 || !(c.closed || c.transportGone) {
+		return
+	}
+	pools := c.pools
+	c.pools = nil
+	pools.conns.Retire(c, c.sched())
 }
 
 // Established reports whether application data may flow.
@@ -334,7 +420,9 @@ func (c *Conn) writeRecords(t recordType, head []byte, n int) {
 	}
 }
 
-// Close flushes and closes the underlying transport cleanly.
+// Close flushes and closes the underlying transport cleanly. The
+// transport's callbacks into the conn are cut: everything it could still
+// report — the FIN exchange, a late reset — a closed conn ignores.
 func (c *Conn) Close() {
 	if c.closed {
 		return
@@ -343,7 +431,13 @@ func (c *Conn) Close() {
 	c.release()
 	if !c.transportGone {
 		c.transport.Close()
+		c.transport.SetDataFunc(nil)
+		c.transport.SetCloseFunc(nil)
+		if t, ok := c.transport.(bytestream.Throttled); ok {
+			t.SetDrainFunc(0, nil)
+		}
 	}
+	c.maybeRetire()
 }
 
 // Abort tears down the underlying transport immediately.
@@ -356,25 +450,16 @@ func (c *Conn) Abort() {
 	if !c.transportGone {
 		c.transport.Abort()
 	}
+	c.maybeRetire()
 }
 
-func (c *Conn) completeHandshake(err error) {
+func (c *Conn) completeHandshake() {
 	if c.established || c.closed {
 		return
 	}
-	if err != nil {
-		c.closed = true
-		c.release()
-		if c.onHandshake != nil {
-			c.onHandshake(err)
-		}
-		return
-	}
 	c.established = true
-	if c.ccfg.Sched != nil {
-		c.hsDone = c.ccfg.Sched.Now()
-	} else if c.scfg.Sched != nil {
-		c.hsDone = c.scfg.Sched.Now()
+	if s := c.sched(); s != nil {
+		c.hsDone = s.Now()
 	}
 	if tr, id := c.tracer(); tr != nil {
 		tr.TLSHandshakeDone(c.hsDone, id, c.isClient, c.resumed, c.earlyData)
@@ -431,6 +516,7 @@ func (c *Conn) release() {
 func (c *Conn) onTransportClose(err error) {
 	if err != nil {
 		c.transportGone = true
+		defer c.maybeRetire()
 	}
 	if c.peerClosed || c.closed {
 		c.peerClosed = true
@@ -557,7 +643,7 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 				// the duration of the callback, which copies what it
 				// keeps.
 				c.dataFn(plain)
-			} else {
+			} else if !c.released {
 				buf := make([]byte, len(plain))
 				copy(buf, plain)
 				c.pendingIn = append(c.pendingIn, buf)
@@ -593,22 +679,17 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 			return
 		}
 		// Second client flight: key exchange + Finished.
-		cpuDelay(c.ccfg.Sched, c.ccfg.HandshakeCPU, func() {
-			c.writeRecords(recClientKeyExchange, nil, sizeClientKeyExch)
-		})
+		cpuDelay(c, c.ccfg.Sched, c.ccfg.HandshakeCPU, keyExchangeEvent)
 	case recClientKeyExchange:
 		if c.isClient {
 			return
 		}
-		cpuDelay(c.scfg.Sched, c.scfg.HandshakeCPU, func() {
-			c.writeRecords(recServerFinished12, nil, sizeServerFinished)
-			c.completeHandshake(nil)
-		})
+		cpuDelay(c, c.scfg.Sched, c.scfg.HandshakeCPU, serverFinished12Event)
 	case recServerFinished12:
 		if !c.isClient {
 			return
 		}
-		c.completeHandshake(nil)
+		c.completeHandshake()
 	default:
 		c.failRecord()
 	}
@@ -619,9 +700,7 @@ func (c *Conn) clientFinish13() {
 	if c.resumed {
 		cpu /= 2
 	}
-	cpuDelay(c.ccfg.Sched, cpu, func() {
-		c.completeHandshake(nil)
-	})
+	cpuDelay(c, c.ccfg.Sched, cpu, completeEvent)
 }
 
 func (c *Conn) serverHandleClientHello(payload []byte) {
@@ -642,26 +721,9 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 		if resumed {
 			cpu /= 2
 		}
-		cpuDelay(c.scfg.Sched, cpu, func() {
-			sh := serverHello13{resumed: resumed}
-			if c.scfg.Sessions != nil {
-				sh.newTicketID = c.scfg.Sessions.issue()
-			}
-			c.scfg.Trace.TLSServerFlight(c.now(), c.scfg.TraceConn, int(TLS13), resumed)
-			if sh.newTicketID != 0 {
-				c.scfg.Trace.TLSTicketIssued(c.now(), c.scfg.TraceConn, sh.newTicketID)
-			}
-			fields := c.arena.Get(serverHello13Fields)
-			sh.put(fields)
-			c.writeRecords(recServerHello13, fields, sizeServerHello13-len(fields))
-			c.arena.Put(fields)
-			c.completeHandshake(nil)
-		})
+		cpuDelay(c, c.scfg.Sched, cpu, serverHello13Event)
 	case TLS12:
-		cpuDelay(c.scfg.Sched, c.scfg.HandshakeCPU, func() {
-			c.scfg.Trace.TLSServerFlight(c.now(), c.scfg.TraceConn, int(TLS12), false)
-			c.writeRecords(recServerHello12, nil, sizeServerHello12)
-		})
+		cpuDelay(c, c.scfg.Sched, c.scfg.HandshakeCPU, serverHello12Event)
 	default:
 		c.failRecord()
 	}
@@ -673,6 +735,7 @@ func (c *Conn) failRecord() {
 	if !c.transportGone {
 		c.transport.Abort()
 	}
+	defer c.maybeRetire()
 	if !c.established {
 		if c.onHandshake != nil {
 			c.onHandshake(ErrBadRecord)

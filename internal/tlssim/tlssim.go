@@ -183,8 +183,20 @@ func decodeClientHello(p []byte) (clientHello, error) {
 		ticketID:   binary.BigEndian.Uint64(p[1:9]),
 		earlyData:  p[9] == 1,
 		serverName: string(p[12 : 12+nameLen]),
-		alpn:       string(p[alpnOff+1 : alpnOff+1+alpnLen]),
+		alpn:       alpnToken(p[alpnOff+1 : alpnOff+1+alpnLen]),
 	}, nil
+}
+
+// alpnToken returns b as a string, allocating nothing for the tokens the
+// simulator's HTTP versions send.
+func alpnToken(b []byte) string {
+	switch string(b) {
+	case "h2":
+		return "h2"
+	case "http/1.1":
+		return "http/1.1"
+	}
+	return string(b)
 }
 
 // serverHello13 fields: resumption verdict and a fresh ticket.
@@ -214,12 +226,71 @@ func decodeServerHello13(p []byte) (serverHello13, error) {
 	return serverHello13{resumed: p[0] == 1, newTicketID: binary.BigEndian.Uint64(p[1:9])}, nil
 }
 
-// cpuDelay schedules fn after d on sched, or runs it synchronously when
-// no scheduler or no delay is configured.
-func cpuDelay(sched *simnet.Scheduler, d time.Duration, fn func()) {
+// cpuDelay runs a handshake step for c after d on sched, or at once when
+// there is no scheduler or no delay. event is the step's stepEvent form.
+// A waiting step is counted in c.steps, which keeps a pooled conn from
+// being recycled under it.
+func cpuDelay(c *Conn, sched *simnet.Scheduler, d time.Duration, event func(any)) {
+	c.steps++
 	if sched == nil || d == 0 {
-		fn()
+		event(c)
 		return
 	}
-	sched.After(d, fn)
+	sched.AfterArg(d, event, c)
+}
+
+// stepEvent runs one counted handshake step of the conn x.
+func stepEvent(x any, run func(*Conn)) {
+	c := x.(*Conn)
+	c.steps--
+	run(c)
+	c.maybeRetire()
+}
+
+// completeEvent ends the handshake: the TLS 1.3 client's Finished, and
+// the 0-RTT client's deferred completion.
+func completeEvent(x any) { stepEvent(x, (*Conn).completeHandshake) }
+
+// keyExchangeEvent is the TLS 1.2 client's second flight.
+func keyExchangeEvent(x any) { stepEvent(x, (*Conn).sendKeyExchange) }
+
+// serverFinished12Event is the TLS 1.2 server's Finished.
+func serverFinished12Event(x any) { stepEvent(x, (*Conn).sendServerFinished12) }
+
+// serverHello13Event is the TLS 1.3 server's flight.
+func serverHello13Event(x any) { stepEvent(x, (*Conn).sendServerHello13) }
+
+// serverHello12Event is the TLS 1.2 server's first flight.
+func serverHello12Event(x any) { stepEvent(x, (*Conn).sendServerHello12) }
+
+func (c *Conn) sendKeyExchange() {
+	c.writeRecords(recClientKeyExchange, nil, sizeClientKeyExch)
+}
+
+func (c *Conn) sendServerFinished12() {
+	c.writeRecords(recServerFinished12, nil, sizeServerFinished)
+	c.completeHandshake()
+}
+
+// sendServerHello13 carries the server's verdict on the ClientHello's
+// ticket (c.resumed) and a fresh ticket.
+func (c *Conn) sendServerHello13() {
+	sh := serverHello13{resumed: c.resumed}
+	if c.scfg.Sessions != nil {
+		sh.newTicketID = c.scfg.Sessions.issue()
+	}
+	c.scfg.Trace.TLSServerFlight(c.now(), c.scfg.TraceConn, int(TLS13), sh.resumed)
+	if sh.newTicketID != 0 {
+		c.scfg.Trace.TLSTicketIssued(c.now(), c.scfg.TraceConn, sh.newTicketID)
+	}
+	fields := c.arena.Get(serverHello13Fields)
+	sh.put(fields)
+	c.writeRecords(recServerHello13, fields, sizeServerHello13-len(fields))
+	c.arena.Put(fields)
+	c.completeHandshake()
+}
+
+func (c *Conn) sendServerHello12() {
+	c.scfg.Trace.TLSServerFlight(c.now(), c.scfg.TraceConn, int(TLS12), false)
+	c.writeRecords(recServerHello12, nil, sizeServerHello12)
 }
