@@ -141,7 +141,8 @@ func check(r io.Reader) (summary, error) {
 }
 
 // decodeRecord parses one line as a single JSON value, keeping numbers
-// as json.Number so that counts are checked exactly.
+// as json.Number so that counts are checked exactly. A number no float64
+// holds (1e1000) is refused: qlog readers decode numbers as doubles.
 func decodeRecord(b []byte, rec *map[string]any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.UseNumber()
@@ -150,6 +151,30 @@ func decodeRecord(b []byte, rec *map[string]any) error {
 	}
 	if rest := bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
 		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return checkNumbers(*rec)
+}
+
+// checkNumbers refuses a number anywhere in v that overflows a float64.
+func checkNumbers(v any) error {
+	switch v := v.(type) {
+	case json.Number:
+		if _, err := strconv.ParseFloat(string(v), 64); err != nil {
+			// Named by kind, not value: maps are walked in random order.
+			return errors.New("number out of float64 range")
+		}
+	case map[string]any:
+		for _, x := range v {
+			if err := checkNumbers(x); err != nil {
+				return err
+			}
+		}
+	case []any:
+		for _, x := range v {
+			if err := checkNumbers(x); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
