@@ -9,7 +9,9 @@
 package browser
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"h3cdn/internal/har"
@@ -114,15 +116,14 @@ type Browser struct {
 	tokens  *quicsim.TokenStore
 	altSvc  map[string]bool // hosts whose H3 support has been discovered
 
-	conns map[string]*pooledConn   // h2/h3 pools
+	conns map[connKey]*pooledConn  // h2/h3 pools
 	h1    map[string][]*pooledConn // h1 pools per address
 
-	// keyBuf assembles pool-key lookups without allocating; freeConns
-	// recycles pooledConn records reclaimed by CloseAll (safe: fetch
-	// states drop their pc references before the next visit's dials).
-	keyBuf    []byte
+	// freeConns recycles pooledConn records reclaimed by CloseAll (safe:
+	// fetch states drop their pc references before the next visit's
+	// dials).
 	freeConns []*pooledConn
-	closeKeys []string
+	closeKeys []connKey
 
 	// Per-fetch state arena. Finished states are reclaimed at the next
 	// visit start — by then the scheduler has run dry, so no transport
@@ -209,8 +210,25 @@ type pooledConn struct {
 	conn   httpsim.ClientConn
 	used   int           // requests assigned so far
 	dialAt time.Duration // when the dial was initiated
-	key    string        // h2/h3 pool key, for eviction on error
+	key    connKey       // h2/h3 pool key, for eviction on error
 	h1Host string        // h1 pool key, for eviction on error
+}
+
+// connKey keys the h2/h3 pool: one connection per host and protocol.
+type connKey struct {
+	host string
+	h3   bool
+}
+
+// compare orders h2 before h3, then by host: CloseAll's order.
+func (k connKey) compare(o connKey) int {
+	if k.h3 == o.h3 {
+		return strings.Compare(k.host, o.host)
+	}
+	if k.h3 {
+		return 1
+	}
+	return -1
 }
 
 const (
@@ -237,7 +255,7 @@ func New(host *simnet.Host, cfg Config) *Browser {
 		cfg:     cfg,
 		tickets: tlssim.NewTicketStore(),
 		tokens:  quicsim.NewTokenStore(),
-		conns:   make(map[string]*pooledConn),
+		conns:   make(map[connKey]*pooledConn),
 		h1:      make(map[string][]*pooledConn),
 		altSvc:  make(map[string]bool),
 	}
@@ -284,14 +302,15 @@ func (b *Browser) ImportAltSvc(hosts []string) {
 }
 
 // CloseAll terminates all pooled connections (end of a page visit) in
-// deterministic key order so packet emission is reproducible. The maps,
-// key scratch, and pooledConn records are all reused across visits.
+// deterministic key order so packet emission is reproducible: h2, then
+// h3, then h1, each by host. The maps, key scratch, and pooledConn
+// records are all reused across visits.
 func (b *Browser) CloseAll() {
 	keys := b.closeKeys[:0]
 	for k := range b.conns {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, connKey.compare)
 	for _, k := range keys {
 		pc := b.conns[k]
 		pc.conn.Close()
@@ -299,19 +318,19 @@ func (b *Browser) CloseAll() {
 	}
 	clear(b.conns)
 
-	hosts := keys[:0]
-	for k := range b.h1 {
-		hosts = append(hosts, k)
+	keys = keys[:0]
+	for h := range b.h1 {
+		keys = append(keys, connKey{host: h})
 	}
-	sort.Strings(hosts)
-	for _, k := range hosts {
-		for _, pc := range b.h1[k] {
+	slices.SortFunc(keys, connKey.compare)
+	for _, k := range keys {
+		for _, pc := range b.h1[k.host] {
 			pc.conn.Close()
 			b.recycleConn(pc)
 		}
 	}
 	clear(b.h1)
-	b.closeKeys = hosts[:0]
+	b.closeKeys = keys[:0]
 }
 
 // recycleConn releases a closed connection and returns its pooledConn
@@ -343,14 +362,6 @@ func (b *Browser) newPooledConn() *pooledConn {
 		return pc
 	}
 	return &pooledConn{}
-}
-
-// connKey assembles "prefix+host" in the reused scratch buffer; the
-// result is only valid until the next connKey call. Map lookups via
-// string(connKey(...)) do not allocate.
-func (b *Browser) connKey(prefix, host string) []byte {
-	b.keyBuf = append(append(b.keyBuf[:0], prefix...), host...)
-	return b.keyBuf
 }
 
 // Visit loads a page with progressive discovery, approximating a browser
@@ -591,7 +602,7 @@ func (st *fetchState) onError(err error) {
 // The identity check tolerates a pool slot already replaced by a retry.
 func (b *Browser) evict(pc *pooledConn) {
 	releaseConn(pc)
-	if pc.key != "" {
+	if pc.key.host != "" {
 		if cur, ok := b.conns[pc.key]; ok && cur == pc {
 			delete(b.conns, pc.key)
 		}
@@ -616,34 +627,38 @@ func (b *Browser) wantsH3() bool {
 // preconnectH3 opens the host's H3 connection in the background (upon
 // Alt-Svc discovery) so subsequent requests find it pooled.
 func (b *Browser) preconnectH3(host string, ep Endpoint) {
-	if !b.wantsH3() {
-		return
-	}
-	if _, ok := b.conns[string(b.connKey("h3|", host))]; ok {
+	key := connKey{host, true}
+	if _, ok := b.conns[key]; ok || !b.wantsH3() {
 		return
 	}
 	b.cfg.Trace.Preconnect(b.sched.Now(), host)
-	pc := b.dialH3(host, ep)
-	pc.key = "h3|" + host
-	b.conns[pc.key] = pc
+	b.dial(key, ep)
 }
 
-func (b *Browser) dialH3(host string, ep Endpoint) *pooledConn {
+// dial opens the connection for key and pools it.
+func (b *Browser) dial(key connKey, ep Endpoint) *pooledConn {
 	pc := b.newPooledConn()
 	pc.dialAt = b.sched.Now()
-	pc.conn = httpsim.DialH3(b.host, ep.Addr, httpsim.QUICPort, host, httpsim.H3DialConfig{
-		Tokens:        b.tokens,
-		EnableZeroRTT: b.cfg.EnableZeroRTT,
-		HandshakeCPU:  b.cfg.HandshakeCPU,
-		// Userspace QUIC retransmits lost handshakes from a
-		// cached RTT estimate (Chromium kInitialRtt), far
-		// sooner than kernel TCP's fixed 1s SYN timer.
-		QUIC:  quicsim.Config{PTOInit: 150 * time.Millisecond, Recovery: b.cfg.Recovery},
-		Pools: b.cfg.Pools,
-		Trace: b.cfg.Trace,
-	})
+	pc.key = key
+	if key.h3 {
+		pc.conn = httpsim.DialH3(b.host, ep.Addr, httpsim.QUICPort, key.host, httpsim.H3DialConfig{
+			Tokens:        b.tokens,
+			EnableZeroRTT: b.cfg.EnableZeroRTT,
+			HandshakeCPU:  b.cfg.HandshakeCPU,
+			// Userspace QUIC retransmits lost handshakes from a
+			// cached RTT estimate (Chromium kInitialRtt), far
+			// sooner than kernel TCP's fixed 1s SYN timer.
+			QUIC:  quicsim.Config{PTOInit: 150 * time.Millisecond, Recovery: b.cfg.Recovery},
+			Pools: b.cfg.Pools,
+			Trace: b.cfg.Trace,
+		})
+		b.stats.H3Conns++
+	} else {
+		pc.conn = httpsim.DialH2(b.host, ep.Addr, httpsim.TCPPort, key.host, b.dialCfg())
+		b.stats.H2Conns++
+	}
+	b.conns[key] = pc
 	b.stats.ConnsOpened++
-	b.stats.H3Conns++
 	return pc
 }
 
@@ -653,43 +668,21 @@ func (b *Browser) dialH3(host string, ep Endpoint) *pooledConn {
 // uncovered resources still travel over HTTP/2, splitting the host's
 // traffic across two connections (§VI-C's deployment density).
 func (b *Browser) connFor(host string, ep Endpoint, h3Eligible bool) (*pooledConn, bool) {
+	if ep.H1Only || b.cfg.Mode == ModeH1 {
+		return b.h1ConnFor(host, ep)
+	}
 	// H3 additionally requires the browser to know about it: preloaded
 	// hints or Alt-Svc learned from a prior response (the warm-up visit
 	// in the paper's protocol).
 	h3Known := ep.H3Preloaded || b.altSvc[host]
-	h3Possible := ep.SupportsH3 && !ep.H1Only && h3Known && h3Eligible
-	useH3 := b.cfg.Mode == ModeH3 && h3Possible
-	switch {
-	case ep.H1Only:
-		return b.h1ConnFor(host, ep)
-	case useH3:
-		if pc, ok := b.conns[string(b.connKey("h3|", host))]; ok {
-			return pc, false
-		}
-		if ep.H3Preloaded && !b.altSvc[host] {
-			b.cfg.Trace.PreloadHit(b.sched.Now(), host)
-		}
-		pc := b.dialH3(host, ep)
-		pc.key = "h3|" + host
-		b.conns[pc.key] = pc
-		return pc, true
-
-	case b.cfg.Mode == ModeH1:
-		return b.h1ConnFor(host, ep)
-
-	default:
-		if pc, ok := b.conns[string(b.connKey("h2|", host))]; ok {
-			return pc, false
-		}
-		pc := b.newPooledConn()
-		pc.dialAt = b.sched.Now()
-		pc.conn = httpsim.DialH2(b.host, ep.Addr, httpsim.TCPPort, host, b.dialCfg())
-		pc.key = "h2|" + host
-		b.conns[pc.key] = pc
-		b.stats.ConnsOpened++
-		b.stats.H2Conns++
-		return pc, true
+	key := connKey{host, b.cfg.Mode == ModeH3 && ep.SupportsH3 && h3Known && h3Eligible}
+	if pc, ok := b.conns[key]; ok {
+		return pc, false
 	}
+	if key.h3 && ep.H3Preloaded && !b.altSvc[host] {
+		b.cfg.Trace.PreloadHit(b.sched.Now(), host)
+	}
+	return b.dial(key, ep), true
 }
 
 func (b *Browser) dialCfg() httpsim.DialConfig {
@@ -710,8 +703,7 @@ func (b *Browser) dialCfg() httpsim.DialConfig {
 // h1ConnFor picks an idle H1 connection for the host, opening new ones up
 // to the per-host cap, then queueing on the least-loaded.
 func (b *Browser) h1ConnFor(host string, ep Endpoint) (*pooledConn, bool) {
-	key := host
-	list := b.h1[key]
+	list := b.h1[host]
 	for _, pc := range list {
 		if pc.conn.InFlight() == 0 {
 			return pc, false
@@ -721,8 +713,8 @@ func (b *Browser) h1ConnFor(host string, ep Endpoint) (*pooledConn, bool) {
 		pc := b.newPooledConn()
 		pc.dialAt = b.sched.Now()
 		pc.conn = httpsim.DialH1(b.host, ep.Addr, httpsim.TCPPort, host, b.dialCfg())
-		pc.h1Host = key
-		b.h1[key] = append(b.h1[key], pc)
+		pc.h1Host = host
+		b.h1[host] = append(b.h1[host], pc)
 		b.stats.ConnsOpened++
 		b.stats.H1Conns++
 		return pc, true

@@ -30,7 +30,7 @@ func TestArmPTOAfterCloseIsNoOp(t *testing.T) {
 }
 
 // TestBlackoutSurvivesBeyondMaxPTOs covers the PTO bugfix: with a tiny
-// SRTT the backoff base clamps to ptoMin (2ms), so MaxPTOs consecutive
+// SRTT the backoff base clamps to the profile's 2ms floor, so MaxPTOs consecutive
 // expirations exhaust in ~1s of virtual time. A 3s blackout must not
 // kill the connection — failure requires the probeTimeout virtual-time
 // floor (15s) as well as the count.

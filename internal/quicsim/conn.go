@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"h3cdn/internal/cc"
 	"h3cdn/internal/simnet"
 )
 
@@ -19,12 +20,12 @@ const (
 	stateClosed
 )
 
+// sentPacket records one in-flight ack-eliciting packet.
 type sentPacket struct {
-	pn           uint64
-	frames       []frame
-	size         int
-	sentAt       time.Duration
-	ackEliciting bool
+	pn     uint64
+	frames []frame
+	size   int
+	sentAt time.Duration
 }
 
 // sentList holds a connection's in-flight ack-eliciting packets ordered
@@ -127,14 +128,13 @@ type Conn struct {
 	nextPN        uint64
 	sent          sentList
 	bytesInFlight int
-	cwnd          float64
-	ssthresh      float64
 	recoveryStart uint64
 	sendQ         []frame // control + retransmitted frames, FIFO
 
-	srtt       time.Duration
-	rttvar     time.Duration
-	hasRTT     bool
+	// prof is Config.profile(), which win and rtt read.
+	prof       cc.Profile
+	win        cc.Window
+	rtt        cc.RTT
 	ptoTimer   *simnet.Timer
 	ptoCount   int
 	probeStart time.Duration // first PTO fire of the current episode
@@ -233,9 +233,10 @@ func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	c.sched = host.Scheduler()
 	c.cfg = cfg
 	c.state = stateHandshaking
-	c.cwnd = float64(cfg.InitCwndPkts * maxPacketPayload)
 	c.pools = cfg.Pools
-	c.ssthresh = maxCwndPkts * maxPacketPayload
+	c.prof = cfg.profile()
+	c.win = cc.NewWindow(&c.prof)
+	c.rtt = cc.NewRTT(&c.prof)
 	c.ptoTimer = c.sched.NewTimer(c.onPTOFn)
 	c.traceID = cfg.Trace.ConnID()
 	return c
@@ -315,9 +316,6 @@ var (
 	closeTimeout = []frame{&closeFrame{err: ErrTimeout}}
 )
 
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() simnet.Addr { return c.remote }
-
 // ServerName returns the SNI (known to servers after the ClientHello).
 func (c *Conn) ServerName() string { return c.serverName }
 
@@ -333,12 +331,6 @@ func (c *Conn) UsedZeroRTT() bool { return c.zeroRTT }
 // HandshakeDuration returns the time from Dial until stream data could
 // first be sent (0 for 0-RTT connections).
 func (c *Conn) HandshakeDuration() time.Duration { return c.hsDone - c.hsStart }
-
-// SmoothedRTT returns the current SRTT estimate (zero before any sample).
-func (c *Conn) SmoothedRTT() time.Duration { return c.srtt }
-
-// Cwnd returns the congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 // SetStreamFunc registers the callback for peer-initiated streams.
 func (c *Conn) SetStreamFunc(fn func(*Stream)) { c.streamFn = fn }
@@ -390,7 +382,7 @@ const closeProbeLimit = 12
 // timeout; the simulator arms no timers on healthy paths, so the abort
 // itself carries the persistence.
 func (c *Conn) startCloseProbes() {
-	c.probeGap, c.probeN = c.cfg.PTOInit, 0
+	c.probeGap, c.probeN = c.prof.FirstTimeout, 0
 	c.sendCloseProbe()
 }
 
@@ -405,7 +397,7 @@ func (c *Conn) sendCloseProbe() {
 		return
 	}
 	c.after(c.probeGap, closeProbeEvent)
-	c.probeGap = min(2*c.probeGap, ptoMax)
+	c.probeGap = min(2*c.probeGap, c.prof.TimeoutCeiling)
 }
 
 func (c *Conn) teardown() {
@@ -414,7 +406,7 @@ func (c *Conn) teardown() {
 	c.ptoTimer = nil
 	if c.issuedToken != 0 && c.scfg.Sessions != nil {
 		// Cache the path's cwnd for bandwidth resumption.
-		c.scfg.Sessions.storeCwnd(c.issuedToken, c.cwnd)
+		c.scfg.Sessions.storeCwnd(c.issuedToken, c.win.Cwnd)
 	}
 	if c.isClient {
 		c.host.Unbind(c.localPort)
@@ -507,7 +499,7 @@ func (c *Conn) trySend() {
 		return
 	}
 	for {
-		if float64(c.bytesInFlight) >= c.cwnd {
+		if float64(c.bytesInFlight) >= c.win.Cwnd {
 			break
 		}
 		p := c.buildPacket()
@@ -642,25 +634,22 @@ func (c *Conn) pullStreamFrame(maxData int) *streamFrame {
 
 func (c *Conn) sendPacket(p *packet) {
 	if p.isAckEliciting() {
-		sp := c.newSentPacket()
-		sp.pn = p.pn
-		sp.frames = p.frames
-		sp.size = p.wireSize()
-		sp.sentAt = c.sched.Now()
-		sp.ackEliciting = true
-		c.sent.push(sp)
-		c.bytesInFlight += sp.size
+		c.track(p)
 		c.armPTO()
 	}
 	c.transmit(p)
 }
 
-// newSentPacket takes a retired record from the free list, or allocates.
-func (c *Conn) newSentPacket() *sentPacket {
-	if sp, ok := c.pools.sents.Get(); ok {
-		return sp
+// track records p as in flight, in a retired record from the free list
+// when there is one.
+func (c *Conn) track(p *packet) {
+	sp, ok := c.pools.sents.Get()
+	if !ok {
+		sp = &sentPacket{}
 	}
-	return &sentPacket{}
+	sp.pn, sp.frames, sp.size, sp.sentAt = p.pn, p.frames, p.wireSize(), c.sched.Now()
+	c.sent.push(sp)
+	c.bytesInFlight += sp.size
 }
 
 // retireAcked recycles an acked sentPacket: the packet was delivered and
@@ -691,20 +680,14 @@ func (c *Conn) retireAcked(sp *sentPacket) {
 
 // --- loss detection & congestion ---
 
+// ptoDuration is the estimator's timeout doubled once per consecutive
+// probe fire, up to the profile's ceiling.
 func (c *Conn) ptoDuration() time.Duration {
-	var base time.Duration
-	if c.hasRTT {
-		base = c.srtt + 4*c.rttvar
-		if base < ptoMin {
-			base = ptoMin
-		}
-	} else {
-		base = c.cfg.PTOInit
-	}
+	base := c.rtt.Timeout()
 	for i := 0; i < c.ptoCount; i++ {
 		base *= 2
-		if base >= ptoMax {
-			return ptoMax
+		if base >= c.prof.TimeoutCeiling {
+			return c.prof.TimeoutCeiling
 		}
 	}
 	return base
@@ -733,9 +716,9 @@ func (c *Conn) onPTO() {
 	}
 	c.ptoCount++
 	// Exhausting MaxPTOs alone is not fatal: the backoff base can be as
-	// small as ptoMin, so the count must be paired with a virtual-time
-	// floor (probeTimeout) before the connection gives up — this is what
-	// lets a connection survive a multi-second blackout.
+	// small as the profile's floor, so the count must be paired with a
+	// virtual-time floor (probeTimeout) before the connection gives up —
+	// this is what lets a connection survive a multi-second blackout.
 	if c.ptoCount > c.cfg.MaxPTOs && c.sched.Now()-c.probeStart >= probeTimeout {
 		if c.cfg.Recovery != nil {
 			c.cfg.Recovery.ConnFailures++
@@ -775,14 +758,7 @@ func (c *Conn) onPTO() {
 			p.pn = c.nextPN
 			p.frames = frames
 			c.nextPN++
-			sp := c.newSentPacket()
-			sp.pn = p.pn
-			sp.frames = p.frames
-			sp.size = p.wireSize()
-			sp.sentAt = c.sched.Now()
-			sp.ackEliciting = true
-			c.sent.push(sp)
-			c.bytesInFlight += sp.size
+			c.track(p)
 			c.transmit(p)
 		} else if cap(frames) > 0 {
 			c.pools.frames.Put(frames[:0])
@@ -790,7 +766,7 @@ func (c *Conn) onPTO() {
 	}
 	if c.ptoCount >= 2 {
 		// Persistent-congestion-lite: collapse to the minimum window.
-		c.cwnd = 2 * maxPacketPayload
+		c.win.Collapse()
 	}
 	c.armPTO()
 }
@@ -839,12 +815,7 @@ func (c *Conn) handleAck(f *ackFrame) {
 		retired++
 		largestAcked, largestSentAt = sp.pn, sp.sentAt
 		c.bytesInFlight -= sp.size
-		// Congestion window growth per acked bytes.
-		if c.cwnd < c.ssthresh {
-			c.cwnd += float64(sp.size) // slow start
-		} else {
-			c.cwnd += maxPacketPayload * float64(sp.size) / c.cwnd
-		}
+		c.win.OnAck(float64(sp.size)) // growth per acked byte
 		c.retireAcked(sp)
 		live[i] = nil
 	}
@@ -861,10 +832,8 @@ func (c *Conn) handleAck(f *ackFrame) {
 		}
 	}
 	c.sent.drop(w)
-	if c.cwnd > maxCwndPkts*maxPacketPayload {
-		c.cwnd = maxCwndPkts * maxPacketPayload
-	}
-	c.rttSample(c.sched.Now() - largestSentAt)
+	c.win.Clamp()
+	c.rtt.Sample(c.sched.Now() - largestSentAt)
 	if c.ptoCount >= 2 && c.cfg.Recovery != nil {
 		// Progress after ≥2 consecutive probe fires: the connection rode
 		// out a blackout rather than an isolated drop.
@@ -889,11 +858,7 @@ func (c *Conn) handleAck(f *ackFrame) {
 		c.sendQ = appendRetransmittable(c.sendQ, sp.frames)
 		if sp.pn >= c.recoveryStart {
 			// One cwnd reduction per recovery epoch.
-			c.ssthresh = c.cwnd / 2
-			if min := float64(2 * maxPacketPayload); c.ssthresh < min {
-				c.ssthresh = min
-			}
-			c.cwnd = c.ssthresh
+			c.win.Halve(c.win.Cwnd)
 			c.recoveryStart = c.nextPN
 		}
 		// The record retires, but its frames array may still be aliased
@@ -907,24 +872,6 @@ func (c *Conn) handleAck(f *ackFrame) {
 
 	c.armPTO()
 	c.trySend()
-}
-
-func (c *Conn) rttSample(sample time.Duration) {
-	if sample <= 0 {
-		sample = time.Microsecond
-	}
-	if !c.hasRTT {
-		c.hasRTT = true
-		c.srtt = sample
-		c.rttvar = sample / 2
-		return
-	}
-	d := c.srtt - sample
-	if d < 0 {
-		d = -d
-	}
-	c.rttvar = (3*c.rttvar + d) / 4
-	c.srtt = (7*c.srtt + sample) / 8
 }
 
 // --- receiving ---
@@ -1005,15 +952,7 @@ func (c *Conn) handleClientHello(f *clientHelloFrame) {
 		c.cfg.Trace.QUICZeroRTT(c.sched.Now(), c.traceID, c.zeroRTT)
 	}
 	if resumed {
-		// Bandwidth resumption: restart from the cached cwnd
-		// (capped), skipping slow start on the validated path.
-		if cached := c.scfg.Sessions.cachedCwnd(f.token); cached > c.cwnd {
-			if cached > maxCwndPkts*maxPacketPayload/2 {
-				cached = maxCwndPkts * maxPacketPayload / 2
-			}
-			c.cwnd = cached
-			c.ssthresh = cached
-		}
+		c.scfg.Sessions.resumeCwnd(f.token, &c.win, c.prof.MaxWindow/2)
 	}
 	if c.endpoint != nil && c.endpoint.accept != nil {
 		c.endpoint.accept(c)

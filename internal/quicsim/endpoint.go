@@ -56,9 +56,6 @@ func (e *Endpoint) Close() {
 	e.conns = make(map[peerKey]*Conn)
 }
 
-// ConnCount reports the number of tracked connections.
-func (e *Endpoint) ConnCount() int { return len(e.conns) }
-
 func (e *Endpoint) handlePacket(pkt simnet.Packet) {
 	p, ok := pkt.Payload.(*packet)
 	if !ok {

@@ -42,10 +42,10 @@ func refHandleAck(c *Conn, f *ackFrame) {
 		}
 		largest = sp
 		c.bytesInFlight -= sp.size
-		if c.cwnd < c.ssthresh {
-			c.cwnd += float64(sp.size)
+		if w := &c.win; w.Cwnd < w.Ssthresh {
+			w.Cwnd += float64(sp.size)
 		} else {
-			c.cwnd += maxPacketPayload * float64(sp.size) / c.cwnd
+			w.Cwnd += maxPacketPayload * float64(sp.size) / w.Cwnd
 		}
 		c.retireAcked(sp)
 	}
@@ -53,10 +53,10 @@ func refHandleAck(c *Conn, f *ackFrame) {
 		return
 	}
 	sent = keep
-	if c.cwnd > maxCwndPkts*maxPacketPayload {
-		c.cwnd = maxCwndPkts * maxPacketPayload
+	if c.win.Cwnd > 512*maxPacketPayload {
+		c.win.Cwnd = 512 * maxPacketPayload
 	}
-	c.rttSample(c.sched.Now() - largest.sentAt)
+	refRTTSample(c, c.sched.Now()-largest.sentAt)
 	if c.ptoCount >= 2 && c.cfg.Recovery != nil {
 		c.cfg.Recovery.OutageCrossings++
 	}
@@ -73,11 +73,12 @@ func refHandleAck(c *Conn, f *ackFrame) {
 		}
 		c.sendQ = appendRetransmittable(c.sendQ, sp.frames)
 		if sp.pn >= c.recoveryStart {
-			c.ssthresh = c.cwnd / 2
-			if min := float64(2 * maxPacketPayload); c.ssthresh < min {
-				c.ssthresh = min
+			w := &c.win
+			w.Ssthresh = w.Cwnd / 2
+			if min := float64(2 * maxPacketPayload); w.Ssthresh < min {
+				w.Ssthresh = min
 			}
-			c.cwnd = c.ssthresh
+			w.Cwnd = w.Ssthresh
 			c.recoveryStart = c.nextPN
 		}
 		sp.frames = nil
@@ -87,6 +88,25 @@ func refHandleAck(c *Conn, f *ackFrame) {
 	c.sent = sentList{s: sent[:n]}
 	c.armPTO()
 	c.trySend()
+}
+
+// refRTTSample is RFC 6298's estimator update, written out.
+func refRTTSample(c *Conn, sample time.Duration) {
+	r := &c.rtt
+	if sample <= 0 {
+		sample = time.Microsecond
+	}
+	if !r.Sampled {
+		r.Sampled = true
+		r.SRTT, r.RTTVar = sample, sample/2
+		return
+	}
+	d := r.SRTT - sample
+	if d < 0 {
+		d = -d
+	}
+	r.RTTVar = (3*r.RTTVar + d) / 4
+	r.SRTT = (7*r.SRTT + sample) / 8
 }
 
 // randomRanges returns up to 32 disjoint ranges below next, descending.
@@ -119,7 +139,7 @@ func TestHandleAckMatchesReference(t *testing.T) {
 			// Closed, so trySend sends nothing and the lost frames stay
 			// on sendQ for comparison; handleAck itself ignores state.
 			c.state = stateClosed
-			c.cwnd, c.ssthresh = cwnd, ssthresh
+			c.win.Cwnd, c.win.Ssthresh = cwnd, ssthresh
 		}
 		var peer rangeSet
 		var stale [][]pnRange
@@ -131,7 +151,7 @@ func TestHandleAckMatchesReference(t *testing.T) {
 					size := 100 + rng.Intn(maxPacketPayload+54)
 					sentAt := -time.Duration(rng.Intn(300_000)) * time.Microsecond
 					for _, c := range []*Conn{a, b} {
-						c.sent.push(&sentPacket{pn: pn, size: size, sentAt: sentAt, ackEliciting: true,
+						c.sent.push(&sentPacket{pn: pn, size: size, sentAt: sentAt,
 							frames: []frame{&clientHelloFrame{nonce: pn}}})
 						c.bytesInFlight += size
 					}
@@ -186,13 +206,13 @@ func ackStateDiff(a, b *Conn) string {
 		return "packets left in flight differ"
 	case !slices.Equal(queued(a), queued(b)):
 		return "lost frames re-queued differ"
-	case math.Float64bits(a.cwnd) != math.Float64bits(b.cwnd):
+	case math.Float64bits(a.win.Cwnd) != math.Float64bits(b.win.Cwnd):
 		return "cwnd differs"
-	case math.Float64bits(a.ssthresh) != math.Float64bits(b.ssthresh):
+	case math.Float64bits(a.win.Ssthresh) != math.Float64bits(b.win.Ssthresh):
 		return "ssthresh differs"
 	case a.bytesInFlight != b.bytesInFlight:
 		return "bytesInFlight differs"
-	case a.srtt != b.srtt || a.rttvar != b.rttvar || a.ptoCount != b.ptoCount:
+	case a.rtt.SRTT != b.rtt.SRTT || a.rtt.RTTVar != b.rtt.RTTVar || a.ptoCount != b.ptoCount:
 		return "RTT or probe state differs"
 	case a.recoveryStart != b.recoveryStart || *a.cfg.Recovery != *b.cfg.Recovery:
 		return "recovery state or counters differ"

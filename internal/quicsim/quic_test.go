@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/cc"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 )
@@ -349,8 +350,8 @@ func TestEndpointCleansUpOnClose(t *testing.T) {
 		w.sched.After(10*time.Millisecond, c.Close)
 	})
 	w.run(t)
-	if e.ConnCount() != 0 {
-		t.Fatalf("endpoint tracks %d conns after close", e.ConnCount())
+	if len(e.conns) != 0 {
+		t.Fatalf("endpoint tracks %d conns after close", len(e.conns))
 	}
 	if w.sched.Pending() != 0 {
 		t.Fatalf("%d stray events (timer leak)", w.sched.Pending())
@@ -461,6 +462,64 @@ func TestRangeSetMergesAcrossGap(t *testing.T) {
 	}
 }
 
+// TestFirstFlightIsInitialWindow: on a long clean path a cold bulk
+// transfer fills the sender's initial window and blocks on cwnd with data
+// still queued, at most one packet over it, on either side of a
+// connection with the production configs: the servers' IW32 (core's
+// edges and origins) and the browser's IW10, in 1200 B packets. A
+// profile wired to the wrong side fails one of the two.
+func TestFirstFlightIsInitialWindow(t *testing.T) {
+	serverCfg := Config{InitCwndPkts: 32, PTOInit: 300 * time.Millisecond}
+	clientCfg := Config{PTOInit: 150 * time.Millisecond}
+	for _, tc := range []struct {
+		side     string
+		upload   int // the client's bytes; the server answers with a bulk transfer when it is one
+		inFlight int
+	}{
+		{"client", 256 * 1024, 10 * maxPacketPayload},
+		{"server", 1, 32 * maxPacketPayload},
+	} {
+		t.Run(tc.side, func(t *testing.T) {
+			w := newWorld(t, 100*time.Millisecond, 0, 0, 1)
+			checked := false
+			// check reads the sender right after its bulk write, then
+			// closes the connection: the rest of the transfer is not
+			// under test.
+			check := func(c *Conn, s *Stream) {
+				checked = true
+				if c.bytesInFlight < tc.inFlight || c.bytesInFlight >= tc.inFlight+packetOverhead+maxPacketPayload || !s.hasSendable() {
+					t.Errorf("first flight %d B (stream still sending: %v), want a block on cwnd at %d B plus at most one packet",
+						c.bytesInFlight, s.hasSendable(), tc.inFlight)
+				}
+				c.Close()
+			}
+			if _, err := Listen(w.server, 443, ServerConfig{Config: serverCfg}, func(c *Conn) {
+				c.SetStreamFunc(func(s *Stream) {
+					s.SetDataFunc(func([]byte) {
+						if tc.upload == 1 && !checked {
+							s.Write(patterned(256 * 1024))
+							check(c, s)
+						}
+					})
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			Dial(w.client, "server", 443, ClientConfig{Config: clientCfg, ServerName: "server"}, func(c *Conn) {
+				s := c.OpenStream()
+				s.Write(patterned(tc.upload))
+				if tc.upload > 1 {
+					check(c, s)
+				}
+			})
+			w.run(t)
+			if !checked {
+				t.Fatal("no bulk transfer started")
+			}
+		})
+	}
+}
+
 func TestBandwidthResumption(t *testing.T) {
 	w := newWorld(t, 25*time.Millisecond, 100e6, 0, 1)
 	echoListen(t, w)
@@ -471,7 +530,7 @@ func TestBandwidthResumption(t *testing.T) {
 	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, func(c *Conn) {
 		s := c.OpenStream()
 		s.SetFinFunc(func() {
-			firstCwnd = c.Cwnd()
+			firstCwnd = c.win.Cwnd
 			c.Close()
 		})
 		s.Write(patterned(512 * 1024))
@@ -500,7 +559,7 @@ func TestBandwidthResumption(t *testing.T) {
 	if !established {
 		t.Fatal("second connection failed")
 	}
-	if got := w.sessions.cachedCwnd(1); got <= float64(10*maxPacketPayload) {
+	if got := w.sessions.issued[1]; got <= float64(10*maxPacketPayload) {
 		t.Fatalf("cached cwnd for token 1 = %v, want grown window", got)
 	}
 	_ = resumedCwnd
@@ -510,12 +569,19 @@ func TestBandwidthResumptionCapped(t *testing.T) {
 	s := NewServerSessions()
 	id := s.issue()
 	s.storeCwnd(id, 1e12)
-	if got := s.cachedCwnd(id); got != 1e12 {
-		t.Fatalf("cachedCwnd = %v", got)
+	prof := Config{}.withDefaults().profile()
+	w := cc.NewWindow(&prof)
+	s.resumeCwnd(id, &w, 1000*maxPacketPayload)
+	if w.Cwnd != 1000*maxPacketPayload || w.Ssthresh != w.Cwnd {
+		t.Fatalf("resumed window %v / ssthresh %v, want both at the %d B cap", w.Cwnd, w.Ssthresh, 1000*maxPacketPayload)
 	}
-	// The cap itself is applied at connection setup; covered by the
-	// conn test above plus this registry round trip.
-	if s.cachedCwnd(999) != 0 {
-		t.Fatal("unknown token returned cwnd")
+	// An unknown token, or a cached window below the current one, leaves
+	// the window as it is.
+	w = cc.NewWindow(&prof)
+	s.resumeCwnd(999, &w, 1e12)
+	s.storeCwnd(id, 1)
+	s.resumeCwnd(id, &w, 1e12)
+	if w != cc.NewWindow(&prof) {
+		t.Fatalf("window moved to %v / %v without a larger cached cwnd", w.Cwnd, w.Ssthresh)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"h3cdn/internal/bytestream"
+	"h3cdn/internal/cc"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/trace"
 )
@@ -39,19 +40,12 @@ const (
 )
 
 const (
-	// maxCwndPkts caps the congestion window.
-	maxCwndPkts = 512
-	// ptoMin / ptoMax clamp the computed PTO. RFC 9002 uses timer
-	// granularity (~1ms), not TCP's conservative RTO floor — fast tail
-	// recovery is a genuine QUIC advantage.
-	ptoMin = 2 * time.Millisecond
-	ptoMax = 60 * time.Second
 	// probeTimeout is the minimum virtual time a connection keeps
 	// probing before MaxPTOs consecutive expirations may fail it.
 	// Failure requires both conditions: with a tiny SRTT the PTO base is
-	// ptoMin, so MaxPTOs backoffs alone can exhaust in well under a
-	// second — without this floor a multi-second blackout would kill
-	// every active connection instead of being ridden out.
+	// the profile's 2 ms floor, so MaxPTOs backoffs alone can exhaust in
+	// well under a second — without this floor a multi-second blackout
+	// would kill every active connection instead of being ridden out.
 	probeTimeout = 15 * time.Second
 	// reorderThreshold is the packet-number distance that declares a
 	// packet lost (RFC 9002 kPacketThreshold).
@@ -98,6 +92,21 @@ func (c Config) withDefaults() Config {
 		c.Pools = &Pools{}
 	}
 	return c
+}
+
+// profile is the connection's congestion window and PTO numbers, from the
+// defaulted InitCwndPkts and PTOInit; DESIGN.md §4.28 sets them beside
+// TCP's with a source for each.
+func (c Config) profile() cc.Profile {
+	return cc.Profile{
+		Segment:        maxPacketPayload,
+		InitWindow:     float64(c.InitCwndPkts * maxPacketPayload),
+		MaxWindow:      512 * maxPacketPayload,
+		CollapseWindow: 2 * maxPacketPayload, // RFC 9002 kMinimumWindow
+		FirstTimeout:   c.PTOInit,
+		TimeoutFloor:   2 * time.Millisecond, // RFC 9002 timer granularity, not TCP's floor
+		TimeoutCeiling: 60 * time.Second,
+	}
 }
 
 // Errors reported through callbacks.

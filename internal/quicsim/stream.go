@@ -36,14 +36,13 @@ type Stream struct {
 	held   bool // by the application: teardown leaves it to Release
 
 	// Receive side.
-	rcvOff  uint64
-	chunks  bytestream.Gaps[[]byte]
-	finOff  uint64
-	hasFin  bool
-	gotEOF  bool
-	dataFn  func([]byte)
-	finFn   func()
-	nRecved int64
+	rcvOff uint64
+	chunks bytestream.Gaps[[]byte]
+	finOff uint64
+	hasFin bool
+	gotEOF bool
+	dataFn func([]byte)
+	finFn  func()
 
 	// Stall bookkeeping, maintained only when tracing is enabled: a
 	// stall is an interval during which out-of-order data is buffered
@@ -147,9 +146,6 @@ func (s *Stream) CloseWrite() {
 	s.conn.trySend()
 }
 
-// BytesReceived reports in-order bytes delivered so far.
-func (s *Stream) BytesReceived() int64 { return s.nRecved }
-
 // receive ingests a (possibly out-of-order, possibly duplicate) frame.
 // Data at rcvOff is delivered at once, straight from the packet: every
 // buffered chunk starts above rcvOff, so it is the chunk the gap scan
@@ -190,7 +186,6 @@ func (s *Stream) receive(f streamData) {
 // deliver hands the in-order bytes at rcvOff to the application.
 func (s *Stream) deliver(data []byte) {
 	s.rcvOff += uint64(len(data))
-	s.nRecved += int64(len(data))
 	if s.dataFn != nil {
 		s.dataFn(data)
 	}

@@ -1,6 +1,10 @@
 package quicsim
 
-import "time"
+import (
+	"time"
+
+	"h3cdn/internal/cc"
+)
 
 // Token is a client-held session token enabling QUIC resumption and
 // 0-RTT (the QUIC analogue of a TLS 1.3 session ticket).
@@ -75,5 +79,12 @@ func (s *ServerSessions) storeCwnd(id uint64, cwnd float64) {
 	}
 }
 
-// cachedCwnd returns the cwnd remembered for a presented token.
-func (s *ServerSessions) cachedCwnd(id uint64) float64 { return s.issued[id] }
+// resumeCwnd restarts w from the cwnd cached under a presented token,
+// capped at limit, when that beats w's window: bandwidth resumption skips
+// slow start on the validated path. TCP has no counterpart.
+func (s *ServerSessions) resumeCwnd(id uint64, w *cc.Window, limit float64) {
+	if cached := s.issued[id]; cached > w.Cwnd {
+		w.Cwnd = min(cached, limit)
+		w.Ssthresh = w.Cwnd
+	}
+}

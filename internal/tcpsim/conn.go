@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"h3cdn/internal/bytestream"
+	"h3cdn/internal/cc"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/trace"
 )
@@ -56,18 +57,16 @@ type Conn struct {
 	finSeq  uint64
 	closing bool // Close() called: FIN queued after pending data
 
-	// Congestion control (NewReno), in bytes.
-	cwnd       float64
-	ssthresh   float64
+	// Congestion control: the shared NewReno window, plus fast recovery.
+	win        cc.Window
 	inRecovery bool
 	recover    uint64
 	dupAcks    int
 
-	// RTO (RFC 6298) with Karn's algorithm.
+	// RTO (RFC 6298) with Karn's algorithm: rto is the estimator's
+	// timeout, doubled per fire until the next valid sample re-seeds it.
+	rtt         cc.RTT
 	rto         time.Duration
-	srtt        time.Duration
-	rttvar      time.Duration
-	hasRTT      bool
 	rtoTimer    *simnet.Timer
 	retries     int
 	timedSeq    uint64
@@ -139,9 +138,9 @@ func newConn(host *simnet.Host, remote simnet.Addr, cfg Config) *Conn {
 	c.route = host.Route(remote)
 	c.sched = host.Scheduler()
 	c.cfg = cfg
-	c.cwnd = initCwndSegs * mss
-	c.rto = rtoInit
-	c.ssthresh = maxCwndSegs * mss
+	c.win = cc.NewWindow(&profile)
+	c.rtt = cc.NewRTT(&profile)
+	c.rto = c.rtt.Timeout()
 	c.rtoTimer = c.sched.NewTimer(c.onRTOFn)
 	c.traceID = cfg.Trace.ConnID()
 	return c
@@ -171,20 +170,8 @@ func (c *Conn) reset() {
 // TraceID returns the connection's trace id (0 when untraced).
 func (c *Conn) TraceID() uint32 { return c.traceID }
 
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() simnet.Addr { return c.remote }
-
-// LocalPort returns the local port number.
-func (c *Conn) LocalPort() uint16 { return c.localPort }
-
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.state == stateEstablished }
-
-// SmoothedRTT returns the current SRTT estimate (zero before any sample).
-func (c *Conn) SmoothedRTT() time.Duration { return c.srtt }
-
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 // SetDataFunc registers the in-order delivery callback.
 func (c *Conn) SetDataFunc(fn func([]byte)) { c.dataFn = fn }
@@ -265,7 +252,7 @@ func (c *Conn) startResetProbes() {
 	p := &resetProbe{
 		route: c.route, sched: c.sched, pools: c.cfg.Pools,
 		localPort: c.localPort, remotePort: c.remotePort,
-		seq: c.sndNxt, ack: c.rcvNxt, gap: rtoInit,
+		seq: c.sndNxt, ack: c.rcvNxt, gap: profile.FirstTimeout,
 	}
 	p.fire()
 }
@@ -296,7 +283,7 @@ func (p *resetProbe) fire() {
 		return
 	}
 	p.sched.AfterArg(p.gap, fireResetProbe, p)
-	p.gap = min(2*p.gap, rtoMax)
+	p.gap = min(2*p.gap, profile.TimeoutCeiling)
 }
 
 func (c *Conn) teardown() {
@@ -371,13 +358,7 @@ func (c *Conn) handleSegment(seg *segment) {
 	switch c.state {
 	case stateSynSent:
 		if seg.flags&(flagSYN|flagACK) == flagSYN|flagACK {
-			c.state = stateEstablished
-			c.cfg.Trace.TCPEstablished(c.sched.Now(), c.traceID, true)
-			if !c.synRetrans {
-				c.rttSample(c.sched.Now() - c.synSentAt)
-			}
-			c.noteRecovered()
-			c.rtoTimer.Stop()
+			c.establish()
 			c.sendFlags(flagACK)
 			if c.onEstablished != nil {
 				c.onEstablished(c)
@@ -387,13 +368,7 @@ func (c *Conn) handleSegment(seg *segment) {
 		return
 	case stateSynRcvd:
 		if seg.flags&flagACK != 0 && seg.flags&flagSYN == 0 {
-			c.state = stateEstablished
-			c.cfg.Trace.TCPEstablished(c.sched.Now(), c.traceID, false)
-			c.noteRecovered()
-			c.rtoTimer.Stop()
-			if !c.synRetrans {
-				c.rttSample(c.sched.Now() - c.synSentAt)
-			}
+			c.establish()
 			if c.onEstablished != nil {
 				c.onEstablished(c)
 			}
@@ -421,6 +396,18 @@ func (c *Conn) handleSegment(seg *segment) {
 	c.maybeFinish()
 }
 
+// establish completes the handshake. Its round trip is the first RTT
+// sample unless a SYN or SYN-ACK went out again (Karn).
+func (c *Conn) establish() {
+	c.state = stateEstablished
+	c.cfg.Trace.TCPEstablished(c.sched.Now(), c.traceID, c.isClient)
+	if !c.synRetrans {
+		c.rttSample(c.sched.Now() - c.synSentAt)
+	}
+	c.noteRecovered()
+	c.rtoTimer.Stop()
+}
+
 // --- sender ---
 
 func (c *Conn) flight() uint64 { return c.sndNxt - c.sndUna }
@@ -429,11 +416,9 @@ func (c *Conn) trySend() {
 	if c.state != stateEstablished {
 		return
 	}
-	if c.cwnd > maxCwndSegs*mss {
-		c.cwnd = maxCwndSegs * mss
-	}
+	c.win.Clamp()
 	for {
-		if float64(c.flight()) >= c.cwnd {
+		if float64(c.flight()) >= c.win.Cwnd {
 			return
 		}
 		if c.sndNxt < c.sndEnd {
@@ -507,32 +492,24 @@ func (c *Conn) processAck(seg *segment) {
 			if seg.ack > c.recover {
 				// Full acknowledgment: leave fast recovery.
 				c.inRecovery = false
-				c.cwnd = c.ssthresh
+				c.win.Cwnd = c.win.Ssthresh
 				c.dupAcks = 0
-				c.cfg.Trace.TCPCwndChange(c.sched.Now(), c.traceID, int(c.cwnd), int(c.ssthresh), trace.CwndRecoveryExit)
+				c.cfg.Trace.TCPCwndChange(c.sched.Now(), c.traceID, int(c.win.Cwnd), int(c.win.Ssthresh), trace.CwndRecoveryExit)
 			} else {
 				// Partial ACK (NewReno): retransmit next hole,
 				// deflate by amount acked, inflate by one MSS.
 				c.retransmitFirst()
-				c.cwnd -= float64(acked)
-				if c.cwnd < mss {
-					c.cwnd = mss
-				}
-				c.cwnd += mss
+				c.win.Cwnd = max(c.win.Cwnd-float64(acked), mss) + mss
 			}
 		} else {
 			c.dupAcks = 0
-			if c.cwnd < c.ssthresh {
-				c.cwnd += mss // slow start
-			} else {
-				c.cwnd += mss * mss / c.cwnd // congestion avoidance
-			}
+			c.win.OnAck(mss)
 		}
 	case seg.ack == c.sndUna && c.flight() > 0 && len(seg.payload) == 0 && seg.flags&(flagSYN|flagFIN) == 0:
 		c.dupAcks++
 		switch {
 		case c.inRecovery:
-			c.cwnd += mss // window inflation
+			c.win.Cwnd += mss // window inflation
 		case c.dupAcks == 3:
 			if c.cfg.Recovery != nil {
 				c.cfg.Recovery.FastRetransmits++
@@ -544,24 +521,20 @@ func (c *Conn) processAck(seg *segment) {
 }
 
 func (c *Conn) enterRecovery() {
-	half := float64(c.flight()) / 2
-	if half < 2*mss {
-		half = 2 * mss
-	}
-	c.ssthresh = half
+	c.win.Halve(float64(c.flight()))
 	c.recover = c.sndNxt
 	c.inRecovery = true
 	c.retransmitFirst()
-	c.cwnd = c.ssthresh + 3*mss
-	c.cfg.Trace.TCPCwndChange(c.sched.Now(), c.traceID, int(c.cwnd), int(c.ssthresh), trace.CwndFastRecovery)
+	c.win.Cwnd = c.win.Ssthresh + 3*mss
+	c.cfg.Trace.TCPCwndChange(c.sched.Now(), c.traceID, int(c.win.Cwnd), int(c.win.Ssthresh), trace.CwndFastRecovery)
 }
 
 // noteRecovered records forward progress (a valid ACK or handshake
 // completion) after consecutive RTO fires. Two or more fires before the
 // peer answered mark the episode as an outage crossing: the connection
 // survived a blackout instead of isolated loss. The backed-off RTO is
-// intentionally kept (Karn) — the next valid RTT sample fully re-seeds
-// it from srtt + 4·rttvar in rttSample.
+// intentionally kept (Karn) — the next valid RTT sample re-seeds it from
+// the estimator in rttSample.
 func (c *Conn) noteRecovered() {
 	if c.retries >= 2 && c.cfg.Recovery != nil {
 		c.cfg.Recovery.OutageCrossings++
@@ -625,10 +598,7 @@ func (c *Conn) onRTO() {
 		c.cfg.Recovery.Timeouts++
 	}
 	c.cfg.Trace.TCPRTOFire(c.sched.Now(), c.traceID, c.retries, c.rto)
-	c.rto *= 2
-	if c.rto > rtoMax {
-		c.rto = rtoMax
-	}
+	c.rto = min(2*c.rto, profile.TimeoutCeiling)
 
 	switch c.state {
 	case stateSynSent:
@@ -640,43 +610,19 @@ func (c *Conn) onRTO() {
 		c.sendFlags(flagSYN | flagACK)
 		c.armRTO()
 	default:
-		half := float64(c.flight()) / 2
-		if half < 2*mss {
-			half = 2 * mss
-		}
-		c.ssthresh = half
-		c.cwnd = mss
+		c.win.Halve(float64(c.flight()))
+		c.win.Collapse()
 		c.inRecovery = false
 		c.dupAcks = 0
-		c.cfg.Trace.TCPCwndChange(c.sched.Now(), c.traceID, int(c.cwnd), int(c.ssthresh), trace.CwndRTOCollapse)
+		c.cfg.Trace.TCPCwndChange(c.sched.Now(), c.traceID, int(c.win.Cwnd), int(c.win.Ssthresh), trace.CwndRTOCollapse)
 		c.retransmitFirst()
 	}
 }
 
+// rttSample feeds the estimator and re-seeds the RTO from it.
 func (c *Conn) rttSample(sample time.Duration) {
-	if sample <= 0 {
-		sample = time.Microsecond
-	}
-	if !c.hasRTT {
-		c.hasRTT = true
-		c.srtt = sample
-		c.rttvar = sample / 2
-	} else {
-		d := c.srtt - sample
-		if d < 0 {
-			d = -d
-		}
-		c.rttvar = (3*c.rttvar + d) / 4
-		c.srtt = (7*c.srtt + sample) / 8
-	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < rtoMin {
-		rto = rtoMin
-	}
-	if rto > rtoMax {
-		rto = rtoMax
-	}
-	c.rto = rto
+	c.rtt.Sample(sample)
+	c.rto = c.rtt.Timeout()
 }
 
 // --- receiver ---

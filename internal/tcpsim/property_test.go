@@ -87,11 +87,11 @@ func TestRTTEstimatorClamped(t *testing.T) {
 	c := newConn(host, "", Config{}.withDefaults())
 	for i := 0; i < 10_000; i++ {
 		c.rttSample(randDuration(rng))
-		if c.rto < rtoMin || c.rto > rtoMax {
-			t.Fatalf("RTO %v escaped [%v, %v]", c.rto, rtoMin, rtoMax)
+		if c.rto < profile.TimeoutFloor || c.rto > profile.TimeoutCeiling {
+			t.Fatalf("RTO %v escaped [%v, %v]", c.rto, profile.TimeoutFloor, profile.TimeoutCeiling)
 		}
-		if c.srtt <= 0 {
-			t.Fatalf("SRTT %v not positive", c.srtt)
+		if c.rtt.SRTT <= 0 {
+			t.Fatalf("SRTT %v not positive", c.rtt.SRTT)
 		}
 	}
 }

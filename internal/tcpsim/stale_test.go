@@ -60,7 +60,7 @@ func TestResetProbeAfterReuse(t *testing.T) {
 				dial()
 			}
 		})
-		oldPort := old.LocalPort()
+		oldPort := old.localPort
 		w.sched.At(30*time.Millisecond, func() { w.net.SetFilter(func(simnet.Packet) bool { return false }) })
 		w.sched.At(3*time.Second, func() { w.net.SetFilter(nil) })
 		w.sched.RunUntil(3500 * time.Millisecond)
@@ -76,7 +76,7 @@ func TestResetProbeAfterReuse(t *testing.T) {
 		if reused := c == old; reused == inCallback {
 			t.Fatalf("dialing in the close callback: %v; new connection reused the aborted one's struct: %v", inCallback, reused)
 		}
-		port := c.LocalPort()
+		port := c.localPort
 		run(t, w.sched)
 
 		if port == oldPort {

@@ -64,7 +64,7 @@ func TestHandshakeRTTSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	var srtt time.Duration
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) { srtt = c.SmoothedRTT() })
+	Dial(w.a, "server", 80, Config{}, func(c *Conn) { srtt = c.rtt.SRTT })
 	run(t, w.sched)
 	if srtt != 60*time.Millisecond {
 		t.Fatalf("handshake SRTT = %v, want 60ms", srtt)
@@ -305,9 +305,9 @@ func TestDialNoListenerTimesOut(t *testing.T) {
 	if !errors.Is(dialErr, ErrRefused) {
 		t.Fatalf("err = %v, want ErrRefused", dialErr)
 	}
-	// Three SYN retransmissions back off from rtoInit, and the fourth
-	// expiry gives up: 1+2+4+8 initial timeouts.
-	if want := 15 * rtoInit; failedAt != want {
+	// Three SYN retransmissions back off from the first timeout, and the
+	// fourth expiry gives up: 1+2+4+8 first timeouts.
+	if want := 15 * profile.FirstTimeout; failedAt != want {
 		t.Fatalf("dial failed at %v, want %v", failedAt, want)
 	}
 }
@@ -321,7 +321,7 @@ func TestStraysegmentGetsRST(t *testing.T) {
 		// Simulate server state loss: the listener forgets the conn,
 		// then the client sends more data and must get RST back.
 		w.sched.After(50*time.Millisecond, func() {
-			l.remove("client", c.LocalPort())
+			l.remove("client", c.localPort)
 			c.Write([]byte("more"))
 		})
 	})
@@ -342,15 +342,37 @@ func TestSlowStartThenCongestionAvoidance(t *testing.T) {
 	initial := 0.0
 	Dial(w.a, "server", 80, Config{}, func(conn *Conn) {
 		c = conn
-		initial = c.Cwnd()
+		initial = c.win.Cwnd
 		c.Write(patterned(400 * 1024))
 	})
 	run(t, w.sched)
 	if initial != 10*1460 {
 		t.Fatalf("initial cwnd = %v, want 10 segments", initial)
 	}
-	if c.Cwnd() <= initial {
-		t.Fatalf("cwnd did not grow: %v", c.Cwnd())
+	if c.win.Cwnd <= initial {
+		t.Fatalf("cwnd did not grow: %v", c.win.Cwnd)
+	}
+}
+
+// TestFirstFlightIsInitialWindow: on a long clean path a cold bulk
+// transfer sends TCP's initial window, 10 × 1460 B (RFC 6928), and then
+// blocks on cwnd with data still queued, at most one segment over it.
+func TestFirstFlightIsInitialWindow(t *testing.T) {
+	w := newWorld(t, 100*time.Millisecond, 0, 0)
+	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+		c.SetDataFunc(func([]byte) {})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var flight uint64
+	unsent := 0
+	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+		c.Write(patterned(256 * 1024))
+		flight, unsent = c.flight(), c.UnsentBytes()
+	})
+	run(t, w.sched)
+	if flight < 10*mss || flight >= 11*mss || unsent == 0 {
+		t.Fatalf("first flight %d B with %d B unsent, want a block on cwnd at 14600 B plus at most one segment", flight, unsent)
 	}
 }
 
@@ -474,7 +496,7 @@ func TestListenerDemuxForgetsTornDownConn(t *testing.T) {
 	}
 	c := Dial(w.a, "server", 80, Config{Pools: pools}, nil)
 	run(t, w.sched)
-	port := c.LocalPort()
+	port := c.localPort
 	if accepted != 1 || l.ConnCount() != 1 {
 		t.Fatalf("accepted %d, tracking %d conns; want 1 and 1", accepted, l.ConnCount())
 	}

@@ -12,6 +12,7 @@ import (
 
 	"h3cdn/internal/bufpool"
 	"h3cdn/internal/bytestream"
+	"h3cdn/internal/cc"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/trace"
 )
@@ -23,19 +24,19 @@ const (
 	// mss is the maximum segment payload size, untyped because it meets
 	// both uint64 and float64 arithmetic.
 	mss = 1460
-	// initCwndSegs is the initial congestion window in segments
-	// (RFC 6928).
-	initCwndSegs = 10
-	// maxCwndSegs caps the congestion window, standing in for the
-	// receive window.
-	maxCwndSegs = 512
-	// rtoInit is the retransmission timeout before an RTT sample exists
-	// (kernel TCP's fixed 1s SYN timer).
-	rtoInit = time.Second
-	// rtoMin / rtoMax clamp the computed RTO.
-	rtoMin = 200 * time.Millisecond
-	rtoMax = 60 * time.Second
 )
+
+// profile is TCP's congestion window and RTO numbers; DESIGN.md §4.28
+// sets them beside QUIC's with a source for each.
+var profile = cc.Profile{
+	Segment:        mss,
+	InitWindow:     10 * mss,               // RFC 6928
+	MaxWindow:      512 * mss,              // stands in for the receive window
+	CollapseWindow: mss,                    // RFC 5681's loss window
+	FirstTimeout:   time.Second,            // kernel TCP's fixed SYN timer
+	TimeoutFloor:   200 * time.Millisecond, // kernel TCP's RTO floor
+	TimeoutCeiling: 60 * time.Second,
+}
 
 // Config tunes a TCP endpoint. The zero value selects the defaults noted
 // on each field via (*Config).withDefaults.
