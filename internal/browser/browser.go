@@ -126,11 +126,17 @@ type Browser struct {
 	closeKeys []connKey
 
 	// Per-fetch state arena. Finished states are reclaimed at the next
-	// visit start — by then the scheduler has run dry, so no transport
-	// callback can still reference them; unfinished states (a visit cut
-	// short by a scheduler error) are never reused.
+	// visit start (or Reset) — by then every connection of the visit has
+	// closed, so no transport callback can still reference them;
+	// unfinished states (a visit cut short by a scheduler error) are
+	// never reused.
 	freeStates []*fetchState
 	liveStates []*fetchState
+
+	// waveOrder is Visit's discovery-wave scratch (discoveryWaves): it
+	// serves one visit at a time, and a visit has started every wave by
+	// the time it completes.
+	waveOrder []int
 
 	// fetchSeq numbers fetches for trace correlation (monotonic across
 	// visits; incremented only when tracing is active).
@@ -241,24 +247,46 @@ const (
 
 // New creates a browser on the probe host.
 func New(host *simnet.Host, cfg Config) *Browser {
-	if cfg.MaxFetchRetries == 0 {
-		cfg.MaxFetchRetries = 2
-	} else if cfg.MaxFetchRetries < 0 {
-		cfg.MaxFetchRetries = 0
-	}
-	if cfg.Pools == nil {
-		cfg.Pools = &httpsim.Pools{}
-	}
-	return &Browser{
-		host:    host,
-		sched:   host.Scheduler(),
-		cfg:     cfg,
+	b := &Browser{
 		tickets: tlssim.NewTicketStore(),
 		tokens:  quicsim.NewTokenStore(),
 		conns:   make(map[connKey]*pooledConn),
 		h1:      make(map[string][]*pooledConn),
 		altSvc:  make(map[string]bool),
 	}
+	b.Reset(host, cfg)
+	return b
+}
+
+// Reset makes b the browser New(host, cfg) returns while keeping the
+// storage its visits grew: fetch states with their bound callbacks,
+// pooledConn records, the maps, the ticket and token stores, the wave
+// scratch. Call it only between visits, once CloseAll has closed every
+// connection. A nil host detaches b instead: it keeps no reference to
+// any host, scheduler or configuration, nor any visit's log, and must
+// be Reset onto a host before its next Visit.
+func (b *Browser) Reset(host *simnet.Host, cfg Config) {
+	b.host, b.sched, b.cfg = nil, nil, Config{}
+	if host != nil {
+		if cfg.MaxFetchRetries == 0 {
+			cfg.MaxFetchRetries = 2
+		} else if cfg.MaxFetchRetries < 0 {
+			cfg.MaxFetchRetries = 0
+		}
+		if cfg.Pools == nil {
+			cfg.Pools = &httpsim.Pools{}
+		}
+		b.host, b.sched, b.cfg = host, host.Scheduler(), cfg
+	}
+	b.ClearSessions()
+	clear(b.altSvc)
+	clear(b.conns)
+	clear(b.h1)
+	b.reclaimStates()
+	clear(b.liveStates) // unfinished: never reused
+	b.liveStates = b.liveStates[:0]
+	b.fetchSeq = 0
+	b.stats = Stats{}
 }
 
 // Stats returns a snapshot of browser counters.
@@ -277,7 +305,7 @@ func (b *Browser) ClearSessions() {
 // ExportAltSvc returns the hosts whose H3 support this browser has
 // learned, sorted — the serializable per-user session memory a traffic
 // engine carries between sessions (and across checkpoints) while the
-// browser object itself is rebuilt.
+// browser object itself is reset for another user (Reset).
 func (b *Browser) ExportAltSvc() []string {
 	if len(b.altSvc) == 0 {
 		return nil
@@ -394,7 +422,8 @@ func (b *Browser) Visit(page *webgen.Page, log *har.PageLog, onDone func(*har.Pa
 		return
 	}
 
-	waves := discoveryWaves(page)
+	order, ends := discoveryWaves(page, b.waveOrder)
+	b.waveOrder = order
 	totalLeft := len(page.Resources)
 	var lastDone time.Duration
 	entryDone := func() {
@@ -414,10 +443,13 @@ func (b *Browser) Visit(page *webgen.Page, log *har.PageLog, onDone func(*har.Pa
 	// does not gate everything behind it. PLT still waits for all.
 	var startWave func(w int)
 	startWave = func(w int) {
-		if w >= len(waves) {
+		if w >= len(ends) {
 			return
 		}
-		idxs := waves[w]
+		idxs := order[:ends[w]]
+		if w > 0 {
+			idxs = idxs[ends[w-1]:]
+		}
 		if len(idxs) == 0 {
 			startWave(w + 1)
 			return
@@ -440,22 +472,33 @@ func (b *Browser) Visit(page *webgen.Page, log *har.PageLog, onDone func(*har.Pa
 	startWave(0)
 }
 
-// discoveryWaves orders resource indices into discovery stages: document;
-// scripts+stylesheets; images+fonts; other.
-func discoveryWaves(page *webgen.Page) [4][]int {
-	var waves [4][]int
-	waves[0] = []int{0}
-	for i := 1; i < len(page.Resources); i++ {
-		switch page.Resources[i].Type {
-		case webgen.Script, webgen.Stylesheet:
-			waves[1] = append(waves[1], i)
-		case webgen.Image, webgen.Font:
-			waves[2] = append(waves[2], i)
-		default:
-			waves[3] = append(waves[3], i)
+// discoveryWaves orders resource indices into discovery stages:
+// document; scripts+stylesheets; images+fonts; other. It writes them,
+// each stage in page order, over order's storage: stage w is
+// order[ends[w-1]:ends[w]], the first one order[:ends[0]].
+func discoveryWaves(page *webgen.Page, order []int) (_ []int, ends [4]int) {
+	order = append(order[:0], 0)
+	ends[0] = len(order)
+	for w := 1; w < len(ends); w++ {
+		for i := 1; i < len(page.Resources); i++ {
+			if waveOf(page.Resources[i].Type) == w {
+				order = append(order, i)
+			}
 		}
+		ends[w] = len(order)
 	}
-	return waves
+	return order, ends
+}
+
+// waveOf is the discovery stage of a non-document resource.
+func waveOf(t webgen.ResourceType) int {
+	switch t {
+	case webgen.Script, webgen.Stylesheet:
+		return 1
+	case webgen.Image, webgen.Font:
+		return 2
+	}
+	return 3
 }
 
 // fetch issues one resource request and fills the HAR entry.

@@ -1,6 +1,8 @@
 package browser
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"h3cdn/internal/har"
 	"h3cdn/internal/httpsim"
 	"h3cdn/internal/quicsim"
+	rt "h3cdn/internal/recycletest"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/tlssim"
@@ -314,12 +317,21 @@ func TestConsecutiveVisitsResume(t *testing.T) {
 func TestDiscoveryWaves(t *testing.T) {
 	page := testPage([]string{"a.cdn", "b.cdn", "c.cdn", "d.cdn"}, false)
 	// Types alternate Script, Image, Script, Image.
-	waves := discoveryWaves(page)
-	if len(waves[0]) != 1 || waves[0][0] != 0 {
-		t.Fatalf("wave 0 = %v", waves[0])
+	page.Resources = append(page.Resources, testResource("e.cdn", "/r", webgen.Resource{Type: webgen.Font}),
+		testResource("f.cdn", "/r", webgen.Resource{Type: webgen.Other}))
+	order, ends := discoveryWaves(page, nil)
+	if want := []int{0, 1, 3, 2, 4, 5, 6}; !slices.Equal(order, want) || ends != [4]int{1, 3, 6, 7} {
+		t.Fatalf("order %v ends %v, want %v ends [1 3 6 7]", order, ends, want)
 	}
-	if len(waves[1]) != 2 || len(waves[2]) != 2 {
-		t.Fatalf("waves = %v", waves)
+	// The next page's waves are written over the same storage; a
+	// stage may be empty.
+	small := testPage([]string{"a.cdn"}, false)
+	again, ends := discoveryWaves(small, order)
+	if &again[0] != &order[0] || !slices.Equal(again, []int{0, 1}) || ends != [4]int{1, 2, 2, 2} {
+		t.Fatalf("second page: order %v ends %v (storage reused: %v)", again, ends, &again[0] == &order[0])
+	}
+	if allocs := testing.AllocsPerRun(20, func() { discoveryWaves(page, order) }); allocs != 0 {
+		t.Fatalf("discoveryWaves on its own storage allocated %.1f times", allocs)
 	}
 }
 
@@ -377,5 +389,86 @@ func TestClosedConnsReleased(t *testing.T) {
 		if a.Connect != c.Connect || a.SSL != c.SSL || a.ReusedConn != c.ReusedConn || a.ResumedConn != c.ResumedConn {
 			t.Fatalf("entry %d: first visit %+v, second %+v", i, a, c)
 		}
+	}
+}
+
+// TestResetMatchesNew: a browser Reset onto a host reads as New(host,
+// cfg) returns it, but for the storage it keeps: fetch states, pooled
+// records, the emptied maps, the ticket and token stores (emptied), the
+// wave scratch. Unfinished fetch states are dropped, never reused.
+func TestResetMatchesNew(t *testing.T) {
+	w := newTestWorld(t)
+	cfg := Config{Mode: ModeH3, EnableZeroRTT: true, Pools: &httpsim.Pools{}}
+	var dirty *Browser
+	rt.Check(t, func() *Browser { return New(w.probe, cfg) }, func(b *Browser) { b.Reset(w.probe, cfg) }, rt.Rules[Browser]{
+		Keep: map[string]rt.Keep{
+			"tickets":    rt.Same,
+			"tokens":     rt.Same,
+			"altSvc":     rt.Emptied,
+			"conns":      rt.Emptied,
+			"h1":         rt.Emptied,
+			"freeConns":  rt.Same,
+			"closeKeys":  rt.Same,
+			"freeStates": rt.Same,
+			"liveStates": rt.Emptied,
+			"waveOrder":  rt.Same,
+		},
+		Prep: func(b *Browser) {
+			dirty = b
+			*b.tickets = *tlssim.NewTicketStore()
+			b.tickets.Put(tlssim.Ticket{ID: 1, ServerName: "a.cdn"})
+			*b.tokens = *quicsim.NewTokenStore()
+			b.tokens.Put(quicsim.Token{ID: 1, ServerName: "a.cdn"})
+			b.liveStates[0] = &fetchState{b: b} // a visit cut short
+		},
+	})
+	if dirty.tickets.Len() != 0 || dirty.tokens.Len() != 0 {
+		t.Fatalf("reset kept %d tickets and %d tokens", dirty.tickets.Len(), dirty.tokens.Len())
+	}
+}
+
+// TestResetBrowserLoadsAsNew moves a browser the way a population shard
+// does: it loads a page in one world, is detached (a nil host), and is
+// Reset onto a second world, where it must load the page exactly as a
+// new browser does in a third. Detached, it holds nothing of the first
+// world, and every fetch state is back on the free list, holding nothing
+// of its last visit.
+func TestResetBrowserLoadsAsNew(t *testing.T) {
+	hosts := []string{"a.cdn", "b.cdn", "h1.cdn", "a.cdn"}
+	page := testPage(hosts, true)
+	h3, h1 := map[string]bool{"a.cdn": true}, map[string]bool{"h1.cdn": true}
+	cfgFor := func(w *testWorld) Config {
+		return Config{Mode: ModeH3, EnableZeroRTT: true, Resolver: w.resolver(h3, h1), Pools: &httpsim.Pools{}}
+	}
+
+	ref := newTestWorld(t)
+	fresh := New(ref.probe, cfgFor(ref))
+	want := ref.visit(t, fresh, page)
+
+	first := newTestWorld(t)
+	b := New(first.probe, cfgFor(first))
+	first.visit(t, b, page)
+	first.visit(t, b, page) // H3 learned: both pools in use
+	b.Reset(nil, Config{})
+	if b.host != nil || b.sched != nil || b.cfg.Resolver != nil || b.cfg.Pools != nil || len(b.liveStates) != 0 {
+		t.Fatal("a detached browser still references its world")
+	}
+	if len(b.freeStates) < len(page.Resources) {
+		t.Fatalf("%d fetch states reclaimed, want at least %d", len(b.freeStates), len(page.Resources))
+	}
+	for _, st := range b.freeStates {
+		if st.res != nil || st.entry != nil || st.done != nil || st.pc != nil {
+			t.Fatal("a reclaimed fetch state still references its visit")
+		}
+	}
+
+	second := newTestWorld(t)
+	b.Reset(second.probe, cfgFor(second))
+	got := second.visit(t, b, page)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset browser's log\n%+v\nnew browser's\n%+v", got, want)
+	}
+	if b.Stats() != fresh.Stats() || b.fetchSeq != fresh.fetchSeq {
+		t.Fatalf("reset browser counted %+v (fetch %d), new browser %+v (fetch %d)", b.Stats(), b.fetchSeq, fresh.Stats(), fresh.fetchSeq)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"h3cdn/internal/browser"
 	"h3cdn/internal/har"
+	"h3cdn/internal/httpsim"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/vantage"
 	"h3cdn/internal/webgen"
@@ -27,7 +28,8 @@ import (
 //
 // Set H3CDN_TRAFFIC_VISITS=100000 to reproduce the recorded 100k-visit
 // run: retention none keeps peak heap flat because every visit folds
-// into the sketches and its PageLog is recycled — dataset size is
+// into the sketches and the sink keeps no PageLog (it hands each one to
+// a later visit of the shard to fill again) — dataset size is
 // O(shards × sketch), not O(visits).
 func BenchmarkPopulationCampaign(b *testing.B) {
 	scales := []int{1200}
@@ -92,4 +94,47 @@ func BenchmarkPopulationCampaign(b *testing.B) {
 			b.ReportMetric(sampler.peakMB(), "peak-RSS-MB")
 		})
 	}
+}
+
+// BenchmarkPopulationAllocs measures the allocations of one RetainNone
+// population shard, H3, 64 users over two 20 s epochs (visits/op
+// reports how many visits that is), run through runShard on a worker's
+// Pools that an identical shard warmed first, as a campaign worker runs
+// its later shards. BENCH_baseline.json gates its allocs/op: what a
+// shard's sessions and visits allocate — browsers, PageLogs, random
+// streams, everything under them — since nothing in the shard depends
+// on the machine.
+func BenchmarkPopulationAllocs(b *testing.B) {
+	corpus := webgen.Generate(webgen.Config{Seed: 2022, NumPages: 64, MeanResources: 12})
+	topo := NewTopology(corpus)
+	cfg := CampaignConfig{
+		Seed:      2022,
+		Retention: har.Retention{Kind: har.RetainNone},
+		Traffic: &traffic.Config{
+			Users:         64,
+			ArrivalRate:   1,
+			SessionVisits: 3,
+			ThinkTime:     2 * time.Second,
+			CacheTTL:      30 * time.Second,
+			EpochInterval: 20 * time.Second,
+			Duration:      40 * time.Second,
+		},
+	}.withDefaults()
+	job := shardJob{mode: browser.ModeH3, point: vantage.Points()[0], lo: 0, hi: 64}
+	pools := &httpsim.Pools{}
+	run := func() int64 {
+		r := runShard(cfg, topo, job, pools)
+		if r.err != nil {
+			b.Fatal(r.err)
+		}
+		return r.stats.Traffic.VisitsCompleted
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var visits int64
+	for i := 0; i < b.N; i++ {
+		visits += run()
+	}
+	b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 }

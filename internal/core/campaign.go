@@ -581,7 +581,7 @@ func runScripted(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSi
 		b.ClearSessions()
 	}
 	for i := range view.Pages {
-		log, err := u.RunVisit(b, &view.Pages[i])
+		log, err := u.runVisit(b, &view.Pages[i], sink.newLog(), u.cfg.Trace)
 		if err != nil {
 			return fmt.Errorf("measured visit: %w", err)
 		}

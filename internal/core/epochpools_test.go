@@ -17,7 +17,8 @@ import (
 
 // TestEpochPoolsHoldNoEarlierEpoch runs a two-epoch population shard on
 // one carried Pools, the way runPopulation does, and then walks
-// everything the Pools reaches — free lists, retired-but-not-yet-free
+// everything the Pools and the shard's session pools (browsers, random
+// generators) reach — free lists, retired-but-not-yet-free
 // lists, arenas, caches — looking for the first epoch's Scheduler,
 // Network or any of its Hosts. Finding one means a pooled struct kept a
 // finished epoch's universe alive, and with it whatever that universe
@@ -49,10 +50,11 @@ func testEpochPools(t *testing.T, mode browser.Mode) {
 	topo := NewTopology(corpus)
 	job := shardJob{mode: mode, point: vantage.Points()[0], lo: 0, hi: 40}
 	pools := &httpsim.Pools{}
+	sp := &sessionPools{}
 
 	var epochs []*Universe
 	var news []uint64
-	err := runEpochs(cfg, topo, job, newVisitSink(cfg, job), pools, func(u *Universe) {
+	err := runEpochs(cfg, topo, job, newVisitSink(cfg, job), pools, sp, func(u *Universe) {
 		epochs = append(epochs, u)
 		news = append(news, pools.Arena.Stats().News)
 	})
@@ -75,6 +77,7 @@ func testEpochPools(t *testing.T, mode browser.Mode) {
 
 	w := walker{seen: make(map[walkKey]bool), targets: first}
 	w.walk(reflect.ValueOf(pools), "pools")
+	w.walk(reflect.ValueOf(sp), "sessions")
 	if len(w.found) > 0 {
 		t.Fatalf("the carried Pools still reaches the first epoch:\n%v", w.found)
 	}
@@ -85,8 +88,17 @@ func testEpochPools(t *testing.T, mode browser.Mode) {
 		reflect.TypeOf(epochs[0].Sched): true, reflect.TypeOf(epochs[0].Net): true, reflect.TypeOf(epochs[0].Client): true,
 	}}
 	free.walk(reflect.ValueOf(pools), "pools")
+	// The session pools hold nothing retired after the last epoch: every
+	// browser is free, detached, and reaches no universe at all.
+	free.skipDying = false
+	free.walk(reflect.ValueOf(sp), "sessions")
 	if len(free.found) > 0 {
 		t.Fatalf("free pooled structs reach a universe:\n%v", free.found)
+	}
+	browsers := reflect.ValueOf(sp.browsers).FieldByName("free").Len()
+	rands := reflect.ValueOf(sp.rands).FieldByName("free").Len()
+	if browsers == 0 || rands == 0 {
+		t.Fatalf("the shard kept %d browsers and %d random generators for reuse", browsers, rands)
 	}
 	if second := news[1] - news[0]; second*4 > news[0] {
 		t.Fatalf("second epoch took %d new wire buffers, the first %d: the pools did not carry", second, news[0])

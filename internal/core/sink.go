@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"h3cdn/internal/bufpool"
 	"h3cdn/internal/har"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/sketch"
@@ -26,6 +27,11 @@ type visitSink struct {
 	retention har.RetentionKind
 	key       sketch.Key
 	phases    []trace.PhaseBreakdown
+
+	// logs holds the PageLogs fold did not keep, for the next visit
+	// (newLog): a RetainNone shard fills as many logs as it has visits
+	// loading at once, and grows their entries once.
+	logs bufpool.FreeList[*har.PageLog]
 
 	// Tracing (nil tracer on untraced campaigns). The tracer's callback
 	// fires inside every RunVisit, before the source hands that visit's
@@ -110,9 +116,22 @@ func (s *visitSink) phasesOf(log *har.PageLog) *trace.PhaseBreakdown {
 	return &s.pending
 }
 
+// newLog returns a log for a visit to fill (browser.Visit resets it):
+// one fold did not keep, or a new one.
+func (s *visitSink) newLog() *har.PageLog {
+	if log, ok := s.logs.Get(); ok {
+		return log
+	}
+	return &har.PageLog{}
+}
+
 // fold consumes one finished visit: v (built by the source, which knows
 // what its campaign kind measures) goes into the accumulator, and the
-// retention policy decides whether the PageLog survives.
+// retention policy decides whether the PageLog survives. A log it does
+// not keep goes back for newLog, so the source must not touch log after
+// fold. A kept log — every one under RetainAll, and under RetainSample
+// every one offered, since the reservoir may hold it — shares its
+// entries with the dataset and is never reused.
 func (s *visitSink) fold(log *har.PageLog, v sketch.VisitSample) {
 	log.Probe = s.probe
 	s.Acc.Group(s.key).Fold(v)
@@ -125,6 +144,8 @@ func (s *visitSink) fold(log *har.PageLog, v sketch.VisitSample) {
 		}
 	case har.RetainSample:
 		s.Reservoir.Offer(retainedVisit{Page: *log, Phase: s.pending})
+	case har.RetainNone:
+		s.logs.Put(log)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"h3cdn/internal/browser"
+	"h3cdn/internal/bufpool"
 	"h3cdn/internal/har"
 	"h3cdn/internal/httpsim"
 	"h3cdn/internal/seqrand"
@@ -77,15 +78,39 @@ type trafficEngine struct {
 	counters *traffic.Counters
 	epoch    *traffic.EpochStat
 	userMem  map[int][]string // shard-local user → learned Alt-Svc hosts
+	pools    *sessionPools
 }
 
-// startSession begins one user's browsing session: a fresh browser (TLS
-// tickets and QUIC tokens live for the session, like a browser restart)
+// sessionPools is what a population shard reuses across its sessions
+// and epochs, and drops with the shard: the browsers of ended sessions
+// and the random generators of ended epochs. Nothing simulated reads
+// it, so a resumed shard that starts it empty reproduces the same bytes.
+type sessionPools struct {
+	// browsers holds the browsers endSession retired, under the
+	// Recycler's stamp rule: endSession runs inside the browser's own
+	// callbacks, so the browser is handed out again only from a later
+	// event. Each is detached (detachBrowser) when it is promoted, so
+	// none keeps a finished epoch's universe alive.
+	browsers bufpool.Recycler[*browser.Browser]
+	rands    seqrand.Pool
+}
+
+// detachBrowser is the browser recycler's reset.
+func detachBrowser(b *browser.Browser) { b.Reset(nil, browser.Config{}) }
+
+// startSession begins one user's browsing session: a browser as New
+// returns it (TLS tickets and QUIC tokens live for the session, like a
+// browser restart), recycled from an ended session when one is free,
 // seeded with the user's durable memory — the Alt-Svc hosts they learned
 // in previous sessions, which is what lets a returning user open with H3.
 func (en *trafficEngine) startSession(user int, sess *traffic.Session) {
 	en.counters.SessionsStarted++
-	b := en.u.NewBrowser(en.browser)
+	b, ok := en.pools.browsers.Get(en.u.Sched, detachBrowser)
+	if ok {
+		en.u.ReuseBrowser(b, en.browser)
+	} else {
+		b = en.u.NewBrowser(en.browser)
+	}
 	b.ImportAltSvc(en.userMem[user])
 	en.visit(user, b, sess)
 }
@@ -111,7 +136,7 @@ func (en *trafficEngine) visit(user int, b *browser.Browser, sess *traffic.Sessi
 	}
 	en.inFlight++
 	page := &en.corpus.Pages[sess.NextPage()]
-	b.Visit(page, &har.PageLog{}, func(l *har.PageLog) {
+	b.Visit(page, en.sink.newLog(), func(l *har.PageLog) {
 		en.inFlight--
 		en.counters.VisitsCompleted++
 		en.epoch.Visits++
@@ -132,7 +157,8 @@ func (en *trafficEngine) visit(user int, b *browser.Browser, sess *traffic.Sessi
 }
 
 // endSession banks the user's durable memory and the session's
-// connection accounting, then closes the browser's connections.
+// connection accounting, closes the browser's connections and retires
+// the browser for a later session.
 func (en *trafficEngine) endSession(user int, b *browser.Browser) {
 	if hosts := b.ExportAltSvc(); len(hosts) > 0 {
 		en.userMem[user] = hosts
@@ -141,6 +167,7 @@ func (en *trafficEngine) endSession(user int, b *browser.Browser) {
 	en.counters.ConnsOpened += st.ConnsOpened
 	en.counters.ResumedConns += st.ResumedConns
 	b.CloseAll()
+	en.pools.browsers.Retire(b, en.u.Sched)
 }
 
 // restoreCheckpoint loads the checkpoint at path into sink and returns
@@ -198,12 +225,13 @@ func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink
 // overlapping up to MaxInFlight. Every finished visit goes to sink, as
 // does the arrival and edge-contention accounting (sink.Report).
 func runPopulation(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink, pools *httpsim.Pools) error {
-	return runEpochs(cfg, topo, job, sink, pools, nil)
+	return runEpochs(cfg, topo, job, sink, pools, &sessionPools{}, nil)
 }
 
 // runEpochs runs runPopulation's epochs with every epoch's universe on
-// pools, calling epochDone (when non-nil) with each one once it closed.
-func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink, pools *httpsim.Pools, epochDone func(*Universe)) error {
+// pools and its sessions on sp, calling epochDone (when non-nil) with
+// each universe once it closed.
+func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink, pools *httpsim.Pools, sp *sessionPools, epochDone func(*Universe)) error {
 	tc := cfg.Traffic.WithDefaults()
 	corpus := topo.Corpus()
 	seed := shardSeed(cfg, job)
@@ -250,6 +278,7 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		uc.EdgeTTL = tc.CacheTTL
 		uc.ClockOffset = clock
 		uc.Pools = pools
+		uc.Rands = &sp.rands
 		u, err := NewUniverse(uc)
 		if err != nil {
 			return err
@@ -268,7 +297,7 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		en := &trafficEngine{
 			u: u, tc: tc, browser: cfg.browserConfig(job.mode), corpus: corpus, sink: sink,
 			clock: clock, endAbs: end,
-			counters: &rep.Counters, epoch: es, userMem: userMem,
+			counters: &rep.Counters, epoch: es, userMem: userMem, pools: sp,
 		}
 
 		// Epoch workload: arrivals and session plans are label-derived
@@ -278,7 +307,7 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		for i, a := range traffic.Arrivals(src, e, base, shardUsers, tc, start, end) {
 			user := a.User
 			sess := traffic.NewSession(
-				src.Stream("session", strconv.Itoa(e), seqrand.Label("a", i)),
+				sp.rands.Stream(src, "session", strconv.Itoa(e), seqrand.Label("a", i)),
 				len(corpus.Pages), tc)
 			// When a long previous epoch overran this arrival's start, it
 			// fires immediately rather than rewinding virtual time.
@@ -336,8 +365,11 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		sort.Slice(edges, func(i, j int) bool { return edges[i].Provider < edges[j].Provider })
 		u.Close()
 		// The epoch's scheduler runs no more: free what it retired, so
-		// that no record keeps its universe alive into the next epoch.
+		// that no record or browser keeps its universe alive into the
+		// next epoch, and take back the epoch's random generators.
 		pools.Promote()
+		sp.browsers.Promote(detachBrowser)
+		sp.rands.Reclaim()
 		if epochDone != nil {
 			epochDone(u)
 		}

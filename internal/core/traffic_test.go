@@ -249,6 +249,46 @@ func TestTrafficGoldenDataset(t *testing.T) {
 	}
 }
 
+// goldenTrafficSampleSHA256 pins goldenTrafficConfig's dataset under
+// sample:6 retention.
+const goldenTrafficSampleSHA256 = "bae9c4b2e88d4c15066728ec1d02706113ad93bc02c7aeb8b00c80c4b80538d4"
+
+// TestTrafficKeptLogsNeverReused: a shard's sink hands the PageLogs it
+// did not keep to later visits (visitSink.newLog), and never one it
+// kept, whose entries the dataset shares. The pinned population
+// campaign keeps its bytes under RetainAll and under sample:6, so no
+// kept log was filled again; and RetainNone, which reuses every log,
+// folds the very metrics RetainAll does.
+func TestTrafficKeptLogsNeverReused(t *testing.T) {
+	run := func(ret har.Retention) *Dataset {
+		cfg := goldenTrafficConfig()
+		cfg.Retention = ret
+		cfg.Sequential = true
+		ds, err := RunCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	all := run(har.Retention{Kind: har.RetainAll})
+	for _, tc := range []struct {
+		ds     *Dataset
+		golden string
+	}{
+		{all, goldenTrafficSHA256},
+		{run(har.Retention{Kind: har.RetainSample, Sample: 6}), goldenTrafficSampleSHA256},
+	} {
+		sum := sha256.Sum256(harJSON(t, tc.ds))
+		if got := hex.EncodeToString(sum[:]); got != tc.golden {
+			t.Fatalf("%d retained pages: dataset hash %s, want golden %s", tc.ds.Stats.PagesRetained, got, tc.golden)
+		}
+	}
+	none := run(har.Retention{Kind: har.RetainNone})
+	if none.Stats.PagesFolded != all.Stats.PagesFolded || !accJSONEqual(t, none, all) {
+		t.Fatal("RetainNone folded other metrics than RetainAll")
+	}
+}
+
 func goldenTrafficConfig() CampaignConfig {
 	return CampaignConfig{
 		Seed:             2022,

@@ -88,6 +88,13 @@ type UniverseConfig struct {
 	// goroutine (every shard, and every epoch of a population shard);
 	// nil gets a fresh one. Pool state never changes what is simulated.
 	Pools *httpsim.Pools
+	// Rands, when non-nil, lends the universe's random streams (origin
+	// delays, edge and origin waits): a population shard passes one for
+	// all its epochs and reclaims it as each epoch's universe closes, so
+	// every epoch reseeds the generators of the one before. Nil
+	// allocates a generator per stream. Either way a stream draws the
+	// same sequence.
+	Rands *seqrand.Pool
 }
 
 // Universe is one probe's simulated Internet: the probe host, the
@@ -174,7 +181,7 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 			bw:    p.EdgeBandwidth,
 		}
 	}
-	originDelayRng := src.Stream("origindelay")
+	originDelayRng := cfg.Rands.Stream(src, "origindelay")
 	for i := range cfg.Corpus.Pages {
 		site := cfg.Corpus.Pages[i].Site
 		delay := 15*time.Millisecond + time.Duration(originDelayRng.Int63n(int64(30*time.Millisecond)))
@@ -259,7 +266,7 @@ func (u *Universe) startEdge(provider string, addr simnet.Addr) error {
 		Content:   u.topo.ContentSize,
 		TTL:       u.cfg.EdgeTTL,
 		NowOffset: u.cfg.ClockOffset,
-		Rng:       u.src.Stream("edgewait", p.Name),
+		Rng:       u.cfg.Rands.Stream(u.src, "edgewait", p.Name),
 	})
 	srv, err := httpsim.StartServer(host, httpsim.ServerConfig{
 		Handler:      edge.Handler(),
@@ -299,7 +306,7 @@ func (u *Universe) startOrigin(site string, addr simnet.Addr) error {
 	handler := cdn.NewOriginHandler(cdn.OriginConfig{
 		Sched:   u.Sched,
 		Content: u.topo.ContentSize,
-		Rng:     u.src.Stream("originwait", site),
+		Rng:     u.cfg.Rands.Stream(u.src, "originwait", site),
 	})
 	srv, err := httpsim.StartServer(host, httpsim.ServerConfig{
 		Handler:      handler,
@@ -365,6 +372,18 @@ func (u *Universe) RecoveryStats() simnet.RecoveryStats { return u.recovery }
 // carries its own Recovery sink, the browser and its transports feed the
 // universe's recovery counters (see RecoveryStats).
 func (u *Universe) NewBrowser(cfg browser.Config) *browser.Browser {
+	return browser.New(u.Client, u.browserConfig(cfg))
+}
+
+// ReuseBrowser makes b, a browser whose connections are closed, the one
+// NewBrowser(cfg) returns (browser.Reset), on the storage it kept.
+func (u *Universe) ReuseBrowser(b *browser.Browser, cfg browser.Config) {
+	b.Reset(u.Client, u.browserConfig(cfg))
+}
+
+// browserConfig binds cfg to this universe: its resolver, and its
+// recovery counters, tracer and pools where cfg names none.
+func (u *Universe) browserConfig(cfg browser.Config) browser.Config {
 	cfg.Resolver = u.resolver
 	if cfg.Recovery == nil {
 		cfg.Recovery = &u.recovery
@@ -375,7 +394,7 @@ func (u *Universe) NewBrowser(cfg browser.Config) *browser.Browser {
 	if cfg.Pools == nil {
 		cfg.Pools = u.pools
 	}
-	return browser.New(u.Client, cfg)
+	return cfg
 }
 
 // Pools exposes the universe's allocation arena (for stats and leak

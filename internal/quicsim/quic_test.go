@@ -585,3 +585,24 @@ func TestBandwidthResumptionCapped(t *testing.T) {
 		t.Fatalf("window moved to %v / %v without a larger cached cwnd", w.Cwnd, w.Ssthresh)
 	}
 }
+
+// TestTokenStoreClearKeepsStorage: Clear empties the store, and
+// refilling it with the same names allocates nothing.
+func TestTokenStoreClearKeepsStorage(t *testing.T) {
+	s := NewTokenStore()
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	refill := func() {
+		s.Clear()
+		for i, n := range names {
+			s.Put(Token{ID: uint64(i + 1), ServerName: n})
+		}
+	}
+	refill()
+	s.Clear()
+	if _, ok := s.Get("a"); ok || s.Len() != 0 {
+		t.Fatalf("Clear left %d tokens", s.Len())
+	}
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Fatalf("refilling a cleared store allocated %.1f times", allocs)
+	}
+}

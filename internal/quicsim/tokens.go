@@ -34,8 +34,8 @@ func (s *TokenStore) Get(serverName string) (Token, bool) {
 // Put stores a token, replacing any previous one for the same name.
 func (s *TokenStore) Put(t Token) { s.byName[t.ServerName] = t }
 
-// Clear drops all tokens.
-func (s *TokenStore) Clear() { s.byName = make(map[string]Token) }
+// Clear drops all tokens; the map keeps its storage for the next Put.
+func (s *TokenStore) Clear() { clear(s.byName) }
 
 // Len reports the number of cached tokens.
 func (s *TokenStore) Len() int { return len(s.byName) }

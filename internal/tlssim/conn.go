@@ -72,6 +72,26 @@ type ServerConfig struct {
 // handshake step waits on the scheduler. The zero value is ready to use.
 type Pools struct {
 	conns bufpool.Recycler[*Conn]
+	names map[string]string // server names read from ClientHellos (serverName)
+}
+
+// serverName returns the server name b spells, as the string an earlier
+// handshake on these pools made of the same bytes: the servers sharing
+// them (a campaign shard's) answer a few names over and over, so each is
+// copied out of a ClientHello once. Nil pools copy every time.
+func (pl *Pools) serverName(b []byte) string {
+	if pl == nil {
+		return string(b)
+	}
+	if n, ok := pl.names[string(b)]; ok {
+		return n
+	}
+	if pl.names == nil {
+		pl.names = make(map[string]string)
+	}
+	n := string(b)
+	pl.names[n] = n
+	return n
 }
 
 // Promote resets and frees every retired conn whatever its stamp; call
@@ -704,7 +724,7 @@ func (c *Conn) clientFinish13() {
 }
 
 func (c *Conn) serverHandleClientHello(payload []byte) {
-	ch, err := decodeClientHello(payload)
+	ch, err := decodeClientHello(payload, c.scfg.Pools)
 	if err != nil {
 		c.failRecord()
 		return

@@ -166,7 +166,7 @@ func TestRecordFramingUnchanged(t *testing.T) {
 				}[rt]
 				switch rt {
 				case recClientHello:
-					ch, err := decodeClientHello(w.head[recordHeader:])
+					ch, err := decodeClientHello(w.head[recordHeader:], nil)
 					if err != nil || ch.serverName != cfg.ServerName || ch.alpn != cfg.ALPN || ch.version != cfg.Version {
 						t.Fatalf("%s: ClientHello decodes as %+v (%v)", what, ch, err)
 					}

@@ -311,6 +311,57 @@ func TestTicketStoreBasics(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("Clear did not empty the store")
 	}
+	// Clear keeps the map's storage: refilling a cleared store of the
+	// same names allocates nothing.
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	refill := func() {
+		s.Clear()
+		for i, n := range names {
+			s.Put(Ticket{ID: uint64(i + 1), ServerName: n})
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Fatalf("refilling a cleared store allocated %.1f times", allocs)
+	}
+}
+
+// TestClientHelloServerNameCopiedOnce: servers on one Pools copy a
+// server name out of a ClientHello once; later handshakes naming it
+// again reuse that string and allocate nothing. The name never aliases
+// the record.
+func TestClientHelloServerNameCopiedOnce(t *testing.T) {
+	ch := clientHello{version: TLS13, serverName: "edge.example", alpn: "h2"}
+	p := make([]byte, ch.fieldsLen())
+	ch.put(p)
+	pools := &Pools{}
+	first, err := decodeClientHello(p, pools)
+	if err != nil || first.serverName != ch.serverName || first.alpn != "h2" {
+		t.Fatalf("decoded %+v, %v", first, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		got, err := decodeClientHello(p, pools)
+		if err != nil || got.serverName != ch.serverName {
+			t.Fatalf("decoded %+v, %v", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a known server name allocated %.1f times", allocs)
+	}
+	p[12] = 'X' // the first byte of the name in the record
+	if first.serverName != ch.serverName {
+		t.Fatalf("the decoded name aliases the record: %q", first.serverName)
+	}
+	if got, _ := decodeClientHello(p, pools); got.serverName != "Xdge.example" {
+		t.Fatalf("a new name decoded as %q", got.serverName)
+	}
+	if got, _ := decodeClientHello(p, nil); got.serverName != "Xdge.example" {
+		t.Fatalf("without pools the name decoded as %q", got.serverName)
+	}
+	p[12] = 'e'
+	if got, _ := decodeClientHello(p, pools); got.serverName != ch.serverName {
+		t.Fatalf("the first name again decoded as %q", got.serverName)
+	}
 }
 
 func TestVersionString(t *testing.T) {

@@ -104,8 +104,8 @@ func (s *TicketStore) Get(serverName string) (Ticket, bool) {
 // Put stores a ticket, replacing any previous one for the same name.
 func (s *TicketStore) Put(t Ticket) { s.byName[t.ServerName] = t }
 
-// Clear drops all tickets.
-func (s *TicketStore) Clear() { s.byName = make(map[string]Ticket) }
+// Clear drops all tickets; the map keeps its storage for the next Put.
+func (s *TicketStore) Clear() { clear(s.byName) }
 
 // Len reports the number of cached tickets.
 func (s *TicketStore) Len() int { return len(s.byName) }
@@ -165,7 +165,9 @@ func (ch clientHello) put(buf []byte) {
 	copy(buf[off+1:], ch.alpn)
 }
 
-func decodeClientHello(p []byte) (clientHello, error) {
+// decodeClientHello reads the fields put wrote, taking the server name
+// from names (Pools.serverName).
+func decodeClientHello(p []byte, names *Pools) (clientHello, error) {
 	if len(p) < 12 {
 		return clientHello{}, ErrBadRecord
 	}
@@ -182,7 +184,7 @@ func decodeClientHello(p []byte) (clientHello, error) {
 		version:    Version(p[0]),
 		ticketID:   binary.BigEndian.Uint64(p[1:9]),
 		earlyData:  p[9] == 1,
-		serverName: string(p[12 : 12+nameLen]),
+		serverName: names.serverName(p[12 : 12+nameLen]),
 		alpn:       alpnToken(p[alpnOff+1 : alpnOff+1+alpnLen]),
 	}, nil
 }
