@@ -127,19 +127,22 @@ traffic-smoke:
 # Report smoke pass: h3cdn-report -exp all renders the same text and
 # writes the same -plot files from its own campaigns as from datasets
 # h3cdn-measure wrote under the same shared flags (so both commands build
-# the same campaign), and the sweeps -exp all leaves out complete.
+# the same campaign); -exp all plans 4 campaigns, Figure 9's 0%-added arm
+# sharing the standard one; and every row, the sweeps -exp all leaves out
+# included, completes in one run that shares and releases datasets.
 report-smoke:
 	rm -rf .report-smoke && mkdir -p .report-smoke
 	$(GO) build -o .report-smoke/h3cdn-measure ./cmd/h3cdn-measure
 	$(GO) build -o .report-smoke/h3cdn-report ./cmd/h3cdn-report
 	.report-smoke/h3cdn-measure -pages 6 -o .report-smoke/std.json
 	.report-smoke/h3cdn-measure -pages 6 -consecutive -o .report-smoke/cons.json
-	.report-smoke/h3cdn-report -pages 6 -exp all -plot .report-smoke/own > .report-smoke/own.txt
+	.report-smoke/h3cdn-report -pages 6 -exp all -plot .report-smoke/own > .report-smoke/own.txt 2> .report-smoke/own.err
+	grep -qx 'h3cdn-report: 4 campaigns for 12 rows' .report-smoke/own.err
 	.report-smoke/h3cdn-report -pages 6 -exp all -plot .report-smoke/loaded \
 		-dataset .report-smoke/std.json -consecutive-dataset .report-smoke/cons.json > .report-smoke/loaded.txt
 	cmp .report-smoke/own.txt .report-smoke/loaded.txt
 	diff -r .report-smoke/own .report-smoke/loaded
-	.report-smoke/h3cdn-report -pages 6 -exp phases,lossprofile,celltrace,popcache \
+	.report-smoke/h3cdn-report -pages 6 -exp all,phases,lossprofile,celltrace,popcache \
 		-pop-users 16 -pop-duration 20s > /dev/null
 	rm -rf .report-smoke
 

@@ -2,16 +2,17 @@
 //
 // Usage:
 //
-//	h3cdn-report [-exp all|id[,id...]] [flags]
+//	h3cdn-report [-exp id[,id...]] [flags]
 //
-// Each experiment id is one row of core.Artifacts, which says what the
-// row reads: the provider registry, the standard or the consecutive
-// protocol's dataset, or campaigns the row runs itself. -exp all runs
-// the rows marked InAll, in table order; the slower sweeps run only when
-// named. Dataset rows share one campaign per protocol at the configured
-// scale, or read -dataset / -consecutive-dataset files written by
-// h3cdn-measure instead. -plot writes the raw series files of the rows
-// that ran.
+// Each experiment id is one row of core.Artifacts, which declares the
+// campaigns the row reads. -exp all stands for the rows marked InAll, in
+// table order; the slower sweeps run only when named, and a repeated id
+// runs once. One core.Plan runs every distinct campaign config of the
+// selected rows once, at the configured scale; -dataset /
+// -consecutive-dataset files written by h3cdn-measure may stand in for
+// the standard and consecutive campaigns of the rows that read one
+// protocol's dataset. -plot writes the raw series files of the rows that
+// ran.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"h3cdn/internal/core"
+	"h3cdn/internal/simnet/traces"
 	"h3cdn/internal/vantage"
 )
 
@@ -35,6 +37,9 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("h3cdn-report", flag.ContinueOnError)
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "h3cdn-report: "+format+"\n", args...)
+	}
 	in := core.ReportInputs{Campaign: core.CampaignConfig{Vantages: vantage.Points()}}
 	in.Campaign.BindFlags(fs)
 	fs.IntVar(&in.Pop.Users, "pop-users", 64, "popcache: baseline population size anchoring the per-user offered load")
@@ -52,8 +57,8 @@ func run(args []string) int {
 		ids = append(ids, a.ID)
 	}
 	var (
-		exp      = fs.String("exp", "all", "experiment id ("+strings.Join(append(ids, "all"), ",")+")")
-		profiles = fs.String("traces", "", "celltrace: comma-separated synthetic profiles (empty = all; see h3cdn-measure -link-trace)")
+		exp      = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(append(ids, "all"), ",")+")")
+		profiles = fs.String("traces", strings.Join(traces.Names(), ","), "celltrace: comma-separated synthetic profiles (see h3cdn-measure -link-trace)")
 		dsPath   = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
 		consPath = fs.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
 		plotDir  = fs.String("plot", "", "also export raw figure series as TSV into this directory")
@@ -68,108 +73,70 @@ func run(args []string) int {
 
 	// Usage errors exit 2, before any campaign runs.
 	if !(in.BurstLen >= 1) || math.IsInf(in.BurstLen, 1) {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: -burstlen %v: must be a finite burst length of at least 1 packet\n", in.BurstLen)
+		logf("-burstlen %v: must be a finite burst length of at least 1 packet", in.BurstLen)
 		return 2
 	}
 	if err := in.Campaign.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: %v\n", err)
+		logf("%v", err)
 		return 2
 	}
 	sizes, err := core.PopCacheSizes(in.Pop, in.PopSizes)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: -pop-*: %v\n", err)
+		logf("-pop-*: %v", err)
 		return 2
 	}
 	in.PopSizes = sizes
 
 	rows, err := selectArtifacts(*exp)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-report: %v\n", err)
+		logf("%v", err)
 		return 1
 	}
-	paths := map[bool]string{false: *dsPath, true: *consPath}
-	loaded := map[bool]*core.Dataset{}
-	in.Dataset = func(consecutive bool) (*core.Dataset, error) {
-		if loaded[consecutive] == nil {
-			ds, err := loadDataset(paths[consecutive], in.Campaign, consecutive)
-			if err != nil {
-				return nil, err
-			}
-			loaded[consecutive] = ds
-		}
-		return loaded[consecutive], nil
+	plan, err := core.NewPlan(rows, in, map[bool]string{false: *dsPath, true: *consPath})
+	if err != nil {
+		logf("%v", err)
+		return 2
 	}
 	var plots []core.PlotFile
-	for _, a := range rows {
-		if a.Note != "" {
-			fmt.Fprintf(os.Stderr, "h3cdn-report: running %s...\n", a.Note)
-		}
-		text, files, err := a.Run(in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "h3cdn-report: %s: %v\n", a.ID, err)
-			return 1
-		}
+	err = plan.Run(logf, func(text string, files []core.PlotFile) {
 		fmt.Println(text)
 		plots = append(plots, files...)
+	})
+	if err != nil {
+		logf("%v", err)
+		return 1
 	}
 	if *plotDir != "" {
 		if err := writePlots(*plotDir, plots); err != nil {
-			fmt.Fprintf(os.Stderr, "h3cdn-report: %v\n", err)
+			logf("%v", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "h3cdn-report: plot data written to %s\n", *plotDir)
+		logf("plot data written to %s", *plotDir)
 	}
 	return 0
 }
 
 // selectArtifacts returns the core.Artifacts rows -exp names: its
-// comma-separated ids in order, or for "all" every row marked InAll.
+// comma-separated ids in order, "all" standing for every row marked
+// InAll, and each row once.
 func selectArtifacts(exp string) ([]core.Artifact, error) {
 	var rows []core.Artifact
-	if exp == "all" {
-		for _, a := range core.Artifacts {
-			if a.InAll {
-				rows = append(rows, a)
-			}
-		}
-		return rows, nil
-	}
 	for _, id := range strings.Split(exp, ",") {
 		id = strings.TrimSpace(id)
-		i := slices.IndexFunc(core.Artifacts, func(a core.Artifact) bool { return a.ID == id })
-		if i < 0 {
+		known := id == "all"
+		for _, a := range core.Artifacts {
+			if a.ID == id || id == "all" && a.InAll {
+				known = true
+				if !slices.ContainsFunc(rows, func(b core.Artifact) bool { return b.ID == a.ID }) {
+					rows = append(rows, a)
+				}
+			}
+		}
+		if !known {
 			return nil, fmt.Errorf("unknown experiment %q", id)
 		}
-		rows = append(rows, core.Artifacts[i])
 	}
 	return rows, nil
-}
-
-// loadDataset returns one protocol's dataset: read from path when it is
-// set, else from a campaign run with cfg.
-func loadDataset(path string, cfg core.CampaignConfig, consecutive bool) (*core.Dataset, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return core.LoadDataset(f)
-	}
-	cfg.Consecutive = consecutive
-	kind := "standard"
-	if consecutive {
-		kind = "consecutive"
-	}
-	fmt.Fprintf(os.Stderr, "h3cdn-report: running %s campaign (%d pages, %d probes/vantage)...\n",
-		kind, cfg.CorpusConfig.NumPages, cfg.ProbesPerVantage)
-	start := time.Now()
-	ds, err := core.RunCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "h3cdn-report: %s campaign done in %v\n", kind, time.Since(start).Round(time.Second))
-	return ds, nil
 }
 
 // writePlots writes each plot file into dir.

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"h3cdn/internal/core"
 )
 
 // TestUsageErrorsExit2 runs the command on bad campaign inputs: each
@@ -34,5 +37,50 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 	if got := run([]string{"-pages", "1", "-exp", "nosuch"}); got != 1 {
 		t.Fatalf("valid flags with an unknown experiment: exit %d, want 1", got)
+	}
+	// The plan checks every campaign a selected row declares; celltrace
+	// needs a profile to replay.
+	for _, traces := range []string{"nosuch", "", ","} {
+		if got := run([]string{"-pages", "1", "-exp", "celltrace", "-traces", traces}); got != 2 {
+			t.Fatalf("-traces %q: exit %d, want 2", traces, got)
+		}
+	}
+}
+
+// TestSelectArtifacts pins how -exp names rows: "all" expands in place
+// inside a list, and a repeated id runs once.
+func TestSelectArtifacts(t *testing.T) {
+	var all []string
+	for _, a := range core.Artifacts {
+		if a.InAll {
+			all = append(all, a.ID)
+		}
+	}
+	notF9 := slices.DeleteFunc(slices.Clone(all), func(id string) bool { return id == "f9" })
+	cases := []struct {
+		exp  string
+		want []string
+	}{
+		{"all", all},
+		{"all,lossprofile", append(slices.Clone(all), "lossprofile")},
+		{"phases,all", append([]string{"phases"}, all...)},
+		{"f9,all", append([]string{"f9"}, notF9...)},
+		{"t2, t2,f8,all,t2", append([]string{"t2", "f8"}, slices.DeleteFunc(slices.Clone(all), func(id string) bool { return id == "t2" || id == "f8" })...)},
+	}
+	for _, tc := range cases {
+		rows, err := selectArtifacts(tc.exp)
+		if err != nil {
+			t.Fatalf("-exp %s: %v", tc.exp, err)
+		}
+		var got []string
+		for _, a := range rows {
+			got = append(got, a.ID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("-exp %s selects %v, want %v", tc.exp, got, tc.want)
+		}
+	}
+	if _, err := selectArtifacts("all,nosuch"); err == nil {
+		t.Error("-exp all,nosuch accepted")
 	}
 }

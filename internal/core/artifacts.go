@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -9,32 +13,19 @@ import (
 	"h3cdn/internal/traffic"
 )
 
-// Input names what an artifact reads.
-type Input int
-
-const (
-	FromRegistry     Input = iota // the CDN provider registry only
-	FromStandard                  // the standard protocol's dataset
-	FromConsecutive               // the consecutive protocol's dataset
-	FromOwnCampaigns              // campaigns its Run runs itself
-)
-
-// ReportInputs is everything an artifact's Run reads.
+// ReportInputs is everything an artifact's Build reads.
 type ReportInputs struct {
 	// Campaign is the configuration every campaign starts from.
 	Campaign CampaignConfig
 	// BurstLen is lossprofile's Gilbert–Elliott mean burst length in
 	// packets.
 	BurstLen float64
-	// Profiles are celltrace's synthetic trace profiles (empty = all).
+	// Profiles are the synthetic trace profiles celltrace replays.
 	Profiles []string
 	// Pop and PopSizes shape popcache's population sweep; PopSizes as
 	// PopCacheSizes returns them.
 	Pop      traffic.Config
 	PopSizes []int
-	// Dataset returns the consecutive protocol's dataset, or the
-	// standard one when consecutive is false.
-	Dataset func(consecutive bool) (*Dataset, error)
 }
 
 // PlotFile is one file of raw series an artifact exports for plotting:
@@ -44,43 +35,56 @@ type PlotFile struct {
 	Content string
 }
 
+// An Arm is one campaign a row reads and what the row takes from its
+// dataset.
+type Arm struct {
+	Config CampaignConfig
+	Take   func(*Dataset) error
+}
+
+// Render returns a row's text and plot files once every arm of the row
+// has taken its dataset.
+type Render func() (string, []PlotFile)
+
 // Artifact is one table or figure of the paper, or one of the report's
 // extra sweeps.
 type Artifact struct {
-	ID    string
-	Input Input
+	ID string
 	// InAll marks the artifacts -exp all runs; the others are sweeps
 	// too slow to run unless named.
 	InAll bool
-	// Note, when set, describes the campaigns Run runs itself.
-	Note string
-	// Run computes the artifact once and returns its rendered text and
-	// its plot files.
-	Run func(in ReportInputs) (string, []PlotFile, error)
+	// Loadable marks a row that reads one protocol's dataset (its one
+	// arm's Consecutive says which), so that a dataset file written by
+	// h3cdn-measure may stand in for the campaign. A sweep arm never
+	// does: a loaded dataset has no Stats, Metrics or Traffic.
+	Loadable bool
+	// Build declares the row under in: the arms it reads, none for a
+	// row that reads no dataset, and its Render.
+	Build func(in ReportInputs) ([]Arm, Render, error)
 }
 
 // Artifacts lists every artifact h3cdn-report regenerates, in -exp all
 // order.
 var Artifacts = []Artifact{
-	{ID: "t1", Input: FromRegistry, InAll: true, Run: func(ReportInputs) (string, []PlotFile, error) {
-		return RenderTable1(Table1()), nil, nil
+	{ID: "t1", InAll: true, Build: func(ReportInputs) ([]Arm, Render, error) {
+		return nil, func() (string, []PlotFile) { return RenderTable1(Table1()), nil }, nil
 	}},
-	fromDataset("t2", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("t2", false, func(ds *Dataset) (string, []PlotFile, error) {
 		text := RenderTable2(ComputeTable2(ds))
 		return text, []PlotFile{{"table2.txt", text}}, nil
 	}),
-	fromDataset("f2", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f2", false, func(ds *Dataset) (string, []PlotFile, error) {
 		rows := ComputeFigure2(ds)
 		plot := tsv("provider\trequest_share\th3_fraction\tshare_of_h3", rows, func(r Fig2Row) string {
 			return fmt.Sprintf("%s\t%.4f\t%.4f\t%.4f", r.Provider, r.RequestShare, r.H3Fraction, r.ShareOfH3)
 		})
 		return RenderFigure2(rows), []PlotFile{{"fig2.tsv", plot}}, nil
 	}),
-	fromDataset("f3", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f3", false, func(ds *Dataset) (string, []PlotFile, error) {
 		f := ComputeFigure3(ds)
 		return RenderFigure3(f), []PlotFile{{"fig3_ccdf.tsv", curveTSV("cdn_pct", f.CCDF)}}, nil
 	}),
-	fromDataset("f4", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f4", false, func(ds *Dataset) (string, []PlotFile, error) {
 		f := ComputeFigure4(ds)
 		return RenderFigure4(f), []PlotFile{
 			{"fig4a.tsv", tsv("provider\tpresence", f.Presence, func(p Fig4Presence) string {
@@ -91,7 +95,7 @@ var Artifacts = []Artifact{
 			})},
 		}, nil
 	}),
-	fromDataset("f5", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f5", false, func(ds *Dataset) (string, []PlotFile, error) {
 		series := ComputeFigure5(ds)
 		var plots []PlotFile
 		for _, s := range series {
@@ -99,14 +103,14 @@ var Artifacts = []Artifact{
 		}
 		return RenderFigure5(series), plots, nil
 	}),
-	fromDataset("f6a", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f6a", false, func(ds *Dataset) (string, []PlotFile, error) {
 		groups := ComputeFigure6a(ds)
 		plot := tsv("group\tsites\tmean_h3_cdn\tplt_reduction_ms", groups[:], func(g Fig6aGroup) string {
 			return fmt.Sprintf("%s\t%d\t%.2f\t%.2f", g.Name, g.Sites, g.MeanH3CDN, g.PLTReductionMs)
 		})
 		return RenderFigure6a(groups), []PlotFile{{"fig6a.tsv", plot}}, nil
 	}),
-	fromDataset("f6b", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f6b", false, func(ds *Dataset) (string, []PlotFile, error) {
 		f := ComputeFigure6b(ds)
 		return RenderFigure6b(f), []PlotFile{
 			{"fig6b_connect.tsv", curveTSV("reduction_ms", f.ConnectCDF)},
@@ -114,7 +118,7 @@ var Artifacts = []Artifact{
 			{"fig6b_receive.tsv", curveTSV("reduction_ms", f.ReceiveCDF)},
 		}, nil
 	}),
-	fromDataset("f7", FromStandard, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f7", false, func(ds *Dataset) (string, []PlotFile, error) {
 		ab, c := ComputeFigure7ab(ds), ComputeFigure7c(ds)
 		return RenderFigure7(ab, c), []PlotFile{
 			{"fig7ab.tsv", tsv("group\th2_reused\th3_reused\tdifference", ab[:], func(g Fig7Group) string {
@@ -125,14 +129,14 @@ var Artifacts = []Artifact{
 			})},
 		}, nil
 	}),
-	fromDataset("f8", FromConsecutive, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("f8", true, func(ds *Dataset) (string, []PlotFile, error) {
 		points := ComputeFigure8(ds)
 		plot := tsv("providers\tsites\tplt_reduction_ms\tresumed_conns", points, func(p Fig8Point) string {
 			return fmt.Sprintf("%d\t%d\t%.2f\t%.2f", p.Providers, p.Sites, p.PLTReductionMs, p.ResumedConns)
 		})
 		return RenderFigure8(points), []PlotFile{{"fig8.tsv", plot}}, nil
 	}),
-	fromDataset("t3", FromConsecutive, func(ds *Dataset) (string, []PlotFile, error) {
+	fromDataset("t3", true, func(ds *Dataset) (string, []PlotFile, error) {
 		t, err := ComputeTable3(ds)
 		if err != nil {
 			return "", nil, err
@@ -140,65 +144,64 @@ var Artifacts = []Artifact{
 		text := RenderTable3(t)
 		return text, []PlotFile{{"table3.txt", text}}, nil
 	}),
-	{ID: "f9", Input: FromOwnCampaigns, InAll: true, Note: "Figure 9 loss sweep (3 campaigns)", Run: func(in ReportInputs) (string, []PlotFile, error) {
-		series, err := RunFigure9(in.Campaign)
-		if err != nil {
-			return "", nil, err
-		}
-		var plots []PlotFile
-		for _, s := range series {
-			name := "fig9_loss" + strconv.FormatFloat(100*s.LossRate, 'f', 1, 64) + ".tsv"
-			header := fmt.Sprintf("# slope=%.4f intercept=%.2f median_reduction_ms=%.2f\ncdn_resources\tplt_reduction_ms",
-				s.Slope, s.Intercept, s.MedianReductionMs)
-			plots = append(plots, PlotFile{name, tsv(header, s.Points, func(p analysis.Point) string {
-				return fmt.Sprintf("%.0f\t%.2f", p.X, p.Y)
-			})})
-		}
-		return RenderFigure9(series), plots, nil
+	{ID: "f9", InAll: true, Build: func(in ReportInputs) ([]Arm, Render, error) {
+		arms, series := figure9Arms(in.Campaign)
+		return arms, func() (string, []PlotFile) {
+			var plots []PlotFile
+			for _, s := range series {
+				name := "fig9_loss" + strconv.FormatFloat(100*s.LossRate, 'f', 1, 64) + ".tsv"
+				header := fmt.Sprintf("# slope=%.4f intercept=%.2f median_reduction_ms=%.2f\ncdn_resources\tplt_reduction_ms",
+					s.Slope, s.Intercept, s.MedianReductionMs)
+				plots = append(plots, PlotFile{name, tsv(header, s.Points, func(p analysis.Point) string {
+					return fmt.Sprintf("%.0f\t%.2f", p.X, p.Y)
+				})})
+			}
+			return RenderFigure9(series), plots
+		}, nil
 	}},
 	// Phase attributions are folded from live event traces and never
 	// serialized, so no dataset file can supply them: phases always
 	// runs its own traced campaign.
-	{ID: "phases", Input: FromOwnCampaigns, Note: "traced standard campaign", Run: func(in ReportInputs) (string, []PlotFile, error) {
+	{ID: "phases", Build: func(in ReportInputs) ([]Arm, Render, error) {
 		cfg := in.Campaign
 		cfg.TracePhases = true
-		ds, err := RunCampaign(cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		return rendered(RenderPhaseReport)(ComputePhaseReport(ds))
+		return oneArm(cfg, func(d *Dataset) (string, []PlotFile, error) {
+			rows, err := ComputePhaseReport(d)
+			return RenderPhaseReport(rows), nil, err
+		})
 	}},
-	{ID: "lossprofile", Input: FromOwnCampaigns, Note: "loss-profile sweep (i.i.d. vs bursty loss, 2 campaigns per rate)", Run: func(in ReportInputs) (string, []PlotFile, error) {
-		return rendered(RenderLossProfile)(RunLossProfile(in.Campaign, in.BurstLen))
-	}},
-	{ID: "celltrace", Input: FromOwnCampaigns, Note: "cellular-trace replay (2 campaigns per profile, modes H1/H2/H3)", Run: func(in ReportInputs) (string, []PlotFile, error) {
-		return rendered(RenderCellTrace)(RunCellTrace(in.Campaign, in.Profiles))
-	}},
-	{ID: "popcache", Input: FromOwnCampaigns, Note: "population cache-contention sweep (one traffic campaign per size and mode)", Run: func(in ReportInputs) (string, []PlotFile, error) {
-		return rendered(RenderPopCache)(RunPopCache(in.Campaign, in.Pop, in.PopSizes))
-	}},
+	{ID: "lossprofile", Build: sweep(lossProfileArms, RenderLossProfile)},
+	{ID: "celltrace", Build: sweep(cellTraceArms, RenderCellTrace)},
+	{ID: "popcache", Build: sweep(popCacheArms, RenderPopCache)},
 }
 
-// fromDataset makes an -exp all row that analyses the dataset input
-// names.
-func fromDataset(id string, input Input, analyse func(*Dataset) (string, []PlotFile, error)) Artifact {
-	return Artifact{ID: id, Input: input, InAll: true, Run: func(in ReportInputs) (string, []PlotFile, error) {
-		ds, err := in.Dataset(input == FromConsecutive)
-		if err != nil {
-			return "", nil, err
-		}
-		return analyse(ds)
+// fromDataset makes an -exp all row that analyses the standard or the
+// consecutive protocol's dataset.
+func fromDataset(id string, consecutive bool, analyse func(*Dataset) (string, []PlotFile, error)) Artifact {
+	return Artifact{ID: id, InAll: true, Loadable: true, Build: func(in ReportInputs) ([]Arm, Render, error) {
+		cfg := in.Campaign
+		cfg.Consecutive = consecutive
+		return oneArm(cfg, analyse)
 	}}
 }
 
-// rendered adapts a renderer into a Run result for a computation that
-// exports no plot files.
-func rendered[T any](render func(T) string) func(T, error) (string, []PlotFile, error) {
-	return func(v T, err error) (string, []PlotFile, error) {
-		if err != nil {
-			return "", nil, err
-		}
-		return render(v), nil, nil
+// oneArm declares a row that analyses the dataset of cfg.
+func oneArm(cfg CampaignConfig, analyse func(*Dataset) (string, []PlotFile, error)) ([]Arm, Render, error) {
+	var text string
+	var plots []PlotFile
+	take := func(d *Dataset) (err error) {
+		text, plots, err = analyse(d)
+		return err
+	}
+	return []Arm{{cfg, take}}, func() (string, []PlotFile) { return text, plots }, nil
+}
+
+// sweep makes the Build of a row whose arms fill the rows it renders;
+// it exports no plot files.
+func sweep[T any](arms func(ReportInputs) ([]Arm, []T, error), render func([]T) string) func(ReportInputs) ([]Arm, Render, error) {
+	return func(in ReportInputs) ([]Arm, Render, error) {
+		a, rows, err := arms(in)
+		return a, func() (string, []PlotFile) { return render(rows), nil }, err
 	}
 }
 
@@ -216,4 +219,116 @@ func curveTSV(xName string, curve []analysis.Point) string {
 	return tsv(xName+"\ty", curve, func(p analysis.Point) string {
 		return fmt.Sprintf("%.4f\t%.6f", p.X, p.Y)
 	})
+}
+
+// A Plan runs report rows. It makes every distinct dataset the rows'
+// arms read once, a campaign's or a dataset file's, hands it to each
+// arm that reads it and drops it, so one dataset is live at a time. Each
+// row renders, in row order, as soon as its arms have their datasets.
+type Plan struct {
+	rows    []Artifact
+	renders []Render
+	last    []int      // per row, the last read its arms take; -1 for none
+	reads   []planRead // distinct, in first-read order
+	runs    int        // the reads no dataset file answers
+}
+
+// planRead is one dataset a Plan makes, a campaign's or the dataset
+// file's when file is set, and the arms that take it.
+type planRead struct {
+	cfg   CampaignConfig
+	file  string
+	takes []planTake
+}
+
+type planTake struct {
+	id   string // the row's
+	take func(*Dataset) error
+}
+
+// NewPlan plans rows under in, checking every config before any
+// campaign runs. files[consecutive], when set, names the dataset file
+// that answers the Loadable rows reading that protocol. Two configs
+// equal after defaulting (pointer fields compared by the values they
+// point to) share one dataset.
+func NewPlan(rows []Artifact, in ReportInputs, files map[bool]string) (*Plan, error) {
+	p := &Plan{rows: rows}
+	for _, a := range rows {
+		arms, render, err := a.Build(in)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.ID, err)
+		}
+		last := -1
+		for _, arm := range arms {
+			r := planRead{cfg: arm.Config.withDefaults()}
+			if err := r.cfg.Validate(); err != nil {
+				return nil, fmt.Errorf("%s: %w", a.ID, err)
+			}
+			if a.Loadable {
+				r.file = files[r.cfg.Consecutive]
+			}
+			j := slices.IndexFunc(p.reads, func(q planRead) bool { return q.file == r.file && reflect.DeepEqual(q.cfg, r.cfg) })
+			if j < 0 {
+				j = len(p.reads)
+				p.reads = append(p.reads, r)
+				if r.file == "" {
+					p.runs++
+				}
+			}
+			p.reads[j].takes = append(p.reads[j].takes, planTake{a.ID, arm.Take})
+			last = max(last, j)
+		}
+		p.renders, p.last = append(p.renders, render), append(p.last, last)
+	}
+	return p, nil
+}
+
+// Run passes each row's text and plot files to emit, in row order,
+// making the datasets in read order as the rows need them. logf reports
+// the plan, then each campaign and dataset file as it is made, for the
+// row that reads it first.
+func (p *Plan) Run(logf func(format string, args ...any), emit func(text string, plots []PlotFile)) error {
+	logf("%d campaigns for %d rows", p.runs, len(p.rows))
+	made, ran := 0, 0
+	for i, a := range p.rows {
+		for ; made <= p.last[i]; made++ {
+			r := p.reads[made]
+			var d *Dataset
+			var err error
+			if r.file != "" {
+				logf("reading %s for %s", r.file, a.ID)
+				var b []byte
+				if b, err = os.ReadFile(r.file); err == nil {
+					d, err = LoadDataset(bytes.NewReader(b))
+				}
+			} else {
+				ran++
+				logf("running campaign %d/%d for %s (%d pages, %d probes/vantage)...",
+					ran, p.runs, a.ID, r.cfg.CorpusConfig.NumPages, r.cfg.ProbesPerVantage)
+				d, err = RunCampaign(r.cfg)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", a.ID, err)
+			}
+			for _, t := range r.takes {
+				if err := t.take(d); err != nil {
+					return fmt.Errorf("%s: %w", t.id, err)
+				}
+			}
+		}
+		emit(p.renders[i]())
+	}
+	return nil
+}
+
+// runArms runs the arms of one row named id through a Plan of their own.
+func runArms(id string, arms []Arm) error {
+	row := Artifact{ID: id, Build: func(ReportInputs) ([]Arm, Render, error) {
+		return arms, func() (string, []PlotFile) { return "", nil }, nil
+	}}
+	plan, err := NewPlan([]Artifact{row}, ReportInputs{}, nil)
+	if err != nil {
+		return err
+	}
+	return plan.Run(func(string, ...any) {}, func(string, []PlotFile) {})
 }

@@ -150,6 +150,8 @@ func (c CampaignConfig) probesAt(point vantage.Point) int {
 // paths (see CampaignConfig.LossRate).
 const DefaultBaselineLoss = 0.003
 
+// withDefaults fills the unset fields. A second call changes nothing: a
+// lossless rate stays negative (-1), since 0 would select the baseline.
 func (c CampaignConfig) withDefaults() CampaignConfig {
 	if c.Vantages == nil {
 		c.Vantages = vantage.Points()
@@ -157,12 +159,17 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 	if c.LossRate == 0 {
 		c.LossRate = DefaultBaselineLoss
 	} else if c.LossRate < 0 {
-		c.LossRate = 0
+		c.LossRate = -1
 	}
 	if c.Modes == nil {
 		c.Modes = []browser.Mode{browser.ModeH2, browser.ModeH3}
 	}
 	return c
+}
+
+// pathLoss is the i.i.d. loss rate of a defaulted config's paths.
+func (c CampaignConfig) pathLoss() float64 {
+	return max(c.LossRate, 0)
 }
 
 // Dataset is a campaign's output: per-mode HAR logs over the shared
@@ -527,7 +534,7 @@ func (c CampaignConfig) universeConfig(job shardJob, seed uint64, view *webgen.C
 		Corpus:    view,
 		Topology:  topo,
 		Vantage:   job.point,
-		LossRate:  c.LossRate,
+		LossRate:  c.pathLoss(),
 		Impair:    c.Impairment,
 		LinkTrace: c.LinkTrace,
 	}

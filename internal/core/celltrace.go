@@ -1,11 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"h3cdn/internal/analysis"
 	"h3cdn/internal/browser"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/simnet/traces"
@@ -33,23 +33,24 @@ type CellTraceRow struct {
 // matching the impaired-golden campaign's regime.
 const cellTraceLoss = 0.01
 
-// RunCellTrace replays the base campaign over each named synthetic trace
-// profile (traces.Profile) in modes {H1, H2, H3}, in two arms: capacity
-// variation alone, then capacity plus Gilbert–Elliott loss. The base
-// config supplies corpus, vantages, and probes; Modes, LinkTrace, and
-// Impairment are overridden per run.
-func RunCellTrace(base CampaignConfig, profiles []string) ([]CellTraceRow, error) {
-	base = base.withDefaults()
-	if len(profiles) == 0 {
-		profiles = traces.Names()
+// cellTraceArms replay the base campaign over each named synthetic
+// trace profile (traces.Profile) in modes {H1, H2, H3}, in two arms:
+// capacity variation alone, then capacity plus Gilbert–Elliott loss.
+// The base config supplies corpus, vantages, and probes; Modes,
+// LinkTrace, and Impairment are set per arm.
+func cellTraceArms(in ReportInputs) ([]Arm, []CellTraceRow, error) {
+	if len(in.Profiles) == 0 {
+		return nil, nil, errors.New("no trace profile to replay")
 	}
-	rows := make([]CellTraceRow, 0, len(profiles))
-	for _, name := range profiles {
+	rows := make([]CellTraceRow, len(in.Profiles))
+	var arms []Arm
+	for i, name := range in.Profiles {
 		tl, err := traces.Profile(name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		row := CellTraceRow{Profile: name, MeanBps: tl.MeanBps()}
+		row := &rows[i]
+		*row = CellTraceRow{Profile: name, MeanBps: tl.MeanBps()}
 		var dead time.Duration
 		for e := int64(0); e < int64(tl.Epochs()); e++ {
 			if tl.EpochBps(e) == 0 {
@@ -57,39 +58,33 @@ func RunCellTrace(base CampaignConfig, profiles []string) ([]CellTraceRow, error
 			}
 		}
 		row.DeadTime = float64(dead) / float64(tl.Period())
-
-		for arm := 0; arm < 2; arm++ {
-			cfg := base
-			cfg.Modes = []browser.Mode{browser.ModeH1, browser.ModeH2, browser.ModeH3}
-			cfg.LinkTrace = tl
+		cfg := in.Campaign
+		cfg.Modes = []browser.Mode{browser.ModeH1, browser.ModeH2, browser.ModeH3}
+		cfg.LinkTrace = tl
+		for arm := range 2 {
 			if arm == 1 {
 				ge := simnet.GilbertElliott(cellTraceLoss, 4)
 				cfg.Impairment = &ge
 			}
-			ds, err := RunCampaign(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: celltrace %s arm %d: %w", name, arm, err)
-			}
-			row.MedianPLT[arm] = medianPLTByMode(ds)
-			if row.Fig9[arm], err = ComputeFigure9Series(ds, cellTraceLoss*float64(arm)); err != nil {
-				return nil, fmt.Errorf("core: celltrace %s arm %d: %w", name, arm, err)
-			}
-			row.Stats[arm] = ds.Stats
+			arms = append(arms, Arm{cfg, func(d *Dataset) (err error) {
+				row.MedianPLT[arm], row.Stats[arm] = medianPLTByMode(d), d.Stats
+				if row.Fig9[arm], err = ComputeFigure9Series(d, cellTraceLoss*float64(arm)); err != nil {
+					return fmt.Errorf("%s arm %d: %w", name, arm, err)
+				}
+				return nil
+			}})
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return arms, rows, nil
 }
 
-// medianPLTByMode folds a dataset into one median PLT per browsing mode.
+// medianPLTByMode folds a dataset into one median PLT per browsing mode
+// (Dataset.PLTMedianMs: exact over retained pages, else from sketches).
 func medianPLTByMode(ds *Dataset) map[browser.Mode]time.Duration {
 	out := make(map[browser.Mode]time.Duration, len(ds.Logs))
-	for mode, log := range ds.Logs {
-		plts := make([]float64, 0, len(log.Pages))
-		for i := range log.Pages {
-			plts = append(plts, msOf(log.Pages[i].PLT))
-		}
-		out[mode] = time.Duration(analysis.Median(plts) * float64(time.Millisecond))
+	for mode := range ds.Logs {
+		ms, _, _ := ds.PLTMedianMs(mode)
+		out[mode] = time.Duration(ms * float64(time.Millisecond))
 	}
 	return out
 }

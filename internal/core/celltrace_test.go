@@ -19,10 +19,7 @@ func TestRunCellTrace(t *testing.T) {
 		Vantages:         vantage.Points()[:1],
 		ProbesPerVantage: 1,
 	}
-	rows, err := RunCellTrace(base, []string{"stepdown", "umts"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runSweep(t, cellTraceArms, ReportInputs{Campaign: base, Profiles: []string{"stepdown", "umts"}})
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}

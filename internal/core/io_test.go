@@ -92,10 +92,12 @@ func FuzzLoadDataset(f *testing.F) {
 			return
 		}
 		// Every dataset row must run to a result or an error.
-		in := ReportInputs{Dataset: func(bool) (*Dataset, error) { return ds, nil }}
 		for _, a := range Artifacts {
-			if a.Input == FromStandard || a.Input == FromConsecutive {
-				a.Run(in)
+			if a.Loadable {
+				arms, render, _ := a.Build(ReportInputs{})
+				if arms[0].Take(ds) == nil {
+					render()
+				}
 			}
 		}
 		var first, second bytes.Buffer
@@ -127,11 +129,12 @@ func TestModeByName(t *testing.T) {
 	}
 }
 
-// TestArtifactRows runs the -exp all rows of Artifacts on the
-// small campaign fixtures. Each must render text; each dataset row must
-// export plot files, none empty; and no two rows may export the same
-// file name, which would overwrite one artifact's plot data with
-// another's.
+// TestArtifactRows runs the -exp all rows of Artifacts: each row that
+// reads one protocol's dataset on the small campaign fixtures, every
+// other row on campaigns of the configs it declares. Each must render
+// text; each dataset row must export plot files, none empty; and no two
+// rows may export the same file name, which would overwrite one
+// artifact's plot data with another's.
 func TestArtifactRows(t *testing.T) {
 	datasets := map[bool]*Dataset{
 		false: smallCampaign(t, nil),
@@ -144,21 +147,32 @@ func TestArtifactRows(t *testing.T) {
 			Vantages:         vantage.Points()[:1],
 			ProbesPerVantage: 1,
 		},
-		Dataset: func(consecutive bool) (*Dataset, error) { return datasets[consecutive], nil },
 	}
 	owner := map[string]string{}
 	for _, a := range Artifacts {
 		if !a.InAll {
 			continue
 		}
-		text, plots, err := a.Run(in)
+		arms, render, err := a.Build(in)
+		for _, arm := range arms {
+			d := datasets[arm.Config.Consecutive]
+			if !a.Loadable {
+				if d, err = RunCampaign(arm.Config); err != nil {
+					break
+				}
+			}
+			if err = arm.Take(d); err != nil {
+				break
+			}
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", a.ID, err)
 		}
+		text, plots := render()
 		if text == "" {
 			t.Errorf("%s: empty text", a.ID)
 		}
-		if len(plots) == 0 && (a.Input == FromStandard || a.Input == FromConsecutive) {
+		if len(plots) == 0 && a.Loadable {
 			t.Errorf("%s: no plot files", a.ID)
 		}
 		for _, p := range plots {

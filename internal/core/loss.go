@@ -1,31 +1,44 @@
 package core
 
-import "fmt"
-
 // Figure9Losses are the added loss rates of §VI-E's Traffic Control
 // sweep: 0%, 0.5%, and 1% on top of the ambient baseline.
 func Figure9Losses() []float64 {
 	return []float64{0, 0.005, 0.01}
 }
 
-// RunFigure9 executes one campaign per added loss rate and fits each
-// reduction-vs-resources series. The baseline campaign config supplies
-// corpus, vantages, and probes; only the loss rate varies.
-func RunFigure9(base CampaignConfig) ([]Fig9Series, error) {
-	base = base.withDefaults()
-	out := make([]Fig9Series, 0, 3)
-	for _, added := range Figure9Losses() {
-		cfg := base
-		cfg.LossRate = base.LossRate + added
-		ds, err := RunCampaign(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: Figure9 loss %.3f: %w", added, err)
-		}
-		s, err := ComputeFigure9Series(ds, added)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+// figure9Config is Figure 9's campaign at one added loss rate: the
+// Traffic Control knob adds i.i.d. loss on top of the base config's path
+// loss, and the base supplies corpus, vantages, and probes. The
+// 0%-added arm is the base campaign itself, so a lossless base stays
+// lossless there.
+func figure9Config(base CampaignConfig, added float64) CampaignConfig {
+	cfg := base.withDefaults()
+	if added > 0 {
+		cfg.LossRate = cfg.pathLoss() + added
 	}
-	return out, nil
+	return cfg
+}
+
+// figure9Arms are Figure 9's arms, one per added loss rate, each fitting
+// its reduction-vs-resources series into the returned slice.
+func figure9Arms(base CampaignConfig) ([]Arm, []Fig9Series) {
+	series := make([]Fig9Series, len(Figure9Losses()))
+	var arms []Arm
+	for i, added := range Figure9Losses() {
+		arms = append(arms, Arm{figure9Config(base, added), func(d *Dataset) (err error) {
+			series[i], err = ComputeFigure9Series(d, added)
+			return err
+		}})
+	}
+	return arms, series
+}
+
+// RunFigure9 executes one campaign per added loss rate and fits each
+// reduction-vs-resources series. Every arm is checked before any runs.
+func RunFigure9(base CampaignConfig) ([]Fig9Series, error) {
+	arms, series := figure9Arms(base)
+	if err := runArms("f9", arms); err != nil {
+		return nil, err
+	}
+	return series, nil
 }

@@ -24,52 +24,37 @@ type LossProfileRow struct {
 	BurstyStats CampaignStats
 }
 
-// RunLossProfile sweeps the Figure-9 added-loss rates, running each rate
-// twice: once as i.i.d. Bernoulli loss (the §VI-E Traffic Control knob)
-// and once as bursty Gilbert–Elliott loss at the matched average rate.
-// The zero-added row runs a single baseline campaign shared by both
-// arms. meanBurst ≤ 0 selects 4 packets.
-func RunLossProfile(base CampaignConfig, meanBurst float64) ([]LossProfileRow, error) {
-	base = base.withDefaults()
-	if meanBurst <= 0 {
-		meanBurst = 4
-	}
-	losses := Figure9Losses()
-	rows := make([]LossProfileRow, 0, len(losses))
-	for _, added := range losses {
-		row := LossProfileRow{AddedLoss: added, MeanBurst: meanBurst}
-
-		iidCfg := base
-		iidCfg.LossRate = base.LossRate + added
-		ds, err := RunCampaign(iidCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: lossprofile iid %.3f: %w", added, err)
-		}
-		if row.IID, err = ComputeFigure9Series(ds, added); err != nil {
-			return nil, err
-		}
-		row.IIDStats = ds.Stats
-
+// lossProfileArms are the loss-profile sweep's arms: at each Figure-9
+// added loss rate, an i.i.d. Bernoulli arm (the §VI-E Traffic Control
+// knob, Figure 9's own campaign) and a bursty Gilbert–Elliott arm of
+// mean burst in.BurstLen at the matched average rate. With no added
+// loss the two arms are one baseline campaign.
+func lossProfileArms(in ReportInputs) ([]Arm, []LossProfileRow, error) {
+	rows := make([]LossProfileRow, len(Figure9Losses()))
+	var arms []Arm
+	for i, added := range Figure9Losses() {
+		row := &rows[i]
+		*row = LossProfileRow{AddedLoss: added, MeanBurst: in.BurstLen}
+		iid := figure9Config(in.Campaign, added)
+		bursty := iid
 		if added > 0 {
-			ge := simnet.GilbertElliott(added, meanBurst)
-			burstCfg := base
-			burstCfg.Impairment = &ge
-			bds, err := RunCampaign(burstCfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: lossprofile bursty %.3f: %w", added, err)
-			}
-			if row.Bursty, err = ComputeFigure9Series(bds, added); err != nil {
-				return nil, err
-			}
-			row.BurstyStats = bds.Stats
-		} else {
-			// No added loss: the arms are the same campaign.
-			row.Bursty = row.IID
-			row.BurstyStats = row.IIDStats
+			bursty = in.Campaign
+			ge := simnet.GilbertElliott(added, in.BurstLen)
+			bursty.Impairment = &ge
 		}
-		rows = append(rows, row)
+		arms = append(arms, fitArm(iid, added, &row.IID, &row.IIDStats), fitArm(bursty, added, &row.Bursty, &row.BurstyStats))
 	}
-	return rows, nil
+	return arms, rows, nil
+}
+
+// fitArm reads cfg's dataset into its Figure-9 fit at the added loss
+// rate and its execution counters.
+func fitArm(cfg CampaignConfig, added float64, fit *Fig9Series, stats *CampaignStats) Arm {
+	return Arm{cfg, func(d *Dataset) (err error) {
+		*fit, err = ComputeFigure9Series(d, added)
+		*stats = d.Stats
+		return err
+	}}
 }
 
 // RenderLossProfile prints the i.i.d.-vs-bursty comparison with the

@@ -42,44 +42,40 @@ type PopCacheRow struct {
 // popCacheModes are the protocols the sweep compares.
 var popCacheModes = []browser.Mode{browser.ModeH1, browser.ModeH2, browser.ModeH3}
 
-// RunPopCache sweeps population sizes through the open-loop traffic
-// engine, one campaign per (size, protocol). tc supplies the traffic
+// popCacheArms sweep population sizes through the open-loop traffic
+// engine, one campaign per (size, protocol). in.Pop supplies the traffic
 // shape; its ArrivalRate/Users ratio is held fixed (per-user offered
 // load), so the arrival rate scales with each swept population size —
 // bigger populations press harder on the same per-shard edges. The base
 // config supplies corpus, vantages, and probes; HAR retention is forced
 // to none (the sweep reads only sketches and traffic reports), so memory
 // stays bounded at any population size.
-func RunPopCache(base CampaignConfig, tc traffic.Config, sizes []int) ([]PopCacheRow, error) {
-	base = base.withDefaults()
-	sizes, err := PopCacheSizes(tc, sizes)
-	if err != nil {
-		return nil, err
-	}
-	tc = tc.WithDefaults()
+func popCacheArms(in ReportInputs) ([]Arm, []PopCacheRow, error) {
+	tc := in.Pop.WithDefaults()
 	perUser := tc.ArrivalRate / float64(tc.Users)
-	rows := make([]PopCacheRow, 0, len(sizes)*len(popCacheModes))
-	for _, n := range sizes {
+	rows := make([]PopCacheRow, len(in.PopSizes)*len(popCacheModes))
+	var arms []Arm
+	for _, n := range in.PopSizes {
 		for _, mode := range popCacheModes {
-			cfg := base
+			cfg := in.Campaign
 			cfg.Modes = []browser.Mode{mode}
 			cfg.Retention = har.Retention{Kind: har.RetainNone}
 			t := tc
 			t.Users = n
 			t.ArrivalRate = perUser * float64(n)
 			cfg.Traffic = &t
-			ds, err := RunCampaign(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: popcache users=%d mode %s: %w", n, mode, err)
-			}
-			rows = append(rows, popCacheRow(n, mode, ds))
+			row := &rows[len(arms)]
+			arms = append(arms, Arm{cfg, func(d *Dataset) error {
+				*row = popCacheRow(n, mode, d)
+				return nil
+			}})
 		}
 	}
-	return rows, nil
+	return arms, rows, nil
 }
 
 // PopCacheSizes validates a population sweep's traffic shape and returns
-// the population sizes RunPopCache sweeps: sizes, or ¼×, 1× and 4× of
+// the population sizes the popcache row sweeps: sizes, or ¼×, 1× and 4× of
 // tc.Users when sizes is empty. Every size must be positive. Front ends
 // call it to fail before any campaign runs.
 func PopCacheSizes(tc traffic.Config, sizes []int) ([]int, error) {

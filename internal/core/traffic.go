@@ -51,7 +51,7 @@ func (c CampaignConfig) checkpointDigest(corpusPages int) string {
 	tc.CheckpointDir, tc.HaltAfterEpochs = "", 0
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v|pages=%d|loss=%v|retain=%s|retries=%d",
-		tc, corpusPages, c.LossRate, c.Retention, c.FetchRetries)
+		tc, corpusPages, c.pathLoss(), c.Retention, c.FetchRetries)
 	if c.Impairment != nil {
 		fmt.Fprintf(h, "|impair=%+v", *c.Impairment)
 	}

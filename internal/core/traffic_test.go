@@ -333,10 +333,7 @@ func TestPopCacheExperiment(t *testing.T) {
 		EpochInterval: 5 * time.Second, CacheTTL: 10 * time.Second,
 		ThinkTime: time.Second, SessionVisits: 2,
 	}
-	rows, err := RunPopCache(base, tc, []int{10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runSweep(t, popCacheArms, ReportInputs{Campaign: base, Pop: tc, PopSizes: []int{10, 20}})
 	if len(rows) != 6 { // 2 sizes × 3 protocols
 		t.Fatalf("%d rows, want 6", len(rows))
 	}
@@ -359,10 +356,11 @@ func TestPopCacheExperiment(t *testing.T) {
 	}
 
 	// The sweep rejects malformed traffic shapes and sizes up front.
-	if _, err := RunPopCache(base, traffic.Config{}, nil); err == nil {
+	popcache := artifactRow(t, "popcache")
+	if _, err := NewPlan([]Artifact{popcache}, ReportInputs{Campaign: base, PopSizes: []int{10}}, nil); err == nil {
 		t.Fatal("empty traffic config accepted")
 	}
-	if _, err := RunPopCache(base, tc, []int{0}); err == nil {
+	if _, err := NewPlan([]Artifact{popcache}, ReportInputs{Campaign: base, Pop: tc, PopSizes: []int{0}}, nil); err == nil {
 		t.Fatal("zero population size accepted")
 	}
 }
