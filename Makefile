@@ -87,19 +87,19 @@ bench-memory:
 	H3CDN_TRAFFIC_VISITS=1200,9600 $(GO) run ./cmd/benchgate -baseline BENCH_scaling.json -benchtime 1x -smoke -only PopulationCampaign
 
 # Trace-replay smoke pass: run the same variable-link campaign (synthetic
-# cellular trace + bursty loss) sequentially and with 2 workers, and
+# cellular trace + bursty loss) with 1 and with 2 workers, and
 # require byte-identical datasets — the cheap end-to-end check that
 # TraceLink replay composed with the fault layer stays deterministic
 # under sharding.
 trace-replay-smoke:
 	rm -rf .trace-replay-smoke && mkdir -p .trace-replay-smoke
-	$(GO) run ./cmd/h3cdn-measure -pages 6 -link-trace lte -burst-loss 0.01 -sequential -o .trace-replay-smoke/seq.json
+	$(GO) run ./cmd/h3cdn-measure -pages 6 -link-trace lte -burst-loss 0.01 -workers 1 -o .trace-replay-smoke/seq.json
 	$(GO) run ./cmd/h3cdn-measure -pages 6 -link-trace lte -burst-loss 0.01 -workers 2 -o .trace-replay-smoke/par.json
 	cmp .trace-replay-smoke/seq.json .trace-replay-smoke/par.json
 	rm -rf .trace-replay-smoke
 
 # Population-traffic smoke pass: the same open-loop traffic campaign run
-# sequentially and with 2 workers must produce byte-identical datasets
+# with 1 and with 2 workers must produce byte-identical datasets
 # (user partitioning is worker-count independent), and a checkpointed
 # run driven epoch by epoch through kill/resume cycles must reproduce
 # the uninterrupted dataset byte for byte. The third leg repeats both
@@ -110,7 +110,7 @@ TRAFFIC_SMOKE_FLAGS = -pages 8 -traffic -traffic-users 24 -traffic-users-per-sha
 	-traffic-think 2s
 traffic-smoke:
 	rm -rf .traffic-smoke && mkdir -p .traffic-smoke/ckpt
-	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -sequential -o .traffic-smoke/seq.json
+	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -workers 1 -o .traffic-smoke/seq.json
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -workers 2 -o .traffic-smoke/par.json
 	cmp .traffic-smoke/seq.json .traffic-smoke/par.json
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -traffic-checkpoint .traffic-smoke/ckpt -traffic-halt-epochs 1 -o /dev/null
@@ -118,7 +118,7 @@ traffic-smoke:
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -traffic-checkpoint .traffic-smoke/ckpt -o .traffic-smoke/resumed.json
 	cmp .traffic-smoke/seq.json .traffic-smoke/resumed.json
 	mkdir -p .traffic-smoke/ckpt-sample
-	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -sequential -o .traffic-smoke/sample-seq.json
+	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -workers 1 -o .traffic-smoke/sample-seq.json
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -workers 2 -traffic-checkpoint .traffic-smoke/ckpt-sample -traffic-halt-epochs 1 -o /dev/null
 	$(GO) run ./cmd/h3cdn-measure $(TRAFFIC_SMOKE_FLAGS) -har-retention sample:4 -workers 2 -traffic-checkpoint .traffic-smoke/ckpt-sample -o .traffic-smoke/sample-resumed.json
 	cmp .traffic-smoke/sample-seq.json .traffic-smoke/sample-resumed.json
@@ -128,8 +128,12 @@ traffic-smoke:
 # writes the same -plot files from its own campaigns as from datasets
 # h3cdn-measure wrote under the same shared flags (so both commands build
 # the same campaign); -exp all plans 4 campaigns, Figure 9's 0%-added arm
-# sharing the standard one; and every row, the sweeps -exp all leaves out
-# included, completes in one run that shares and releases datasets.
+# sharing the standard one, and 2 from the files, which answer that arm
+# too; every row, the sweeps -exp all leaves out included, completes in
+# one run that shares and releases datasets; and per-page logs are
+# never read from where none were kept: -exp f9 under -har-retention none
+# is a usage error (exit 2), and a dataset file written under it fails
+# to load (exit 1).
 report-smoke:
 	rm -rf .report-smoke && mkdir -p .report-smoke
 	$(GO) build -o .report-smoke/h3cdn-measure ./cmd/h3cdn-measure
@@ -139,11 +143,15 @@ report-smoke:
 	.report-smoke/h3cdn-report -pages 6 -exp all -plot .report-smoke/own > .report-smoke/own.txt 2> .report-smoke/own.err
 	grep -qx 'h3cdn-report: 4 campaigns for 12 rows' .report-smoke/own.err
 	.report-smoke/h3cdn-report -pages 6 -exp all -plot .report-smoke/loaded \
-		-dataset .report-smoke/std.json -consecutive-dataset .report-smoke/cons.json > .report-smoke/loaded.txt
+		-dataset .report-smoke/std.json -consecutive-dataset .report-smoke/cons.json > .report-smoke/loaded.txt 2> .report-smoke/loaded.err
+	grep -qx 'h3cdn-report: 2 campaigns for 12 rows' .report-smoke/loaded.err
 	cmp .report-smoke/own.txt .report-smoke/loaded.txt
 	diff -r .report-smoke/own .report-smoke/loaded
 	.report-smoke/h3cdn-report -pages 6 -exp all,phases,lossprofile,celltrace,popcache \
 		-pop-users 16 -pop-duration 20s > /dev/null
+	.report-smoke/h3cdn-report -pages 6 -exp f9 -har-retention none > /dev/null 2>&1; test $$? -eq 2
+	.report-smoke/h3cdn-measure -pages 6 -har-retention none -o .report-smoke/none.json
+	.report-smoke/h3cdn-report -pages 6 -exp t2 -dataset .report-smoke/none.json > /dev/null 2>&1; test $$? -eq 1
 	rm -rf .report-smoke
 
 # Tracing smoke pass: run a small traced campaign through h3cdn-measure

@@ -41,8 +41,7 @@ func run(args []string) int {
 	cfg.BindFlags(fs)
 	fs.Float64Var(&cfg.LossRate, "loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
 	fs.BoolVar(&cfg.Consecutive, "consecutive", false, "consecutive-visit protocol (§VI-D)")
-	fs.BoolVar(&cfg.Sequential, "sequential", false, "disable shard parallelism")
-	fs.IntVar(&cfg.Workers, "workers", 0, "concurrent shard workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "concurrent shard workers (0 = GOMAXPROCS, 1 = one shard at a time)")
 	fs.IntVar(&cfg.FetchRetries, "retries", 0, "browser re-fetch budget per resource after transport errors")
 	fs.StringVar(&cfg.QlogDir, "qlog", "", "write per-shard qlog JSONL trace files into this directory (created if missing)")
 

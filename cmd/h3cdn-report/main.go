@@ -9,10 +9,11 @@
 // table order; the slower sweeps run only when named, and a repeated id
 // runs once. One core.Plan runs every distinct campaign config of the
 // selected rows once, at the configured scale; -dataset /
-// -consecutive-dataset files written by h3cdn-measure may stand in for
-// the standard and consecutive campaigns of the rows that read one
-// protocol's dataset. -plot writes the raw series files of the rows that
-// ran.
+// -consecutive-dataset files written by h3cdn-measure stand in for the
+// standard and consecutive campaigns of the rows that read only per-page
+// logs, Figure 9's 0%-added arm included. Under -har-retention none the
+// rows that read per-page logs are refused. -plot writes the raw series
+// files of the rows that ran.
 package main
 
 import (

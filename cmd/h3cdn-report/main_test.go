@@ -45,6 +45,11 @@ func TestUsageErrorsExit2(t *testing.T) {
 			t.Fatalf("-traces %q: exit %d, want 2", traces, got)
 		}
 	}
+	// A row that reads per-page logs is refused a retention that keeps
+	// none.
+	if got := run([]string{"-pages", "1", "-exp", "f9", "-har-retention", "none"}); got != 2 {
+		t.Fatalf("-exp f9 -har-retention none: exit %d, want 2", got)
+	}
 }
 
 // TestSelectArtifacts pins how -exp names rows: "all" expands in place

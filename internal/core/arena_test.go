@@ -148,11 +148,11 @@ func TestConcurrentCampaignsShareTopology(t *testing.T) {
 		}
 	}
 
-	// Sequential references first, then the same campaigns concurrently.
+	// One-worker references first, then the same campaigns concurrently.
 	want := make(map[uint64]string)
 	for _, seed := range []uint64{101, 202} {
 		ref := cfg(seed)
-		ref.Sequential = true
+		ref.Workers = 1
 		ds, err := RunCampaign(ref)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestConcurrentCampaignsShareTopology(t *testing.T) {
 	}
 	for seed, w := range want {
 		if got[seed] != w {
-			t.Fatalf("seed %d: concurrent dataset differs from sequential reference", seed)
+			t.Fatalf("seed %d: concurrent dataset differs from one-worker reference", seed)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"h3cdn/internal/analysis"
+	"h3cdn/internal/har"
 	"h3cdn/internal/traffic"
 )
 
@@ -42,6 +43,18 @@ type Arm struct {
 	Take   func(*Dataset) error
 }
 
+// Content is what a row reads of a dataset, a set of the bits below.
+type Content uint8
+
+const (
+	// PageLogs are the per-page HAR logs. A dataset file holds them,
+	// and a campaign that retains no page has none.
+	PageLogs Content = 1 << iota
+	// CampaignOnly is what only a campaign holds: Stats, Metrics,
+	// Traffic and Phases, none of which a dataset file serializes.
+	CampaignOnly
+)
+
 // Render returns a row's text and plot files once every arm of the row
 // has taken its dataset.
 type Render func() (string, []PlotFile)
@@ -53,11 +66,10 @@ type Artifact struct {
 	// InAll marks the artifacts -exp all runs; the others are sweeps
 	// too slow to run unless named.
 	InAll bool
-	// Loadable marks a row that reads one protocol's dataset (its one
-	// arm's Consecutive says which), so that a dataset file written by
-	// h3cdn-measure may stand in for the campaign. A sweep arm never
-	// does: a loaded dataset has no Stats, Metrics or Traffic.
-	Loadable bool
+	// Reads declares what the row takes from its arms' datasets; a row
+	// of no arms reads nothing. NewPlan derives from it which arms a
+	// dataset file answers and which retentions refuse the row.
+	Reads Content
 	// Build declares the row under in: the arms it reads, none for a
 	// row that reads no dataset, and its Render.
 	Build func(in ReportInputs) ([]Arm, Render, error)
@@ -144,7 +156,7 @@ var Artifacts = []Artifact{
 		text := RenderTable3(t)
 		return text, []PlotFile{{"table3.txt", text}}, nil
 	}),
-	{ID: "f9", InAll: true, Build: func(in ReportInputs) ([]Arm, Render, error) {
+	{ID: "f9", InAll: true, Reads: PageLogs, Build: func(in ReportInputs) ([]Arm, Render, error) {
 		arms, series := figure9Arms(in.Campaign)
 		return arms, func() (string, []PlotFile) {
 			var plots []PlotFile
@@ -159,10 +171,7 @@ var Artifacts = []Artifact{
 			return RenderFigure9(series), plots
 		}, nil
 	}},
-	// Phase attributions are folded from live event traces and never
-	// serialized, so no dataset file can supply them: phases always
-	// runs its own traced campaign.
-	{ID: "phases", Build: func(in ReportInputs) ([]Arm, Render, error) {
+	{ID: "phases", Reads: CampaignOnly, Build: func(in ReportInputs) ([]Arm, Render, error) {
 		cfg := in.Campaign
 		cfg.TracePhases = true
 		return oneArm(cfg, func(d *Dataset) (string, []PlotFile, error) {
@@ -170,15 +179,15 @@ var Artifacts = []Artifact{
 			return RenderPhaseReport(rows), nil, err
 		})
 	}},
-	{ID: "lossprofile", Build: sweep(lossProfileArms, RenderLossProfile)},
-	{ID: "celltrace", Build: sweep(cellTraceArms, RenderCellTrace)},
-	{ID: "popcache", Build: sweep(popCacheArms, RenderPopCache)},
+	{ID: "lossprofile", Reads: PageLogs | CampaignOnly, Build: sweep(lossProfileArms, RenderLossProfile)},
+	{ID: "celltrace", Reads: PageLogs | CampaignOnly, Build: sweep(cellTraceArms, RenderCellTrace)},
+	{ID: "popcache", Reads: CampaignOnly, Build: sweep(popCacheArms, RenderPopCache)},
 }
 
 // fromDataset makes an -exp all row that analyses the standard or the
 // consecutive protocol's dataset.
 func fromDataset(id string, consecutive bool, analyse func(*Dataset) (string, []PlotFile, error)) Artifact {
-	return Artifact{ID: id, InAll: true, Loadable: true, Build: func(in ReportInputs) ([]Arm, Render, error) {
+	return Artifact{ID: id, InAll: true, Reads: PageLogs, Build: func(in ReportInputs) ([]Arm, Render, error) {
 		cfg := in.Campaign
 		cfg.Consecutive = consecutive
 		return oneArm(cfg, analyse)
@@ -247,10 +256,12 @@ type planTake struct {
 }
 
 // NewPlan plans rows under in, checking every config before any
-// campaign runs. files[consecutive], when set, names the dataset file
-// that answers the Loadable rows reading that protocol. Two configs
-// equal after defaulting (pointer fields compared by the values they
-// point to) share one dataset.
+// campaign runs. A row that reads PageLogs is refused on an arm that
+// retains no page. files[consecutive], when set, names the dataset file
+// that answers each arm of a row reading PageLogs alone whose config is
+// in.Campaign under that protocol. Two configs equal after defaulting
+// (pointer fields compared by the values they point to) share one
+// dataset.
 func NewPlan(rows []Artifact, in ReportInputs, files map[bool]string) (*Plan, error) {
 	p := &Plan{rows: rows}
 	for _, a := range rows {
@@ -264,7 +275,12 @@ func NewPlan(rows []Artifact, in ReportInputs, files map[bool]string) (*Plan, er
 			if err := r.cfg.Validate(); err != nil {
 				return nil, fmt.Errorf("%s: %w", a.ID, err)
 			}
-			if a.Loadable {
+			if a.Reads&PageLogs != 0 && r.cfg.Retention.Kind == har.RetainNone {
+				return nil, fmt.Errorf("%s: reads per-page logs, which HAR retention none does not keep", a.ID)
+			}
+			base := in.Campaign
+			base.Consecutive = r.cfg.Consecutive
+			if a.Reads == PageLogs && reflect.DeepEqual(r.cfg, base.withDefaults()) {
 				r.file = files[r.cfg.Consecutive]
 			}
 			j := slices.IndexFunc(p.reads, func(q planRead) bool { return q.file == r.file && reflect.DeepEqual(q.cfg, r.cfg) })
@@ -319,16 +335,4 @@ func (p *Plan) Run(logf func(format string, args ...any), emit func(text string,
 		emit(p.renders[i]())
 	}
 	return nil
-}
-
-// runArms runs the arms of one row named id through a Plan of their own.
-func runArms(id string, arms []Arm) error {
-	row := Artifact{ID: id, Build: func(ReportInputs) ([]Arm, Render, error) {
-		return arms, func() (string, []PlotFile) { return "", nil }, nil
-	}}
-	plan, err := NewPlan([]Artifact{row}, ReportInputs{}, nil)
-	if err != nil {
-		return err
-	}
-	return plan.Run(func(string, ...any) {}, func(string, []PlotFile) {})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/har"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/vantage"
 	"h3cdn/internal/webgen"
@@ -22,23 +23,30 @@ func artifactRow(t *testing.T, id string) Artifact {
 	return Artifacts[i]
 }
 
-// runSweep builds a sweep's arms under in and runs them through a
-// Plan, returning the rows they fill.
+// runSweep builds a sweep's arms under in and runs the campaign of each,
+// returning the rows they fill.
 func runSweep[T any](t *testing.T, arms func(ReportInputs) ([]Arm, []T, error), in ReportInputs) []T {
 	t.Helper()
 	a, rows, err := arms(in)
-	if err == nil {
-		err = runArms("sweep", a)
-	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, arm := range a {
+		d, err := RunCampaign(arm.Config)
+		if err == nil {
+			err = arm.Take(d)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	return rows
 }
 
 // TestPlanCampaignCounts plans report rows without running them: equal
-// configs share one campaign, and a dataset file answers only the rows
-// that read a protocol's dataset, never a sweep arm.
+// configs share one campaign, and a dataset file answers the arms of the
+// rows that read per-page logs alone whose config is the base campaign,
+// never a row that reads what only a campaign holds.
 func TestPlanCampaignCounts(t *testing.T) {
 	in := ReportInputs{
 		Campaign: CampaignConfig{
@@ -69,8 +77,9 @@ func TestPlanCampaignCounts(t *testing.T) {
 		{"all", all, nil, 4, 0},
 		// lossprofile's i.i.d. arms are f9's; it adds two bursty arms.
 		{"all+lossprofile", append(all[:len(all):len(all)], artifactRow(t, "lossprofile")), nil, 6, 0},
-		// The files answer t2..t3; f9's 0% arm still runs.
-		{"all-from-files", all, files, 3, 2},
+		// The files answer t2..t3 and f9's 0% arm; f9's other arms run.
+		{"all-from-files", all, files, 2, 2},
+		{"f9-from-files", []Artifact{artifactRow(t, "f9")}, files, 2, 1},
 		{"lossprofile-from-files", []Artifact{artifactRow(t, "t2"), artifactRow(t, "lossprofile")}, files, 5, 1},
 		{"phases", []Artifact{artifactRow(t, "t2"), artifactRow(t, "phases")}, nil, 2, 0},
 		{"celltrace", []Artifact{artifactRow(t, "celltrace")}, nil, 2 * len(in.Profiles), 0},
@@ -88,12 +97,43 @@ func TestPlanCampaignCounts(t *testing.T) {
 			}
 			for _, r := range plan.reads {
 				for _, take := range r.takes {
-					if a := artifactRow(t, take.id); (r.file != "") != (a.Loadable && tc.files != nil) {
-						t.Errorf("%s reads %+q", a.ID, r.file)
+					if a := artifactRow(t, take.id); r.file != "" && a.Reads != PageLogs {
+						t.Errorf("%s reads %q", a.ID, r.file)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestPlanRetention plans every row under each HAR retention: under none
+// the rows that read per-page logs are refused, naming the row, before
+// any campaign runs, and the others plan; under all and sample:2 every
+// row plans.
+func TestPlanRetention(t *testing.T) {
+	refused := []string{"t2", "f2", "f3", "f4", "f5", "f6a", "f6b", "f7", "f8", "t3", "f9", "lossprofile", "celltrace"}
+	planned := []string{"t1", "phases", "popcache"}
+	in := ReportInputs{
+		Campaign: CampaignConfig{CorpusConfig: webgen.Config{NumPages: 6}, Vantages: vantage.Points()},
+		BurstLen: 4,
+		Profiles: []string{"lte"},
+		Pop:      traffic.Config{Users: 16, ArrivalRate: 2, Duration: 20 * time.Second},
+		PopSizes: []int{16},
+	}
+	for _, a := range Artifacts {
+		if slices.Contains(refused, a.ID) == slices.Contains(planned, a.ID) {
+			t.Fatalf("%s: in neither list or in both", a.ID)
+		}
+		for _, ret := range []har.Retention{{Kind: har.RetainAll}, {Kind: har.RetainSample, Sample: 2}, {Kind: har.RetainNone}} {
+			in.Campaign.Retention = ret
+			_, err := NewPlan([]Artifact{a}, in, nil)
+			want := ret.Kind == har.RetainNone && slices.Contains(refused, a.ID)
+			if (err != nil) != want {
+				t.Errorf("%s under %v: error %v, want refused %v", a.ID, ret, err, want)
+			} else if err != nil && !strings.HasPrefix(err.Error(), a.ID+": ") {
+				t.Errorf("%s under %v: error %q does not name the row", a.ID, ret, err)
+			}
+		}
 	}
 }
 

@@ -74,12 +74,10 @@ type CampaignConfig struct {
 	// measured pass (§VI-D); the standard protocol clears them after
 	// every visit.
 	Consecutive bool
-	// Sequential disables shard-level parallelism (for debugging). The
-	// shard decomposition is identical either way, so sequential and
-	// parallel runs of the same config produce identical datasets.
-	Sequential bool
 	// Workers bounds the worker pool draining shards. 0 selects
-	// GOMAXPROCS; negative is an error.
+	// GOMAXPROCS; 1 runs the shards one after another; negative is an
+	// error. The shard decomposition is the same at every count, so the
+	// dataset is too.
 	Workers int
 	// PagesPerShard is the page-range granularity of one shard (0
 	// selects 128). Consecutive mode ignores it: session continuity
@@ -88,7 +86,7 @@ type CampaignConfig struct {
 	// QlogDir, when non-empty, enables event tracing and writes one
 	// qlog JSONL file per shard (<mode>_<vantage>_p<probe>_s<shard>.qlog)
 	// covering every measured visit. The directory must exist. Shard
-	// files are byte-identical across worker counts and Sequential.
+	// files are byte-identical across worker counts.
 	QlogDir string
 	// TracePhases enables event tracing and folds each measured visit's
 	// trace into a phase breakdown, collected in Dataset.Phases.
@@ -135,7 +133,7 @@ func (c *CampaignConfig) BindFlags(fs *flag.FlagSet) {
 	})
 	fs.IntVar(&c.ProbesPerVantage, "probes", 1, "probes per vantage point")
 	c.Retention = har.Retention{Kind: har.RetainAll}
-	fs.Var(&c.Retention, "har-retention", "HAR retention `policy`: all, none, or sample:N (N PageLogs per shard); metrics always cover every page, and experiments needing per-page data fall back to sketch-derived (approximate) statistics (default all)")
+	fs.Var(&c.Retention, "har-retention", "HAR retention `policy`: all, none, or sample:N (N PageLogs per shard); metrics always cover every page, but none keeps no per-page log, so its dataset file does not load and h3cdn-report refuses none for the rows that read those logs (default all)")
 }
 
 // probesAt returns how many probes the campaign runs at a vantage point.
@@ -375,7 +373,7 @@ func (c CampaignConfig) Validate() error {
 
 // RunCampaign executes the full visit protocol and returns the dataset.
 // Shards run on a bounded worker pool (see CampaignConfig.Workers); the
-// result is independent of worker count and of Sequential.
+// result is independent of worker count.
 func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -407,14 +405,11 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	// carries and HTTP records warm once per worker, not once per shard
 	// (Pools.Detach says what does not carry); pool state never changes
 	// what is simulated, so which worker runs which shard cannot reach
-	// the dataset. Sequential is one worker.
+	// the dataset.
 	results := make([]shardResult, len(jobs))
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Sequential {
-		workers = 1
 	}
 	pools := make([]*httpsim.Pools, min(workers, len(jobs)))
 	queue := make(chan int, len(jobs))

@@ -131,11 +131,11 @@ func TestCampaignDeterministic(t *testing.T) {
 
 func TestCampaignSequentialMatchesParallel(t *testing.T) {
 	a := smallCampaign(t, nil)
-	b := smallCampaign(t, func(c *CampaignConfig) { c.Sequential = true })
+	b := smallCampaign(t, func(c *CampaignConfig) { c.Workers = 1 })
 	pa, pb := a.Logs[browser.ModeH3].Pages, b.Logs[browser.ModeH3].Pages
 	for i := range pa {
 		if pa[i].PLT != pb[i].PLT {
-			t.Fatalf("page %d: parallel %v vs sequential %v", i, pa[i].PLT, pb[i].PLT)
+			t.Fatalf("page %d: parallel %v vs one worker %v", i, pa[i].PLT, pb[i].PLT)
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // every timing and ordering invariant was verified unchanged.
 const goldenDatasetSHA256 = "57ccb9f40974fcf92c3a424944097c9ad7c817d82f02d7aa6376bc56fbb834dc"
 
-// TestCampaignGoldenDataset runs the pinned campaign sequentially and at
-// two worker counts, asserting every run is byte-identical to the
+// TestCampaignGoldenDataset runs the pinned campaign at one and at four
+// workers, asserting every run is byte-identical to the
 // recorded golden hash.
 func TestCampaignGoldenDataset(t *testing.T) {
 	if testing.Short() {
@@ -31,7 +31,6 @@ func TestCampaignGoldenDataset(t *testing.T) {
 		name string
 		mut  func(*CampaignConfig)
 	}{
-		{"Sequential", func(c *CampaignConfig) { c.Sequential = true }},
 		{"Workers1", func(c *CampaignConfig) { c.Workers = 1 }},
 		{"Workers4", func(c *CampaignConfig) { c.Workers = 4 }},
 	}

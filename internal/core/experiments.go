@@ -586,34 +586,15 @@ type Fig9Series struct {
 	// MedianReductionMs is the robust per-site level — the primary
 	// loss-dimension readout (grows strongly with loss).
 	MedianReductionMs float64
-	// Approx marks series computed from the streamed sketches because no
-	// PageLogs were retained. MedianReductionMs is then the difference
-	// of the per-mode median PLTs (each within the sketch's relative-
-	// error bound) rather than the median of per-site differences —
-	// pairing sites requires retained HARs — and Points/Slope/Intercept
-	// are empty.
-	Approx bool
 }
 
 // ComputeFigure9Series extracts per-site (CDN resources, PLT reduction)
 // points from one dataset and fits a line robustly: sites are binned into
 // resource-count quartiles and the fit runs over per-bin medians, so
-// heavy-tailed loss stalls do not swamp the trend. A dataset without
-// retained PageLogs (RetainNone) falls back to the sketch estimator (see
-// Fig9Series.Approx).
+// heavy-tailed loss stalls do not swamp the trend.
 func ComputeFigure9Series(ds *Dataset, lossRate float64) (Fig9Series, error) {
 	sms := ComputeSiteMetrics(ds)
 	s := Fig9Series{LossRate: lossRate}
-	if len(sms) == 0 && ds.Metrics != nil {
-		h2 := ds.Metrics.ModeGroup(browser.ModeH2.String())
-		h3 := ds.Metrics.ModeGroup(browser.ModeH3.String())
-		if h2 == nil || h3 == nil || h2.Pages == 0 || h3.Pages == 0 {
-			return s, fmt.Errorf("core: Figure9: no retained pages and no sketch coverage for both modes")
-		}
-		s.Approx = true
-		s.MedianReductionMs = h2.MedianPLTMs() - h3.MedianPLTMs()
-		return s, nil
-	}
 	for i := range sms {
 		s.Points = append(s.Points, analysis.Point{
 			X: float64(sms[i].CDNEntries),

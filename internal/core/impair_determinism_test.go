@@ -32,7 +32,7 @@ import (
 const goldenImpairedSHA256 = "a54513c1a47a11d18b1387b664b7bd1596414231ab67ed9b3752d266ab5ed826"
 
 // TestImpairedCampaignGoldenDataset mirrors TestCampaignGoldenDataset
-// under bursty loss + jitter, across Sequential / Workers 1 / Workers 4.
+// under bursty loss + jitter, across Workers 1 / Workers 4.
 func TestImpairedCampaignGoldenDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale impaired campaign; skipped with -short")
@@ -43,7 +43,6 @@ func TestImpairedCampaignGoldenDataset(t *testing.T) {
 		name string
 		mut  func(*CampaignConfig)
 	}{
-		{"Sequential", func(c *CampaignConfig) { c.Sequential = true }},
 		{"Workers1", func(c *CampaignConfig) { c.Workers = 1 }},
 		{"Workers4", func(c *CampaignConfig) { c.Workers = 4 }},
 	}

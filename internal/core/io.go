@@ -47,8 +47,9 @@ func (d *Dataset) SaveJSON(w io.Writer) error {
 }
 
 // LoadDataset deserializes a dataset written by SaveJSON. A dataset
-// without a corpus, or with a null log for a mode, is rejected: the
-// analyses read both.
+// without a corpus, with a null log for a mode, or whose logs hold no
+// page (a campaign's under HAR retention none) is rejected: the analyses
+// read both, and per-page logs are all a dataset file holds.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	var in datasetJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -63,6 +64,7 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 		Corpus:      in.Corpus,
 		Logs:        make(map[browser.Mode]*har.Log, len(in.Logs)),
 	}
+	pages := 0
 	for name, log := range in.Logs {
 		mode, ok := modeByName(name)
 		if !ok {
@@ -72,6 +74,10 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("core: load dataset: mode %s has a null log", name)
 		}
 		ds.Logs[mode] = log
+		pages += len(log.Pages)
+	}
+	if pages == 0 {
+		return nil, fmt.Errorf("core: load dataset: no page in any log")
 	}
 	return ds, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -54,8 +56,11 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(strings.NewReader(`{"corpus":{},"logs":{"spdy":{}}}`)); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	// The analyses dereference the corpus and every mode's log.
-	for _, in := range []string{`{}`, `{"corpus":null,"logs":{}}`, `{"corpus":{"pages":[]},"logs":{"h2":null}}`} {
+	// The analyses dereference the corpus and every mode's log, and
+	// read per-page logs: a file a campaign wrote under HAR retention
+	// none holds none.
+	for _, in := range []string{`{}`, `{"corpus":null,"logs":{}}`, `{"corpus":{"pages":[]},"logs":{"h2":null}}`,
+		`{"corpus":{"pages":[]},"logs":{}}`, `{"corpus":{"pages":[]},"logs":{"h2":{"pages":[]},"h3":{"pages":null}}}`} {
 		if _, err := LoadDataset(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", in)
 		}
@@ -83,19 +88,27 @@ func FuzzLoadDataset(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real.Bytes())
-	// Datasets without an H3-mode log: Figure 5 and Table III read it.
+	// A pageless dataset, and one without an H3-mode log: Figure 5 and
+	// Table III read it.
 	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{}}`))
-	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{"h2":{"pages":[]}}}`))
+	f.Add([]byte(`{"corpus":{"pages":[]},"logs":{"h2":{"pages":[{"site":"a.example","protocol":"h2","plt":1000000}]}}}`))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ds, err := LoadDataset(bytes.NewReader(blob))
 		if err != nil {
 			return
 		}
-		// Every dataset row must run to a result or an error.
+		// Every row a dataset file may answer must run to a result or
+		// an error.
 		for _, a := range Artifacts {
-			if a.Loadable {
+			if a.Reads == PageLogs {
 				arms, render, _ := a.Build(ReportInputs{})
-				if arms[0].Take(ds) == nil {
+				var err error
+				for _, arm := range arms {
+					if err = arm.Take(ds); err != nil {
+						break
+					}
+				}
+				if err == nil {
 					render()
 				}
 			}
@@ -129,16 +142,25 @@ func TestModeByName(t *testing.T) {
 	}
 }
 
-// TestArtifactRows runs the -exp all rows of Artifacts: each row that
-// reads one protocol's dataset on the small campaign fixtures, every
-// other row on campaigns of the configs it declares. Each must render
-// text; each dataset row must export plot files, none empty; and no two
-// rows may export the same file name, which would overwrite one
-// artifact's plot data with another's.
+// TestArtifactRows runs the -exp all rows of Artifacts through one Plan,
+// with the small campaign fixtures saved as the standard and consecutive
+// dataset files: they answer every row that reads per-page logs alone,
+// Figure 9's 0%-added arm included, so only Figure 9's two lossy arms
+// run. Each row must render text; each row a file answers must export
+// plot files, none empty; and no two rows may export the same file name,
+// which would overwrite one artifact's plot data with another's.
 func TestArtifactRows(t *testing.T) {
-	datasets := map[bool]*Dataset{
-		false: smallCampaign(t, nil),
-		true:  smallCampaign(t, func(c *CampaignConfig) { c.Consecutive = true }),
+	files := map[bool]string{}
+	for _, consecutive := range []bool{false, true} {
+		ds := smallCampaign(t, func(c *CampaignConfig) { c.Consecutive = consecutive })
+		var buf bytes.Buffer
+		if err := ds.SaveJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		files[consecutive] = filepath.Join(t.TempDir(), "dataset.json")
+		if err := os.WriteFile(files[consecutive], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	in := ReportInputs{
 		Campaign: CampaignConfig{
@@ -148,31 +170,28 @@ func TestArtifactRows(t *testing.T) {
 			ProbesPerVantage: 1,
 		},
 	}
-	owner := map[string]string{}
+	var rows []Artifact
 	for _, a := range Artifacts {
-		if !a.InAll {
-			continue
+		if a.InAll {
+			rows = append(rows, a)
 		}
-		arms, render, err := a.Build(in)
-		for _, arm := range arms {
-			d := datasets[arm.Config.Consecutive]
-			if !a.Loadable {
-				if d, err = RunCampaign(arm.Config); err != nil {
-					break
-				}
-			}
-			if err = arm.Take(d); err != nil {
-				break
-			}
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", a.ID, err)
-		}
-		text, plots := render()
+	}
+	plan, err := NewPlan(rows, in, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.runs != 2 {
+		t.Fatalf("%d campaigns planned, want Figure 9's 2 lossy arms", plan.runs)
+	}
+	owner := map[string]string{}
+	i := 0
+	err = plan.Run(func(string, ...any) {}, func(text string, plots []PlotFile) {
+		a := rows[i]
+		i++
 		if text == "" {
 			t.Errorf("%s: empty text", a.ID)
 		}
-		if len(plots) == 0 && a.Loadable {
+		if len(plots) == 0 && a.Reads == PageLogs {
 			t.Errorf("%s: no plot files", a.ID)
 		}
 		for _, p := range plots {
@@ -184,5 +203,8 @@ func TestArtifactRows(t *testing.T) {
 			}
 			owner[p.Name] = a.ID
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Figure9Losses are the added loss rates of §VI-E's Traffic Control
 // sweep: 0%, 0.5%, and 1% on top of the ambient baseline.
 func Figure9Losses() []float64 {
@@ -37,8 +39,19 @@ func figure9Arms(base CampaignConfig) ([]Arm, []Fig9Series) {
 // reduction-vs-resources series. Every arm is checked before any runs.
 func RunFigure9(base CampaignConfig) ([]Fig9Series, error) {
 	arms, series := figure9Arms(base)
-	if err := runArms("f9", arms); err != nil {
-		return nil, err
+	for _, arm := range arms {
+		if err := arm.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("f9: %w", err)
+		}
+	}
+	for _, arm := range arms {
+		d, err := RunCampaign(arm.Config)
+		if err == nil {
+			err = arm.Take(d)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("f9: %w", err)
+		}
 	}
 	return series, nil
 }

@@ -135,22 +135,6 @@ func TestRetentionNone(t *testing.T) {
 			t.Fatalf("row %d (%v): sketch median %.3f outside exact bracket [%.3f, %.3f]", i, r.Mode, r.MedianPLT, lo, hi)
 		}
 	}
-
-	// Figure 9 degrades to the sketch estimator instead of erroring.
-	s9, err := ComputeFigure9Series(none, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s9.Approx || len(s9.Points) != 0 {
-		t.Fatalf("Fig9 approx=%v points=%d, want sketch fallback", s9.Approx, len(s9.Points))
-	}
-	exact9, err := ComputeFigure9Series(full, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact9.Approx {
-		t.Fatal("full dataset Fig9 took the sketch path")
-	}
 }
 
 // TestRetentionSample checks the deterministic reservoir path: a stable
@@ -231,11 +215,7 @@ func TestRetentionWorkerDeterminism(t *testing.T) {
 				PagesPerShard:    4, // 3 shards per probe: exercises multi-shard stitch
 				Retention:        ret,
 			}
-			if workers == 0 {
-				cfg.Sequential = true
-			} else {
-				cfg.Workers = workers
-			}
+			cfg.Workers = workers
 			ds, err := RunCampaign(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // The campaign-level golden byte-identity guarantee for the shared-
 // topology path lives in TestCampaignGoldenDataset and
 // TestImpairedCampaignGoldenDataset: RunCampaign now builds one Topology
-// and shares it across Sequential / Workers {1, 4}, and both pinned
+// and shares it across Workers {1, 4}, and both pinned
 // hashes predate the refactor. The tests here cover the sharing
 // semantics directly: a shared topology must be observationally
 // identical to a private one, and concurrent campaigns over one corpus
@@ -86,7 +86,7 @@ func TestSharedTopologyMatchesPrivate(t *testing.T) {
 // one corpus. Each campaign builds its own shared Topology and fans it
 // out across its worker pool, so under -race this exercises concurrent
 // reads of both the corpus maps and the topology tables. Both datasets
-// must match a sequential reference byte-for-byte.
+// must match a one-worker reference byte-for-byte.
 func TestConcurrentCampaignsSharedCorpus(t *testing.T) {
 	corpus := webgen.Generate(webgen.Config{NumPages: 8, Seed: 7})
 	cfg := CampaignConfig{
@@ -98,7 +98,7 @@ func TestConcurrentCampaignsSharedCorpus(t *testing.T) {
 	}
 
 	seqCfg := cfg
-	seqCfg.Sequential = true
+	seqCfg.Workers = 1
 	ref, err := RunCampaign(seqCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestConcurrentCampaignsSharedCorpus(t *testing.T) {
 			t.Fatalf("campaign %d: %v", i, err)
 		}
 		if sums[i] != refSum {
-			t.Fatalf("campaign %d dataset differs from sequential reference", i)
+			t.Fatalf("campaign %d dataset differs from one-worker reference", i)
 		}
 	}
 }

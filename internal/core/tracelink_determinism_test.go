@@ -17,7 +17,7 @@ import (
 // goldenImpairedSHA256. TraceLink.Serialize is a pure function of
 // (virtual time, size), so the replay position a packet observes depends
 // only on the simulation trajectory, never on worker scheduling; this
-// test is the proof, across Sequential / Workers 1 / Workers 4.
+// test is the proof, across Workers 1 / Workers 4.
 const goldenTraceLinkSHA256 = "7757c078fc7982676739d631a853ae0a4d891721806f146fd2a511d5bf7ed29d"
 
 // TestTraceLinkCampaignGoldenDataset is the fourth pinned golden:
@@ -35,7 +35,6 @@ func TestTraceLinkCampaignGoldenDataset(t *testing.T) {
 		name string
 		mut  func(*CampaignConfig)
 	}{
-		{"Sequential", func(c *CampaignConfig) { c.Sequential = true }},
 		{"Workers1", func(c *CampaignConfig) { c.Workers = 1 }},
 		{"Workers4", func(c *CampaignConfig) { c.Workers = 4 }},
 	}

@@ -42,7 +42,7 @@ func trafficCampaign(t *testing.T, mutate func(*CampaignConfig)) *Dataset {
 		Vantages:         vantage.Points()[:1],
 		ProbesPerVantage: 1,
 		Traffic:          smallTraffic(),
-		Sequential:       true,
+		Workers:          1,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -206,8 +206,8 @@ func TestTrafficRejectsIncompatibleConfigs(t *testing.T) {
 // perturbs these bytes.
 const goldenTrafficSHA256 = "7871aefa6f5bbdd3f24e9464603409f73110d6830be7d51c92c3fd5aa1ad4251"
 
-// TestTrafficGoldenDataset runs the pinned population campaign
-// sequentially and at two worker counts, asserting byte-identity.
+// TestTrafficGoldenDataset runs the pinned population campaign at one
+// and at four workers, asserting byte-identity.
 func TestTrafficGoldenDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-shard population campaign; skipped with -short")
@@ -216,7 +216,6 @@ func TestTrafficGoldenDataset(t *testing.T) {
 		name string
 		mut  func(*CampaignConfig)
 	}{
-		{"Sequential", func(c *CampaignConfig) { c.Sequential = true }},
 		{"Workers1", func(c *CampaignConfig) { c.Workers = 1 }},
 		{"Workers4", func(c *CampaignConfig) { c.Workers = 4 }},
 	}
@@ -263,7 +262,7 @@ func TestTrafficKeptLogsNeverReused(t *testing.T) {
 	run := func(ret har.Retention) *Dataset {
 		cfg := goldenTrafficConfig()
 		cfg.Retention = ret
-		cfg.Sequential = true
+		cfg.Workers = 1
 		ds, err := RunCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -447,8 +446,8 @@ func TestTrafficSampledRetention(t *testing.T) {
 		t.Fatalf("stats folded/retained = %d/%d, completed %d",
 			ref.Stats.PagesFolded, ref.Stats.PagesRetained, ref.Traffic.Counters.VisitsCompleted)
 	}
-	for _, workers := range []int{1, 4} {
-		ds := sampled(func(c *CampaignConfig) { c.Sequential, c.Workers = false, workers })
+	for _, workers := range []int{2, 4} {
+		ds := sampled(func(c *CampaignConfig) { c.Workers = workers })
 		if got := harJSON(t, ds); string(got) != string(want) {
 			t.Fatalf("sampled population dataset differs at workers=%d", workers)
 		}
@@ -484,7 +483,7 @@ func TestTrafficCheckpointConfigMismatch(t *testing.T) {
 			ProbesPerVantage: 1,
 			Modes:            []browser.Mode{browser.ModeH3},
 			Traffic:          smallTraffic(),
-			Sequential:       true,
+			Workers:          1,
 		}
 		cfg.Traffic.CheckpointDir = dir
 		cfg.Traffic.HaltAfterEpochs = 1
