@@ -155,11 +155,14 @@ report-smoke:
 	rm -rf .report-smoke
 
 # Tracing smoke pass: run a small traced campaign through h3cdn-measure
-# -qlog and validate every emitted qlog line with qlogcheck.
+# -qlog, clean and then impaired (bursty loss, jitter, reordering and the
+# LTE link trace), and validate every emitted qlog line with qlogcheck.
 trace-smoke:
-	rm -rf .trace-smoke && mkdir -p .trace-smoke
-	$(GO) run ./cmd/h3cdn-measure -pages 4 -qlog .trace-smoke -o .trace-smoke/dataset.json
-	$(GO) run ./cmd/qlogcheck -dir .trace-smoke
+	rm -rf .trace-smoke && mkdir -p .trace-smoke/clean .trace-smoke/impaired
+	$(GO) run ./cmd/h3cdn-measure -pages 4 -qlog .trace-smoke/clean -o .trace-smoke/dataset.json
+	$(GO) run ./cmd/qlogcheck -dir .trace-smoke/clean
+	$(GO) run ./cmd/h3cdn-measure -pages 8 -burst-loss 0.02 -jitter 2ms -reorder 0.01 -link-trace lte -qlog .trace-smoke/impaired -o .trace-smoke/impaired.json
+	$(GO) run ./cmd/qlogcheck -dir .trace-smoke/impaired
 	rm -rf .trace-smoke
 
 fmt:

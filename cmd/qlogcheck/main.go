@@ -8,8 +8,10 @@
 //
 // Every line must parse as standalone JSON (the JSON-SEQ text framing
 // qlog tools consume). The checker verifies the header line, pairs
-// visit_start/visit_end records, and reports event counts and any
-// ring-overflow drops. It exits nonzero on the first malformed file.
+// visit_start/visit_end records, refuses a visit_start whose
+// dropped_events is not 0 (the writer delivers every event of a visit or
+// fails it), and reports visit and event counts. It exits nonzero on the
+// first malformed file.
 package main
 
 import (
@@ -20,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,8 +58,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "qlogcheck: %s: %v\n", name, err)
 			return 1
 		}
-		fmt.Printf("%s: %d visits, %d events, %d dropped\n",
-			filepath.Base(name), sum.visits, sum.events, sum.dropped)
+		fmt.Printf("%s: %d visits, %d events\n", filepath.Base(name), sum.visits, sum.events)
 		totalVisits += sum.visits
 		totalEvents += sum.events
 	}
@@ -67,9 +67,8 @@ func run() int {
 }
 
 type summary struct {
-	visits  int
-	events  int
-	dropped int
+	visits int
+	events int
 }
 
 // checkFile validates one qlog file.
@@ -109,12 +108,8 @@ func check(r io.Reader) (summary, error) {
 			openVisit = true
 			sum.visits++
 			if data, ok := rec["data"].(map[string]any); ok {
-				if v, ok := data["dropped_events"]; ok {
-					d, err := count(v)
-					if err != nil || d > math.MaxInt-sum.dropped {
-						return sum, fmt.Errorf("line %d: dropped_events %v is not a non-negative integer", line, v)
-					}
-					sum.dropped += d
+				if v, ok := data["dropped_events"]; ok && v != json.Number("0") {
+					return sum, fmt.Errorf("line %d: dropped_events %v, want 0", line, v)
 				}
 			}
 		case "sim:visit_end":
@@ -177,14 +172,4 @@ func checkNumbers(v any) error {
 		}
 	}
 	return nil
-}
-
-// count parses a JSON number written as a non-negative decimal integer.
-func count(v any) (int, error) {
-	n, ok := v.(json.Number)
-	if !ok {
-		return 0, errors.New("not a number")
-	}
-	d, err := strconv.ParseUint(string(n), 10, strconv.IntSize-1)
-	return int(d), err
 }

@@ -186,6 +186,21 @@ func TestRunFigure9RejectsBadBase(t *testing.T) {
 	}
 }
 
+// TestRunFigure9RefusesRetainNone runs Figure 9 on a base that keeps no
+// page log: the plan's refusal names the cause before any campaign runs.
+func TestRunFigure9RefusesRetainNone(t *testing.T) {
+	base := CampaignConfig{
+		CorpusConfig: webgen.Config{NumPages: 2},
+		Vantages:     vantage.Points()[:1],
+		Retention:    har.Retention{Kind: har.RetainNone},
+	}
+	series, err := RunFigure9(base)
+	const want = "f9: reads per-page logs, which HAR retention none does not keep"
+	if err == nil || err.Error() != want {
+		t.Fatalf("RunFigure9 on RetainNone: %d series, err %v; want %q", len(series), err, want)
+	}
+}
+
 // TestPlanRunsEachCampaignOnce runs every -exp all row plus lossprofile
 // through one Plan: each of the 6 distinct configs runs once, although
 // f9 and lossprofile read the standard campaign and lossprofile reads

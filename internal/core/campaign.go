@@ -89,14 +89,10 @@ type CampaignConfig struct {
 	// files are byte-identical across worker counts.
 	QlogDir string
 	// TracePhases enables event tracing and folds each measured visit's
-	// trace into a phase breakdown, collected in Dataset.Phases.
+	// whole trace into a phase breakdown, collected in Dataset.Phases.
+	// A visit whose trace outgrows the tracer's ceiling fails the
+	// campaign rather than be attributed from part of its events.
 	TracePhases bool
-	// TraceRing overrides the tracer's event-ring capacity per shard
-	// (0 keeps the trace package default). When a visit overflows the
-	// ring, its sweep-based attribution is replaced by HAR-derived
-	// buckets and marked Truncated — mainly a test knob, but also a
-	// memory bound for very large traced campaigns.
-	TraceRing int
 	// Retention selects what happens to finished PageLogs after they
 	// are folded into Dataset.Metrics: keep them all (the zero value —
 	// the historical exact-analysis behavior), keep a deterministic
@@ -587,7 +583,7 @@ func runScripted(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSi
 		if err != nil {
 			return fmt.Errorf("measured visit: %w", err)
 		}
-		sink.fold(log, visitSample(log, sink.phasesOf(log)))
+		sink.fold(log, visitSample(log, sink.phasesOf()))
 		if !cfg.Consecutive {
 			b.ClearSessions()
 		}

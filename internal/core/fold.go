@@ -56,7 +56,7 @@ func cacheWarmth(log *har.PageLog) (hits, misses int64, warm bool) {
 }
 
 // phaseSample converts a trace phase breakdown to the sketch layer's
-// slot array (slot order matches sketch.PhaseNames).
+// slot array, in PhaseBreakdown's field order.
 func phaseSample(pb *trace.PhaseBreakdown) *sketch.PhaseSample {
 	return &sketch.PhaseSample{
 		Ns: [sketch.NumPhases]int64{
@@ -67,6 +67,5 @@ func phaseSample(pb *trace.PhaseBreakdown) *sketch.PhaseSample {
 			int64(pb.Transfer),
 			int64(pb.Other),
 		},
-		Truncated: pb.Truncated,
 	}
 }

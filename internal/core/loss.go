@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Figure9Losses are the added loss rates of §VI-E's Traffic Control
 // sweep: 0%, 0.5%, and 1% on top of the ambient baseline.
 func Figure9Losses() []float64 {
@@ -36,22 +34,20 @@ func figure9Arms(base CampaignConfig) ([]Arm, []Fig9Series) {
 }
 
 // RunFigure9 executes one campaign per added loss rate and fits each
-// reduction-vs-resources series. Every arm is checked before any runs.
+// reduction-vs-resources series. Its arms run as a one-row Plan, which
+// checks every arm, and refuses a base that keeps no page log, before
+// any campaign runs.
 func RunFigure9(base CampaignConfig) ([]Fig9Series, error) {
 	arms, series := figure9Arms(base)
-	for _, arm := range arms {
-		if err := arm.Config.Validate(); err != nil {
-			return nil, fmt.Errorf("f9: %w", err)
-		}
+	row := Artifact{ID: "f9", Reads: PageLogs, Build: func(ReportInputs) ([]Arm, Render, error) {
+		return arms, func() (string, []PlotFile) { return "", nil }, nil
+	}}
+	p, err := NewPlan([]Artifact{row}, ReportInputs{Campaign: base}, nil)
+	if err == nil {
+		err = p.Run(func(string, ...any) {}, func(string, []PlotFile) {})
 	}
-	for _, arm := range arms {
-		d, err := RunCampaign(arm.Config)
-		if err == nil {
-			err = arm.Take(d)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("f9: %w", err)
-		}
+	if err != nil {
+		return nil, err
 	}
 	return series, nil
 }

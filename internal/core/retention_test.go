@@ -247,7 +247,7 @@ func TestStitchRetainedMixedShards(t *testing.T) {
 	}
 	acc := func() *sketch.MetricAccumulator { return sketch.NewAccumulator(sketch.DefaultAlpha) }
 	results := []shardResult{
-		{pages: []har.PageLog{{Site: "a1"}, {Site: "a2"}}, phases: []trace.PhaseBreakdown{{Truncated: true}, {}}, acc: acc()},
+		{pages: []har.PageLog{{Site: "a1"}, {Site: "a2"}}, phases: []trace.PhaseBreakdown{{Connect: 1}, {}}, acc: acc()},
 		{acc: acc()}, // an empty-retention shard in the middle
 		{pages: []har.PageLog{{Site: "c1"}}, phases: []trace.PhaseBreakdown{{}}, acc: acc()},
 		{pages: []har.PageLog{{Site: "d1"}}, phases: []trace.PhaseBreakdown{{}}, acc: acc()},
@@ -265,7 +265,7 @@ func TestStitchRetainedMixedShards(t *testing.T) {
 	if len(h3) != 1 || h3[0].Site != "d1" {
 		t.Fatalf("h3 stitch: %+v", h3)
 	}
-	if len(ds.Phases[browser.ModeH2]) != 3 || !ds.Phases[browser.ModeH2][0].Truncated {
+	if len(ds.Phases[browser.ModeH2]) != 3 || ds.Phases[browser.ModeH2][0].Connect != 1 {
 		t.Fatalf("h2 phases: %+v", ds.Phases[browser.ModeH2])
 	}
 	// Without phase tracking the dataset carries no phase map at all.

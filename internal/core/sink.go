@@ -85,7 +85,7 @@ func newVisitSink(cfg CampaignConfig, job shardJob) *visitSink {
 		s.qlog = trace.NewQlogWriter(&s.qbuf, name)
 	}
 	if cfg.QlogDir != "" || cfg.TracePhases {
-		s.tracer = trace.New(cfg.TraceRing, s.traced)
+		s.tracer = trace.New(0, s.traced)
 	}
 	return s
 }
@@ -101,17 +101,10 @@ func (s *visitSink) traced(v *trace.VisitRecord) {
 }
 
 // phasesOf returns the phase breakdown of the visit about to be folded,
-// or nil on campaigns without TracePhases. Ring overflow degrades
-// AttributeVisit to a suffix sweep whose spans may be missing their
-// openings; those visits fall back to the HAR timings — coarser buckets,
-// but complete — and keep the Truncated mark so consumers can tell the
-// two apart.
-func (s *visitSink) phasesOf(log *har.PageLog) *trace.PhaseBreakdown {
+// or nil on campaigns without TracePhases.
+func (s *visitSink) phasesOf() *trace.PhaseBreakdown {
 	if !s.tracePhases {
 		return nil
-	}
-	if s.pending.Truncated {
-		s.pending = harPhases(log)
 	}
 	return &s.pending
 }

@@ -403,7 +403,8 @@ func (u *Universe) Pools() *httpsim.Pools { return u.pools }
 
 // RunVisit drives one page load to completion and returns its log. When
 // the universe carries a tracer, the visit's events are recorded between
-// BeginVisit and EndVisit and flushed to the tracer's sink on success.
+// BeginVisit and EndVisit and flushed to the tracer's sink on success; a
+// visit whose trace outgrows the tracer's ceiling fails.
 func (u *Universe) RunVisit(b *browser.Browser, page *webgen.Page) (*har.PageLog, error) {
 	return u.runVisit(b, page, &har.PageLog{}, u.cfg.Trace)
 }
@@ -433,7 +434,9 @@ func (u *Universe) runVisit(b *browser.Browser, page *webgen.Page, log *har.Page
 		tr.Abort()
 		return nil, fmt.Errorf("core: visit %s: %w", page.Site, err)
 	}
-	tr.EndVisit(log.PLT)
+	if err := tr.EndVisit(log.PLT); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	// Visit boundary: the scheduler has drained and the browser closed
 	// every connection, so every wire buffer is back. One still
 	// outstanding now was dropped without being returned.

@@ -11,10 +11,6 @@ import (
 // trace.AttributeVisit taxonomy).
 const NumPhases = 6
 
-// PhaseNames labels the phase slots of PhaseSample.Ns and
-// GroupMetrics.PhaseSumNs, in slot order.
-var PhaseNames = [NumPhases]string{"resolve", "connect", "handshake", "stall", "transfer", "other"}
-
 // DefaultPLTBoundsMs are the fixed histogram bounds (milliseconds) for
 // per-group page-load-time histograms.
 var DefaultPLTBoundsMs = []float64{50, 100, 200, 500, 1000, 2000, 5000, 10000, 30000}
@@ -27,10 +23,9 @@ type Key struct {
 }
 
 // PhaseSample is one visit's phase attribution in nanoseconds per slot
-// (see PhaseNames). The slots partition the visit's PLT.
+// (see NumPhases). The slots partition the visit's PLT.
 type PhaseSample struct {
-	Ns        [NumPhases]int64
-	Truncated bool
+	Ns [NumPhases]int64
 }
 
 // VisitSample is the fold unit: everything a finished visit contributes
@@ -89,10 +84,9 @@ type GroupMetrics struct {
 	PLTWarm     *Quantile // ms
 
 	// Phase aggregates cover only visits that carried a PhaseSample.
-	PhasePages     uint64
-	PhaseSumNs     [NumPhases]int64
-	Phase          [NumPhases]*Quantile // ms
-	PhaseTruncated uint64
+	PhasePages uint64
+	PhaseSumNs [NumPhases]int64
+	Phase      [NumPhases]*Quantile // ms
 }
 
 func newGroupMetrics(alpha float64) *GroupMetrics {
@@ -143,9 +137,6 @@ func (g *GroupMetrics) Fold(v VisitSample) {
 		g.PhaseSumNs[i] += ns
 		g.Phase[i].Add(float64(ns) / nsPerMs)
 	}
-	if v.Phase.Truncated {
-		g.PhaseTruncated++
-	}
 }
 
 // Merge folds o into g (associative and commutative; same α required).
@@ -174,7 +165,6 @@ func (g *GroupMetrics) Merge(o *GroupMetrics) {
 		g.PhaseSumNs[i] += o.PhaseSumNs[i]
 		g.Phase[i].Merge(o.Phase[i])
 	}
-	g.PhaseTruncated += o.PhaseTruncated
 }
 
 // Clone returns an independent deep copy.

@@ -119,36 +119,34 @@ type groupMetricsJSON struct {
 	PLTCold     *Quantile `json:"pltCold,omitempty"`
 	PLTWarm     *Quantile `json:"pltWarm,omitempty"`
 
-	PhasePages     uint64               `json:"phasePages,omitempty"`
-	PhaseSumNs     [NumPhases]int64     `json:"phaseSumNs"`
-	Phase          [NumPhases]*Quantile `json:"phase"`
-	PhaseTruncated uint64               `json:"phaseTruncated,omitempty"`
+	PhasePages uint64               `json:"phasePages,omitempty"`
+	PhaseSumNs [NumPhases]int64     `json:"phaseSumNs"`
+	Phase      [NumPhases]*Quantile `json:"phase"`
 }
 
 // MarshalJSON encodes one group's aggregates.
 func (g *GroupMetrics) MarshalJSON() ([]byte, error) {
 	return json.Marshal(groupMetricsJSON{
-		Alpha:          g.alpha,
-		Pages:          g.Pages,
-		PLT:            g.PLT,
-		PLTHist:        g.PLTHist,
-		PLTSumNs:       g.PLTSumNs,
-		Bytes:          g.Bytes,
-		Entries:        g.Entries,
-		Failed:         g.Failed,
-		Retries:        g.Retries,
-		Reused:         g.Reused,
-		Resumed:        g.Resumed,
-		CacheHits:      g.CacheHits,
-		CacheMisses:    g.CacheMisses,
-		ColdPages:      g.ColdPages,
-		WarmPages:      g.WarmPages,
-		PLTCold:        g.PLTCold,
-		PLTWarm:        g.PLTWarm,
-		PhasePages:     g.PhasePages,
-		PhaseSumNs:     g.PhaseSumNs,
-		Phase:          g.Phase,
-		PhaseTruncated: g.PhaseTruncated,
+		Alpha:       g.alpha,
+		Pages:       g.Pages,
+		PLT:         g.PLT,
+		PLTHist:     g.PLTHist,
+		PLTSumNs:    g.PLTSumNs,
+		Bytes:       g.Bytes,
+		Entries:     g.Entries,
+		Failed:      g.Failed,
+		Retries:     g.Retries,
+		Reused:      g.Reused,
+		Resumed:     g.Resumed,
+		CacheHits:   g.CacheHits,
+		CacheMisses: g.CacheMisses,
+		ColdPages:   g.ColdPages,
+		WarmPages:   g.WarmPages,
+		PLTCold:     g.PLTCold,
+		PLTWarm:     g.PLTWarm,
+		PhasePages:  g.PhasePages,
+		PhaseSumNs:  g.PhaseSumNs,
+		Phase:       g.Phase,
 	})
 }
 
@@ -164,27 +162,26 @@ func (g *GroupMetrics) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("sketch: group alpha %v out of range", j.Alpha)
 	}
 	*g = GroupMetrics{
-		alpha:          j.Alpha,
-		Pages:          j.Pages,
-		PLT:            j.PLT,
-		PLTHist:        j.PLTHist,
-		PLTSumNs:       j.PLTSumNs,
-		Bytes:          j.Bytes,
-		Entries:        j.Entries,
-		Failed:         j.Failed,
-		Retries:        j.Retries,
-		Reused:         j.Reused,
-		Resumed:        j.Resumed,
-		CacheHits:      j.CacheHits,
-		CacheMisses:    j.CacheMisses,
-		ColdPages:      j.ColdPages,
-		WarmPages:      j.WarmPages,
-		PLTCold:        j.PLTCold,
-		PLTWarm:        j.PLTWarm,
-		PhasePages:     j.PhasePages,
-		PhaseSumNs:     j.PhaseSumNs,
-		Phase:          j.Phase,
-		PhaseTruncated: j.PhaseTruncated,
+		alpha:       j.Alpha,
+		Pages:       j.Pages,
+		PLT:         j.PLT,
+		PLTHist:     j.PLTHist,
+		PLTSumNs:    j.PLTSumNs,
+		Bytes:       j.Bytes,
+		Entries:     j.Entries,
+		Failed:      j.Failed,
+		Retries:     j.Retries,
+		Reused:      j.Reused,
+		Resumed:     j.Resumed,
+		CacheHits:   j.CacheHits,
+		CacheMisses: j.CacheMisses,
+		ColdPages:   j.ColdPages,
+		WarmPages:   j.WarmPages,
+		PLTCold:     j.PLTCold,
+		PLTWarm:     j.PLTWarm,
+		PhasePages:  j.PhasePages,
+		PhaseSumNs:  j.PhaseSumNs,
+		Phase:       j.Phase,
 	}
 	if g.PLT == nil {
 		g.PLT = NewQuantile(j.Alpha)

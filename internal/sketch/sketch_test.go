@@ -432,7 +432,7 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 		}
 		if ag.Pages != bg.Pages || ag.PLTSumNs != bg.PLTSumNs || ag.Bytes != bg.Bytes ||
 			ag.ColdPages != bg.ColdPages || ag.WarmPages != bg.WarmPages ||
-			ag.CacheHits != bg.CacheHits || ag.PhaseTruncated != bg.PhaseTruncated {
+			ag.CacheHits != bg.CacheHits || ag.PhasePages != bg.PhasePages {
 			t.Fatalf("group %v sums differ after round-trip", k)
 		}
 		for p := 0.0; p <= 1.0; p += 0.01 {

@@ -34,13 +34,6 @@ type PhaseBreakdown struct {
 	// Other is visit time covered by none of the spans (script-free
 	// think time, inter-fetch gaps, post-failure tails).
 	Other time.Duration `json:"other"`
-	// Truncated reports that the tracer's ring overflowed during this
-	// visit (VisitRecord.Dropped > 0): the sweep saw only a suffix of
-	// the events, so span openings may be missing and the attribution
-	// is a lower bound, not exact. Consumers should fall back to
-	// HAR-derived buckets (see core's campaign stitching) or widen the
-	// ring.
-	Truncated bool `json:"truncated,omitempty"`
 }
 
 // Total returns the bucket sum — exactly the visit's PLT.
@@ -48,8 +41,7 @@ func (p PhaseBreakdown) Total() time.Duration {
 	return p.Resolve + p.Connect + p.Handshake + p.Stall + p.Transfer + p.Other
 }
 
-// Add accumulates q into p. Truncation is sticky: an aggregate built
-// from any truncated visit is itself marked truncated.
+// Add accumulates q into p.
 func (p *PhaseBreakdown) Add(q PhaseBreakdown) {
 	p.Resolve += q.Resolve
 	p.Connect += q.Connect
@@ -57,21 +49,6 @@ func (p *PhaseBreakdown) Add(q PhaseBreakdown) {
 	p.Stall += q.Stall
 	p.Transfer += q.Transfer
 	p.Other += q.Other
-	p.Truncated = p.Truncated || q.Truncated
-}
-
-// Scale divides every bucket by n (for computing means).
-func (p *PhaseBreakdown) Scale(n int) {
-	if n <= 0 {
-		return
-	}
-	d := time.Duration(n)
-	p.Resolve /= d
-	p.Connect /= d
-	p.Handshake /= d
-	p.Stall /= d
-	p.Transfer /= d
-	p.Other /= d
 }
 
 // Attribution classes in priority order: when spans overlap, the
@@ -98,7 +75,6 @@ type sweepPoint struct {
 // gaps) are clamped to the window.
 func AttributeVisit(v *VisitRecord) PhaseBreakdown {
 	var out PhaseBreakdown
-	out.Truncated = v.Dropped > 0
 	if v.PLT <= 0 {
 		return out
 	}
@@ -191,8 +167,8 @@ func AttributeVisit(v *VisitRecord) PhaseBreakdown {
 			}
 		}
 	}
-	// Clamp still-open spans (aborted dials, unfilled gaps, failed
-	// fetches whose terminal event fell outside the ring) to the window.
+	// Clamp still-open spans (aborted dials, unfilled gaps, fetches
+	// still in flight at the visit's end) to the window.
 	for _, from := range connOpen {
 		addSpan(from, end, classConnect)
 	}

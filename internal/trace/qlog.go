@@ -103,17 +103,17 @@ func (q *QlogWriter) flush() {
 	q.buf = q.buf[:0]
 }
 
-// WriteVisit serializes one visit: a visit_start record (site, PLT,
-// ring-overflow count), the events with times relative to visit start,
-// and a visit_end record.
+// WriteVisit serializes one visit: a visit_start record (site and PLT),
+// the events with times relative to visit start, and a visit_end record.
+// visit_start's dropped_events is always 0, since the tracer delivers
+// every event of a visit or none; the key stays because the golden
+// trace digest and qlogcheck's schema pin it.
 func (q *QlogWriter) WriteVisit(v *VisitRecord) error {
 	q.buf = append(q.buf, `{"time":0.000000,"name":"sim:visit_start","data":{"site":`...)
 	q.buf = appendJSONString(q.buf, v.Site)
 	q.buf = append(q.buf, `,"plt_ms":`...)
 	q.buf = appendMS(q.buf, v.PLT)
-	q.buf = append(q.buf, `,"dropped_events":`...)
-	q.buf = strconv.AppendInt(q.buf, v.Dropped, 10)
-	q.buf = append(q.buf, "}}\n"...)
+	q.buf = append(q.buf, `,"dropped_events":0}}`+"\n"...)
 	for i := range v.Events {
 		q.appendEvent(&v.Events[i], v.Start)
 		// Flush in chunks so a whole packet-level visit never holds a

@@ -1,7 +1,8 @@
 // Package trace is the simulator's qlog-style observability layer: a
 // per-visit, per-connection event tracer with typed records (no
-// interface{} boxing), a fixed-size ring buffer, and a nil/disabled
-// fast path that costs one pointer compare and zero allocations.
+// interface{} boxing), a buffer that keeps every event of a visit, and a
+// nil/disabled fast path that costs one pointer compare and zero
+// allocations.
 //
 // Every layer of the stack emits into one Tracer: simnet (packet
 // send/arrive/drop and the impairment layer's burst/outage/reorder
@@ -16,7 +17,8 @@
 // tracer per shard, shared by every host in that shard's universe.
 // Emits outside a BeginVisit/EndVisit window (e.g. the warm pass) are
 // discarded by the same cheap active check, so recorded traces cover
-// exactly the measured visits.
+// exactly the measured visits. A visit's trace is delivered whole or
+// not at all: one that outgrows the buffer's ceiling fails.
 //
 // All emit methods are safe on a nil *Tracer — instrumented code calls
 // them unconditionally with scalar or pre-existing string arguments, so
@@ -24,7 +26,10 @@
 // (enforced by BenchmarkRunVisitTraceDisabled in benchgate).
 package trace
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Kind identifies an event type. Values are stable within a build but
 // not across versions; serialized qlog output uses names, not codes.
@@ -123,51 +128,45 @@ type Event struct {
 }
 
 // VisitRecord is what the sink receives at EndVisit: the visit window
-// and the chronological events captured inside it. Events aliases
+// and every event captured inside it, in emission order. Events aliases
 // tracer-owned storage and is only valid during the sink call.
 type VisitRecord struct {
-	Site    string
-	Start   time.Duration // virtual time of BeginVisit
-	PLT     time.Duration // page load time; visit window is [Start, Start+PLT]
-	Events  []Event
-	Dropped int64 // events lost to ring overflow within this visit
+	Site   string
+	Start  time.Duration // virtual time of BeginVisit
+	PLT    time.Duration // page load time; visit window is [Start, Start+PLT]
+	Events []Event
 }
 
 // Sink consumes one visit's trace when the visit ends.
 type Sink func(*VisitRecord)
 
-// Tracer captures events into a fixed-capacity ring. When the ring is
-// full the oldest events are overwritten (classic ring semantics) and
-// Dropped counts the overwritten records, so a too-small ring degrades
-// to a suffix trace instead of growing without bound.
+// maxVisitEvents is the most events one visit may emit, about 18 times
+// the heaviest visit measured (a 192-page lossy campaign's, 57 234
+// events). A visit past it fails at EndVisit, so a runaway visit costs
+// bounded memory (~75 MB at 72 B/event) instead of a partial trace.
+const maxVisitEvents = 1 << 20
+
+// Tracer keeps every event of the open visit in a buffer that grows by
+// append and is reused across visits, so a shard's tracer settles at its
+// heaviest visit's size.
 type Tracer struct {
-	buf     []Event
-	head    int // index of oldest event
-	n       int // events currently buffered
-	dropped int64
-	active  bool
+	buf    []Event
+	limit  int  // events one visit may record (maxVisitEvents)
+	over   bool // the open visit emitted past limit
+	active bool
 
 	site  string
 	start time.Duration
 
-	sink    Sink
-	scratch []Event // unwrap buffer for wrapped rings
+	sink Sink
 
 	nextConn uint32
 }
 
-// DefaultRingCapacity comfortably holds every event of a heavyweight
-// impaired visit (~tens of resources, full packet-level tracing) at
-// ~80 B/event ≈ 5 MB per shard worker.
-const DefaultRingCapacity = 1 << 16
-
-// New returns a Tracer with the given ring capacity (DefaultRingCapacity
-// if cap <= 0) delivering finished visits to sink.
+// New returns a Tracer whose buffer starts with room for capacity
+// events, delivering finished visits to sink.
 func New(capacity int, sink Sink) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	return &Tracer{buf: make([]Event, capacity), sink: sink}
+	return &Tracer{buf: make([]Event, 0, max(capacity, 0)), limit: maxVisitEvents, sink: sink}
 }
 
 // ConnID allocates the next connection trace id. Ids are assigned in
@@ -182,45 +181,32 @@ func (t *Tracer) ConnID() uint32 {
 	return t.nextConn
 }
 
-// BeginVisit opens a visit window at virtual time now: the ring is
-// reset and subsequent emits are recorded until EndVisit.
+// BeginVisit opens a visit window at virtual time now: the buffer is
+// emptied and subsequent emits are recorded until EndVisit.
 func (t *Tracer) BeginVisit(site string, now time.Duration) {
 	if t == nil {
 		return
 	}
-	t.head, t.n, t.dropped = 0, 0, 0
+	t.buf, t.over = t.buf[:0], false
 	t.site, t.start = site, now
 	t.active = true
 }
 
-// EndVisit closes the visit window and hands the captured events to the
-// sink. Events are delivered in chronological (emission) order.
-func (t *Tracer) EndVisit(plt time.Duration) {
+// EndVisit closes the visit window and hands every captured event to
+// the sink, in emission order. A visit that emitted more than the
+// tracer's ceiling delivers nothing and returns an error instead.
+func (t *Tracer) EndVisit(plt time.Duration) error {
 	if t == nil || !t.active {
-		return
+		return nil
 	}
 	t.active = false
-	if t.sink == nil {
-		return
+	if t.over {
+		return fmt.Errorf("trace: visit %s emitted more than %d events", t.site, t.limit)
 	}
-	events := t.buf[:t.n]
-	if t.head != 0 {
-		// Ring wrapped: unwrap into the scratch buffer.
-		if cap(t.scratch) < t.n {
-			t.scratch = make([]Event, t.n)
-		}
-		s := t.scratch[:t.n]
-		k := copy(s, t.buf[t.head:])
-		copy(s[k:], t.buf[:t.head])
-		events = s
+	if t.sink != nil {
+		t.sink(&VisitRecord{Site: t.site, Start: t.start, PLT: plt, Events: t.buf})
 	}
-	t.sink(&VisitRecord{
-		Site:    t.site,
-		Start:   t.start,
-		PLT:     plt,
-		Events:  events,
-		Dropped: t.dropped,
-	})
+	return nil
 }
 
 // Abort closes the visit window without delivering anything (failed
@@ -232,26 +218,16 @@ func (t *Tracer) Abort() {
 	t.active = false
 }
 
-// emit appends one event, overwriting the oldest when full.
+// emit appends one event; past the ceiling it marks the visit failed.
 func (t *Tracer) emit(at time.Duration, k Kind, conn uint32, a, b, c int64, s1, s2 string) {
 	if t == nil || !t.active {
 		return
 	}
-	i := t.head + t.n
-	if i >= len(t.buf) {
-		i -= len(t.buf)
+	if len(t.buf) == t.limit {
+		t.over = true
+		return
 	}
-	t.buf[i] = Event{At: at, Kind: k, Conn: conn, A: a, B: b, C: c, S1: s1, S2: s2}
-	if t.n < len(t.buf) {
-		t.n++
-	} else {
-		// Overwrote the oldest event.
-		t.head++
-		if t.head == len(t.buf) {
-			t.head = 0
-		}
-		t.dropped++
-	}
+	t.buf = append(t.buf, Event{At: at, Kind: k, Conn: conn, A: a, B: b, C: c, S1: s1, S2: s2})
 }
 
 // --- simnet ---

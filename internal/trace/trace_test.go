@@ -20,7 +20,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.TCPSynSent(1, 1)
 	tr.QUICAck(1, 1, 5, 1, 0)
 	tr.FetchStart(1, 0, "h", "/")
-	tr.EndVisit(time.Second)
+	if err := tr.EndVisit(time.Second); err != nil {
+		t.Fatal(err)
+	}
 	tr.Abort()
 }
 
@@ -45,29 +47,54 @@ func TestEmitsOutsideVisitDiscarded(t *testing.T) {
 	}
 }
 
-func TestRingOverflowKeepsSuffix(t *testing.T) {
-	var got *VisitRecord
-	tr := New(4, func(v *VisitRecord) {
-		// Snapshot: Events aliases tracer storage.
-		cp := *v
-		cp.Events = append([]Event(nil), v.Events...)
-		got = &cp
-	})
+// TestLongVisitDeliveredWhole emits a visit of 100 000 events, more than
+// the heaviest measured visit and than any power-of-two buffer below it:
+// the sink receives every one, in emission order.
+func TestLongVisitDeliveredWhole(t *testing.T) {
+	const n = 100_000
+	var got []Event
+	tr := New(0, func(v *VisitRecord) { got = append(got, v.Events...) })
 	tr.BeginVisit("example.org", 0)
-	for i := 1; i <= 7; i++ {
+	for i := 1; i <= n; i++ {
 		tr.TCPSynSent(time.Duration(i), uint32(i))
 	}
-	tr.EndVisit(10)
-	if got.Dropped != 3 {
-		t.Fatalf("Dropped = %d, want 3", got.Dropped)
+	if err := tr.EndVisit(time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Events) != 4 {
-		t.Fatalf("len(Events) = %d, want 4", len(got.Events))
+	if len(got) != n {
+		t.Fatalf("sink got %d events, want %d", len(got), n)
 	}
-	for i, e := range got.Events {
-		if want := uint32(i + 4); e.Conn != want {
-			t.Fatalf("event %d conn = %d, want %d (oldest overwritten, order kept)", i, e.Conn, want)
+	for i, e := range got {
+		if want := uint32(i + 1); e.Conn != want {
+			t.Fatalf("event %d conn = %d, want %d (emission order)", i, e.Conn, want)
 		}
+	}
+}
+
+// TestVisitPastCeilingFails lowers the per-visit ceiling: a visit that
+// emits past it delivers nothing and EndVisit names its site, and the
+// next visit records afresh.
+func TestVisitPastCeilingFails(t *testing.T) {
+	calls := 0
+	tr := New(0, func(*VisitRecord) { calls++ })
+	tr.limit = 8
+	tr.BeginVisit("heavy.example", 0)
+	for i := 0; i < 9; i++ {
+		tr.TCPSynSent(time.Duration(i), 1)
+	}
+	err := tr.EndVisit(time.Second)
+	if err == nil || !strings.Contains(err.Error(), "heavy.example") {
+		t.Fatalf("EndVisit past the ceiling: err = %v, want one naming the site", err)
+	}
+	if calls != 0 {
+		t.Fatalf("sink called %d times for a visit past the ceiling, want 0", calls)
+	}
+	tr.BeginVisit("light.example", 0)
+	for i := 0; i < 8; i++ {
+		tr.TCPSynSent(time.Duration(i), 1)
+	}
+	if err := tr.EndVisit(time.Second); err != nil || calls != 1 {
+		t.Fatalf("visit at the ceiling: err = %v, %d sink calls; want nil, 1", err, calls)
 	}
 }
 
