@@ -18,8 +18,6 @@ type LRUCache[K comparable] struct {
 	capacity    int
 	items       map[K]*lruNode[K]
 	front, back *lruNode[K]
-
-	hits, misses, expired int64
 }
 
 type lruNode[K comparable] struct {
@@ -63,47 +61,28 @@ func (c *LRUCache[K]) moveToFront(n *lruNode[K]) {
 // entries never expire through this path (it observes no clock); use
 // ContainsAt on caches populated via AddAt.
 func (c *LRUCache[K]) Contains(key K) bool {
-	return c.ContainsAt(key, 0)
+	hit, _ := c.ContainsAt(key, 0)
+	return hit
 }
 
 // ContainsAt checks membership at virtual time now, refreshing recency
 // on hit. An entry whose expiry has passed (0 < expiresAt ≤ now) is
-// evicted in place and counts as a miss — the TTL lapse a real edge
-// discovers on the request that revalidates the object.
-func (c *LRUCache[K]) ContainsAt(key K, now time.Duration) bool {
+// evicted in place and reported expired — a miss, the TTL lapse a real
+// edge discovers on the request that revalidates the object. The cache
+// counts nothing: its holder does, so a cache carried from one holder
+// to the next carries no counters.
+func (c *LRUCache[K]) ContainsAt(key K, now time.Duration) (hit, expired bool) {
 	n, ok := c.items[key]
 	if !ok {
-		c.misses++
-		return false
+		return false, false
 	}
 	if n.expiresAt > 0 && n.expiresAt <= now {
 		c.unlink(n)
 		delete(c.items, key)
-		c.expired++
-		c.misses++
-		return false
+		return false, true
 	}
 	c.moveToFront(n)
-	c.hits++
-	return true
-}
-
-// Peek reports membership without refreshing recency, mutating hit/miss
-// counters, or evicting an expired entry — the read-only probe for
-// callers that only query (an expired-but-resident entry still reports
-// false). Contains is for request handling; Peek is for inspection.
-func (c *LRUCache[K]) Peek(key K) bool {
-	return c.PeekAt(key, 0)
-}
-
-// PeekAt is Peek against virtual time now: resident entries past their
-// expiry report false, but nothing is evicted or counted.
-func (c *LRUCache[K]) PeekAt(key K, now time.Duration) bool {
-	n, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	return n.expiresAt == 0 || n.expiresAt > now
+	return true, false
 }
 
 // Add inserts key with no expiry, evicting the least recently used
@@ -154,51 +133,51 @@ func (c *LRUCache[K]) unlink(n *lruNode[K]) {
 	n.prev, n.next = nil, nil
 }
 
-// Entry is one cached key with its absolute expiry (0 = never), as
-// dumped by Entries and replayed by Restore.
-type Entry[K comparable] struct {
-	Key       K
-	ExpiresAt time.Duration
+// Len reports the number of cached entries.
+func (c *LRUCache[K]) Len() int { return len(c.items) }
+
+// Cache is an edge's content cache. It outlives the edge that fills
+// it: a population shard keeps one per provider for its whole life and
+// hands it to each epoch's edge (EdgeConfig.Cache).
+type Cache struct {
+	LRUCache[resourceKey]
 }
 
-// Entries returns the cache contents from least to most recently used —
-// the order in which re-adding them reproduces the recency list exactly.
-// Counters are not part of the dump.
-func (c *LRUCache[K]) Entries() []Entry[K] {
-	out := make([]Entry[K], 0, len(c.items))
+// defaultCacheCapacity is an edge cache's bound when none is configured.
+const defaultCacheCapacity = 8192
+
+// NewCache returns an empty edge cache bounded to capacity entries
+// (defaultCacheCapacity when 0).
+func NewCache(capacity int) *Cache {
+	if capacity == 0 {
+		capacity = defaultCacheCapacity
+	}
+	return &Cache{*NewLRUCache[resourceKey](capacity)}
+}
+
+// CacheEntry is one cached resource in a checkpoint dump.
+type CacheEntry struct {
+	Host      string        `json:"host"`
+	Path      string        `json:"path"`
+	ExpiresAt time.Duration `json:"expiresAt,omitempty"`
+}
+
+// Dump snapshots the cache contents, least recently used first, with
+// absolute expiries: the order in which Restore's re-adds rebuild the
+// recency list exactly. It is the serializable half of a traffic
+// checkpoint.
+func (c *Cache) Dump() []CacheEntry {
+	out := make([]CacheEntry, 0, len(c.items))
 	for n := c.back; n != nil; n = n.prev {
-		out = append(out, Entry[K]{Key: n.key, ExpiresAt: n.expiresAt})
+		out = append(out, CacheEntry{Host: n.key.host, Path: n.key.path, ExpiresAt: n.expiresAt})
 	}
 	return out
 }
 
-// Restore replays a dump from Entries into an empty-or-not cache via
-// AddAt, least recent first, reconstructing contents, expiries, and
-// recency order (checkpoint resume).
-func (c *LRUCache[K]) Restore(entries []Entry[K]) {
-	for _, e := range entries {
-		c.AddAt(e.Key, e.ExpiresAt)
+// Restore replays a Dump, least recent first, rebuilding contents,
+// expiries and recency order (checkpoint resume).
+func (c *Cache) Restore(entries []CacheEntry) {
+	for _, en := range entries {
+		c.AddAt(resourceKey{en.Host, en.Path}, en.ExpiresAt)
 	}
-}
-
-// Len reports the number of cached entries.
-func (c *LRUCache[K]) Len() int { return len(c.items) }
-
-// Expired reports how many ContainsAt calls evicted an entry past its
-// TTL (each also counts as a miss).
-func (c *LRUCache[K]) Expired() int64 { return c.expired }
-
-// Hits reports how many Contains calls found their key.
-func (c *LRUCache[K]) Hits() int64 { return c.hits }
-
-// Misses reports how many Contains calls missed.
-func (c *LRUCache[K]) Misses() int64 { return c.misses }
-
-// HitRate reports hits/(hits+misses) since creation (0 when unused).
-func (c *LRUCache[K]) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

@@ -2,6 +2,8 @@ package cdn
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -85,14 +87,11 @@ func TestLRUCache(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	if c.Peek("a") {
-		t.Fatal("LRU entry not evicted")
-	}
-	if !c.Peek("c") {
+	if !c.Contains("c") {
 		t.Fatal("new entry missing")
 	}
-	if c.HitRate() <= 0 || c.HitRate() >= 1 {
-		t.Fatalf("hit rate = %v", c.HitRate())
+	if c.Contains("a") {
+		t.Fatal("LRU entry not evicted")
 	}
 }
 
@@ -102,19 +101,30 @@ func TestLRUCacheRecencyUpdate(t *testing.T) {
 	c.Add("b")
 	c.Contains("a") // refresh a
 	c.Add("c")      // should evict b
-	if !c.Peek("a") || c.Peek("b") {
+	if c.Contains("b") || !c.Contains("a") {
 		t.Fatal("recency not respected")
 	}
 }
 
-// TestLRUCacheCountersUnderChurn drives the cache with a deterministic
-// mixed workload at 4x its capacity and checks the hit/miss counters
-// against an independent reference model of LRU recency. Eviction churn
-// is constant (every miss-then-Add evicts), which is exactly where
-// counter bookkeeping could drift from list surgery.
+// counterEdge is an edge for driving lookup directly: no network, a
+// scheduler that never runs, a cache of capacity entries.
+func counterEdge(capacity int) *Edge {
+	return NewEdge(EdgeConfig{Sched: &simnet.Scheduler{}, CacheCapacity: capacity})
+}
+
+// intKey is the edge cache key of test key k.
+func intKey(k int) resourceKey { return resourceKey{"cdn.site.sim", strconv.Itoa(k)} }
+
+// TestLRUCacheCountersUnderChurn drives an edge's cache with a
+// deterministic mixed workload at 4x its capacity and checks the edge's
+// hit/miss counters against an independent reference model of LRU
+// recency. Eviction churn is constant (every miss-then-Add evicts),
+// which is exactly where counter bookkeeping could drift from list
+// surgery.
 func TestLRUCacheCountersUnderChurn(t *testing.T) {
 	const capacity, universe, rounds = 8, 32, 2048
-	c := NewLRUCache[int](capacity)
+	e := counterEdge(capacity)
+	c := e.Cache()
 
 	// Reference model: slice ordered most→least recent.
 	var ref []int
@@ -147,16 +157,16 @@ func TestLRUCacheCountersUnderChurn(t *testing.T) {
 		key := int(state>>33) % universe
 		if refContains(key) {
 			wantHits++
-			if !c.Contains(key) {
+			if !e.lookup(intKey(key)) {
 				t.Fatalf("round %d: key %d should hit", i, key)
 			}
 		} else {
 			wantMisses++
-			if c.Contains(key) {
+			if e.lookup(intKey(key)) {
 				t.Fatalf("round %d: key %d should miss", i, key)
 			}
 			refAdd(key)
-			c.Add(key)
+			c.Add(intKey(key))
 		}
 		if c.Len() > capacity {
 			t.Fatalf("round %d: len %d exceeds capacity %d", i, c.Len(), capacity)
@@ -166,38 +176,35 @@ func TestLRUCacheCountersUnderChurn(t *testing.T) {
 	if wantHits == 0 || wantMisses <= int64(capacity) {
 		t.Fatalf("workload degenerate: %d hits, %d misses", wantHits, wantMisses)
 	}
-	if c.Hits() != wantHits || c.Misses() != wantMisses {
-		t.Fatalf("counters (%d hits, %d misses), reference model (%d, %d)",
-			c.Hits(), c.Misses(), wantHits, wantMisses)
-	}
-	if got, want := c.HitRate(), float64(wantHits)/float64(wantHits+wantMisses); got != want {
-		t.Fatalf("hit rate %v, want %v", got, want)
+	if e.CacheHits() != wantHits || e.CacheMisses() != wantMisses || e.CacheExpired() != 0 {
+		t.Fatalf("counters (%d hits, %d misses, %d expired), reference model (%d, %d, 0)",
+			e.CacheHits(), e.CacheMisses(), e.CacheExpired(), wantHits, wantMisses)
 	}
 }
 
 // TestLRUCacheSequentialScanChurn is the classic LRU worst case: cycling
 // over capacity+1 keys evicts each next key just before it is needed, so
-// after warm-up every probe must miss and the counters must say so.
+// after warm-up every probe must miss and the edge's counters must say so.
 func TestLRUCacheSequentialScanChurn(t *testing.T) {
 	const capacity = 4
-	c := NewLRUCache[int](capacity)
+	e := counterEdge(capacity)
 	for k := 0; k <= capacity; k++ { // warm-up: all misses, last Add evicts key 0
-		c.Contains(k)
-		c.Add(k)
+		e.lookup(intKey(k))
+		e.Cache().Add(intKey(k))
 	}
-	base := c.Misses()
+	base := e.CacheMisses()
 	for pass := 0; pass < 3; pass++ {
 		for k := 0; k <= capacity; k++ {
-			if c.Contains(k) {
+			if e.lookup(intKey(k)) {
 				t.Fatalf("pass %d key %d: hit; sequential scan over capacity+1 keys must always miss", pass, k)
 			}
-			c.Add(k)
+			e.Cache().Add(intKey(k))
 		}
 	}
-	if c.Hits() != 0 {
-		t.Fatalf("hits = %d, want 0", c.Hits())
+	if e.CacheHits() != 0 {
+		t.Fatalf("hits = %d, want 0", e.CacheHits())
 	}
-	if got := c.Misses() - base; got != 3*(capacity+1) {
+	if got := e.CacheMisses() - base; got != 3*(capacity+1) {
 		t.Fatalf("scan misses = %d, want %d", got, 3*(capacity+1))
 	}
 }
@@ -205,57 +212,65 @@ func TestLRUCacheSequentialScanChurn(t *testing.T) {
 func TestLRUCacheTTL(t *testing.T) {
 	c := NewLRUCache[string](4)
 	c.AddAt("a", 100)
-	if !c.ContainsAt("a", 50) {
+	if hit, _ := c.ContainsAt("a", 50); !hit {
 		t.Fatal("entry expired before its time")
 	}
-	if c.PeekAt("a", 150) {
-		t.Fatal("PeekAt reported a stale entry live")
-	}
 	if c.Len() != 1 {
-		t.Fatal("PeekAt evicted")
+		t.Fatal("a stale entry left before it was touched")
 	}
-	if c.ContainsAt("a", 150) {
-		t.Fatal("entry outlived its expiry")
+	if hit, expired := c.ContainsAt("a", 150); hit || !expired {
+		t.Fatalf("entry past its expiry: hit=%v expired=%v, want a lapse", hit, expired)
 	}
-	if c.Len() != 0 || c.Expired() != 1 {
-		t.Fatalf("len=%d expired=%d, want 0/1", c.Len(), c.Expired())
+	if hit, expired := c.ContainsAt("a", 150); hit || expired || c.Len() != 0 {
+		t.Fatalf("lapsed entry still resident: hit=%v expired=%v len=%d", hit, expired, c.Len())
 	}
 	// Re-adding a resident key re-stamps its expiry.
 	c.AddAt("b", 100)
 	c.AddAt("b", 200)
-	if !c.ContainsAt("b", 150) {
+	if hit, _ := c.ContainsAt("b", 150); !hit {
 		t.Fatal("re-stamped expiry not honored")
 	}
 	// Zero expiry never lapses.
 	c.Add("z")
-	if !c.ContainsAt("z", time.Hour) {
+	if hit, _ := c.ContainsAt("z", time.Hour); !hit {
 		t.Fatal("zero-expiry entry lapsed")
 	}
 }
 
-func TestLRUCachePeekNoPerturb(t *testing.T) {
-	c := NewLRUCache[string](2)
-	c.Add("a")
-	c.Add("b")
-	c.Peek("a") // must NOT refresh recency
-	c.Peek("x") // must NOT count a miss
-	c.Add("c")  // evicts a: Peek left it least recent
-	if c.Peek("a") || !c.Peek("b") || !c.Peek("c") {
-		t.Fatal("Peek perturbed recency")
+// TestEdgeCountersStayWithEdge hands one edge's cache to the next, the
+// way a population shard carries it across epochs: the contents carry,
+// the counters do not, and a lapse counts as a miss and as expired.
+func TestEdgeCountersStayWithEdge(t *testing.T) {
+	first := counterEdge(4)
+	first.lookup(intKey(1))
+	first.Cache().AddAt(intKey(1), 10)
+	first.Cache().Add(intKey(2))
+	first.lookup(intKey(2))
+	if first.CacheHits() != 1 || first.CacheMisses() != 1 {
+		t.Fatalf("first edge counted %d hits, %d misses", first.CacheHits(), first.CacheMisses())
 	}
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatalf("Peek mutated counters: %d hits, %d misses", c.Hits(), c.Misses())
+	next := NewEdge(EdgeConfig{Sched: &simnet.Scheduler{}, NowOffset: 20, Cache: first.Cache()})
+	if next.Cache() != first.Cache() || next.CacheHits() != 0 || next.CacheMisses() != 0 {
+		t.Fatal("the next edge did not take the cache alone")
+	}
+	if next.lookup(intKey(1)) || !next.lookup(intKey(2)) {
+		t.Fatal("carried contents or expiries wrong")
+	}
+	if next.CacheHits() != 1 || next.CacheMisses() != 1 || next.CacheExpired() != 1 {
+		t.Fatalf("next edge counted %d hits, %d misses, %d expired, want 1/1/1",
+			next.CacheHits(), next.CacheMisses(), next.CacheExpired())
 	}
 }
 
-func TestLRUCacheEntriesRestore(t *testing.T) {
-	c := NewLRUCache[string](4)
-	c.AddAt("a", 100)
-	c.AddAt("b", 0)
-	c.AddAt("c", 300)
-	c.Contains("a") // recency now (least→most): b, c, a
-	dump := c.Entries()
-	want := []Entry[string]{{"b", 0}, {"c", 300}, {"a", 100}}
+func TestCacheDumpRestore(t *testing.T) {
+	a, b, c := intKey(1), intKey(2), intKey(3)
+	src := NewCache(4)
+	src.AddAt(a, 100)
+	src.AddAt(b, 0)
+	src.AddAt(c, 300)
+	src.Contains(a) // recency now (least→most): b, c, a
+	dump := src.Dump()
+	want := []CacheEntry{{b.host, b.path, 0}, {c.host, c.path, 300}, {a.host, a.path, 100}}
 	if len(dump) != len(want) {
 		t.Fatalf("dump len %d, want %d", len(dump), len(want))
 	}
@@ -264,17 +279,106 @@ func TestLRUCacheEntriesRestore(t *testing.T) {
 			t.Fatalf("dump[%d] = %+v, want %+v", i, dump[i], want[i])
 		}
 	}
-	r := NewLRUCache[string](4)
+	r := NewCache(4)
 	r.Restore(dump)
 	// Contents, expiries, and recency order must all round-trip: the
 	// restored cache evicts the same LRU victim.
-	r.Add("d")
-	r.Add("e") // capacity 4: evicts b (least recent after restore)
-	if r.Peek("b") || !r.Peek("c") || !r.Peek("a") {
+	r.Add(intKey(4))
+	r.Add(intKey(5)) // capacity 4: evicts b (least recent after restore)
+	if r.Contains(b) {
 		t.Fatal("restored recency order wrong")
 	}
-	if r.PeekAt("c", 400) || !r.PeekAt("a", 50) {
-		t.Fatal("restored expiries wrong")
+	if hit, expired := r.ContainsAt(c, 400); hit || !expired {
+		t.Fatal("restored expiry of c wrong")
+	}
+	if hit, _ := r.ContainsAt(a, 50); !hit {
+		t.Fatal("restored expiry of a wrong")
+	}
+}
+
+// cacheOp is one call of a round-trip stream: an AddAt with a TTL, an
+// Add (no expiry), or a ContainsAt at the stream's advancing clock.
+type cacheOp struct {
+	kind    byte // 'a' AddAt, 'A' Add, 'c' ContainsAt
+	key     resourceKey
+	now     time.Duration
+	expires time.Duration
+}
+
+// apply runs op on c and returns the lookup outcome (false, false for
+// the adds).
+func (op cacheOp) apply(c *Cache) (hit, expired bool) {
+	switch op.kind {
+	case 'a':
+		c.AddAt(op.key, op.expires)
+	case 'A':
+		c.Add(op.key)
+	default:
+		return c.ContainsAt(op.key, op.now)
+	}
+	return false, false
+}
+
+// cacheStream draws n calls over 4x capacity keys, so that most adds
+// evict, with a clock that advances between calls and TTLs short
+// enough that entries lapse while resident.
+func cacheStream(rng *rand.Rand, capacity, n int) []cacheOp {
+	ops := make([]cacheOp, n)
+	var now time.Duration
+	for i := range ops {
+		now += time.Duration(rng.Intn(3))
+		op := cacheOp{key: intKey(rng.Intn(4 * capacity)), now: now}
+		switch r := rng.Intn(10); {
+		case r < 4:
+			op.kind, op.expires = 'a', now+time.Duration(1+rng.Intn(40))
+		case r < 5:
+			op.kind = 'A'
+		default:
+			op.kind = 'c'
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// TestCacheDumpRestoreRoundTrip is what a killed-and-resumed population
+// shard rests on: a cache dumped at any point of a seeded call stream and
+// restored into a fresh cache answers the rest of the stream exactly as
+// the original does (every hit and every lapse) and ends with the same
+// dump.
+func TestCacheDumpRestoreRoundTrip(t *testing.T) {
+	const capacity, calls, trials = 16, 600, 200
+	rng := rand.New(rand.NewSource(48))
+	var hits, lapses int
+	for trial := 0; trial < trials; trial++ {
+		ops := cacheStream(rng, capacity, calls)
+		cut := rng.Intn(calls)
+		orig := NewCache(capacity)
+		for _, op := range ops[:cut] {
+			op.apply(orig)
+		}
+		restored := NewCache(capacity)
+		restored.Restore(orig.Dump())
+		for i, op := range ops[cut:] {
+			hit, expired := op.apply(orig)
+			rhit, rexpired := op.apply(restored)
+			if hit != rhit || expired != rexpired {
+				t.Fatalf("trial %d, cut %d, call %d %c %v at %v: original hit=%v expired=%v, restored hit=%v expired=%v",
+					trial, cut, cut+i, op.kind, op.key, op.now, hit, expired, rhit, rexpired)
+			}
+			if hit {
+				hits++
+			}
+			if expired {
+				lapses++
+			}
+		}
+		if !slices.Equal(orig.Dump(), restored.Dump()) {
+			t.Fatalf("trial %d, cut %d: final dumps differ", trial, cut)
+		}
+	}
+	if hits < trials || lapses < trials {
+		t.Fatalf("stream degenerate: %d hits, %d lapses after the cuts", hits, lapses)
 	}
 }
 
@@ -361,8 +465,8 @@ func TestEdgeCacheMissThenHit(t *testing.T) {
 	if edge.Requests() != 2 {
 		t.Fatalf("edge served %d requests", edge.Requests())
 	}
-	if edge.CacheHitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", edge.CacheHitRate())
+	if edge.CacheHits() != 1 || edge.CacheMisses() != 1 {
+		t.Fatalf("%d hits, %d misses, want 1/1", edge.CacheHits(), edge.CacheMisses())
 	}
 }
 

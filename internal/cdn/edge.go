@@ -42,6 +42,10 @@ type EdgeConfig struct {
 	Content ContentFunc
 	// CacheCapacity bounds the edge LRU cache (entries). Default 8192.
 	CacheCapacity int
+	// Cache, when non-nil, is the cache the edge serves from, filled by
+	// an earlier edge of the same provider; CacheCapacity is then
+	// unused. Nil gives the edge an empty cache of its own.
+	Cache *Cache
 	// Rng drives the wait jitter; nil draws none.
 	Rng *rand.Rand
 	// TTL, when positive, turns on expiring-cache semantics: every
@@ -90,7 +94,7 @@ type flightWaiter struct {
 // counters). One Edge backs one simnet host via httpsim.StartServer.
 type Edge struct {
 	cfg   EdgeConfig
-	cache *LRUCache[resourceKey]
+	cache *Cache
 
 	// inflight tracks origin fetches in progress (TTL mode only), keyed
 	// by resource: concurrent misses join the flight instead of fetching.
@@ -107,14 +111,18 @@ type Edge struct {
 	requests  int64
 	h3Reqs    int64
 	stampedes int64
+
+	// hits, misses and expired count this edge's cache lookups; expired
+	// lapses are a subset of misses.
+	hits, misses, expired int64
 }
 
 // NewEdge creates the edge state and returns it with its handler.
 func NewEdge(cfg EdgeConfig) *Edge {
-	if cfg.CacheCapacity == 0 {
-		cfg.CacheCapacity = 8192
+	e := &Edge{cfg: cfg, cache: cfg.Cache}
+	if e.cache == nil {
+		e.cache = NewCache(cfg.CacheCapacity)
 	}
-	e := &Edge{cfg: cfg, cache: NewLRUCache[resourceKey](cfg.CacheCapacity)}
 	if cfg.TTL > 0 {
 		e.inflight = make(map[resourceKey]*originFlight)
 	}
@@ -129,15 +137,15 @@ func (e *Edge) Requests() int64 { return e.requests }
 // H3Requests reports how many requests arrived over HTTP/3.
 func (e *Edge) H3Requests() int64 { return e.h3Reqs }
 
-// CacheHitRate exposes the underlying cache hit rate.
-func (e *Edge) CacheHitRate() float64 { return e.cache.HitRate() }
+// Cache returns the cache the edge serves from.
+func (e *Edge) Cache() *Cache { return e.cache }
 
-// CacheHits / CacheMisses / CacheExpired expose the cache counters for
-// per-epoch traffic accounting. Expired evictions are a subset of
-// misses (a TTL lapse is discovered as a miss).
-func (e *Edge) CacheHits() int64    { return e.cache.Hits() }
-func (e *Edge) CacheMisses() int64  { return e.cache.Misses() }
-func (e *Edge) CacheExpired() int64 { return e.cache.Expired() }
+// CacheHits / CacheMisses / CacheExpired expose this edge's cache
+// counters for per-epoch traffic accounting. Expired evictions are a
+// subset of misses (a TTL lapse is discovered as a miss).
+func (e *Edge) CacheHits() int64    { return e.hits }
+func (e *Edge) CacheMisses() int64  { return e.misses }
+func (e *Edge) CacheExpired() int64 { return e.expired }
 
 // Stampedes reports how many requests joined an in-progress origin
 // fetch instead of launching their own (TTL mode's single-flight
@@ -148,31 +156,19 @@ func (e *Edge) Stampedes() int64 { return e.stampedes }
 // epoch offset), the timebase expiries are stamped in.
 func (e *Edge) now() time.Duration { return e.cfg.Sched.Now() + e.cfg.NowOffset }
 
-// CacheEntry is one cached resource in a checkpoint dump.
-type CacheEntry struct {
-	Host      string        `json:"host"`
-	Path      string        `json:"path"`
-	ExpiresAt time.Duration `json:"expiresAt,omitempty"`
-}
-
-// DumpCache snapshots the cache contents, least recently used first,
-// with absolute expiries — the serializable half of a traffic
-// checkpoint. Counters are per-epoch and intentionally not dumped.
-func (e *Edge) DumpCache() []CacheEntry {
-	entries := e.cache.Entries()
-	out := make([]CacheEntry, len(entries))
-	for i, en := range entries {
-		out[i] = CacheEntry{Host: en.Key.host, Path: en.Key.path, ExpiresAt: en.ExpiresAt}
+// lookup checks the cache for key at the campaign-absolute time and
+// counts the outcome.
+func (e *Edge) lookup(key resourceKey) bool {
+	hit, expired := e.cache.ContainsAt(key, e.now())
+	if hit {
+		e.hits++
+	} else {
+		e.misses++
 	}
-	return out
-}
-
-// RestoreCache replays a DumpCache snapshot (least recent first) into
-// this edge, reconstructing contents, expiries, and recency order.
-func (e *Edge) RestoreCache(entries []CacheEntry) {
-	for _, en := range entries {
-		e.cache.AddAt(resourceKey{en.Host, en.Path}, en.ExpiresAt)
+	if expired {
+		e.expired++
 	}
+	return hit
 }
 
 // Handler returns the httpsim handler serving this edge.
@@ -200,7 +196,7 @@ func (e *Edge) Handler() httpsim.Handler {
 			e.handleTTL(r, key, size, wait)
 			return
 		}
-		hit := e.cache.Contains(key)
+		hit := e.lookup(key)
 		if !hit {
 			wait += edgeMissPenalty
 			e.cache.Add(key)
@@ -229,7 +225,7 @@ func (e *Edge) Handler() httpsim.Handler {
 // responder, which writes nothing if its connection has been recycled
 // by the time the flight lands.
 func (e *Edge) handleTTL(r *httpsim.Responder, key resourceKey, size int, baseWait time.Duration) {
-	if e.cache.ContainsAt(key, e.now()) {
+	if e.lookup(key) {
 		r.After(e.cfg.Sched, baseWait+jitter(e.cfg.Rng, edgeWaitJitter), httpsim.Response{
 			Status:   200,
 			Header:   e.headers(true),

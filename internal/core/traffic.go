@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 
 	"h3cdn/internal/browser"
 	"h3cdn/internal/bufpool"
+	"h3cdn/internal/cdn"
 	"h3cdn/internal/har"
 	"h3cdn/internal/httpsim"
 	"h3cdn/internal/seqrand"
@@ -31,14 +33,18 @@ import (
 // The shard runs in checkpoint epochs. Each epoch is simulated in a
 // fresh universe whose randomness derives from (shard seed, epoch), so
 // nothing implicit survives an epoch boundary: the only carried state is
-// the explicit set {edge cache dumps, per-user Alt-Svc memory, the
-// campaign clock, the visit sink's state}. That is exactly what a
-// checkpoint records — which makes a killed-and-resumed run
-// byte-identical to an uninterrupted one by construction, because the
-// uninterrupted run crosses epochs through the very same dump/restore
-// path. The shard's allocation pools cross epochs too, warm, but they
-// are not state: nothing simulated reads them, so a resumed shard that
-// starts them cold reproduces the same bytes.
+// the explicit set {one edge cache per provider, per-user Alt-Svc
+// memory, the campaign clock, the visit sink's state}. The shard keeps
+// that set in memory for its whole life, each epoch's edges serving
+// from its caches (UniverseConfig.EdgeCaches), and serializes it only
+// into a checkpoint. A killed-and-resumed run is byte-identical to an
+// uninterrupted one because each piece round-trips through the file: a
+// cache restored from its dump answers every later lookup as the dumped
+// one would (cdn's TestCacheDumpRestoreRoundTrip), and user memory and
+// sink state reload as they were saved. The shard's allocation pools
+// cross epochs too, warm, but they are not state: nothing simulated
+// reads them, so a resumed shard that starts them cold reproduces the
+// same bytes.
 
 // checkpointDigest fingerprints every campaign setting that shapes a
 // population shard's results beyond its seed and its place in the shard
@@ -170,15 +176,16 @@ func (en *trafficEngine) endSession(user int, b *browser.Browser) {
 	en.pools.browsers.Retire(b, en.u.Sched)
 }
 
-// restoreCheckpoint loads the checkpoint at path into sink and returns
-// it for the rest of what it carries, or (nil, nil) when there is none.
-// It rejects a checkpoint written under another shard seed or config
-// digest, and one whose contents the shard could not continue from: a
-// sink whose sketches would not merge into the campaign's (Merge
-// panics on a differing α or histogram bounds), that lacks the
-// accumulator or, under sampled retention, the reservoir, or whose
-// epoch fields lie outside the campaign's epochs.
-func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink *visitSink) (*traffic.Checkpoint, error) {
+// restoreCheckpoint loads the checkpoint at path into sink and caches
+// (by provider) and returns it for the rest of what it carries, or
+// (nil, nil) when there is none. It rejects a checkpoint written under
+// another shard seed or config digest, and one whose contents the shard
+// could not continue from: an edge cache of an unknown provider or two
+// of one provider, a sink whose sketches would not merge into the
+// campaign's (Merge panics on a differing α or histogram bounds), that
+// lacks the accumulator or, under sampled retention, the reservoir, or
+// whose epoch fields lie outside the campaign's epochs.
+func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink *visitSink, caches map[string]*cdn.Cache) (*traffic.Checkpoint, error) {
 	cp, err := traffic.Load(path)
 	if err != nil || cp == nil {
 		return nil, err
@@ -191,6 +198,18 @@ func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink
 	}
 	if cp.Epoch < 0 || cp.Epoch > epochs {
 		return nil, fmt.Errorf("core: checkpoint %s resumes at epoch %d of %d", path, cp.Epoch, epochs)
+	}
+	restored := make(map[string]*cdn.Cache, len(cp.Edges))
+	for _, ec := range cp.Edges {
+		if _, ok := cdn.ProviderByName(ec.Provider); !ok {
+			return nil, fmt.Errorf("core: checkpoint %s caches unknown provider %q", path, ec.Provider)
+		}
+		if restored[ec.Provider] != nil {
+			return nil, fmt.Errorf("core: checkpoint %s caches provider %q twice", path, ec.Provider)
+		}
+		c := cdn.NewCache(0)
+		c.Restore(ec.Entries)
+		restored[ec.Provider] = c
 	}
 	var st sinkState
 	if err := json.Unmarshal(cp.Sink, &st); err != nil {
@@ -215,6 +234,7 @@ func restoreCheckpoint(path string, seed uint64, digest string, epochs int, sink
 		return nil, fmt.Errorf("core: checkpoint %s sink state: %w", path, err)
 	}
 	sink.sinkState = st
+	maps.Copy(caches, restored)
 	return cp, nil
 }
 
@@ -243,19 +263,19 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		startEpoch int
 		clock      time.Duration
 		userMem    = make(map[int][]string)
-		edges      []traffic.EdgeCache // carried cache dumps, sorted by provider
+		caches     = make(map[string]*cdn.Cache) // the shard's edge caches, by provider
 		ckptPath   string
 		digest     string // of the campaign config, see checkpointDigest
 	)
 	if tc.CheckpointDir != "" {
 		ckptPath = filepath.Join(tc.CheckpointDir, "traffic_"+job.slug()+".ckpt.json")
 		digest = cfg.checkpointDigest(len(corpus.Pages))
-		cp, err := restoreCheckpoint(ckptPath, seed, digest, tc.Epochs(), sink)
+		cp, err := restoreCheckpoint(ckptPath, seed, digest, tc.Epochs(), sink, caches)
 		if err != nil {
 			return err
 		}
 		if cp != nil {
-			startEpoch, clock, edges = cp.Epoch, cp.Clock, cp.Edges
+			startEpoch, clock = cp.Epoch, cp.Clock
 			for _, um := range cp.Users {
 				userMem[um.User-job.lo] = um.AltSvc
 			}
@@ -277,20 +297,12 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		uc := cfg.universeConfig(job, seqrand.New(seed).StreamSeed("epoch", strconv.Itoa(e)), corpus, topo)
 		uc.EdgeTTL = tc.CacheTTL
 		uc.ClockOffset = clock
+		uc.EdgeCaches = caches
 		uc.Pools = pools
 		uc.Rands = &sp.rands
 		u, err := NewUniverse(uc)
 		if err != nil {
 			return err
-		}
-		// Restore carried cache contents before any visit runs.
-		for _, ec := range edges {
-			edge, err := u.WarmEdge(ec.Provider)
-			if err != nil {
-				u.Close()
-				return err
-			}
-			edge.RestoreCache(ec.Entries)
 		}
 
 		es := &traffic.EpochStat{Epoch: e}
@@ -351,18 +363,6 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		// into the epoch series whenever one page load hits the latency
 		// tail.
 		clock = end
-
-		// Dump caches for the next epoch (and the checkpoint). Expired
-		// entries are carried as-is: the next epoch's edge discovers the
-		// lapse on touch, exactly as a live cache would. Sorted provider
-		// order keeps map iteration out of the replay and the checkpoint.
-		edges = nil
-		for nm, edge := range u.edges {
-			if entries := edge.DumpCache(); len(entries) > 0 {
-				edges = append(edges, traffic.EdgeCache{Provider: nm, Entries: entries})
-			}
-		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].Provider < edges[j].Provider })
 		u.Close()
 		// The epoch's scheduler runs no more: free what it retired, so
 		// that no record or browser keeps its universe alive into the
@@ -380,6 +380,20 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 				users = append(users, traffic.UserMemory{User: job.lo + uidx, AltSvc: hosts})
 			}
 			sort.Slice(users, func(i, j int) bool { return users[i].User < users[j].User })
+			// Expired entries are dumped as-is: the next epoch's edge
+			// discovers the lapse on touch, exactly as a live cache would.
+			// Sorted provider order keeps map iteration out of the file.
+			providers := make([]string, 0, len(caches))
+			for nm := range caches {
+				providers = append(providers, nm)
+			}
+			sort.Strings(providers)
+			var edges []traffic.EdgeCache
+			for _, nm := range providers {
+				if c := caches[nm]; c.Len() > 0 {
+					edges = append(edges, traffic.EdgeCache{Provider: nm, Entries: c.Dump()})
+				}
+			}
 			state, err := json.Marshal(&sink.sinkState)
 			if err != nil {
 				return fmt.Errorf("traffic checkpoint sink state: %w", err)

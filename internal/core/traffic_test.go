@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -383,10 +385,29 @@ func TestPopCacheSizes(t *testing.T) {
 	}
 }
 
+// goldenCheckpointSHA256 pins the checkpoint files TestTrafficCheckpointResume
+// writes, by run and file: their order and format, edge cache dumps
+// included, are what a resumed shard reads.
+var goldenCheckpointSHA256 = [3]map[string]string{
+	{
+		"traffic_h2_utah_p0_s0.ckpt.json": "db79d1fad3588f4a167cb4076a1103a7037d54e89457a354cc76a8836055dd4a",
+		"traffic_h3_utah_p0_s0.ckpt.json": "665f2980580df661300659e4378228d0b8837e5b141f002107dc9c2eaa622b39",
+	},
+	{
+		"traffic_h2_utah_p0_s0.ckpt.json": "c2f86641d76fd4892569dc0e60f2767e723bfa3ddefcc1a6fe537e60e26b6d1e",
+		"traffic_h3_utah_p0_s0.ckpt.json": "391eeaa1e046beda7e2e2e1e634a753d323f93b001fe2ed971db72555bad8639",
+	},
+	{
+		"traffic_h2_utah_p0_s0.ckpt.json": "b8d7c2cb546d9aa27593a590e8aab4964562679281058fed5f0cb7a35ec9a10a",
+		"traffic_h3_utah_p0_s0.ckpt.json": "821099dfafe881add5485754e34179ffe9e622eb1f8ac35318c58757d381c69a",
+	},
+}
+
 // TestTrafficCheckpointResume kills a population campaign after every
 // epoch (HaltAfterEpochs) and resumes it from its checkpoints until it
 // completes, asserting the stitched-together run is byte-identical to an
-// uninterrupted one — dataset, traffic report, and metric sketches.
+// uninterrupted one — dataset, traffic report, and metric sketches — and
+// that every checkpoint it wrote matches goldenCheckpointSHA256.
 func TestTrafficCheckpointResume(t *testing.T) {
 	uninterrupted := trafficCampaign(t, nil)
 	want := harJSON(t, uninterrupted)
@@ -401,6 +422,23 @@ func TestTrafficCheckpointResume(t *testing.T) {
 	var final *Dataset
 	for run := 0; run < 3; run++ {
 		final = trafficCampaign(t, withCkpt)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(goldenCheckpointSHA256[run]) {
+			t.Fatalf("run %d left %d files, want %d", run, len(files), len(goldenCheckpointSHA256[run]))
+		}
+		for _, f := range files {
+			blob, err := os.ReadFile(filepath.Join(dir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob)
+			if got, want := hex.EncodeToString(sum[:]), goldenCheckpointSHA256[run][f.Name()]; got != want {
+				t.Errorf("run %d: %s hash %s, want golden %s", run, f.Name(), got, want)
+			}
+		}
 	}
 	if got := harJSON(t, final); string(got) != string(want) {
 		t.Fatal("resumed dataset differs from uninterrupted run")

@@ -74,8 +74,14 @@ type UniverseConfig struct {
 	// ClockOffset shifts the edges' notion of absolute time: entry expiry
 	// stamps read Sched.Now()+ClockOffset. Traffic campaigns run each
 	// checkpoint epoch in a fresh universe and set this to the epoch's
-	// campaign-absolute start, so cache dumps carry across universes.
+	// campaign-absolute start, so caches carry across universes.
 	ClockOffset time.Duration
+	// EdgeCaches, when non-nil, holds the edge caches by provider name,
+	// beyond the universe's life: an edge serves from its provider's
+	// cache there, and a new edge registers its own. A population shard
+	// passes one map for all its epochs. Nil keeps each edge's cache
+	// with the edge.
+	EdgeCaches map[string]*cdn.Cache
 	// Trace, when non-nil, records per-visit event traces: RunVisit
 	// brackets each measured visit with BeginVisit/EndVisit and every
 	// layer underneath (network, transports, TLS, HTTP, browser) emits
@@ -266,8 +272,12 @@ func (u *Universe) startEdge(provider string, addr simnet.Addr) error {
 		Content:   u.topo.ContentSize,
 		TTL:       u.cfg.EdgeTTL,
 		NowOffset: u.cfg.ClockOffset,
+		Cache:     u.cfg.EdgeCaches[p.Name],
 		Rng:       u.cfg.Rands.Stream(u.src, "edgewait", p.Name),
 	})
+	if u.cfg.EdgeCaches != nil {
+		u.cfg.EdgeCaches[p.Name] = edge.Cache()
+	}
 	srv, err := httpsim.StartServer(host, httpsim.ServerConfig{
 		Handler:      edge.Handler(),
 		TLSSessions:  tlssim.NewServerSessionState(),
@@ -331,25 +341,6 @@ func (u *Universe) Resolver() browser.Resolver { return u.resolver }
 // Edge returns the edge state for a provider (nil if unknown or not yet
 // contacted — edges instantiate on first resolver hit).
 func (u *Universe) Edge(provider string) *cdn.Edge { return u.edges[provider] }
-
-// WarmEdge returns the provider's edge, instantiating it if no resolver
-// hit has yet — the hook traffic epochs use to restore checkpointed
-// cache contents into a fresh universe before any visit runs.
-// Instantiation draws no randomness (see startServer), so forcing it
-// early cannot perturb the simulation.
-func (u *Universe) WarmEdge(provider string) (*cdn.Edge, error) {
-	if e := u.edges[provider]; e != nil {
-		return e, nil
-	}
-	addr, ok := u.topo.edgeAddr[provider]
-	if !ok {
-		return nil, fmt.Errorf("core: WarmEdge: unknown provider %q", provider)
-	}
-	if err := u.startEdge(provider, addr); err != nil {
-		return nil, err
-	}
-	return u.edges[provider], nil
-}
 
 // Events reports the total scheduler events this universe has executed —
 // the simulator's unit of work, cheap to aggregate into a campaign-level

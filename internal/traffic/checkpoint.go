@@ -32,7 +32,11 @@ type EdgeCache struct {
 // uninterrupted run byte-for-byte: epochs run in fresh universes whose
 // randomness is derived from (seed, epoch), so the only state that
 // crosses the boundary is exactly what is recorded here — caches, user
-// memory, the clock, and the accumulated results.
+// memory, the clock, and the accumulated results. An uninterrupted
+// shard keeps that state in memory and never reads a checkpoint; a
+// resumed one restores it, and each part restores to state that acts
+// as the saved state did (a cache dump, least recent first, rebuilds
+// the cache's contents, expiries and recency order).
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Seed    uint64 `json:"seed"`
