@@ -20,6 +20,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClientResponses -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s ./internal/tlssim
 	$(GO) test -run '^$$' -fuzz FuzzTLSTransfer -fuzztime 5s ./internal/tlssim
+	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 5s ./internal/bytestream
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/tcpsim
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/quicsim
 	$(GO) test -run '^$$' -fuzz FuzzWindow -fuzztime 5s ./internal/cc

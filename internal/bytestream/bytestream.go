@@ -2,9 +2,10 @@
 // abstraction shared by the simulated transport stack: tcpsim.Conn
 // produces one, tlssim.Conn wraps one and is one, and the HTTP/1.1 and
 // HTTP/2 layers consume one. All methods are callback-oriented because
-// the simulation is single-threaded under virtual time. Gaps is the
-// reassembly buffer both transports park out-of-order data in, and
-// Extents the store of supplied bytes both send from.
+// the simulation is single-threaded under virtual time. Reassembly is
+// the receive side both transports deliver through, one per TCP
+// connection or QUIC stream, and Extents the store of supplied bytes
+// both send from.
 //
 // Most bytes on the simulated wire are opaque: their writer does not
 // specify their value and no reader inspects them (response bodies, AEAD

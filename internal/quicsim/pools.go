@@ -68,8 +68,8 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 // PayloadStats returns the packet-payload arena's counters.
 func (pl *Pools) PayloadStats() bufpool.ArenaStats { return pl.payloads.Stats() }
 
-// newStream returns a reset Stream bound to c. The gap buffer's and the
-// extent list's allocations are retained across reuses.
+// newStream returns a reset Stream bound to c. The parked chunks' array
+// and the extent list's allocations are retained across reuses.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 	s, ok := pl.streams.Get(c.sched, (*Stream).reset)
 	if !ok {

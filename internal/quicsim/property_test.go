@@ -1,6 +1,7 @@
 package quicsim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,50 +39,47 @@ func TestRangeSetMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStreamReassemblyAnyOrder: delivering stream frames in any order,
-// with duplicates and overlaps, must reconstruct the exact byte stream.
+// TestStreamReassemblyAnyOrder: randomly cut frames, with the FIN on the
+// last one or on a bare FIN frame after it, duplicated and shuffled,
+// reach the application through handleStreamData as the exact byte
+// stream, followed by one FIN, on the one stream the first of them
+// opened. The arrival-by-arrival rules are bytestream.Reassembly's,
+// checked against an oracle there; this is the wiring.
 func TestStreamReassemblyAnyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(99)) //nolint:gosec
 	for trial := 0; trial < 200; trial++ {
 		payload := patterned(1 + rng.Intn(5000))
-
-		// Chop into random frames.
 		var frames []streamData
 		for off := 0; off < len(payload); {
-			n := 1 + rng.Intn(700)
-			if off+n > len(payload) {
-				n = len(payload) - off
-			}
-			frames = append(frames, streamData{
-				id: 0, off: uint64(off), data: payload[off : off+n],
-				fin: off+n == len(payload),
-			})
+			n := min(1+rng.Intn(700), len(payload)-off)
+			frames = append(frames, streamData{id: 4, off: uint64(off), data: payload[off : off+n]})
 			off += n
 		}
-		// Duplicate some frames (retransmissions).
+		if rng.Intn(3) == 0 {
+			frames = append(frames, streamData{id: 4, off: uint64(len(payload)), fin: true})
+		} else {
+			frames[len(frames)-1].fin = true
+		}
 		for i := 0; i < len(frames)/3; i++ {
 			frames = append(frames, frames[rng.Intn(len(frames))])
 		}
 		rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
 
-		s := &Stream{conn: &Conn{pools: &Pools{}}}
+		c := allocConn()
+		c.pools = &Pools{}
 		var got []byte
-		finSeen := false
-		s.SetDataFunc(func(p []byte) { got = append(got, p...) })
-		s.SetFinFunc(func() { finSeen = true })
+		fins, opened := 0, 0
+		c.SetStreamFunc(func(s *Stream) {
+			opened++
+			s.SetDataFunc(func(p []byte) { got = append(got, p...) })
+			s.SetFinFunc(func() { fins++ })
+		})
 		for _, f := range frames {
-			s.receive(f)
+			c.handleStreamData(f)
 		}
-		if !finSeen {
-			t.Fatalf("trial %d: FIN not delivered", trial)
-		}
-		if len(got) != len(payload) {
-			t.Fatalf("trial %d: got %d bytes, want %d", trial, len(got), len(payload))
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				t.Fatalf("trial %d: byte %d differs", trial, i)
-			}
+		if !bytes.Equal(got, payload) || fins != 1 || opened != 1 {
+			t.Fatalf("trial %d: %d of %d bytes (equal %v), %d FINs, %d streams",
+				trial, len(got), len(payload), bytes.Equal(got, payload), fins, opened)
 		}
 	}
 }

@@ -24,8 +24,8 @@ func TestResetMatchesFresh(t *testing.T) {
 	})
 	t.Run("Stream", func(t *testing.T) {
 		rt.Check(t, func() *Stream { return &Stream{} }, (*Stream).reset, rt.Rules[Stream]{Keep: map[string]rt.Keep{
-			"supplied": rt.Same, // released when acknowledged or at teardown
-			"chunks":   rt.Same, // emptied at teardown
+			"supplied":   rt.Same,    // released when acknowledged or at teardown
+			"rcv.chunks": rt.Emptied, // released at teardown
 		}})
 	})
 }

@@ -1,10 +1,6 @@
 package quicsim
 
-import (
-	"time"
-
-	"h3cdn/internal/bytestream"
-)
+import "h3cdn/internal/bytestream"
 
 // Stream is an ordered byte stream multiplexed on a Conn. Data on one
 // stream is delivered in order; loss on one stream never blocks another —
@@ -35,25 +31,19 @@ type Stream struct {
 	queued bool
 	held   bool // by the application: teardown leaves it to Release
 
-	// Receive side.
-	rcvOff uint64
-	chunks bytestream.Gaps[[]byte]
-	finOff uint64
-	hasFin bool
-	gotEOF bool
-	dataFn func([]byte)
-	finFn  func()
-
-	// Stall bookkeeping, maintained only when tracing is enabled: a
-	// stall is an interval during which out-of-order data is buffered
-	// waiting for an earlier gap to fill. Purely observational.
-	holActive bool
-	holStart  time.Duration
+	// Receive side: in-order delivery of this stream alone, so a hole
+	// holds back no other stream. rcv parks what arrived beyond a gap in
+	// the packet-payload arena (Pools.payloads).
+	rcv   bytestream.Reassembly
+	finFn func()
 }
 
 // reset clears a retired stream for reuse, keeping its extent list and
-// gap buffer, which teardown or Release emptied.
-func (s *Stream) reset() { *s = Stream{supplied: s.supplied, chunks: s.chunks} }
+// its parked chunks' array, which teardown or Release emptied.
+func (s *Stream) reset() {
+	s.rcv.Reset()
+	*s = Stream{supplied: s.supplied, rcv: s.rcv}
+}
 
 // ID returns the stream identifier.
 func (s *Stream) ID() uint64 { return s.id }
@@ -62,7 +52,7 @@ func (s *Stream) ID() uint64 { return s.id }
 func (s *Stream) Conn() *Conn { return s.conn }
 
 // SetDataFunc registers the in-order delivery callback for this stream.
-func (s *Stream) SetDataFunc(fn func([]byte)) { s.dataFn = fn }
+func (s *Stream) SetDataFunc(fn func([]byte)) { s.rcv.SetDataFunc(fn) }
 
 // SetFinFunc registers the end-of-stream callback (peer FIN received and
 // all data delivered).
@@ -128,12 +118,11 @@ func (s *Stream) Release() {
 }
 
 // freeBytes gives back everything the stream holds: its supplied bytes
-// and the out-of-order copies parked in chunks. Teardown calls it.
+// and the out-of-order copies parked in rcv. Teardown calls it.
 func (s *Stream) freeBytes() {
 	pl := s.conn.pools
 	s.supplied.Release(&pl.extents)
-	s.chunks.Each(func(_ uint64, data []byte) { bytestream.Recycle(&pl.payloads, data) })
-	s.chunks.Reset()
+	s.rcv.Release(&pl.payloads)
 }
 
 // CloseWrite queues a FIN after any pending data.
@@ -146,88 +135,18 @@ func (s *Stream) CloseWrite() {
 	s.conn.trySend()
 }
 
-// receive ingests a (possibly out-of-order, possibly duplicate) frame.
-// Data at rcvOff is delivered at once, straight from the packet: every
-// buffered chunk starts above rcvOff, so it is the chunk the gap scan
-// would pick first. Data beyond a gap is copied into a payloads buffer
-// and parked, since the packet's payload goes back once it is handled;
-// an opaque run is parked as it is.
+// receive ingests a frame, then reports EOF before any stall edge.
 func (s *Stream) receive(f streamData) {
-	end := f.off + uint64(len(f.data))
-	if f.fin {
-		s.hasFin = true
-		s.finOff = end
-	}
-	if end > s.rcvOff && len(f.data) > 0 {
-		data := f.data
-		off := f.off
-		if off < s.rcvOff {
-			data = data[s.rcvOff-off:]
-			off = s.rcvOff
-		}
-		if off == s.rcvOff {
-			s.deliver(data)
-		} else if prev, found := s.chunks.Slot(off); !found || len(data) > len(*prev) {
-			pl := s.conn.pools
-			buf := data
-			if !bytestream.IsOpaque(data) {
-				buf = pl.payloads.Get(len(data))
-				copy(buf, data)
-			}
-			if found {
-				bytestream.Recycle(&pl.payloads, *prev)
-			}
-			*prev = buf
-		}
-	}
-	s.advance()
-}
-
-// deliver hands the in-order bytes at rcvOff to the application.
-func (s *Stream) deliver(data []byte) {
-	s.rcvOff += uint64(len(data))
-	if s.dataFn != nil {
-		s.dataFn(data)
-	}
-}
-
-// advance drains the gap buffer up to the first hole, taking the LOWEST
-// chunk at or below rcvOff each time: with loss and reordering, trimming
-// can leave several overlapping chunks there, and the choice decides
-// delivery granularity. A chunk is popped before its callback runs, so
-// a teardown inside the callback never sees it. Then it reports EOF and
-// stall transitions.
-func (s *Stream) advance() {
-	for {
-		off, data, ok := s.chunks.Head()
-		if !ok || off > s.rcvOff {
-			break
-		}
-		s.chunks.Pop()
-		// A chunk that ends at or below rcvOff is a stale duplicate.
-		if end := off + uint64(len(data)); end > s.rcvOff {
-			s.deliver(data[s.rcvOff-off:])
-		}
-		bytestream.Recycle(&s.conn.pools.payloads, data)
-	}
-	if s.hasFin && !s.gotEOF && s.rcvOff >= s.finOff {
-		s.gotEOF = true
-		if s.finFn != nil {
-			s.finFn()
-		}
+	if s.rcv.Receive(&s.conn.pools.payloads, f.off, f.data, f.fin) && s.finFn != nil {
+		s.finFn()
 	}
 	if s.conn.cfg.Trace != nil {
-		switch {
-		case !s.holActive && s.chunks.Len() > 0:
-			s.holActive = true
-			s.holStart = s.conn.sched.Now()
-			buffered := 0
-			s.chunks.Each(func(_ uint64, data []byte) { buffered += len(data) })
-			s.conn.cfg.Trace.QUICStallStart(s.holStart, s.conn.traceID, s.id, buffered)
-		case s.holActive && s.chunks.Len() == 0:
-			s.holActive = false
-			now := s.conn.sched.Now()
-			s.conn.cfg.Trace.QUICStallEnd(now, s.conn.traceID, s.id, now-s.holStart)
+		now := s.conn.sched.Now()
+		switch opened, parked, closed, held := s.rcv.Stall(now); {
+		case opened:
+			s.conn.cfg.Trace.QUICStallStart(now, s.conn.traceID, s.id, parked)
+		case closed:
+			s.conn.cfg.Trace.QUICStallEnd(now, s.conn.traceID, s.id, held)
 		}
 	}
 }

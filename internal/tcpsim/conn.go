@@ -18,15 +18,6 @@ const (
 	stateClosed
 )
 
-// recvChunk holds bytes that arrived beyond a sequence gap: a
-// reassembly-arena copy, or the segment's opaque run itself, parked by
-// reference (bytestream.IsOpaque); fin marks a segment that carried the
-// FIN.
-type recvChunk struct {
-	data []byte
-	fin  bool
-}
-
 // Conn is one endpoint of a simulated TCP connection. It implements
 // bytestream.Stream. All methods must be called from scheduler context.
 type Conn struct {
@@ -75,26 +66,21 @@ type Conn struct {
 	synSentAt   time.Duration
 	synRetrans  bool
 
-	// Receiver state: strict in-order delivery. recvBuf holds only what
-	// arrived beyond a gap; every chunk in it starts above rcvNxt between
-	// segments (advanceReceive consumes the rest).
-	rcvNxt   uint64
-	recvBuf  bytestream.Gaps[recvChunk]
-	peerEOF  bool
+	// Receiver state: strict in-order delivery of the whole connection,
+	// so one hole holds back every byte above it. rcv parks what arrives
+	// beyond a gap in the wire arena (cfg.Arena).
+	rcv      bytestream.Reassembly
 	finRcvd  bool // FIN delivered to app
 	finAcked bool // our FIN acknowledged
 
 	// Tracing. traceID is 0 when untraced; HOL-stall bookkeeping only
 	// runs when a tracer is installed (purely observational — it can
 	// never perturb scheduling).
-	traceID   uint32
-	holActive bool
-	holStart  time.Duration
+	traceID uint32
 
 	// onEstablished fires once the handshake completes: the dialer's
 	// callback, or the listener's accept.
 	onEstablished func(*Conn)
-	dataFn        func([]byte)
 	closeFn       func(error)
 
 	// pktFn/onRTOFn are bound once when the struct is first allocated and
@@ -159,12 +145,13 @@ func allocConn() *Conn {
 }
 
 // reset clears a retired conn for reuse, keeping only the allocations
-// that survive pooling: the gap buffer and the extent list (both emptied
-// at teardown) and the bound-once packet/RTO closures. The recycler
-// calls it once the event that tore the conn down has returned.
+// that survive pooling: the parked chunks' array and the extent list
+// (both emptied at teardown) and the bound-once packet/RTO closures. The
+// recycler calls it once the event that tore the conn down has returned.
 func (c *Conn) reset() {
-	recvBuf, extents, pktFn, onRTOFn := c.recvBuf, c.extents, c.pktFn, c.onRTOFn
-	*c = Conn{recvBuf: recvBuf, extents: extents, pktFn: pktFn, onRTOFn: onRTOFn}
+	c.rcv.Reset()
+	rcv, extents, pktFn, onRTOFn := c.rcv, c.extents, c.pktFn, c.onRTOFn
+	*c = Conn{rcv: rcv, extents: extents, pktFn: pktFn, onRTOFn: onRTOFn}
 }
 
 // TraceID returns the connection's trace id (0 when untraced).
@@ -174,7 +161,7 @@ func (c *Conn) TraceID() uint32 { return c.traceID }
 func (c *Conn) Established() bool { return c.state == stateEstablished }
 
 // SetDataFunc registers the in-order delivery callback.
-func (c *Conn) SetDataFunc(fn func([]byte)) { c.dataFn = fn }
+func (c *Conn) SetDataFunc(fn func([]byte)) { c.rcv.SetDataFunc(fn) }
 
 // UnsentBytes reports bytes accepted by Write but not yet transmitted.
 func (c *Conn) UnsentBytes() int { return int(c.sndEnd - min(c.sndNxt, c.sndEnd)) }
@@ -252,7 +239,7 @@ func (c *Conn) startResetProbes() {
 	p := &resetProbe{
 		route: c.route, sched: c.sched, pools: c.cfg.Pools,
 		localPort: c.localPort, remotePort: c.remotePort,
-		seq: c.sndNxt, ack: c.rcvNxt, gap: profile.FirstTimeout,
+		seq: c.sndNxt, ack: c.rcvNxt(), gap: profile.FirstTimeout,
 	}
 	p.fire()
 }
@@ -303,8 +290,7 @@ func (c *Conn) teardown() {
 	// unbound, reset probes hold a copy, and the layer above stops
 	// calling once it learns of the teardown (tlssim) or caused it.
 	c.extents.Release(&c.cfg.Pools.extents)
-	c.recvBuf.Each(func(_ uint64, chunk recvChunk) { bytestream.Recycle(c.cfg.Arena, chunk.data) })
-	c.recvBuf.Reset()
+	c.rcv.Release(c.cfg.Arena)
 	c.cfg.Pools.conns.Retire(c, c.sched)
 }
 
@@ -330,7 +316,7 @@ func (c *Conn) deliverClose(err error) {
 
 func (c *Conn) sendSeg(seg *segment) {
 	seg.flags |= flagACK
-	seg.ack = c.rcvNxt
+	seg.ack = c.rcvNxt()
 	c.route.Send(c.localPort, c.remotePort, seg.wireSize(), seg)
 }
 
@@ -628,91 +614,35 @@ func (c *Conn) rttSample(sample time.Duration) {
 // --- receiver ---
 
 func (c *Conn) processData(seg *segment) {
-	if seg.end() <= c.rcvNxt {
+	if seg.end() <= c.rcvNxt() {
 		// Fully duplicate; re-ACK so the sender advances.
 		c.sendFlags(flagACK)
 		return
 	}
-	payload := seg.payload
-	start := seg.seq
-	if start < c.rcvNxt {
-		payload = payload[c.rcvNxt-start:]
-		start = c.rcvNxt
-	}
-	fin := seg.flags&flagFIN != 0
-	if start == c.rcvNxt && !fin {
-		// In order: every buffered chunk starts above rcvNxt, so this is
-		// the chunk the gap scan would pick first and deliver whole.
-		// Hand the payload over as it is, with no copy. The segment owns
-		// it, and the network releases the segment only after this
-		// handler returns.
-		c.deliver(payload)
-	} else if prev, found := c.recvBuf.Slot(start); !found || len(payload) > len(prev.data) || fin {
-		buf := payload
-		if !bytestream.IsOpaque(payload) {
-			buf = c.cfg.Arena.Get(len(payload))
-			copy(buf, payload)
-		}
-		if found {
-			bytestream.Recycle(c.cfg.Arena, prev.data)
-		}
-		*prev = recvChunk{data: buf, fin: fin}
-	}
-	c.advanceReceive()
+	c.rcv.Receive(c.cfg.Arena, seg.seq, seg.payload, seg.flags&flagFIN != 0)
 	// HOL-stall bookkeeping: data buffered beyond a sequence gap means
 	// the application is head-of-line blocked. Tracer-gated — the state
 	// is only read here, so an untraced connection skips it entirely.
 	if c.cfg.Trace != nil {
-		switch {
-		case !c.holActive && c.recvBuf.Len() > 0:
-			c.holActive = true
-			c.holStart = c.sched.Now()
-			buffered := 0
-			c.recvBuf.Each(func(_ uint64, chunk recvChunk) { buffered += len(chunk.data) })
-			c.cfg.Trace.TCPHolStart(c.holStart, c.traceID, buffered)
-		case c.holActive && c.recvBuf.Len() == 0:
-			c.holActive = false
-			now := c.sched.Now()
-			c.cfg.Trace.TCPHolEnd(now, c.traceID, now-c.holStart)
+		now := c.sched.Now()
+		switch opened, parked, closed, held := c.rcv.Stall(now); {
+		case opened:
+			c.cfg.Trace.TCPHolStart(now, c.traceID, parked)
+		case closed:
+			c.cfg.Trace.TCPHolEnd(now, c.traceID, held)
 		}
 	}
 	c.sendFlags(flagACK)
 }
 
-// deliver hands the in-order bytes at rcvNxt to the application.
-func (c *Conn) deliver(data []byte) {
-	c.rcvNxt += uint64(len(data))
-	if c.dataFn != nil {
-		c.dataFn(data)
+// rcvNxt is the next sequence number expected from the peer: the
+// stream offset, plus one once EOF is reached, since the FIN takes a
+// sequence number of its own.
+func (c *Conn) rcvNxt() uint64 {
+	if c.rcv.EOF() {
+		return c.rcv.Next() + 1
 	}
-}
-
-// advanceReceive drains the gap buffer up to the first hole. It takes the
-// LOWEST chunk at or below rcvNxt each time: with reordering in the path,
-// retransmission trimming can leave several overlapping chunks there,
-// and the choice decides delivery granularity. A chunk is popped before
-// its callback runs, so a teardown inside the callback never sees it.
-func (c *Conn) advanceReceive() {
-	for {
-		start, chunk, ok := c.recvBuf.Head()
-		if !ok || start > c.rcvNxt {
-			return
-		}
-		c.recvBuf.Pop()
-		end := start + uint64(len(chunk.data))
-		if end > c.rcvNxt || (chunk.fin && !c.peerEOF && end == c.rcvNxt) {
-			if data := chunk.data[c.rcvNxt-start:]; len(data) > 0 {
-				c.deliver(data)
-			}
-			bytestream.Recycle(c.cfg.Arena, chunk.data)
-			if chunk.fin {
-				c.rcvNxt++ // consume the FIN offset
-				c.peerEOF = true
-			}
-			continue
-		}
-		bytestream.Recycle(c.cfg.Arena, chunk.data) // stale duplicate
-	}
+	return c.rcv.Next()
 }
 
 // maybeFinish completes teardown once both directions are done.
@@ -720,13 +650,13 @@ func (c *Conn) maybeFinish() {
 	if c.state != stateEstablished {
 		return
 	}
-	if c.peerEOF && !c.finRcvd {
+	if c.rcv.EOF() && !c.finRcvd {
 		c.finRcvd = true
 		// Passive close: reply with our own FIN once the app closes;
 		// deliver EOF now.
 		c.deliverClose(nil)
 	}
-	if c.finAcked && c.peerEOF {
+	if c.finAcked && c.rcv.EOF() {
 		c.teardown()
 	}
 }

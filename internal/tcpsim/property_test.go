@@ -1,37 +1,40 @@
 package tcpsim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
 
+	"h3cdn/internal/bufpool"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 )
 
-// TestReceiverReassemblyAnyOrder drives the receive path directly with
-// randomly segmented, duplicated, and reordered segments and asserts the
-// application sees the exact in-order byte stream.
+// TestReceiverReassemblyAnyOrder: randomly cut segments, with the FIN on
+// the last one or on a bare FIN after it, duplicated, re-segmented at
+// random offsets and shuffled, reach the application through
+// handleSegment as the exact byte stream, followed by one EOF. The ACK
+// after the last arrival covers the FIN's sequence number, finSeq+1,
+// and a duplicate FIN after it is ACKed again. The arrival-by-arrival
+// rules are bytestream.Reassembly's, checked against an oracle there;
+// this is the wiring.
 func TestReceiverReassemblyAnyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7)) //nolint:gosec
 	for trial := 0; trial < 200; trial++ {
 		payload := patterned(1 + rng.Intn(6000))
-
+		finSeq := uint64(len(payload))
 		var segs []*segment
 		for off := 0; off < len(payload); {
-			n := 1 + rng.Intn(900)
-			if off+n > len(payload) {
-				n = len(payload) - off
-			}
-			seg := &segment{seq: uint64(off), payload: payload[off : off+n]}
-			if off+n == len(payload) {
-				seg.flags |= flagFIN
-			}
-			segs = append(segs, seg)
+			n := min(1+rng.Intn(900), len(payload)-off)
+			segs = append(segs, &segment{seq: uint64(off), payload: payload[off : off+n]})
 			off += n
 		}
-		// Retransmission duplicates, including partially overlapping
-		// re-segmentations starting at random offsets.
+		if rng.Intn(3) == 0 {
+			segs = append(segs, &segment{seq: finSeq, flags: flagFIN})
+		} else {
+			segs[len(segs)-1].flags |= flagFIN
+		}
 		for i := 0; i < len(segs)/3; i++ {
 			segs = append(segs, segs[rng.Intn(len(segs))])
 		}
@@ -42,37 +45,31 @@ func TestReceiverReassemblyAnyOrder(t *testing.T) {
 		}
 		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 
-		// A disconnected conn: handleSegment's sends go to a dead
-		// network (no listener), which is fine for receive-side logic.
-		sched := &simnet.Scheduler{MaxEvents: 1_000_000}
-		net := simnet.NewNetwork(sched, nil, seqrand.New(1))
-		host := net.AddHost("recv")
-		c := newConn(host, "", Config{}.withDefaults())
-		c.isClient = true
-		c.localPort = host.BindEphemeral(func(simnet.Packet) {})
-		c.state = stateEstablished
-
+		c := receiverConn(&bufpool.Arena{})
+		var acks []uint64
+		c.host.Network().SetFilter(func(pkt simnet.Packet) bool {
+			acks = append(acks, pkt.Payload.(*segment).ack)
+			return false
+		})
 		var got []byte
-		eof := false
+		eofs := 0
 		c.SetDataFunc(func(p []byte) { got = append(got, p...) })
 		c.SetCloseFunc(func(err error) {
 			if err == nil {
-				eof = true
+				eofs++
 			}
 		})
 		for _, seg := range segs {
 			c.handleSegment(seg)
 		}
-		if !eof {
-			t.Fatalf("trial %d: EOF not delivered", trial)
+		if !bytes.Equal(got, payload) || eofs != 1 || acks[len(acks)-1] != finSeq+1 {
+			t.Fatalf("trial %d: %d of %d bytes (equal %v), %d EOFs, last ACK %d, finSeq %d",
+				trial, len(got), len(payload), bytes.Equal(got, payload), eofs, acks[len(acks)-1], finSeq)
 		}
-		if len(got) != len(payload) {
-			t.Fatalf("trial %d: got %d bytes, want %d", trial, len(got), len(payload))
-		}
-		for i := range got {
-			if got[i] != payload[i] {
-				t.Fatalf("trial %d: byte %d differs", trial, i)
-			}
+		n := len(acks)
+		c.handleSegment(&segment{seq: finSeq, flags: flagFIN})
+		if len(acks) != n+1 || acks[n] != finSeq+1 || eofs != 1 {
+			t.Fatalf("trial %d: duplicate FIN: ACKs %v, want one of %d; %d EOFs", trial, acks[n:], finSeq+1, eofs)
 		}
 	}
 }
