@@ -252,6 +252,72 @@ func TestReassemblyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGapsMatchesSortedMap drives a Reassembly's parked chunks and a map
+// with random parkings beyond a hole, longer chunks replacing shorter
+// ones, and hole fills that drain the lowest chunks, tail-heavy like a
+// loss recovery, and checks after every step that the chunk array walks
+// the map in offset order, head first, and that Reset empties it.
+func TestGapsMatchesSortedMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5)) //nolint:gosec
+	for trial := 0; trial < 300; trial++ {
+		r, a := &Reassembly{}, &bufpool.Arena{}
+		ref := map[uint64]int{}
+		next, tail := uint64(0), uint64(1)
+		for op := 0; op < 400; op++ {
+			if k := rng.Intn(10); k < 6 || len(ref) == 0 {
+				// Mostly ascending arrivals, sometimes a fill-in.
+				off := max(tail, next+1) + uint64(rng.Intn(3))
+				if rng.Intn(4) == 0 {
+					off = next + 1 + uint64(rng.Intn(int(tail-next)))
+				}
+				n := 1 + rng.Intn(8)
+				tail = max(tail, off+1)
+				r.Receive(a, off, Opaque(n), false)
+				if n > ref[off] {
+					ref[off] = n
+				}
+			} else {
+				// Fill the hole below the lowest chunk, a byte short at
+				// times; the drain pops every chunk it reaches.
+				lo := uint64(0)
+				for off := range ref {
+					if lo == 0 || off < lo {
+						lo = off
+					}
+				}
+				fill := lo - next - uint64(rng.Intn(2))
+				r.Receive(a, next, Opaque(int(fill)), false)
+				for next += fill; ; {
+					lo, found := uint64(0), false
+					for off := range ref {
+						if off <= next && (!found || off < lo) {
+							lo, found = off, true
+						}
+					}
+					if !found {
+						break
+					}
+					next = max(next, lo+uint64(ref[lo]))
+					delete(ref, lo)
+				}
+				tail = max(tail, next+1)
+			}
+			live := r.chunks[r.head:]
+			if len(live) != len(ref) || r.Next() != next {
+				t.Fatalf("trial %d op %d: %d chunks, next %d; map %d, next %d", trial, op, len(live), r.Next(), len(ref), next)
+			}
+			for i, c := range live {
+				if n, ok := ref[c.off]; !ok || n != len(c.data) || i > 0 && live[i-1].off >= c.off {
+					t.Fatalf("trial %d op %d: chunk %d is %d bytes at %d; map holds %d there (%v)", trial, op, i, len(c.data), c.off, n, ok)
+				}
+			}
+		}
+		if r.Reset(); len(r.chunks) != 0 || r.head != 0 || r.Next() != 0 || a.Stats().InUse != 0 {
+			t.Fatalf("trial %d: after Reset %d chunks from %d, next %d, arena %+v", trial, len(r.chunks), r.head, r.Next(), a.Stats())
+		}
+	}
+}
+
 // TestFinIsAnOffset: a bare FIN beyond a hole parks nothing and opens no
 // stall, where a chunk beyond the hole opens one; EOF comes with the
 // last byte, once; and Release inside a delivery, as a teardown there

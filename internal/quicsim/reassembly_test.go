@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// refStream is Stream's receive path as it was before the gap buffer:
-// every frame parked in a map keyed by offset, and the whole map scanned
-// for the lowest eligible chunk on each pass. It is the oracle receive
-// must reproduce delivery for delivery.
+// refStream is Stream's receive path as a map: every frame parked in a
+// map keyed by offset, and the whole map scanned for the lowest eligible
+// chunk on each pass. It is the oracle receive must reproduce delivery
+// for delivery.
 type refStream struct {
 	rcvOff uint64
 	chunks map[uint64][]byte
@@ -144,10 +144,12 @@ func frameArrivals(rng *rand.Rand, payload []byte) []streamData {
 	return frames
 }
 
-// TestReassemblyMatchesReference: for random arrival schedules, the gap
-// buffer and the in-order fast path deliver exactly the reference's
-// (arrival, offset, length) sequence — the same bytes in the same
-// callbacks at the same frame — and signal EOF at the same frame.
+// TestReassemblyMatchesReference: for random arrival schedules, the
+// stream's receive path, from receive through its Reassembly to the data
+// and FIN callbacks, delivers exactly the reference's (arrival, offset,
+// length) sequence — the same bytes in the same callbacks at the same
+// frame — signals EOF at the same frame, and gives every parked copy
+// back.
 func TestReassemblyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26)) //nolint:gosec
 	for trial := 0; trial < 500; trial++ {
@@ -178,9 +180,9 @@ func TestReassemblyMatchesReference(t *testing.T) {
 		if !slices.Equal(log, ref.log) {
 			t.Fatalf("trial %d: deliveries\n got %v\nwant %v", trial, log, ref.log)
 		}
-		if eofAt != ref.eofAt || eofAt < 0 || got != len(payload) || s.chunks.Len() != 0 {
-			t.Fatalf("trial %d: EOF at arrival %d after %d bytes (%d chunks left), reference at %d, payload %d",
-				trial, eofAt, got, s.chunks.Len(), ref.eofAt, len(payload))
+		if eofAt != ref.eofAt || eofAt < 0 || got != len(payload) || s.conn.pools.payloads.Stats().InUse != 0 {
+			t.Fatalf("trial %d: EOF at arrival %d after %d bytes (payload arena %+v), reference at %d, payload %d",
+				trial, eofAt, got, s.conn.pools.payloads.Stats(), ref.eofAt, len(payload))
 		}
 	}
 }
