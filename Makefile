@@ -25,7 +25,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/quicsim
 	$(GO) test -run '^$$' -fuzz FuzzWindow -fuzztime 5s ./internal/cc
 	$(GO) test -run '^$$' -fuzz FuzzParseRetention -fuzztime 5s ./internal/har
-	$(GO) test -run '^$$' -fuzz FuzzParseOutages -fuzztime 5s ./cmd/h3cdn-measure
+	$(GO) test -run '^$$' -fuzz FuzzParseOutages -fuzztime 5s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzParseMahimahiTrace -fuzztime 5s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzScheduler -fuzztime 5s -fuzzminimizetime 200x ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzSketchJSON -fuzztime 5s ./internal/sketch
@@ -131,10 +131,12 @@ traffic-smoke:
 # the same campaign); -exp all plans 4 campaigns, Figure 9's 0%-added arm
 # sharing the standard one, and 2 from the files, which answer that arm
 # too; every row, the sweeps -exp all leaves out included, completes in
-# one run that shares and releases datasets; and per-page logs are
-# never read from where none were kept: -exp f9 under -har-retention none
-# is a usage error (exit 2), and a dataset file written under it fails
-# to load (exit 1).
+# one run that shares and releases datasets; the path flags reach the
+# report's campaigns: -exp phases traces a lossy path, and an impaired
+# dataset answers the rows of the same impaired campaign (0 campaigns)
+# with the same text; and per-page logs are never read from where none
+# were kept: -exp f9 under -har-retention none is a usage error (exit
+# 2), and a dataset file written under it fails to load (exit 1).
 report-smoke:
 	rm -rf .report-smoke && mkdir -p .report-smoke
 	$(GO) build -o .report-smoke/h3cdn-measure ./cmd/h3cdn-measure
@@ -150,6 +152,13 @@ report-smoke:
 	diff -r .report-smoke/own .report-smoke/loaded
 	.report-smoke/h3cdn-report -pages 6 -exp all,phases,lossprofile,celltrace,popcache \
 		-pop-users 16 -pop-duration 20s > /dev/null
+	.report-smoke/h3cdn-report -pages 6 -exp phases -burst-loss 0.02 > /dev/null
+	.report-smoke/h3cdn-measure -pages 6 -burst-loss 0.02 -jitter 2ms -o .report-smoke/imp.json
+	.report-smoke/h3cdn-report -pages 6 -burst-loss 0.02 -jitter 2ms -exp t2,f6a,f7 > .report-smoke/imp-own.txt
+	.report-smoke/h3cdn-report -pages 6 -burst-loss 0.02 -jitter 2ms -exp t2,f6a,f7 \
+		-dataset .report-smoke/imp.json > .report-smoke/imp-loaded.txt 2> .report-smoke/imp-loaded.err
+	grep -qx 'h3cdn-report: 0 campaigns for 3 rows' .report-smoke/imp-loaded.err
+	cmp .report-smoke/imp-own.txt .report-smoke/imp-loaded.txt
 	.report-smoke/h3cdn-report -pages 6 -exp f9 -har-retention none > /dev/null 2>&1; test $$? -eq 2
 	.report-smoke/h3cdn-measure -pages 6 -har-retention none -o .report-smoke/none.json
 	.report-smoke/h3cdn-report -pages 6 -exp t2 -dataset .report-smoke/none.json > /dev/null 2>&1; test $$? -eq 1

@@ -16,17 +16,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"h3cdn/internal/core"
-	"h3cdn/internal/simnet"
-	"h3cdn/internal/simnet/traces"
 	"h3cdn/internal/traffic"
 	"h3cdn/internal/vantage"
 )
@@ -38,28 +33,10 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("h3cdn-measure", flag.ContinueOnError)
 	cfg := core.CampaignConfig{Vantages: vantage.Points()}
-	cfg.BindFlags(fs)
-	fs.Float64Var(&cfg.LossRate, "loss", 0, "path loss rate (0 = default baseline, negative = lossless)")
+	buildPath := cfg.BindFlags(fs)
 	fs.BoolVar(&cfg.Consecutive, "consecutive", false, "consecutive-visit protocol (§VI-D)")
-	fs.IntVar(&cfg.Workers, "workers", 0, "concurrent shard workers (0 = GOMAXPROCS, 1 = one shard at a time)")
-	fs.IntVar(&cfg.FetchRetries, "retries", 0, "browser re-fetch budget per resource after transport errors")
 	fs.StringVar(&cfg.QlogDir, "qlog", "", "write per-shard qlog JSONL trace files into this directory (created if missing)")
-
-	var outages []simnet.Outage
-	fs.Func("outage", "scheduled path outages, a comma-separated `list` of start-end pairs (e.g. 2s-4s,10s-11s)", func(s string) (err error) {
-		outages, err = parseOutages(s)
-		return err
-	})
 	var (
-		burstLoss    = fs.Float64("burst-loss", 0, "Gilbert–Elliott average loss rate (0 disables bursty loss)")
-		burstLen     = fs.Float64("burst-len", 4, "Gilbert–Elliott mean burst length in packets")
-		jitter       = fs.Duration("jitter", 0, "uniform extra per-packet delay in [0, jitter)")
-		reorder      = fs.Float64("reorder", 0, "probability a delivered packet is held back")
-		reorderDelay = fs.Duration("reorder-delay", 2*time.Millisecond, "hold-back duration for reordered packets")
-
-		linkTrace  = fs.String("link-trace", "", "drive the download link from a capacity trace: a synthetic profile ("+strings.Join(traces.Names(), ", ")+") or a Mahimahi trace file")
-		traceScale = fs.Float64("trace-scale", 1, "multiply the link trace's capacity samples by this factor")
-
 		trafficOn = fs.Bool("traffic", false, "run an open-loop population traffic campaign (seeded users contending on shared TTL edge caches) instead of the one-visit-per-page census")
 
 		out        = fs.String("o", "", "output file (default stdout)")
@@ -94,7 +71,7 @@ func run(args []string) int {
 
 	// Usage errors exit 2 (the flag package's own convention for bad
 	// flags), before any file creation or simulation work.
-	if err := validateImpairFlags(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, *traceScale); err != nil {
+	if err := buildPath(); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 		return 2
 	}
@@ -143,14 +120,6 @@ func run(args []string) int {
 		w = f
 	}
 
-	impair := buildImpairment(*burstLoss, *burstLen, *jitter, *reorder, *reorderDelay, outages)
-
-	tl, err := buildLinkTrace(*linkTrace, *traceScale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
-		return 1
-	}
-
 	// The campaign expects the qlog directory to exist; create it before
 	// the run so a bad path fails fast. Same for the traffic checkpoint
 	// directory.
@@ -167,8 +136,7 @@ func run(args []string) int {
 		}
 	}
 
-	cfg.Impairment, cfg.LinkTrace = impair, tl
-	if tl != nil {
+	if tl := cfg.LinkTrace; tl != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: link trace %s: %d epochs over %v, mean %.1f Mbit/s\n",
 			tl.Name(), tl.Epochs(), tl.Period(), tl.MeanBps()/1e6)
 	}
@@ -255,7 +223,7 @@ func run(args []string) int {
 	if cfg.QlogDir != "" {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: qlog traces written to %s\n", cfg.QlogDir)
 	}
-	if impair != nil {
+	if cfg.Impairment != nil {
 		r := ds.Stats.Recovery
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: drops burst=%d outage=%d reordered=%d\n",
 			ds.Stats.BurstDrops, ds.Stats.OutageDrops, ds.Stats.Reordered)
@@ -277,109 +245,4 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// validateImpairFlags rejects nonsensical fault/trace knob values —
-// out-of-range rates, negative durations, NaN — before any file or
-// simulation work. These are usage errors (exit 2), distinct from
-// runtime failures (exit 1): a sweep script with a sign bug should fail
-// its very first invocation loudly, not run a campaign under a silently
-// clamped knob (simnet.GilbertElliott clamps the rate to 0.5 and the
-// burst length to 1).
-func validateImpairFlags(burstLoss, burstLen float64, jitter time.Duration, reorder float64, reorderDelay time.Duration, traceScale float64) error {
-	if !(burstLoss >= 0 && burstLoss <= 0.5) {
-		return fmt.Errorf("-burst-loss %v: must be a loss rate in [0, 0.5]", burstLoss)
-	}
-	if !(burstLen >= 1) || math.IsInf(burstLen, 1) {
-		return fmt.Errorf("-burst-len %v: must be a finite burst length of at least 1 packet", burstLen)
-	}
-	if jitter < 0 {
-		return fmt.Errorf("-jitter %v: must be a non-negative duration", jitter)
-	}
-	if !(reorder >= 0 && reorder <= 1) {
-		return fmt.Errorf("-reorder %v: must be a probability in [0, 1]", reorder)
-	}
-	if reorderDelay < 0 {
-		return fmt.Errorf("-reorder-delay %v: must be a non-negative duration", reorderDelay)
-	}
-	if !(traceScale > 0) || math.IsInf(traceScale, 0) {
-		return fmt.Errorf("-trace-scale %v: must be a positive finite factor", traceScale)
-	}
-	return nil
-}
-
-// buildLinkTrace resolves the -link-trace spec: a synthetic profile name
-// from the bundled traces package, else a Mahimahi trace file path. The
-// -trace-scale factor applies either way.
-func buildLinkTrace(spec string, scale float64) (*simnet.TraceLink, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var (
-		tl  *simnet.TraceLink
-		err error
-	)
-	if traces.Describe(spec) != "" {
-		tl, err = traces.Profile(spec)
-	} else {
-		f, ferr := os.Open(spec)
-		if ferr != nil {
-			return nil, fmt.Errorf("link-trace %q: not a synthetic profile (%s) and not a readable file: %v",
-				spec, strings.Join(traces.Names(), ", "), ferr)
-		}
-		defer f.Close()
-		tl, err = simnet.ParseMahimahiTrace(filepath.Base(spec), f, 0, 0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tl.Scaled(scale)
-}
-
-// buildImpairment assembles the fault profile from CLI knobs, or returns
-// nil when every knob is off so campaigns keep the unimpaired fast path.
-func buildImpairment(burstLoss, burstLen float64, jitter time.Duration, reorder float64, reorderDelay time.Duration, outages []simnet.Outage) *simnet.Impairment {
-	if burstLoss <= 0 && jitter <= 0 && reorder <= 0 && len(outages) == 0 {
-		return nil
-	}
-	im := simnet.GilbertElliott(burstLoss, burstLen)
-	im.JitterMax = jitter
-	if reorder > 0 {
-		im.ReorderRate = reorder
-		im.ReorderDelay = reorderDelay
-	}
-	im.Outages = outages
-	return &im
-}
-
-// parseOutages parses comma-separated start-end duration pairs, e.g.
-// "2s-4s,10s-11s". Windows must be listed in time order without
-// overlapping, the form simnet.Impairment.Outages documents.
-func parseOutages(spec string) ([]simnet.Outage, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []simnet.Outage
-	for _, field := range strings.Split(spec, ",") {
-		lo, hi, ok := strings.Cut(strings.TrimSpace(field), "-")
-		if !ok {
-			return nil, fmt.Errorf("outage %q: want start-end", field)
-		}
-		start, err := time.ParseDuration(lo)
-		if err != nil {
-			return nil, fmt.Errorf("outage %q: %v", field, err)
-		}
-		end, err := time.ParseDuration(hi)
-		if err != nil {
-			return nil, fmt.Errorf("outage %q: %v", field, err)
-		}
-		if end <= start {
-			return nil, fmt.Errorf("outage %q: end must follow start", field)
-		}
-		if n := len(out); n > 0 && start < out[n-1].End {
-			return nil, fmt.Errorf("outage %q: starts before the previous window ends", field)
-		}
-		out = append(out, simnet.Outage{Start: start, End: end})
-	}
-	return out, nil
 }

@@ -1,118 +1,11 @@
 package main
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestValidateImpairFlags(t *testing.T) {
-	type args struct {
-		burstLoss    float64
-		burstLen     float64
-		jitter       time.Duration
-		reorder      float64
-		reorderDelay time.Duration
-		traceScale   float64
-	}
-	ok := args{burstLen: 4, traceScale: 1}
-	cases := []struct {
-		name    string
-		mut     func(*args)
-		wantErr string // substring of the error, "" = valid
-	}{
-		{"defaults", func(a *args) {}, ""},
-		{"all-knobs-on", func(a *args) {
-			a.burstLoss, a.jitter, a.reorder, a.reorderDelay = 0.02, 2*time.Millisecond, 0.1, 5*time.Millisecond
-		}, ""},
-		{"negative-burst-loss", func(a *args) { a.burstLoss = -0.01 }, "-burst-loss"},
-		{"nan-burst-loss", func(a *args) { a.burstLoss = math.NaN() }, "-burst-loss"},
-		{"burst-loss-at-clamp", func(a *args) { a.burstLoss = 0.5 }, ""},
-		{"burst-loss-above-clamp", func(a *args) { a.burstLoss = 0.7 }, "-burst-loss"},
-		{"burst-len-one", func(a *args) { a.burstLen = 1 }, ""},
-		{"burst-len-below-one", func(a *args) { a.burstLen = 0.5 }, "-burst-len"},
-		{"negative-burst-len", func(a *args) { a.burstLen = -2 }, "-burst-len"},
-		{"nan-burst-len", func(a *args) { a.burstLen = math.NaN() }, "-burst-len"},
-		{"inf-burst-len", func(a *args) { a.burstLen = math.Inf(1) }, "-burst-len"},
-		{"negative-jitter", func(a *args) { a.jitter = -time.Millisecond }, "-jitter"},
-		{"negative-reorder", func(a *args) { a.reorder = -0.5 }, "-reorder"},
-		{"nan-reorder", func(a *args) { a.reorder = math.NaN() }, "-reorder"},
-		{"certain-reorder", func(a *args) { a.reorder = 1 }, ""},
-		{"reorder-above-one", func(a *args) { a.reorder = 3 }, "-reorder"},
-		{"negative-reorder-delay", func(a *args) { a.reorderDelay = -time.Second }, "-reorder-delay"},
-		{"zero-trace-scale", func(a *args) { a.traceScale = 0 }, "-trace-scale"},
-		{"negative-trace-scale", func(a *args) { a.traceScale = -2 }, "-trace-scale"},
-		{"nan-trace-scale", func(a *args) { a.traceScale = math.NaN() }, "-trace-scale"},
-		{"inf-trace-scale", func(a *args) { a.traceScale = math.Inf(1) }, "-trace-scale"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := ok
-			tc.mut(&a)
-			err := validateImpairFlags(a.burstLoss, a.burstLen, a.jitter, a.reorder, a.reorderDelay, a.traceScale)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("want error naming %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not name the offending flag %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-func TestBuildLinkTrace(t *testing.T) {
-	if tl, err := buildLinkTrace("", 1); tl != nil || err != nil {
-		t.Fatalf("empty spec: %v, %v", tl, err)
-	}
-	tl, err := buildLinkTrace("lte", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Name() != "synthetic:lte" {
-		t.Fatalf("name = %q", tl.Name())
-	}
-	half, err := buildLinkTrace("lte", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := half.MeanBps(), tl.MeanBps()/2; math.Abs(got-want) > 1 {
-		t.Fatalf("scaled mean %v, want %v", got, want)
-	}
-
-	// Mahimahi file path.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cell.trace")
-	if err := os.WriteFile(path, []byte("0\n10\n20\n30\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ftl, err := buildLinkTrace(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ftl.Name() != "cell.trace" || ftl.MeanBps() <= 0 {
-		t.Fatalf("file trace: name %q mean %v", ftl.Name(), ftl.MeanBps())
-	}
-
-	if _, err := buildLinkTrace(filepath.Join(dir, "missing.trace"), 1); err == nil {
-		t.Fatal("missing file: want error")
-	}
-	bad := filepath.Join(dir, "bad.trace")
-	if err := os.WriteFile(bad, []byte("not-a-timestamp\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildLinkTrace(bad, 1); err == nil {
-		t.Fatal("malformed file: want parse error")
-	}
-}
 
 // TestUsageErrorsExit2 runs the command on bad campaign inputs: each
 // must exit 2 before any work. The -o path cannot be created, so a case
@@ -135,6 +28,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"bad-retention", []string{"-har-retention", "sample:0"}},
 		{"outages-out-of-order", []string{"-outage", "10s-11s,2s-4s"}},
 		{"outages-overlapping", []string{"-outage", "1s-3s,2s-4s"}},
+		{"negative-jitter", []string{"-jitter", "-1ms"}},
+		{"zero-trace-scale", []string{"-trace-scale", "0"}},
+		{"unreadable-link-trace", []string{"-link-trace", filepath.Join(t.TempDir(), "missing.trace")}},
 		{"unknown-flag", []string{"-no-such-flag"}},
 	}
 	for _, tc := range cases {
@@ -146,6 +42,14 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 	if got := run([]string{"-pages", "1", "-o", out}); got != 1 {
 		t.Fatalf("valid flags with an uncreatable -o: exit %d, want 1", got)
+	}
+	// A usage error creates no file: -o is opened only after every check.
+	created := filepath.Join(t.TempDir(), "ds.json")
+	if got := run([]string{"-link-trace", filepath.Join(t.TempDir(), "missing.trace"), "-o", created}); got != 2 {
+		t.Fatalf("unreadable -link-trace: exit %d, want 2", got)
+	}
+	if _, err := os.Stat(created); !os.IsNotExist(err) {
+		t.Fatalf("unreadable -link-trace created -o: %v", err)
 	}
 }
 
@@ -247,26 +151,4 @@ func TestHARRetentionFlag(t *testing.T) {
 			}
 		})
 	}
-}
-
-// FuzzParseOutages: an accepted -outage spec yields windows in time
-// order, each 0 ≤ Start < End and none overlapping the one before.
-func FuzzParseOutages(f *testing.F) {
-	for _, s := range []string{"", "2s-4s", "2s-4s,10s-11s", "10s-11s,2s-4s", "1s-3s,2s-4s", "4s-2s", "0-1ms", "+1s-2s", " 1s-2s , 2s-3s ", "1s--2s", "x-y", "1s"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		windows, err := parseOutages(spec)
-		if err != nil {
-			return
-		}
-		for i, w := range windows {
-			if w.Start < 0 || w.Start >= w.End {
-				t.Fatalf("parseOutages(%q): window %d is [%v, %v)", spec, i, w.Start, w.End)
-			}
-			if i > 0 && w.Start < windows[i-1].End {
-				t.Fatalf("parseOutages(%q): window %d starts at %v, before window %d ends at %v", spec, i, w.Start, i-1, windows[i-1].End)
-			}
-		}
-	})
 }

@@ -7,11 +7,13 @@
 // Each experiment id is one row of core.Artifacts, which declares the
 // campaigns the row reads. -exp all stands for the rows marked InAll, in
 // table order; the slower sweeps run only when named, and a repeated id
-// runs once. One core.Plan runs every distinct campaign config of the
-// selected rows once, at the configured scale; -dataset /
-// -consecutive-dataset files written by h3cdn-measure stand in for the
-// standard and consecutive campaigns of the rows that read only per-page
-// logs, Figure 9's 0%-added arm included. Under -har-retention none the
+// runs once. Every campaign starts from the campaign flags, path flags
+// included, which core.CampaignConfig.BindFlags shares with
+// h3cdn-measure. One core.Plan runs every distinct campaign config of
+// the selected rows once; -dataset / -consecutive-dataset files written
+// by h3cdn-measure under the same flags stand in for the standard and
+// consecutive campaigns of the rows that read only per-page logs,
+// Figure 9's 0%-added arm included. Under -har-retention none the
 // rows that read per-page logs are refused. -plot writes the raw series
 // files of the rows that ran.
 package main
@@ -19,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,7 +43,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "h3cdn-report: "+format+"\n", args...)
 	}
 	in := core.ReportInputs{Campaign: core.CampaignConfig{Vantages: vantage.Points()}}
-	in.Campaign.BindFlags(fs)
+	buildPath := in.BindFlags(fs)
 	fs.IntVar(&in.Pop.Users, "pop-users", 64, "popcache: baseline population size anchoring the per-user offered load")
 	fs.Float64Var(&in.Pop.ArrivalRate, "pop-rate", 2, "popcache: session-arrival rate at the baseline population, sessions/s of virtual time")
 	fs.DurationVar(&in.Pop.Duration, "pop-duration", time.Minute, "popcache: virtual-time horizon per campaign")
@@ -52,14 +53,13 @@ func run(args []string) int {
 		in.PopSizes, err = parseSizes(s)
 		return err
 	})
-	fs.Float64Var(&in.BurstLen, "burstlen", 4, "lossprofile: Gilbert–Elliott mean burst length in packets")
 	ids := make([]string, 0, len(core.Artifacts)+1)
 	for _, a := range core.Artifacts {
 		ids = append(ids, a.ID)
 	}
 	var (
 		exp      = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(append(ids, "all"), ",")+")")
-		profiles = fs.String("traces", strings.Join(traces.Names(), ","), "celltrace: comma-separated synthetic profiles (see h3cdn-measure -link-trace)")
+		profiles = fs.String("traces", strings.Join(traces.Names(), ","), "celltrace: comma-separated synthetic profiles (see -link-trace)")
 		dsPath   = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
 		consPath = fs.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
 		plotDir  = fs.String("plot", "", "also export raw figure series as TSV into this directory")
@@ -73,8 +73,8 @@ func run(args []string) int {
 	in.Profiles = splitList(*profiles)
 
 	// Usage errors exit 2, before any campaign runs.
-	if !(in.BurstLen >= 1) || math.IsInf(in.BurstLen, 1) {
-		logf("-burstlen %v: must be a finite burst length of at least 1 packet", in.BurstLen)
+	if err := buildPath(); err != nil {
+		logf("%v", err)
 		return 2
 	}
 	if err := in.Campaign.Validate(); err != nil {

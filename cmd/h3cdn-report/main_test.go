@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -19,7 +20,15 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"negative-pages", []string{"-pages", "-3"}},
 		{"zero-pages", []string{"-pages", "0"}},
 		{"negative-probes", []string{"-probes", "-1"}},
-		{"negative-burstlen", []string{"-burstlen", "-2"}},
+		{"negative-burst-len", []string{"-burst-len", "-2"}},
+		{"negative-workers", []string{"-workers", "-1"}},
+		{"nan-loss", []string{"-loss", "NaN"}},
+		{"burst-loss-above-clamp", []string{"-burst-loss", "0.7"}},
+		{"negative-jitter", []string{"-jitter", "-1ms"}},
+		{"reorder-above-one", []string{"-reorder", "3"}},
+		{"outages-out-of-order", []string{"-outage", "10s-11s,2s-4s"}},
+		{"zero-trace-scale", []string{"-trace-scale", "0"}},
+		{"unreadable-link-trace", []string{"-link-trace", filepath.Join(t.TempDir(), "missing.trace")}},
 		{"bad-retention", []string{"-har-retention", "keep"}},
 		{"bad-pop-sizes", []string{"-pop-sizes", "0"}},
 		{"unknown-flag", []string{"-no-such-flag"}},
@@ -43,6 +52,18 @@ func TestUsageErrorsExit2(t *testing.T) {
 	for _, traces := range []string{"nosuch", "", ","} {
 		if got := run([]string{"-pages", "1", "-exp", "celltrace", "-traces", traces}); got != 2 {
 			t.Fatalf("-traces %q: exit %d, want 2", traces, got)
+		}
+	}
+	// A sweep that sets the path's impairment or link trace on its arms
+	// is refused a base campaign that sets it already.
+	for _, args := range [][]string{
+		{"-exp", "lossprofile", "-burst-loss", "0.02"},
+		{"-exp", "lossprofile", "-outage", "2s-3s"},
+		{"-exp", "celltrace", "-link-trace", "lte"},
+		{"-exp", "celltrace", "-jitter", "2ms"},
+	} {
+		if got := run(append([]string{"-pages", "1"}, args...)); got != 2 {
+			t.Fatalf("%s: exit %d, want 2", strings.Join(args, " "), got)
 		}
 	}
 	// A row that reads per-page logs is refused a retention that keeps

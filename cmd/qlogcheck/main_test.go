@@ -49,8 +49,11 @@ func TestDroppedEventsMustBeCounts(t *testing.T) {
 func measuredQlog(f *testing.F) []byte {
 	cfg := core.CampaignConfig{Vantages: vantage.Points()}
 	fs := flag.NewFlagSet("h3cdn-measure", flag.ContinueOnError)
-	cfg.BindFlags(fs)
+	buildPath := cfg.BindFlags(fs)
 	if err := fs.Parse([]string{"-pages", "2"}); err != nil {
+		f.Fatal(err)
+	}
+	if err := buildPath(); err != nil {
 		f.Fatal(err)
 	}
 	cfg.QlogDir = f.TempDir()

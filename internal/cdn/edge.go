@@ -109,7 +109,6 @@ type Edge struct {
 	missHeaders map[string]string
 
 	requests  int64
-	h3Reqs    int64
 	stampedes int64
 
 	// hits, misses and expired count this edge's cache lookups; expired
@@ -133,9 +132,6 @@ func NewEdge(cfg EdgeConfig) *Edge {
 
 // Requests reports the number of requests served.
 func (e *Edge) Requests() int64 { return e.requests }
-
-// H3Requests reports how many requests arrived over HTTP/3.
-func (e *Edge) H3Requests() int64 { return e.h3Reqs }
 
 // Cache returns the cache the edge serves from.
 func (e *Edge) Cache() *Cache { return e.cache }
@@ -175,9 +171,6 @@ func (e *Edge) lookup(key resourceKey) bool {
 func (e *Edge) Handler() httpsim.Handler {
 	return func(ctx *httpsim.ServerContext, respond func(httpsim.Response)) {
 		e.requests++
-		if ctx.Protocol == httpsim.H3 {
-			e.h3Reqs++
-		}
 		r := ctx.Responder(respond)
 		size, ok := e.cfg.Content(ctx.Req.Host, ctx.Req.Path)
 		if !ok {

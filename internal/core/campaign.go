@@ -1,13 +1,10 @@
 package core
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -110,26 +107,6 @@ type CampaignConfig struct {
 	// visit per corpus page. Incompatible with Consecutive, TracePhases
 	// and QlogDir (see Validate).
 	Traffic *traffic.Config
-}
-
-// BindFlags registers the flags shared by every command that runs
-// campaigns, each binding the field it sets: -seed, -pages, -probes and
-// -har-retention. A -pages below 1 (0 would select webgen's default) or
-// a malformed -har-retention fails fs.Parse.
-func (c *CampaignConfig) BindFlags(fs *flag.FlagSet) {
-	fs.Uint64Var(&c.Seed, "seed", 2022, "campaign seed")
-	c.CorpusConfig.NumPages = 325
-	fs.Func("pages", "number of websites, an `int` of at least 1 (default 325)", func(s string) error {
-		n, err := strconv.ParseInt(s, 0, strconv.IntSize)
-		if err != nil || n < 1 {
-			return errors.New("must be an integer of at least 1")
-		}
-		c.CorpusConfig.NumPages = int(n)
-		return nil
-	})
-	fs.IntVar(&c.ProbesPerVantage, "probes", 1, "probes per vantage point")
-	c.Retention = har.Retention{Kind: har.RetainAll}
-	fs.Var(&c.Retention, "har-retention", "HAR retention `policy`: all, none, or sample:N (N PageLogs per shard); metrics always cover every page, but none keeps no per-page log, so its dataset file does not load and h3cdn-report refuses none for the rows that read those logs (default all)")
 }
 
 // probesAt returns how many probes the campaign runs at a vantage point.
@@ -311,9 +288,10 @@ func shardCampaign(cfg CampaignConfig, corpus *webgen.Corpus) []shardJob {
 }
 
 // Validate reports the first configuration error: a negative count, a
-// loss rate that is NaN or drops every packet, a bad retention or traffic
-// config, a campaign that would decompose into zero shards, or a traffic
-// campaign combined with per-visit machinery it cannot honor.
+// loss rate that is NaN or drops every packet, a bad impairment,
+// retention or traffic config, a campaign that would decompose into zero
+// shards, or a traffic campaign combined with per-visit machinery it
+// cannot honor.
 // RunCampaign calls it; front ends call it to fail before any other work.
 func (c CampaignConfig) Validate() error {
 	switch {
@@ -326,6 +304,11 @@ func (c CampaignConfig) Validate() error {
 	case math.IsNaN(c.LossRate) || c.LossRate >= 1:
 		// Negative still means lossless (see LossRate).
 		return fmt.Errorf("core: loss rate %v: must be below 1", c.LossRate)
+	}
+	if c.Impairment != nil {
+		if err := c.Impairment.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 	}
 	c = c.withDefaults()
 	if err := c.Retention.Validate(); err != nil {

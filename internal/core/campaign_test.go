@@ -1,15 +1,13 @@
 package core
 
 import (
-	"flag"
-	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"h3cdn/internal/browser"
-	"h3cdn/internal/har"
+	"h3cdn/internal/simnet"
 	"h3cdn/internal/vantage"
 	"h3cdn/internal/webgen"
 )
@@ -211,6 +209,20 @@ func TestValidateRejectsZeroShardAndDuplicateModeCampaigns(t *testing.T) {
 		{"nan-loss", func(c *CampaignConfig) { c.LossRate = math.NaN() }, "loss rate NaN"},
 		{"total-loss", func(c *CampaignConfig) { c.LossRate = 1 }, "loss rate 1"},
 		{"loss-above-one", func(c *CampaignConfig) { c.LossRate = 1.5 }, "loss rate 1.5"},
+		// A library caller's fault profile gets the checks the path
+		// flags' values get.
+		{"bad-bad-state-loss", func(c *CampaignConfig) { c.Impairment = &simnet.Impairment{LossBad: 1.5} }, "bad-state loss 1.5"},
+		{"nan-transition", func(c *CampaignConfig) { c.Impairment = &simnet.Impairment{PGoodBad: math.NaN()} }, "good-to-bad transition NaN"},
+		{"negative-jitter", func(c *CampaignConfig) { c.Impairment = &simnet.Impairment{JitterMax: -time.Millisecond} }, "jitter -1ms"},
+		{"negative-reorder-delay", func(c *CampaignConfig) {
+			c.Impairment = &simnet.Impairment{ReorderRate: 0.1, ReorderDelay: -time.Millisecond}
+		}, "reorder delay -1ms"},
+		{"empty-outage", func(c *CampaignConfig) {
+			c.Impairment = &simnet.Impairment{Outages: []simnet.Outage{{Start: 2 * time.Second, End: 2 * time.Second}}}
+		}, "end must follow"},
+		{"outages-out-of-order", func(c *CampaignConfig) {
+			c.Impairment = &simnet.Impairment{Outages: []simnet.Outage{{Start: 10 * time.Second, End: 11 * time.Second}, {Start: 2 * time.Second, End: 4 * time.Second}}}
+		}, "before the previous window ends"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,34 +246,5 @@ func TestValidateRejectsZeroShardAndDuplicateModeCampaigns(t *testing.T) {
 	}
 	if err := (CampaignConfig{LossRate: -1}).Validate(); err != nil {
 		t.Fatalf("negative loss (lossless): %v", err)
-	}
-}
-
-// TestBindFlags: the shared flags bind their defaults and parsed values
-// straight into the fields they set, and a bad -pages or -har-retention
-// fails the parse itself.
-func TestBindFlags(t *testing.T) {
-	parse := func(args ...string) (CampaignConfig, error) {
-		var c CampaignConfig
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		c.BindFlags(fs)
-		return c, fs.Parse(args)
-	}
-	c, err := parse()
-	if err != nil || c.Seed != 2022 || c.CorpusConfig.NumPages != 325 || c.ProbesPerVantage != 1 || c.Retention != (har.Retention{Kind: har.RetainAll}) {
-		t.Fatalf("defaults: %+v, %v", c, err)
-	}
-	c, err = parse("-seed", "7", "-pages", "12", "-probes", "3", "-har-retention", "sample:4")
-	if err != nil || c.Seed != 7 || c.CorpusConfig.NumPages != 12 || c.ProbesPerVantage != 3 || c.Retention != (har.Retention{Kind: har.RetainSample, Sample: 4}) {
-		t.Fatalf("parsed: %+v, %v", c, err)
-	}
-	for _, args := range [][]string{
-		{"-pages", "0"}, {"-pages", "-3"}, {"-pages", "many"},
-		{"-har-retention", "sample:0"}, {"-har-retention", "keep"},
-	} {
-		if _, err := parse(args...); err == nil {
-			t.Errorf("%v: parsed without error", args)
-		}
 	}
 }

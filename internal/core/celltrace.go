@@ -37,10 +37,16 @@ const cellTraceLoss = 0.01
 // trace profile (traces.Profile) in modes {H1, H2, H3}, in two arms:
 // capacity variation alone, then capacity plus Gilbert–Elliott loss.
 // The base config supplies corpus, vantages, and probes; Modes,
-// LinkTrace, and Impairment are set per arm.
+// LinkTrace, and Impairment are set per arm, so a base campaign that
+// sets either path field is refused rather than silently replaced.
 func cellTraceArms(in ReportInputs) ([]Arm, []CellTraceRow, error) {
-	if len(in.Profiles) == 0 {
+	switch {
+	case len(in.Profiles) == 0:
 		return nil, nil, errors.New("no trace profile to replay")
+	case in.Campaign.LinkTrace != nil:
+		return nil, nil, errors.New("the sweep's arms set the link trace, which the base campaign sets already (-link-trace)")
+	case in.Campaign.Impairment != nil:
+		return nil, nil, errImpaired
 	}
 	rows := make([]CellTraceRow, len(in.Profiles))
 	var arms []Arm

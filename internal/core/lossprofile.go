@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -28,8 +29,13 @@ type LossProfileRow struct {
 // added loss rate, an i.i.d. Bernoulli arm (the §VI-E Traffic Control
 // knob, Figure 9's own campaign) and a bursty Gilbert–Elliott arm of
 // mean burst in.BurstLen at the matched average rate. With no added
-// loss the two arms are one baseline campaign.
+// loss the two arms are one baseline campaign. The bursty arms set the
+// path's Impairment, so a base campaign that sets one is refused rather
+// than silently replaced.
 func lossProfileArms(in ReportInputs) ([]Arm, []LossProfileRow, error) {
+	if in.Campaign.Impairment != nil {
+		return nil, nil, errImpaired
+	}
 	rows := make([]LossProfileRow, len(Figure9Losses()))
 	var arms []Arm
 	for i, added := range Figure9Losses() {
@@ -46,6 +52,10 @@ func lossProfileArms(in ReportInputs) ([]Arm, []LossProfileRow, error) {
 	}
 	return arms, rows, nil
 }
+
+// errImpaired refuses a sweep whose arms set the path's impairment on a
+// base campaign that already sets one.
+var errImpaired = errors.New("the sweep's arms set the path impairment, which the base campaign sets already (-burst-loss, -jitter, -reorder or -outage)")
 
 // fitArm reads cfg's dataset into its Figure-9 fit at the added loss
 // rate and its execution counters.

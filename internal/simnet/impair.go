@@ -1,6 +1,10 @@
 package simnet
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"time"
+)
 
 // Impairment is the fault-injection profile of a directed path: bursty
 // loss (a Gilbert–Elliott two-state chain), bounded delay jitter, bounded
@@ -36,7 +40,7 @@ type Impairment struct {
 
 	// Outages are down windows: any packet whose serialization starts in
 	// [Start, End) is dropped after consuming its link time, exactly
-	// like a loss drop. Windows should be disjoint and sorted.
+	// like a loss drop. Windows must be disjoint and sorted (Validate).
 	Outages []Outage
 }
 
@@ -44,6 +48,75 @@ type Impairment struct {
 type Outage struct {
 	Start time.Duration
 	End   time.Duration
+}
+
+// Validate reports the first value a fault profile cannot mean: a
+// probability outside [0, 1] (NaN included), a negative jitter or
+// reorder delay, or outage windows that are empty, start before zero,
+// or are not listed in time order without overlapping.
+func (im *Impairment) Validate() error {
+	for _, r := range []struct {
+		name string
+		p    float64
+	}{
+		{"good-state loss", im.LossGood}, {"bad-state loss", im.LossBad},
+		{"good-to-bad transition", im.PGoodBad}, {"bad-to-good transition", im.PBadGood},
+		{"reorder rate", im.ReorderRate},
+	} {
+		if !(r.p >= 0 && r.p <= 1) {
+			return fmt.Errorf("simnet: impairment %s %v: must be a probability in [0, 1]", r.name, r.p)
+		}
+	}
+	if im.JitterMax < 0 {
+		return fmt.Errorf("simnet: impairment jitter %v: must be a non-negative duration", im.JitterMax)
+	}
+	if im.ReorderDelay < 0 {
+		return fmt.Errorf("simnet: impairment reorder delay %v: must be a non-negative duration", im.ReorderDelay)
+	}
+	return checkOutages(im.Outages)
+}
+
+// checkOutages reports the first outage window that is empty, starts
+// before zero, or starts before the previous one ends.
+func checkOutages(ws []Outage) error {
+	for i, w := range ws {
+		switch {
+		case w.Start < 0 || w.End <= w.Start:
+			return fmt.Errorf("simnet: outage %v-%v: end must follow a non-negative start", w.Start, w.End)
+		case i > 0 && w.Start < ws[i-1].End:
+			return fmt.Errorf("simnet: outage %v-%v: starts before the previous window ends", w.Start, w.End)
+		}
+	}
+	return nil
+}
+
+// ParseOutages parses comma-separated start-end duration pairs, e.g.
+// "2s-4s,10s-11s", into the Outages of an Impairment; "" is none. The
+// windows must be listed in time order without overlapping.
+func ParseOutages(spec string) ([]Outage, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var out []Outage
+	for _, field := range strings.Split(spec, ",") {
+		lo, hi, ok := strings.Cut(strings.TrimSpace(field), "-")
+		if !ok {
+			return nil, fmt.Errorf("outage %q: want start-end", field)
+		}
+		start, err := time.ParseDuration(lo)
+		if err != nil {
+			return nil, fmt.Errorf("outage %q: %v", field, err)
+		}
+		end, err := time.ParseDuration(hi)
+		if err != nil {
+			return nil, fmt.Errorf("outage %q: %v", field, err)
+		}
+		out = append(out, Outage{Start: start, End: end})
+	}
+	if err := checkOutages(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // hasGE reports whether the Gilbert–Elliott chain is configured.

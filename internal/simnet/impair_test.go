@@ -317,3 +317,25 @@ func TestUnimpairedPathDrawsNothing(t *testing.T) {
 		t.Fatal("impairment RNG created on an unimpaired path")
 	}
 }
+
+// FuzzParseOutages: an accepted -outage spec yields windows in time
+// order, each 0 ≤ Start < End and none overlapping the one before.
+func FuzzParseOutages(f *testing.F) {
+	for _, s := range []string{"", "2s-4s", "2s-4s,10s-11s", "10s-11s,2s-4s", "1s-3s,2s-4s", "4s-2s", "0-1ms", "+1s-2s", " 1s-2s , 2s-3s ", "1s--2s", "x-y", "1s"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		windows, err := ParseOutages(spec)
+		if err != nil {
+			return
+		}
+		for i, w := range windows {
+			if w.Start < 0 || w.Start >= w.End {
+				t.Fatalf("ParseOutages(%q): window %d is [%v, %v)", spec, i, w.Start, w.End)
+			}
+			if i > 0 && w.Start < windows[i-1].End {
+				t.Fatalf("ParseOutages(%q): window %d starts at %v, before window %d ends at %v", spec, i, w.Start, i-1, windows[i-1].End)
+			}
+		}
+	})
+}

@@ -13,7 +13,10 @@ package traces
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"h3cdn/internal/simnet"
@@ -82,6 +85,35 @@ func Profile(name string) (*simnet.TraceLink, error) {
 		return nil, fmt.Errorf("traces: unknown profile %q (have %v)", name, Names())
 	}
 	return simnet.NewTraceLink("synthetic:"+name, p.gen())
+}
+
+// Load resolves a link-trace spec, the -link-trace flag's value: a
+// profile name, else the path of a Mahimahi trace file, whose base name
+// names the trace. Either way every capacity sample is multiplied by
+// scale. An empty spec is no trace.
+func Load(spec string, scale float64) (*simnet.TraceLink, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var (
+		tl  *simnet.TraceLink
+		err error
+	)
+	if _, ok := profiles[spec]; ok {
+		tl, err = Profile(spec)
+	} else {
+		f, ferr := os.Open(spec)
+		if ferr != nil {
+			return nil, fmt.Errorf("link-trace %q: not a synthetic profile (%s) and not a readable file: %v",
+				spec, strings.Join(Names(), ", "), ferr)
+		}
+		defer f.Close()
+		tl, err = simnet.ParseMahimahiTrace(filepath.Base(spec), f, 0, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return tl.Scaled(scale)
 }
 
 // fading generates n epochs of capacity: a sinusoid between floor and
