@@ -19,6 +19,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"h3cdn/internal/core"
@@ -65,12 +66,23 @@ func run(args []string) int {
 		}
 		return 2
 	}
+	var stray string // a -traffic-* flag set without -traffic
 	if *trafficOn {
 		cfg.Traffic = &tc
+	} else {
+		fs.Visit(func(f *flag.Flag) {
+			if stray == "" && strings.HasPrefix(f.Name, "traffic-") {
+				stray = f.Name
+			}
+		})
 	}
 
 	// Usage errors exit 2 (the flag package's own convention for bad
 	// flags), before any file creation or simulation work.
+	if stray != "" {
+		fmt.Fprintf(os.Stderr, "h3cdn-measure: -%s applies only with -traffic\n", stray)
+		return 2
+	}
 	if err := buildPath(); err != nil {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: %v\n", err)
 		return 2

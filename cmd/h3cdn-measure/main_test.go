@@ -115,9 +115,20 @@ func TestBuildTrafficConfig(t *testing.T) {
 		})
 	}
 
-	// -traffic off: every other knob is ignored.
-	if got := runToOutput(t, "-traffic-users", "-1", "-traffic-rate", "NaN"); got != 1 {
-		t.Fatalf("-traffic-* knobs without -traffic: exit %d, want 1", got)
+	// -traffic off: a -traffic-* knob, valid or not, is a usage error,
+	// and it creates no -o file.
+	created := filepath.Join(t.TempDir(), "ds.json")
+	for _, args := range [][]string{
+		{"-traffic-users", "5", "-traffic-duration", "1s"},
+		{"-traffic-users", "-1", "-traffic-rate", "NaN"},
+		{"-traffic=false", "-traffic-checkpoint", "ckpt"},
+	} {
+		if got := run(append(args, "-pages", "2", "-o", created)); got != 2 {
+			t.Fatalf("h3cdn-measure %s without -traffic: exit %d, want 2", strings.Join(args, " "), got)
+		}
+		if _, err := os.Stat(created); !os.IsNotExist(err) {
+			t.Fatalf("h3cdn-measure %s without -traffic created -o: %v", strings.Join(args, " "), err)
+		}
 	}
 }
 

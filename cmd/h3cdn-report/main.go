@@ -13,7 +13,8 @@
 // the selected rows once; -dataset / -consecutive-dataset files written
 // by h3cdn-measure under the same flags stand in for the standard and
 // consecutive campaigns of the rows that read only per-page logs,
-// Figure 9's 0%-added arm included. Under -har-retention none the
+// Figure 9's 0%-added arm included; a file whose seed, protocol, corpus
+// size or census shape differs from the run's is refused. Under -har-retention none the
 // rows that read per-page logs are refused. -plot writes the raw series
 // files of the rows that ran.
 package main
@@ -60,7 +61,7 @@ func run(args []string) int {
 	var (
 		exp      = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(append(ids, "all"), ",")+")")
 		profiles = fs.String("traces", strings.Join(traces.Names(), ","), "celltrace: comma-separated synthetic profiles (see -link-trace)")
-		dsPath   = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure)")
+		dsPath   = fs.String("dataset", "", "standard-protocol dataset JSON (from h3cdn-measure), refused unless it is this run's -seed, -pages and -probes census; the loss and path flags are not in the file, so matching them is the caller's job")
 		consPath = fs.String("consecutive-dataset", "", "consecutive-protocol dataset JSON")
 		plotDir  = fs.String("plot", "", "also export raw figure series as TSV into this directory")
 	)

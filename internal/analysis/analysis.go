@@ -6,7 +6,6 @@ package analysis
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -35,29 +34,11 @@ func Quantile(xs []float64, q float64) float64 {
 	return NewSorted(xs).Quantile(q)
 }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Point is one (x, y) sample of a distribution curve.
 type Point struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
 }
-
-// CDF returns the empirical cumulative distribution as sorted points
-// (x = value, y = P(X ≤ x)).
-func CDF(xs []float64) []Point { return NewSorted(xs).CDF() }
 
 // CCDF returns the complementary CDF (y = P(X > x)).
 func CCDF(xs []float64) []Point { return NewSorted(xs).CCDF() }
@@ -128,22 +109,4 @@ func LinearFit(xs, ys []float64) (a, b float64, err error) {
 	b = num / den
 	a = my - b*mx
 	return a, b, nil
-}
-
-// Pearson returns the correlation coefficient of two equal-length series.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var num, dx, dy float64
-	for i := range xs {
-		num += (xs[i] - mx) * (ys[i] - my)
-		dx += (xs[i] - mx) * (xs[i] - mx)
-		dy += (ys[i] - my) * (ys[i] - my)
-	}
-	if dx == 0 || dy == 0 {
-		return 0
-	}
-	return num / math.Sqrt(dx*dy)
 }

@@ -43,15 +43,9 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	if !almostEq(Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
-		t.Fatalf("Stddev = %v", Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-}
-
 func TestCDFAndCCDF(t *testing.T) {
 	xs := []float64{1, 2, 2, 3}
-	cdf := CDF(xs)
+	cdf := NewSorted(xs).CDF()
 	want := []Point{{1, 0.25}, {2, 0.75}, {3, 1.0}}
 	if len(cdf) != len(want) {
 		t.Fatalf("cdf = %v", cdf)
@@ -72,7 +66,7 @@ func TestCDFMonotonic(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		cdf := CDF(raw)
+		cdf := NewSorted(raw).CDF()
 		for i := 1; i < len(cdf); i++ {
 			if cdf[i].X <= cdf[i-1].X || cdf[i].Y < cdf[i-1].Y {
 				return false
@@ -158,18 +152,6 @@ func TestLinearFitDegenerate(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if got := Pearson(xs, ys); !almostEq(got, 1) {
-		t.Fatalf("perfect correlation = %v", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Pearson(xs, neg); !almostEq(got, -1) {
-		t.Fatalf("perfect anticorrelation = %v", got)
-	}
-}
-
 func TestKMeansTwoBlobs(t *testing.T) {
 	var vectors [][]float64
 	// Blob A near (0,0), blob B near (10,10).
@@ -183,19 +165,16 @@ func TestKMeansTwoBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.Assignment[0]
+	first := res[0]
 	for i := 1; i < 10; i++ {
-		if res.Assignment[i] != first {
-			t.Fatalf("blob A split: %v", res.Assignment)
+		if res[i] != first {
+			t.Fatalf("blob A split: %v", res)
 		}
 	}
 	for i := 10; i < 20; i++ {
-		if res.Assignment[i] == first {
-			t.Fatalf("blobs merged: %v", res.Assignment)
+		if res[i] == first {
+			t.Fatalf("blobs merged: %v", res)
 		}
-	}
-	if res.Sizes[0] != 10 || res.Sizes[1] != 10 {
-		t.Fatalf("sizes = %v", res.Sizes)
 	}
 }
 
@@ -209,8 +188,8 @@ func TestKMeansDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Assignment {
-		if a.Assignment[i] != b.Assignment[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("nondeterministic clustering")
 		}
 	}

@@ -2,24 +2,12 @@ package analysis
 
 import "math"
 
-// KMeansResult describes a clustering of n vectors into k groups.
-type KMeansResult struct {
-	// Assignment[i] is the cluster index of vector i.
-	Assignment []int
-	// Centroids[c] is cluster c's mean vector.
-	Centroids [][]float64
-	// Sizes[c] is the number of members in cluster c.
-	Sizes []int
-	// Iterations actually performed.
-	Iterations int
-}
-
-// KMeans clusters binary/real vectors with Lloyd's algorithm. It is
-// deterministic: initial centroids are the two most distant vectors for
-// k=2, or evenly spaced picks otherwise. The paper uses k-means (k=2) on
-// 58-dimensional binary domain vectors to split websites into high- and
-// low-sharing groups (§VI-D, Table III).
-func KMeans(vectors [][]float64, k, maxIter int) (*KMeansResult, error) {
+// KMeans clusters binary/real vectors with Lloyd's algorithm and returns
+// each vector's cluster index. It is deterministic: initial centroids are
+// the two most distant vectors for k=2, or evenly spaced picks otherwise.
+// The paper uses k-means (k=2) on 58-dimensional binary domain vectors to
+// split websites into high- and low-sharing groups (§VI-D, Table III).
+func KMeans(vectors [][]float64, k, maxIter int) ([]int, error) {
 	n := len(vectors)
 	if n == 0 || k < 1 || k > n {
 		return nil, ErrNoData
@@ -40,8 +28,7 @@ func KMeans(vectors [][]float64, k, maxIter int) (*KMeansResult, error) {
 		assign[i] = -1
 	}
 
-	iter := 0
-	for ; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		changed := false
 		for i, v := range vectors {
 			best, bestD := 0, math.Inf(1)
@@ -83,11 +70,7 @@ func KMeans(vectors [][]float64, k, maxIter int) (*KMeansResult, error) {
 		}
 	}
 
-	sizes := make([]int, k)
-	for _, c := range assign {
-		sizes[c]++
-	}
-	return &KMeansResult{Assignment: assign, Centroids: centroids, Sizes: sizes, Iterations: iter}, nil
+	return assign, nil
 }
 
 // initialCentroids picks deterministic seeds: for k=2 the pair of most

@@ -22,25 +22,6 @@ func NewSorted(xs []float64) Sorted {
 	return Sorted{xs: s}
 }
 
-// Len returns the sample size.
-func (s Sorted) Len() int { return len(s.xs) }
-
-// Min returns the smallest observation (0 for empty input).
-func (s Sorted) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	return s.xs[0]
-}
-
-// Max returns the largest observation (0 for empty input).
-func (s Sorted) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	return s.xs[len(s.xs)-1]
-}
-
 // Quantile returns the q-th quantile (linear interpolation, matching the
 // package-level Quantile), q in [0,1]. Empty input returns 0.
 func (s Sorted) Quantile(q float64) float64 {

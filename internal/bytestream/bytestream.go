@@ -29,14 +29,12 @@ package bytestream
 // and the close callback exactly once when the stream ends (err == nil for
 // a clean peer close, non-nil for an abort or transport failure).
 type Stream interface {
-	// Write queues p for transmission. The implementation copies p
-	// before returning; the caller keeps ownership of the backing array
-	// and may reuse or recycle it immediately (this is what lets the
-	// HTTP layers frame into pooled buffers). It is WriteOpaque(p, 0).
-	Write(p []byte)
-	// WriteOpaque queues head, copied before return as Write copies,
-	// followed by n opaque bytes: stream positions the peer receives
-	// and counts but whose contents are arbitrary.
+	// WriteOpaque queues head followed by n opaque bytes: stream
+	// positions the peer receives and counts but whose contents are
+	// arbitrary. The implementation copies head before returning; the
+	// caller keeps ownership of the backing array and may reuse or
+	// recycle it immediately (this is what lets the HTTP layers frame
+	// into pooled buffers).
 	WriteOpaque(head []byte, n int)
 	// SetDataFunc registers the in-order delivery callback. The chunk
 	// passed to the callback is only valid for the duration of the

@@ -35,16 +35,26 @@ func TestRegistryCalibration(t *testing.T) {
 	// because measured shares are renormalized per page by provider
 	// presence, which boosts the high-presence (high-adoption)
 	// providers; the measured-level check lives in internal/core.
-	if got := ExpectedH3CDNShare(); got < 0.26 || got > 0.42 {
+	if got := expectedH3CDNShare(); got < 0.26 || got > 0.42 {
 		t.Fatalf("expected H3 CDN share = %.3f, want 0.26..0.42", got)
 	}
+}
+
+// expectedH3CDNShare returns Σ share·adoption — the fraction of CDN
+// requests expected over H3 given the registry calibration.
+func expectedH3CDNShare() float64 {
+	total := 0.0
+	for _, p := range Registry() {
+		total += p.MarketShare * p.H3Adoption
+	}
+	return total
 }
 
 func TestRegistryFig2Shape(t *testing.T) {
 	// Google and Cloudflare must dominate H3-enabled CDN requests
 	// (each roughly half; exact splits are asserted at the measured
 	// level in internal/core).
-	total := ExpectedH3CDNShare()
+	total := expectedH3CDNShare()
 	g, _ := ProviderByName("Google")
 	cf, _ := ProviderByName("Cloudflare")
 	gShare := g.MarketShare * g.H3Adoption / total
@@ -68,7 +78,7 @@ func TestProviderByName(t *testing.T) {
 	if _, ok := ProviderByName("NotACDN"); ok {
 		t.Fatal("bogus provider found")
 	}
-	if len(GiantProviders()) != 4 || len(SharedProviderSet()) != 6 {
+	if len(GiantProviders()) != 4 {
 		t.Fatal("provider sets wrong size")
 	}
 }
@@ -392,14 +402,14 @@ func TestLRUCapacityFloor(t *testing.T) {
 
 // edgeWorld wires a client and one edge for handler tests. The edge has
 // no Rng, so its waits carry no jitter.
-func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Network, *Edge) {
+func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Host, *Edge) {
 	t.Helper()
 	sched := &simnet.Scheduler{MaxEvents: 5_000_000}
 	pf := func(src, dst simnet.Addr) simnet.PathProps {
 		return simnet.PathProps{Delay: 10 * time.Millisecond}
 	}
 	n := simnet.NewNetwork(sched, pf, seqrand.New(1))
-	n.AddHost("client")
+	client := n.AddHost("client")
 	server := n.AddHost("edge")
 	prov, ok := ProviderByName(provider)
 	if !ok {
@@ -422,12 +432,11 @@ func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Networ
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return sched, n, edge
+	return sched, client, edge
 }
 
 func TestEdgeCacheMissThenHit(t *testing.T) {
-	sched, n, edge := edgeWorld(t, "Cloudflare")
-	client := n.Host("client")
+	sched, client, edge := edgeWorld(t, "Cloudflare")
 
 	var firstWaitDone, secondWaitDone time.Duration
 	var firstHeaders, secondHeaders map[string]string
@@ -462,9 +471,6 @@ func TestEdgeCacheMissThenHit(t *testing.T) {
 	if second >= first {
 		t.Fatalf("cache hit (%v) not faster than miss (%v)", second, first)
 	}
-	if edge.Requests() != 2 {
-		t.Fatalf("edge served %d requests", edge.Requests())
-	}
 	if edge.CacheHits() != 1 || edge.CacheMisses() != 1 {
 		t.Fatalf("%d hits, %d misses, want 1/1", edge.CacheHits(), edge.CacheMisses())
 	}
@@ -472,8 +478,7 @@ func TestEdgeCacheMissThenHit(t *testing.T) {
 
 func TestEdgeH3WaitOverhead(t *testing.T) {
 	waitFor := func(proto httpsim.Protocol) time.Duration {
-		sched, n, _ := edgeWorld(t, "Google")
-		client := n.Host("client")
+		sched, client, _ := edgeWorld(t, "Google")
 		var conn httpsim.ClientConn
 		if proto == httpsim.H3 {
 			conn = httpsim.DialH3(client, "edge", httpsim.QUICPort, "g.sim", httpsim.H3DialConfig{})
@@ -509,7 +514,7 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 		return simnet.PathProps{Delay: 10 * time.Millisecond}
 	}
 	n := simnet.NewNetwork(sched, pf, seqrand.New(1))
-	n.AddHost("client")
+	client := n.AddHost("client")
 	server := n.AddHost("edge")
 	prov, _ := ProviderByName("Cloudflare")
 	edge := NewEdge(EdgeConfig{
@@ -523,7 +528,6 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: edge.Handler()}); err != nil {
 		t.Fatal(err)
 	}
-	client := n.Host("client")
 	req := &httpsim.Request{Host: "cdn.site.sim", Path: "/x"}
 	headersOf := make(map[string]string, 4)
 	timeOf := make(map[string]time.Duration, 4)
@@ -569,8 +573,7 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 }
 
 func TestEdge404(t *testing.T) {
-	sched, n, _ := edgeWorld(t, "Fastly")
-	client := n.Host("client")
+	sched, client, _ := edgeWorld(t, "Fastly")
 	conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "f.sim", httpsim.DialConfig{})
 	var status int
 	conn.Do(&httpsim.Request{Host: "f.sim", Path: "/nope"}, httpsim.RequestEvents{

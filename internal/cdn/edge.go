@@ -108,7 +108,6 @@ type Edge struct {
 	hitHeaders  map[string]string
 	missHeaders map[string]string
 
-	requests  int64
 	stampedes int64
 
 	// hits, misses and expired count this edge's cache lookups; expired
@@ -129,9 +128,6 @@ func NewEdge(cfg EdgeConfig) *Edge {
 	e.missHeaders = e.buildHeaders(false)
 	return e
 }
-
-// Requests reports the number of requests served.
-func (e *Edge) Requests() int64 { return e.requests }
 
 // Cache returns the cache the edge serves from.
 func (e *Edge) Cache() *Cache { return e.cache }
@@ -170,7 +166,6 @@ func (e *Edge) lookup(key resourceKey) bool {
 // Handler returns the httpsim handler serving this edge.
 func (e *Edge) Handler() httpsim.Handler {
 	return func(ctx *httpsim.ServerContext, respond func(httpsim.Response)) {
-		e.requests++
 		r := ctx.Responder(respond)
 		size, ok := e.cfg.Content(ctx.Req.Host, ctx.Req.Path)
 		if !ok {

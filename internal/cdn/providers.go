@@ -182,18 +182,3 @@ func ProviderByName(name string) (Provider, bool) {
 func GiantProviders() []string {
 	return []string{"Amazon", "Cloudflare", "Google", "Fastly"}
 }
-
-// SharedProviderSet is the provider universe used in §VI-D (Fig. 8).
-func SharedProviderSet() []string {
-	return []string{"Amazon", "Akamai", "Cloudflare", "Fastly", "Google", "Microsoft"}
-}
-
-// ExpectedH3CDNShare returns Σ share·adoption — the fraction of CDN
-// requests expected over H3 given the registry calibration.
-func ExpectedH3CDNShare() float64 {
-	total := 0.0
-	for _, p := range Registry() {
-		total += p.MarketShare * p.H3Adoption
-	}
-	return total
-}

@@ -67,18 +67,18 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 						b.ClearSessions()
 					}
 					if row.impair == nil {
-						warm := u.Pools().Recv.Stats().News
+						warm := u.pools.Recv.Stats().News
 						for i := range corpus.Pages {
 							if err := u.RunVisitDiscard(b, &corpus.Pages[i]); err != nil {
 								t.Fatalf("seed %d replayed visit %d: %v", seed, i, err)
 							}
 							b.ClearSessions()
 						}
-						if got := u.Pools().Recv.Stats().News; got != warm || warm == 0 {
+						if got := u.pools.Recv.Stats().News; got != warm || warm == 0 {
 							t.Fatalf("seed %d: replaying the pages grew the accumulator arena: news %d -> %d", seed, warm, got)
 						}
 					}
-					st := u.Pools().Arena.Stats()
+					st := u.pools.Arena.Stats()
 					if st.Gets != st.Puts {
 						t.Fatalf("seed %d: arena gets %d != puts %d", seed, st.Gets, st.Puts)
 					}
@@ -117,10 +117,10 @@ func TestArenaBalancedAfterVisits(t *testing.T) {
 			if err := u.drain(); err != nil || done != visits {
 				t.Fatalf("drain: %v, %d of %d visits completed", err, done, visits)
 			}
-			if bal := u.Pools().Arena.Stats().InUse; bal != 0 {
+			if bal := u.pools.Arena.Stats().InUse; bal != 0 {
 				t.Fatalf("arena balance %d", bal)
 			}
-			st := u.Pools().Recv.Stats()
+			st := u.pools.Recv.Stats()
 			if st.News == 0 || st.News*4 > st.Gets {
 				t.Fatalf("accumulators not recycled inside the drain: news %d of %d gets", st.News, st.Gets)
 			}

@@ -317,6 +317,11 @@ func (p *Plan) Run(logf func(format string, args ...any), emit func(text string,
 				if b, err = os.ReadFile(r.file); err == nil {
 					d, err = LoadDataset(bytes.NewReader(b))
 				}
+				if err == nil {
+					if err = d.answers(r.cfg); err != nil {
+						err = fmt.Errorf("%s: %w", r.file, err)
+					}
+				}
 			} else {
 				ran++
 				logf("running campaign %d/%d for %s (%d pages, %d probes/vantage)...",
@@ -333,6 +338,51 @@ func (p *Plan) Run(logf func(format string, args ...any), emit func(text string,
 			}
 		}
 		emit(p.renders[i]())
+	}
+	return nil
+}
+
+// answers reports why a loaded dataset cannot stand for a campaign under
+// cfg (defaulted), or nil. It checks what the file records: the seed,
+// the protocol, the corpus size (when cfg sets one) and, under
+// RetainAll, that each mode's log is the census — the corpus's pages in
+// order, once per vantage and probe. The path and loss flags are not
+// recorded, so matching those is the caller's job.
+func (d *Dataset) answers(cfg CampaignConfig) error {
+	pages := cfg.CorpusConfig.NumPages
+	if cfg.Corpus != nil {
+		pages = len(cfg.Corpus.Pages)
+	}
+	switch {
+	case d.Seed != cfg.Seed:
+		return fmt.Errorf("seed %d, this run's %d", d.Seed, cfg.Seed)
+	case d.Consecutive != cfg.Consecutive:
+		return fmt.Errorf("consecutive %v, this run's %v", d.Consecutive, cfg.Consecutive)
+	case pages != 0 && len(d.Corpus.Pages) != pages:
+		return fmt.Errorf("%d corpus pages, this run's %d", len(d.Corpus.Pages), pages)
+	case cfg.Retention.Kind != har.RetainAll:
+		return nil
+	}
+	for _, mode := range cfg.Modes {
+		var logged []har.PageLog
+		if log := d.Logs[mode]; log != nil {
+			logged = log.Pages
+		}
+		i := 0
+		for _, point := range cfg.Vantages {
+			for p := 0; p < cfg.probesAt(point); p++ {
+				probe := point.Name + "/" + strconv.Itoa(p)
+				for _, page := range d.Corpus.Pages {
+					if i >= len(logged) || logged[i].Site != page.Site || logged[i].Probe != probe {
+						return fmt.Errorf("%s log is not this run's census (%d pages at each of its probes): visit %d", mode, len(d.Corpus.Pages), i)
+					}
+					i++
+				}
+			}
+		}
+		if i != len(logged) {
+			return fmt.Errorf("%s log holds %d visits, this run's census %d", mode, len(logged), i)
+		}
 	}
 	return nil
 }

@@ -539,7 +539,7 @@ func ComputeTable3(ds *Dataset) (Table3, error) {
 		return Table3{}, fmt.Errorf("core: Table3: only %d clusterable sites", len(vectors))
 	}
 
-	res, err := analysis.KMeans(vectors, 2, 100)
+	assign, err := analysis.KMeans(vectors, 2, 100)
 	if err != nil {
 		return Table3{}, fmt.Errorf("core: Table3: %w", err)
 	}
@@ -547,7 +547,7 @@ func ComputeTable3(ds *Dataset) (Table3, error) {
 	group := func(cluster int) Table3Group {
 		var provs, resumed, red []float64
 		n := 0
-		for i, c := range res.Assignment {
+		for i, c := range assign {
 			if c != cluster {
 				continue
 			}

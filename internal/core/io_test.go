@@ -208,3 +208,61 @@ func TestArtifactRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlanRefusesForeignDataset: a dataset file stands in for a campaign
+// only if it records the run's seed, protocol and corpus size and, under
+// RetainAll, holds the run's census: the corpus's pages in order at each
+// probe. A file another campaign wrote is refused before any row
+// renders, and the error names the row and the file.
+func TestPlanRefusesForeignDataset(t *testing.T) {
+	save := func(ds *Dataset) string {
+		var buf bytes.Buffer
+		if err := ds.SaveJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "dataset.json")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	census := save(smallCampaign(t, nil))
+	for _, tc := range []struct {
+		name   string
+		file   string
+		mutate func(*CampaignConfig)
+		want   string
+	}{
+		{"seed", census, func(c *CampaignConfig) { c.Seed = 5 }, "seed 7, this run's 5"},
+		{"pages", census, func(c *CampaignConfig) { c.CorpusConfig.NumPages = 8 }, "12 corpus pages, this run's 8"},
+		{"probes", census, func(c *CampaignConfig) { c.ProbesPerVantage = 3 }, "h2 log is not this run's census"},
+		{"consecutive", save(smallCampaign(t, func(c *CampaignConfig) { c.Consecutive = true })), nil, "consecutive true, this run's false"},
+		{"traffic", save(trafficCampaign(t, nil)), nil, "h2 log is not this run's census"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := ReportInputs{Campaign: CampaignConfig{
+				Seed:             7,
+				CorpusConfig:     webgen.Config{NumPages: 12, MeanResources: 40},
+				Vantages:         vantage.Points()[:1],
+				ProbesPerVantage: 1,
+			}}
+			if tc.mutate != nil {
+				tc.mutate(&in.Campaign)
+			}
+			rows := []Artifact{artifactRow(t, "t2"), artifactRow(t, "f6a")}
+			plan, err := NewPlan(rows, in, map[bool]string{false: tc.file})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.runs != 0 {
+				t.Fatalf("%d campaigns planned, want the file to be read instead", plan.runs)
+			}
+			err = plan.Run(func(string, ...any) {}, func(string, []PlotFile) {
+				t.Error("a row rendered from a foreign dataset")
+			})
+			if err == nil || !strings.Contains(err.Error(), "t2: "+tc.file+": ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run: %v, want the row, the file and %q", err, tc.want)
+			}
+		})
+	}
+}

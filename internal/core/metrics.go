@@ -229,15 +229,6 @@ func (ds *Dataset) PLTMedianMs(mode browser.Mode) (ms float64, approx, ok bool) 
 	return 0, false, false
 }
 
-// pltReductions extracts per-site PLT reductions in milliseconds.
-func pltReductions(sms []SiteMetrics) []float64 {
-	out := make([]float64, len(sms))
-	for i := range sms {
-		out[i] = msOf(sms[i].PLTReduction())
-	}
-	return out
-}
-
 // entriesOf returns all successful entries across a mode's log.
 func entriesOf(ds *Dataset, mode browser.Mode) []har.Entry {
 	log := ds.Logs[mode]

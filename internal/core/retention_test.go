@@ -73,7 +73,7 @@ func TestRetentionNone(t *testing.T) {
 	// Campaign-level accuracy: the sketch median of the RetainNone run
 	// must bracket the exact retained-HAR median of the identical
 	// RetainAll run.
-	alpha := none.Metrics.Alpha()
+	alpha := sketch.DefaultAlpha // campaigns fold at it
 	for _, mode := range []browser.Mode{browser.ModeH2, browser.ModeH3} {
 		exact := modePLTs(full, mode)
 		lo, hi := exactMedianBracket(exact, alpha)

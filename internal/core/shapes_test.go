@@ -237,3 +237,12 @@ func TestShapeLocedgeCoversTraffic(t *testing.T) {
 		t.Fatalf("CDN classification fraction = %.2f, want ~0.67", frac)
 	}
 }
+
+// pltReductions extracts per-site PLT reductions in milliseconds.
+func pltReductions(sms []SiteMetrics) []float64 {
+	out := make([]float64, len(sms))
+	for i := range sms {
+		out[i] = msOf(sms[i].PLTReduction())
+	}
+	return out
+}

@@ -120,7 +120,6 @@ type Universe struct {
 	Client *simnet.Host
 
 	cfg      UniverseConfig
-	corpus   *webgen.Corpus
 	topo     *Topology
 	src      *seqrand.Source
 	nodes    map[simnet.Addr]nodeClass
@@ -164,7 +163,6 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 
 	u := &Universe{
 		cfg:     cfg,
-		corpus:  cfg.Corpus,
 		topo:    topo,
 		src:     src,
 		nodes:   make(map[simnet.Addr]nodeClass, len(cfg.Corpus.Pages)+len(topo.providers)),
@@ -335,13 +333,6 @@ func (u *Universe) startOrigin(site string, addr simnet.Addr) error {
 	return nil
 }
 
-// Resolver returns the hostname resolver for browsers in this universe.
-func (u *Universe) Resolver() browser.Resolver { return u.resolver }
-
-// Edge returns the edge state for a provider (nil if unknown or not yet
-// contacted — edges instantiate on first resolver hit).
-func (u *Universe) Edge(provider string) *cdn.Edge { return u.edges[provider] }
-
 // Events reports the total scheduler events this universe has executed —
 // the simulator's unit of work, cheap to aggregate into a campaign-level
 // events/sec throughput readout.
@@ -387,10 +378,6 @@ func (u *Universe) browserConfig(cfg browser.Config) browser.Config {
 	}
 	return cfg
 }
-
-// Pools exposes the universe's allocation arena (for stats and leak
-// checks); treat it as owned by the universe's scheduler goroutine.
-func (u *Universe) Pools() *httpsim.Pools { return u.pools }
 
 // RunVisit drives one page load to completion and returns its log. When
 // the universe carries a tracer, the visit's events are recorded between

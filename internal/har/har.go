@@ -4,12 +4,7 @@
 // connection bookkeeping (reused / resumed) its analyses depend on.
 package har
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // Entry records one resource load.
 type Entry struct {
@@ -56,11 +51,6 @@ type Entry struct {
 	Retries int    `json:"retries,omitempty"`
 }
 
-// Total returns the entry's end-to-end duration.
-func (e *Entry) Total() time.Duration {
-	return e.Blocked + e.Connect + e.Wait + e.Receive
-}
-
 // PageLog aggregates one page visit.
 type PageLog struct {
 	Site     string  `json:"site"`
@@ -95,23 +85,4 @@ func (p *PageLog) Recount() {
 type Log struct {
 	Seed  uint64    `json:"seed"`
 	Pages []PageLog `json:"pages"`
-}
-
-// WriteJSON serializes the log.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(l); err != nil {
-		return fmt.Errorf("har: encode: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON deserializes a log.
-func ReadJSON(r io.Reader) (*Log, error) {
-	var l Log
-	if err := json.NewDecoder(r).Decode(&l); err != nil {
-		return nil, fmt.Errorf("har: decode: %w", err)
-	}
-	return &l, nil
 }

@@ -131,8 +131,6 @@ func (c *client) maybeRetire() {
 
 func (c *client) Protocol() Protocol { return c.proto }
 
-func (c *client) Established() bool { return c.established }
-
 func (c *client) InFlight() int { return len(c.queued) + len(c.active) }
 
 func (c *client) Do(req *Request, ev RequestEvents) {

@@ -113,8 +113,6 @@ type ClientConn interface {
 	Do(req *Request, ev RequestEvents)
 	// Protocol returns the connection's HTTP version.
 	Protocol() Protocol
-	// Established reports whether the handshake has completed.
-	Established() bool
 	// HandshakeDuration is the dial-to-usable duration (0 for 0-RTT).
 	HandshakeDuration() time.Duration
 	// Resumed reports TLS/QUIC session resumption.

@@ -106,9 +106,6 @@ func (s *Server) accept(tc *tcpsim.Conn) {
 	sc.tls = tlssim.Server(tc, cfg, sc.handshakeFn)
 }
 
-// SupportsH3 reports whether the server listens for HTTP/3.
-func (s *Server) SupportsH3() bool { return s.quic != nil }
-
 // Close shuts down all listeners and live connections.
 func (s *Server) Close() {
 	if s.tcp != nil {

@@ -63,16 +63,3 @@ func Classify(headers map[string]string) Classification {
 	}
 	return Classification{}
 }
-
-// KnownProviders lists every provider the classifier can attribute.
-func KnownProviders() []string {
-	seen := make(map[string]bool, len(signatures))
-	out := make([]string, 0, 8)
-	for _, sig := range signatures {
-		if !seen[sig.provider] {
-			seen[sig.provider] = true
-			out = append(out, sig.provider)
-		}
-	}
-	return out
-}

@@ -66,17 +66,3 @@ func TestRegistryRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestKnownProviders(t *testing.T) {
-	known := KnownProviders()
-	if len(known) < 6 {
-		t.Fatalf("only %d known providers", len(known))
-	}
-	seen := make(map[string]bool)
-	for _, p := range known {
-		if seen[p] {
-			t.Fatalf("duplicate %s", p)
-		}
-		seen[p] = true
-	}
-}

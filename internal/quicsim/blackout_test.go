@@ -52,7 +52,7 @@ func TestBlackoutSurvivesBeyondMaxPTOs(t *testing.T) {
 		})
 		s := c.OpenStream()
 		s.SetDataFunc(func(p []byte) { got.Write(p) })
-		s.SetFinFunc(func() { eof = true })
+		s.finFn = func() { eof = true }
 		w.sched.At(5*time.Millisecond, func() {
 			w.net.SetFilter(func(simnet.Packet) bool { return false })
 		})
@@ -70,7 +70,7 @@ func TestBlackoutSurvivesBeyondMaxPTOs(t *testing.T) {
 	if !eof || got.Len() != len(payload) {
 		t.Fatalf("echo incomplete after blackout: %d bytes, eof=%v", got.Len(), eof)
 	}
-	if !conn.Established() {
+	if conn.state != stateEstablished {
 		t.Fatal("connection did not survive the blackout")
 	}
 	if rec.ProbeFires <= int64(defaultMaxPTOs()) {

@@ -319,9 +319,6 @@ var (
 // ServerName returns the SNI (known to servers after the ClientHello).
 func (c *Conn) ServerName() string { return c.serverName }
 
-// Established reports whether stream data may flow.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
-
 // Resumed reports whether the connection resumed from a session token.
 func (c *Conn) Resumed() bool { return c.resumed }
 
@@ -991,7 +988,7 @@ func (c *Conn) handleServerHello(f *serverHelloFrame) {
 	c.resumed = f.resumed
 	c.cid = f.cid
 	if f.newToken != 0 && c.ccfg.Tokens != nil {
-		c.ccfg.Tokens.Put(Token{ID: f.newToken, ServerName: c.ccfg.ServerName, IssuedAt: c.sched.Now()})
+		c.ccfg.Tokens.Put(Token{ID: f.newToken, ServerName: c.ccfg.ServerName})
 	}
 	c.sendQ = append(c.sendQ, finishedFrame{})
 	cpu := c.ccfg.HandshakeCPU

@@ -72,7 +72,7 @@ func TestStreamReassemblyAnyOrder(t *testing.T) {
 		c.SetStreamFunc(func(s *Stream) {
 			opened++
 			s.SetDataFunc(func(p []byte) { got = append(got, p...) })
-			s.SetFinFunc(func() { fins++ })
+			s.finFn = func() { fins++ }
 		})
 		for _, f := range frames {
 			c.handleStreamData(f)

@@ -47,7 +47,7 @@ func echoListen(t *testing.T, w *world) *Endpoint {
 	e, err := Listen(w.server, 443, ServerConfig{Sessions: w.sessions}, func(c *Conn) {
 		c.SetStreamFunc(func(s *Stream) {
 			s.SetDataFunc(func(p []byte) { s.Write(p) })
-			s.SetFinFunc(func() { s.CloseWrite() })
+			s.finFn = func() { s.CloseWrite() }
 		})
 	})
 	if err != nil {
@@ -79,8 +79,8 @@ func TestZeroRTTIsImmediate(t *testing.T) {
 
 	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, nil)
 	w.run(t)
-	if tokens.Len() != 1 {
-		t.Fatalf("token store has %d tokens after handshake, want 1", tokens.Len())
+	if len(tokens.byName) != 1 {
+		t.Fatalf("token store has %d tokens after handshake, want 1", len(tokens.byName))
 	}
 
 	base := w.sched.Now()
@@ -163,7 +163,7 @@ func TestStreamEcho(t *testing.T) {
 	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
 		s := c.OpenStream()
 		s.SetDataFunc(func(p []byte) { got.Write(p) })
-		s.SetFinFunc(func() { eof = true })
+		s.finFn = func() { eof = true }
 		s.Write(payload)
 		s.CloseWrite()
 	})
@@ -186,7 +186,7 @@ func TestStreamEchoUnderLoss(t *testing.T) {
 		Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
 			s := c.OpenStream()
 			s.SetDataFunc(func(p []byte) { got.Write(p) })
-			s.SetFinFunc(func() { eof = true })
+			s.finFn = func() { eof = true }
 			s.Write(payload)
 			s.CloseWrite()
 		})
@@ -210,7 +210,7 @@ func TestManyStreamsMultiplexed(t *testing.T) {
 			sizes[i] = 4*1024 + i*512
 			s := c.OpenStream()
 			s.SetDataFunc(func(p []byte) { got[i].Write(p) })
-			s.SetFinFunc(func() { fins++ })
+			s.finFn = func() { fins++ }
 			s.Write(patterned(sizes[i]))
 			s.CloseWrite()
 		}
@@ -259,10 +259,10 @@ func TestNoCrossStreamHoLBlocking(t *testing.T) {
 		// stream B when poked.
 		if _, err := Listen(w.server, 443, ServerConfig{Sessions: w.sessions}, func(c *Conn) {
 			c.SetStreamFunc(func(s *Stream) {
-				s.SetFinFunc(func() {
+				s.finFn = func() {
 					s.Write(patterned(8 * 1024))
 					s.CloseWrite()
-				})
+				}
 			})
 		}); err != nil {
 			t.Fatal(err)
@@ -287,10 +287,10 @@ func TestNoCrossStreamHoLBlocking(t *testing.T) {
 
 		Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
 			a := c.OpenStream() // id 0
-			a.SetFinFunc(func() { aDone = w.sched.Now() })
+			a.finFn = func() { aDone = w.sched.Now() }
 			a.CloseWrite()
 			b := c.OpenStream() // id 4
-			b.SetFinFunc(func() { bDone = w.sched.Now() })
+			b.finFn = func() { bDone = w.sched.Now() }
 			b.CloseWrite()
 		})
 		w.run(t)
@@ -414,7 +414,7 @@ func TestDeterministicRuns(t *testing.T) {
 		var done time.Duration
 		Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
 			s := c.OpenStream()
-			s.SetFinFunc(func() { done = w.sched.Now() })
+			s.finFn = func() { done = w.sched.Now() }
 			s.Write(patterned(64 * 1024))
 			s.CloseWrite()
 		})
@@ -529,10 +529,10 @@ func TestBandwidthResumption(t *testing.T) {
 	var firstCwnd float64
 	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, func(c *Conn) {
 		s := c.OpenStream()
-		s.SetFinFunc(func() {
+		s.finFn = func() {
 			firstCwnd = c.win.Cwnd
 			c.Close()
-		})
+		}
 		s.Write(patterned(512 * 1024))
 		s.CloseWrite()
 	})
@@ -599,8 +599,8 @@ func TestTokenStoreClearKeepsStorage(t *testing.T) {
 	}
 	refill()
 	s.Clear()
-	if _, ok := s.Get("a"); ok || s.Len() != 0 {
-		t.Fatalf("Clear left %d tokens", s.Len())
+	if _, ok := s.Get("a"); ok || len(s.byName) != 0 {
+		t.Fatalf("Clear left %d tokens", len(s.byName))
 	}
 	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
 		t.Fatalf("refilling a cleared store allocated %.1f times", allocs)

@@ -111,9 +111,8 @@ func (c Config) profile() cc.Profile {
 
 // Errors reported through callbacks.
 var (
-	ErrTimeout   = errors.New("quicsim: connection timed out")
-	ErrAborted   = errors.New("quicsim: connection aborted")
-	ErrHandshake = errors.New("quicsim: handshake failed")
+	ErrTimeout = errors.New("quicsim: connection timed out")
+	ErrAborted = errors.New("quicsim: connection aborted")
 )
 
 // --- frames ---
@@ -218,8 +217,7 @@ type packet struct {
 	pn     uint64
 	frames []frame
 	// data holds one entry per STREAM frame in frames, in frame order.
-	data    []streamData
-	zeroRTT bool // sent as 0-RTT (before handshake confirmation)
+	data []streamData
 	// dcid is the connection ID of the sending connection (0 before the
 	// handshake assigns one); receivers drop a mismatch as stale.
 	dcid uint64
@@ -254,7 +252,6 @@ func newAckPacket(pl *Pools, rs *rangeSet) *packet {
 // Release implements simnet.Releasable.
 func (p *packet) Release() {
 	p.pn = 0
-	p.zeroRTT = false
 	p.dcid = 0
 	for _, d := range p.data {
 		bytestream.Recycle(&p.pools.payloads, d.data)

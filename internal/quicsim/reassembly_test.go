@@ -171,7 +171,7 @@ func TestReassemblyMatchesReference(t *testing.T) {
 			log = append(log, delivery{arrival, got, len(p)})
 			got += len(p)
 		})
-		s.SetFinFunc(func() { eofAt = arrival })
+		s.finFn = func() { eofAt = arrival }
 		for i, f := range frames {
 			arrival = i
 			s.receive(f)

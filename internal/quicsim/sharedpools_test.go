@@ -157,7 +157,7 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, waves, 
 					opened = append(opened, s)
 					j := s.ID() / 4
 					s.SetDataFunc(up[i][j].receive)
-					s.SetFinFunc(func() { up[i][j].eof = true })
+					s.finFn = func() { up[i][j].eof = true }
 					down[i][j].drive(sched, rng, s, 0)
 				})
 			}); err != nil {
@@ -169,7 +169,7 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, waves, 
 					s := c.OpenStream()
 					opened = append(opened, s)
 					s.SetDataFunc(down[i][j].receive)
-					s.SetFinFunc(func() { down[i][j].eof = true })
+					s.finFn = func() { down[i][j].eof = true }
 					// Staggered starts: early streams finish, and give their
 					// bytes back, while later ones are still to open.
 					up[i][j].drive(sched, rng, s, time.Duration(rng.Intn(3_000))*time.Millisecond)

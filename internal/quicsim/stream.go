@@ -48,15 +48,8 @@ func (s *Stream) reset() {
 // ID returns the stream identifier.
 func (s *Stream) ID() uint64 { return s.id }
 
-// Conn returns the owning connection.
-func (s *Stream) Conn() *Conn { return s.conn }
-
 // SetDataFunc registers the in-order delivery callback for this stream.
 func (s *Stream) SetDataFunc(fn func([]byte)) { s.rcv.SetDataFunc(fn) }
-
-// SetFinFunc registers the end-of-stream callback (peer FIN received and
-// all data delivered).
-func (s *Stream) SetFinFunc(fn func()) { s.finFn = fn }
 
 // Write queues p for transmission on this stream.
 func (s *Stream) Write(p []byte) { s.WriteOpaque(p, 0) }

@@ -1,17 +1,12 @@
 package quicsim
 
-import (
-	"time"
-
-	"h3cdn/internal/cc"
-)
+import "h3cdn/internal/cc"
 
 // Token is a client-held session token enabling QUIC resumption and
 // 0-RTT (the QUIC analogue of a TLS 1.3 session ticket).
 type Token struct {
 	ID         uint64
 	ServerName string
-	IssuedAt   time.Duration
 }
 
 // TokenStore caches session tokens by server name — the browser-side
@@ -36,9 +31,6 @@ func (s *TokenStore) Put(t Token) { s.byName[t.ServerName] = t }
 
 // Clear drops all tokens; the map keeps its storage for the next Put.
 func (s *TokenStore) Clear() { clear(s.byName) }
-
-// Len reports the number of cached tokens.
-func (s *TokenStore) Len() int { return len(s.byName) }
 
 // ServerSessions is the server-side token registry shared by all
 // connections of one server. Alongside validity it caches the path's

@@ -25,9 +25,6 @@ func New(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the root seed.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Stream derives an independent *rand.Rand keyed by the label path.
 // The same labels always yield a stream with the same state sequence.
 func (s *Source) Stream(labels ...string) *rand.Rand {

@@ -56,13 +56,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSeedRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool { return New(seed).Seed() == seed }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStreamSeedStableAcrossCalls(t *testing.T) {
 	f := func(seed uint64, label string) bool {
 		s := New(seed)

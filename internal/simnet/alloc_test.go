@@ -7,37 +7,6 @@ import (
 	"h3cdn/internal/seqrand"
 )
 
-func TestAtArgPassesArgument(t *testing.T) {
-	var s Scheduler
-	type payload struct{ n int }
-	p := &payload{n: 41}
-	var got *payload
-	s.AtArg(3*time.Millisecond, func(x any) { got = x.(*payload) }, p)
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Fatalf("arg %v, want %v", got, p)
-	}
-	if s.Now() != 3*time.Millisecond {
-		t.Fatalf("fired at %v, want 3ms", s.Now())
-	}
-}
-
-func TestAtArgOrderingWithAt(t *testing.T) {
-	var s Scheduler
-	var order []int
-	s.AfterArg(time.Millisecond, func(any) { order = append(order, 1) }, nil)
-	s.After(time.Millisecond, func() { order = append(order, 2) })
-	s.AtArg(time.Millisecond, func(any) { order = append(order, 3) }, nil)
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order %v, want FIFO [1 2 3]", order)
-	}
-}
-
 // TestEventFreeList asserts that steady-state dispatch reuses event
 // structs rather than allocating.
 func TestEventFreeList(t *testing.T) {

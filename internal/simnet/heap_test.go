@@ -9,6 +9,14 @@ import (
 	"h3cdn/internal/seqrand"
 )
 
+// deadline returns tm's pending expiry, or 0 when it is not armed.
+func deadline(tm *Timer) time.Duration {
+	if !tm.Armed() {
+		return 0
+	}
+	return tm.at
+}
+
 // --- reference model: container/heap over (at, seq), the seed
 // implementation this package's monomorphic 4-ary heap replaced. It
 // keeps the seed's semantics too: a re-armed or stopped timer leaves a
@@ -249,10 +257,10 @@ func runSchedulerProgram(t *testing.T, prog []byte) {
 			m.push(near, id, arg%fuzzFIFOs)
 		case 5: // timer re-armed later (or armed)
 			j := arg % fuzzTimers
-			arm(j, max(timers[j].Deadline(), s.Now())+time.Duration(arg>>2%4)*time.Millisecond)
+			arm(j, max(deadline(timers[j]), s.Now())+time.Duration(arg>>2%4)*time.Millisecond)
 		case 6: // timer re-armed earlier (clamped to now)
 			j := arg % fuzzTimers
-			arm(j, timers[j].Deadline()-time.Duration(arg>>2%4)*time.Millisecond)
+			arm(j, deadline(timers[j])-time.Duration(arg>>2%4)*time.Millisecond)
 		case 7:
 			j := arg % fuzzTimers
 			timers[j].Stop()
@@ -315,8 +323,8 @@ func checkAgainstModel(t *testing.T, pc int, s *Scheduler, m *refModel, got, wan
 		if tm.Armed() != (it != nil) {
 			t.Fatalf("pc %d: timer %d Armed=%v, model %v", pc, j, tm.Armed(), it != nil)
 		}
-		if it != nil && tm.Deadline() != it.at {
-			t.Fatalf("pc %d: timer %d Deadline=%v, model %v", pc, j, tm.Deadline(), it.at)
+		if it != nil && deadline(tm) != it.at {
+			t.Fatalf("pc %d: timer %d Deadline=%v, model %v", pc, j, deadline(tm), it.at)
 		}
 	}
 	if len(s.heap) != m.heapSlots() {
@@ -433,8 +441,8 @@ func TestTimerRescheduleInPlace(t *testing.T) {
 	if len(s.heap) != 1 {
 		t.Fatalf("heap holds %d entries after 102 resets of one timer, want 1", len(s.heap))
 	}
-	if s.Pending() != 1 || tm.Deadline() != time.Microsecond {
-		t.Fatalf("Pending=%d Deadline=%v, want 1 and 1µs", s.Pending(), tm.Deadline())
+	if s.Pending() != 1 || deadline(tm) != time.Microsecond {
+		t.Fatalf("Pending=%d Deadline=%v, want 1 and 1µs", s.Pending(), deadline(tm))
 	}
 	tm.Stop()
 	if s.Pending() != 0 || len(s.heap) != 0 {
@@ -460,8 +468,8 @@ func TestTimerLaterRearmRekeyedNotDispatched(t *testing.T) {
 	if n := s.RunUntil(4 * time.Millisecond); n != 1 {
 		t.Fatalf("RunUntil(4ms) ran %d events, want 1", n)
 	}
-	if !tm.Armed() || tm.Deadline() != 5*time.Millisecond {
-		t.Fatalf("Armed=%v Deadline=%v, want armed at 5ms", tm.Armed(), tm.Deadline())
+	if !tm.Armed() || deadline(tm) != 5*time.Millisecond {
+		t.Fatalf("Armed=%v Deadline=%v, want armed at 5ms", tm.Armed(), deadline(tm))
 	}
 	n, err := s.Run()
 	if err != nil || n != 1 || fired != 1 || s.Now() != 5*time.Millisecond {

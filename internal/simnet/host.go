@@ -16,12 +16,6 @@ type Host struct {
 	gen uint32
 }
 
-// Addr returns the host address.
-func (h *Host) Addr() Addr { return h.addr }
-
-// Network returns the owning network.
-func (h *Host) Network() *Network { return h.net }
-
 // Scheduler returns the scheduler driving the owning network.
 func (h *Host) Scheduler() *Scheduler { return h.net.sched }
 

@@ -315,9 +315,6 @@ func NewNetwork(sched *Scheduler, path PathFunc, rng *seqrand.Source) *Network {
 	}
 }
 
-// Scheduler returns the driving scheduler.
-func (n *Network) Scheduler() *Scheduler { return n.sched }
-
 // Stats returns a snapshot of network counters.
 func (n *Network) Stats() Stats { return n.stats }
 

@@ -32,7 +32,7 @@ func TestPathFuncResolvedOncePerPair(t *testing.T) {
 	got := map[Addr]int{}
 	for _, h := range []*Host{a, b, c} {
 		h := h
-		if err := h.Bind(80, func(Packet) { got[h.Addr()]++ }); err != nil {
+		if err := h.Bind(80, func(Packet) { got[h.addr]++ }); err != nil {
 			t.Fatal(err)
 		}
 	}

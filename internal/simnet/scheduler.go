@@ -14,9 +14,6 @@ import (
 	"time"
 )
 
-// ErrStopped is reported by Run when the scheduler was stopped explicitly.
-var ErrStopped = errors.New("simnet: scheduler stopped")
-
 // Scheduler owns the virtual clock and the pending event set.
 // The zero value is ready to use.
 //
@@ -27,11 +24,10 @@ var ErrStopped = errors.New("simnet: scheduler stopped")
 // through an intrusive free list; Timers and FIFOs own theirs. So
 // steady-state dispatch performs no heap allocation.
 type Scheduler struct {
-	now     time.Duration
-	heap    []*event // 4-ary min-heap over (at, seq)
-	seq     uint64
-	live    int // scheduled, not-yet-executed events and deliveries
-	stopped bool
+	now  time.Duration
+	heap []*event // 4-ary min-heap over (at, seq)
+	seq  uint64
+	live int // scheduled, not-yet-executed events and deliveries
 	// executed counts the events that have returned (see Stamp).
 	executed uint64
 
@@ -125,13 +121,6 @@ func (s *Scheduler) After(delay time.Duration, fn func()) *event {
 	return s.schedule(s.now+delay, callFunc, fn)
 }
 
-// AtArg schedules fn(arg) at absolute virtual time t. Passing a
-// package-level function and a pointer argument avoids the per-call
-// closure allocation of At.
-func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) *event {
-	return s.schedule(t, fn, arg)
-}
-
 // AfterArg schedules fn(arg) delay after the current virtual time.
 func (s *Scheduler) AfterArg(delay time.Duration, fn func(any), arg any) *event {
 	return s.schedule(s.now+delay, fn, arg)
@@ -167,9 +156,6 @@ func (s *Scheduler) Stamp() Stamp { return Stamp{s, s.executed} }
 // again.
 func (s *Scheduler) Returned(st Stamp) bool { return st.s != s || st.n < s.executed }
 
-// Stop makes Run return after the current event.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Pending reports the number of scheduled, not-yet-executed events,
 // counting each packet in flight once. O(1).
 func (s *Scheduler) Pending() int { return s.live }
@@ -199,16 +185,12 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until none remain, Stop is called, or the event
-// budget (if set) is exhausted. It returns the number of events executed.
+// Run executes events until none remain or the event budget (if set) is
+// exhausted. It returns the number of events executed.
 func (s *Scheduler) Run() (int, error) {
-	s.stopped = false
 	n := 0
 	for s.Step() {
 		n++
-		if s.stopped {
-			return n, ErrStopped
-		}
 		if s.MaxEvents > 0 && n >= s.MaxEvents {
 			return n, ErrEventBudget
 		}

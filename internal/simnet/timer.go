@@ -75,11 +75,3 @@ func (t *Timer) Stop() { t.s.cancelEvent(&t.ev) }
 
 // Armed reports whether the timer has a pending expiry.
 func (t *Timer) Armed() bool { return t.ev.index >= 0 }
-
-// Deadline returns the pending expiry time; valid only when Armed.
-func (t *Timer) Deadline() time.Duration {
-	if !t.Armed() {
-		return 0
-	}
-	return t.at
-}

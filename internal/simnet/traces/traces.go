@@ -22,46 +22,33 @@ import (
 	"h3cdn/internal/simnet"
 )
 
-// profile describes one synthetic cellular link.
-type profile struct {
-	describe string
-	gen      func() []simnet.TraceSample
-}
-
 // epoch width shared by all profiles: 100ms tracks cellular fading at
 // the granularity Mahimahi recordings are usually summarized at.
 const epochDur = 100 * time.Millisecond
 
-var profiles = map[string]profile{
-	"lte": {
-		describe: "LTE-like downlink: 24 Mbit/s ceiling, deep periodic fades to ~2 Mbit/s",
-		gen: func() []simnet.TraceSample {
-			return fading("lte", 120, 24e6, 2e6, 4*time.Second, 0)
-		},
+// profiles generates each synthetic cellular link by name.
+var profiles = map[string]func() []simnet.TraceSample{
+	// LTE-like downlink: 24 Mbit/s ceiling, deep periodic fades to ~2 Mbit/s.
+	"lte": func() []simnet.TraceSample {
+		return fading("lte", 120, 24e6, 2e6, 4*time.Second, 0)
 	},
-	"umts": {
-		describe: "UMTS-like downlink: 4 Mbit/s ceiling, slow swings down to ~0.5 Mbit/s",
-		gen: func() []simnet.TraceSample {
-			return fading("umts", 120, 4e6, 0.5e6, 8*time.Second, 0)
-		},
+	// UMTS-like downlink: 4 Mbit/s ceiling, slow swings down to ~0.5 Mbit/s.
+	"umts": func() []simnet.TraceSample {
+		return fading("umts", 120, 4e6, 0.5e6, 8*time.Second, 0)
 	},
-	"deadzone": {
-		describe: "LTE-like downlink with hard 600ms zero-capacity dead zones every ~5s",
-		gen: func() []simnet.TraceSample {
-			return fading("deadzone", 120, 20e6, 1.5e6, 5*time.Second, 6)
-		},
+	// LTE-like downlink with hard 600ms zero-capacity dead zones every ~5s.
+	"deadzone": func() []simnet.TraceSample {
+		return fading("deadzone", 120, 20e6, 1.5e6, 5*time.Second, 6)
 	},
-	"stepdown": {
-		describe: "square wave: 2s at 20 Mbit/s alternating with 2s at 2 Mbit/s",
-		gen: func() []simnet.TraceSample {
-			samples := make([]simnet.TraceSample, 0, 4)
-			for i := 0; i < 2; i++ {
-				samples = append(samples,
-					simnet.TraceSample{Duration: 2 * time.Second, Bps: 20e6},
-					simnet.TraceSample{Duration: 2 * time.Second, Bps: 2e6})
-			}
-			return samples
-		},
+	// Square wave: 2s at 20 Mbit/s alternating with 2s at 2 Mbit/s.
+	"stepdown": func() []simnet.TraceSample {
+		samples := make([]simnet.TraceSample, 0, 4)
+		for i := 0; i < 2; i++ {
+			samples = append(samples,
+				simnet.TraceSample{Duration: 2 * time.Second, Bps: 20e6},
+				simnet.TraceSample{Duration: 2 * time.Second, Bps: 2e6})
+		}
+		return samples
 	},
 }
 
@@ -75,16 +62,13 @@ func Names() []string {
 	return out
 }
 
-// Describe returns a one-line description of a profile ("" if unknown).
-func Describe(name string) string { return profiles[name].describe }
-
 // Profile builds the named synthetic trace.
 func Profile(name string) (*simnet.TraceLink, error) {
-	p, ok := profiles[name]
+	gen, ok := profiles[name]
 	if !ok {
 		return nil, fmt.Errorf("traces: unknown profile %q (have %v)", name, Names())
 	}
-	return simnet.NewTraceLink("synthetic:"+name, p.gen())
+	return simnet.NewTraceLink("synthetic:"+name, gen())
 }
 
 // Load resolves a link-trace spec, the -link-trace flag's value: a

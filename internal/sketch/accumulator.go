@@ -167,13 +167,6 @@ func (g *GroupMetrics) Merge(o *GroupMetrics) {
 	}
 }
 
-// Clone returns an independent deep copy.
-func (g *GroupMetrics) Clone() *GroupMetrics {
-	c := newGroupMetrics(g.alpha)
-	c.Merge(g)
-	return c
-}
-
 // MeanPLTMs returns the exact mean PLT in milliseconds (integer-sum
 // derived, no sketch error).
 func (g *GroupMetrics) MeanPLTMs() float64 {
@@ -204,9 +197,6 @@ func NewAccumulator(alpha float64) *MetricAccumulator {
 	}
 	return &MetricAccumulator{alpha: alpha, groups: make(map[Key]*GroupMetrics)}
 }
-
-// Alpha returns the accumulator's relative-error bound.
-func (a *MetricAccumulator) Alpha() float64 { return a.alpha }
 
 // Group returns k's metrics, creating them on first use.
 func (a *MetricAccumulator) Group(k Key) *GroupMetrics {

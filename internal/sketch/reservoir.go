@@ -55,12 +55,6 @@ func (r *Reservoir[T]) Offer(v T) {
 	}
 }
 
-// Seen returns how many items were offered.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }
-
-// Len returns how many items are currently retained.
-func (r *Reservoir[T]) Len() int { return len(r.items) }
-
 // Items returns the retained sample in offer order.
 func (r *Reservoir[T]) Items() []T {
 	out := make([]T, len(r.items))

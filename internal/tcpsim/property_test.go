@@ -45,9 +45,9 @@ func TestReceiverReassemblyAnyOrder(t *testing.T) {
 		}
 		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 
-		c := receiverConn(&bufpool.Arena{})
+		c, net := receiverConn(&bufpool.Arena{})
 		var acks []uint64
-		c.host.Network().SetFilter(func(pkt simnet.Packet) bool {
+		net.SetFilter(func(pkt simnet.Packet) bool {
 			acks = append(acks, pkt.Payload.(*segment).ack)
 			return false
 		})

@@ -73,7 +73,7 @@ func (r *refReceiver) processData(arrival int, seg *segment) {
 
 // receiverConn is an established conn wired to nothing: handleSegment's
 // ACKs go to a dead network, which is fine for receive-side logic.
-func receiverConn(arena *bufpool.Arena) *Conn {
+func receiverConn(arena *bufpool.Arena) (*Conn, *simnet.Network) {
 	sched := &simnet.Scheduler{MaxEvents: 1_000_000}
 	net := simnet.NewNetwork(sched, nil, seqrand.New(1))
 	host := net.AddHost("recv")
@@ -81,7 +81,7 @@ func receiverConn(arena *bufpool.Arena) *Conn {
 	c.isClient = true
 	c.localPort = host.BindEphemeral(func(simnet.Packet) {})
 	c.state = stateEstablished
-	return c
+	return c, net
 }
 
 // arrivals cuts payload into a random segment schedule: the original
@@ -177,7 +177,7 @@ func TestReassemblyMatchesReference(t *testing.T) {
 		}
 
 		arena := &bufpool.Arena{}
-		c := receiverConn(arena)
+		c, _ := receiverConn(arena)
 		var log []delivery
 		got, eofAt, arrival := 0, -1, 0
 		c.SetDataFunc(func(p []byte) {
@@ -216,7 +216,7 @@ func TestReassemblyMatchesReference(t *testing.T) {
 func TestInOrderDeliveryTakesNoArenaBuffer(t *testing.T) {
 	payload := patterned(200_000)
 	arena := &bufpool.Arena{}
-	c := receiverConn(arena)
+	c, _ := receiverConn(arena)
 	got := 0
 	c.SetDataFunc(func(p []byte) { got += len(p) })
 	for off := 0; off < len(payload); off += mss {

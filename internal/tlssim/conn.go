@@ -111,7 +111,6 @@ type Conn struct {
 	peerClosed  bool // transport reported end-of-stream
 	resumed     bool
 	earlyData   bool
-	version     Version
 	alpn        string
 	serverName  string
 	hsStart     time.Duration
@@ -200,7 +199,6 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 	c.transport = transport
 	c.isClient = true
 	c.ccfg = cfg
-	c.version = cfg.Version
 	c.onHandshake = onHandshake
 	c.arena = cfg.Arena
 	c.recv = cfg.RecvArena
@@ -299,17 +297,8 @@ func (c *Conn) maybeRetire() {
 	pools.conns.Retire(c, c.sched())
 }
 
-// Established reports whether application data may flow.
-func (c *Conn) Established() bool { return c.established }
-
 // Resumed reports whether the session was resumed from a ticket.
 func (c *Conn) Resumed() bool { return c.resumed }
-
-// UsedEarlyData reports whether 0-RTT application data was sent.
-func (c *Conn) UsedEarlyData() bool { return c.earlyData }
-
-// Version returns the negotiated TLS version.
-func (c *Conn) Version() Version { return c.version }
 
 // ALPN returns the negotiated application protocol. On the server side it
 // is available once the handshake callback fires.
@@ -687,11 +676,7 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 			c.resumed = false
 		}
 		if sh.newTicketID != 0 && c.ccfg.Tickets != nil {
-			var issued time.Duration
-			if c.ccfg.Sched != nil {
-				issued = c.ccfg.Sched.Now()
-			}
-			c.ccfg.Tickets.Put(Ticket{ID: sh.newTicketID, ServerName: c.ccfg.ServerName, IssuedAt: issued})
+			c.ccfg.Tickets.Put(Ticket{ID: sh.newTicketID, ServerName: c.ccfg.ServerName})
 		}
 		c.clientFinish13()
 	case recServerHello12:
@@ -729,7 +714,6 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 		c.failRecord()
 		return
 	}
-	c.version = ch.version
 	c.alpn = ch.alpn
 	c.serverName = ch.serverName
 	switch ch.version {

@@ -93,7 +93,7 @@ func handshake(t *testing.T, cfg ClientConfig, sessions *ServerSessionState) (c,
 	c = Client(ct, cfg, nil)
 	s = Server(st, ServerConfig{Sessions: sessions}, nil)
 	cSent, sSent := 0, 0
-	for i := 0; i < 4 && !(c.Established() && s.Established()); i++ {
+	for i := 0; i < 4 && !(c.established && s.established); i++ {
 		flights = append(flights, ct.writes[cSent:]...)
 		wire := ct.wire(cSent)
 		cSent = len(ct.writes)
@@ -103,7 +103,7 @@ func handshake(t *testing.T, cfg ClientConfig, sessions *ServerSessionState) (c,
 		sSent = len(st.writes)
 		ct.data(wire)
 	}
-	if !c.Established() || !s.Established() {
+	if !c.established || !s.established {
 		t.Fatalf("%v: handshake did not complete", cfg.Version)
 	}
 	return c, s, ct, flights
@@ -203,7 +203,7 @@ func TestRecordFramingUnchanged(t *testing.T) {
 		Server(st, ServerConfig{}, nil)
 		st.data(ct.wire(0))
 		ct.data(st.wire(0))
-		if !c.Established() {
+		if !c.established {
 			t.Fatal("handshake did not complete")
 		}
 		// Queued before the handshake, the write keeps its head and its

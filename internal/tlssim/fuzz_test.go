@@ -49,7 +49,7 @@ func FuzzRecords(f *testing.F) {
 	cli.data(flight)
 	c.Write(make([]byte, maxRecord+100)) // two app-data records
 	s.Write([]byte("response"))
-	if !c.Established() || !s.Established() || len(cli.wrote) == 0 || len(srv.wrote) == 0 {
+	if !c.established || !s.established || len(cli.wrote) == 0 || len(srv.wrote) == 0 {
 		f.Fatal("seed handshake did not establish")
 	}
 	var hello12 stubTransport

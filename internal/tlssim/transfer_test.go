@@ -118,7 +118,7 @@ func runTLSTransfer(t testing.TB, seed int64, impair *simnet.Impairment, plans [
 	// received the peer's.
 	closer := func(c **Conn, out, in *tlsFlow) func() {
 		return func() {
-			if (*c).Established() && out.done() && in.got == len(in.want) {
+			if (*c).established && out.done() && in.got == len(in.want) {
 				(*c).Close()
 			}
 		}

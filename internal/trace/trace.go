@@ -39,7 +39,7 @@ type Kind uint8
 // S1/S2 string fields are interpreted per kind as documented here and
 // serialized under those names by the qlog writer.
 const (
-	KindInvalid Kind = iota
+	_ Kind = iota // the zero Kind names no event
 
 	// simnet. S1=src, S2=dst, A=size, B=srcPort<<16|dstPort.
 	KindPacketSent

@@ -23,13 +23,3 @@ func Points() []Point {
 		{Name: "clemson", DelayFactor: 1.30, ProbesPerSite: 3},
 	}
 }
-
-// ByName returns the vantage with the given name (ok=false if unknown).
-func ByName(name string) (Point, bool) {
-	for _, p := range Points() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Point{}, false
-}

@@ -23,13 +23,3 @@ func TestPoints(t *testing.T) {
 		}
 	}
 }
-
-func TestByName(t *testing.T) {
-	p, ok := ByName("utah")
-	if !ok || p.Name != "utah" {
-		t.Fatalf("ByName(utah) = %+v, %v", p, ok)
-	}
-	if _, ok := ByName("mars"); ok {
-		t.Fatal("unknown site resolved")
-	}
-}

@@ -85,22 +85,3 @@ func (c *Corpus) Stats() CorpusStats {
 	}
 	return st
 }
-
-// ProviderResourceCounts returns, for each page using the provider, how
-// many of its resources that provider hosts (Fig. 5's per-provider CCDF
-// input).
-func (c *Corpus) ProviderResourceCounts(provider string) []int {
-	var out []int
-	for i := range c.Pages {
-		n := 0
-		for j := range c.Pages[i].Resources {
-			if c.Pages[i].Resources[j].Provider() == provider {
-				n++
-			}
-		}
-		if n > 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}

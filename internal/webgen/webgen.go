@@ -96,10 +96,6 @@ type Resource struct {
 // origin (non-CDN).
 func (r *Resource) Provider() string { return (*providerNames.list.Load())[r.provider] }
 
-// SetProvider records the CDN provider serving the resource ("" for
-// the origin). It panics once more than 65535 distinct names are in use.
-func (r *Resource) SetProvider(name string) { r.provider = mustInternProvider(name) }
-
 // providerNames interns provider names, so a resource stores its
 // provider as an index and resources still compare equal by value
 // across corpora. Names are few (the registry's, plus any a test or a

@@ -91,12 +91,31 @@ func TestCalibrationSmallResources(t *testing.T) {
 	}
 }
 
+// providerResourceCounts returns, for each page using the provider, how
+// many of its resources that provider hosts (Fig. 5's per-provider CCDF
+// input).
+func providerResourceCounts(c *Corpus, provider string) []int {
+	var out []int
+	for i := range c.Pages {
+		n := 0
+		for j := range c.Pages[i].Resources {
+			if c.Pages[i].Resources[j].Provider() == provider {
+				n++
+			}
+		}
+		if n > 0 {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 func TestCalibrationProviderCentralization(t *testing.T) {
 	c := testCorpus(t, 7)
 	// Fig. 5: for Cloudflare and Google, ~half the pages using them
 	// carry more than 10 of their resources.
 	for _, prov := range []string{"Cloudflare", "Google"} {
-		counts := c.ProviderResourceCounts(prov)
+		counts := providerResourceCounts(c, prov)
 		if len(counts) == 0 {
 			t.Fatalf("no pages use %s", prov)
 		}
@@ -231,7 +250,7 @@ func TestPageHelpers(t *testing.T) {
 	var p Page
 	for _, prov := range []string{"", "Google", "Google", "Fastly"} {
 		var r Resource
-		r.SetProvider(prov)
+		r.provider = mustInternProvider(prov)
 		p.Resources = append(p.Resources, r)
 	}
 	if got := p.CDNResourceCount(); got != 3 {
