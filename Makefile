@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fuzz-smoke race bench bench-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke report-smoke fmt
+.PHONY: all build test check vet fuzz-smoke race bench bench-smoke digest-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke report-smoke fmt
 
 all: check
 
@@ -44,12 +44,12 @@ race:
 	$(GO) test -race -timeout 40m ./...
 
 # The repo's gate: static checks, the fuzz smoke pass, a fast allocation
-# smoke pass, the tracing smoke pass, the trace-replay determinism smoke
+# smoke pass, the simulation digest pass, the tracing smoke pass, the trace-replay determinism smoke
 # pass, the population-traffic and report smoke passes, the race-enabled
 # suite, the benchmark regression gate, and the multi-core scaling gate.
 # The smoke passes run before the (slow) race suite so allocation and
 # trace-pipeline regressions fail fast.
-check: vet fuzz-smoke bench-smoke trace-smoke trace-replay-smoke traffic-smoke report-smoke race benchgate bench-scaling bench-memory
+check: vet fuzz-smoke bench-smoke digest-smoke trace-smoke trace-replay-smoke traffic-smoke report-smoke race benchgate bench-scaling bench-memory
 
 # Analysis/figure regeneration benchmarks (shares one campaign per run).
 bench:
@@ -66,6 +66,20 @@ benchgate:
 # with the allocs/op band widened to 15% for the short run's warm-up.
 bench-smoke:
 	$(GO) run ./cmd/benchgate -benchtime 100ms -smoke
+
+# Simulation digest pass: run every bench workload at smoke scale under
+# seeds 2022 and 7 and require the sim_digests pinned in
+# testdata/sim_digests.txt, so a change that claims to move no simulated
+# byte is checked without a second checkout.
+digest-smoke:
+	rm -rf .digest-smoke && mkdir -p .digest-smoke
+	$(GO) build -o .digest-smoke/bench ./bench
+	for s in 2022 7; do \
+		.digest-smoke/bench -smoke -seed $$s -out "" > .digest-smoke/$$s.out 2> .digest-smoke/$$s.err || exit 1; \
+		sed -n "s/^# \([a-z]*\):.* sim_digest=\([0-9a-f]*\).*/$$s \1 \2/p" .digest-smoke/$$s.out; \
+	done > .digest-smoke/got.txt
+	grep -v '^#' testdata/sim_digests.txt | diff - .digest-smoke/got.txt
+	rm -rf .digest-smoke
 
 # Multi-core scaling gate: one short run of BenchmarkCampaignScaling
 # (smoke-scale corpus), gated on parallel efficiency at 4 workers via

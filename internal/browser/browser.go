@@ -202,14 +202,10 @@ func (b *Browser) reclaimStates() {
 
 // Stats counts browser-level activity across visits.
 type Stats struct {
-	ConnsOpened    int64
-	H3Conns        int64
-	H2Conns        int64
-	H1Conns        int64
-	ResumedConns   int64
-	Requests       int64
-	RetriedEntries int64
-	FailedEntries  int64
+	ConnsOpened  int64
+	H2Conns      int64
+	H1Conns      int64
+	ResumedConns int64
 }
 
 type pooledConn struct {
@@ -507,7 +503,6 @@ func (b *Browser) fetch(res *webgen.Resource, entry *har.Entry, done func()) {
 	entry.Host = res.Host()
 	entry.Path = res.Path()
 	entry.Started = b.sched.Now()
-	b.stats.Requests++
 	b.fetchSeq++
 	b.cfg.Trace.FetchStart(entry.Started, b.fetchSeq, res.Host(), res.Path())
 
@@ -516,7 +511,6 @@ func (b *Browser) fetch(res *webgen.Resource, entry *har.Entry, done func()) {
 		entry.Failed = true
 		entry.Error = "no route to host"
 		b.cfg.Trace.FetchFail(b.sched.Now(), b.fetchSeq, entry.Error)
-		b.stats.FailedEntries++
 		done()
 		return
 	}
@@ -621,7 +615,6 @@ func (st *fetchState) onError(err error) {
 	b.evict(st.pc)
 	if st.attempt < b.cfg.MaxFetchRetries {
 		st.entry.Retries++
-		b.stats.RetriedEntries++
 		if b.cfg.Recovery != nil {
 			b.cfg.Recovery.FetchRetries++
 		}
@@ -634,7 +627,6 @@ func (st *fetchState) onError(err error) {
 	st.entry.Failed = true
 	st.entry.Error = err.Error()
 	b.cfg.Trace.FetchFail(b.sched.Now(), st.seq, st.entry.Error)
-	b.stats.FailedEntries++
 	st.finish()
 }
 
@@ -695,7 +687,6 @@ func (b *Browser) dial(key connKey, ep Endpoint) *pooledConn {
 			Pools: b.cfg.Pools,
 			Trace: b.cfg.Trace,
 		})
-		b.stats.H3Conns++
 	} else {
 		pc.conn = httpsim.DialH2(b.host, ep.Addr, httpsim.TCPPort, key.host, b.dialCfg())
 		b.stats.H2Conns++

@@ -11,7 +11,7 @@ import "time"
 //
 // Entries may carry a TTL: AddAt stamps an absolute expiry and
 // ContainsAt treats an entry past its expiry as a miss (evicting it in
-// place). The zero expiry means "never expires", so the legacy
+// place). The zero expiry means "never expires", so the
 // Contains/Add pair — which always passes zero — is the TTL-free
 // special case of the same cache.
 type LRUCache[K comparable] struct {

@@ -48,16 +48,15 @@ type EdgeConfig struct {
 	Cache *Cache
 	// Rng drives the wait jitter; nil draws none.
 	Rng *rand.Rand
-	// TTL, when positive, turns on expiring-cache semantics: every
-	// cached entry is stamped with an absolute expiry (fill time + TTL)
-	// and a request arriving past it is a miss again. TTL mode also
-	// collapses concurrent misses for the same resource into one origin
-	// fetch (single-flight): the first miss is the leader and pays the
-	// full edgeMissPenalty; overlapping requests join as waiters, answered
+	// TTL is a cached entry's lifetime: a positive TTL stamps every
+	// entry with an absolute expiry (fill time + TTL), and a request
+	// arriving past it is a miss again. Zero means entries never expire
+	// (the §III-B closed-loop protocol). Either way concurrent misses
+	// for the same resource collapse into one origin fetch
+	// (single-flight): the first miss is the leader and pays the full
+	// edgeMissPenalty; overlapping requests join as waiters, answered
 	// the moment the leader's fetch lands, and are counted as stampede
-	// joins. Zero keeps the legacy never-expiring cache (the §III-B
-	// closed-loop protocol, where per-visit scheduler drains make
-	// concurrent misses impossible anyway).
+	// joins.
 	TTL time.Duration
 	// NowOffset is added to the scheduler clock when stamping and
 	// checking expiries — the campaign-absolute virtual time of this
@@ -96,8 +95,8 @@ type Edge struct {
 	cfg   EdgeConfig
 	cache *Cache
 
-	// inflight tracks origin fetches in progress (TTL mode only), keyed
-	// by resource: concurrent misses join the flight instead of fetching.
+	// inflight tracks origin fetches in progress, keyed by resource:
+	// concurrent misses join the flight instead of fetching.
 	// freeFlights recycles landed flights.
 	inflight    map[resourceKey]*originFlight
 	freeFlights []*originFlight
@@ -121,9 +120,7 @@ func NewEdge(cfg EdgeConfig) *Edge {
 	if e.cache == nil {
 		e.cache = NewCache(cfg.CacheCapacity)
 	}
-	if cfg.TTL > 0 {
-		e.inflight = make(map[resourceKey]*originFlight)
-	}
+	e.inflight = make(map[resourceKey]*originFlight)
 	e.hitHeaders = e.buildHeaders(true)
 	e.missHeaders = e.buildHeaders(false)
 	return e
@@ -140,8 +137,8 @@ func (e *Edge) CacheMisses() int64  { return e.misses }
 func (e *Edge) CacheExpired() int64 { return e.expired }
 
 // Stampedes reports how many requests joined an in-progress origin
-// fetch instead of launching their own (TTL mode's single-flight
-// collapsing). Each join is one origin fetch the edge did not make.
+// fetch instead of launching their own (single-flight collapsing). Each
+// join is one origin fetch the edge did not make.
 func (e *Edge) Stampedes() int64 { return e.stampedes }
 
 // now is the campaign-absolute virtual time (scheduler clock plus the
@@ -180,35 +177,22 @@ func (e *Edge) Handler() httpsim.Handler {
 		if ctx.Protocol == httpsim.H3 {
 			wait += h3WaitOverhead
 		}
-		if e.cfg.TTL > 0 {
-			e.handleTTL(r, key, size, wait)
-			return
-		}
-		hit := e.lookup(key)
-		if !hit {
-			wait += edgeMissPenalty
-			e.cache.Add(key)
-		}
-		r.After(e.cfg.Sched, wait+jitter(e.cfg.Rng, edgeWaitJitter), httpsim.Response{
-			Status:   200,
-			Header:   e.headers(hit),
-			BodySize: size,
-		})
+		e.handleTTL(r, key, size, wait)
 	}
 }
 
-// handleTTL serves one request under expiring-cache semantics with
-// single-flight miss collapsing. baseWait is the hit-processing cost
-// (edgeHitWait plus any H3 overhead) every answer pays.
+// handleTTL serves one request with single-flight miss collapsing.
+// baseWait is the hit-processing cost (edgeHitWait plus any H3 overhead)
+// every answer pays.
 //
 // Hits answer after baseWait (+jitter). The first miss for a resource
 // becomes the flight leader: it pays baseWait + edgeMissPenalty (+jitter),
-// then fills the cache — stamping expiry fill-time + TTL — and answers
-// itself and every waiter. Requests that miss while the leader's fetch
-// is in progress join as waiters: they draw no jitter (their timing is
-// the leader's) and answer baseWait after the fill, with miss headers —
-// a collapsed request still waited on the origin, it just didn't ask it
-// again. Waiter responses carry the leader's completion order, so the
+// then fills the cache — stamping expiry fill-time + TTL, or 0 (never)
+// when TTL is 0 — and answers itself and every waiter. Requests that
+// miss while the leader's fetch is in progress join as waiters: they
+// draw no jitter (their timing is the leader's) and answer baseWait
+// after the fill, with miss headers — a collapsed request still waited
+// on the origin, it just didn't ask it again. Waiter responses carry the leader's completion order, so the
 // whole dance is deterministic in virtual time. A waiter holds its
 // responder, which writes nothing if its connection has been recycled
 // by the time the flight lands.
@@ -244,7 +228,11 @@ func (e *Edge) handleTTL(r *httpsim.Responder, key resourceKey, size int, baseWa
 func landFlight(x any) {
 	fl := x.(*originFlight)
 	e := fl.e
-	e.cache.AddAt(fl.key, e.now()+e.cfg.TTL)
+	var expiresAt time.Duration
+	if e.cfg.TTL > 0 {
+		expiresAt = e.now() + e.cfg.TTL
+	}
+	e.cache.AddAt(fl.key, expiresAt)
 	delete(e.inflight, fl.key)
 	fl.leader.Respond(fl.miss)
 	for _, w := range fl.waiters {

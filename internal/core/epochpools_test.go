@@ -95,10 +95,8 @@ func testEpochPools(t *testing.T, mode browser.Mode) {
 	if len(free.found) > 0 {
 		t.Fatalf("free pooled structs reach a universe:\n%v", free.found)
 	}
-	browsers := reflect.ValueOf(sp.browsers).FieldByName("free").Len()
-	rands := reflect.ValueOf(sp.rands).FieldByName("free").Len()
-	if browsers == 0 || rands == 0 {
-		t.Fatalf("the shard kept %d browsers and %d random generators for reuse", browsers, rands)
+	if browsers := reflect.ValueOf(sp.browsers).FieldByName("free").Len(); browsers == 0 {
+		t.Fatalf("the shard kept %d browsers for reuse", browsers)
 	}
 	if second := news[1] - news[0]; second*4 > news[0] {
 		t.Fatalf("second epoch took %d new wire buffers, the first %d: the pools did not carry", second, news[0])

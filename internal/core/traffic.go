@@ -88,9 +88,9 @@ type trafficEngine struct {
 }
 
 // sessionPools is what a population shard reuses across its sessions
-// and epochs, and drops with the shard: the browsers of ended sessions
-// and the random generators of ended epochs. Nothing simulated reads
-// it, so a resumed shard that starts it empty reproduces the same bytes.
+// and epochs, and drops with the shard: the browsers of ended sessions.
+// Nothing simulated reads it, so a resumed shard that starts it empty
+// reproduces the same bytes.
 type sessionPools struct {
 	// browsers holds the browsers endSession retired, under the
 	// Recycler's stamp rule: endSession runs inside the browser's own
@@ -98,7 +98,6 @@ type sessionPools struct {
 	// event. Each is detached (detachBrowser) when it is promoted, so
 	// none keeps a finished epoch's universe alive.
 	browsers bufpool.Recycler[*browser.Browser]
-	rands    seqrand.Pool
 }
 
 // detachBrowser is the browser recycler's reset.
@@ -299,7 +298,6 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		uc.ClockOffset = clock
 		uc.EdgeCaches = caches
 		uc.Pools = pools
-		uc.Rands = &sp.rands
 		u, err := NewUniverse(uc)
 		if err != nil {
 			return err
@@ -319,7 +317,7 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		for i, a := range traffic.Arrivals(src, e, base, shardUsers, tc, start, end) {
 			user := a.User
 			sess := traffic.NewSession(
-				sp.rands.Stream(src, "session", strconv.Itoa(e), seqrand.Label("a", i)),
+				src.Stream("session", strconv.Itoa(e), seqrand.Label("a", i)),
 				len(corpus.Pages), tc)
 			// When a long previous epoch overran this arrival's start, it
 			// fires immediately rather than rewinding virtual time.
@@ -366,10 +364,9 @@ func runEpochs(cfg CampaignConfig, topo *Topology, job shardJob, sink *visitSink
 		u.Close()
 		// The epoch's scheduler runs no more: free what it retired, so
 		// that no record or browser keeps its universe alive into the
-		// next epoch, and take back the epoch's random generators.
+		// next epoch.
 		pools.Promote()
 		sp.browsers.Promote(detachBrowser)
-		sp.rands.Reclaim()
 		if epochDone != nil {
 			epochDone(u)
 		}

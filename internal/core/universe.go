@@ -67,9 +67,9 @@ type UniverseConfig struct {
 	// The TraceLink must be immutable; it is shared across paths and
 	// worker goroutines.
 	LinkTrace *simnet.TraceLink
-	// EdgeTTL, when positive, gives every edge cache entry a lifetime and
-	// turns on single-flight origin-fetch collapsing (traffic campaigns);
-	// zero keeps the legacy infinite-TTL edge behavior.
+	// EdgeTTL, when positive, gives every edge cache entry a lifetime
+	// (traffic campaigns); zero means entries never expire. Edges collapse
+	// concurrent misses into one origin fetch either way.
 	EdgeTTL time.Duration
 	// ClockOffset shifts the edges' notion of absolute time: entry expiry
 	// stamps read Sched.Now()+ClockOffset. Traffic campaigns run each
@@ -94,13 +94,6 @@ type UniverseConfig struct {
 	// goroutine (every shard, and every epoch of a population shard);
 	// nil gets a fresh one. Pool state never changes what is simulated.
 	Pools *httpsim.Pools
-	// Rands, when non-nil, lends the universe's random streams (origin
-	// delays, edge and origin waits): a population shard passes one for
-	// all its epochs and reclaims it as each epoch's universe closes, so
-	// every epoch reseeds the generators of the one before. Nil
-	// allocates a generator per stream. Either way a stream draws the
-	// same sequence.
-	Rands *seqrand.Pool
 }
 
 // Universe is one probe's simulated Internet: the probe host, the
@@ -185,7 +178,7 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 			bw:    p.EdgeBandwidth,
 		}
 	}
-	originDelayRng := cfg.Rands.Stream(src, "origindelay")
+	originDelayRng := src.Stream("origindelay")
 	for i := range cfg.Corpus.Pages {
 		site := cfg.Corpus.Pages[i].Site
 		delay := 15*time.Millisecond + time.Duration(originDelayRng.Int63n(int64(30*time.Millisecond)))
@@ -271,7 +264,7 @@ func (u *Universe) startEdge(provider string, addr simnet.Addr) error {
 		TTL:       u.cfg.EdgeTTL,
 		NowOffset: u.cfg.ClockOffset,
 		Cache:     u.cfg.EdgeCaches[p.Name],
-		Rng:       u.cfg.Rands.Stream(u.src, "edgewait", p.Name),
+		Rng:       u.src.Stream("edgewait", p.Name),
 	})
 	if u.cfg.EdgeCaches != nil {
 		u.cfg.EdgeCaches[p.Name] = edge.Cache()
@@ -314,7 +307,7 @@ func (u *Universe) startOrigin(site string, addr simnet.Addr) error {
 	handler := cdn.NewOriginHandler(cdn.OriginConfig{
 		Sched:   u.Sched,
 		Content: u.topo.ContentSize,
-		Rng:     u.cfg.Rands.Stream(u.src, "originwait", site),
+		Rng:     u.src.Stream("originwait", site),
 	})
 	srv, err := httpsim.StartServer(host, httpsim.ServerConfig{
 		Handler:      handler,

@@ -82,6 +82,8 @@ func (c *h2Client) parse(_ *request, data []byte) {
 
 // --- server side ---
 
+// h2Response is a response body being pumped: its stream and the bytes
+// it has left to send.
 type h2Response struct {
 	id        uint32
 	remaining int
@@ -118,7 +120,7 @@ func (c *serverConn) respondH2(id uint32, resp Response) {
 	}
 	writeBlock(&pl.Arena, c.tls, blockHeadersResp, id, flags, pl.responseHeaderBlock(resp))
 	if resp.BodySize > 0 {
-		c.active = append(c.active, pl.getH2Response(id, resp.BodySize))
+		c.active = append(c.active, h2Response{id: id, remaining: resp.BodySize})
 		c.pump()
 	}
 }
@@ -147,8 +149,6 @@ func (c *serverConn) pump() {
 			writeBodyBlock(&c.srv.cfg.Pools.Arena, c.tls, r.id, flags, n)
 			if r.remaining > 0 {
 				next = append(next, r)
-			} else {
-				c.srv.cfg.Pools.h2Resps.Put(r)
 			}
 		}
 		c.active = next

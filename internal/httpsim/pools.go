@@ -48,8 +48,6 @@ type Pools struct {
 	keyBuf      []byte   // respCache key assembly scratch
 	sortScratch []string // sorted header keys scratch
 
-	h2Resps bufpool.FreeList[*h2Response]
-
 	reqs      bufpool.Recycler[*request]     // see client.retire
 	h3streams bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
 	recs      recordPools
@@ -163,15 +161,6 @@ func (pl *Pools) News() PoolNews {
 }
 
 // --- per-request record pools ---
-
-func (pl *Pools) getH2Response(id uint32, remaining int) *h2Response {
-	r, ok := pl.h2Resps.Get()
-	if !ok {
-		r = new(h2Response)
-	}
-	r.id, r.remaining = id, remaining
-	return r
-}
 
 // getRequest hands out a request record bound to c.
 func (pl *Pools) getRequest(c *client, req *Request, ev RequestEvents) *request {

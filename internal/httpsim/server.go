@@ -140,9 +140,9 @@ type serverConn struct {
 
 	heads headCarry // H1
 
-	parser  blockParser   // H2
-	active  []*h2Response // H2: bodies being pumped
-	pumping bool          // H2
+	parser  blockParser  // H2
+	active  []h2Response // H2: bodies being pumped
+	pumping bool         // H2
 
 	handshakeFn func(error)
 	dataFn      func([]byte)
@@ -153,10 +153,6 @@ type serverConn struct {
 // reset clears a retired record for reuse, keeping its incarnation, its
 // bound callbacks, its parsers' buffers and the active array.
 func (c *serverConn) reset() {
-	for _, r := range c.active {
-		c.srv.cfg.Pools.h2Resps.Put(r)
-	}
-	clear(c.active)
 	c.parser.rewind()
 	*c = serverConn{
 		gen:         c.gen,

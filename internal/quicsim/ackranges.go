@@ -55,7 +55,7 @@ func (s *rangeSet) add(pn uint64) bool {
 }
 
 // snapshot appends up to max ranges, most recent (highest) first, to out
-// for an ACK frame; a pooled frame passes its range slice back in.
+// for an ACK frame; a pooled packet passes its range slice back in.
 func (s *rangeSet) snapshot(out []pnRange, max int) []pnRange {
 	n := len(s.ranges)
 	if max > n {

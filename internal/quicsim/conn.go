@@ -145,10 +145,10 @@ type Conn struct {
 	// pools (Config.Pools) recycles the send path's per-packet records.
 	// Recycling happens only when a record is provably dead: a sentPacket
 	// retires on ack or loss-declaration with no other holder, while
-	// frames arrays and ackFrames recycle on ack only — an acked packet
-	// was delivered and fully processed, whereas a loss-declared one may
-	// be a reordering false positive still in flight, its wire copy
-	// aliasing the array.
+	// frames arrays recycle on ack only — an acked packet was delivered
+	// and fully processed, whereas a loss-declared one may be a
+	// reordering false positive still in flight, its wire copy aliasing
+	// the array.
 	pools *Pools
 
 	traceID uint32 // 0 when untraced
@@ -308,14 +308,6 @@ func serverHelloEvent(x any) { stepEvent(x, (*Conn).sendServerHello) }
 func finishEvent(x any)      { stepEvent(x, (*Conn).finishHandshake) }
 func closeProbeEvent(x any)  { stepEvent(x, (*Conn).sendCloseProbe) }
 
-// The CONNECTION_CLOSE packets' frame lists are shared: nothing writes a
-// control packet's frames, and Release drops them without reuse.
-var (
-	closeClean   = []frame{&closeFrame{}}
-	closeAborted = []frame{&closeFrame{err: ErrAborted}}
-	closeTimeout = []frame{&closeFrame{err: ErrTimeout}}
-)
-
 // ServerName returns the SNI (known to servers after the ClientHello).
 func (c *Conn) ServerName() string { return c.serverName }
 
@@ -359,9 +351,9 @@ func (c *Conn) shutdown(err error) {
 	// Best-effort close notification, bypassing congestion control.
 	p := newPacket(c.pools)
 	p.pn = c.nextPN
-	p.frames = closeClean
+	p.close = closeClean
 	if err != nil {
-		p.frames = closeAborted
+		p.close = closeAborted
 	}
 	c.transmit(p)
 	c.nextPN++
@@ -386,7 +378,7 @@ func (c *Conn) startCloseProbes() {
 func (c *Conn) sendCloseProbe() {
 	p := newPacket(c.pools)
 	p.pn = c.nextPN
-	p.frames = closeTimeout
+	p.close = closeTimeout
 	c.nextPN++
 	c.transmit(p)
 	c.probeN++
@@ -507,20 +499,21 @@ func (c *Conn) trySend() {
 	}
 	// Flush a pending ACK even when nothing else fit.
 	if c.ackQueued {
-		c.ackQueued = false
-		p := newAckPacket(c.pools, &c.recvd)
+		p := newPacket(c.pools)
 		p.pn = c.nextPN
+		c.takeAck(p)
 		c.transmit(p)
 		c.nextPN++
 	}
 }
 
-func (c *Conn) buildAck() *ackFrame {
-	if af, ok := c.pools.acks.Get(); ok {
-		af.ranges = c.recvd.snapshot(af.ranges[:0], 32)
-		return af
-	}
-	return &ackFrame{ranges: c.recvd.snapshot(nil, 32)}
+// maxAckRanges bounds the ranges one ACK reports, most recent first.
+const maxAckRanges = 32
+
+// takeAck puts the pending ACK's ranges into p.
+func (c *Conn) takeAck(p *packet) {
+	c.ackQueued = false
+	p.ack = c.recvd.snapshot(p.ack[:0], maxAckRanges)
 }
 
 // buildPacket assembles the next packet: a pending ACK rides along, then
@@ -531,11 +524,8 @@ func (c *Conn) buildPacket() *packet {
 	budget := maxPacketPayload
 	eliciting := false
 
-	var ack *ackFrame
 	if c.ackQueued {
-		ack = c.buildAck()
-		frames = append(frames, ack)
-		budget -= ack.wireSize()
+		budget -= ackSize(min(len(c.recvd.ranges), maxAckRanges))
 	}
 
 	for len(c.sendQ) > 0 {
@@ -565,23 +555,19 @@ func (c *Conn) buildPacket() *packet {
 	}
 
 	if !eliciting {
-		// Nothing to send: recycle the speculative ACK (the trySend
-		// flush path emits a pooled ack-only packet instead) and the
-		// frames array.
-		if ack != nil {
-			c.pools.acks.Put(ack)
-		}
+		// Nothing to send (the trySend flush path sends a pending ACK
+		// alone): recycle the frames array.
 		if cap(frames) > 0 {
 			c.pools.frames.Put(frames[:0])
 		}
 		return nil
 	}
-	if c.ackQueued {
-		c.ackQueued = false
-	}
 	p := newPacket(c.pools)
 	p.pn = c.nextPN
 	p.frames = frames
+	if c.ackQueued {
+		c.takeAck(p)
+	}
 	c.nextPN++
 	return p
 }
@@ -650,19 +636,15 @@ func (c *Conn) track(p *packet) {
 }
 
 // retireAcked recycles an acked sentPacket: the packet was delivered and
-// processed, so its frames array and any embedded ackFrame have no other
-// holder. Stream frame structs drop this record's hold and recycle once
-// the count drains — a PTO probe may have copied their pointers into
-// another in-flight record, which keeps its own hold. The last hold
-// draining is also the one moment a byte range counts as acknowledged
-// on its sending stream. Control frames (hello/finished/close) are never
-// pooled.
+// processed, so its frames array has no other holder. Stream frame
+// structs drop this record's hold and recycle once the count drains — a
+// PTO probe may have copied their pointers into another in-flight
+// record, which keeps its own hold. The last hold draining is also the
+// one moment a byte range counts as acknowledged on its sending stream.
+// Handshake frames are never pooled.
 func (c *Conn) retireAcked(sp *sentPacket) {
 	for i, f := range sp.frames {
-		switch f := f.(type) {
-		case *ackFrame:
-			c.pools.acks.Put(f)
-		case *streamFrame:
+		if f, ok := f.(*streamFrame); ok {
 			if f.holds == 1 {
 				f.s.frameAcked(f.n, f.fin)
 			}
@@ -741,7 +723,7 @@ func (c *Conn) onPTO() {
 	// frames in a fresh packet, bypassing the congestion window.
 	if c.sent.len() > 0 {
 		frames, _ := c.pools.frames.Get()
-		frames = appendRetransmittable(frames, c.sent.live()[0].frames)
+		frames = append(frames, c.sent.live()[0].frames...)
 		// The probe record takes an additional hold on each copied
 		// stream frame: the original record keeps its own, and either
 		// may retire first.
@@ -750,16 +732,12 @@ func (c *Conn) onPTO() {
 				sf.holds++
 			}
 		}
-		if len(frames) > 0 {
-			p := newPacket(c.pools)
-			p.pn = c.nextPN
-			p.frames = frames
-			c.nextPN++
-			c.track(p)
-			c.transmit(p)
-		} else if cap(frames) > 0 {
-			c.pools.frames.Put(frames[:0])
-		}
+		p := newPacket(c.pools)
+		p.pn = c.nextPN
+		p.frames = frames
+		c.nextPN++
+		c.track(p)
+		c.transmit(p)
 	}
 	if c.ptoCount >= 2 {
 		// Persistent-congestion-lite: collapse to the minimum window.
@@ -768,45 +746,32 @@ func (c *Conn) onPTO() {
 	c.armPTO()
 }
 
-// appendRetransmittable appends frames to dst, filtering out ACK and
-// CLOSE frames, which are never retransmitted as-is.
-func appendRetransmittable(dst, frames []frame) []frame {
-	for _, f := range frames {
-		switch f.(type) {
-		case *ackFrame, *closeFrame:
-		default:
-			dst = append(dst, f)
-		}
-	}
-	return dst
-}
-
-// handleAck retires the in-flight packets f acknowledges, then declares
-// losses. f.ranges is descending and disjoint (rangeSet.snapshot) and
+// handleAck retires the in-flight packets an ACK with ranges acknowledges,
+// then declares losses. ranges is descending and disjoint (rangeSet.snapshot) and
 // c.sent ascending by pn, so one upward walk of both in lockstep, from
 // the first record at or above the lowest acked pn, finds every covered
 // record; they retire in pn order, which the order-dependent cwnd float
 // arithmetic needs. The walk stops past the highest range: packets sent
 // after it are never touched.
-func (c *Conn) handleAck(f *ackFrame) {
-	r := len(f.ranges) - 1
+func (c *Conn) handleAck(ranges []pnRange) {
+	r := len(ranges) - 1
 	if r < 0 {
 		return
 	}
 	live := c.sent.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].pn >= f.ranges[r].lo })
+	i := sort.Search(len(live), func(i int) bool { return live[i].pn >= ranges[r].lo })
 	retired := 0
 	var largestAcked uint64
 	var largestSentAt time.Duration
 	for ; i < len(live); i++ {
 		sp := live[i]
-		for r >= 0 && f.ranges[r].hi < sp.pn {
+		for r >= 0 && ranges[r].hi < sp.pn {
 			r--
 		}
 		if r < 0 {
 			break
 		}
-		if sp.pn < f.ranges[r].lo {
+		if sp.pn < ranges[r].lo {
 			continue
 		}
 		retired++
@@ -845,14 +810,14 @@ func (c *Conn) handleAck(f *ackFrame) {
 	for lost < len(live) && live[lost].pn+reorderThreshold <= largestAcked {
 		lost++
 	}
-	c.cfg.Trace.QUICAck(c.sched.Now(), c.traceID, int64(largestAcked), len(f.ranges), lost)
+	c.cfg.Trace.QUICAck(c.sched.Now(), c.traceID, int64(largestAcked), len(ranges), lost)
 	for _, sp := range live[:lost] {
 		c.bytesInFlight -= sp.size
 		if c.cfg.Recovery != nil {
 			c.cfg.Recovery.PacketsDeclaredLost++
 		}
 		c.cfg.Trace.QUICPacketLost(c.sched.Now(), c.traceID, int64(sp.pn))
-		c.sendQ = appendRetransmittable(c.sendQ, sp.frames)
+		c.sendQ = append(c.sendQ, sp.frames...)
 		if sp.pn >= c.recoveryStart {
 			// One cwnd reduction per recovery epoch.
 			c.win.Halve(c.win.Cwnd)
@@ -898,6 +863,19 @@ func (c *Conn) handlePacket(p *packet) {
 		return
 	}
 	c.cfg.Trace.QUICPacketRecv(c.sched.Now(), c.traceID, int64(p.pn), false)
+	if len(p.ack) > 0 {
+		c.handleAck(p.ack)
+		if c.state == stateClosed {
+			return
+		}
+	}
+	if p.close != nil {
+		c.teardown()
+		if c.closeFn != nil {
+			c.closeFn(p.close.err)
+		}
+		return
+	}
 	data := p.data
 	for _, f := range p.frames {
 		switch f := f.(type) {
@@ -910,14 +888,6 @@ func (c *Conn) handlePacket(p *packet) {
 		case *streamFrame:
 			c.handleStreamData(data[0])
 			data = data[1:]
-		case *ackFrame:
-			c.handleAck(f)
-		case *closeFrame:
-			c.teardown()
-			if c.closeFn != nil {
-				c.closeFn(f.err)
-			}
-			return
 		}
 		if c.state == stateClosed {
 			return

@@ -84,9 +84,9 @@ func (e *Endpoint) handlePacket(pkt simnet.Packet) {
 			// Unknown connection: stateless close so the peer
 			// releases its state — unless the packet is itself a
 			// close (avoid close loops).
-			if !isCloseOnly(p) {
+			if p.close == nil {
 				reply := newPacket(e.cfg.Pools)
-				reply.frames = closeAborted
+				reply.close = closeAborted
 				// Echo the sender's connection ID so only that (dead)
 				// connection matches; a new conn on a recycled port
 				// ignores the mismatched close.
@@ -122,13 +122,4 @@ func clientHelloIn(p *packet) *clientHelloFrame {
 		}
 	}
 	return nil
-}
-
-func isCloseOnly(p *packet) bool {
-	for _, f := range p.frames {
-		if _, ok := f.(*closeFrame); !ok {
-			return false
-		}
-	}
-	return len(p.frames) > 0
 }

@@ -23,10 +23,10 @@ func oracleConn() *Conn {
 // in-flight record tested against every range through a closure, one
 // partition pass, and the lost prefix removed by copy. It runs on the
 // live records as a plain slice and stores the survivors back.
-func refHandleAck(c *Conn, f *ackFrame) {
+func refHandleAck(c *Conn, ranges []pnRange) {
 	sent := slices.Clone(c.sent.live())
 	covered := func(pn uint64) bool {
-		for _, r := range f.ranges {
+		for _, r := range ranges {
 			if r.lo <= pn && pn <= r.hi {
 				return true
 			}
@@ -71,7 +71,7 @@ func refHandleAck(c *Conn, f *ackFrame) {
 		if c.cfg.Recovery != nil {
 			c.cfg.Recovery.PacketsDeclaredLost++
 		}
-		c.sendQ = appendRetransmittable(c.sendQ, sp.frames)
+		c.sendQ = append(c.sendQ, sp.frames...)
 		if sp.pn >= c.recoveryStart {
 			w := &c.win
 			w.Ssthresh = w.Cwnd / 2
@@ -174,8 +174,8 @@ func TestHandleAckMatchesReference(t *testing.T) {
 			}
 			pto := rng.Intn(4)
 			a.ptoCount, b.ptoCount = pto, pto
-			a.handleAck(&ackFrame{ranges: slices.Clone(ranges)})
-			refHandleAck(b, &ackFrame{ranges: slices.Clone(ranges)})
+			a.handleAck(slices.Clone(ranges))
+			refHandleAck(b, slices.Clone(ranges))
 			if diff := ackStateDiff(a, b); diff != "" {
 				t.Fatalf("trial %d step %d, ranges %v: %s", trial, step, ranges, diff)
 			}

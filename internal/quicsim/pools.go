@@ -3,33 +3,31 @@ package quicsim
 import "h3cdn/internal/bufpool"
 
 // Pools is a per-universe arena for the transport's per-packet and
-// per-stream records and bytes: packets and their payloads, frames
-// arrays, sentPacket and ackFrame records, streamFrame structs, Stream
-// objects and their supplied-byte extents. One simulation
-// universe shares a single Pools across all of its endpoints; every
-// endpoint runs on the universe's one scheduler goroutine, so reuse
-// needs no locking. Free lists persist across visits — a warm shard
-// replays each visit out of the same allocation footprint. The zero
-// value is ready to use.
+// per-stream records and bytes: packets (with their ACK range arrays)
+// and their payloads, frames arrays, sentPacket records, streamFrame
+// structs, Stream objects and their supplied-byte extents. One
+// simulation universe shares a single Pools across all of its endpoints;
+// every endpoint runs on the universe's one scheduler goroutine, so
+// reuse needs no locking. Free lists persist across visits — a warm
+// shard replays each visit out of the same allocation footprint. The
+// zero value is ready to use.
 //
-// Recycling discipline (see DESIGN.md §4.17): packets and their payloads
-// recycle via simnet's Release after delivery or drop (an all-opaque
-// payload is an opaque run, which nothing recycles); frames arrays,
-// ackFrames and sentPacket records recycle on definitive ACK retirement
-// only; streamFrame structs are reference-counted (one hold per
-// in-flight record) because a PTO probe may copy a frame pointer into a
-// second record; a Stream struct is free from the scheduler event after
-// its connection tears down (bufpool.Recycler), or, if its application
-// holds it (Stream.Hold), after the application lets go.
+// Recycling discipline (see DESIGN.md §4.17): packets, their ACK ranges
+// and their payloads recycle via simnet's Release after delivery or drop
+// (an all-opaque payload is an opaque run, which nothing recycles);
+// frames arrays and sentPacket records recycle on definitive ACK
+// retirement only; streamFrame structs are reference-counted (one hold
+// per in-flight record) because a PTO probe may copy a frame pointer
+// into a second record; a Stream struct is free from the scheduler
+// event after its connection tears down (bufpool.Recycler), or, if its
+// application holds it (Stream.Hold), after the application lets go.
 // The bytes a stream holds do not wait: its extents go back when it is
 // fully acknowledged or its connection tears down, and its parked
 // out-of-order copies when they are delivered or at teardown.
 type Pools struct {
 	packets bufpool.FreeList[*packet]
-	ackPkts bufpool.FreeList[*packet]
 	frames  bufpool.FreeList[[]frame]
 	sents   bufpool.FreeList[*sentPacket]
-	acks    bufpool.FreeList[*ackFrame]
 	sframes bufpool.FreeList[*streamFrame]
 	streams bufpool.Recycler[*Stream]
 	conns   bufpool.Recycler[*Conn] // see Conn.Release

@@ -117,9 +117,11 @@ var (
 
 // --- frames ---
 
+// frame is an ack-eliciting, retransmittable frame: a packet's frames
+// list holds nothing else. The ACK and CONNECTION_CLOSE a packet may
+// carry are packet fields (packet.ack, packet.close).
 type frame interface {
 	wireSize() int
-	ackEliciting() bool
 }
 
 type clientHelloFrame struct {
@@ -134,8 +136,7 @@ type clientHelloFrame struct {
 	nonce uint64
 }
 
-func (f *clientHelloFrame) wireSize() int    { return sizeClientHello }
-func (*clientHelloFrame) ackEliciting() bool { return true }
+func (f *clientHelloFrame) wireSize() int { return sizeClientHello }
 
 type serverHelloFrame struct {
 	resumed  bool
@@ -146,13 +147,11 @@ type serverHelloFrame struct {
 	cid uint64
 }
 
-func (f *serverHelloFrame) wireSize() int    { return sizeServerHello }
-func (*serverHelloFrame) ackEliciting() bool { return true }
+func (f *serverHelloFrame) wireSize() int { return sizeServerHello }
 
 type finishedFrame struct{}
 
-func (finishedFrame) wireSize() int      { return sizeFinished }
-func (finishedFrame) ackEliciting() bool { return true }
+func (finishedFrame) wireSize() int { return sizeFinished }
 
 // streamFrame is the sender's record of one STREAM frame: n bytes of
 // stream s from off. It carries no bytes; the packet that transmits it
@@ -171,8 +170,7 @@ type streamFrame struct {
 	holds int32
 }
 
-func (f *streamFrame) wireSize() int    { return streamFrameHeader + f.n }
-func (*streamFrame) ackEliciting() bool { return true }
+func (f *streamFrame) wireSize() int { return streamFrameHeader + f.n }
 
 // streamData is a STREAM frame as its packet carries it, recorded with
 // the packet's own copy of its bytes when the packet was transmitted.
@@ -185,45 +183,53 @@ type streamData struct {
 	fin  bool
 }
 
-type ackFrame struct {
-	ranges []pnRange // descending, most recent first
-}
-
-func (f *ackFrame) wireSize() int    { return sizeAckFrame + 4*len(f.ranges) }
-func (*ackFrame) ackEliciting() bool { return false }
-
+// closeFrame is a CONNECTION_CLOSE with the error the peer reports (nil
+// for a clean close). A close packet carries nothing else, and the three
+// closes below are shared: nothing writes them.
 type closeFrame struct {
 	err error
 }
 
-func (f *closeFrame) wireSize() int    { return sizeCloseFrame }
-func (*closeFrame) ackEliciting() bool { return false }
+var (
+	closeClean   = &closeFrame{}
+	closeAborted = &closeFrame{err: ErrAborted}
+	closeTimeout = &closeFrame{err: ErrTimeout}
+)
 
-// packet is the on-wire QUIC datagram payload.
+// ackSize is the wire size of an ACK frame with n ranges.
+func ackSize(n int) int { return sizeAckFrame + 4*n }
+
+// packet is the on-wire QUIC datagram payload: an optional ACK, an
+// optional CONNECTION_CLOSE and the ack-eliciting frames, which a
+// receiver handles in that order.
 //
 // Packet structs are pooled: each is sent exactly once, receivers read
 // it during delivery and retain nothing of it (copying only stream
 // bytes that land beyond a gap, unless they are an opaque run), and the
 // network recycles the struct via Release after the handler returns. A
-// packet owns its stream bytes unless they are an opaque run
-// (bytestream.Opaque: no supplied byte in the frame's range): transmit
-// copies them from the sending streams into data, whether the packet is
-// a first send, a loss retransmission or a probe, and Release returns
-// the owned ones. The frames slice is shared with the sender's sentPacket
-// record for retransmission and is therefore never recycled — except
-// for ACK-only packets, which bypass loss recovery entirely and keep a
-// private reusable ackFrame attached across pool round-trips.
+// packet owns its ACK ranges, reused across pool round-trips, and its
+// stream bytes unless they are an opaque run (bytestream.Opaque: no
+// supplied byte in the frame's range): transmit copies them from the
+// sending streams into data, whether the packet is a first send, a loss
+// retransmission or a probe, and Release returns the owned ones. The
+// frames slice is shared with the sender's sentPacket record for
+// retransmission and is therefore never recycled with the packet.
 type packet struct {
-	pn     uint64
-	frames []frame
-	// data holds one entry per STREAM frame in frames, in frame order.
-	data []streamData
+	pn uint64
 	// dcid is the connection ID of the sending connection (0 before the
 	// handshake assigns one); receivers drop a mismatch as stale.
 	dcid uint64
-	// ackOnly marks frames as a private one-element slice holding a
-	// private ackFrame, recycled together with the packet.
-	ackOnly bool
+	// ack holds the ACK frame's ranges, descending, most recent first;
+	// empty when the packet carries no ACK.
+	ack []pnRange
+	// ackBuf backs ack up to its length, so the usual ACK of a few
+	// ranges allocates nothing beside the packet.
+	ackBuf [4]pnRange
+	// close, when non-nil, makes this a CONNECTION_CLOSE packet.
+	close  *closeFrame
+	frames []frame
+	// data holds one entry per STREAM frame in frames, in frame order.
+	data []streamData
 	// pools routes Release back to the originating universe's free
 	// lists. Release runs on that universe's scheduler goroutine.
 	pools *Pools
@@ -233,54 +239,37 @@ func newPacket(pl *Pools) *packet {
 	if p, ok := pl.packets.Get(); ok {
 		return p
 	}
-	return &packet{pools: pl}
-}
-
-// newAckPacket returns a pooled packet carrying a single ACK frame with
-// ranges snapshotted from rs; the attached ackFrame and its range slice
-// are reused across pool round-trips.
-func newAckPacket(pl *Pools, rs *rangeSet) *packet {
-	p, ok := pl.ackPkts.Get()
-	if !ok {
-		p = &packet{ackOnly: true, frames: []frame{&ackFrame{}}, pools: pl}
-	}
-	af := p.frames[0].(*ackFrame)
-	af.ranges = rs.snapshot(af.ranges[:0], 32)
+	p := &packet{pools: pl}
+	p.ack = p.ackBuf[:0]
 	return p
 }
 
 // Release implements simnet.Releasable.
 func (p *packet) Release() {
-	p.pn = 0
-	p.dcid = 0
 	for _, d := range p.data {
 		bytestream.Recycle(&p.pools.payloads, d.data)
 	}
 	clear(p.data)
-	p.data = p.data[:0]
-	if p.ackOnly {
-		p.pools.ackPkts.Put(p)
-		return
-	}
-	// The frames slice is shared with a sentPacket (or belongs to a
-	// one-shot control packet); drop the reference, never reuse it.
-	p.frames = nil
+	// The frames slice is shared with a sentPacket; drop the reference,
+	// never reuse it.
+	*p = packet{ack: p.ack[:0], data: p.data[:0], pools: p.pools}
 	p.pools.packets.Put(p)
 }
 
 func (p *packet) wireSize() int {
 	n := packetOverhead
+	if len(p.ack) > 0 {
+		n += ackSize(len(p.ack))
+	}
+	if p.close != nil {
+		n += sizeCloseFrame
+	}
 	for _, f := range p.frames {
 		n += f.wireSize()
 	}
 	return n
 }
 
-func (p *packet) isAckEliciting() bool {
-	for _, f := range p.frames {
-		if f.ackEliciting() {
-			return true
-		}
-	}
-	return false
-}
+// isAckEliciting reports whether p carries a frame the peer must
+// acknowledge: any frame at all, since ACK and close are fields.
+func (p *packet) isAckEliciting() bool { return len(p.frames) > 0 }

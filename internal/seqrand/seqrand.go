@@ -28,45 +28,7 @@ func New(seed uint64) *Source {
 // Stream derives an independent *rand.Rand keyed by the label path.
 // The same labels always yield a stream with the same state sequence.
 func (s *Source) Stream(labels ...string) *rand.Rand {
-	return (*Pool)(nil).Stream(s, labels...)
-}
-
-// Pool lends generators to streams that end together — a population
-// shard's streams of one epoch — and reseeds them for the streams drawn
-// after: rand.Rand.Seed on a NewSource generator gives exactly the
-// sequence a fresh NewSource(seed) gives, so a pooled stream draws what
-// Source.Stream's would, without allocating its 4.9 KB source. A Pool
-// belongs to one goroutine; the zero value is ready to use.
-type Pool struct {
-	free, lent []*rand.Rand
-}
-
-// Stream is s.Stream(labels...) on a generator from the pool, lent
-// until the next Reclaim. A nil Pool allocates, as Source.Stream does.
-func (p *Pool) Stream(s *Source, labels ...string) *rand.Rand {
-	seed := int64(s.StreamSeed(labels...))
-	if p == nil {
-		return rand.New(rand.NewSource(seed)) //nolint:gosec // simulation, not crypto
-	}
-	var r *rand.Rand
-	if n := len(p.free); n > 0 {
-		r = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		r.Seed(seed)
-	} else {
-		r = rand.New(rand.NewSource(seed)) //nolint:gosec // simulation, not crypto
-	}
-	p.lent = append(p.lent, r)
-	return r
-}
-
-// Reclaim takes back every generator lent since the last Reclaim. Call
-// it once nothing will draw from them again.
-func (p *Pool) Reclaim() {
-	p.free = append(p.free, p.lent...)
-	clear(p.lent)
-	p.lent = p.lent[:0]
+	return rand.New(rand.NewSource(int64(s.StreamSeed(labels...)))) //nolint:gosec // simulation, not crypto
 }
 
 // StreamSeed derives the 64-bit sub-seed for the label path without

@@ -86,44 +86,3 @@ func TestStreamUniformish(t *testing.T) {
 		t.Fatalf("mean = %f, want ~0.5", mean)
 	}
 }
-
-// TestPoolStreamMatchesFresh: a stream drawn from a Pool, on a
-// generator an earlier stream left mid-sequence (a partial Read
-// included), draws exactly what a fresh Source.Stream does, and the
-// generator is the reclaimed one.
-func TestPoolStreamMatchesFresh(t *testing.T) {
-	src := New(2022).Sub("universe")
-	var p Pool
-	old := p.Stream(src, "edgewait", "a")
-	buf := make([]byte, 3)
-	old.Read(buf)
-	old.ExpFloat64()
-	other := p.Stream(src, "edgewait", "b")
-	if other == old {
-		t.Fatal("a lent generator was lent again before Reclaim")
-	}
-	other.Read(buf)
-	p.Reclaim()
-	got := p.Stream(src, "originwait", "site")
-	if got != old && got != other {
-		t.Fatal("Stream did not reuse a reclaimed generator")
-	}
-	want := src.Stream("originwait", "site")
-	for i := 0; i < 200; i++ {
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("draw %d: pooled %d, fresh %d", i, g, w)
-		}
-		if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
-			t.Fatalf("draw %d: pooled %v, fresh %v", i, g, w)
-		}
-	}
-	gb, wb := make([]byte, 5), make([]byte, 5)
-	got.Read(gb)
-	want.Read(wb)
-	if string(gb) != string(wb) {
-		t.Fatalf("Read: pooled %x, fresh %x", gb, wb)
-	}
-	if (*Pool)(nil).Stream(src, "x").Int63() != src.Stream("x").Int63() {
-		t.Fatal("a nil Pool's stream differs from Source.Stream's")
-	}
-}
