@@ -13,20 +13,38 @@ package bufpool
 // buffer is back at each visit boundary, and the universe fails the
 // visit otherwise; a transport's arenas also count what connections
 // that outlive the visit still hold.
+//
+// An arena also lends the arrays of span lists (AppendSpan), the stream
+// byte lists whose bytes it holds: a list has an array only while it
+// holds a span and gives it back (PutSpans) when it empties, so the
+// arrays scale with the lists that are non-empty at one time, not with
+// every list ever made. Spare arrays live in the arena and die with it.
 type Arena struct {
 	free  [numClasses]FreeList[[]byte]
+	spans [numSpanClasses]FreeList[[]Span]
 	stats ArenaStats
 }
 
-// ArenaStats counts arena traffic. Gets/Puts/News are cumulative;
-// InUse is the current outstanding balance (Gets - Puts) and HighWater
-// its maximum, i.e. the steady-state working set in buffers.
+// Span is stream bytes at a stream offset: the element of a span list.
+type Span struct {
+	Off  uint64
+	Data []byte
+}
+
+// End returns the offset just past the span's bytes.
+func (s Span) End() uint64 { return s.Off + uint64(len(s.Data)) }
+
+// ArenaStats counts arena traffic. Gets/Puts/News are cumulative byte
+// buffer counts; InUse is the current outstanding balance (Gets - Puts)
+// and HighWater its maximum, i.e. the steady-state working set in
+// buffers. Lent counts the span arrays lent and not yet given back.
 type ArenaStats struct {
 	Gets      uint64
 	Puts      uint64
 	News      uint64
 	InUse     int64
 	HighWater int64
+	Lent      int64
 }
 
 // Get returns a buffer with len(buf) == n. Contents are arbitrary.
@@ -36,7 +54,7 @@ func (a *Arena) Get(n int) []byte {
 	if a.stats.InUse > a.stats.HighWater {
 		a.stats.HighWater = a.stats.InUse
 	}
-	c := classFor(n)
+	c := sizeClass(n, minClassBits, maxClassBits)
 	if c < 0 {
 		a.stats.News++
 		return make([]byte, n)
@@ -55,8 +73,41 @@ func (a *Arena) Get(n int) []byte {
 func (a *Arena) Put(buf []byte) {
 	a.stats.Puts++
 	a.stats.InUse--
-	if c := classFor(cap(buf)); c >= 0 && cap(buf) == 1<<(minClassBits+c) {
+	if c := sizeClass(cap(buf), minClassBits, maxClassBits); c >= 0 && cap(buf) == 1<<(minClassBits+c) {
 		a.free[c].Put(buf[:cap(buf)])
+	}
+}
+
+// AppendSpan appends v to the span list s, which is nil or lent by a.
+// A nil list borrows an array; a full one moves to an array twice its
+// size and gives its old one back.
+func (a *Arena) AppendSpan(s []Span, v Span) []Span {
+	if len(s) == cap(s) {
+		a.stats.Lent++
+		var t []Span
+		c := sizeClass(2*len(s), minSpanBits, maxSpanBits)
+		if c < 0 {
+			t = make([]Span, 0, 2*len(s))
+		} else if t, _ = a.spans[c].Get(); t == nil {
+			t = make([]Span, 0, 1<<(minSpanBits+c))
+		}
+		t = append(t, s...)
+		if s != nil {
+			a.PutSpans(s)
+		}
+		s = t
+	}
+	return append(s, v)
+}
+
+// PutSpans takes back the array of a span list that AppendSpan lent. s
+// must start where the array does and cover every span in it that is
+// not zero; PutSpans zeroes them, so the array pins no buffer.
+func (a *Arena) PutSpans(s []Span) {
+	a.stats.Lent--
+	clear(s)
+	if c := sizeClass(cap(s), minSpanBits, maxSpanBits); c >= 0 && cap(s) == 1<<(minSpanBits+c) {
+		a.spans[c].Put(s[:0])
 	}
 }
 

@@ -1,34 +1,40 @@
 // Package bufpool provides the simulation's recyclers: Arena, a
 // size-classed byte-buffer recycler for the hot path (wire records,
 // framed blocks, transport packet payloads, supplied-byte extents and
-// reassembly chunks); FreeList, the LIFO free list every record pool is
-// built from; and Recycler, a FreeList that hands a torn-down struct out
-// again only from the scheduler event after its teardown. All are
-// confined to one goroutine — a campaign worker's, running one universe
-// at a time — so reuse needs no locking and, being plain slices,
-// survives garbage-collection cycles: warm pools reach a steady state
-// where every visit is served from the same allocation footprint.
-// Buffers come back with the requested length but arbitrary contents —
-// callers that care about content must overwrite it (the simulators only
-// ever inspect lengths and headers).
+// reassembly chunks) that also lends the arrays of the span lists
+// holding those extents and chunks; FreeList, the LIFO free list every
+// record pool is built from; and Recycler, a FreeList that hands a
+// torn-down struct out again only from the scheduler event after its
+// teardown. All are confined to one goroutine — a campaign worker's,
+// running one universe at a time — so reuse needs no locking and, being
+// plain slices, survives garbage-collection cycles: warm pools reach a
+// steady state where every visit is served from the same allocation
+// footprint. Buffers come back with the requested length but arbitrary
+// contents — callers that care about content must overwrite it (the
+// simulators only ever inspect lengths and headers).
 package bufpool
 
-// Size classes are powers of two from 256B to 8MB. Requests above the
+// Byte buffer size classes are powers of two from 256B to 8MB, span
+// array classes powers of two from 4 to 64Ki spans. Requests above the
 // largest class fall through to plain allocation.
 const (
-	minClassBits = 8  // 256
-	maxClassBits = 23 // 8MB
-	numClasses   = maxClassBits - minClassBits + 1
+	minClassBits   = 8  // 256
+	maxClassBits   = 23 // 8MB
+	numClasses     = maxClassBits - minClassBits + 1
+	minSpanBits    = 2  // 4 spans
+	maxSpanBits    = 16 // 64Ki spans
+	numSpanClasses = maxSpanBits - minSpanBits + 1
 )
 
-// classFor returns the class index whose capacity fits n, or -1 when n
-// is out of the pooled range.
-func classFor(n int) int {
-	if n > 1<<maxClassBits {
+// sizeClass returns the index of the smallest class, among the powers of
+// two from 1<<minBits to 1<<maxBits, whose capacity fits n, or -1 when n
+// is out of that range.
+func sizeClass(n, minBits, maxBits int) int {
+	if n > 1<<maxBits {
 		return -1
 	}
 	c := 0
-	for s := 1 << minClassBits; s < n; s <<= 1 {
+	for s := 1 << minBits; s < n; s <<= 1 {
 		c++
 	}
 	return c

@@ -61,8 +61,49 @@ func TestClassFor(t *testing.T) {
 		{1 << 23, 15}, {1<<23 + 1, -1},
 	}
 	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
-			t.Fatalf("classFor(%d) = %d, want %d", c.n, got, c.class)
+		if got := sizeClass(c.n, minClassBits, maxClassBits); got != c.class {
+			t.Fatalf("sizeClass(%d) = %d, want %d", c.n, got, c.class)
 		}
+	}
+}
+
+// TestSpanArraysLend: a nil span list borrows a 4-span array, a full one
+// moves to one twice its size and gives the old one back zeroed, a later
+// borrow of that size reuses it, and an array above the largest class is
+// lent but never kept. Lent counts the arrays out.
+func TestSpanArraysLend(t *testing.T) {
+	var a Arena
+	buf := []byte{1}
+	grow := func(n int) []Span {
+		var s []Span
+		for i := range n {
+			s = a.AppendSpan(s, Span{Off: uint64(i), Data: buf})
+		}
+		return s
+	}
+	s := grow(1)
+	four := &s[0]
+	for i := 1; i < 5; i++ {
+		s = a.AppendSpan(s, Span{Off: uint64(i), Data: buf})
+	}
+	if len(s) != 5 || cap(s) != 8 || s[4].End() != 5 || a.Stats().Lent != 1 {
+		t.Fatalf("5 appends: len %d cap %d, end %d, %+v", len(s), cap(s), s[4].End(), a.Stats())
+	}
+	small := a.AppendSpan(nil, Span{})
+	if cap(small) != 4 || &small[0] != four || small[:4][3].Data != nil || a.Stats().Lent != 2 {
+		t.Fatalf("the outgrown 4-span array, zeroed, was not lent again: cap %d, %+v", cap(small), a.Stats())
+	}
+	eight := &s[0]
+	a.PutSpans(s)
+	if s[0].Data != nil || s[4].Data != nil || a.Stats().Lent != 1 {
+		t.Fatalf("PutSpans left spans set or the count off: %+v", a.Stats())
+	}
+	if again := grow(5); &again[0] != eight {
+		t.Fatal("an 8-span array given back was not lent again")
+	}
+	huge := grow(1<<maxSpanBits + 1)
+	a.PutSpans(huge)
+	if cap(huge) != 2<<maxSpanBits || len(a.spans[numSpanClasses-1]) != 1 || a.Stats().Lent != 2 {
+		t.Fatalf("an over-max array: cap %d, largest class holds %d, %+v", cap(huge), len(a.spans[numSpanClasses-1]), a.Stats())
 	}
 }

@@ -7,6 +7,14 @@
 // connection or QUIC stream, and Extents the store of supplied bytes
 // both send from.
 //
+// Both keep a span list, []bufpool.Span, that holds an array only while
+// it is non-empty: the array is lent by the arena the list's bytes come
+// from (a TCP connection's wire arena or a QUIC connection's payload
+// arena for Reassembly, the transport's extent arena for Extents) and
+// goes back when the list empties or is released. Storage thus scales
+// with the streams stalled or unacknowledged at one time, and a
+// recycled transport struct is reset by zeroing.
+//
 // Most bytes on the simulated wire are opaque: their writer does not
 // specify their value and no reader inspects them (response bodies, AEAD
 // tags, handshake padding). WriteOpaque queues them by count, so no layer

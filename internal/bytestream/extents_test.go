@@ -12,8 +12,8 @@ import (
 // runs, then builds payloads of random ranges and trims at random
 // offsets: every supplied byte of a payload must be the one written at
 // its offset, a range with no supplied byte must be an opaque run that
-// takes no buffer, and every extent and payload buffer must be back in
-// the arenas after Release. Only buffers are scribbled on and Put: a
+// takes no buffer, and every extent and payload buffer, and the extent
+// list's array, must be back in the arenas after Release. Only buffers are scribbled on and Put: a
 // run is shared and read-only.
 func TestExtentsPayloadMatchesStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(32)) //nolint:gosec
@@ -64,7 +64,7 @@ func TestExtentsPayloadMatchesStream(t *testing.T) {
 			}
 		}
 		x.Release(&a)
-		if st := a.Stats(); st.InUse != 0 || len(x.s) != 0 || payloads.Stats().InUse != 0 {
+		if st := a.Stats(); st.InUse != 0 || st.Lent != 0 || x.s != nil || payloads.Stats().InUse != 0 {
 			t.Fatalf("trial %d: after Release: %+v, %d extents, payloads %+v", trial, st, len(x.s), payloads.Stats())
 		}
 	}

@@ -20,10 +20,13 @@ import (
 // moving the rest. Between arrivals every parked chunk starts above the
 // next expected offset, because the drain consumes the rest, so only the
 // lowest can be next. The FIN is an offset, not a chunk: it parks
-// nothing and opens no stall. The zero value is an empty stream at 0.
+// nothing and opens no stall. The chunk array is lent by the arena the
+// copies come from, and only while a chunk is parked: the first park
+// borrows it, and the drain that pops the last chunk, or Release, gives
+// it back. The zero value is an empty stream at 0.
 type Reassembly struct {
-	next   uint64  // every byte below it was delivered
-	chunks []chunk // chunks[head:] are parked; the popped prefix is reclaimed lazily
+	next   uint64         // every byte below it was delivered
+	chunks []bufpool.Span // chunks[head:] are parked; the popped prefix is reclaimed lazily
 	head   int
 	fn     func(p []byte)
 
@@ -32,13 +35,6 @@ type Reassembly struct {
 	eof        bool
 	stalled    bool
 	stallStart time.Duration
-}
-
-// chunk is bytes that arrived beyond a hole: an arena copy, or an
-// opaque run kept by reference.
-type chunk struct {
-	off  uint64
-	data []byte
 }
 
 // SetDataFunc registers the in-order delivery callback. It is read at
@@ -63,7 +59,8 @@ func (r *Reassembly) EOF() bool { return r.eof }
 // drain up to the next hole, lowest first: with reordering, trimming
 // can leave several overlapping chunks there, and the choice decides
 // delivery granularity. Each is popped before its callback runs, so a
-// Release inside the callback never sees it, and goes back to a after.
+// Release inside the callback never sees it, and goes back to a after;
+// the pop that empties the list gives the array back first.
 //
 // Receive reports whether this call reached EOF, which happens once.
 func (r *Reassembly) Receive(a *bufpool.Arena, off uint64, p []byte, fin bool) (eof bool) {
@@ -81,16 +78,17 @@ func (r *Reassembly) Receive(a *bufpool.Arena, off uint64, p []byte, fin bool) (
 			r.park(a, off, p)
 		}
 	}
-	for r.head < len(r.chunks) && r.chunks[r.head].off <= r.next {
+	for r.head < len(r.chunks) && r.chunks[r.head].Off <= r.next {
 		c := r.chunks[r.head]
-		r.chunks[r.head] = chunk{}
+		r.chunks[r.head] = bufpool.Span{}
 		if r.head++; r.head == len(r.chunks) {
-			r.chunks, r.head = r.chunks[:0], 0
+			a.PutSpans(r.chunks[:0])
+			r.chunks, r.head = nil, 0
 		}
-		if c.off+uint64(len(c.data)) > r.next { // else a stale duplicate
-			r.deliver(c.data[r.next-c.off:])
+		if c.End() > r.next { // else a stale duplicate
+			r.deliver(c.Data[r.next-c.Off:])
 		}
-		Recycle(a, c.data)
+		Recycle(a, c.Data)
 	}
 	if eof = r.hasFin && !r.eof && r.next >= r.fin; eof {
 		r.eof = true
@@ -109,11 +107,11 @@ func (r *Reassembly) deliver(p []byte) {
 func (r *Reassembly) park(a *bufpool.Arena, off uint64, p []byte) {
 	live := r.chunks[r.head:]
 	i := len(live)
-	if i > 0 && live[i-1].off >= off {
-		i = sort.Search(len(live), func(j int) bool { return live[j].off >= off })
+	if i > 0 && live[i-1].Off >= off {
+		i = sort.Search(len(live), func(j int) bool { return live[j].Off >= off })
 	}
-	found := i < len(live) && live[i].off == off
-	if found && len(p) <= len(live[i].data) {
+	found := i < len(live) && live[i].Off == off
+	if found && len(p) <= len(live[i].Data) {
 		return
 	}
 	buf := p
@@ -122,8 +120,8 @@ func (r *Reassembly) park(a *bufpool.Arena, off uint64, p []byte) {
 		copy(buf, p)
 	}
 	if found {
-		Recycle(a, live[i].data)
-		live[i].data = buf
+		Recycle(a, live[i].Data)
+		live[i].Data = buf
 		return
 	}
 	if len(r.chunks) == cap(r.chunks) && r.head >= len(live) {
@@ -135,9 +133,9 @@ func (r *Reassembly) park(a *bufpool.Arena, off uint64, p []byte) {
 		r.chunks, r.head = r.chunks[:n], 0
 	}
 	i += r.head
-	r.chunks = append(r.chunks, chunk{})
+	r.chunks = a.AppendSpan(r.chunks, bufpool.Span{})
 	copy(r.chunks[i+1:], r.chunks[i:])
-	r.chunks[i] = chunk{off: off, data: buf}
+	r.chunks[i] = bufpool.Span{Off: off, Data: buf}
 }
 
 // Stall reports whether the receives since the last call opened a
@@ -149,7 +147,7 @@ func (r *Reassembly) Stall(now time.Duration) (opened bool, parked int, closed b
 	if opened = !r.stalled && len(live) > 0; opened {
 		r.stallStart = now
 		for _, c := range live {
-			parked += len(c.data)
+			parked += len(c.Data)
 		}
 	}
 	if closed = r.stalled && len(live) == 0; closed {
@@ -159,19 +157,17 @@ func (r *Reassembly) Stall(now time.Duration) (opened bool, parked int, closed b
 	return opened, parked, closed, held
 }
 
-// Release gives every parked chunk back to a. It keeps Next, the FIN, EOF
-// and the stall: a teardown inside a delivery is followed by TCP's ACK.
+// Release gives every parked chunk, and the chunk array, back to a. It
+// keeps Next, the FIN, EOF and the stall: a teardown inside a delivery
+// is followed by TCP's ACK. A recycled transport struct, whose teardown
+// released it, is reset to a fresh one by zeroing.
 func (r *Reassembly) Release(a *bufpool.Arena) {
-	for _, c := range r.chunks[r.head:] {
-		Recycle(a, c.data)
+	if r.chunks == nil {
+		return
 	}
-	clear(r.chunks)
-	r.chunks, r.head = r.chunks[:0], 0
-}
-
-// Reset makes r an empty stream at 0 for a recycled transport struct,
-// keeping only the chunks' allocation.
-func (r *Reassembly) Reset() {
-	clear(r.chunks)
-	*r = Reassembly{chunks: r.chunks[:0]}
+	for _, c := range r.chunks[r.head:] {
+		Recycle(a, c.Data)
+	}
+	a.PutSpans(r.chunks)
+	r.chunks, r.head = nil, 0
 }

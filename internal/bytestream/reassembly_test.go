@@ -236,7 +236,7 @@ func run(t testing.TB, stream []byte, as []arrival) (*Reassembly, *bufpool.Arena
 // reaches EOF at the same arrival, crosses the same stall edges and
 // copies exactly the chunks the oracle parks that are not opaque runs.
 // Every schedule holds the whole stream, so it ends at EOF with every
-// copy back.
+// copy, and the chunk array, back.
 func TestReassemblyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26)) //nolint:gosec
 	for trial := 0; trial < 1000; trial++ {
@@ -246,82 +246,244 @@ func TestReassemblyMatchesReference(t *testing.T) {
 		}
 		stream := streamBytes(1 + rng.Intn(20_000))
 		r, arena := run(t, stream, schedule(rng, stream, maxCut, tcp))
-		if !r.EOF() || r.Next() != uint64(len(stream)) || arena.Stats().InUse != 0 {
+		if st := arena.Stats(); !r.EOF() || r.Next() != uint64(len(stream)) || st.InUse != 0 || st.Lent != 0 || r.chunks != nil {
 			t.Fatalf("trial %d: EOF %v at %d of %d, arena %+v", trial, r.EOF(), r.Next(), len(stream), arena.Stats())
 		}
 	}
 }
 
-// TestGapsMatchesSortedMap drives a Reassembly's parked chunks and a map
-// with random parkings beyond a hole, longer chunks replacing shorter
-// ones, and hole fills that drain the lowest chunks, tail-heavy like a
-// loss recovery, and checks after every step that the chunk array walks
-// the map in offset order, head first, and that Reset empties it.
+// pat is the byte at stream offset off in the span-list tests' streams.
+func pat(off uint64) byte { return byte(off*7 + 1) }
+
+// patterned returns n stream bytes from off: pat's, or an opaque run.
+func patterned(off uint64, n int, opaque bool) []byte {
+	if opaque {
+		return Opaque(n)
+	}
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = pat(off + uint64(i))
+	}
+	return p
+}
+
+// gapModel is one stream's receive side as a map of parked chunk
+// lengths (and whether each is an opaque run) by offset.
+type gapModel struct {
+	r      *Reassembly
+	ref    map[uint64]int
+	opaque map[uint64]bool
+	next   uint64
+	tail   uint64
+	// tearAt, when not 0, is the delivery of the next fill whose
+	// callback tears the stream down: it Releases the Reassembly, as a
+	// transport's teardown inside a delivery does.
+	tearAt, delivered int
+}
+
+func newGapModel(a *bufpool.Arena, t *testing.T) *gapModel {
+	m := &gapModel{r: &Reassembly{}, ref: map[uint64]int{}, opaque: map[uint64]bool{}, tail: 1}
+	m.r.SetDataFunc(func(p []byte) {
+		base := m.r.Next() - uint64(len(p))
+		for i, b := range p {
+			if !IsOpaque(p) && b != pat(base+uint64(i)) {
+				t.Fatalf("delivered byte at %d is not the stream's", base+uint64(i))
+			}
+		}
+		if m.delivered++; m.delivered == m.tearAt {
+			m.r.Release(a)
+		}
+	})
+	return m
+}
+
+// extModel is one sending stream's supplied bytes: the extents it has
+// added and not trimmed, as (offset, length) pairs.
+type extModel struct {
+	x       Extents
+	ref     [][2]uint64
+	end     uint64
+	trimmed uint64
+}
+
+// TestGapsMatchesSortedMap drives several Reassembly and Extents values
+// interleaved on one arena, each against a map or list model: random
+// parkings beyond a hole, longer chunks replacing shorter ones, and hole
+// fills that drain the lowest chunks, tail-heavy like a loss recovery;
+// extents added, trimmed and released; and now and then a teardown that
+// Releases a Reassembly inside a delivery callback of its drain, after
+// which the stream starts afresh as a recycled struct does. After every
+// step each chunk array walks its map in offset order, head first, each
+// extent list matches its model, delivered and stored bytes are the
+// stream's, no two non-empty lists share an array, the arena has lent
+// exactly one array per non-empty list and holds exactly their buffers.
 func TestGapsMatchesSortedMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5)) //nolint:gosec
+	tornMidDrain := 0                  // teardowns in a drained chunk's delivery with chunks still parked
 	for trial := 0; trial < 300; trial++ {
-		r, a := &Reassembly{}, &bufpool.Arena{}
-		ref := map[uint64]int{}
-		next, tail := uint64(0), uint64(1)
-		for op := 0; op < 400; op++ {
-			if k := rng.Intn(10); k < 6 || len(ref) == 0 {
-				// Mostly ascending arrivals, sometimes a fill-in.
-				off := max(tail, next+1) + uint64(rng.Intn(3))
-				if rng.Intn(4) == 0 {
-					off = next + 1 + uint64(rng.Intn(int(tail-next)))
+		a := &bufpool.Arena{}
+		gaps := []*gapModel{newGapModel(a, t), newGapModel(a, t), newGapModel(a, t)}
+		exts := []*extModel{{}, {}, {}}
+		check := func(op int) {
+			t.Helper()
+			lent, bufs := 0, 0
+			arrays := map[*bufpool.Span]bool{}
+			hold := func(s []bufpool.Span) {
+				if len(s) > 0 {
+					lent++
+					if base := &s[:1][0]; arrays[base] {
+						t.Fatalf("trial %d op %d: two lists share an array", trial, op)
+					} else {
+						arrays[base] = true
+					}
 				}
-				n := 1 + rng.Intn(8)
-				tail = max(tail, off+1)
-				r.Receive(a, off, Opaque(n), false)
-				if n > ref[off] {
-					ref[off] = n
+			}
+			for k, m := range gaps {
+				live := m.r.chunks[m.r.head:]
+				if len(live) != len(m.ref) || m.r.Next() != m.next {
+					t.Fatalf("trial %d op %d stream %d: %d chunks, next %d; map %d, next %d", trial, op, k, len(live), m.r.Next(), len(m.ref), m.next)
+				}
+				for i, c := range live {
+					if n, ok := m.ref[c.Off]; !ok || n != len(c.Data) || i > 0 && live[i-1].Off >= c.Off || IsOpaque(c.Data) != m.opaque[c.Off] {
+						t.Fatalf("trial %d op %d stream %d: chunk %d is %d bytes at %d; map holds %d there (%v)", trial, op, k, i, len(c.Data), c.Off, n, ok)
+					}
+					if !IsOpaque(c.Data) {
+						bufs++
+						if !bytes.Equal(c.Data, patterned(c.Off, len(c.Data), false)) {
+							t.Fatalf("trial %d op %d stream %d: chunk at %d is not the stream's bytes", trial, op, k, c.Off)
+						}
+					}
+				}
+				hold(m.r.chunks)
+			}
+			for k, e := range exts {
+				if len(e.x.s) != len(e.ref) {
+					t.Fatalf("trial %d op %d extents %d: %d extents, model %d", trial, op, k, len(e.x.s), len(e.ref))
+				}
+				for i, sp := range e.x.s {
+					if sp.Off != e.ref[i][0] || uint64(len(sp.Data)) != e.ref[i][1] || !bytes.Equal(sp.Data, patterned(sp.Off, len(sp.Data), false)) {
+						t.Fatalf("trial %d op %d extents %d: extent %d is %d bytes at %d; model %v", trial, op, k, i, len(sp.Data), sp.Off, e.ref[i])
+					}
+				}
+				bufs += len(e.x.s)
+				hold(e.x.s)
+			}
+			if st := a.Stats(); st.Lent != int64(lent) || st.InUse != int64(bufs) {
+				t.Fatalf("trial %d op %d: arena lent %d arrays and %d buffers; %d lists are non-empty holding %d buffers", trial, op, st.Lent, st.InUse, lent, bufs)
+			}
+		}
+		for op := 0; op < 600; op++ {
+			if rng.Intn(3) == 0 {
+				e := exts[rng.Intn(len(exts))]
+				switch k := rng.Intn(8); {
+				case k < 4:
+					n := 1 + rng.Intn(40)
+					e.x.Add(a, e.end, patterned(e.end, n, false))
+					e.ref = append(e.ref, [2]uint64{e.end, uint64(n)})
+					e.end += uint64(n + rng.Intn(60))
+				case k < 7:
+					e.trimmed += uint64(rng.Intn(int(e.end-e.trimmed) + 1))
+					e.x.Trim(a, e.trimmed)
+					for len(e.ref) > 0 && e.ref[0][0]+e.ref[0][1] <= e.trimmed {
+						e.ref = e.ref[1:]
+					}
+				default:
+					e.x.Release(a)
+					e.ref, e.trimmed = nil, e.end
+				}
+				check(op)
+				continue
+			}
+			k := rng.Intn(len(gaps))
+			m := gaps[k]
+			if c := rng.Intn(10); c < 6 || len(m.ref) == 0 {
+				// Mostly ascending arrivals, sometimes a fill-in.
+				off := max(m.tail, m.next+1) + uint64(rng.Intn(3))
+				if rng.Intn(4) == 0 {
+					off = m.next + 1 + uint64(rng.Intn(int(m.tail-m.next)))
+				}
+				n, opaque := 1+rng.Intn(8), rng.Intn(2) == 0
+				m.tail = max(m.tail, off+1)
+				m.r.Receive(a, off, patterned(off, n, opaque), false)
+				if n > m.ref[off] {
+					m.ref[off], m.opaque[off] = n, opaque
 				}
 			} else {
 				// Fill the hole below the lowest chunk, a byte short at
-				// times; the drain pops every chunk it reaches.
+				// times; the drain pops every chunk it reaches, unless a
+				// delivery tears the stream down.
 				lo := uint64(0)
-				for off := range ref {
+				for off := range m.ref {
 					if lo == 0 || off < lo {
 						lo = off
 					}
 				}
-				fill := lo - next - uint64(rng.Intn(2))
-				r.Receive(a, next, Opaque(int(fill)), false)
-				for next += fill; ; {
+				fill := lo - m.next - uint64(rng.Intn(2))
+				m.delivered, m.tearAt = 0, 0
+				if rng.Intn(8) == 0 {
+					m.tearAt = 1 + rng.Intn(3)
+				}
+				m.r.Receive(a, m.next, patterned(m.next, int(fill), rng.Intn(2) == 0), false)
+				delivered := 0
+				if fill > 0 {
+					delivered++
+				}
+				m.next += fill
+				for m.tearAt == 0 || delivered < m.tearAt {
 					lo, found := uint64(0), false
-					for off := range ref {
-						if off <= next && (!found || off < lo) {
+					for off := range m.ref {
+						if off <= m.next && (!found || off < lo) {
 							lo, found = off, true
 						}
 					}
 					if !found {
 						break
 					}
-					next = max(next, lo+uint64(ref[lo]))
-					delete(ref, lo)
+					end := lo + uint64(m.ref[lo])
+					delete(m.ref, lo)
+					if end > m.next {
+						m.next = end
+						delivered++
+					}
 				}
-				tail = max(tail, next+1)
-			}
-			live := r.chunks[r.head:]
-			if len(live) != len(ref) || r.Next() != next {
-				t.Fatalf("trial %d op %d: %d chunks, next %d; map %d, next %d", trial, op, len(live), r.Next(), len(ref), next)
-			}
-			for i, c := range live {
-				if n, ok := ref[c.off]; !ok || n != len(c.data) || i > 0 && live[i-1].off >= c.off {
-					t.Fatalf("trial %d op %d: chunk %d is %d bytes at %d; map holds %d there (%v)", trial, op, i, len(c.data), c.off, n, ok)
+				if m.tearAt != 0 && delivered == m.tearAt {
+					// Torn down in that delivery: everything parked went
+					// back. Check it, then recycle the struct.
+					if len(m.ref) > 0 && (fill == 0 || m.tearAt > 1) {
+						tornMidDrain++
+					}
+					clear(m.ref)
+					m.tail = max(m.tail, m.next+1)
+					check(op)
+					gaps[k] = newGapModel(a, t)
+					continue
 				}
+				m.tail = max(m.tail, m.next+1)
 			}
+			check(op)
 		}
-		if r.Reset(); len(r.chunks) != 0 || r.head != 0 || r.Next() != 0 || a.Stats().InUse != 0 {
-			t.Fatalf("trial %d: after Reset %d chunks from %d, next %d, arena %+v", trial, len(r.chunks), r.head, r.Next(), a.Stats())
+		for _, m := range gaps {
+			m.r.Release(a)
+			clear(m.ref)
 		}
+		for _, e := range exts {
+			e.x.Release(a)
+			e.ref = nil
+		}
+		if check(-1); a.Stats().Lent != 0 || a.Stats().InUse != 0 {
+			t.Fatalf("trial %d: after Release, arena %+v", trial, a.Stats())
+		}
+	}
+	if tornMidDrain < 100 {
+		t.Fatalf("only %d teardowns inside a drain left chunks parked", tornMidDrain)
 	}
 }
 
 // TestFinIsAnOffset: a bare FIN beyond a hole parks nothing and opens no
 // stall, where a chunk beyond the hole opens one; EOF comes with the
 // last byte, once; and Release inside a delivery, as a teardown there
-// does, ends the drain with every chunk back and keeps Next and EOF.
+// does, ends the drain with every chunk and the chunk array back and
+// keeps Next and EOF.
 func TestFinIsAnOffset(t *testing.T) {
 	r, a, stream := &Reassembly{}, &bufpool.Arena{}, streamBytes(400)
 	if r.Receive(a, 400, nil, true) {
@@ -351,7 +513,7 @@ func TestFinIsAnOffset(t *testing.T) {
 		}
 	})
 	r.Receive(a, 0, stream[:200], false)
-	if calls != 2 || r.Next() != 300 || r.EOF() || a.Stats().InUse != 0 {
+	if calls != 2 || r.Next() != 300 || r.EOF() || a.Stats().InUse != 0 || a.Stats().Lent != 0 {
 		t.Fatalf("Release in a delivery: %d deliveries, next %d, EOF %v, arena %+v", calls, r.Next(), r.EOF(), a.Stats())
 	}
 }
@@ -383,9 +545,9 @@ func TestReassemblySteadyStateDoesNotGrow(t *testing.T) {
 // bytes an offset, a length and whether the arrival carries the FIN when
 // it reaches the end. Reassembly must not panic, must match the oracle
 // and must deliver every byte once and in order, and after Release its
-// arena must hold nothing. Then the same arrivals, followed by the whole
-// stream in order as a sender that retransmits everything sends it, must
-// also reach EOF, once.
+// arena must hold nothing, the chunk array included. Then the same
+// arrivals, followed by the whole stream in order as a sender that
+// retransmits everything sends it, must also reach EOF, once.
 func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{40, 10, 20, 0, 0, 10, 0, 30, 10, 1})
 	f.Add([]byte{200, 100, 50, 1, 0, 255, 0, 10, 90, 0, 60, 60, 0})
@@ -404,7 +566,7 @@ func FuzzReassembly(f *testing.F) {
 			as = append(as, cut(stream, lo, hi, hi == n && b[2]&1 == 1))
 		}
 		r, arena := run(t, stream, as)
-		if r.Release(arena); arena.Stats().InUse != 0 {
+		if r.Release(arena); arena.Stats().InUse != 0 || arena.Stats().Lent != 0 {
 			t.Fatalf("after Release: arena %+v", arena.Stats())
 		}
 		for off := 0; off < n; off += 1000 {

@@ -33,11 +33,13 @@ type Pools struct {
 	conns   bufpool.Recycler[*Conn] // see Conn.Release
 
 	// payloads recycles packet payloads (transmit takes, Release gives
-	// back) and the copies a receiving stream parks beyond a gap. An
-	// all-opaque payload or chunk is an opaque run and takes nothing.
+	// back) and the copies a receiving stream parks beyond a gap, and
+	// lends the array they park in. An all-opaque payload or chunk is an
+	// opaque run and takes nothing.
 	payloads bufpool.Arena
 	// extents recycles streams' copies of supplied bytes (WriteOpaque
-	// takes, full acknowledgement or teardown gives back). Neither is
+	// takes, full acknowledgement or teardown gives back) and lends the
+	// arrays of their extent lists. Neither is
 	// the wire arena or carries a per-visit balance rule: a connection
 	// that outlives the visit keeps what it holds.
 	extents bufpool.Arena
@@ -66,8 +68,7 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 // PayloadStats returns the packet-payload arena's counters.
 func (pl *Pools) PayloadStats() bufpool.ArenaStats { return pl.payloads.Stats() }
 
-// newStream returns a reset Stream bound to c. The parked chunks' array
-// and the extent list's allocations are retained across reuses.
+// newStream returns a reset Stream bound to c.
 func (pl *Pools) newStream(c *Conn, id uint64) *Stream {
 	s, ok := pl.streams.Get(c.sched, (*Stream).reset)
 	if !ok {

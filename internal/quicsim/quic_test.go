@@ -559,7 +559,7 @@ func TestBandwidthResumption(t *testing.T) {
 	if !established {
 		t.Fatal("second connection failed")
 	}
-	if got := w.sessions.issued[1]; got <= float64(10*maxPacketPayload) {
+	if got := w.sessions.cwnds[0]; got <= float64(10*maxPacketPayload) {
 		t.Fatalf("cached cwnd for token 1 = %v, want grown window", got)
 	}
 	_ = resumedCwnd

@@ -23,10 +23,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		}})
 	})
 	t.Run("Stream", func(t *testing.T) {
-		rt.Check(t, func() *Stream { return &Stream{} }, (*Stream).reset, rt.Rules[Stream]{Keep: map[string]rt.Keep{
-			"supplied":   rt.Same,    // released when acknowledged or at teardown
-			"rcv.chunks": rt.Emptied, // released at teardown
-		}})
+		rt.Check(t, func() *Stream { return &Stream{} }, (*Stream).reset, rt.Rules[Stream]{})
 	})
 }
 

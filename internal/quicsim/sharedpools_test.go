@@ -223,7 +223,7 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, waves, 
 		}
 	}
 	payloads, extents = pools.payloads.Stats(), pools.extents.Stats()
-	if payloads.InUse != 0 || extents.InUse != 0 {
+	if payloads.InUse != 0 || extents.InUse != 0 || payloads.Lent != 0 || extents.Lent != 0 {
 		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
 	return payloads, extents, inFlightAborts, reused

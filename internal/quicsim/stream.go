@@ -33,17 +33,16 @@ type Stream struct {
 
 	// Receive side: in-order delivery of this stream alone, so a hole
 	// holds back no other stream. rcv parks what arrived beyond a gap in
-	// the packet-payload arena (Pools.payloads).
+	// the packet-payload arena (Pools.payloads), which also lends the
+	// array it parks in.
 	rcv   bytestream.Reassembly
 	finFn func()
 }
 
-// reset clears a retired stream for reuse, keeping its extent list and
-// its parked chunks' array, which teardown or Release emptied.
-func (s *Stream) reset() {
-	s.rcv.Reset()
-	*s = Stream{supplied: s.supplied, rcv: s.rcv}
-}
+// reset clears a retired stream for reuse. Its extents and parked
+// chunks, and their lists' arrays, went back to their arenas when it was
+// acknowledged or torn down.
+func (s *Stream) reset() { *s = Stream{} }
 
 // ID returns the stream identifier.
 func (s *Stream) ID() uint64 { return s.id }

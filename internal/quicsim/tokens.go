@@ -39,43 +39,39 @@ func (s *TokenStore) Clear() { clear(s.byName) }
 // Appendix B / Chromium "bandwidth resumption" optimization that lets
 // returning visitors skip slow start.
 type ServerSessions struct {
-	issued map[uint64]float64 // token → cached cwnd (0 = none yet)
-	nextID uint64
+	// cwnds[id-1] is the cwnd cached under token id (0 = none yet). It
+	// issues tokens 1, 2, … and revokes none, so the issued ones are
+	// exactly 1 … len(cwnds).
+	cwnds []float64
 }
 
 // NewServerSessions returns an empty registry.
-func NewServerSessions() *ServerSessions {
-	return &ServerSessions{issued: make(map[uint64]float64), nextID: 1}
-}
+func NewServerSessions() *ServerSessions { return &ServerSessions{} }
 
 func (s *ServerSessions) issue() uint64 {
-	id := s.nextID
-	s.nextID++
-	s.issued[id] = 0
-	return id
+	s.cwnds = append(s.cwnds, 0)
+	return uint64(len(s.cwnds))
 }
 
-func (s *ServerSessions) valid(id uint64) bool {
-	if id == 0 {
-		return false
-	}
-	_, ok := s.issued[id]
-	return ok
-}
+func (s *ServerSessions) valid(id uint64) bool { return 0 < id && id <= uint64(len(s.cwnds)) }
 
 // storeCwnd caches the closing connection's congestion window under the
 // token it issued.
 func (s *ServerSessions) storeCwnd(id uint64, cwnd float64) {
-	if _, ok := s.issued[id]; ok {
-		s.issued[id] = cwnd
+	if s.valid(id) {
+		s.cwnds[id-1] = cwnd
 	}
 }
 
 // resumeCwnd restarts w from the cwnd cached under a presented token,
 // capped at limit, when that beats w's window: bandwidth resumption skips
-// slow start on the validated path. TCP has no counterpart.
+// slow start on the validated path. TCP has no counterpart. A token it
+// never issued changes nothing.
 func (s *ServerSessions) resumeCwnd(id uint64, w *cc.Window, limit float64) {
-	if cached := s.issued[id]; cached > w.Cwnd {
+	if !s.valid(id) {
+		return
+	}
+	if cached := s.cwnds[id-1]; cached > w.Cwnd {
 		w.Cwnd = min(cached, limit)
 		w.Ssthresh = w.Cwnd
 	}

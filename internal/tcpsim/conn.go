@@ -68,7 +68,8 @@ type Conn struct {
 
 	// Receiver state: strict in-order delivery of the whole connection,
 	// so one hole holds back every byte above it. rcv parks what arrives
-	// beyond a gap in the wire arena (cfg.Arena).
+	// beyond a gap in the wire arena (cfg.Arena), which also lends the
+	// array it parks in.
 	rcv      bytestream.Reassembly
 	finRcvd  bool // FIN delivered to app
 	finAcked bool // our FIN acknowledged
@@ -144,14 +145,12 @@ func allocConn() *Conn {
 	return c
 }
 
-// reset clears a retired conn for reuse, keeping only the allocations
-// that survive pooling: the parked chunks' array and the extent list
-// (both emptied at teardown) and the bound-once packet/RTO closures. The
-// recycler calls it once the event that tore the conn down has returned.
+// reset clears a retired conn for reuse, keeping only the bound-once
+// packet/RTO closures; teardown gave the parked chunks and extents, and
+// their lists' arrays, back to their arenas. The recycler calls it once
+// the event that tore the conn down has returned.
 func (c *Conn) reset() {
-	c.rcv.Reset()
-	rcv, extents, pktFn, onRTOFn := c.rcv, c.extents, c.pktFn, c.onRTOFn
-	*c = Conn{rcv: rcv, extents: extents, pktFn: pktFn, onRTOFn: onRTOFn}
+	*c = Conn{pktFn: c.pktFn, onRTOFn: c.onRTOFn}
 }
 
 // TraceID returns the connection's trace id (0 when untraced).

@@ -23,7 +23,8 @@ type Pools struct {
 	payloads bufpool.Arena
 
 	// extents recycles the arena copies of supplied bytes (WriteOpaque
-	// takes, the ACK path and teardown give back). It is not the wire
+	// takes, the ACK path and teardown give back) and lends the arrays
+	// of the conns' extent lists. It is not the wire
 	// arena and carries no per-visit balance rule: a connection that
 	// outlives the visit keeps its unacknowledged extents.
 	extents bufpool.Arena

@@ -10,9 +10,7 @@ import (
 // what reset keeps on purpose.
 func TestConnResetMatchesFresh(t *testing.T) {
 	rt.Check(t, allocConn, (*Conn).reset, rt.Rules[Conn]{Keep: map[string]rt.Keep{
-		"rcv.chunks": rt.Emptied, // released at teardown
-		"extents":    rt.Same,    // released at teardown
-		"pktFn":      rt.Same,
-		"onRTOFn":    rt.Same,
+		"pktFn":   rt.Same,
+		"onRTOFn": rt.Same,
 	}})
 }

@@ -183,11 +183,11 @@ func runSharedPools(t testing.TB, seed int64, impair *simnet.Impairment, plans [
 			}
 		}
 	}
-	if recv = arena.Stats(); recv.InUse != 0 {
+	if recv = arena.Stats(); recv.InUse != 0 || recv.Lent != 0 {
 		t.Fatalf("seed %d: wire arena after the drain: %+v", seed, recv)
 	}
 	payloads, extents = pools.payloads.Stats(), pools.extents.Stats()
-	if payloads.InUse != 0 || extents.InUse != 0 {
+	if payloads.InUse != 0 || extents.InUse != 0 || payloads.Lent != 0 || extents.Lent != 0 {
 		t.Fatalf("seed %d: arenas after the drain: payloads %+v, extents %+v", seed, payloads, extents)
 	}
 	return payloads, extents, recv, reused

@@ -107,25 +107,25 @@ func (s *TicketStore) Put(t Ticket) { s.byName[t.ServerName] = t }
 func (s *TicketStore) Clear() { clear(s.byName) }
 
 // ServerSessionState is the server-side ticket registry, shared by all
-// connections of one server (one CDN edge in this reproduction).
+// connections of one server (one CDN edge in this reproduction). It
+// issues IDs 1, 2, … and revokes none, so the issued ones are exactly
+// those below nextID.
 type ServerSessionState struct {
-	issued map[uint64]bool
 	nextID uint64
 }
 
 // NewServerSessionState returns an empty registry.
 func NewServerSessionState() *ServerSessionState {
-	return &ServerSessionState{issued: make(map[uint64]bool), nextID: 1}
+	return &ServerSessionState{nextID: 1}
 }
 
 func (s *ServerSessionState) issue() uint64 {
 	id := s.nextID
 	s.nextID++
-	s.issued[id] = true
 	return id
 }
 
-func (s *ServerSessionState) valid(id uint64) bool { return id != 0 && s.issued[id] }
+func (s *ServerSessionState) valid(id uint64) bool { return 0 < id && id < s.nextID }
 
 // --- wire encoding ---
 
