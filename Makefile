@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fuzz-smoke race bench bench-smoke digest-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke report-smoke fmt
+.PHONY: all build test check fmt-check vet fuzz-smoke race bench bench-smoke digest-smoke bench-scaling bench-memory benchgate trace-smoke trace-replay-smoke traffic-smoke report-smoke fmt
 
 all: check
 
@@ -13,12 +13,19 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Formatting check: fails on any file gofmt would rewrite (make fmt
+# rewrites them).
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # Fuzz smoke pass: a few seconds of native fuzzing on each Fuzz* target
-# (the seed corpus alone already runs under plain go test).
+# (the seed corpus alone already runs under plain go test). FuzzRecords
+# and FuzzScheduler cap minimization at 200 runs: with the default 60s,
+# minimizing their first new input takes the whole pass.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopes -fuzztime 5s ./internal/httpsim
 	$(GO) test -run '^$$' -fuzz FuzzClientResponses -fuzztime 5s ./internal/httpsim
-	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s ./internal/tlssim
+	$(GO) test -run '^$$' -fuzz FuzzRecords -fuzztime 5s -fuzzminimizetime 200x ./internal/tlssim
 	$(GO) test -run '^$$' -fuzz FuzzTLSTransfer -fuzztime 5s ./internal/tlssim
 	$(GO) test -run '^$$' -fuzz FuzzReassembly -fuzztime 5s ./internal/bytestream
 	$(GO) test -run '^$$' -fuzz FuzzTransfer -fuzztime 5s ./internal/tcpsim
@@ -43,13 +50,13 @@ fuzz-smoke:
 race:
 	$(GO) test -race -timeout 40m ./...
 
-# The repo's gate: static checks, the fuzz smoke pass, a fast allocation
+# The repo's gate: the formatting and static checks, the fuzz smoke pass, a fast allocation
 # smoke pass, the simulation digest pass, the tracing smoke pass, the trace-replay determinism smoke
 # pass, the population-traffic and report smoke passes, the race-enabled
 # suite, the benchmark regression gate, and the multi-core scaling gate.
 # The smoke passes run before the (slow) race suite so allocation and
 # trace-pipeline regressions fail fast.
-check: vet fuzz-smoke bench-smoke digest-smoke trace-smoke trace-replay-smoke traffic-smoke report-smoke race benchgate bench-scaling bench-memory
+check: fmt-check vet fuzz-smoke bench-smoke digest-smoke trace-smoke trace-replay-smoke traffic-smoke report-smoke race benchgate bench-scaling bench-memory
 
 # Analysis/figure regeneration benchmarks (shares one campaign per run).
 bench:
@@ -64,8 +71,10 @@ benchgate:
 
 # Fast allocation smoke pass: one short run of the gated benchmarks,
 # with the allocs/op band widened to 15% for the short run's warm-up.
+# 300ms amortizes that warm-up over enough visits to stay inside the
+# band of records pinned at the 2s readings.
 bench-smoke:
-	$(GO) run ./cmd/benchgate -benchtime 100ms -smoke
+	$(GO) run ./cmd/benchgate -benchtime 300ms -smoke
 
 # Simulation digest pass: run every bench workload at smoke scale under
 # seeds 2022 and 7 and require the sim_digests pinned in

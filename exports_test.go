@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -35,6 +36,26 @@ var testOnlyExports = map[string]string{
 	"tcpsim.Listener.ConnCount": "httpsim's released-dial test counts the server's TCP connections to prove the late one was aborted",
 }
 
+// testOnlyFields lists the exported struct fields under internal/ that no
+// non-test file reads, each with the reason it stays. A field is read
+// where a non-test file selects it other than as the left side of an
+// assignment or an increment; a composite-literal key is a write, and a
+// field with an encoding tag other than `json:"-"` is read by its encoder.
+// TestInternalFieldsAreRead fails on an unread field with no entry here,
+// and on an entry that names nothing or names a field that is now read.
+// Keys are the package path below internal/, the type, then the field.
+var testOnlyFields = map[string]string{
+	"simnet.Stats.NoRoute":             "the conservation check of ROADMAP item 7(b) balances sent packets against it",
+	"browser.Stats.H1Conns":            "browser_test checks the HTTP/1.1 connection count per host",
+	"browser.Stats.H2Conns":            "browser_test checks that H2 pools one connection per hostname",
+	"core.Fig5Series.FracOver10":       "shapes_test calibrates Figure 5's share of pages with more than ten resources",
+	"httpsim.ServerContext.ServerName": "cdn's tests key requests by it; bench/kernels.go sets it, so it goes with the next benchmark change",
+	"simnet.Packet.Size":               "the tests' filters (SetFilter) read what the network charges for a packet",
+	"bufpool.ArenaStats.Gets":          "the tests' leak checks require Gets == Puts once a stream is drained or aborted",
+	"bufpool.ArenaStats.Puts":          "the tests' leak checks require Gets == Puts once a stream is drained or aborted",
+	"bufpool.ArenaStats.Lent":          "the span-list tests require it to equal the non-empty lists and to reach 0 when all are released",
+}
+
 // testOnlyPackage is the one package under internal/ that only tests
 // import, by design; its exports are exempt.
 const testOnlyPackage = "recycletest"
@@ -48,6 +69,9 @@ type exportScan struct {
 	parse  func(fset *token.FileSet, path string) ([]*ast.File, error) // a module package's non-test files
 	pkgs   map[string]*types.Package
 	infos  []*types.Info
+	// stores holds every selector that is the left side of an assignment
+	// or an increment; selecting a field there writes it.
+	stores map[*ast.SelectorExpr]bool
 }
 
 func newExportScan(module string, parse func(*token.FileSet, string) ([]*ast.File, error)) *exportScan {
@@ -58,6 +82,7 @@ func newExportScan(module string, parse func(*token.FileSet, string) ([]*ast.Fil
 		module: module,
 		parse:  parse,
 		pkgs:   map[string]*types.Package{},
+		stores: map[*ast.SelectorExpr]bool{},
 	}
 }
 
@@ -72,10 +97,32 @@ func (s *exportScan) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	p, err := (&types.Config{Importer: s}).Check(path, s.fset, files, info)
 	if err != nil {
 		return nil, err
+	}
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			s.stores[sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					store(e)
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+			}
+			return true
+		})
 	}
 	s.pkgs[path] = p
 	s.infos = append(s.infos, info)
@@ -192,6 +239,68 @@ func (s *exportScan) exports() (all map[string]types.Object, used map[types.Obje
 	return all, used
 }
 
+// fields returns every exported, named field of the struct types declared
+// at package scope below internal/, keyed as testOnlyFields is, and the
+// set of those some checked file reads (see testOnlyFields).
+func (s *exportScan) fields() (all map[string]*types.Var, read map[*types.Var]bool) {
+	all, read = map[string]*types.Var{}, map[*types.Var]bool{}
+	for path, p := range s.pkgs {
+		rel, ok := strings.CutPrefix(path, s.module+"/internal/")
+		if !ok || rel == testOnlyPackage {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					all[rel+"."+name+"."+f.Name()] = f
+					if tag := st.Tag(i); tag != "" && tag != `json:"-"` {
+						read[f] = true
+					}
+				}
+			}
+		}
+	}
+	for _, info := range s.infos {
+		for sel, selection := range info.Selections {
+			if selection.Kind() == types.FieldVal && !s.stores[sel] {
+				read[selection.Obj().(*types.Var).Origin()] = true
+			}
+		}
+	}
+	return all, read
+}
+
+// checkFields returns one line per exported field no checked file reads
+// and without a reason, and per reason that names nothing or a read field.
+func checkFields(s *exportScan, reasons map[string]string) []string {
+	all, read := s.fields()
+	var bad []string
+	for name, f := range all {
+		_, kept := reasons[name]
+		switch {
+		case !read[f] && !kept:
+			bad = append(bad, name+": exported field no non-test file reads; delete it or give testOnlyFields a reason")
+		case read[f] && kept:
+			bad = append(bad, name+": is read now; drop its testOnlyFields entry")
+		}
+	}
+	for name := range reasons {
+		if _, ok := all[name]; !ok {
+			bad = append(bad, name+": testOnlyFields names no field under internal/")
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
 // checkExports returns one line per exported name without a caller and
 // without a reason, and per reason that names nothing or a used name.
 func checkExports(s *exportScan, reasons map[string]string) []string {
@@ -275,9 +384,91 @@ func main() { _ = a.Used(a.Sq{S: 2}); _ = a.NewBox().Get(); a.Kept() }`,
 		t.Fatalf("fixture: flagged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
-	// The module itself: every directory with Go files is a package,
-	// imported as the module path plus the directory.
-	scan = newExportScan("h3cdn", func(fset *token.FileSet, importPath string) ([]*ast.File, error) {
+	scan, err := moduleScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range checkExports(scan, testOnlyExports) {
+		t.Error(line)
+	}
+}
+
+func TestInternalFieldsAreRead(t *testing.T) {
+	// The checker must catch what it claims to: a field only written (by
+	// assignment, by increment, as a composite-literal key), a field
+	// tagged json:"-" and only written, and two stale reasons. A field
+	// read through a selector, through a pointer, promoted through an
+	// embedded struct, or of a generic type's instance counts as read,
+	// as does one with an encoding tag; embedded fields and the exempt
+	// package are not scanned.
+	fixture := map[string]string{
+		"fix/internal/a": `package a
+type Inner struct{ Deep, Shallow int }
+type Outer struct {
+	Inner
+	Read, Bumped, Keyed, Stored, Kept int
+	Skipped int ` + "`json:\"-\"`" + `
+	Encoded int ` + "`json:\"encoded\"`" + `
+}
+type Box[T any] struct{ V, W T }
+func Use(o *Outer, b *Box[int]) int {
+	o.Bumped++
+	o.Stored = 2
+	o.Skipped = 3
+	(o.Kept) += 1
+	b.W = 4
+	return o.Read + o.Deep + b.V
+}
+func Make() *Outer { return &Outer{Keyed: 1} }`,
+		"fix/internal/" + testOnlyPackage: `package ` + testOnlyPackage + `
+type T struct{ Unread int }`,
+		"fix/cmd": `package main
+import (
+	"fix/internal/a"
+	_ "fix/internal/` + testOnlyPackage + `"
+)
+func main() { _ = a.Use(a.Make(), &a.Box[int]{}) }`,
+	}
+	scan := newExportScan("fix", func(fset *token.FileSet, path string) ([]*ast.File, error) {
+		f, err := parser.ParseFile(fset, path+".go", fixture[path], 0)
+		return []*ast.File{f}, err
+	})
+	if _, err := scan.Import("fix/cmd"); err != nil {
+		t.Fatal(err)
+	}
+	got := checkFields(scan, map[string]string{"a.Outer.Kept": "kept", "a.Outer.Read": "stale", "a.Outer.Gone": "stale"})
+	want := []string{
+		"a.Box.W: exported field",
+		"a.Inner.Shallow: exported field",
+		"a.Outer.Bumped: exported field",
+		"a.Outer.Gone: testOnlyFields names no field",
+		"a.Outer.Keyed: exported field",
+		"a.Outer.Read: is read now",
+		"a.Outer.Skipped: exported field",
+		"a.Outer.Stored: exported field",
+	}
+	ok := len(got) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = strings.HasPrefix(got[i], want[i])
+	}
+	if !ok {
+		t.Fatalf("fixture: flagged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	scan, err := moduleScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range checkFields(scan, testOnlyFields) {
+		t.Error(line)
+	}
+}
+
+// moduleScan is the scan of the module's own non-test files, built once:
+// every directory with Go files is a package, imported as the module
+// path plus the directory.
+var moduleScan = sync.OnceValues(func() (*exportScan, error) {
+	scan := newExportScan("h3cdn", func(fset *token.FileSet, importPath string) ([]*ast.File, error) {
 		dir := "." + strings.TrimPrefix(importPath, "h3cdn")
 		bp, err := build.ImportDir(dir, 0)
 		if err != nil {
@@ -309,10 +500,5 @@ func main() { _ = a.Used(a.Sq{S: 2}); _ = a.NewBox().Get(); a.Kept() }`,
 		_, err = scan.Import(path.Join("h3cdn", filepath.ToSlash(dir)))
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range checkExports(scan, testOnlyExports) {
-		t.Error(line)
-	}
-}
+	return scan, err
+})

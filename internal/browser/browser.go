@@ -96,9 +96,9 @@ type Config struct {
 	// from every connection this browser opens, plus its own fetch-retry
 	// count.
 	Recovery *simnet.RecoveryStats
-	// Pools, when non-nil, supplies the universe's shared allocation
-	// arenas, threaded into every connection this browser opens. The
-	// universe rewinds them at visit boundaries. Nil gets a private one.
+	// Pools supplies the universe's shared allocation arenas, threaded
+	// into every connection this browser opens. The universe rewinds
+	// them at visit boundaries. Required.
 	Pools *httpsim.Pools
 	// Trace, when non-nil, receives browser-level fetch lifecycle events
 	// and is threaded into every connection this browser opens. Nil-safe:
@@ -268,9 +268,6 @@ func (b *Browser) Reset(host *simnet.Host, cfg Config) {
 			cfg.MaxFetchRetries = 2
 		} else if cfg.MaxFetchRetries < 0 {
 			cfg.MaxFetchRetries = 0
-		}
-		if cfg.Pools == nil {
-			cfg.Pools = &httpsim.Pools{}
 		}
 		b.host, b.sched, b.cfg = host, host.Scheduler(), cfg
 	}

@@ -18,11 +18,13 @@ import (
 )
 
 // testWorld wires a probe, one CDN edge ("edge.test") and one origin
-// ("origin.site.sim") with a handler serving fixed-size bodies.
+// ("origin.site.sim") with a handler serving fixed-size bodies. Its
+// servers and browsers share one Pools, as a universe's do.
 type testWorld struct {
 	sched  *simnet.Scheduler
 	net    *simnet.Network
 	probe  *simnet.Host
+	pools  *httpsim.Pools
 	corpus map[string]webgen.Resource
 }
 
@@ -33,7 +35,7 @@ func newTestWorld(t *testing.T) *testWorld {
 		return simnet.PathProps{Delay: 20 * time.Millisecond}
 	}
 	n := simnet.NewNetwork(sched, pf, seqrand.New(3))
-	w := &testWorld{sched: sched, net: n, probe: n.AddHost("probe")}
+	w := &testWorld{sched: sched, net: n, probe: n.AddHost("probe"), pools: &httpsim.Pools{}}
 
 	handler := func(ctx *httpsim.ServerContext, respond func(httpsim.Response)) {
 		sched.After(2*time.Millisecond, func() {
@@ -51,6 +53,7 @@ func newTestWorld(t *testing.T) *testWorld {
 			TLSSessions:  tlssim.NewServerSessionState(),
 			QUICSessions: quicsim.NewServerSessions(),
 			EnableH3:     true,
+			Pools:        w.pools,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +115,7 @@ func (w *testWorld) visit(t *testing.T, b *Browser, page *webgen.Page) *har.Page
 
 func TestVisitH2AllEntries(t *testing.T) {
 	w := newTestWorld(t)
-	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil)})
+	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil), Pools: w.pools})
 	log := w.visit(t, b, testPage([]string{"a.cdn", "b.cdn", "a.cdn"}, false))
 	if len(log.Entries) != 4 {
 		t.Fatalf("%d entries", len(log.Entries))
@@ -129,7 +132,7 @@ func TestVisitH2AllEntries(t *testing.T) {
 
 func TestH2PoolsPerHostname(t *testing.T) {
 	w := newTestWorld(t)
-	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil)})
+	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil), Pools: w.pools})
 	// a.cdn twice: second request reuses; b.cdn gets its own conn even
 	// though it resolves to the same edge (no coalescing).
 	log := w.visit(t, b, testPage([]string{"a.cdn", "b.cdn", "a.cdn"}, false))
@@ -144,7 +147,7 @@ func TestH2PoolsPerHostname(t *testing.T) {
 func TestH3RequiresDiscovery(t *testing.T) {
 	w := newTestWorld(t)
 	h3 := map[string]bool{"a.cdn": true}
-	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil)})
+	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil), Pools: w.pools})
 
 	// Cold: first visit's a.cdn requests go H2 (Alt-Svc unknown).
 	log := w.visit(t, b, testPage([]string{"a.cdn"}, true))
@@ -163,7 +166,7 @@ func TestH3RequiresDiscovery(t *testing.T) {
 func TestAltSvcExportImport(t *testing.T) {
 	w := newTestWorld(t)
 	h3 := map[string]bool{"a.cdn": true}
-	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil)})
+	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil), Pools: w.pools})
 
 	if got := b.ExportAltSvc(); got != nil {
 		t.Fatalf("fresh browser exported %v, want nil", got)
@@ -176,7 +179,7 @@ func TestAltSvcExportImport(t *testing.T) {
 
 	// A rebuilt browser seeded with the dump speaks H3 on its very first
 	// visit — no rediscovery round trip (the checkpoint-resume path).
-	b2 := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil)})
+	b2 := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil), Pools: w.pools})
 	b2.ImportAltSvc(dump)
 	log := w.visit(t, b2, testPage([]string{"a.cdn"}, true))
 	if log.Entries[1].Protocol != "h3" {
@@ -192,7 +195,7 @@ func TestH3PreloadSkipsDiscovery(t *testing.T) {
 		ep.H3Preloaded = host == "g.cdn"
 		return ep, ok
 	}
-	b := New(w.probe, Config{Mode: ModeH3, Resolver: res})
+	b := New(w.probe, Config{Mode: ModeH3, Resolver: res, Pools: w.pools})
 	log := w.visit(t, b, testPage([]string{"g.cdn"}, true))
 	if log.Entries[1].Protocol != "h3" {
 		t.Fatalf("preloaded host used %s on first visit, want h3", log.Entries[1].Protocol)
@@ -202,7 +205,7 @@ func TestH3PreloadSkipsDiscovery(t *testing.T) {
 func TestPerResourceEligibilitySplitsConnections(t *testing.T) {
 	w := newTestWorld(t)
 	h3 := map[string]bool{"a.cdn": true}
-	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil)})
+	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(h3, nil), Pools: w.pools})
 
 	page := &webgen.Page{Site: "site.sim"}
 	page.Resources = append(page.Resources,
@@ -225,7 +228,7 @@ func TestPerResourceEligibilitySplitsConnections(t *testing.T) {
 func TestH1OnlyHostUsesH1(t *testing.T) {
 	w := newTestWorld(t)
 	h1 := map[string]bool{"legacy.cdn": true}
-	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(nil, h1)})
+	b := New(w.probe, Config{Mode: ModeH3, Resolver: w.resolver(nil, h1), Pools: w.pools})
 	log := w.visit(t, b, testPage([]string{"legacy.cdn"}, false))
 	if log.Entries[1].Protocol != "http/1.1" {
 		t.Fatalf("H1-only host got %s", log.Entries[1].Protocol)
@@ -234,7 +237,7 @@ func TestH1OnlyHostUsesH1(t *testing.T) {
 
 func TestH1ModeParallelConns(t *testing.T) {
 	w := newTestWorld(t)
-	b := New(w.probe, Config{Mode: ModeH1, Resolver: w.resolver(nil, nil)})
+	b := New(w.probe, Config{Mode: ModeH1, Resolver: w.resolver(nil, nil), Pools: w.pools})
 	// 16 same-host fetches: testPage alternates scripts and images, so
 	// each discovery wave issues 8 at once and the cap of 6 binds.
 	hosts := make([]string, 16)
@@ -257,7 +260,7 @@ func TestH1ModeParallelConns(t *testing.T) {
 
 func TestUnknownHostFailsEntry(t *testing.T) {
 	w := newTestWorld(t)
-	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil)})
+	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil), Pools: w.pools})
 	log := w.visit(t, b, testPage([]string{"unknown.sim", "a.cdn"}, false))
 	var failed, ok int
 	for _, e := range log.Entries {
@@ -274,7 +277,7 @@ func TestUnknownHostFailsEntry(t *testing.T) {
 
 func TestTimingPhasesConsistent(t *testing.T) {
 	w := newTestWorld(t)
-	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil)})
+	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil), Pools: w.pools})
 	log := w.visit(t, b, testPage([]string{"a.cdn", "a.cdn"}, false))
 	for _, e := range log.Entries {
 		if e.Wait <= 0 {
@@ -298,6 +301,7 @@ func TestConsecutiveVisitsResume(t *testing.T) {
 		Mode:          ModeH3,
 		Resolver:      w.resolver(map[string]bool{"a.cdn": true}, nil),
 		EnableZeroRTT: true,
+		Pools:         w.pools,
 	})
 	page := testPage([]string{"a.cdn", "a.cdn"}, true)
 	w.visit(t, b, page) // teaches Alt-Svc + tokens
@@ -337,7 +341,7 @@ func TestDiscoveryWaves(t *testing.T) {
 
 func TestWavesOrderStartTimes(t *testing.T) {
 	w := newTestWorld(t)
-	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil)})
+	b := New(w.probe, Config{Mode: ModeH2, Resolver: w.resolver(nil, nil), Pools: w.pools})
 	page := testPage([]string{"a.cdn", "b.cdn"}, false) // script + image
 	log := w.visit(t, b, page)
 	doc, script, image := log.Entries[0], log.Entries[1], log.Entries[2]
@@ -373,7 +377,7 @@ func TestClosedConnsReleased(t *testing.T) {
 	b := New(w.probe, Config{
 		Mode:     ModeH2,
 		Resolver: w.resolver(nil, map[string]bool{"h1.cdn": true}),
-		Pools:    &httpsim.Pools{},
+		Pools:    w.pools,
 	})
 	page := testPage([]string{"a.cdn", "b.cdn", "h1.cdn"}, false)
 	first := w.visit(t, b, page)
@@ -398,7 +402,7 @@ func TestClosedConnsReleased(t *testing.T) {
 // wave scratch. Unfinished fetch states are dropped, never reused.
 func TestResetMatchesNew(t *testing.T) {
 	w := newTestWorld(t)
-	cfg := Config{Mode: ModeH3, EnableZeroRTT: true, Pools: &httpsim.Pools{}}
+	cfg := Config{Mode: ModeH3, EnableZeroRTT: true, Pools: w.pools}
 	var dirty *Browser
 	rt.Check(t, func() *Browser { return New(w.probe, cfg) }, func(b *Browser) { b.Reset(w.probe, cfg) }, rt.Rules[Browser]{
 		Keep: map[string]rt.Keep{
@@ -440,7 +444,7 @@ func TestResetBrowserLoadsAsNew(t *testing.T) {
 	page := testPage(hosts, true)
 	h3, h1 := map[string]bool{"a.cdn": true}, map[string]bool{"h1.cdn": true}
 	cfgFor := func(w *testWorld) Config {
-		return Config{Mode: ModeH3, EnableZeroRTT: true, Resolver: w.resolver(h3, h1), Pools: &httpsim.Pools{}}
+		return Config{Mode: ModeH3, EnableZeroRTT: true, Resolver: w.resolver(h3, h1), Pools: w.pools}
 	}
 
 	ref := newTestWorld(t)

@@ -400,9 +400,10 @@ func TestLRUCapacityFloor(t *testing.T) {
 	}
 }
 
-// edgeWorld wires a client and one edge for handler tests. The edge has
-// no Rng, so its waits carry no jitter.
-func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Host, *Edge) {
+// edgeWorld wires a client and one edge for handler tests, both on the
+// returned Pools, as a universe's endpoints are. The edge has no Rng, so
+// its waits carry no jitter.
+func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Host, *Edge, *httpsim.Pools) {
 	t.Helper()
 	sched := &simnet.Scheduler{MaxEvents: 5_000_000}
 	pf := func(src, dst simnet.Addr) simnet.PathProps {
@@ -426,21 +427,23 @@ func edgeWorld(t *testing.T, provider string) (*simnet.Scheduler, *simnet.Host, 
 			return n, true
 		},
 	})
+	pools := &httpsim.Pools{}
 	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{
 		Handler:  edge.Handler(),
 		EnableH3: true,
+		Pools:    pools,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return sched, client, edge
+	return sched, client, edge, pools
 }
 
 func TestEdgeCacheMissThenHit(t *testing.T) {
-	sched, client, edge := edgeWorld(t, "Cloudflare")
+	sched, client, edge, pools := edgeWorld(t, "Cloudflare")
 
 	var firstWaitDone, secondWaitDone time.Duration
 	var firstHeaders, secondHeaders map[string]string
-	conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "cdn.site.sim", httpsim.DialConfig{})
+	conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "cdn.site.sim", httpsim.DialConfig{Pools: pools})
 	conn.Do(&httpsim.Request{Host: "cdn.site.sim", Path: "/5000"}, httpsim.RequestEvents{
 		OnHeaders: func(m httpsim.ResponseMeta) {
 			firstWaitDone = sched.Now()
@@ -478,12 +481,12 @@ func TestEdgeCacheMissThenHit(t *testing.T) {
 
 func TestEdgeH3WaitOverhead(t *testing.T) {
 	waitFor := func(proto httpsim.Protocol) time.Duration {
-		sched, client, _ := edgeWorld(t, "Google")
+		sched, client, _, pools := edgeWorld(t, "Google")
 		var conn httpsim.ClientConn
 		if proto == httpsim.H3 {
-			conn = httpsim.DialH3(client, "edge", httpsim.QUICPort, "g.sim", httpsim.H3DialConfig{})
+			conn = httpsim.DialH3(client, "edge", httpsim.QUICPort, "g.sim", httpsim.H3DialConfig{Pools: pools})
 		} else {
-			conn = httpsim.DialH2(client, "edge", httpsim.TCPPort, "g.sim", httpsim.DialConfig{})
+			conn = httpsim.DialH2(client, "edge", httpsim.TCPPort, "g.sim", httpsim.DialConfig{Pools: pools})
 		}
 		var sent, fb time.Duration
 		conn.Do(&httpsim.Request{Host: "g.sim", Path: "/100"}, httpsim.RequestEvents{
@@ -525,14 +528,15 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 		},
 		TTL: 2 * time.Second, // no Rng: no jitter
 	})
-	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: edge.Handler()}); err != nil {
+	pools := &httpsim.Pools{}
+	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: edge.Handler(), Pools: pools}); err != nil {
 		t.Fatal(err)
 	}
 	req := &httpsim.Request{Host: "cdn.site.sim", Path: "/x"}
 	headersOf := make(map[string]string, 4)
 	timeOf := make(map[string]time.Duration, 4)
 	do := func(label string) {
-		conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "cdn.site.sim", httpsim.DialConfig{})
+		conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "cdn.site.sim", httpsim.DialConfig{Pools: pools})
 		conn.Do(req, httpsim.RequestEvents{
 			OnHeaders: func(m httpsim.ResponseMeta) {
 				headersOf[label] = m.Header["x-cache"]
@@ -573,8 +577,8 @@ func TestEdgeTTLSingleFlight(t *testing.T) {
 }
 
 func TestEdge404(t *testing.T) {
-	sched, client, _ := edgeWorld(t, "Fastly")
-	conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "f.sim", httpsim.DialConfig{})
+	sched, client, _, pools := edgeWorld(t, "Fastly")
+	conn := httpsim.DialH2(client, "edge", httpsim.TCPPort, "f.sim", httpsim.DialConfig{Pools: pools})
 	var status int
 	conn.Do(&httpsim.Request{Host: "f.sim", Path: "/nope"}, httpsim.RequestEvents{
 		OnHeaders: func(m httpsim.ResponseMeta) { status = m.Status },
@@ -599,10 +603,11 @@ func TestOriginHandlerHeaders(t *testing.T) {
 		Sched:   sched,
 		Content: func(host, path string) (int, bool) { return 1234, true },
 	})
-	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: h}); err != nil {
+	pools := &httpsim.Pools{}
+	if _, err := httpsim.StartServer(server, httpsim.ServerConfig{Handler: h, Pools: pools}); err != nil {
 		t.Fatal(err)
 	}
-	conn := httpsim.DialH2(client, "origin", httpsim.TCPPort, "site.sim", httpsim.DialConfig{})
+	conn := httpsim.DialH2(client, "origin", httpsim.TCPPort, "site.sim", httpsim.DialConfig{Pools: pools})
 	var meta httpsim.ResponseMeta
 	conn.Do(&httpsim.Request{Host: "site.sim", Path: "/"}, httpsim.RequestEvents{
 		OnHeaders: func(m httpsim.ResponseMeta) { meta = m },

@@ -14,8 +14,6 @@ import (
 // ModeStats aggregates one site's measurements for one browsing mode,
 // averaged across probes.
 type ModeStats struct {
-	// Pages is how many probe visits contributed.
-	Pages int
 	// PLT is the median page load time across probe visits.
 	PLT time.Duration
 	// MeanConnect averages the connection phase over connection-opening
@@ -122,7 +120,7 @@ func ComputeSiteMetrics(ds *Dataset) []SiteMetrics {
 				bySite[site] = sm
 				order = append(order, site)
 			}
-			ms := ModeStats{Pages: a.pages}
+			var ms ModeStats
 			if a.pages > 0 {
 				// Median across probes: robust to rare timeout
 				// outliers (e.g. a lost SYN costing a full RTO).
@@ -139,7 +137,6 @@ func ComputeSiteMetrics(ds *Dataset) []SiteMetrics {
 			}
 			sm.ByMode[mode] = ms
 		}
-		_ = mode
 	}
 
 	// Composition and provider sets come from the H3-mode log when

@@ -20,8 +20,8 @@ import (
 // deliveries: for H1 the capacity of the head carry, which grows to
 // exactly what it holds.
 func testClient(proto Protocol, reqs int, log *[]string) (c *client, carried func() int) {
-	sched := &simnet.Scheduler{}
-	tw := tlsWire{tls: tlssim.Client(&nullStream{}, tlssim.ClientConfig{ServerName: "cdn.example"}, nil)}
+	sched, pools := &simnet.Scheduler{}, &Pools{}
+	tw := tlsWire{tls: tlssim.Client(&nullStream{}, tlssim.ClientConfig{ServerName: "cdn.example", Sched: sched, Arena: &pools.Arena}, nil)}
 	if proto == H1 {
 		h := &h1Client{tlsWire: tw}
 		h.tlsWire.bind(&h.client, h)
@@ -31,7 +31,7 @@ func testClient(proto Protocol, reqs int, log *[]string) (c *client, carried fun
 		h.tlsWire.bind(&h.client, h)
 		c, carried = &h.client, func() int { return len(h.parser.acc) - h.parser.off }
 	}
-	c.init(sched, proto, &Pools{}, nil)
+	c.init(sched, proto, pools, nil)
 	c.dog.init(sched, c.fireFn)
 	c.establish()
 	for i := 0; i < reqs; i++ {

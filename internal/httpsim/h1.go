@@ -26,8 +26,8 @@ type DialConfig struct {
 	Recovery *simnet.RecoveryStats
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
-	// Pools, when non-nil, supplies the shared allocation arenas (TCP
-	// segments, buffers, header caches). Nil gets a private one.
+	// Pools supplies the shared allocation arenas (TCP segments,
+	// buffers, header caches). Required.
 	Pools *Pools
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
@@ -48,7 +48,6 @@ var _ ClientConn = (*h1Client)(nil)
 
 // DialH1 opens an HTTP/1.1 connection to addr:port.
 func DialH1(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	cfg.Pools = orPrivate(cfg.Pools)
 	c, ok := cfg.Pools.recs.h1.Get(host.Scheduler(), (*h1Client).reset)
 	if !ok {
 		c = newH1Client()

@@ -64,7 +64,7 @@ func TestH1UnterminatedHeadIsBounded(t *testing.T) {
 func newTestServerConn(proto Protocol, tr bytestream.Stream, handler Handler) *serverConn {
 	srv := &Server{host: simnet.NewNetwork(&simnet.Scheduler{}, nil, nil).AddHost("server"), cfg: ServerConfig{Handler: handler, Pools: &Pools{}}}
 	sc := srv.cfg.Pools.getServerConn(srv)
-	sc.tls = tlssim.Server(tr, tlssim.ServerConfig{}, nil)
+	sc.tls = tlssim.Server(tr, tlssim.ServerConfig{Sched: srv.host.Scheduler(), Arena: &srv.cfg.Pools.Arena}, nil)
 	sc.proto = proto
 	sc.tls.SetDataFunc(sc.dataFn)
 	return sc

@@ -17,7 +17,6 @@ var _ ClientConn = (*h2Client)(nil)
 
 // DialH2 opens an HTTP/2 connection to addr:port.
 func DialH2(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	cfg.Pools = orPrivate(cfg.Pools)
 	c, ok := cfg.Pools.recs.h2.Get(host.Scheduler(), (*h2Client).reset)
 	if !ok {
 		c = newH2Client()

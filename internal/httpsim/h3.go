@@ -18,9 +18,8 @@ type H3DialConfig struct {
 	QUIC quicsim.Config
 	// HandshakeCPU models client crypto compute time.
 	HandshakeCPU time.Duration
-	// Pools, when non-nil, supplies the shared allocation arenas (QUIC
-	// records, buffers, stream states, header caches). Nil gets a
-	// private one.
+	// Pools supplies the shared allocation arenas (QUIC records,
+	// buffers, stream states, header caches). Required.
 	Pools *Pools
 	// Trace, when non-nil, receives transport- and HTTP-level events
 	// for this connection. Nil-safe: every emit is a no-op when nil.
@@ -38,7 +37,6 @@ var _ ClientConn = (*h3Client)(nil)
 
 // DialH3 opens an HTTP/3 connection to addr:port (the QUIC port).
 func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg H3DialConfig) ClientConn {
-	cfg.Pools = orPrivate(cfg.Pools)
 	c, ok := cfg.Pools.recs.h3.Get(host.Scheduler(), (*h3Client).reset)
 	if !ok {
 		c = newH3Client()

@@ -42,6 +42,8 @@ func sizeHandler(sched *simnet.Scheduler, wait time.Duration) Handler {
 	}
 }
 
+// hWorld is a client and an edge server on one scheduler and one Pools,
+// as a universe's endpoints are.
 type hWorld struct {
 	sched  *simnet.Scheduler
 	net    *simnet.Network
@@ -49,6 +51,7 @@ type hWorld struct {
 	server *simnet.Host
 	tlsS   *tlssim.ServerSessionState
 	quicS  *quicsim.ServerSessions
+	pools  *Pools
 	srv    *Server
 }
 
@@ -66,12 +69,14 @@ func newHWorld(t *testing.T, delay time.Duration, bps, loss float64, wait time.D
 		server: n.AddHost("edge.example"),
 		tlsS:   tlssim.NewServerSessionState(),
 		quicS:  quicsim.NewServerSessions(),
+		pools:  &Pools{},
 	}
 	srv, err := StartServer(w.server, ServerConfig{
 		Handler:      sizeHandler(sched, wait),
 		TLSSessions:  w.tlsS,
 		QUICSessions: w.quicS,
 		EnableH3:     true,
+		Pools:        w.pools,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +95,11 @@ func (w *hWorld) run(t *testing.T) {
 func (w *hWorld) dial(proto Protocol) ClientConn {
 	switch proto {
 	case H1:
-		return DialH1(w.client, "edge.example", TCPPort, "edge.example", DialConfig{})
+		return DialH1(w.client, "edge.example", TCPPort, "edge.example", DialConfig{Pools: w.pools})
 	case H2:
-		return DialH2(w.client, "edge.example", TCPPort, "edge.example", DialConfig{})
+		return DialH2(w.client, "edge.example", TCPPort, "edge.example", DialConfig{Pools: w.pools})
 	default:
-		return DialH3(w.client, "edge.example", QUICPort, "edge.example", H3DialConfig{})
+		return DialH3(w.client, "edge.example", QUICPort, "edge.example", H3DialConfig{Pools: w.pools})
 	}
 }
 
@@ -164,14 +169,14 @@ func TestFirstByteLatencyByProtocol(t *testing.T) {
 func TestH3ZeroRTTSecondConnection(t *testing.T) {
 	w := newHWorld(t, 25*time.Millisecond, 0, 0, 0)
 	tokens := quicsim.NewTokenStore()
-	c1 := DialH3(w.client, "edge.example", QUICPort, "edge.example", H3DialConfig{Tokens: tokens})
+	c1 := DialH3(w.client, "edge.example", QUICPort, "edge.example", H3DialConfig{Pools: w.pools, Tokens: tokens})
 	w.get(c1, "edge.example", "/b/100")
 	w.run(t)
 	c1.Close()
 	w.run(t)
 
 	base := w.sched.Now()
-	c2 := DialH3(w.client, "edge.example", QUICPort, "edge.example", H3DialConfig{Tokens: tokens, EnableZeroRTT: true})
+	c2 := DialH3(w.client, "edge.example", QUICPort, "edge.example", H3DialConfig{Pools: w.pools, Tokens: tokens, EnableZeroRTT: true})
 	tm := w.get(c2, "edge.example", "/b/100")
 	w.run(t)
 	if tm.err != nil {
@@ -192,7 +197,7 @@ func TestH3ZeroRTTSecondConnection(t *testing.T) {
 func TestH2TLSResumptionEarlyData(t *testing.T) {
 	w := newHWorld(t, 25*time.Millisecond, 0, 0, 0)
 	tickets := tlssim.NewTicketStore()
-	cfg := DialConfig{TLSTickets: tickets, EnableEarlyData: true}
+	cfg := DialConfig{Pools: w.pools, TLSTickets: tickets, EnableEarlyData: true}
 	c1 := DialH2(w.client, "edge.example", TCPPort, "edge.example", cfg)
 	w.get(c1, "edge.example", "/b/100")
 	w.run(t)
@@ -478,23 +483,23 @@ func TestOverlongHeaderBlockIsRefused(t *testing.T) {
 		bad := w.net.AddHost(evil)
 		var conn ClientConn
 		if proto == H2 {
-			if _, err := tcpsim.Listen(bad, TCPPort, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+			if _, err := tcpsim.Listen(bad, TCPPort, tcpsim.Config{Pools: &w.pools.TCP, Arena: &w.pools.Arena}, func(tc *tcpsim.Conn) {
 				var tconn *tlssim.Conn
-				tconn = tlssim.Server(tc, tlssim.ServerConfig{Sched: w.sched}, nil)
+				tconn = tlssim.Server(tc, tlssim.ServerConfig{Sched: w.sched, Arena: &w.pools.Arena}, nil)
 				tconn.SetDataFunc(func([]byte) { tconn.Write(hostile(blockHeadersResp)) })
 			}); err != nil {
 				t.Fatal(err)
 			}
-			conn = DialH2(w.client, evil, TCPPort, evil, DialConfig{})
+			conn = DialH2(w.client, evil, TCPPort, evil, DialConfig{Pools: w.pools})
 		} else {
-			if _, err := quicsim.Listen(bad, QUICPort, quicsim.ServerConfig{}, func(qc *quicsim.Conn) {
+			if _, err := quicsim.Listen(bad, QUICPort, quicsim.ServerConfig{Config: quicsim.Config{Pools: &w.pools.QUIC}}, func(qc *quicsim.Conn) {
 				qc.SetStreamFunc(func(st *quicsim.Stream) {
 					st.SetDataFunc(func([]byte) { st.Write(hostile(blockHeadersResp)) })
 				})
 			}); err != nil {
 				t.Fatal(err)
 			}
-			conn = DialH3(w.client, evil, QUICPort, evil, H3DialConfig{})
+			conn = DialH3(w.client, evil, QUICPort, evil, H3DialConfig{Pools: w.pools})
 		}
 		tm := w.get(conn, evil, "/b/100")
 
@@ -503,9 +508,9 @@ func TestOverlongHeaderBlockIsRefused(t *testing.T) {
 		var closeErr error
 		onClose := func(err error) { closed, closeErr = true, err }
 		if proto == H2 {
-			tcpsim.Dial(w.client, "edge.example", TCPPort, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+			tcpsim.Dial(w.client, "edge.example", TCPPort, tcpsim.Config{Pools: &w.pools.TCP, Arena: &w.pools.Arena}, func(tc *tcpsim.Conn) {
 				var tconn *tlssim.Conn
-				tconn = tlssim.Client(tc, tlssim.ClientConfig{ServerName: "edge.example", ALPN: H2.ALPN(), Sched: w.sched}, func(err error) {
+				tconn = tlssim.Client(tc, tlssim.ClientConfig{ServerName: "edge.example", ALPN: H2.ALPN(), Sched: w.sched, Arena: &w.pools.Arena}, func(err error) {
 					if err != nil {
 						t.Errorf("handshake: %v", err)
 						return
@@ -515,7 +520,7 @@ func TestOverlongHeaderBlockIsRefused(t *testing.T) {
 				})
 			})
 		} else {
-			qc := quicsim.Dial(w.client, "edge.example", QUICPort, quicsim.ClientConfig{ServerName: "edge.example"}, func(qc *quicsim.Conn) {
+			qc := quicsim.Dial(w.client, "edge.example", QUICPort, quicsim.ClientConfig{Config: quicsim.Config{Pools: &w.pools.QUIC}, ServerName: "edge.example"}, func(qc *quicsim.Conn) {
 				qc.OpenStream().Write(hostile(blockHeadersReq))
 			})
 			qc.SetCloseFunc(onClose)
@@ -622,7 +627,7 @@ func TestH2OverTLS12IsThreeRTTs(t *testing.T) {
 	// The paper's baseline suite: H2 + TLS 1.2 costs 3 RTTs before the
 	// request (TCP 1 + TLS 2), so first byte lands at 4 RTTs = 200ms.
 	w := newHWorld(t, 25*time.Millisecond, 0, 0, 0)
-	conn := DialH2(w.client, "edge.example", TCPPort, "edge.example", DialConfig{TLSVersion: tlssim.TLS12})
+	conn := DialH2(w.client, "edge.example", TCPPort, "edge.example", DialConfig{Pools: w.pools, TLSVersion: tlssim.TLS12})
 	tm := w.get(conn, "edge.example", "/b/100")
 	w.run(t)
 	if tm.err != nil {

@@ -67,16 +67,6 @@ type recordPools struct {
 	responders bufpool.FreeList[*Responder]
 }
 
-// orPrivate is every Dial*/StartServer's defaulting step: an endpoint
-// configured without pools gets a private set, so nothing past this
-// point sees a nil *Pools.
-func orPrivate(pl *Pools) *Pools {
-	if pl == nil {
-		return &Pools{}
-	}
-	return pl
-}
-
 // Rewind is the visit-boundary check: it returns the wire arena's
 // outstanding-buffer count, non-zero (a Get/Put leak) once the scheduler
 // has drained and the browser has closed every connection. It resets

@@ -32,9 +32,8 @@ type ServerConfig struct {
 	HandshakeCPU time.Duration
 	// QUIC tunes the QUIC transport.
 	QUIC quicsim.Config
-	// Pools, when non-nil, supplies the universe's shared allocation
-	// arenas (transport records, buffers, header caches, stream states).
-	// Nil gets a private one.
+	// Pools supplies the universe's shared allocation arenas (transport
+	// records, buffers, header caches, stream states). Required.
 	Pools *Pools
 	// Trace, when non-nil, receives server-side transport events.
 	// Nil-safe: every emit is a no-op when nil.
@@ -58,7 +57,6 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("httpsim: StartServer: %w: nil handler", ErrNotSupported)
 	}
-	cfg.Pools = orPrivate(cfg.Pools)
 	s := &Server{host: host, cfg: cfg}
 	s.tlsCfg = tlssim.ServerConfig{
 		Sessions:     cfg.TLSSessions,

@@ -193,8 +193,8 @@ func TestLateRespondIntoSharedTLSConn(t *testing.T) {
 			// other.example counts the application bytes it receives and
 			// never answers.
 			var got int
-			if _, err := tcpsim.Listen(other, TCPPort, tcpsim.Config{}, func(tc *tcpsim.Conn) {
-				tlssim.Server(tc, tlssim.ServerConfig{Sched: sched}, nil).SetDataFunc(func(p []byte) { got += len(p) })
+			if _, err := tcpsim.Listen(other, TCPPort, tcpsim.Config{Pools: &shared.TCP, Arena: &shared.Arena}, func(tc *tcpsim.Conn) {
+				tlssim.Server(tc, tlssim.ServerConfig{Sched: sched, Arena: &shared.Arena}, nil).SetDataFunc(func(p []byte) { got += len(p) })
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ func TestArmPTOAfterCloseIsNoOp(t *testing.T) {
 	w := newWorld(t, time.Millisecond, 0, 0, 7)
 	echoListen(t, w)
 	var conn *Conn
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		conn = c
 		c.Close()
 	})
@@ -43,7 +43,7 @@ func TestBlackoutSurvivesBeyondMaxPTOs(t *testing.T) {
 	var got bytes.Buffer
 	eof := false
 	payload := make([]byte, 800)
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Config: Config{Recovery: &rec}}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Config: Config{Recovery: &rec}}), func(c *Conn) {
 		conn = c
 		c.SetCloseFunc(func(err error) {
 			if err != nil {
@@ -101,7 +101,7 @@ func TestProbeTimeoutFailsUnderPermanentBlackout(t *testing.T) {
 	var closeErr error
 	var closedAt time.Duration
 	closed := false
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Config: Config{Recovery: &rec}}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Config: Config{Recovery: &rec}}), func(c *Conn) {
 		c.SetCloseFunc(func(err error) { closeErr, closedAt, closed = err, w.sched.Now(), true })
 		s := c.OpenStream()
 		w.sched.At(5*time.Millisecond, func() {

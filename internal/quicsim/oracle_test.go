@@ -16,7 +16,7 @@ import (
 func oracleConn() *Conn {
 	sched := &simnet.Scheduler{MaxEvents: 1_000_000}
 	net := simnet.NewNetwork(sched, nil, seqrand.New(1))
-	return newConn(net.AddHost("h"), "", Config{Recovery: &simnet.RecoveryStats{}})
+	return newConn(net.AddHost("h"), "", Config{Pools: &Pools{}, Recovery: &simnet.RecoveryStats{}})
 }
 
 // refHandleAck is handleAck as it was before the lockstep walk: every

@@ -10,12 +10,15 @@ import (
 	"h3cdn/internal/simnet"
 )
 
+// world is a client and a server on one scheduler whose endpoints share
+// one Pools, as a universe's endpoints do.
 type world struct {
 	sched    *simnet.Scheduler
 	net      *simnet.Network
 	client   *simnet.Host
 	server   *simnet.Host
 	sessions *ServerSessions
+	pools    *Pools
 }
 
 func newWorld(t *testing.T, delay time.Duration, bps, loss float64, seed uint64) *world {
@@ -31,7 +34,19 @@ func newWorld(t *testing.T, delay time.Duration, bps, loss float64, seed uint64)
 		client:   n.AddHost("client"),
 		server:   n.AddHost("server"),
 		sessions: NewServerSessions(),
+		pools:    &Pools{},
 	}
+}
+
+// clientCfg and serverCfg put c on the world's Pools.
+func (w *world) clientCfg(c ClientConfig) ClientConfig {
+	c.Pools = w.pools
+	return c
+}
+
+func (w *world) serverCfg(c ServerConfig) ServerConfig {
+	c.Pools = w.pools
+	return c
 }
 
 func (w *world) run(t *testing.T) {
@@ -44,7 +59,7 @@ func (w *world) run(t *testing.T) {
 // echoListen starts a server that echoes every stream back.
 func echoListen(t *testing.T, w *world) *Endpoint {
 	t.Helper()
-	e, err := Listen(w.server, 443, ServerConfig{Sessions: w.sessions}, func(c *Conn) {
+	e, err := Listen(w.server, 443, w.serverCfg(ServerConfig{Sessions: w.sessions}), func(c *Conn) {
 		c.SetStreamFunc(func(s *Stream) {
 			s.SetDataFunc(func(p []byte) { s.Write(p) })
 			s.finFn = func() { s.CloseWrite() }
@@ -60,7 +75,7 @@ func TestHandshakeIsOneRTT(t *testing.T) {
 	w := newWorld(t, 25*time.Millisecond, 0, 0, 1)
 	echoListen(t, w)
 	var at time.Duration
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		at = w.sched.Now()
 		if c.Resumed() {
 			t.Fatal("fresh dial reported resumed")
@@ -77,7 +92,7 @@ func TestZeroRTTIsImmediate(t *testing.T) {
 	echoListen(t, w)
 	tokens := NewTokenStore()
 
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, nil)
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens}), nil)
 	w.run(t)
 	if len(tokens.byName) != 1 {
 		t.Fatalf("token store has %d tokens after handshake, want 1", len(tokens.byName))
@@ -86,7 +101,7 @@ func TestZeroRTTIsImmediate(t *testing.T) {
 	base := w.sched.Now()
 	var at time.Duration
 	var conn *Conn
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens, EnableZeroRTT: true}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens, EnableZeroRTT: true}), func(c *Conn) {
 		at = w.sched.Now()
 		conn = c
 	})
@@ -105,7 +120,7 @@ func TestZeroRTTIsImmediate(t *testing.T) {
 func TestZeroRTTDataReachesServerInHalfRTT(t *testing.T) {
 	w := newWorld(t, 25*time.Millisecond, 0, 0, 1)
 	var firstByte time.Duration
-	if _, err := Listen(w.server, 443, ServerConfig{Sessions: w.sessions}, func(c *Conn) {
+	if _, err := Listen(w.server, 443, w.serverCfg(ServerConfig{Sessions: w.sessions}), func(c *Conn) {
 		c.SetStreamFunc(func(s *Stream) {
 			s.SetDataFunc(func(p []byte) {
 				if firstByte == 0 {
@@ -117,12 +132,12 @@ func TestZeroRTTDataReachesServerInHalfRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	tokens := NewTokenStore()
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, nil)
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens}), nil)
 	w.run(t)
 
 	base := w.sched.Now()
 	firstByte = 0
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens, EnableZeroRTT: true}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens, EnableZeroRTT: true}), func(c *Conn) {
 		s := c.OpenStream()
 		s.Write([]byte("GET / HTTP/3 0rtt"))
 	})
@@ -138,7 +153,7 @@ func TestBogusTokenRejected(t *testing.T) {
 	echoListen(t, w)
 	tokens := NewTokenStore()
 	tokens.Put(Token{ID: 424242, ServerName: "server"})
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens}), func(c *Conn) {
 		if c.Resumed() {
 			t.Fatal("server accepted a token it never issued")
 		}
@@ -160,7 +175,7 @@ func TestStreamEcho(t *testing.T) {
 	payload := patterned(200 * 1024)
 	var got bytes.Buffer
 	eof := false
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		s := c.OpenStream()
 		s.SetDataFunc(func(p []byte) { got.Write(p) })
 		s.finFn = func() { eof = true }
@@ -183,7 +198,7 @@ func TestStreamEchoUnderLoss(t *testing.T) {
 		payload := patterned(100 * 1024)
 		var got bytes.Buffer
 		eof := false
-		Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+		Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 			s := c.OpenStream()
 			s.SetDataFunc(func(p []byte) { got.Write(p) })
 			s.finFn = func() { eof = true }
@@ -204,7 +219,7 @@ func TestManyStreamsMultiplexed(t *testing.T) {
 	sizes := make([]int, streams)
 	got := make([]bytes.Buffer, streams)
 	fins := 0
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		for i := 0; i < streams; i++ {
 			i := i
 			sizes[i] = 4*1024 + i*512
@@ -231,7 +246,7 @@ func TestPerStreamOrderingUnderLoss(t *testing.T) {
 	echoListen(t, w)
 	payload := patterned(64 * 1024)
 	off := 0
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		s := c.OpenStream()
 		s.SetDataFunc(func(p []byte) {
 			for _, b := range p {
@@ -257,7 +272,7 @@ func TestNoCrossStreamHoLBlocking(t *testing.T) {
 		w := newWorld(t, 20*time.Millisecond, 0, 0, 9)
 		// Server sends a large response on stream A and a small one on
 		// stream B when poked.
-		if _, err := Listen(w.server, 443, ServerConfig{Sessions: w.sessions}, func(c *Conn) {
+		if _, err := Listen(w.server, 443, w.serverCfg(ServerConfig{Sessions: w.sessions}), func(c *Conn) {
 			c.SetStreamFunc(func(s *Stream) {
 				s.finFn = func() {
 					s.Write(patterned(8 * 1024))
@@ -285,7 +300,7 @@ func TestNoCrossStreamHoLBlocking(t *testing.T) {
 			})
 		}
 
-		Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+		Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 			a := c.OpenStream() // id 0
 			a.finFn = func() { aDone = w.sched.Now() }
 			a.CloseWrite()
@@ -314,7 +329,7 @@ func TestLossStatsCounted(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 50e6, 0.05, 21)
 	echoListen(t, w)
 	var rs simnet.RecoveryStats
-	Dial(w.client, "server", 443, ClientConfig{Config: Config{Recovery: &rs}, ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{Config: Config{Recovery: &rs}, ServerName: "server"}), func(c *Conn) {
 		s := c.OpenStream()
 		s.Write(patterned(512 * 1024))
 		s.CloseWrite()
@@ -329,12 +344,12 @@ func TestCleanCloseNotifiesPeer(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0, 1)
 	var serverClosed error
 	gotClose := false
-	if _, err := Listen(w.server, 443, ServerConfig{Sessions: w.sessions}, func(c *Conn) {
+	if _, err := Listen(w.server, 443, w.serverCfg(ServerConfig{Sessions: w.sessions}), func(c *Conn) {
 		c.SetCloseFunc(func(err error) { gotClose = true; serverClosed = err })
 	}); err != nil {
 		t.Fatal(err)
 	}
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		w.sched.After(10*time.Millisecond, c.Close)
 	})
 	w.run(t)
@@ -346,7 +361,7 @@ func TestCleanCloseNotifiesPeer(t *testing.T) {
 func TestEndpointCleansUpOnClose(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0, 1)
 	e := echoListen(t, w)
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		w.sched.After(10*time.Millisecond, c.Close)
 	})
 	w.run(t)
@@ -363,7 +378,7 @@ func TestStatelessCloseForUnknownConn(t *testing.T) {
 	e := echoListen(t, w)
 	var clientErr error
 	var conn *Conn
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 		conn = c
 		c.SetCloseFunc(func(err error) { clientErr = err })
 		// Simulate server state loss, then more client traffic.
@@ -382,10 +397,10 @@ func TestStatelessCloseForUnknownConn(t *testing.T) {
 func TestDialNoServerTimesOut(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0, 1)
 	var errGot error
-	c := Dial(w.client, "server", 443, ClientConfig{
+	c := Dial(w.client, "server", 443, w.clientCfg(ClientConfig{
 		Config:     Config{PTOInit: 50 * time.Millisecond, MaxPTOs: 3},
 		ServerName: "server",
-	}, func(*Conn) { t.Fatal("established with no server") })
+	}), func(*Conn) { t.Fatal("established with no server") })
 	c.SetCloseFunc(func(err error) { errGot = err })
 	w.run(t)
 	if errGot == nil {
@@ -397,10 +412,10 @@ func TestHandshakeSurvivesHeavyLoss(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond, 0, 0.5, 123)
 	echoListen(t, w)
 	done := false
-	Dial(w.client, "server", 443, ClientConfig{
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{
 		Config:     Config{PTOInit: 50 * time.Millisecond, MaxPTOs: 20},
 		ServerName: "server",
-	}, func(c *Conn) { done = true })
+	}), func(c *Conn) { done = true })
 	w.run(t)
 	if !done {
 		t.Fatal("handshake never completed under 50% loss with generous probes")
@@ -412,7 +427,7 @@ func TestDeterministicRuns(t *testing.T) {
 		w := newWorld(t, 10*time.Millisecond, 20e6, 0.03, 55)
 		echoListen(t, w)
 		var done time.Duration
-		Dial(w.client, "server", 443, ClientConfig{ServerName: "server"}, func(c *Conn) {
+		Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server"}), func(c *Conn) {
 			s := c.OpenStream()
 			s.finFn = func() { done = w.sched.Now() }
 			s.Write(patterned(64 * 1024))
@@ -493,7 +508,7 @@ func TestFirstFlightIsInitialWindow(t *testing.T) {
 				}
 				c.Close()
 			}
-			if _, err := Listen(w.server, 443, ServerConfig{Config: serverCfg}, func(c *Conn) {
+			if _, err := Listen(w.server, 443, w.serverCfg(ServerConfig{Config: serverCfg}), func(c *Conn) {
 				c.SetStreamFunc(func(s *Stream) {
 					s.SetDataFunc(func([]byte) {
 						if tc.upload == 1 && !checked {
@@ -505,7 +520,7 @@ func TestFirstFlightIsInitialWindow(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			Dial(w.client, "server", 443, ClientConfig{Config: clientCfg, ServerName: "server"}, func(c *Conn) {
+			Dial(w.client, "server", 443, w.clientCfg(ClientConfig{Config: clientCfg, ServerName: "server"}), func(c *Conn) {
 				s := c.OpenStream()
 				s.Write(patterned(tc.upload))
 				if tc.upload > 1 {
@@ -527,7 +542,7 @@ func TestBandwidthResumption(t *testing.T) {
 
 	// First connection: grow the cwnd with a bulk transfer.
 	var firstCwnd float64
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens}), func(c *Conn) {
 		s := c.OpenStream()
 		s.finFn = func() {
 			firstCwnd = c.win.Cwnd
@@ -545,7 +560,7 @@ func TestBandwidthResumption(t *testing.T) {
 	// resumed connection must start above the initial window.
 	var resumedCwnd float64
 	var established bool
-	Dial(w.client, "server", 443, ClientConfig{ServerName: "server", Tokens: tokens}, func(c *Conn) {
+	Dial(w.client, "server", 443, w.clientCfg(ClientConfig{ServerName: "server", Tokens: tokens}), func(c *Conn) {
 		established = true
 		if !c.Resumed() {
 			t.Fatal("second connection not resumed")

@@ -63,9 +63,8 @@ type Config struct {
 	// MaxPTOs bounds consecutive probe timeouts before the connection
 	// errors out. Default 8.
 	MaxPTOs int
-	// Pools, when non-nil, supplies the per-universe record arena shared
-	// by every endpoint of one scheduler goroutine. Nil gets a private
-	// one.
+	// Pools is the per-universe record arena shared by every endpoint
+	// of one scheduler goroutine. Required.
 	Pools *Pools
 	// Recovery, when non-nil, accumulates loss-recovery counters for
 	// this endpoint (probe fires, declared losses, blackout crossings).
@@ -87,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPTOs == 0 {
 		c.MaxPTOs = 8
-	}
-	if c.Pools == nil {
-		c.Pools = &Pools{}
 	}
 	return c
 }

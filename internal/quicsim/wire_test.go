@@ -74,7 +74,7 @@ func TestWireSizes(t *testing.T) {
 				got = append(got, wirePacket{size: pkt.Size, ack: slices.Clone(p.ack), close: p.close != nil, frames: len(p.frames)})
 				return false
 			})
-			c := newConn(net.AddHost("h"), "", Config{})
+			c := newConn(net.AddHost("h"), "", Config{Pools: &Pools{}})
 			c.state = stateEstablished
 			for _, pn := range tc.recvd {
 				c.recvd.add(pn)

@@ -12,14 +12,13 @@ import (
 // Addr identifies a host on the simulated network.
 type Addr string
 
-// Packet is a datagram in flight. Payload is an opaque protocol message
-// (e.g. a TCP segment or QUIC packet); Size is its on-wire size in bytes
-// and is what bandwidth serialization charges.
+// Packet is a datagram as a handler or a filter sees it: where it came
+// from, its on-wire size in bytes (what bandwidth serialization charges)
+// and its payload, an opaque protocol message (e.g. a TCP segment or QUIC
+// packet).
 type Packet struct {
 	Src     Addr
 	SrcPort uint16
-	Dst     Addr
-	DstPort uint16
 	Size    int
 	Payload any
 }
@@ -364,7 +363,7 @@ func (r *Route) Send(srcPort, dstPort uint16, size int, payload any) {
 	n.stats.BytesSent += int64(size)
 	n.trace.PacketSent(n.sched.Now(), string(r.src), string(r.dst), srcPort, dstPort, size)
 
-	if n.filter != nil && !n.filter(Packet{Src: r.src, SrcPort: srcPort, Dst: r.dst, DstPort: dstPort, Size: size, Payload: payload}) {
+	if n.filter != nil && !n.filter(Packet{Src: r.src, SrcPort: srcPort, Size: size, Payload: payload}) {
 		n.stats.LossDrops++
 		n.trace.PacketDropped(n.sched.Now(), string(r.src), string(r.dst), srcPort, dstPort, size, trace.DropFilter)
 		releasePayload(payload)
@@ -527,6 +526,6 @@ func (r *Route) deliver(d *delivery) {
 	}
 	n.stats.Delivered++
 	n.trace.PacketArrived(n.sched.Now(), string(r.src), string(r.dst), d.srcPort, d.dstPort, d.size)
-	fn(Packet{Src: r.src, SrcPort: d.srcPort, Dst: r.dst, DstPort: d.dstPort, Size: d.size, Payload: d.payload})
+	fn(Packet{Src: r.src, SrcPort: d.srcPort, Size: d.size, Payload: d.payload})
 	releasePayload(d.payload)
 }

@@ -17,8 +17,8 @@ import (
 func TestBlackoutRTONotPermanentlyInflated(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
 	var rec simnet.RecoveryStats
-	cfg := Config{Recovery: &rec}
-	echoServer(t, w.b, 80, Config{})
+	cfg := w.config(Config{Recovery: &rec})
+	echoServer(t, w.b, 80, w.config(Config{}))
 
 	var conn *Conn
 	var buf bytes.Buffer
@@ -71,8 +71,8 @@ func TestBlackoutRTONotPermanentlyInflated(t *testing.T) {
 func TestBlackoutAbortIsRetryableError(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
 	var rec simnet.RecoveryStats
-	cfg := Config{MaxRetries: 3, Recovery: &rec}
-	echoServer(t, w.b, 80, Config{})
+	cfg := w.config(Config{MaxRetries: 3, Recovery: &rec})
+	echoServer(t, w.b, 80, w.config(Config{}))
 
 	var closeErr error
 	closed := false

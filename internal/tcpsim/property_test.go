@@ -81,7 +81,7 @@ func TestRTTEstimatorClamped(t *testing.T) {
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, nil, seqrand.New(1))
 	host := net.AddHost("h")
-	c := newConn(host, "", Config{}.withDefaults())
+	c := newConn(host, "", Config{Pools: &Pools{}, Arena: &bufpool.Arena{}}.withDefaults())
 	for i := 0; i < 10_000; i++ {
 		c.rttSample(randDuration(rng))
 		if c.rto < profile.TimeoutFloor || c.rto > profile.TimeoutCeiling {

@@ -77,7 +77,7 @@ func receiverConn(arena *bufpool.Arena) (*Conn, *simnet.Network) {
 	sched := &simnet.Scheduler{MaxEvents: 1_000_000}
 	net := simnet.NewNetwork(sched, nil, seqrand.New(1))
 	host := net.AddHost("recv")
-	c := newConn(host, "", Config{Arena: arena}.withDefaults())
+	c := newConn(host, "", Config{Pools: &Pools{}, Arena: arena}.withDefaults())
 	c.isClient = true
 	c.localPort = host.BindEphemeral(func(simnet.Packet) {})
 	c.state = stateEstablished

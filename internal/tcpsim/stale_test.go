@@ -21,7 +21,7 @@ import (
 func TestResetProbeAfterReuse(t *testing.T) {
 	for _, inCallback := range []bool{false, true} {
 		w := newWorld(t, 10*time.Millisecond, 10e6, 0)
-		cfg := Config{Pools: &Pools{}, MaxRetries: 2}
+		cfg := w.config(Config{MaxRetries: 2})
 		got := make(map[uint16]*bytes.Buffer)
 		ends := make(map[uint16]error)
 		if _, err := Listen(w.b, 80, cfg, func(c *Conn) {

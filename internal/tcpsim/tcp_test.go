@@ -6,14 +6,19 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/bufpool"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 )
 
+// world is two hosts on one scheduler whose endpoints share one Pools and
+// one wire arena, as a universe's endpoints do.
 type world struct {
 	sched *simnet.Scheduler
 	net   *simnet.Network
 	a, b  *simnet.Host
+	pools *Pools
+	arena *bufpool.Arena
 }
 
 func newWorld(t *testing.T, delay time.Duration, bps, loss float64) *world {
@@ -23,7 +28,13 @@ func newWorld(t *testing.T, delay time.Duration, bps, loss float64) *world {
 		return simnet.PathProps{Delay: delay, BandwidthBps: bps, LossRate: loss}
 	}
 	n := simnet.NewNetwork(sched, pf, seqrand.New(uint64(delay)+uint64(bps)+uint64(loss*1000)+17))
-	return &world{sched: sched, net: n, a: n.AddHost("client"), b: n.AddHost("server")}
+	return &world{sched: sched, net: n, a: n.AddHost("client"), b: n.AddHost("server"), pools: &Pools{}, arena: &bufpool.Arena{}}
+}
+
+// config puts c on the world's Pools and wire arena.
+func (w *world) config(c Config) Config {
+	c.Pools, c.Arena = w.pools, w.arena
+	return c
 }
 
 // echoServer accepts connections and echoes every byte back.
@@ -47,11 +58,11 @@ func run(t *testing.T, s *simnet.Scheduler) {
 
 func TestHandshakeLatency(t *testing.T) {
 	w := newWorld(t, 25*time.Millisecond, 0, 0)
-	if _, err := Listen(w.b, 80, Config{}, nil); err != nil {
+	if _, err := Listen(w.b, 80, w.config(Config{}), nil); err != nil {
 		t.Fatal(err)
 	}
 	var established time.Duration
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) { established = w.sched.Now() })
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) { established = w.sched.Now() })
 	run(t, w.sched)
 	if established != 50*time.Millisecond {
 		t.Fatalf("client established at %v, want exactly one RTT (50ms)", established)
@@ -60,11 +71,11 @@ func TestHandshakeLatency(t *testing.T) {
 
 func TestHandshakeRTTSample(t *testing.T) {
 	w := newWorld(t, 30*time.Millisecond, 0, 0)
-	if _, err := Listen(w.b, 80, Config{}, nil); err != nil {
+	if _, err := Listen(w.b, 80, w.config(Config{}), nil); err != nil {
 		t.Fatal(err)
 	}
 	var srtt time.Duration
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) { srtt = c.rtt.SRTT })
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) { srtt = c.rtt.SRTT })
 	run(t, w.sched)
 	if srtt != 60*time.Millisecond {
 		t.Fatalf("handshake SRTT = %v, want 60ms", srtt)
@@ -99,7 +110,7 @@ func patterned(n int) []byte {
 func TestEchoSmall(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
 	payload := []byte("hello over simulated tcp")
-	got, _ := transfer(t, w, payload, Config{})
+	got, _ := transfer(t, w, payload, w.config(Config{}))
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("echo mismatch: %q", got)
 	}
@@ -108,7 +119,7 @@ func TestEchoSmall(t *testing.T) {
 func TestEchoLargeCleanPath(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 100e6, 0)
 	payload := patterned(512 * 1024)
-	got, done := transfer(t, w, payload, Config{})
+	got, done := transfer(t, w, payload, w.config(Config{}))
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("echo mismatch: got %d bytes, want %d", len(got), len(payload))
 	}
@@ -121,7 +132,7 @@ func TestEchoLossyPath(t *testing.T) {
 	for _, loss := range []float64{0.01, 0.05, 0.10} {
 		w := newWorld(t, 10*time.Millisecond, 50e6, loss)
 		payload := patterned(128 * 1024)
-		got, _ := transfer(t, w, payload, Config{})
+		got, _ := transfer(t, w, payload, w.config(Config{}))
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("loss=%v: corrupted or incomplete echo (%d/%d bytes)", loss, len(got), len(payload))
 		}
@@ -132,7 +143,7 @@ func TestLossSlowsTransfer(t *testing.T) {
 	elapsed := func(loss float64) time.Duration {
 		w := newWorld(t, 10*time.Millisecond, 50e6, loss)
 		payload := patterned(256 * 1024)
-		got, done := transfer(t, w, payload, Config{})
+		got, done := transfer(t, w, payload, w.config(Config{}))
 		if len(got) != len(payload) {
 			t.Fatalf("loss=%v: incomplete", loss)
 		}
@@ -146,13 +157,13 @@ func TestLossSlowsTransfer(t *testing.T) {
 
 func TestRetransmitCountedUnderLoss(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond, 50e6, 0.05)
-	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func([]byte) {})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var rs simnet.RecoveryStats
-	Dial(w.a, "server", 80, Config{Recovery: &rs}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{Recovery: &rs}), func(c *Conn) {
 		c.Write(patterned(256 * 1024))
 	})
 	run(t, w.sched)
@@ -164,10 +175,10 @@ func TestRetransmitCountedUnderLoss(t *testing.T) {
 func TestNoRetransmitOnCleanPath(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond, 100e6, 0)
 	payload := patterned(64 * 1024)
-	echoServer(t, w.b, 80, Config{})
+	echoServer(t, w.b, 80, w.config(Config{}))
 	var rs simnet.RecoveryStats
 	n := 0
-	Dial(w.a, "server", 80, Config{Recovery: &rs}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{Recovery: &rs}), func(c *Conn) {
 		c.SetDataFunc(func(p []byte) { n += len(p) })
 		c.Write(payload)
 	})
@@ -185,9 +196,9 @@ func TestInOrderDelivery(t *testing.T) {
 	// delivered chunk continues the pattern exactly.
 	w := newWorld(t, 10*time.Millisecond, 20e6, 0.1)
 	payload := patterned(100 * 1024)
-	echoServer(t, w.b, 80, Config{})
+	echoServer(t, w.b, 80, w.config(Config{}))
 	off := 0
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func(p []byte) {
 			for _, b := range p {
 				if b != byte(off*7) {
@@ -207,7 +218,7 @@ func TestInOrderDelivery(t *testing.T) {
 func TestGracefulClose(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
 	var serverEOF, clientEOF bool
-	l, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	l, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func([]byte) {})
 		c.SetCloseFunc(func(err error) {
 			if err != nil {
@@ -220,7 +231,7 @@ func TestGracefulClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.SetCloseFunc(func(err error) {
 			if err != nil {
 				t.Fatalf("client close err: %v", err)
@@ -244,13 +255,13 @@ func TestCloseFlushesPendingData(t *testing.T) {
 	payload := patterned(200 * 1024) // many cwnd rounds
 	var got bytes.Buffer
 	eof := false
-	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func(p []byte) { got.Write(p) })
 		c.SetCloseFunc(func(err error) { eof = true })
 	}); err != nil {
 		t.Fatal(err)
 	}
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.Write(payload)
 		c.Close() // immediately: FIN must trail all data
 	})
@@ -266,13 +277,13 @@ func TestCloseFlushesPendingData(t *testing.T) {
 func TestAbortResetsPeer(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
 	var serverErr error
-	l, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	l, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetCloseFunc(func(err error) { serverErr = err })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.Write([]byte("x"))
 		w.sched.After(100*time.Millisecond, c.Abort)
 	})
@@ -294,7 +305,7 @@ func TestDialNoListenerTimesOut(t *testing.T) {
 	var dialErr error
 	var failedAt time.Duration
 	established := false
-	c := Dial(w.a, "server", 80, Config{MaxRetries: 3}, func(*Conn) {
+	c := Dial(w.a, "server", 80, w.config(Config{MaxRetries: 3}), func(*Conn) {
 		established = true
 	})
 	c.SetCloseFunc(func(err error) { dialErr, failedAt = err, w.sched.Now() })
@@ -314,9 +325,9 @@ func TestDialNoListenerTimesOut(t *testing.T) {
 
 func TestStraysegmentGetsRST(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 0, 0)
-	l := echoServer(t, w.b, 80, Config{})
+	l := echoServer(t, w.b, 80, w.config(Config{}))
 	var failed error
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.SetCloseFunc(func(err error) { failed = err })
 		// Simulate server state loss: the listener forgets the conn,
 		// then the client sends more data and must get RST back.
@@ -333,14 +344,14 @@ func TestStraysegmentGetsRST(t *testing.T) {
 
 func TestSlowStartThenCongestionAvoidance(t *testing.T) {
 	w := newWorld(t, 20*time.Millisecond, 0, 0)
-	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func([]byte) {})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var c *Conn
 	initial := 0.0
-	Dial(w.a, "server", 80, Config{}, func(conn *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(conn *Conn) {
 		c = conn
 		initial = c.win.Cwnd
 		c.Write(patterned(400 * 1024))
@@ -359,14 +370,14 @@ func TestSlowStartThenCongestionAvoidance(t *testing.T) {
 // blocks on cwnd with data still queued, at most one segment over it.
 func TestFirstFlightIsInitialWindow(t *testing.T) {
 	w := newWorld(t, 100*time.Millisecond, 0, 0)
-	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func([]byte) {})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var flight uint64
 	unsent := 0
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.Write(patterned(256 * 1024))
 		flight, unsent = c.flight(), c.UnsentBytes()
 	})
@@ -380,13 +391,13 @@ func TestFastRetransmitPreferredOverTimeout(t *testing.T) {
 	// With moderate loss and plenty of data, most recoveries should be
 	// fast retransmits (dupACK-triggered), not RTO timeouts.
 	w := newWorld(t, 10*time.Millisecond, 50e6, 0.02)
-	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func([]byte) {})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var rs simnet.RecoveryStats
-	Dial(w.a, "server", 80, Config{Recovery: &rs}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{Recovery: &rs}), func(c *Conn) {
 		c.Write(patterned(1024 * 1024))
 	})
 	run(t, w.sched)
@@ -402,11 +413,11 @@ func TestSynLossRecovered(t *testing.T) {
 	// 60% loss: handshake packets will often drop, but retries must
 	// eventually establish (within the retry budget, seed-dependent).
 	w := newWorld(t, 5*time.Millisecond, 0, 0.6)
-	if _, err := Listen(w.b, 80, Config{}, nil); err != nil {
+	if _, err := Listen(w.b, 80, w.config(Config{}), nil); err != nil {
 		t.Fatal(err)
 	}
 	established := false
-	Dial(w.a, "server", 80, Config{MaxRetries: 20}, func(*Conn) {
+	Dial(w.a, "server", 80, w.config(Config{MaxRetries: 20}), func(*Conn) {
 		established = true
 	})
 	run(t, w.sched)
@@ -420,13 +431,13 @@ func TestBidirectionalTransfer(t *testing.T) {
 	up := patterned(64 * 1024)
 	down := patterned(96 * 1024)
 	var gotUp, gotDown bytes.Buffer
-	if _, err := Listen(w.b, 80, Config{}, func(c *Conn) {
+	if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func(p []byte) { gotUp.Write(p) })
 		c.Write(down)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+	Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 		c.SetDataFunc(func(p []byte) { gotDown.Write(p) })
 		c.Write(up)
 	})
@@ -441,13 +452,13 @@ func TestBidirectionalTransfer(t *testing.T) {
 
 func TestManyParallelConnections(t *testing.T) {
 	w := newWorld(t, 10*time.Millisecond, 100e6, 0.01)
-	echoServer(t, w.b, 80, Config{})
+	echoServer(t, w.b, 80, w.config(Config{}))
 	const conns = 20
 	counts := make([]int, conns)
 	for i := 0; i < conns; i++ {
 		i := i
 		payload := patterned(8 * 1024)
-		Dial(w.a, "server", 80, Config{}, func(c *Conn) {
+		Dial(w.a, "server", 80, w.config(Config{}), func(c *Conn) {
 			c.SetDataFunc(func(p []byte) { counts[i] += len(p) })
 			c.Write(payload)
 		})
@@ -474,7 +485,7 @@ func TestSegmentWireSize(t *testing.T) {
 func TestDeterministicTransfer(t *testing.T) {
 	runOnce := func() time.Duration {
 		w := newWorld(t, 10*time.Millisecond, 20e6, 0.03)
-		_, done := transfer(t, w, patterned(64*1024), Config{})
+		_, done := transfer(t, w, patterned(64*1024), w.config(Config{}))
 		return done
 	}
 	if a, b := runOnce(), runOnce(); a != b {
@@ -488,13 +499,13 @@ func TestDeterministicTransfer(t *testing.T) {
 // cache.
 func TestListenerDemuxForgetsTornDownConn(t *testing.T) {
 	w := newWorld(t, 5*time.Millisecond, 0, 0)
-	pools := &Pools{}
+	pools := w.pools
 	accepted := 0
-	l, err := Listen(w.b, 80, Config{Pools: pools}, func(*Conn) { accepted++ })
+	l, err := Listen(w.b, 80, w.config(Config{}), func(*Conn) { accepted++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Dial(w.a, "server", 80, Config{Pools: pools}, nil)
+	c := Dial(w.a, "server", 80, w.config(Config{}), nil)
 	run(t, w.sched)
 	port := c.localPort
 	if accepted != 1 || l.ConnCount() != 1 {

@@ -44,13 +44,11 @@ type Config struct {
 	// MaxRetries bounds consecutive retransmissions of the same
 	// segment before the connection errors out. Default 8.
 	MaxRetries int
-	// Pools, when non-nil, supplies the per-universe segment arena shared
-	// by every endpoint of one scheduler goroutine. Nil gets a private
-	// one.
+	// Pools is the per-universe segment arena shared by every endpoint
+	// of one scheduler goroutine. Required.
 	Pools *Pools
-	// Arena, when non-nil, supplies the buffer arena used for
-	// receive-side reassembly copies of out-of-order data. Nil gets
-	// a private one.
+	// Arena is the buffer arena for receive-side reassembly copies of
+	// out-of-order data. Required.
 	Arena *bufpool.Arena
 	// Recovery, when non-nil, accumulates loss-recovery counters for
 	// this endpoint (timeouts, retransmissions, blackout crossings).
@@ -66,12 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 8
-	}
-	if c.Pools == nil {
-		c.Pools = &Pools{}
-	}
-	if c.Arena == nil {
-		c.Arena = &bufpool.Arena{}
 	}
 	return c
 }

@@ -20,7 +20,7 @@ type ClientConfig struct {
 	// EnableEarlyData sends 0-RTT application data when a ticket is
 	// available (TLS 1.3 only).
 	EnableEarlyData bool
-	// Sched enables CPU cost modeling; nil runs crypto at zero cost.
+	// Sched runs the handshake: its CPU delays and timestamps. Required.
 	Sched *simnet.Scheduler
 	// HandshakeCPU is the client-side crypto compute time for a full
 	// handshake (halved for resumption).
@@ -32,14 +32,13 @@ type ClientConfig struct {
 	// TCP connection's identity in the trace.
 	Trace     *trace.Tracer
 	TraceConn uint32
-	// Arena, when non-nil, supplies the buffer arena for record
-	// construction. Nil gets a private one.
+	// Arena is the buffer arena for record construction. Required.
 	Arena *bufpool.Arena
 	// RecvArena, when non-nil, supplies the recycler for split-record
 	// carries. Nil gets a private one.
 	RecvArena *bufpool.Arena
-	// Pools, when non-nil and Sched is set, recycles the Conn struct
-	// (see Pools). Nil allocates one the collector takes.
+	// Pools, when non-nil, recycles the Conn struct (see Pools). Nil
+	// allocates one the collector takes.
 	Pools *Pools
 }
 
@@ -47,7 +46,7 @@ type ClientConfig struct {
 type ServerConfig struct {
 	// Sessions is the server ticket registry; nil disables resumption.
 	Sessions *ServerSessionState
-	// Sched enables CPU cost modeling; nil runs crypto at zero cost.
+	// Sched runs the handshake: its CPU delays and timestamps. Required.
 	Sched *simnet.Scheduler
 	// HandshakeCPU is the server-side crypto compute time for a full
 	// handshake (halved for resumption).
@@ -56,8 +55,7 @@ type ServerConfig struct {
 	// server side of the handshake.
 	Trace     *trace.Tracer
 	TraceConn uint32
-	// Arena, when non-nil, supplies the buffer arena for record
-	// construction. Nil gets a private one.
+	// Arena is the buffer arena for record construction. Required.
 	Arena *bufpool.Arena
 	// RecvArena, when non-nil, supplies the recycler for split-record
 	// carries. Nil gets a private one.
@@ -158,7 +156,7 @@ type pendingWrite struct {
 // newConn takes a reset struct from pools, when it can recycle one under
 // sched, or allocates one; either way its transport callbacks are bound.
 func newConn(pools *Pools, sched *simnet.Scheduler) *Conn {
-	if pools == nil || sched == nil {
+	if pools == nil {
 		return allocConn(nil)
 	}
 	if c, ok := pools.conns.Get(sched, (*Conn).reset); ok {
@@ -189,9 +187,6 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 	if cfg.Version == 0 {
 		cfg.Version = TLS13
 	}
-	if cfg.Arena == nil {
-		cfg.Arena = &bufpool.Arena{}
-	}
 	if cfg.RecvArena == nil {
 		cfg.RecvArena = &bufpool.Arena{}
 	}
@@ -202,9 +197,7 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 	c.onHandshake = onHandshake
 	c.arena = cfg.Arena
 	c.recv = cfg.RecvArena
-	if cfg.Sched != nil {
-		c.hsStart = cfg.Sched.Now()
-	}
+	c.hsStart = cfg.Sched.Now()
 	transport.SetDataFunc(c.onDataT)
 	transport.SetCloseFunc(c.onCloseT)
 
@@ -230,12 +223,8 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 		// 0-RTT: the application may transmit immediately. Completion
 		// is deferred one scheduler tick (zero virtual time) so the
 		// callback never fires before Client returns.
-		if cfg.Sched != nil {
-			c.steps++
-			cfg.Sched.AfterArg(0, completeEvent, c)
-		} else {
-			c.completeHandshake()
-		}
+		c.steps++
+		cfg.Sched.AfterArg(0, completeEvent, c)
 	}
 	return c
 }
@@ -244,9 +233,6 @@ func Client(transport bytestream.Stream, cfg ClientConfig, onHandshake func(erro
 // onHandshake fires once the server may send application data (after its
 // first flight); it may be nil.
 func Server(transport bytestream.Stream, cfg ServerConfig, onHandshake func(error)) *Conn {
-	if cfg.Arena == nil {
-		cfg.Arena = &bufpool.Arena{}
-	}
 	if cfg.RecvArena == nil {
 		cfg.RecvArena = &bufpool.Arena{}
 	}
@@ -256,15 +242,13 @@ func Server(transport bytestream.Stream, cfg ServerConfig, onHandshake func(erro
 	c.onHandshake = onHandshake
 	c.arena = cfg.Arena
 	c.recv = cfg.RecvArena
-	if cfg.Sched != nil {
-		c.hsStart = cfg.Sched.Now()
-	}
+	c.hsStart = cfg.Sched.Now()
 	transport.SetDataFunc(c.onDataT)
 	transport.SetCloseFunc(c.onCloseT)
 	return c
 }
 
-// sched is this side's scheduler (nil without CPU cost modelling).
+// sched is this side's scheduler.
 func (c *Conn) sched() *simnet.Scheduler {
 	if c.isClient {
 		return c.ccfg.Sched
@@ -309,7 +293,7 @@ func (c *Conn) ALPN() string { return c.alpn }
 func (c *Conn) ServerName() string { return c.serverName }
 
 // HandshakeDuration returns the time from connection start until
-// application data could first be sent (zero without a scheduler).
+// application data could first be sent.
 func (c *Conn) HandshakeDuration() time.Duration { return c.hsDone - c.hsStart }
 
 // tracer returns this side's tracer and connection trace id.
@@ -326,15 +310,7 @@ func (c *Conn) TraceID() uint32 {
 	return id
 }
 
-func (c *Conn) now() time.Duration {
-	if c.ccfg.Sched != nil {
-		return c.ccfg.Sched.Now()
-	}
-	if c.scfg.Sched != nil {
-		return c.scfg.Sched.Now()
-	}
-	return 0
-}
+func (c *Conn) now() time.Duration { return c.sched().Now() }
 
 // SetDataFunc registers the plaintext delivery callback. Plaintext that
 // arrived earlier (e.g. 0-RTT early data processed before the application
@@ -467,9 +443,7 @@ func (c *Conn) completeHandshake() {
 		return
 	}
 	c.established = true
-	if s := c.sched(); s != nil {
-		c.hsDone = s.Now()
-	}
+	c.hsDone = c.now()
 	if tr, id := c.tracer(); tr != nil {
 		tr.TLSHandshakeDone(c.hsDone, id, c.isClient, c.resumed, c.earlyData)
 	}
@@ -684,12 +658,12 @@ func (c *Conn) handleRecord(rt recordType, payload []byte) {
 			return
 		}
 		// Second client flight: key exchange + Finished.
-		cpuDelay(c, c.ccfg.Sched, c.ccfg.HandshakeCPU, keyExchangeEvent)
+		cpuDelay(c, c.ccfg.HandshakeCPU, keyExchangeEvent)
 	case recClientKeyExchange:
 		if c.isClient {
 			return
 		}
-		cpuDelay(c, c.scfg.Sched, c.scfg.HandshakeCPU, serverFinished12Event)
+		cpuDelay(c, c.scfg.HandshakeCPU, serverFinished12Event)
 	case recServerFinished12:
 		if !c.isClient {
 			return
@@ -705,7 +679,7 @@ func (c *Conn) clientFinish13() {
 	if c.resumed {
 		cpu /= 2
 	}
-	cpuDelay(c, c.ccfg.Sched, cpu, completeEvent)
+	cpuDelay(c, cpu, completeEvent)
 }
 
 func (c *Conn) serverHandleClientHello(payload []byte) {
@@ -725,9 +699,9 @@ func (c *Conn) serverHandleClientHello(payload []byte) {
 		if resumed {
 			cpu /= 2
 		}
-		cpuDelay(c, c.scfg.Sched, cpu, serverHello13Event)
+		cpuDelay(c, cpu, serverHello13Event)
 	case TLS12:
-		cpuDelay(c, c.scfg.Sched, c.scfg.HandshakeCPU, serverHello12Event)
+		cpuDelay(c, c.scfg.HandshakeCPU, serverHello12Event)
 	default:
 		c.failRecord()
 	}

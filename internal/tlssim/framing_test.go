@@ -84,14 +84,17 @@ func pattern(n int) []byte {
 	return p
 }
 
-// handshake establishes a client and a server over recording
+// handshake establishes a client and a server on one rig over recording
 // transports, shuttling each side's writes to the other, and returns the
-// writes of every flight in order.
+// writes of every flight in order. A 0-RTT client completes from the
+// scheduler, which is drained before the first shuttle.
 func handshake(t *testing.T, cfg ClientConfig, sessions *ServerSessionState) (c, s *Conn, ct *recordingTransport, flights []transportWrite) {
 	t.Helper()
+	r := newRig()
 	ct, st := &recordingTransport{}, &recordingTransport{}
-	c = Client(ct, cfg, nil)
-	s = Server(st, ServerConfig{Sessions: sessions}, nil)
+	c = Client(ct, r.clientCfg(cfg), nil)
+	s = Server(st, r.serverCfg(ServerConfig{Sessions: sessions}), nil)
+	r.run(t)
 	cSent, sSent := 0, 0
 	for i := 0; i < 4 && !(c.established && s.established); i++ {
 		flights = append(flights, ct.writes[cSent:]...)
@@ -190,19 +193,21 @@ func TestRecordFramingUnchanged(t *testing.T) {
 	})
 
 	t.Run("pending writes stay opaque", func(t *testing.T) {
+		r := newRig()
 		ct, st := &recordingTransport{}, &recordingTransport{}
 		marker := []byte("written by the handshake callback")
 		var c *Conn
-		c = Client(ct, ClientConfig{ServerName: "edge.example"}, func(error) { c.Write(marker) })
+		c = Client(ct, r.clientCfg(ClientConfig{ServerName: "edge.example"}), func(error) { c.Write(marker) })
 		head := pattern(100)
 		c.WriteOpaque(head, maxRecord+5)
 		from := len(ct.writes)
 		if from != 1 {
 			t.Fatalf("%d writes before the handshake, want the ClientHello alone", from)
 		}
-		Server(st, ServerConfig{}, nil)
+		Server(st, r.serverCfg(ServerConfig{}), nil)
 		st.data(ct.wire(0))
 		ct.data(st.wire(0))
+		r.run(t)
 		if !c.established {
 			t.Fatal("handshake did not complete")
 		}

@@ -6,6 +6,7 @@ import (
 
 	"h3cdn/internal/bufpool"
 	"h3cdn/internal/bytestream"
+	"h3cdn/internal/simnet"
 )
 
 // stubTransport is a bytestream.Stream with no peer: the test plays the
@@ -39,21 +40,23 @@ func (s *stubTransport) Abort()                      {}
 // The seeds (both sides' real flights, and one of each malformation) run
 // under plain go test.
 func FuzzRecords(f *testing.F) {
+	r := newRig()
 	var cli, srv stubTransport
-	c := Client(&cli, ClientConfig{ServerName: "edge.example", ALPN: "h2"}, nil)
+	c := Client(&cli, r.clientCfg(ClientConfig{ServerName: "edge.example", ALPN: "h2"}), nil)
 	hello := append([]byte(nil), cli.wrote...)
-	s := Server(&srv, ServerConfig{}, nil)
+	s := Server(&srv, r.serverCfg(ServerConfig{}), nil)
 	srv.data(hello)
 	flight := append([]byte(nil), srv.wrote...)
 	cli.wrote, srv.wrote = nil, nil
 	cli.data(flight)
+	r.run(f)
 	c.Write(make([]byte, maxRecord+100)) // two app-data records
 	s.Write([]byte("response"))
 	if !c.established || !s.established || len(cli.wrote) == 0 || len(srv.wrote) == 0 {
 		f.Fatal("seed handshake did not establish")
 	}
 	var hello12 stubTransport
-	Client(&hello12, ClientConfig{Version: TLS12, ServerName: "edge.example"}, nil)
+	Client(&hello12, r.clientCfg(ClientConfig{Version: TLS12, ServerName: "edge.example"}), nil)
 
 	f.Add(append(hello, cli.wrote...), uint16(7), uint16(600))
 	f.Add(append(flight, srv.wrote...), uint16(2905), uint16(2906))
@@ -74,8 +77,9 @@ func FuzzRecords(f *testing.F) {
 		bounds := recordBoundaries(raw)
 		opaque, plainOpaque := opaqueZeros(raw)
 		for _, client := range []bool{true, false} {
+			sched := &simnet.Scheduler{MaxEvents: 1_000_000}
 			var wire, recv bufpool.Arena
-			split := newFuzzConn(client, &wire, &recv)
+			split := newFuzzConn(sched, client, &wire, &recv)
 			end := 0
 			for _, piece := range [][]byte{raw[:a], raw[a:b], raw[b:]} {
 				split.tr.data(piece)
@@ -87,10 +91,10 @@ func FuzzRecords(f *testing.F) {
 					t.Fatalf("client=%v: the piece ending at %d ends on a record boundary, but the Conn holds a receive buffer", client, end)
 				}
 			}
-			whole := newFuzzConn(client, &bufpool.Arena{}, &bufpool.Arena{})
+			whole := newFuzzConn(sched, client, &bufpool.Arena{}, &bufpool.Arena{})
 			whole.tr.data(raw)
 			var opqRecv bufpool.Arena
-			opq := newFuzzConn(client, &bufpool.Arena{}, &opqRecv)
+			opq := newFuzzConn(sched, client, &bufpool.Arena{}, &opqRecv)
 			for _, cut := range [][2]int{{0, a}, {a, b}, {b, len(raw)}} {
 				for i := cut[0]; i < cut[1]; {
 					j := i + 1
@@ -104,6 +108,9 @@ func FuzzRecords(f *testing.F) {
 					}
 					i = j
 				}
+			}
+			if _, err := sched.Run(); err != nil {
+				t.Fatalf("client=%v: scheduler: %v", client, err)
 			}
 			split.flush()
 			whole.flush()
@@ -123,6 +130,9 @@ func FuzzRecords(f *testing.F) {
 			}
 			split.c.Abort()
 			opq.c.Abort()
+			if _, err := sched.Run(); err != nil {
+				t.Fatalf("client=%v: scheduler after Abort: %v", client, err)
+			}
 			for _, st := range []bufpool.ArenaStats{recv.Stats(), opqRecv.Stats()} {
 				if st.Gets != st.Puts {
 					t.Fatalf("client=%v: carry arena gets %d != puts %d after Abort", client, st.Gets, st.Puts)
@@ -135,8 +145,9 @@ func FuzzRecords(f *testing.F) {
 	})
 }
 
-// fuzzConn is one side of FuzzRecords: a Conn on a stub transport that
-// records the plaintext it hands its data callback. A client has its
+// fuzzConn is one side of FuzzRecords: a Conn, on a stub transport and
+// the iteration's scheduler, that records the plaintext it hands its data
+// callback. A client has its
 // callback from the start; a server gets it only at flush, so what it
 // received before is buffered and flushed in one go.
 type fuzzConn struct {
@@ -146,13 +157,13 @@ type fuzzConn struct {
 	calls int
 }
 
-func newFuzzConn(client bool, wire, recv *bufpool.Arena) *fuzzConn {
+func newFuzzConn(sched *simnet.Scheduler, client bool, wire, recv *bufpool.Arena) *fuzzConn {
 	fc := &fuzzConn{}
 	if client {
-		fc.c = Client(&fc.tr, ClientConfig{ServerName: "edge.example", ALPN: "h2", Arena: wire, RecvArena: recv}, nil)
+		fc.c = Client(&fc.tr, ClientConfig{ServerName: "edge.example", ALPN: "h2", Sched: sched, Arena: wire, RecvArena: recv}, nil)
 		fc.c.SetDataFunc(fc.onData)
 	} else {
-		fc.c = Server(&fc.tr, ServerConfig{Arena: wire, RecvArena: recv}, nil)
+		fc.c = Server(&fc.tr, ServerConfig{Sched: sched, Arena: wire, RecvArena: recv}, nil)
 	}
 	fc.c.Write([]byte("queued until the handshake allows it"))
 	return fc

@@ -48,7 +48,8 @@ func (f *fakeTransport) SetDrainFunc(_ int, fn func()) { f.drain = fn }
 // cuts the conn's own callbacks into the layer above.
 func TestCloseAndReleaseCutCallbacks(t *testing.T) {
 	f := &fakeTransport{}
-	c := Server(f, ServerConfig{}, func(error) {})
+	r := newRig()
+	c := Server(f, r.serverCfg(ServerConfig{}), func(error) {})
 	c.SetDataFunc(func([]byte) {})
 	c.SetCloseFunc(func(error) {})
 	c.SetDrainFunc(1, func() {})
@@ -63,6 +64,7 @@ func TestCloseAndReleaseCutCallbacks(t *testing.T) {
 	if c.dataFn != nil || c.closeFn != nil || c.onHandshake != nil {
 		t.Fatal("Release left a callback into the layer above")
 	}
+	r.run(t)
 }
 
 // TestHandshakeStepOutlivesRelease: a pooled client conn aborted and
@@ -71,17 +73,18 @@ func TestCloseAndReleaseCutCallbacks(t *testing.T) {
 // no new occupant — and is handed out after. Its own handshake callback
 // never fires once released.
 func TestHandshakeStepOutlivesRelease(t *testing.T) {
-	sched := &simnet.Scheduler{MaxEvents: 1_000_000}
+	r := newRig()
+	sched := r.sched
 	n := simnet.NewNetwork(sched, func(src, dst simnet.Addr) simnet.PathProps {
 		return simnet.PathProps{Delay: 10 * time.Millisecond}
 	}, seqrand.New(5))
 	client, server := n.AddHost("client"), n.AddHost("server")
-	tcfg := tcpsim.Config{Pools: &tcpsim.Pools{}}
+	tcfg := r.tcpCfg()
 	got := map[int]*bytes.Buffer{}
 	if _, err := tcpsim.Listen(server, 443, tcfg, func(tc *tcpsim.Conn) {
 		buf := &bytes.Buffer{}
 		got[len(got)] = buf
-		c := Server(tc, ServerConfig{Sched: sched}, nil)
+		c := Server(tc, r.serverCfg(ServerConfig{}), nil)
 		c.SetDataFunc(func(p []byte) { buf.Write(p) })
 	}); err != nil {
 		t.Fatal(err)
@@ -89,7 +92,7 @@ func TestHandshakeStepOutlivesRelease(t *testing.T) {
 	pools := &Pools{}
 	dial := func(made func(*Conn), done func(error)) {
 		tcpsim.Dial(client, "server", 443, tcfg, func(tc *tcpsim.Conn) {
-			made(Client(tc, ClientConfig{ServerName: "server", Sched: sched, HandshakeCPU: 40 * time.Millisecond, Pools: pools}, done))
+			made(Client(tc, r.clientCfg(ClientConfig{ServerName: "server", HandshakeCPU: 40 * time.Millisecond, Pools: pools}), done))
 		})
 	}
 

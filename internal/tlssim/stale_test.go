@@ -18,12 +18,13 @@ import (
 // None may reach the struct's new occupant, which must deliver exactly
 // its own bytes and close cleanly.
 func TestCallsAfterTransportTeardown(t *testing.T) {
-	sched := &simnet.Scheduler{MaxEvents: 2_000_000}
+	r := newRig()
+	sched := r.sched
 	n := simnet.NewNetwork(sched, func(src, dst simnet.Addr) simnet.PathProps {
 		return simnet.PathProps{Delay: 10 * time.Millisecond, BandwidthBps: 20e6}
 	}, seqrand.New(5))
 	client, server := n.AddHost("client"), n.AddHost("server")
-	tcfg := tcpsim.Config{Pools: &tcpsim.Pools{}}
+	tcfg := r.tcpCfg()
 
 	// The server keeps each connection's plaintext and how it ended, in
 	// accept order.
@@ -34,7 +35,7 @@ func TestCallsAfterTransportTeardown(t *testing.T) {
 		key, buf := len(servers), &bytes.Buffer{}
 		got[key] = buf
 		var c *Conn
-		c = Server(tc, ServerConfig{Sched: sched}, nil)
+		c = Server(tc, r.serverCfg(ServerConfig{}), nil)
 		servers = append(servers, c)
 		c.SetDataFunc(func(p []byte) { buf.Write(p) })
 		c.SetCloseFunc(func(err error) {
@@ -47,7 +48,7 @@ func TestCallsAfterTransportTeardown(t *testing.T) {
 	dial := func(ready func(*tcpsim.Conn, *Conn)) {
 		tcpsim.Dial(client, "server", 443, tcfg, func(tc *tcpsim.Conn) {
 			var c *Conn
-			c = Client(tc, ClientConfig{ServerName: "server", Sched: sched}, func(err error) {
+			c = Client(tc, r.clientCfg(ClientConfig{ServerName: "server"}), func(err error) {
 				if err != nil {
 					t.Fatalf("handshake: %v", err)
 				}

@@ -5,15 +5,48 @@ import (
 	"testing"
 	"time"
 
+	"h3cdn/internal/bufpool"
 	"h3cdn/internal/seqrand"
 	"h3cdn/internal/simnet"
 	"h3cdn/internal/tcpsim"
 )
 
+// rig is what one test's endpoints share, as a universe's endpoints do:
+// a scheduler, the TCP pools, and one wire arena that TCP and TLS both
+// draw from.
+type rig struct {
+	sched *simnet.Scheduler
+	tcp   tcpsim.Pools
+	wire  bufpool.Arena
+}
+
+func newRig() *rig { return &rig{sched: &simnet.Scheduler{MaxEvents: 2_000_000}} }
+
+// tcpCfg, clientCfg and serverCfg put a configuration on the rig.
+func (r *rig) tcpCfg() tcpsim.Config { return tcpsim.Config{Pools: &r.tcp, Arena: &r.wire} }
+
+func (r *rig) clientCfg(cfg ClientConfig) ClientConfig {
+	cfg.Sched, cfg.Arena = r.sched, &r.wire
+	return cfg
+}
+
+func (r *rig) serverCfg(cfg ServerConfig) ServerConfig {
+	cfg.Sched, cfg.Arena = r.sched, &r.wire
+	return cfg
+}
+
+// run drains the rig's scheduler.
+func (r *rig) run(t testing.TB) {
+	t.Helper()
+	if _, err := r.sched.Run(); err != nil {
+		t.Fatalf("scheduler: %v", err)
+	}
+}
+
 // testWorld wires client and server hosts with a symmetric 25ms one-way
 // delay (50ms RTT) and a TLS echo server.
 type testWorld struct {
-	sched    *simnet.Scheduler
+	*rig
 	net      *simnet.Network
 	client   *simnet.Host
 	server   *simnet.Host
@@ -22,7 +55,7 @@ type testWorld struct {
 
 func newTestWorld(t *testing.T, loss float64) *testWorld {
 	t.Helper()
-	sched := &simnet.Scheduler{MaxEvents: 2_000_000}
+	r := newRig()
 	pf := func(src, dst simnet.Addr) simnet.PathProps {
 		props := simnet.PathProps{Delay: 25 * time.Millisecond, LossRate: loss}
 		if loss > 0 {
@@ -30,18 +63,18 @@ func newTestWorld(t *testing.T, loss float64) *testWorld {
 		}
 		return props
 	}
-	n := simnet.NewNetwork(sched, pf, seqrand.New(11))
+	n := simnet.NewNetwork(r.sched, pf, seqrand.New(11))
 	w := &testWorld{
-		sched:    sched,
+		rig:      r,
 		net:      n,
 		client:   n.AddHost("client"),
 		server:   n.AddHost("server"),
 		sessions: NewServerSessionState(),
 	}
 	// TLS echo server.
-	if _, err := tcpsim.Listen(w.server, 443, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+	if _, err := tcpsim.Listen(w.server, 443, r.tcpCfg(), func(tc *tcpsim.Conn) {
 		var tlsConn *Conn
-		tlsConn = Server(tc, ServerConfig{Sessions: w.sessions, Sched: sched}, nil)
+		tlsConn = Server(tc, r.serverCfg(ServerConfig{Sessions: w.sessions}), nil)
 		tlsConn.SetDataFunc(func(p []byte) { tlsConn.Write(p) })
 	}); err != nil {
 		t.Fatal(err)
@@ -52,11 +85,11 @@ func newTestWorld(t *testing.T, loss float64) *testWorld {
 // dial opens TCP+TLS and invokes ready when app data may flow.
 func (w *testWorld) dial(t *testing.T, cfg ClientConfig, ready func(*Conn)) {
 	t.Helper()
-	cfg.Sched = w.sched
+	cfg = w.clientCfg(cfg)
 	if cfg.ServerName == "" {
 		cfg.ServerName = "server"
 	}
-	tcpsim.Dial(w.client, "server", 443, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+	tcpsim.Dial(w.client, "server", 443, w.tcpCfg(), func(tc *tcpsim.Conn) {
 		var tlsConn *Conn
 		tlsConn = Client(tc, cfg, func(err error) {
 			if err != nil {
@@ -65,13 +98,6 @@ func (w *testWorld) dial(t *testing.T, cfg ClientConfig, ready func(*Conn)) {
 			ready(tlsConn)
 		})
 	})
-}
-
-func (w *testWorld) run(t *testing.T) {
-	t.Helper()
-	if _, err := w.sched.Run(); err != nil {
-		t.Fatalf("scheduler: %v", err)
-	}
 }
 
 func TestTLS13HandshakeIsTwoRTTsTotal(t *testing.T) {
@@ -202,7 +228,8 @@ func TestEchoThroughTLSUnderLoss(t *testing.T) {
 func TestEarlyDataArrivesWithFirstFlight(t *testing.T) {
 	// The whole point of 0-RTT: request bytes reach the server app at
 	// ~1.5 RTT total (TCP handshake + one-way), not 2.5.
-	sched := &simnet.Scheduler{MaxEvents: 2_000_000}
+	r := newRig()
+	sched := r.sched
 	pf := func(src, dst simnet.Addr) simnet.PathProps {
 		return simnet.PathProps{Delay: 25 * time.Millisecond}
 	}
@@ -212,9 +239,9 @@ func TestEarlyDataArrivesWithFirstFlight(t *testing.T) {
 	sessions := NewServerSessionState()
 
 	var firstByteAt time.Duration
-	if _, err := tcpsim.Listen(server, 443, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+	if _, err := tcpsim.Listen(server, 443, r.tcpCfg(), func(tc *tcpsim.Conn) {
 		var sc *Conn
-		sc = Server(tc, ServerConfig{Sessions: sessions, Sched: sched}, nil)
+		sc = Server(tc, r.serverCfg(ServerConfig{Sessions: sessions}), nil)
 		sc.SetDataFunc(func(p []byte) {
 			if firstByteAt == 0 {
 				firstByteAt = sched.Now()
@@ -226,12 +253,12 @@ func TestEarlyDataArrivesWithFirstFlight(t *testing.T) {
 
 	tickets := NewTicketStore()
 	start := func(early bool, onReady func(*Conn)) {
-		tcpsim.Dial(client, "server", 443, tcpsim.Config{}, func(tc *tcpsim.Conn) {
+		tcpsim.Dial(client, "server", 443, r.tcpCfg(), func(tc *tcpsim.Conn) {
 			var cc *Conn
-			cc = Client(tc, ClientConfig{
+			cc = Client(tc, r.clientCfg(ClientConfig{
 				Version: TLS13, ServerName: "server", Tickets: tickets,
-				EnableEarlyData: early, Sched: sched,
-			}, func(err error) {
+				EnableEarlyData: early,
+			}), func(err error) {
 				if err != nil {
 					t.Fatalf("handshake: %v", err)
 				}
@@ -258,23 +285,24 @@ func TestEarlyDataArrivesWithFirstFlight(t *testing.T) {
 }
 
 func TestHandshakeCPUDelaysCompletion(t *testing.T) {
-	sched := &simnet.Scheduler{MaxEvents: 2_000_000}
+	r := newRig()
+	sched := r.sched
 	pf := func(src, dst simnet.Addr) simnet.PathProps {
 		return simnet.PathProps{Delay: 25 * time.Millisecond}
 	}
 	n := simnet.NewNetwork(sched, pf, seqrand.New(5))
 	client := n.AddHost("client")
 	server := n.AddHost("server")
-	if _, err := tcpsim.Listen(server, 443, tcpsim.Config{}, func(tc *tcpsim.Conn) {
-		Server(tc, ServerConfig{Sched: sched, HandshakeCPU: 3 * time.Millisecond}, nil)
+	if _, err := tcpsim.Listen(server, 443, r.tcpCfg(), func(tc *tcpsim.Conn) {
+		Server(tc, r.serverCfg(ServerConfig{HandshakeCPU: 3 * time.Millisecond}), nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var readyAt time.Duration
-	tcpsim.Dial(client, "server", 443, tcpsim.Config{}, func(tc *tcpsim.Conn) {
-		Client(tc, ClientConfig{
-			Version: TLS13, ServerName: "server", Sched: sched, HandshakeCPU: 2 * time.Millisecond,
-		}, func(err error) {
+	tcpsim.Dial(client, "server", 443, r.tcpCfg(), func(tc *tcpsim.Conn) {
+		Client(tc, r.clientCfg(ClientConfig{
+			Version: TLS13, ServerName: "server", HandshakeCPU: 2 * time.Millisecond,
+		}), func(err error) {
 			if err != nil {
 				t.Fatal(err)
 			}

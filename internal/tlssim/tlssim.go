@@ -14,8 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"time"
-
-	"h3cdn/internal/simnet"
 )
 
 // Version selects the simulated TLS protocol version.
@@ -224,17 +222,17 @@ func decodeServerHello13(p []byte) (serverHello13, error) {
 	return serverHello13{resumed: p[0] == 1, newTicketID: binary.BigEndian.Uint64(p[1:9])}, nil
 }
 
-// cpuDelay runs a handshake step for c after d on sched, or at once when
-// there is no scheduler or no delay. event is the step's stepEvent form.
-// A waiting step is counted in c.steps, which keeps a pooled conn from
+// cpuDelay runs a handshake step for c after d on its scheduler, or at
+// once when there is no delay. event is the step's stepEvent form. A
+// waiting step is counted in c.steps, which keeps a pooled conn from
 // being recycled under it.
-func cpuDelay(c *Conn, sched *simnet.Scheduler, d time.Duration, event func(any)) {
+func cpuDelay(c *Conn, d time.Duration, event func(any)) {
 	c.steps++
-	if sched == nil || d == 0 {
+	if d == 0 {
 		event(c)
 		return
 	}
-	sched.AfterArg(d, event, c)
+	c.sched().AfterArg(d, event, c)
 }
 
 // stepEvent runs one counted handshake step of the conn x.
