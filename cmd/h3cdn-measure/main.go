@@ -210,8 +210,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: memstats peak-heap=%.1fMB total-alloc=%.1fMB gc-cycles=%d\n",
 			float64(peakHeap)/(1<<20), float64(ms.TotalAlloc)/(1<<20), ms.NumGC)
 		// Buffers the workers' pools had to allocate: warm pools take
-		// most wire buffers and TLS carries in each worker's first
-		// shard; packet payloads start afresh each shard.
+		// most of them in each worker's first shard.
 		nb := ds.Stats.NewBuffers
 		fmt.Fprintf(os.Stderr, "h3cdn-measure: memstats new-buffers wire=%d tcp=%d quic=%d recv=%d\n",
 			nb.Wire, nb.TCP, nb.QUIC, nb.Recv)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,5 +162,52 @@ func TestHARRetentionFlag(t *testing.T) {
 				t.Fatalf("-har-retention %q: exit %d, want %d", tc.value, got, want)
 			}
 		})
+	}
+}
+
+// memstatsNews runs a one-worker campaign over a 2-page corpus with
+// -memstats and returns the counts its new-buffers line reports.
+func memstatsNews(t *testing.T, probes string) [4]int {
+	t.Helper()
+	dir := t.TempDir()
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	code := run([]string{"-pages", "2", "-probes", probes, "-workers", "1", "-memstats", "-o", filepath.Join(dir, "ds.json")})
+	os.Stderr = saved
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 {
+		t.Fatalf("-probes %s: exit %d:\n%s", probes, code, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		var n [4]int
+		if _, err := fmt.Sscanf(line, "h3cdn-measure: memstats new-buffers wire=%d tcp=%d quic=%d recv=%d", &n[0], &n[1], &n[2], &n[3]); err == nil {
+			return n
+		}
+	}
+	t.Fatalf("-probes %s: no new-buffers line in:\n%s", probes, out)
+	return [4]int{}
+}
+
+// TestMemstatsNewBuffers checks -memstats' pool-warmth line. Every
+// arena it names allocates in a campaign's first shard, so each count
+// is positive. A worker keeps its pools across its shards, so doubling
+// the shards one worker runs (a second probe) adds at most a quarter
+// to any count: the second probe's shards replay out of the first's
+// buffers.
+func TestMemstatsNewBuffers(t *testing.T) {
+	names := [4]string{"wire", "tcp", "quic", "recv"}
+	one, two := memstatsNews(t, "1"), memstatsNews(t, "2")
+	for i, name := range names {
+		if one[i] <= 0 || two[i]*4 > one[i]*5 {
+			t.Fatalf("new %s buffers: %d over 6 shards, %d over 12; want a positive count that doubling the shards raises by at most a quarter", name, one[i], two[i])
+		}
 	}
 }

@@ -198,9 +198,8 @@ type CampaignStats struct {
 	// open-loop campaigns; zero on closed-loop ones.
 	Traffic traffic.Counters
 	// NewBuffers sums, over the campaign's workers, the buffers their
-	// pools had to allocate. A worker's wire buffers and TLS carries
-	// warm in its first shard, so those grow with workers, not shards;
-	// packet payloads start afresh each shard. A checkpoint does not
+	// pools had to allocate. A worker's pools warm in its first shard,
+	// so these grow with workers, not shards. A checkpoint does not
 	// record it: it depends on which worker ran what.
 	NewBuffers httpsim.PoolNews `json:"-"`
 }
@@ -380,11 +379,10 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 	// Finished shards park in results until every shard is done. Each
 	// index is written by exactly one worker and read only after the
 	// WaitGroup, so the slice needs no lock. Each worker owns one Pools
-	// and runs every shard it takes on it, so its wire buffers, TLS
-	// carries and HTTP records warm once per worker, not once per shard
-	// (Pools.Detach says what does not carry); pool state never changes
-	// what is simulated, so which worker runs which shard cannot reach
-	// the dataset.
+	// and runs every shard it takes on it, so its free lists warm once
+	// per worker, not once per shard; pool state never changes what is
+	// simulated, so which worker runs which shard cannot reach the
+	// dataset.
 	results := make([]shardResult, len(jobs))
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -406,7 +404,7 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 			for i := range queue {
 				if ran {
 					// The worker's last shard is garbage now: its
-					// universe, and its pooled records (Detach). Collect
+					// universe, which Promote cut from the pools. Collect
 					// it before this shard grows, or the heap may grow
 					// to twice a live set that still held the finished
 					// universe: this is what keeps a long campaign's
@@ -485,10 +483,10 @@ func stitch(cfg CampaignConfig, corpus *webgen.Corpus, jobs []shardJob, results 
 // runShard executes one shard on the worker's pools: the campaign kind
 // picks the visit source, and everything either source produces lands
 // in the shard's sink. When it returns, no scheduler of the shard will
-// run again, so the pools detach from it: the worker's next shard must
-// not find this one's universe through them.
+// run again, so the pools promote what it retired: the worker's next
+// shard must not find this one's universe through them.
 func runShard(cfg CampaignConfig, topo *Topology, job shardJob, pools *httpsim.Pools) shardResult {
-	defer pools.Detach()
+	defer pools.Promote()
 	sink := newVisitSink(cfg, job)
 	source := runScripted
 	if cfg.Traffic != nil {

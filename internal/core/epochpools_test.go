@@ -103,16 +103,17 @@ func testEpochPools(t *testing.T, mode browser.Mode) {
 	}
 }
 
-// TestWorkerPoolsHoldNoEarlierShard runs two shards through runShard on
-// one Pools, the way a campaign worker does, and then walks everything
-// the Pools reaches — free lists, retired lists, arenas, caches. It may
-// reach no Scheduler, Network or Host at all: not the first shard's,
+// TestWorkerPoolsHoldNoEarlierShard runs shards through runShard on one
+// Pools, the way a campaign worker does, and then walks everything the
+// Pools reaches — free lists, retired lists, arenas, caches. It may
+// reach no Scheduler, Network or Host at all: not an earlier shard's,
 // which a retired struct that no later Get promoted would keep alive
-// (an H3 shard's stream states, when an H2 shard follows), and not the
-// second's, whose scheduler also runs no more. The Pools must also be
-// warm: the second shard takes at most a quarter of the new wire
-// buffers the first took. Two scripted shards of different modes, and
-// two population shards.
+// (an H3 shard's stream states, when an H2 shard follows; it fails
+// without runShard's Promote), and not the last one's, whose scheduler
+// also runs no more. The Pools must also be warm: the second shard,
+// which runs the first one's mode, takes at most a quarter of the new
+// wire, TCP payload and QUIC payload buffers the first took. Three
+// scripted shards, H3, H3 and H2, and two population shards.
 func TestWorkerPoolsHoldNoEarlierShard(t *testing.T) {
 	corpusCfg := webgen.Config{Seed: 7, NumPages: 12, MeanResources: 20}
 	point := vantage.Points()[0]
@@ -128,13 +129,14 @@ func TestWorkerPoolsHoldNoEarlierShard(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  CampaignConfig
-		jobs [2]shardJob
+		jobs []shardJob
 	}{
-		{"h3 then h2", scripted, [2]shardJob{
-			{mode: browser.ModeH3, point: point, lo: 0, hi: 6},
-			{mode: browser.ModeH2, point: point, shard: 1, lo: 6, hi: 12},
+		{"h3 then h2", scripted, []shardJob{
+			{mode: browser.ModeH3, point: point, lo: 0, hi: 4},
+			{mode: browser.ModeH3, point: point, shard: 1, lo: 4, hi: 8},
+			{mode: browser.ModeH2, point: point, shard: 2, lo: 8, hi: 12},
 		}},
-		{"population", population, [2]shardJob{
+		{"population", population, []shardJob{
 			{mode: browser.ModeH3, point: point, lo: 0, hi: 40},
 			{mode: browser.ModeH3, point: point, shard: 1, lo: 40, hi: 80},
 		}},
@@ -143,14 +145,14 @@ func TestWorkerPoolsHoldNoEarlierShard(t *testing.T) {
 			cfg := tc.cfg.withDefaults()
 			topo := NewTopology(webgen.Generate(corpusCfg))
 			pools := &httpsim.Pools{}
-			var news [2]uint64
+			news := make([]httpsim.PoolNews, len(tc.jobs))
 			for i, job := range tc.jobs {
 				if r := runShard(cfg, topo, job, pools); r.err != nil {
 					t.Fatal(r.err)
 				} else if r.stats.PagesFolded == 0 {
 					t.Fatalf("shard %d folded no visits", i)
 				}
-				news[i] = pools.Arena.Stats().News
+				news[i] = pools.News()
 			}
 			w := walker{seen: make(map[walkKey]bool), anyOf: map[reflect.Type]bool{
 				reflect.TypeOf(&simnet.Scheduler{}): true, reflect.TypeOf(&simnet.Network{}): true, reflect.TypeOf(&simnet.Host{}): true,
@@ -162,10 +164,20 @@ func TestWorkerPoolsHoldNoEarlierShard(t *testing.T) {
 			if w.objects < 20 {
 				t.Fatalf("walked only %d objects", w.objects)
 			}
-			if second := news[1] - news[0]; second*4 > news[0] {
-				t.Fatalf("second shard took %d new wire buffers, the first %d: the pools did not carry", second, news[0])
+			for _, arena := range []struct {
+				name          string
+				first, second uint64
+			}{
+				{"wire", news[0].Wire, news[1].Wire - news[0].Wire},
+				{"TCP payload", news[0].TCP, news[1].TCP - news[0].TCP},
+				{"QUIC payload", news[0].QUIC, news[1].QUIC - news[0].QUIC},
+			} {
+				if arena.first == 0 || arena.second*4 > arena.first {
+					t.Fatalf("second shard took %d new %s buffers, the first %d: the pools did not carry", arena.second, arena.name, arena.first)
+				}
+				t.Logf("new %s buffers: first shard %d, second %d", arena.name, arena.first, arena.second)
 			}
-			t.Logf("new wire buffers: first shard %d, second %d; walked %d objects", news[0], news[1]-news[0], w.objects)
+			t.Logf("walked %d objects", w.objects)
 		})
 	}
 }

@@ -15,10 +15,13 @@ import (
 // — bursty loss, jitter and reordering, where parked out-of-order chunks
 // go back to warm pools and come out again — twice: each on a fresh
 // httpsim.Pools, then all on one Pools in reverse job order, so every
-// shard but the first finds pools another shard warmed. RunCampaign
-// relies on pool state never changing what is simulated, so which worker
-// runs which shard cannot reach the dataset: every shard's pages, stats
-// and metrics must come out the same both ways.
+// shard but the first finds pools another shard warmed: wire buffers,
+// TLS carries and records, and the transport pools' segments, packets,
+// payloads, conns and streams, all of which a worker keeps for its
+// lifetime. RunCampaign relies on pool state never changing what is
+// simulated, so which worker runs which shard cannot reach the dataset:
+// every shard's pages, stats and metrics must come out the same both
+// ways.
 func TestPoolWarmthInvisibleUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("36 lossy shards; skipped with -short")

@@ -365,7 +365,7 @@ func (t *tlsWire) dial(host *simnet.Host, addr simnet.Addr, port uint16, serverN
 		Arena:           &cfg.Pools.Arena,
 		RecvArena:       &cfg.Pools.Recv,
 		Trace:           cfg.Trace,
-		Pools:           &cfg.Pools.recs.tls,
+		Pools:           &cfg.Pools.tls,
 	}
 	t.dialStart = c.sched.Now()
 	t.dialing = true

@@ -48,7 +48,7 @@ var _ ClientConn = (*h1Client)(nil)
 
 // DialH1 opens an HTTP/1.1 connection to addr:port.
 func DialH1(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	c, ok := cfg.Pools.recs.h1.Get(host.Scheduler(), (*h1Client).reset)
+	c, ok := cfg.Pools.h1.Get(host.Scheduler(), (*h1Client).reset)
 	if !ok {
 		c = newH1Client()
 	}
@@ -70,7 +70,7 @@ func (c *h1Client) reset() {
 
 func (c *h1Client) recycle() {
 	c.release()
-	c.pools.recs.h1.Retire(c, c.sched)
+	c.pools.h1.Retire(c, c.sched)
 }
 
 func (c *h1Client) send(r *request) {

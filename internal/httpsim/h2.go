@@ -17,7 +17,7 @@ var _ ClientConn = (*h2Client)(nil)
 
 // DialH2 opens an HTTP/2 connection to addr:port.
 func DialH2(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg DialConfig) ClientConn {
-	c, ok := cfg.Pools.recs.h2.Get(host.Scheduler(), (*h2Client).reset)
+	c, ok := cfg.Pools.h2.Get(host.Scheduler(), (*h2Client).reset)
 	if !ok {
 		c = newH2Client()
 	}
@@ -39,7 +39,7 @@ func (c *h2Client) reset() {
 
 func (c *h2Client) recycle() {
 	c.release()
-	c.pools.recs.h2.Retire(c, c.sched)
+	c.pools.h2.Retire(c, c.sched)
 }
 
 // send opens the next odd stream id: 1, 3, 5, ...

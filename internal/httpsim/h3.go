@@ -37,7 +37,7 @@ var _ ClientConn = (*h3Client)(nil)
 
 // DialH3 opens an HTTP/3 connection to addr:port (the QUIC port).
 func DialH3(host *simnet.Host, addr simnet.Addr, port uint16, serverName string, cfg H3DialConfig) ClientConn {
-	c, ok := cfg.Pools.recs.h3.Get(host.Scheduler(), (*h3Client).reset)
+	c, ok := cfg.Pools.h3.Get(host.Scheduler(), (*h3Client).reset)
 	if !ok {
 		c = newH3Client()
 	}
@@ -79,7 +79,7 @@ func (*h3Client) settled() bool { return true }
 
 func (c *h3Client) recycle() {
 	c.conn.Release()
-	c.pools.recs.h3.Retire(c, c.sched)
+	c.pools.h3.Retire(c, c.sched)
 }
 
 func (c *h3Client) HandshakeDuration() time.Duration { return c.conn.HandshakeDuration() }
@@ -154,7 +154,7 @@ type h3Server struct {
 }
 
 func newH3Server(sched *simnet.Scheduler, conn *quicsim.Conn, handler Handler, pools *Pools) *h3Server {
-	s, ok := pools.recs.h3srv.Get(sched, (*h3Server).reset)
+	s, ok := pools.h3srv.Get(sched, (*h3Server).reset)
 	if !ok {
 		s = allocH3Server()
 	}
@@ -178,7 +178,7 @@ func (s *h3Server) reset() {
 // delivers no further stream or data.
 func (s *h3Server) onClose(error) {
 	s.conn.Release()
-	s.pools.recs.h3srv.Retire(s, s.sched)
+	s.pools.h3srv.Retire(s, s.sched)
 }
 
 // h3SrvStream is the server-side per-stream state. Pooled in Pools

@@ -12,19 +12,17 @@ import (
 // it takes on it, one universe at a time: all of a universe's endpoints
 // run on its single scheduler goroutine, so reuse needs no locking, and
 // the free lists survive garbage-collection cycles and universes alike.
-// A worker's wire buffers, TLS carries and HTTP request records warm in
-// its first shard, and later shards replay out of the same footprint;
-// the transport pools and the connection records start afresh with each
-// shard. The zero value is ready to use.
+// Every free list in it lives as long as the worker: it warms in the
+// worker's first shard, and later shards replay out of the same
+// footprint. The zero value is ready to use.
 //
 // Nothing in it waits for a visit boundary (DESIGN.md §4.17), so a
-// Pools outlives its universes; Detach, called once their schedulers
+// Pools outlives its universes; Promote, called once their schedulers
 // are done, keeps it from pinning one. respCache lives as long as the
-// Pools, the request interner until Detach (DESIGN.md §4.27).
+// Pools, the interned names until the next Promote (DESIGN.md §4.27).
 type Pools struct {
 	// TCP, QUIC and Arena are the transport-layer arenas, handed to
-	// endpoints by dialTLS/DialH3/StartServer. TCP and QUIC last one
-	// shard (Detach starts them afresh); Arena carries.
+	// endpoints by dialTLS/DialH3/StartServer.
 	TCP   tcpsim.Pools
 	QUIC  quicsim.Pools
 	Arena bufpool.Arena
@@ -42,22 +40,15 @@ type Pools struct {
 	// headers every visit, and consumers (HAR entries, the locedge
 	// classifier) only ever read them. Never mutate a map from it.
 	respCache map[string]map[string]string
-	names     map[string]string // interned request Hosts and Paths (intern); cleared by Detach
+	names     map[string]string // interned request Hosts and Paths (intern); cleared by Promote
 
 	hdrBuf      []byte   // header-block assembly scratch
 	keyBuf      []byte   // respCache key assembly scratch
 	sortScratch []string // sorted header keys scratch
 
-	reqs      bufpool.Recycler[*request]     // see client.retire
-	h3streams bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
-	recs      recordPools
-
-	detached PoolNews // TCP and QUIC payload news of detached transport pools
-}
-
-// recordPools recycles the connection records above the transports and
-// the responders. Like the transport pools they last one shard (Detach).
-type recordPools struct {
+	// The records above the transports, and the responders.
+	reqs       bufpool.Recycler[*request]     // see client.retire
+	h3streams  bufpool.Recycler[*h3SrvStream] // see h3SrvStream.respond
 	tls        tlssim.Pools
 	h1         bufpool.Recycler[*h1Client]
 	h2         bufpool.Recycler[*h2Client]
@@ -73,58 +64,34 @@ type recordPools struct {
 // nothing.
 func (pl *Pools) Rewind() int64 { return pl.Arena.Stats().InUse }
 
-// Detach cuts the Pools loose from the universes that ran on it. Call it
-// when their schedulers will run no more events: a campaign worker does
-// at each shard boundary. What carries to the next universe, warm, is
-// the wire arena, the TLS carries and the HTTP record pools; the client
-// request records retired in the finished universes are reset into
-// their free list (Recycler.Promote), where they reach no universe.
-// Dropped:
-//   - the transport pools, whole. Their packet payloads are the packets
-//     in flight, whose high water a shard's busiest visit sets at about
-//     four times the median visit's: carried, they would sit mostly
-//     idle in every later shard (on the 768-page CampaignMemory
-//     campaign, 3 to 4 MB more peak heap). Their conn and stream
-//     recyclers would keep the finished universe alive besides;
-//   - the H3 server stream-state recycler and the connection records
-//     and responders (recs). A Recycler promotes a retired struct only
-//     on its next Get, and the next universe may never ask that one (an
-//     H2 shard after an H3 one), so the struct would keep the finished
-//     universe alive;
-//   - the interned request names, which only the finished universes'
-//     requests shared.
-func (pl *Pools) Detach() {
-	pl.detached.TCP += pl.TCP.PayloadStats().News
-	pl.detached.QUIC += pl.QUIC.PayloadStats().News
-	pl.TCP = tcpsim.Pools{}
-	pl.QUIC = quicsim.Pools{}
-	pl.reqs.Promote((*request).reset)
-	pl.h3streams = bufpool.Recycler[*h3SrvStream]{}
-	pl.recs = recordPools{}
-	clear(pl.names)
-}
-
-// Promote resets every connection record retired so far into its free
-// list, whatever its stamp. Call it once the schedulers that retired
-// them will run no more events, as a population shard does between its
-// epochs: a record of a kind the next epoch never asks for (an HTTP/1.1
-// client, say) would otherwise stay retired and keep the finished
-// epoch's universe alive. Detach drops the records instead.
+// Promote ends the universes that ran on the Pools. Call it once their
+// schedulers will run no more events: a campaign worker does at the end
+// of each scripted shard and of each population epoch. Every struct
+// retired so far, in every recycler of the HTTP, TLS, TCP and QUIC
+// layers, is reset into its free list whatever its stamp, where it
+// reaches no universe: a Recycler promotes a retired struct only on its
+// next Get, and the next universe may never ask that one (an H2 shard
+// after an H3 one), so the struct would otherwise keep the finished
+// universe alive. The interned request and server names are forgotten
+// too: only the finished universes' requests shared them.
 func (pl *Pools) Promote() {
-	r := &pl.recs
-	r.tls.Promote()
-	r.h1.Promote((*h1Client).reset)
-	r.h2.Promote((*h2Client).reset)
-	r.h3.Promote((*h3Client).reset)
-	r.srv.Promote((*serverConn).reset)
-	r.h3srv.Promote((*h3Server).reset)
+	pl.TCP.Promote()
+	pl.QUIC.Promote()
+	pl.tls.Promote()
+	pl.reqs.Promote((*request).reset)
+	pl.h3streams.Promote((*h3SrvStream).reset)
+	pl.h1.Promote((*h1Client).reset)
+	pl.h2.Promote((*h2Client).reset)
+	pl.h3.Promote((*h3Client).reset)
+	pl.srv.Promote((*serverConn).reset)
+	pl.h3srv.Promote((*h3Server).reset)
+	clear(pl.names)
 }
 
 // PoolNews counts the buffers a Pools' arenas had to allocate because
 // their free lists were empty: wire records, TCP and QUIC packet
 // payloads, and TLS carries. A Pools that stays warm across shards
-// takes most of its wire records and carries in its first shard; the
-// packet payloads start afresh with each (Detach).
+// takes most of them in its first shard.
 type PoolNews struct {
 	Wire, TCP, QUIC, Recv uint64
 }
@@ -137,17 +104,14 @@ func (n *PoolNews) Add(o PoolNews) {
 	n.Recv += o.Recv
 }
 
-// News reports the buffers the arenas have allocated so far, detached
-// transport pools included.
+// News reports the buffers the arenas have allocated so far.
 func (pl *Pools) News() PoolNews {
-	n := pl.detached
-	n.Add(PoolNews{
+	return PoolNews{
 		Wire: pl.Arena.Stats().News,
 		TCP:  pl.TCP.PayloadStats().News,
 		QUIC: pl.QUIC.PayloadStats().News,
 		Recv: pl.Recv.Stats().News,
-	})
-	return n
+	}
 }
 
 // --- per-request record pools ---

@@ -38,7 +38,7 @@ type responderTarget interface {
 // getResponder hands out a responder for stream id of to's incarnation
 // gen.
 func (pl *Pools) getResponder(to responderTarget, gen, id uint32) *Responder {
-	r, ok := pl.recs.responders.Get()
+	r, ok := pl.responders.Get()
 	if !ok {
 		r = newResponder()
 	}
@@ -58,7 +58,7 @@ func (r *Responder) Respond(resp Response) {
 	}
 	pl := r.pl
 	r.reset()
-	pl.recs.responders.Put(r)
+	pl.responders.Put(r)
 }
 
 func newResponder() *Responder {

@@ -65,7 +65,7 @@ func StartServer(host *simnet.Host, cfg ServerConfig) (*Server, error) {
 		Arena:        &cfg.Pools.Arena,
 		RecvArena:    &cfg.Pools.Recv,
 		Trace:        cfg.Trace,
-		Pools:        &cfg.Pools.recs.tls,
+		Pools:        &cfg.Pools.tls,
 	}
 
 	tcpCfg := tcpsim.Config{Trace: cfg.Trace, Pools: &cfg.Pools.TCP, Arena: &cfg.Pools.Arena}
@@ -166,7 +166,7 @@ func (c *serverConn) reset() {
 
 // getServerConn hands out a connection record for srv.
 func (pl *Pools) getServerConn(srv *Server) *serverConn {
-	c, ok := pl.recs.srv.Get(srv.host.Scheduler(), (*serverConn).reset)
+	c, ok := pl.srv.Get(srv.host.Scheduler(), (*serverConn).reset)
 	if !ok {
 		c = newServerConn()
 	}
@@ -245,5 +245,5 @@ func (c *serverConn) retire() {
 	c.gen++
 	c.tls.Release()
 	c.tls = nil
-	c.srv.cfg.Pools.recs.srv.Retire(c, c.srv.host.Scheduler())
+	c.srv.cfg.Pools.srv.Retire(c, c.srv.host.Scheduler())
 }

@@ -319,3 +319,30 @@ func TestPullStreamFrameMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestPacketThresholdLoss acknowledges the packets after pn 0 one at a
+// time. pn 0 must be declared lost exactly when the third packet number
+// after it is acknowledged (RFC 9002 §6.1.1, kPacketThreshold 3), not
+// before and not later, and its frames queued for retransmission.
+func TestPacketThresholdLoss(t *testing.T) {
+	c := oracleConn()
+	// Closed, so trySend sends nothing and the lost frames stay on sendQ.
+	c.state = stateClosed
+	for ; c.nextPN < 6; c.nextPN++ {
+		c.sent.push(&sentPacket{pn: c.nextPN, size: 1200, frames: []frame{&clientHelloFrame{nonce: c.nextPN}}})
+		c.bytesInFlight += 1200
+	}
+	for largest := uint64(1); largest <= 5; largest++ {
+		c.handleAck([]pnRange{{1, largest}})
+		want := int64(0)
+		if largest >= 3 {
+			want = 1
+		}
+		if got := c.cfg.Recovery.PacketsDeclaredLost; got != want {
+			t.Fatalf("pns 1..%d acknowledged: %d packets declared lost, want %d", largest, got, want)
+		}
+	}
+	if len(c.sendQ) != 1 || c.sendQ[0].(*clientHelloFrame).nonce != 0 || len(c.sent.live()) != 0 {
+		t.Fatalf("%d frames re-queued and %d packets in flight, want pn 0's one frame and none", len(c.sendQ), len(c.sent.live()))
+	}
+}

@@ -2,15 +2,16 @@ package quicsim
 
 import "h3cdn/internal/bufpool"
 
-// Pools is a per-universe arena for the transport's per-packet and
-// per-stream records and bytes: packets (with their ACK range arrays)
-// and their payloads, frames arrays, sentPacket records, streamFrame
-// structs, Stream objects and their supplied-byte extents. One
-// simulation universe shares a single Pools across all of its endpoints;
-// every endpoint runs on the universe's one scheduler goroutine, so
-// reuse needs no locking. Free lists persist across visits — a warm
-// shard replays each visit out of the same allocation footprint. The
-// zero value is ready to use.
+// Pools is the arena for the transport's per-packet and per-stream
+// records and bytes: packets (with their ACK range arrays) and their
+// payloads, frames arrays, sentPacket records, streamFrame structs,
+// Stream objects and their supplied-byte extents. It lives as long as
+// the campaign worker that owns it, and serves the universes the worker
+// runs one at a time; all endpoints of a universe share it on the
+// universe's one scheduler goroutine, so reuse needs no locking. Free
+// lists persist across visits and universes — a warm worker replays
+// each visit out of the same allocation footprint. The zero value is
+// ready to use.
 //
 // Recycling discipline (see DESIGN.md §4.17): packets, their ACK ranges
 // and their payloads recycle via simnet's Release after delivery or drop
@@ -63,6 +64,14 @@ func (pl *Pools) releaseHold(sf *streamFrame) {
 	}
 	*sf = streamFrame{}
 	pl.sframes.Put(sf)
+}
+
+// Promote resets and frees every retired stream and conn whatever its
+// stamp; call it once the schedulers that retired them will run no more
+// events.
+func (pl *Pools) Promote() {
+	pl.streams.Promote((*Stream).reset)
+	pl.conns.Promote((*Conn).reset)
 }
 
 // PayloadStats returns the packet-payload arena's counters.

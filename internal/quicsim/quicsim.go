@@ -63,8 +63,8 @@ type Config struct {
 	// MaxPTOs bounds consecutive probe timeouts before the connection
 	// errors out. Default 8.
 	MaxPTOs int
-	// Pools is the per-universe record arena shared by every endpoint
-	// of one scheduler goroutine. Required.
+	// Pools is the record arena shared by every endpoint of one
+	// scheduler goroutine; it outlives the universe. Required.
 	Pools *Pools
 	// Recovery, when non-nil, accumulates loss-recovery counters for
 	// this endpoint (probe fires, declared losses, blackout crossings).

@@ -2,11 +2,12 @@ package tcpsim
 
 import "h3cdn/internal/bufpool"
 
-// Pools is a per-universe free list for TCP allocations. All endpoints
-// of one simulation universe share one Pools on one scheduler goroutine,
-// so reuse needs no locking and survives garbage-collection cycles: a
-// warm shard replays each visit out of the same segment, buffer, and
-// conn footprint. The zero value is ready to use.
+// Pools is the free list for TCP allocations. It lives as long as the
+// campaign worker that owns it, and serves the universes the worker runs
+// one at a time; all endpoints of a universe share it on one scheduler
+// goroutine, so reuse needs no locking and survives garbage-collection
+// cycles: a warm worker replays each visit out of the same segment,
+// buffer, and conn footprint. The zero value is ready to use.
 //
 // Segments and their payload buffers recycle at delivery or drop (the
 // network calls Release after the handler returns); an all-opaque
@@ -31,6 +32,10 @@ type Pools struct {
 
 	conns bufpool.Recycler[*Conn]
 }
+
+// Promote resets and frees every retired conn whatever its stamp; call
+// it once the schedulers that retired them will run no more events.
+func (pl *Pools) Promote() { pl.conns.Promote((*Conn).reset) }
 
 // PayloadStats returns the segment-payload arena's counters.
 func (pl *Pools) PayloadStats() bufpool.ArenaStats { return pl.payloads.Stats() }

@@ -409,6 +409,48 @@ func TestFastRetransmitPreferredOverTimeout(t *testing.T) {
 	}
 }
 
+// TestFastRetransmitOnThirdDupAck drops the first data segment of a
+// transfer, so each segment behind it draws one duplicate ACK. Fast
+// retransmit (RFC 5681 §3.2) must fire on the third duplicate ACK: with
+// three segments behind the hole it repairs the loss with no timeout,
+// and with two it must not fire, leaving the repair to the RTO.
+func TestFastRetransmitOnThirdDupAck(t *testing.T) {
+	for _, tc := range []struct {
+		segs           int
+		fast, timeouts int64
+	}{
+		{segs: 3, fast: 0, timeouts: 1},
+		{segs: 4, fast: 1, timeouts: 0},
+	} {
+		w := newWorld(t, 10*time.Millisecond, 50e6, 0)
+		dropped := false
+		w.net.SetFilter(func(pkt simnet.Packet) bool {
+			if seg, ok := pkt.Payload.(*segment); ok && !dropped && pkt.Src == "client" && len(seg.payload) > 0 {
+				dropped = true
+				return false
+			}
+			return true
+		})
+		var got []byte
+		if _, err := Listen(w.b, 80, w.config(Config{}), func(c *Conn) {
+			c.SetDataFunc(func(p []byte) { got = append(got, p...) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var rs simnet.RecoveryStats
+		payload := patterned(tc.segs * mss)
+		Dial(w.a, "server", 80, w.config(Config{Recovery: &rs}), func(c *Conn) { c.Write(payload) })
+		run(t, w.sched)
+		if !dropped || !bytes.Equal(got, payload) {
+			t.Fatalf("%d segments: dropped %v, received %d of %d bytes", tc.segs, dropped, len(got), len(payload))
+		}
+		if rs.FastRetransmits != tc.fast || rs.Timeouts != tc.timeouts {
+			t.Fatalf("%d segments, %d duplicate ACKs: %d fast retransmits and %d timeouts, want %d and %d",
+				tc.segs, tc.segs-1, rs.FastRetransmits, rs.Timeouts, tc.fast, tc.timeouts)
+		}
+	}
+}
+
 func TestSynLossRecovered(t *testing.T) {
 	// 60% loss: handshake packets will often drop, but retries must
 	// eventually establish (within the retry budget, seed-dependent).

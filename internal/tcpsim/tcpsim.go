@@ -44,8 +44,8 @@ type Config struct {
 	// MaxRetries bounds consecutive retransmissions of the same
 	// segment before the connection errors out. Default 8.
 	MaxRetries int
-	// Pools is the per-universe segment arena shared by every endpoint
-	// of one scheduler goroutine. Required.
+	// Pools is the segment arena shared by every endpoint of one
+	// scheduler goroutine; it outlives the universe. Required.
 	Pools *Pools
 	// Arena is the buffer arena for receive-side reassembly copies of
 	// out-of-order data. Required.

@@ -70,13 +70,13 @@ type ServerConfig struct {
 // handshake step waits on the scheduler. The zero value is ready to use.
 type Pools struct {
 	conns bufpool.Recycler[*Conn]
-	names map[string]string // server names read from ClientHellos (serverName)
+	names map[string]string // server names read from ClientHellos (serverName); cleared by Promote
 }
 
 // serverName returns the server name b spells, as the string an earlier
-// handshake on these pools made of the same bytes: the servers sharing
-// them (a campaign shard's) answer a few names over and over, so each is
-// copied out of a ClientHello once. Nil pools copy every time.
+// handshake on these pools made of the same bytes: the servers of one
+// universe answer a few names over and over, so each is copied out of a
+// ClientHello once until the next Promote. Nil pools copy every time.
 func (pl *Pools) serverName(b []byte) string {
 	if pl == nil {
 		return string(b)
@@ -92,9 +92,13 @@ func (pl *Pools) serverName(b []byte) string {
 	return n
 }
 
-// Promote resets and frees every retired conn whatever its stamp; call
-// it once the schedulers that retired them will run no more events.
-func (pl *Pools) Promote() { pl.conns.Promote((*Conn).reset) }
+// Promote resets and frees every retired conn whatever its stamp, and
+// forgets the server names; call it once the schedulers that retired
+// them will run no more events.
+func (pl *Pools) Promote() {
+	pl.conns.Promote((*Conn).reset)
+	clear(pl.names)
+}
 
 // Conn is a TLS session over an underlying byte stream. It implements
 // bytestream.Stream itself, delivering plaintext application data.
